@@ -64,7 +64,7 @@ class AnonymousOwnerPeer(Peer):
         from repro.messages.envelope import seal
 
         signed = seal(self.identity, request.to_payload())
-        coin_bytes = self.broker_client.purchase(signed.encode())
+        coin_bytes = self.broker_client.purchase(signed.encode(), account=request.account)
         from repro.core.coin import Coin
 
         coin = Coin(cert=protocol.decode_signed(coin_bytes, self.params))
@@ -153,7 +153,9 @@ class AnonymousOwnerPeer(Peer):
             )
             self.counts.renewals_sent += 1
         except (NodeOffline, NetworkError):
-            response = self.broker_client.downtime_renewal(protocol.encode_dual(envelope))
+            response = self.broker_client.downtime_renewal(
+                protocol.encode_dual(envelope), coin_y=held.coin_y
+            )
             binding = CoinBinding(
                 signed=protocol.decode_signed(response, self.params), via_broker=True
             )

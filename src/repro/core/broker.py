@@ -34,7 +34,6 @@ from repro.core.coin import Coin, CoinBinding
 from repro.core.errors import (
     CoinExpired,
     DoubleSpendDetected,
-    InsufficientFunds,
     NotHolder,
     ProtocolError,
     UnknownCoin,
@@ -42,7 +41,7 @@ from repro.core.errors import (
 )
 from repro.core.judge import Judge
 from repro.core.sharding import ShardMap
-from repro.crypto.dsa import DsaSignature, dsa_batch_verify
+from repro.crypto.dsa import DsaSignature, dsa_batch_verify, dsa_verify
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.params import DlogParams
 from repro.messages.envelope import DualSignedMessage, seal
@@ -64,10 +63,11 @@ XSHARD_DEADLINE = 60.0
 def handoff_id(op: str, data: bytes) -> str:
     """Deterministic cross-shard handoff id for one client request.
 
-    Derived from the exact request bytes, so a client retry (same bytes)
-    re-drives the *same* handoff instead of starting a second one — the
-    dedupe key that makes the two-step protocol exactly-once across
-    crashes on either side.
+    Derived from the exact request bytes, so an RPC-level retry (same
+    bytes) re-drives the *same* handoff instead of starting a second one —
+    the dedupe key that makes the two-step protocol exactly-once across
+    crashes on either side.  An application-level retry re-signs, gets a
+    new id, and is held off by the first handoff's reservation instead.
     """
     return hashlib.sha256(b"whopay-handoff|" + op.encode() + b"|" + data).hexdigest()[:32]
 
@@ -188,12 +188,10 @@ class Broker(Node):
         # SHA-256 digests of raw requests whose *cryptographic* checks a
         # verification pool already performed; consumed on first sight.
         self._preverified: set[bytes] = set()
-        #: Federation wiring (set by :meth:`attach_federation`): the ring
-        #: that maps coins/accounts to shards, and the retry policy used for
-        #: shard-to-shard prepares.  ``None`` means standalone broker — every
-        #: cross-shard branch below collapses to the local path.
-        self.shard_map: ShardMap | None = None
-        self._shard_rpc: RpcClient | None = None
+        #: Federation wiring (ring + shard-to-shard RPC client).  A broker
+        #: is a federation of one until :meth:`attach_federation` says
+        #: otherwise: same path, a ring that never names anyone else.
+        self.attach_federation(ShardMap((address,), points_per_shard=1))
         #: Precomputed-nonce pool for broker-signed bindings (set by the
         #: throughput engine per flush window; see DsaNoncePool).
         self.nonce_pool: Any = None
@@ -299,9 +297,9 @@ class Broker(Node):
         """Open a cash account (bank-relationship setup, out of protocol)."""
         if name in self.accounts:
             raise ValueError(f"account {name!r} already exists")
-        self._commit_local(
-            {"type": "open_account", "name": name, "identity_y": identity.y, "balance": balance}
-        )
+        credit = store_apply.effect("credit", balance, account=name, identity_y=identity.y)
+        store_apply.validate_effects(self, [credit])
+        self._commit_local({"type": "open_account", "effects": [credit]})
 
     def open_account_from_certificate(self, certificate, ca_key: PublicKey, balance: int) -> None:
         """Open an account from a CA-issued identity certificate.
@@ -311,10 +309,8 @@ class Broker(Node):
         table — trust in the CA key suffices.  Raises on invalid, expired,
         or revoked-by-shape certificates.
         """
-        from repro.core.errors import VerificationFailed as _VF
-
         if not certificate.verify(ca_key, now=self.clock.now()):
-            raise _VF("identity certificate invalid or expired")
+            raise VerificationFailed("identity certificate invalid or expired")
         self.open_account(
             certificate.subject,
             certificate.subject_key(self.params),
@@ -391,108 +387,90 @@ class Broker(Node):
         self.shard_map = shard_map
         self._shard_rpc = RpcClient(node=self, policy=policy)
 
-    def _account_home(self, name: str) -> str | None:
-        """Home shard address for an account, or ``None`` when it is ours
-        (or there is no federation)."""
-        if self.shard_map is None:
-            return None
-        home = self.shard_map.shard_for_account(name)
-        return None if home == self.address else home
+    def _move_value(self, kind: str, data: bytes, effects: list[dict], reply: Any) -> Any:
+        """The one path value takes through the broker (docs/FEDERATION.md).
 
-    def _coin_home(self, coin_y: int) -> str | None:
-        """Home shard address for a coin key, or ``None`` when it is ours."""
-        if self.shard_map is None:
-            return None
-        home = self.shard_map.shard_for_coin(coin_y)
-        return None if home == self.address else home
-
-    def _send_prepares(self, record: dict[str, Any]) -> None:
-        """Fan out every prepare of one pending handoff to its destination.
-
-        All prepares are *issued* before the outcome is decided — a batch
-        purchase whose coins hash to several sibling shards drives every
-        shard's prepare even if an earlier one failed, rather than stopping
-        at the first error.  Each prepare payload is pre-wrapped in the
-        idempotency envelope keyed by its handoff id, so destination-side
-        dedupe works across retries, crashes, and replay-cache eviction.
-
-        Outcome resolution, in precedence order:
-
-        * any destination's *validation* rejection wins — every mint
-          prepare in the record is compensated (``unmint`` is an idempotent
-          per-coin no-op on shards the prepare never reached) and the
-          rejection re-raises, so the caller aborts the handoff;
-        * otherwise a transport-level failure (``RetriesExhausted``,
-          ``NodeOffline``, timeout) propagates and the handoff stays
-          pending for a later re-drive — destination dedupe via
-          ``handoffs_seen`` keeps the re-drive exactly-once.
+        A handler validates its request and describes the operation as rows
+        of :data:`repro.store.apply.EFFECTS`; this partitions them over the
+        ring.  All homed here: one validated ``move``, staged with the
+        reply.  Otherwise a two-step handoff: the local half is validated
+        and *reserved* in a ``handoff_begin`` journaled before any prepare
+        RPC (a pending ``h`` is an RPC-level retry: not re-journaled, and
+        answered as journaled), then applied by the ``handoff_commit``.
         """
-        assert self._shard_rpc is not None
+        local: list[dict[str, Any]] = []
+        remote: dict[str, list[dict[str, Any]]] = {}
+        for effect in effects:
+            home = store_apply.home_of(self.shard_map, effect)
+            (local if home == self.address else remote.setdefault(home, [])).append(effect)
+        if not remote:
+            store_apply.validate_effects(self, local)
+            self._stage({"type": "move", "effects": local})
+            return reply
+        h = handoff_id(kind, data)
+        if h not in self.pending_handoffs:
+            store_apply.validate_effects(self, local)
+            begin = {"type": "handoff_begin", "h": h, "effects": local, "reply": reply}
+            begin["prepares"] = [
+                {"h": f"{h}#{index}", "dest": dest, "effects": remote[dest]}
+                for index, dest in enumerate(sorted(remote))
+            ]
+            self._commit_local(begin)
+        reply = self.pending_handoffs[h]["reply"]
+        self._finish_handoff(h, staged=True)
+        return reply
+
+    def _prepare(self, dest: str, payload: dict[str, Any]) -> None:
+        """One ``XSHARD_PREPARE``, sealed under the federation key and
+        wrapped in the idempotency envelope keyed by its id, so destination
+        dedupe works across retries, crashes, and replay-cache eviction."""
+        self._shard_rpc.call(
+            dest,
+            protocol.XSHARD_PREPARE,
+            wrap_idempotent(seal(self.keypair, payload).encode(), payload["h"]),
+            deadline=XSHARD_DEADLINE,
+        )
+
+    def _finish_handoff(self, h: str, staged: bool) -> None:
+        """Second step of a handoff: fan out the prepares, then commit.
+
+        Every prepare is *issued* before the outcome is decided — a batch
+        whose coins hash to several shards drives each shard's prepare even
+        if an earlier one failed.  Then a *validation* rejection wins: mints
+        are compensated, the abort is journaled at once (the handler is
+        about to re-raise, which discards staged mutations) and the client
+        sees the rejection.  Else a transport failure propagates and the
+        handoff stays pending for a re-drive (exactly-once via
+        ``handoffs_seen``).  Else the commit rides the request's journal
+        record (``staged``: one fsync covers it and the reply) or, on the
+        :meth:`complete_pending_handoffs` re-drive, is journaled alone.
+        """
+        record = self.pending_handoffs[h]
         rejection: ProtocolError | None = None
-        transport_failure: Exception | None = None
+        transport_failure: NetworkError | None = None
         for prep in record["prepares"]:
-            payload = dict(prep["payload"])
-            payload["h"] = prep["h"]
             try:
-                self._shard_rpc.call(
-                    prep["dest"],
-                    protocol.XSHARD_PREPARE,
-                    wrap_idempotent(seal(self.keypair, payload).encode(), prep["h"]),
-                    deadline=XSHARD_DEADLINE,
-                )
+                self._prepare(prep["dest"], {"h": prep["h"], "effects": prep["effects"]})
             except ProtocolError as exc:
                 rejection = rejection or exc
             except NetworkError as exc:
                 transport_failure = transport_failure or exc
         if rejection is not None:
-            self._cancel_prepares(record)
+            # Only mints need undoing (several destinations means a batch
+            # purchase; a rejected single prepare applied nothing).  Each
+            # cancel names its original as ``undo``, so a shard that never
+            # applied it no-ops: safe for the whole record, and to re-drive.
+            for prep in record["prepares"]:
+                undo = [dict(e, effect="unmint") for e in prep["effects"] if e["effect"] == "mint"]
+                if undo:
+                    self._prepare(
+                        prep["dest"],
+                        {"h": prep["h"] + "#cancel", "undo": prep["h"], "effects": undo},
+                    )
+            self._commit_local({"type": "handoff_abort", "h": h})
             raise rejection
         if transport_failure is not None:
             raise transport_failure
-
-    def _cancel_prepares(self, record: dict[str, Any]) -> None:
-        """Compensate the record's mint prepares after a validation rejection.
-
-        Only mints need undoing (credits/debits are single-prepare
-        handoffs, so a rejection means nothing was applied).  The cancel is
-        itself an idempotent prepare (``op: unmint``) keyed off the original
-        prepare id — a per-coin no-op on any shard the original prepare
-        never reached — so cancelling the *whole* record after a fan-out is
-        safe, and so is re-driving a cancel.
-        """
-        assert self._shard_rpc is not None
-        for prep in record["prepares"]:
-            if prep["payload"].get("op") != "mint":
-                continue
-            cancel = {
-                "h": prep["h"] + "#cancel",
-                "op": "unmint",
-                "coins": prep["payload"]["coins"],
-            }
-            self._shard_rpc.call(
-                prep["dest"],
-                protocol.XSHARD_PREPARE,
-                wrap_idempotent(seal(self.keypair, cancel).encode(), cancel["h"]),
-                deadline=XSHARD_DEADLINE,
-            )
-
-    def _finish_handoff(self, h: str, staged: bool) -> None:
-        """Second step of a handoff: drive prepares, then commit locally.
-
-        ``staged=True`` rides the current request's journal record (commit
-        and reply become durable in one fsync); ``staged=False`` is the
-        out-of-request re-drive path (:meth:`complete_pending_handoffs`).
-        On a destination *validation* rejection the handoff is aborted
-        (journaled) and the error propagates to the client.
-        """
-        record = self.pending_handoffs[h]
-        try:
-            self._send_prepares(record)
-        except ProtocolError:
-            # The handler is about to re-raise, which discards staged muts —
-            # the abort must be journaled immediately instead.
-            self._commit_local({"type": "handoff_abort", "h": h})
-            raise
         commit = {"type": "handoff_commit", "h": h}
         if staged:
             self._stage(commit)
@@ -517,78 +495,34 @@ class Broker(Node):
             completed += 1
         return completed
 
-    def _begin_handoff(self, h: str, begin: dict[str, Any]) -> None:
-        """First step: journal the handoff intent *before* any prepare RPC.
-
-        Idempotent across client retries — a pending ``h`` means the begin
-        record is already durable and must not be re-applied.
-        """
-        if h not in self.pending_handoffs:
-            self._commit_local(dict(begin, type="handoff_begin", h=h))
-
     def _handle_xshard_prepare(self, src: str, payload: Any) -> dict[str, Any]:
         """Destination side of a cross-shard handoff (see docs/FEDERATION.md).
 
-        Validates the op against local state and applies it via a journaled
-        ``xshard_apply`` mutation.  The durable ``handoffs_seen`` set makes
-        re-driven prepares no-ops even if the replay cache evicted the
-        original reply.
-
-        Prepares arrive sealed under the federation signing key: only a
-        sibling shard can originate one, so a forged prepare cannot mint,
-        credit, or unmint value (lint rule WP113).
+        Runs the table's checks on the prepare's effects (as the source did
+        on its own half), verifies the signatures they carry, and applies
+        them via a journaled ``xshard_apply``.  The durable
+        ``handoffs_seen`` set makes re-driven prepares no-ops even if the
+        replay cache evicted the original reply.  Prepares arrive sealed
+        under the federation key: only a sibling shard can originate one,
+        so a forged prepare cannot move value (lint rule WP113).
         """
         self.counts.handoffs += 1
         if not isinstance(payload, (bytes, bytearray)):
             raise ProtocolError("cross-shard prepare must be a sealed envelope")
         sealed = protocol.decode_signed(bytes(payload), self.params)
         if sealed.signer.y != self.public_key.y or not sealed.verify():
-            raise VerificationFailed(
-                "cross-shard prepare not signed by the federation key"
-            )
+            raise VerificationFailed("cross-shard prepare not signed by the federation key")
         payload = sealed.payload
-        if (
-            not isinstance(payload, dict)
-            or not isinstance(payload.get("h"), str)
-            or not isinstance(payload.get("op"), str)
-        ):
+        if not isinstance(payload, dict) or not isinstance(payload.get("h"), str):
             raise ProtocolError("malformed cross-shard prepare")
-        h, op = payload["h"], payload["op"]
-        if h in self.handoffs_seen:
+        if payload["h"] in self.handoffs_seen:
             return {"ok": True, "replayed": True}
-        if op == "mint":
-            for coin_bytes in payload.get("coins", ()):
-                coin = Coin(cert=protocol.decode_signed(coin_bytes, self.params))
-                if coin.cert.signer.y != self.public_key.y or not coin.verify_unsigned():
-                    raise VerificationFailed("cross-shard mint carries an invalid certificate")
-                if not coin.cert.verify():
-                    raise VerificationFailed("cross-shard mint certificate signature invalid")
-                if not self.params.is_element(coin.coin_y):
-                    raise ProtocolError("cross-shard mint coin key is not a group element")
-                existing = self.valid_coins.get(coin.coin_y)
-                if existing is not None and existing.encode() != coin_bytes:
-                    raise ProtocolError("coin key collision across shards")
-        elif op == "credit":
-            credited = payload.get("credited")
-            if not isinstance(credited, int) or credited <= 0:
-                raise ProtocolError("cross-shard credit must be positive")
-            if not isinstance(payload.get("payout_to"), str):
-                raise ProtocolError("cross-shard credit without payout account")
-        elif op == "debit":
-            amount = payload.get("amount")
-            if not isinstance(amount, int) or amount <= 0:
-                raise ProtocolError("cross-shard debit must be positive")
-            account = self.accounts.get(payload.get("account"))
-            if account is None or account.identity.y != payload.get("auth_identity_y"):
-                raise VerificationFailed(
-                    "funding authorization not signed by the account identity"
-                )
-            if account.balance < amount:
-                raise InsufficientFunds("funding account cannot cover the top-up")
-        elif op == "unmint":
-            pass  # compensation: always applicable (per-coin no-op if absent)
-        else:
-            raise ProtocolError(f"unknown cross-shard op {op!r}")
+        if "undo" in payload and payload["undo"] not in self.handoffs_seen:
+            return {"ok": True}  # compensation for a prepare never applied here
+        store_apply.validate_effects(self, payload.get("effects"))
+        for triple in store_apply.verifiable_signatures(self, payload):
+            if not dsa_verify(*triple):
+                raise VerificationFailed("cross-shard effect carries an invalid signature")
         self._stage(dict(payload, type="xshard_apply"))
         return {"ok": True}
 
@@ -725,168 +659,54 @@ class Broker(Node):
     # -- handlers --------------------------------------------------------------
 
     def _handle_purchase(self, src: str, data: bytes) -> bytes:
-        """Purchase (Section 4.2): verify identity, debit, sign the coin."""
+        """Purchase (Section 4.2): a batch of one."""
+        return self._purchase(src, data, protocol.PURCHASE)[0]
+
+    def _handle_purchase_batch(self, src: str, data: bytes) -> list[bytes]:
+        """Batch purchase: one signed request, many coins (Section 4.2)."""
+        return self._purchase(src, data, protocol.PURCHASE_BATCH)
+
+    def _purchase(self, src: str, data: bytes, kind: str) -> list[bytes]:
+        """Verify identity, sign the coins, debit the total, mint each coin.
+
+        Atomic (all minted and the total debited, or nothing) and counted
+        as one broker operation — the amortization batching is for.
+        """
         self.counts.purchases += 1
+        single = kind == protocol.PURCHASE
+        label = "purchase" if single else "batch purchase"
         try:
             signed = protocol.decode_signed(data, self.params)
-            request = protocol.PurchaseRequest.from_payload(signed.payload)
+            if single:
+                request = protocol.PurchaseRequest.from_payload(signed.payload)
+                pairs: Any = ((request.coin_y, request.value),)
+            else:
+                request = protocol.BatchPurchaseRequest.from_payload(signed.payload)
+                pairs = request.coins
         except (ValueError, KeyError) as exc:
-            raise ProtocolError(f"malformed purchase: {exc}") from exc
+            raise ProtocolError(f"malformed {label}: {exc}") from exc
         if not self._crypto_preverified(data) and not signed.verify():
-            raise VerificationFailed("purchase signature invalid")
-        account = self.accounts.get(request.account)
-        if account is None or account.identity.y != signed.signer.y:
-            raise VerificationFailed("purchase not signed by the account identity")
-        if account.balance < request.value:
-            raise InsufficientFunds(f"account {request.account!r} cannot cover {request.value}")
-        dest = self._coin_home(request.coin_y)
-        if dest is None and request.coin_y in self.valid_coins:
-            raise ProtocolError("coin key collision (resubmitted purchase?)")
-        if not self.params.is_element(request.coin_y):
-            raise ProtocolError("coin key is not a valid group element")
-        if request.anonymous:
+            raise VerificationFailed(f"{label} signature invalid")
+        if single and request.anonymous:
             # Section 5.2 approach 3: ownerless coin — the certificate binds
             # only the handle and the coin key.  The broker cannot map the
             # coin to its owner afterwards, so no owner index entry is made
             # (which is why lazy synchronization replaces sync for these).
-            coin = Coin.build(
-                self.keypair,
-                coin_y=request.coin_y,
-                value=request.value,
-                owner_address=None,
-                owner_y=None,
-                handle=request.handle,
-            )
+            owner = {"owner_address": None, "owner_y": None, "handle": request.handle}
         else:
-            coin = Coin.build(
-                self.keypair,
-                coin_y=request.coin_y,
-                value=request.value,
-                owner_address=src,
-                owner_y=signed.signer.y,
-                handle=None,
-            )
-        if dest is None:
-            self._stage(
-                {
-                    "type": "mint",
-                    "account": request.account,
-                    "debit": request.value,
-                    "coins": [coin.encode()],
-                }
-            )
-            return coin.encode()
-        # Cross-shard purchase: this shard (the account's home) debits; the
-        # coin's home shard records circulation.  Two-step handoff — begin
-        # journaled before the prepare RPC, commit staged with the reply.
-        h = handoff_id("purchase", data)
-        if h not in self.pending_handoffs:
-            self._begin_handoff(
-                h,
-                {
-                    "op": "purchase",
-                    "account": request.account,
-                    "debit": request.value,
-                    "remote_value": request.value,
-                    "local_coins": [],
-                    "reply_coins": [coin.encode()],
-                    "prepares": [
-                        {
-                            "h": h + "#0",
-                            "dest": dest,
-                            "payload": {"op": "mint", "coins": [coin.encode()]},
-                        }
-                    ],
-                },
-            )
-        reply = self.pending_handoffs[h]["reply_coins"][0]
-        self._finish_handoff(h, staged=True)
-        return reply
-
-    def _handle_purchase_batch(self, src: str, data: bytes) -> list[bytes]:
-        """Batch purchase: one signed request, many coins (Section 4.2).
-
-        Atomic: either the whole batch is minted and the account debited for
-        the total, or nothing happens.  Counted as one broker operation —
-        the amortization is exactly what batching is for.
-        """
-        self.counts.purchases += 1
-        try:
-            signed = protocol.decode_signed(data, self.params)
-            request = protocol.BatchPurchaseRequest.from_payload(signed.payload)
-        except (ValueError, KeyError) as exc:
-            raise ProtocolError(f"malformed batch purchase: {exc}") from exc
-        if not self._crypto_preverified(data) and not signed.verify():
-            raise VerificationFailed("batch purchase signature invalid")
-        account = self.accounts.get(request.account)
-        if account is None or account.identity.y != signed.signer.y:
-            raise VerificationFailed("batch purchase not signed by the account identity")
-        total = sum(value for _coin_y, value in request.coins)
-        if account.balance < total:
-            raise InsufficientFunds(
-                f"account {request.account!r} cannot cover batch total {total}"
-            )
-        for coin_y, _value in request.coins:
-            if self._coin_home(coin_y) is None and coin_y in self.valid_coins:
-                raise ProtocolError("coin key collision in batch")
-            if not self.params.is_element(coin_y):
-                raise ProtocolError("batch contains an invalid coin key")
+            owner = {"owner_address": src, "owner_y": signed.signer.y, "handle": None}
         coins = Coin.build_batch(
-            self.keypair,
-            [
-                {
-                    "coin_y": coin_y,
-                    "value": value,
-                    "owner_address": src,
-                    "owner_y": signed.signer.y,
-                    "handle": None,
-                }
-                for coin_y, value in request.coins
-            ],
+            self.keypair, [dict(owner, coin_y=coin_y, value=value) for coin_y, value in pairs]
         )
         minted = [coin.encode() for coin in coins]
-        local: list[bytes] = []
-        remote: dict[str, list[bytes]] = {}
-        remote_value = 0
-        for coin, raw in zip(coins, minted):
-            coin_dest = self._coin_home(coin.coin_y)
-            if coin_dest is None:
-                local.append(raw)
-            else:
-                remote.setdefault(coin_dest, []).append(raw)
-                remote_value += coin.value
-        if not remote:
-            self._stage(
-                {"type": "mint", "account": request.account, "debit": total, "coins": minted}
-            )
-            return minted
-        # Cross-shard batch: one handoff, one prepare per destination shard.
-        # A later destination's rejection triggers unmint compensation on the
-        # earlier ones (see _cancel_prepares), keeping the batch atomic.
-        h = handoff_id("purchase_batch", data)
-        if h not in self.pending_handoffs:
-            self._begin_handoff(
-                h,
-                {
-                    "op": "purchase",
-                    "account": request.account,
-                    "debit": total,
-                    "remote_value": remote_value,
-                    "local_coins": local,
-                    "reply_coins": minted,
-                    "prepares": [
-                        {
-                            "h": f"{h}#{index}",
-                            "dest": shard,
-                            "payload": {"op": "mint", "coins": shard_coins},
-                        }
-                        for index, (shard, shard_coins) in enumerate(sorted(remote.items()))
-                    ],
-                },
-            )
-        reply = list(self.pending_handoffs[h]["reply_coins"])
-        self._finish_handoff(h, staged=True)
-        return reply
+        total = sum(coin.value for coin in coins)
+        effects = [
+            store_apply.effect("debit", total, account=request.account, identity_y=signed.signer.y)
+        ] + [
+            store_apply.effect("mint", coin.value, coin_y=coin.coin_y, coin=raw)
+            for coin, raw in zip(coins, minted)
+        ]
+        return self._move_value(kind, data, effects, minted)
 
     def _handle_deposit(self, src: str, data: bytes) -> dict[str, Any]:
         """Deposit: verify holdership + membership, credit, retire the coin."""
@@ -900,45 +720,13 @@ class Broker(Node):
         # Unknown payout names open a pseudonymous bearer account on the fly
         # (the depositor stays anonymous; the account token is its claim).
         value = self.valid_coins[coin.coin_y].value
-        dest = self._account_home(operation.payout_to)
-        if dest is None:
-            self._stage(
-                {
-                    "type": "deposit",
-                    "coin_y": coin.coin_y,
-                    "envelope": data,
-                    "payout_to": operation.payout_to,
-                    "payout_identity_y": envelope.coin_signer.y,
-                    "credited": value,
-                }
-            )
-            return {"ok": True, "credited": value}
-        # Cross-shard deposit: this shard (the coin's home) retires the coin;
-        # the payout account's home shard credits it.
-        h = handoff_id("deposit", data)
-        self._begin_handoff(
-            h,
-            {
-                "op": "deposit",
-                "coin_y": coin.coin_y,
-                "envelope": data,
-                "credited": value,
-                "prepares": [
-                    {
-                        "h": h + "#0",
-                        "dest": dest,
-                        "payload": {
-                            "op": "credit",
-                            "payout_to": operation.payout_to,
-                            "payout_identity_y": envelope.coin_signer.y,
-                            "credited": value,
-                        },
-                    }
-                ],
-            },
-        )
-        self._finish_handoff(h, staged=True)
-        return {"ok": True, "credited": value}
+        effects = [
+            store_apply.effect("retire", value, coin_y=coin.coin_y, envelope=data),
+            store_apply.effect(
+                "credit", value, account=operation.payout_to, identity_y=envelope.coin_signer.y
+            ),
+        ]
+        return self._move_value(protocol.DEPOSIT, data, effects, {"ok": True, "credited": value})
 
     def _fresh_binding(self, coin: Coin, holder_y: int, previous_seq: int) -> CoinBinding:
         return CoinBinding.build(
@@ -998,68 +786,25 @@ class Broker(Node):
             or auth_payload.get("amount") != operation.delta
         ):
             raise ProtocolError("malformed funding authorization")
-        account_name = str(auth_payload.get("account"))
-        dest = self._account_home(account_name)
-        if dest is None:
-            account = self.accounts.get(account_name)
-            if account is None or auth.signer.y != account.identity.y or not auth.verify():
-                raise VerificationFailed(
-                    "funding authorization not signed by the account identity"
-                )
-            if account.balance < operation.delta:
-                raise InsufficientFunds("funding account cannot cover the top-up")
-        elif not auth.verify():
-            # Identity/balance checks happen at the funding account's home
-            # shard (the debit prepare); the signature is checked here.
+        # Identity and balance are checked where the funding account lives
+        # (the debit's table row); the signature is checked here.
+        if not auth.verify():
             raise VerificationFailed("funding authorization signature invalid")
         payload = coin.payload
         new_coin = Coin.build(
             self.keypair,
             coin_y=coin.coin_y,
-            value=coin.value + operation.delta,
+            value=self.valid_coins[coin.coin_y].value + operation.delta,
             owner_address=payload["owner"],
             owner_y=payload["owner_y"],
             handle=payload["handle"],
-        )
-        if dest is None:
-            self._stage(
-                {
-                    "type": "top_up",
-                    "coin_y": coin.coin_y,
-                    "coin": new_coin.encode(),
-                    "account": account_name,
-                    "delta": operation.delta,
-                }
-            )
-            return new_coin.encode()
-        # Cross-shard top-up: this shard (the coin's home) re-mints; the
-        # funding account's home shard validates identity and debits.
-        h = handoff_id("top_up", data)
-        if h not in self.pending_handoffs:
-            self._begin_handoff(
-                h,
-                {
-                    "op": "top_up",
-                    "coin_y": coin.coin_y,
-                    "coin": new_coin.encode(),
-                    "delta": operation.delta,
-                    "prepares": [
-                        {
-                            "h": h + "#0",
-                            "dest": dest,
-                            "payload": {
-                                "op": "debit",
-                                "account": account_name,
-                                "amount": operation.delta,
-                                "auth_identity_y": auth.signer.y,
-                            },
-                        }
-                    ],
-                },
-            )
-        reply = self.pending_handoffs[h]["coin"]
-        self._finish_handoff(h, staged=True)
-        return reply
+        ).encode()
+        account = str(auth_payload.get("account"))
+        effects = [
+            store_apply.effect("debit", operation.delta, account=account, identity_y=auth.signer.y),
+            store_apply.effect("remint", operation.delta, coin_y=coin.coin_y, coin=new_coin),
+        ]
+        return self._move_value(protocol.TOP_UP, data, effects, new_coin)
 
     def _handle_sync_challenge(self, src: str, _payload: Any) -> bytes:
         """First half of sync: hand out a fresh challenge nonce."""

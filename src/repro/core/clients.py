@@ -114,13 +114,12 @@ class BrokerClient(EndpointClient):
     state — including :meth:`sync_challenge`, whose handler mints a pending
     nonce) carry idempotency keys when the policy retries.
 
-    Federation-aware: when constructed with a ``shard_map``, each call
-    routes to the shard owning the operation's anchor key — purchases to
-    the *account's* home (it debits there), holder operations and binding
-    queries to the *coin's* home (circulation state lives there), syncs to
-    an explicit shard (owners fan out over :meth:`shard_addresses`).
-    Without a map every call goes to ``broker_address``, byte-identical to
-    the standalone wire format.
+    Every call routes over the ``shard_map`` ring to the shard owning the
+    operation's anchor key — purchases to the *account's* home (it debits
+    there), holder operations and binding queries to the *coin's* home
+    (circulation state lives there), syncs to an explicit shard (owners
+    fan out over the shards holding their coins).  Without a map the ring
+    is ``broker_address`` alone, so a lone broker is reached the same way.
     """
 
     def __init__(
@@ -134,30 +133,16 @@ class BrokerClient(EndpointClient):
     ) -> None:
         super().__init__(node, policy=policy, breakers=breakers, deadline=deadline)
         self.broker_address = broker_address
-        self.shard_map = shard_map
+        from repro.core.sharding import ShardMap  # imports repro.dht, which imports us
 
-    def shard_addresses(self) -> tuple[str, ...]:
-        """Every shard a federation spreads state over (one entry if none)."""
-        if self.shard_map is None:
-            return (self.broker_address,)
-        return tuple(self.shard_map.addresses)
-
-    def _route_account(self, account: str | None) -> str:
-        if self.shard_map is None or account is None:
-            return self.broker_address
-        return self.shard_map.shard_for_account(account)
-
-    def _route_coin(self, coin_y: int | None) -> str:
-        if self.shard_map is None or coin_y is None:
-            return self.broker_address
-        return self.shard_map.shard_for_coin(coin_y)
+        self.shard_map = shard_map or ShardMap((broker_address,), points_per_shard=1)
 
     def purchase(
-        self, signed_request: bytes, timeout: float | None = None, *, account: str | None = None
+        self, signed_request: bytes, timeout: float | None = None, *, account: str
     ) -> bytes:
         """Mint one coin; returns the encoded coin certificate."""
         return self._call(
-            self._route_account(account),
+            self.shard_map.shard_for_account(account),
             protocol.PURCHASE,
             signed_request,
             mutating=True,
@@ -165,11 +150,11 @@ class BrokerClient(EndpointClient):
         )
 
     def purchase_batch(
-        self, signed_request: bytes, timeout: float | None = None, *, account: str | None = None
+        self, signed_request: bytes, timeout: float | None = None, *, account: str
     ) -> Any:
         """Mint a batch of coins; returns the list of encoded certificates."""
         return self._call(
-            self._route_account(account),
+            self.shard_map.shard_for_account(account),
             protocol.PURCHASE_BATCH,
             signed_request,
             mutating=True,
@@ -177,11 +162,11 @@ class BrokerClient(EndpointClient):
         )
 
     def deposit(
-        self, dual_envelope: bytes, timeout: float | None = None, *, coin_y: int | None = None
+        self, dual_envelope: bytes, timeout: float | None = None, *, coin_y: int
     ) -> dict[str, Any]:
         """Redeem a held coin; returns the broker's result dict."""
         return self._call(
-            self._route_coin(coin_y),
+            self.shard_map.shard_for_coin(coin_y),
             protocol.DEPOSIT,
             dual_envelope,
             mutating=True,
@@ -189,11 +174,11 @@ class BrokerClient(EndpointClient):
         )
 
     def top_up(
-        self, dual_envelope: bytes, timeout: float | None = None, *, coin_y: int | None = None
+        self, dual_envelope: bytes, timeout: float | None = None, *, coin_y: int
     ) -> bytes:
         """Increase a coin's value; returns the re-certified coin."""
         return self._call(
-            self._route_coin(coin_y),
+            self.shard_map.shard_for_coin(coin_y),
             protocol.TOP_UP,
             dual_envelope,
             mutating=True,
@@ -201,11 +186,11 @@ class BrokerClient(EndpointClient):
         )
 
     def downtime_transfer(
-        self, dual_envelope: bytes, timeout: float | None = None, *, coin_y: int | None = None
+        self, dual_envelope: bytes, timeout: float | None = None, *, coin_y: int
     ) -> bytes:
         """Broker-served transfer (owner offline); returns the new binding."""
         return self._call(
-            self._route_coin(coin_y),
+            self.shard_map.shard_for_coin(coin_y),
             protocol.DOWNTIME_TRANSFER,
             dual_envelope,
             mutating=True,
@@ -213,11 +198,11 @@ class BrokerClient(EndpointClient):
         )
 
     def downtime_renewal(
-        self, dual_envelope: bytes, timeout: float | None = None, *, coin_y: int | None = None
+        self, dual_envelope: bytes, timeout: float | None = None, *, coin_y: int
     ) -> bytes:
         """Broker-served renewal (owner offline); returns the new binding."""
         return self._call(
-            self._route_coin(coin_y),
+            self.shard_map.shard_for_coin(coin_y),
             protocol.DOWNTIME_RENEWAL,
             dual_envelope,
             mutating=True,
@@ -251,7 +236,7 @@ class BrokerClient(EndpointClient):
     def binding_query(self, coin_y: int, timeout: float | None = None) -> bytes | None:
         """Lazy-sync read of one coin's authoritative binding (idempotent read)."""
         return self._call(
-            self._route_coin(coin_y),
+            self.shard_map.shard_for_coin(coin_y),
             protocol.BINDING_QUERY,
             coin_y,
             mutating=False,

@@ -40,6 +40,15 @@ class InsufficientFunds(ProtocolError):
     """The account cannot cover the requested purchase."""
 
 
+class HandoffPending(ProtocolError):
+    """The coin is reserved by a cross-shard operation still in flight.
+
+    Not fraud: an honest retry that re-signed its request (and so opened a
+    new handoff) meets the reservation of its own earlier attempt.  The
+    earlier attempt settles on re-drive; retry after it has.
+    """
+
+
 class FraudDetected(ProtocolError):
     """Fraud was detected; carries the evidence for the judge.
 

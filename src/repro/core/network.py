@@ -14,7 +14,6 @@ say::
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,8 +42,8 @@ from repro.store.recovery import RecoveryManager, RecoveryResult
 class BrokerTopology:
     """How the mint side of the network is laid out.
 
-    ``shards=1`` (default) builds the classic standalone broker at
-    ``base_address`` — byte-identical wire behavior to every earlier PR.
+    ``shards=1`` (default) builds one broker at ``base_address`` — a
+    federation of one, on the same routing path as any other.
     ``shards=M`` builds a federation of ``M`` shard brokers
     (``base_address-0`` … ``base_address-{M-1}``) sharing one signing key,
     partitioned by the consistent-hash ring in :mod:`repro.core.sharding`,
@@ -72,9 +71,8 @@ class BrokerTopology:
 class PeerConfig:
     """Per-peer setup options for :meth:`WhoPayNetwork.add_peer`.
 
-    Replaces the old positional/boolean parameter list — call sites name
-    what they configure (``PeerConfig(balance=10, durable=True)``) instead
-    of threading flags positionally.
+    Call sites name what they configure
+    (``PeerConfig(balance=10, durable=True)``).
     """
 
     balance: int = 0
@@ -119,11 +117,9 @@ class WhoPayNetwork:
         # One signing key for the whole federation: a coin minted by any
         # shard verifies against the same system-wide pk_B.
         signing_key = KeyPair.generate(self.params)
-        self.shard_map: ShardMap | None = None
-        if self.topology.shards > 1:
-            self.shard_map = ShardMap(
-                list(addresses), points_per_shard=self.topology.points_per_shard
-            )
+        # One ring for every topology: at M=1 it has a single address, so a
+        # lone broker and its peers run the same routing code as a federation.
+        self.shard_map = ShardMap(addresses, points_per_shard=self.topology.points_per_shard)
         self.shards: list[Broker] = []
         for address in addresses:
             shard_store = None
@@ -139,11 +135,10 @@ class WhoPayNetwork:
                 store=shard_store,
                 keypair=signing_key,
             )
-            if self.shard_map is not None:
-                shard.attach_federation(self.shard_map, policy=retry_policy)
+            shard.attach_federation(self.shard_map, policy=retry_policy)
             self.shards.append(shard)
         self.router: ShardRouter | None = None
-        if self.shard_map is not None:
+        if self.topology.shards > 1:
             self.router = ShardRouter(self.shards, self.shard_map)
         #: The unified broker surface (BrokerAPI): the single Broker when
         #: shards == 1, the ShardRouter facade otherwise.
@@ -181,44 +176,14 @@ class WhoPayNetwork:
             for shard in self.shards:
                 shard.detection = self.detection
 
-    def add_peer(
-        self,
-        address: str,
-        config: "PeerConfig | int | None" = None,
-        **legacy,
-    ) -> Peer:
+    def add_peer(self, address: str, config: PeerConfig | None = None) -> Peer:
         """Register a user: judge enrollment, broker account, transport node.
 
         Pass a :class:`PeerConfig` for per-peer options.
         ``PeerConfig(durable=True)`` (requires ``store_dir``) gives the peer
         a journaled wallet at ``<store_dir>/<address>`` so it can be killed
         and recovered with :meth:`restart_peer`.
-
-        Deprecation shim: the pre-PR-7 keyword/positional form
-        (``add_peer("alice", 10)`` / ``add_peer("alice", balance=10,
-        durable=True)``) still works but warns; new code builds a
-        :class:`PeerConfig`.
         """
-        if isinstance(config, int):
-            warnings.warn(
-                "add_peer(address, balance) is deprecated; pass PeerConfig(balance=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = PeerConfig(balance=config)
-        if legacy:
-            unknown = set(legacy) - {"balance", "sync_mode", "durable"}
-            if unknown:
-                raise TypeError(f"add_peer got unexpected keyword(s) {sorted(unknown)}")
-            warnings.warn(
-                "add_peer(balance=..., sync_mode=..., durable=...) is deprecated; "
-                "pass a PeerConfig instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if config is not None:
-                raise TypeError("pass either a PeerConfig or legacy keywords, not both")
-            config = PeerConfig(**legacy)
         config = config or PeerConfig()
         store = None
         if config.durable:
@@ -368,8 +333,7 @@ class WhoPayNetwork:
         )
         recovered = result.entity
         recovered.detection = detection
-        if self.shard_map is not None:
-            recovered.attach_federation(self.shard_map, policy=self.retry_policy)
+        recovered.attach_federation(self.shard_map, policy=self.retry_policy)
         store.crash_points = plan
         self.shards[index] = recovered
         if self.router is not None:

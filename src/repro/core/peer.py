@@ -315,19 +315,25 @@ class Peer(Node):
         only a failing batch falls back to per-binding checks to surface the
         precise offender.
         """
-        # Federation: an owner's coins live on the shards the ring assigns
-        # them to, so sync only the shards that actually hold some of ours
-        # (one exchange per such shard; standalone brokers collapse to one).
+        # An owner's coins live on the shards the ring assigns them to, so
+        # sync only the shards that actually hold some of ours (one exchange
+        # per such shard; with nothing owned, the default shard alone).
         shard_map = self.broker_client.shard_map
-        if shard_map is None or not self.owned:
-            shards: list[str] = [self.broker_address]
-        else:
-            shards = sorted({shard_map.shard_for_coin(coin_y) for coin_y in self.owned})
+        homes = {shard_map.shard_for_coin(coin_y) for coin_y in self.owned}
+        shards = sorted(homes) or [self.broker_address]
         accepted: list[tuple[OwnedCoinState, CoinBinding]] = []
         for shard in shards:
-            nonce = self.broker_client.sync_challenge(shard=shard)
-            signed = seal(self.identity, {"kind": "whopay.sync", "nonce": nonce})
-            updates = self.broker_client.sync(signed.encode(), shard=shard)
+            # The broker holds the nonce in memory only: a shard that restarted
+            # between the two steps has forgotten it, so re-challenge, once.
+            for last in (False, True):
+                nonce = self.broker_client.sync_challenge(shard=shard)
+                signed = seal(self.identity, {"kind": "whopay.sync", "nonce": nonce})
+                try:
+                    updates = self.broker_client.sync(signed.encode(), shard=shard)
+                    break
+                except VerificationFailed:
+                    if last:
+                        raise
             for coin_y, binding_bytes in updates:
                 state = self.owned.get(coin_y)
                 if state is None:

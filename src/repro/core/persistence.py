@@ -140,15 +140,7 @@ def restore_broker_state(broker, blob: bytes, encryption_key: bytes | None = Non
     broker.pending_sync.clear()
     for entry in state["pending_sync"]:
         broker.pending_sync[entry["owner"]] = set(entry["coins"])
-    if "total_opened" in state:
-        broker.total_opened = state["total_opened"]
-    else:
-        # Pre-durability blob: reconstruct the conservation baseline from
-        # what it does record (balances + live coin value).
-        broker.total_opened = (
-            sum(account.balance for account in broker.accounts.values())
-            + broker.circulating_value()
-        )
+    broker.total_opened = state["total_opened"]
     broker.replay_cache.restore_entries(
         [
             ((entry["kind"], entry["idem"]), entry["result"])

@@ -202,12 +202,6 @@ class FaultPlan:
         """True iff any scheduled partition currently severs src↔dst."""
         return any(p.blocks(src, dst, now) for p in self.partitions)
 
-    def reseed(self, seed: int | None = None) -> None:
-        """Restart the random schedule (same seed by default) and zero stats."""
-        self.seed = self.seed if seed is None else seed
-        self.rng = random.Random(self.seed)
-        self.stats = FaultStats()
-
     # Drawing helpers: each dimension draws from the shared RNG only when
     # its rate is non-zero, so RNG consumption — and therefore the whole
     # schedule — depends only on the plan's configuration and the request
@@ -298,26 +292,6 @@ class Transport:
         handler = self.crash_handlers.get(node.address)
         if handler is not None:
             handler(crash)
-
-    def set_loss(self, rate: float, seed: int = 0) -> None:
-        """Drop each request with probability ``rate`` (deterministic RNG).
-
-        Legacy single-dimension interface, kept for existing tests and
-        experiments: it installs (or updates) a :class:`FaultPlan` with only
-        ``request_loss`` set.  A dropped message surfaces to the sender as
-        :class:`MessageDropped` before the handler runs.  ``rate=0``
-        disables request loss (other installed dimensions are untouched).
-        """
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("loss rate must be in [0, 1)")
-        if self.faults is None:
-            if rate == 0.0:
-                return
-            self.faults = FaultPlan(seed=seed, request_loss=rate)
-        else:
-            self.faults.request_loss = rate
-            if rate > 0.0:
-                self.faults.reseed(seed)
 
     # -- registration ------------------------------------------------------
 

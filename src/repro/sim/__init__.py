@@ -16,10 +16,10 @@ that methodology, faithfully:
   sessions, per-peer Poisson candidate payments (1 per 5 min) thinned by
   payee availability, 3-day renewal period, proactive or lazy
   synchronization.
-* :mod:`repro.sim.engine` — the scaling engines (``docs/SIMULATOR.md``):
-  the bit-identical calendar-queue "compat" engine and the million-peer
-  "fast" engine (struct-of-arrays state, batched sampling, optional numpy
-  accelerator), selected via :func:`build_simulation`.
+* :mod:`repro.sim.engine` — the scaling engine (``docs/SIMULATOR.md``):
+  the million-peer "fast" engine (struct-of-arrays state, batched
+  sampling, optional numpy accelerator), selected via
+  :func:`build_simulation`.
 * :mod:`repro.sim.metrics` — per-operation counters and the CPU /
   communication load aggregates of Figures 2–11.
 * :mod:`repro.sim.runner` — parameter sweeps that produce each figure's

@@ -3,16 +3,9 @@
 The reference simulator (:mod:`repro.sim.simulator`) is a per-event pure
 Python loop: one heap entry per candidate payment, per-object peer/coin
 state, and a ``Counter`` update per operation.  That is the *specification*
-of the model, but it tops out around paper scale.  This module provides two
-further engines that run the same operation-level model:
+of the model, but it tops out around paper scale.  This module provides the
+engine that runs the same operation-level model at scale:
 
-* :class:`EventSampledSimulation` ("compat") — the reference simulation with
-  only the scheduler replaced by a bucketed calendar queue
-  (:class:`BucketQueue`).  Every random draw, every state mutation and every
-  metric update happens in exactly the reference order, so its results are
-  **bit-identical** to the reference engine's for every seed.  It exists to
-  prove the scheduler exact and costs nothing to keep proven (the
-  equivalence property test sweeps seeds across both engines).
 * :class:`FastSimulation` ("fast") — struct-of-arrays state (stdlib
   :mod:`array` / ``bytearray``), batched candidate-payment sampling via the
   Poisson superposition theorem, and bucket-level vectorized thinning with
@@ -36,7 +29,7 @@ bucket as a Poisson count ``K ~ Poisson(Λ · span)`` followed by ``K`` sorted
 uniforms on the bucket span (the conditional-uniformity property of the
 Poisson process).  Both identities are exact, not approximations.  Coin
 selection walks deterministic per-peer lists.  The equivalence gate in
-``tests/sim`` checks the compat engine exactly and the fast engine against
+``tests/sim`` checks the fast engine against the reference engine and the
 golden figure rows within statistical tolerance.
 
 Exact bucket-level thinning
@@ -71,7 +64,6 @@ are identical either way, which the test suite asserts.
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 import os
 import random
@@ -80,7 +72,7 @@ from collections import Counter
 from typing import Any
 
 from repro.sim import policies as pol
-from repro.sim.config import SimConfig, expected_event_count
+from repro.sim.config import SimConfig
 from repro.sim.costs import (
     BROKER_OPS,
     OP_INDEX,
@@ -89,15 +81,7 @@ from repro.sim.costs import (
     expected_attempts,
 )
 from repro.sim.metrics import SimMetrics, apply_heartbeat_model
-from repro.sim.simulator import (
-    RENEWAL_POINT,
-    _PAYMENT,
-    _RENEWAL,
-    _RESTART,
-    _TOGGLE,
-    SimResult,
-    Simulation,
-)
+from repro.sim.simulator import RENEWAL_POINT, SimResult, Simulation
 
 try:  # optional accelerator; the pure-Python path is bitwise-identical
     import numpy as _np
@@ -105,7 +89,7 @@ except ImportError:  # pragma: no cover - numpy is present in the dev image
     _np = None
 
 #: Engine names accepted by :func:`build_simulation`.
-ENGINES = ("reference", "compat", "fast")
+ENGINES = ("reference", "fast")
 
 #: Calendar-bucket sizing bounds shared by every engine: at least 16 buckets
 #: (tiny runs stay exact without degenerate widths), at most 2^17 (a million
@@ -115,11 +99,10 @@ MAX_BUCKETS = 1 << 17
 
 
 def bucket_count(expected_events: float, per_bucket: int = 256) -> int:
-    """Calendar-queue bucket count for ~``per_bucket`` events per bucket.
+    """Calendar bucket count for ~``per_bucket`` events per bucket.
 
-    The single sizing rule for both :meth:`BucketQueue.for_config` (compat
-    engine: every event is queued) and :class:`FastSimulation` (candidates
-    bypass the queue, so it sizes on the queued-event estimate only).
+    :class:`FastSimulation` sizes its CSR bucket columns with it, on the
+    queued-event estimate only (candidates bypass the queue).
     """
     return min(max(int(expected_events / per_bucket) + 2, MIN_BUCKETS), MAX_BUCKETS)
 
@@ -186,116 +169,6 @@ def _resolve_numpy(use_numpy: bool | None):
             return None
         return _np
     return _np if use_numpy else None
-
-
-class BucketQueue:
-    """Calendar-queue scheduler: coarse time buckets, exact event order.
-
-    ``push`` appends into the bucket ``int(time / width)`` in O(1); a bucket
-    is heapified once, when the consumer first reaches it, and same-bucket
-    pushes after that point go through ``heappush``.  Because every
-    dynamically scheduled event lies at or after the current simulation
-    time, no push can target an already-drained bucket, so the global pop
-    order is exactly the reference heap's ``(time, kind, seq)`` order.
-    Events beyond the configured span (renewals scheduled past the horizon)
-    are clamped into the last bucket, whose heap keeps them ordered; the run
-    loop stops at the first event past the horizon, exactly like the
-    reference engine.  Lazy deletion is inherited from the model itself:
-    stale renewal entries are recognized and skipped at fire time
-    (retired/unissued coins), never re-heapified.
-    """
-
-    __slots__ = ("width", "n_buckets", "buckets", "_cursor", "_count", "_live")
-
-    def __init__(self, duration: float, n_buckets: int) -> None:
-        self.n_buckets = max(2, n_buckets)
-        # The last bucket starts at `duration` and holds the overflow.
-        self.width = duration / (self.n_buckets - 1)
-        self.buckets: list[list[tuple[float, int, int, int]]] = [
-            [] for _ in range(self.n_buckets)
-        ]
-        self._cursor = 0
-        self._count = 0
-        self._live = False
-
-    @classmethod
-    def for_config(cls, config: SimConfig, per_bucket: int = 256) -> "BucketQueue":
-        """Size buckets so ~``per_bucket`` events land in each."""
-        return cls(config.duration, bucket_count(expected_event_count(config), per_bucket))
-
-    def push(self, entry: tuple[float, int, int, int]) -> None:
-        index = int(entry[0] / self.width)
-        if index >= self.n_buckets:
-            index = self.n_buckets - 1
-        bucket = self.buckets[index]
-        if index == self._cursor and self._live:
-            heapq.heappush(bucket, entry)
-        else:
-            bucket.append(entry)
-        self._count += 1
-
-    def pop(self) -> tuple[float, int, int, int] | None:
-        if not self._count:
-            return None
-        cursor = self._cursor
-        while True:
-            bucket = self.buckets[cursor]
-            if not self._live:
-                heapq.heapify(bucket)
-                self._live = True
-            if bucket:
-                self._count -= 1
-                return heapq.heappop(bucket)
-            # Drained: release and march on (count > 0 guarantees a hit).
-            self.buckets[cursor] = []
-            cursor += 1
-            self._cursor = cursor
-            self._live = False
-
-
-class EventSampledSimulation(Simulation):
-    """The reference simulation on the calendar-queue scheduler.
-
-    Overrides only event storage (``_push``) and the pop loop (``run``);
-    every model decision, random draw and metric update is inherited, so
-    results are bit-identical to :class:`Simulation` for every seed — the
-    property the equivalence test sweeps.
-    """
-
-    def __init__(self, config: SimConfig) -> None:
-        super().__init__(config)
-        self._queue = BucketQueue.for_config(config)
-
-    def _push(self, time: float, kind: int, subject: int) -> None:
-        self._seq += 1
-        self._queue.push((time, kind, self._seq, subject))
-
-    def run(self) -> SimResult:
-        self._initialize()
-        duration = self.config.duration
-        queue = self._queue
-        events = 0
-        while True:
-            entry = queue.pop()
-            if entry is None:
-                break
-            time, kind, _seq, subject = entry
-            if time > duration:
-                break
-            self.now = time
-            events += 1
-            if kind == _PAYMENT:
-                self._on_payment(subject)
-            elif kind == _TOGGLE:
-                self._on_toggle(subject)
-            elif kind == _RENEWAL:
-                self._on_renewal_due(subject)
-            else:
-                self._on_broker_restart()
-        self.metrics.events = events
-        return SimResult(
-            config=self.config, metrics=self.metrics, final_time=min(self.now, duration)
-        )
 
 
 class _BlockStream:
@@ -439,16 +312,16 @@ class FastSimulation:
         # ``now + 0.9 * renewal_period`` with ``now`` monotone, so the FIFO
         # is always time-sorted without a heap), and the full toggle/restart
         # schedule is precomputed by ``_initialize`` into per-bucket CSR
-        # columns — no :class:`BucketQueue` and no event tuples at all; this
-        # engine only needs the bucket geometry, sized for the toggle count.
+        # columns — no event queue and no event tuples at all; this engine
+        # only needs the bucket geometry, sized for the toggle count.
         qevents = (
             n
             + config.broker_restarts
             + config.duration * 2.0 * n / (config.mean_online + config.mean_offline)
         )
         self._n_buckets = max(2, bucket_count(qevents))
-        # The last bucket starts exactly at ``duration`` (same geometry as
-        # BucketQueue) and catches events at the horizon itself.
+        # The last bucket starts exactly at ``duration`` and catches events
+        # at the horizon itself.
         self._width = config.duration / (self._n_buckets - 1)
         # Renewal FIFO as two parallel columns with a head cursor instead of
         # a deque of tuples: appends stay O(1) and time-sorted (every entry
@@ -1507,14 +1380,13 @@ class FastSimulation:
 
 
 def build_simulation(config: SimConfig, engine: str | None = None):
-    """Build the requested engine: ``fast``, ``reference`` or ``compat``.
+    """Build the requested engine: ``fast`` or ``reference``.
 
     ``None`` (or the empty string) resolves through the
     ``WHOPAY_SIM_ENGINE`` environment override and then defaults to the
     struct-of-arrays ``fast`` engine — the measurement engine for every
-    figure and benchmark.  ``reference`` (the original event loop) and
-    ``compat`` (its bit-identical calendar-queue port) survive as
-    equivalence oracles and must be requested explicitly.
+    figure and benchmark.  ``reference`` (the original event loop) survives
+    as the equivalence oracle and must be requested explicitly.
     """
     if not engine:
         engine = os.environ.get("WHOPAY_SIM_ENGINE") or "fast"
@@ -1522,8 +1394,6 @@ def build_simulation(config: SimConfig, engine: str | None = None):
         return FastSimulation(config)
     if engine == "reference":
         return Simulation(config)
-    if engine == "compat":
-        return EventSampledSimulation(config)
     raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
 

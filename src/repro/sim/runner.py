@@ -15,8 +15,8 @@ Environment knobs (all optional):
 
 * ``WHOPAY_WORKERS`` — pool size (``auto``/empty → CPU count; malformed
   values warn and fall back instead of killing the sweep);
-* ``WHOPAY_SIM_ENGINE`` — default engine for sweep points (``fast``,
-  ``reference``, or ``compat``; see :mod:`repro.sim.engine`);
+* ``WHOPAY_SIM_ENGINE`` — default engine for sweep points (``fast`` or
+  ``reference``; see :mod:`repro.sim.engine`);
 * ``WHOPAY_CHUNK`` — ``pool.map`` chunksize override (default: spread
   points evenly at ~4 chunks per worker);
 * ``WHOPAY_PROFILE`` — directory for per-point cProfile dumps.

@@ -2,7 +2,7 @@
 
 Recovery is only trustworthy if the rebuilt state provably satisfies the
 monetary invariants the paper's security argument rests on.  The auditor
-checks four families and reports every violation (it never stops at the
+checks five families and reports every violation (it never stops at the
 first — a corrupted store should be diagnosed in one pass):
 
 1. **Value conservation** — account balances plus circulating coin value
@@ -14,6 +14,9 @@ first — a corrupted store should be diagnosed in one pass):
    both directions, and every pending-sync entry names a real owned coin.
 4. **Signatures** — every coin certificate and downtime binding verifies
    under the broker's (restored) signing key, batch-checked.
+5. **Reservations** — the reserved halves of all pending handoffs are still
+   jointly admissible under the effects table (:mod:`repro.store.apply`):
+   committing them can neither overdraw an account nor touch a coin twice.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, TYPE_CHECKING
 
+from repro.core.errors import ProtocolError
 from repro.crypto.dsa import dsa_batch_verify, dsa_verify
+from repro.store.apply import Reserved, validate_effects
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.broker import Broker
@@ -117,6 +122,14 @@ def audit_broker(broker: "Broker", expected_total: int | None = None) -> AuditRe
         for signer, payload, signature in batch:
             if not dsa_verify(signer, payload, signature):
                 failures.append("a stored certificate or binding fails verification")
+
+    # 5. Reservations: what pending handoffs will apply must still fit.
+    held = Reserved()
+    for h in sorted(broker.pending_handoffs):
+        try:
+            validate_effects(broker, broker.pending_handoffs[h]["effects"], held)
+        except ProtocolError as exc:
+            failures.append(f"pending handoff {h} can no longer commit: {exc}")
 
     return AuditReport(
         ok=not failures,

@@ -26,7 +26,7 @@ from typing import Any, TYPE_CHECKING
 from repro.core.clock import DEFAULT_RENEWAL_PERIOD
 from repro.crypto.dsa import dsa_batch_verify
 from repro.messages.codec import decode
-from repro.store.apply import apply_broker, verifiable_signatures
+from repro.store.apply import MutationRefused, apply_broker, verifiable_signatures
 from repro.store.audit import AuditReport, audit_broker
 from repro.store.journal import DurableStore
 
@@ -110,8 +110,9 @@ class RecoveryManager:
 
         The caller must have unregistered any previous broker at the same
         address (the constructor registers on ``transport``).  Raises
-        :class:`RecoveryError` if the store is empty, a replayed signature
-        fails, or the post-replay audit finds a violated invariant.
+        :class:`RecoveryError` if the store is empty, the apply layer
+        refuses a record, a replayed signature fails, or the post-replay
+        audit finds a violated invariant.
         """
         from repro.core.broker import Broker
         from repro.core.persistence import restore_broker_state
@@ -138,7 +139,10 @@ class RecoveryManager:
         batch: list[tuple[Any, bytes, Any]] = []
         for record in records:
             for mut in record["muts"]:
-                apply_broker(broker, mut)
+                try:
+                    apply_broker(broker, mut)
+                except MutationRefused as exc:
+                    raise RecoveryError(f"journal record refused: {exc}") from exc
                 batch.extend(verifiable_signatures(broker, mut))
             if record.get("idem") is not None:
                 broker.replay_cache.store((record["kind"], record["idem"]), record["reply"])

@@ -1,19 +1,16 @@
 """Sharded broker federation behind the unified BrokerAPI (PR 7).
 
-Covers the consistent-hash shard map, the topology/config objects and the
-deprecation shim, the ShardRouter facade, shard-aware client routing, and
-— the heart of the PR — exactly-once cross-shard handoffs for purchase,
-batch purchase, deposit, and top-up.
+Covers the consistent-hash shard map, the topology/config objects, the
+ShardRouter facade, shard-aware client routing, and — the heart of the
+PR — exactly-once cross-shard handoffs for purchase, batch purchase,
+deposit, and top-up, including the reservation a pending handoff holds.
 """
-
-import warnings
 
 import pytest
 
-from repro.core import protocol
+from repro.core import errors, protocol
 from repro.core.broker import handoff_id
-from repro.core.errors import ProtocolError, VerificationFailed
-from repro.messages.envelope import seal
+from repro.core.errors import InsufficientFunds, ProtocolError, VerificationFailed
 from repro.core.brokerapi import BrokerAPI, ShardRouter
 from repro.core.coin import Coin
 from repro.core.network import BrokerTopology, PeerConfig, WhoPayNetwork
@@ -22,7 +19,8 @@ from repro.crypto.keys import KeyPair
 from repro.crypto.params import PARAMS_TEST_512
 from repro.messages.envelope import seal
 from repro.net.rpc import RetryPolicy
-from repro.net.transport import FaultPlan
+from repro.net.transport import FaultPlan, NetworkError
+from repro.store.apply import effect
 from repro.store.audit import audit_broker
 
 RETRY = RetryPolicy(max_attempts=4, base_delay=0.01, multiplier=2.0, max_delay=0.1)
@@ -111,26 +109,6 @@ class TestTopologyAndConfig:
         with pytest.raises(ValueError):
             PeerConfig(sync_mode="eager")
 
-    def test_legacy_positional_balance_warns_but_works(self, network):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            network.add_peer("alice", 10)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert network.broker.balance("alice") == 10
-
-    def test_legacy_keywords_warn_but_work(self, network):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            network.add_peer("bob", balance=3, sync_mode="lazy")
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert network.broker.balance("bob") == 3
-        assert network.peer("bob").sync_mode == "lazy"
-
-    def test_config_and_legacy_keywords_conflict(self, network):
-        with pytest.raises(TypeError), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            network.add_peer("carol", PeerConfig(balance=1), balance=2)
-
     def test_unknown_keyword_rejected(self, network):
         with pytest.raises(TypeError):
             network.add_peer("dave", wealth=9)
@@ -139,7 +117,7 @@ class TestTopologyAndConfig:
 class TestBrokerAPISurface:
     def test_single_broker_satisfies_the_protocol(self, network):
         assert isinstance(network.broker, BrokerAPI)
-        assert network.shard_map is None
+        assert network.shard_map.addresses == ("broker",)  # a ring of one
         assert network.router is None
 
     def test_router_satisfies_the_protocol(self, fednet):
@@ -382,17 +360,15 @@ class TestHandoffExactlyOnce:
             {
                 "type": "handoff_begin",
                 "h": h,
-                "op": "purchase",
-                "account": "alice",
-                "debit": 2,
-                "remote_value": 2,
-                "local_coins": [],
-                "reply_coins": [coin.encode()],
+                "effects": [
+                    effect("debit", 2, account="alice", identity_y=alice.identity.public.y)
+                ],
+                "reply": [coin.encode()],
                 "prepares": [
                     {
                         "h": h + "#0",
                         "dest": coin_home,
-                        "payload": {"op": "mint", "coins": [coin.encode()]},
+                        "effects": [effect("mint", 2, coin_y=coin.coin_y, coin=coin.encode())],
                     }
                 ],
             }
@@ -513,4 +489,75 @@ class TestBatchFanOutRegression:
         assert not any(shard.pending_handoffs for shard in fednet.shards)
         assert fednet.broker.verify_conservation(5)
         for shard in fednet.shards:
+            assert audit_broker(shard).ok
+
+
+class TestPendingHandoffReserves:
+    """A pending handoff's source half is reserved, not merely remembered.
+
+    Both scenarios leave a ``handoff_begin`` pending (the destination shard
+    is dead), bring the shard back, and retry at the application level —
+    a fresh signature, so a *new* handoff id.  The retry must meet the
+    first attempt's reservation instead of spending the same value twice.
+    """
+
+    def _net(self, tmp_path):
+        return WhoPayNetwork(
+            params=PARAMS_TEST_512, store_dir=tmp_path, topology=BrokerTopology(shards=3)
+        )
+
+    def test_retried_deposit_cannot_double_credit(self, tmp_path):
+        net = self._net(tmp_path)
+        alice = net.add_peer("alice", PeerConfig(balance=10))
+        bob = net.add_peer("bob")
+        bob_home = net.shard_map.shard_for_account("bob")
+        while True:
+            state = alice.purchase()
+            if net.shard_map.shard_for_coin(state.coin_y) != bob_home:
+                break
+        alice.issue("bob", state.coin_y)
+        payout_shard = net.shard_map.addresses.index(bob_home)
+        net.kill_shard(payout_shard)
+        with pytest.raises(NetworkError):
+            bob.deposit(state.coin_y, payout_to="bob")
+        coin_shard = net.router.shard_for_coin(state.coin_y)
+        assert len(coin_shard.pending_handoffs) == 1
+        net.restart_shard(payout_shard)
+        # The honest retry is held off with a typed, non-fraud error...
+        with pytest.raises(ProtocolError) as refused:
+            bob.deposit(state.coin_y, payout_to="bob")
+        assert isinstance(refused.value, errors.HandoffPending)
+        assert not net.broker.fraud_events
+        assert net.broker.balance("bob") == 0
+        # ...and the first attempt settles exactly once on re-drive.
+        assert net.complete_handoffs() == 1
+        assert net.broker.balance("bob") == 1
+        assert state.coin_y in coin_shard.deposited
+        assert net.broker.verify_conservation(10)
+        assert not net.broker.fraud_events
+        for shard in net.shards:
+            assert audit_broker(shard).ok
+
+    def test_pending_debit_is_not_spendable(self, tmp_path):
+        net = self._net(tmp_path)
+        alice = net.add_peer("alice", PeerConfig(balance=1))
+        source = net.router.shard_for_account("alice")
+        others = [i for i, shard in enumerate(net.shards) if shard is not source]
+        for index in others:
+            net.kill_shard(index)
+        with pytest.raises(NetworkError):
+            purchase_homed(net, alice, net.shards[others[0]].address)
+        assert len(source.pending_handoffs) == 1
+        for index in others:
+            net.restart_shard(index)
+        # The whole balance is reserved by the pending purchase: a second
+        # one — cross-shard or local — is refused, not overdrawn.
+        for home in (net.shards[others[1]].address, source.address):
+            with pytest.raises(InsufficientFunds):
+                purchase_homed(net, alice, home)
+        assert net.broker.balance("alice") == 1
+        assert net.complete_handoffs() == 1
+        assert net.broker.balance("alice") == 0
+        assert net.broker.verify_conservation(1)
+        for shard in net.shards:
             assert audit_broker(shard).ok

@@ -21,6 +21,7 @@ from repro.crypto.keys import KeyPair
 from repro.crypto.params import PARAMS_TEST_512
 from repro.net.liveness import DEAD, BreakerConfig, LivenessConfig
 from repro.net.rpc import RetryPolicy
+from repro.store.apply import effect
 
 RETRY = RetryPolicy(max_attempts=4, base_delay=0.01, multiplier=2.0, max_delay=0.1)
 LIVENESS = LivenessConfig(heartbeat_interval=0.5, phi_threshold=4.0, lease_duration=2.0)
@@ -161,17 +162,15 @@ class TestLeaseGatedFailover:
             {
                 "type": "handoff_begin",
                 "h": h,
-                "op": "purchase",
-                "account": "alice",
-                "debit": 2,
-                "remote_value": 2,
-                "local_coins": [],
-                "reply_coins": [coin.encode()],
+                "effects": [
+                    effect("debit", 2, account="alice", identity_y=alice.identity.public.y)
+                ],
+                "reply": [coin.encode()],
                 "prepares": [
                     {
                         "h": h + "#0",
                         "dest": coin_home,
-                        "payload": {"op": "mint", "coins": [coin.encode()]},
+                        "effects": [effect("mint", 2, coin_y=coin.coin_y, coin=coin.encode())],
                     }
                 ],
             }

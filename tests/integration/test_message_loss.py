@@ -3,15 +3,15 @@
 import pytest
 
 from repro.core.errors import ProtocolError
-from repro.net.transport import MessageDropped, NetworkError
+from repro.net.transport import FaultPlan, MessageDropped, NetworkError
 
 
 class TestLossMechanics:
-    def test_loss_rate_validation(self, network):
+    def test_loss_rate_validation(self):
         with pytest.raises(ValueError):
-            network.transport.set_loss(1.0)
+            FaultPlan(request_loss=1.1)
         with pytest.raises(ValueError):
-            network.transport.set_loss(-0.1)
+            FaultPlan(request_loss=-0.1)
 
     def test_full_reliability_by_default(self, funded_trio):
         net, alice, bob, _carol = funded_trio
@@ -29,7 +29,7 @@ class TestLossMechanics:
             a = Node(transport, "a")
             b = Node(transport, "b")
             b.on("ping", lambda src, p: p)
-            transport.set_loss(0.5, seed=42)
+            transport.install_faults(FaultPlan(42, request_loss=0.5))
             run = []
             for i in range(20):
                 try:
@@ -45,10 +45,10 @@ class TestLossMechanics:
 class TestProtocolUnderLoss:
     def test_lost_purchase_leaves_no_state(self, funded_trio):
         net, alice, _bob, _carol = funded_trio
-        net.transport.set_loss(0.999, seed=7)  # drop (almost) everything
+        net.transport.install_faults(FaultPlan(7, request_loss=0.999))  # drop (almost) everything
         with pytest.raises((MessageDropped, NetworkError)):
             alice.purchase()
-        net.transport.set_loss(0.0)
+        net.transport.install_faults(None)
         assert net.broker.balance("alice") == 25  # nothing debited
         assert not alice.owned
         assert not net.broker.valid_coins
@@ -57,10 +57,10 @@ class TestProtocolUnderLoss:
         net, alice, bob, carol = funded_trio
         state = alice.purchase()
         alice.issue("bob", state.coin_y)
-        net.transport.set_loss(0.999, seed=9)
+        net.transport.install_faults(FaultPlan(9, request_loss=0.999))
         with pytest.raises((MessageDropped, NetworkError, ProtocolError)):
             bob.transfer("carol", state.coin_y)
-        net.transport.set_loss(0.0)
+        net.transport.install_faults(None)
         # Bob still holds; the retry succeeds cleanly.
         assert state.coin_y in bob.wallet
         bob.transfer("carol", state.coin_y)
@@ -69,7 +69,7 @@ class TestProtocolUnderLoss:
     def test_retries_eventually_succeed_under_moderate_loss(self, funded_trio):
         net, alice, bob, _carol = funded_trio
         states = [alice.purchase() for _ in range(8)]
-        net.transport.set_loss(0.4, seed=11)
+        net.transport.install_faults(FaultPlan(11, request_loss=0.4))
         delivered = 0
         for state in states:
             for _ in range(40):
@@ -79,7 +79,7 @@ class TestProtocolUnderLoss:
                     break
                 except (MessageDropped, NetworkError, ProtocolError):
                     continue
-        net.transport.set_loss(0.0)
+        net.transport.install_faults(None)
         assert delivered == len(states)  # retries always get through
         assert len(bob.wallet) == len(states)
         assert net.transport.messages_dropped > 0  # and loss really occurred
@@ -94,7 +94,7 @@ class TestProtocolUnderLoss:
         # is already tested; here we use probabilistic loss until we observe
         # a failed attempt followed by a successful retry.
         failures = successes = 0
-        net.transport.set_loss(0.3, seed=13)
+        net.transport.install_faults(FaultPlan(13, request_loss=0.3))
         holder, payee = bob, carol
         for _ in range(40):
             coin_y = state.coin_y
@@ -104,7 +104,7 @@ class TestProtocolUnderLoss:
                 holder, payee = payee, holder
             except (MessageDropped, NetworkError, ProtocolError):
                 failures += 1
-        net.transport.set_loss(0.0)
+        net.transport.install_faults(None)
         assert successes > 0 and failures > 0
         # Wherever the coin ended up, exactly one wallet holds it and the
         # owner's binding matches that holder.

@@ -203,14 +203,15 @@ class TestSeededMutation:
             return fh.read()
 
     def _swap_stage_and_return(self, tree: ast.Module) -> bool:
-        """In _handle_deposit, move the reply above its ``self._stage``."""
+        """In _move_value's all-local branch, move the reply above its
+        ``self._stage`` (every value-moving handler replies through it)."""
         for node in ast.walk(tree):
-            if not (isinstance(node, ast.FunctionDef) and node.name == "_handle_deposit"):
+            if not (isinstance(node, ast.FunctionDef) and node.name == "_move_value"):
                 continue
             for stmt in ast.walk(node):
-                if not (isinstance(stmt, ast.If) and len(stmt.body) == 2):
+                if not (isinstance(stmt, ast.If) and len(stmt.body) >= 2):
                     continue
-                first, second = stmt.body
+                first, second = stmt.body[-2:]
                 if (
                     isinstance(first, ast.Expr)
                     and isinstance(first.value, ast.Call)
@@ -218,7 +219,7 @@ class TestSeededMutation:
                     and first.value.func.attr == "_stage"
                     and isinstance(second, ast.Return)
                 ):
-                    stmt.body = [second, first]
+                    stmt.body[-2:] = [second, first]
                     return True
         return False
 
@@ -234,4 +235,4 @@ class TestSeededMutation:
         result = lint_sources([("broker.py", mutated, "repro.core.broker")])
         found = wp112(result)
         assert found, "WP112 missed the reply moved ahead of its journal append"
-        assert any("_handle_deposit" in d.message for d in found)
+        assert any("_move_value" in d.message for d in found)

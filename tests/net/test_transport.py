@@ -252,12 +252,12 @@ class TestFaultPlan:
         assert run(42) == run(42)
         assert run(42) != run(43)
 
-    def test_set_loss_legacy_wrapper(self):
+    def test_request_loss_installs_and_uninstalls(self):
         t = Transport()
         make_echo(t, "a")
         make_echo(t, "b")
-        t.set_loss(1.0 - 1e-9, seed=1)
+        t.install_faults(FaultPlan(1, request_loss=1.0))
         with pytest.raises(MessageDropped):
             t.request("a", "b", "echo", 1)
-        t.set_loss(0.0)
+        t.install_faults(None)
         assert t.request("a", "b", "echo", 1)["payload"] == 1

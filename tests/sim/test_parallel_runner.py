@@ -119,29 +119,21 @@ class TestEngineSelection:
         assert row["events"] > 0
 
     def test_env_default_engine(self, monkeypatch):
-        monkeypatch.setenv("WHOPAY_SIM_ENGINE", "compat")
-        assert run_one(replace(TINY, seed=41))["engine"] == "compat"
+        monkeypatch.setenv("WHOPAY_SIM_ENGINE", "reference")
+        assert run_one(replace(TINY, seed=41))["engine"] == "reference"
 
     def test_explicit_engine_beats_env(self, monkeypatch):
         monkeypatch.setenv("WHOPAY_SIM_ENGINE", "fast")
         row = run_one(replace(TINY, seed=41), engine="reference")
         assert row["engine"] == "reference"
 
-    def test_compat_rows_identical_to_reference(self):
-        config = replace(TINY, seed=42)
-        ref = strip_timing(run_one(config, engine="reference"))
-        compat = strip_timing(run_one(config, engine="compat"))
-        assert {k: v for k, v in ref.items() if k != "engine"} == {
-            k: v for k, v in compat.items() if k != "engine"
-        }
-
     def test_parallel_pins_engine_in_parent(self, monkeypatch):
         # The engine resolves before configs ship to workers, so rows agree
         # with the sequential run even though workers re-read the env.
-        monkeypatch.setenv("WHOPAY_SIM_ENGINE", "compat")
+        monkeypatch.setenv("WHOPAY_SIM_ENGINE", "reference")
         configs = [replace(TINY, seed=s) for s in (51, 52)]
         rows = run_sweep_parallel(configs, max_workers=2)
-        assert [row["engine"] for row in rows] == ["compat", "compat"]
+        assert [row["engine"] for row in rows] == ["reference", "reference"]
 
 
 class TestProfileHooks:

@@ -123,9 +123,9 @@ class TestBrokerRecovery:
                 address="imposter",
             )
 
-    def test_tampered_journal_record_is_refused(self, tmp_path):
-        # Inflate a deposit's credited value on disk: the frame checksum is
-        # rewritten to match, so only the audit can catch it — and must.
+    def _inflate_deposit(self, tmp_path, effects_to_inflate):
+        """Deposit a value-1 coin, then add 5 to the named effects on disk
+        (the frame checksum is rewritten to match) and recover."""
         net = make_net(tmp_path)
         alice = net.add_peer("alice", PeerConfig(balance=10))
         bob = net.add_peer("bob")
@@ -135,15 +135,54 @@ class TestBrokerRecovery:
 
         def inflate(record):
             for mut in record.get("muts", ()):
-                if mut.get("type") == "deposit":
-                    mut["credited"] += 5
+                for effect in mut.get("effects", ()):
+                    if effect["effect"] in effects_to_inflate:
+                        effect["amount"] += 5
             return record
 
         rewrite_journal(net.broker.store.journal_path, inflate)
+        RecoveryManager(net.broker.store).recover_broker(
+            Transport(), judge=net.judge, params=net.params, clock=net.clock
+        )
+
+    def test_tampered_journal_record_is_refused(self, tmp_path):
+        # A deposit that credits more than it retires no longer cancels:
+        # the apply layer refuses the record outright.
+        with pytest.raises(RecoveryError, match="must cancel"):
+            self._inflate_deposit(tmp_path, {"credit"})
+
+    def test_sync_survives_a_restart_between_challenge_and_sync(self, tmp_path):
+        # The sync nonce lives in broker memory only; a restart between the
+        # challenge and the signed sync forgets it (the federation chaos
+        # sweep hit this when a crash point fell before the sync's record
+        # was durable).  The peer must re-challenge, not fail the rejoin.
+        net = make_net(tmp_path)
+        alice = net.add_peer("alice", PeerConfig(balance=5))
+        bob = net.add_peer("bob")
+        carol = net.add_peer("carol")
+        state = alice.purchase()
+        alice.issue("bob", state.coin_y)
+        alice.depart()
+        bob.transfer_via_broker("carol", state.coin_y)
+        challenge = alice.broker_client.sync_challenge
+        restarts = []
+
+        def challenge_then_crash(**kwargs):
+            nonce = challenge(**kwargs)
+            if not restarts:
+                restarts.append(net.restart_broker())
+            return nonce
+
+        alice.broker_client.sync_challenge = challenge_then_crash
+        alice.rejoin()
+        assert len(restarts) == 1
+        assert alice.owned[state.coin_y].binding.holder_y == carol.wallet[state.coin_y].binding.holder_y
+
+    def test_balanced_tamper_is_caught_by_the_audit(self, tmp_path):
+        # Inflating both halves keeps the record balanced, but the coin's
+        # signed certificate still says 1 — only the audit can catch it.
         with pytest.raises(RecoveryError, match="audit failed"):
-            RecoveryManager(net.broker.store).recover_broker(
-                Transport(), judge=net.judge, params=net.params, clock=net.clock
-            )
+            self._inflate_deposit(tmp_path, {"retire", "credit"})
 
 
 class TestEncryptedSnapshots:
