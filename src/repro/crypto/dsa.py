@@ -151,30 +151,6 @@ def dsa_sign(
         return DsaSignature(r=r, s=s, commit=commit)
 
 
-def _batch_modinv(values: Sequence[int], modulus: int) -> list[int]:
-    """Montgomery batch inversion: n inverses for the price of one.
-
-    Prefix-product trick: invert the running product once, then peel the
-    individual inverses off backwards with two multiplications each.
-    Every value must be invertible (nonces are in ``[1, q)`` with prime
-    ``q``, so they always are).
-    """
-    prefix: list[int] = []
-    running = 1
-    for value in values:
-        running = (running * value) % modulus
-        prefix.append(running)
-    inverse = primitives.modinv(running, modulus)
-    out = [0] * len(values)
-    for index in range(len(values) - 1, -1, -1):
-        if index == 0:
-            out[0] = inverse
-        else:
-            out[index] = (inverse * prefix[index - 1]) % modulus
-            inverse = (inverse * values[index]) % modulus
-    return out
-
-
 def dsa_sign_batch(
     keypair: KeyPair, messages: Sequence[bytes], digests: Sequence[int] | None = None
 ) -> list[DsaSignature]:
@@ -196,7 +172,7 @@ def dsa_sign_batch(
             raise ValueError("digests, when given, must match messages 1:1")
     nonces = [_derive_nonce(params, keypair.x, digest) for digest in digest_list]
     commits = [params.pow_g(k) for k in nonces]
-    inverses = _batch_modinv(nonces, params.q)
+    inverses = primitives.batch_modinv(nonces, params.q)
     signatures: list[DsaSignature] = []
     for message, digest, commit, k_inv in zip(messages, digest_list, commits, inverses):
         r = commit % params.q
@@ -271,7 +247,7 @@ class DsaNoncePool:
                 continue  # r would be 0; astronomically unlikely, skip
             nonces.append(k)
             commits.append(commit)
-        inverses = _batch_modinv(nonces, params.q)
+        inverses = primitives.batch_modinv(nonces, params.q)
         self._triples.extend(zip(nonces, commits, inverses))
         self.refills += 1
         self.generated += need

@@ -448,18 +448,20 @@ def install_cache(blob: bytes) -> int:
     return installed
 
 
-def is_member(x: int, q: int, p: int) -> bool:
+def is_member(x: int, q: int, p: int, memo: bool = True) -> bool:
     """Memoized order-``q`` subgroup membership test in ``Z_p^*``.
 
     Protocol code re-checks the same handful of public keys on every
     message; each check is a full exponentiation.  Positive and negative
     results are both memoized (bounded LRU) — group parameters are
-    immutable, so the answer never changes.
+    immutable, so the answer never changes.  ``memo=False`` runs the same
+    exact test without touching the memo: for one-shot values (a
+    signature's fresh ciphertext halves) that would only evict the keys.
     """
     if not 0 < x < p:
         return False
     key = (x, q, p)
-    hit = _members.get(key)
+    hit = _members.get(key) if memo else None
     if hit is not None:
         _members.move_to_end(key)
         return hit
@@ -471,7 +473,8 @@ def is_member(x: int, q: int, p: int) -> bool:
         ok = table.pow(q) == 1
     else:
         ok = pow(x, q, p) == 1
-    _members[key] = ok
-    while len(_members) > _MAX_MEMBERS:
-        _members.popitem(last=False)
+    if memo:
+        _members[key] = ok
+        while len(_members) > _MAX_MEMBERS:
+            _members.popitem(last=False)
     return ok

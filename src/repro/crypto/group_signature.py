@@ -27,6 +27,22 @@ opening key*:
 3. The judge opens a signature by decrypting ``(c1, c2)`` and looking up the
    resulting ``h_i`` in its registry.
 
+Clause arithmetic.  Clause ``j`` of the OR-proof commits to::
+
+    t1 = g^s_r · c1^-c_j     t2 = y_J^s_r · (c2/h_j)^-c_j     t3 = g^s_x · h_j^-c_j
+
+A verifier evaluates these inversion-free (``base^-c == base^(q-c)`` for
+order-``q`` bases) with ``w_j = h_j^c_j`` computed once, used in ``t2`` and,
+inverted, in ``t3``: six exponentiations per clause instead of seven, all
+``w_j^-1`` from one modular inversion.  The signer simulating the foreign
+clauses chose ``r`` and holds ``x``, so ``c1^-c = g^(-rc)`` and ``c2^-c =
+g^(-xc) · y_J^(-rc)``; with ``u = s_r - r·c_j mod q``::
+
+    t1 = g^u     t2 = y_J^u · g^(-x·c_j) · w_j     t3 = g^s_x · w_j^-1
+
+— five exponentiations per clause, all on long-lived cached tables, and the
+same integers: ``c_j, s_r, s_x`` are the same uniform draws.
+
 Deviation note (recorded in DESIGN.md §4): the paper assumes a hypothetical
 "efficient group signature scheme" with constant-size signatures and guesses
 its cost at 2x DSA (Table 3).  Our scheme is a real, working one but its
@@ -269,9 +285,9 @@ def _challenge_hash(
     return primitives.hash_to_int(*parts, modulus=gpk.params.q)
 
 
-#: Build per-signature fixed-base tables for the ciphertext elements once
-#: the roster reaches this size (below it, table construction outweighs the
-#: lookups it saves).
+#: The verifier builds per-signature fixed-base tables for the ciphertext
+#: elements once the roster reaches this size (below it, table construction
+#: outweighs the lookups it saves).  The signer needs none.
 _EPHEMERAL_TABLE_MIN_ROSTER = 6
 
 
@@ -280,8 +296,9 @@ def _ciphertext_tables(
 ) -> dict[int, fastexp.FixedBaseTable]:
     """Ephemeral fixed-base tables for ``c1``/``c2``, used ``n`` times each.
 
-    Every clause of the OR-proof exponentiates both ciphertext halves, so a
-    roster of ``n`` members amortizes the one-off table build ``n`` times.
+    Verifier-side only: every clause :func:`group_verify` recomputes
+    exponentiates both ciphertext halves, so a roster of ``n`` members
+    amortizes the one-off table build ``n`` times.
     """
     if n < _EPHEMERAL_TABLE_MIN_ROSTER:
         return {}
@@ -300,13 +317,12 @@ def group_sign(gpk: GroupPublicKey, member: GroupMemberKey, message: bytes) -> G
     snapshot that predates the member's registration raises
     :class:`GroupSignatureError`.
 
-    All clause equations are computed inversion-free: every base here is an
-    order-``q`` element by construction, so ``base**-c == base**(q-c)`` and
-    each commitment becomes one simultaneous multi-exponentiation over
-    cached (``g``, ``y``, roster) and per-signature (``c1``, ``c2``) tables.
+    The simulated clauses are computed over the signer's witness (module
+    docstring, "Clause arithmetic"): cached bases ``g``, ``y``, ``h_j`` only,
+    one modular inversion per signature, no table for ``c1``/``c2``.
     """
     params = gpk.params
-    p, q, g = params.p, params.q, params.g
+    p, q = params.p, params.q
     y = gpk.opening_key.y
     idx = gpk.roster_index(member.h)
     if idx is None:
@@ -324,33 +340,28 @@ def group_sign(gpk: GroupPublicKey, member: GroupMemberKey, message: bytes) -> G
     responses_x: list[int] = [0] * n
     commitments: list[tuple[int, int, int]] = [(0, 0, 0)] * n
 
-    tables = _ciphertext_tables(params, c1, c2, n)
     # Simulate every non-signer clause with a random challenge.
-    for j, h_j in enumerate(gpk.roster):
-        if j == idx:
-            continue
-        c_j = primitives.randbelow(q)
-        s_r = primitives.randbelow(q)
-        s_x = primitives.randbelow(q)
-        # t1 = g**s_r * c1**-c_j ; t2 = y**s_r * (c2/h_j)**-c_j ; t3 = g**s_x * h_j**-c_j
-        t1 = fastexp.multi_exp(((g, s_r), (c1, q - c_j)), p, order=q, tables=tables)
-        t2 = fastexp.multi_exp(
-            ((y, s_r), (h_j, c_j), (c2, q - c_j)), p, order=q, tables=tables
+    foreign = [j for j in range(n) if j != idx]
+    for j in foreign:
+        challenges[j] = primitives.randbelow(q)
+        responses_r[j] = primitives.randbelow(q)
+        responses_x[j] = primitives.randbelow(q)
+    ws = [fastexp.mod_pow(gpk.roster[j], challenges[j], p, order=q) for j in foreign]
+    pow_g = params.fixed_g().pow
+    for j, w, w_inv in zip(foreign, ws, primitives.batch_modinv(ws, p)):
+        # t1 = g**u ; t2 = y**u * g**(-x*c_j) * w_j ; t3 = g**s_x * w_j**-1
+        c_j = challenges[j]
+        u = (responses_r[j] - r * c_j) % q
+        commitments[j] = (
+            pow_g(u),
+            (fastexp.mod_pow(y, u, p, order=q) * pow_g(-member.x * c_j) * w) % p,
+            (pow_g(responses_x[j]) * w_inv) % p,
         )
-        t3 = fastexp.multi_exp(((g, s_x), (h_j, q - c_j)), p, order=q)
-        challenges[j] = c_j
-        responses_r[j] = s_r
-        responses_x[j] = s_x
-        commitments[j] = (t1, t2, t3)
 
     # Honest commitment for the signer's clause.
     a = params.random_exponent()
     b = params.random_exponent()
-    commitments[idx] = (
-        params.pow_g(a),
-        fastexp.mod_pow(y, a, p, order=q),
-        params.pow_g(b),
-    )
+    commitments[idx] = (pow_g(a), fastexp.mod_pow(y, a, p, order=q), pow_g(b))
 
     total = _challenge_hash(gpk, ciphertext, commitments, message)
     c_idx = (total - sum(challenges)) % q
@@ -370,7 +381,9 @@ def group_sign(gpk: GroupPublicKey, member: GroupMemberKey, message: bytes) -> G
 def group_verify(gpk: GroupPublicKey, message: bytes, signature: GroupSignature) -> bool:
     """Verify a group signature against the roster in ``gpk``.
 
-    Pure predicate: returns ``False`` on any malformed input.
+    Pure predicate: returns ``False`` on any malformed input, and refuses
+    an out-of-range scalar before the first exponentiation.  The clause
+    equations are the verifier's form in the module docstring.
 
     Both ciphertext halves must be order-``q`` subgroup elements.  Honest
     signers always produce such ciphertexts; the explicit check (absent from
@@ -383,27 +396,24 @@ def group_verify(gpk: GroupPublicKey, message: bytes, signature: GroupSignature)
     p, q, g = params.p, params.q, params.g
     y = gpk.opening_key.y
     n = len(gpk.roster)
-    if not (len(signature.challenges) == len(signature.responses_r) == len(signature.responses_x) == n):
+    scalars = (signature.challenges, signature.responses_r, signature.responses_x)
+    if not all(len(seq) == n and all(0 <= v < q for v in seq) for seq in scalars):
         return False
     c1, c2 = signature.ciphertext.c1, signature.ciphertext.c2
-    if not (params.is_element(c1) and params.is_element(c2)):
+    if not (params.is_element(c1, memo=False) and params.is_element(c2, memo=False)):
         return False
 
+    clauses = zip(gpk.roster, signature.challenges)
+    ws = [fastexp.mod_pow(h_j, c_j, p, order=q) for h_j, c_j in clauses]
+    w_invs = primitives.batch_modinv(ws, p)
     tables = _ciphertext_tables(params, c1, c2, n)
+    pow_g = params.fixed_g().pow
     commitments: list[tuple[int, int, int]] = []
-    for j, h_j in enumerate(gpk.roster):
-        c_j = signature.challenges[j]
-        s_r = signature.responses_r[j]
-        s_x = signature.responses_x[j]
-        if not (0 <= c_j < q and 0 <= s_r < q and 0 <= s_x < q):
-            return False
-        # t1 = g**s_r * c1**-c_j ; t2 = y**s_r * (c2/h_j)**-c_j ; t3 = g**s_x * h_j**-c_j
+    for c_j, s_r, s_x, w, w_inv in zip(*scalars, ws, w_invs):
+        # t1 = g**s_r * c1**-c_j ; t2 = y**s_r * c2**-c_j * w_j ; t3 = g**s_x * w_j**-1
         t1 = fastexp.multi_exp(((g, s_r), (c1, q - c_j)), p, order=q, tables=tables)
-        t2 = fastexp.multi_exp(
-            ((y, s_r), (h_j, c_j), (c2, q - c_j)), p, order=q, tables=tables
-        )
-        t3 = fastexp.multi_exp(((g, s_x), (h_j, q - c_j)), p, order=q)
-        commitments.append((t1, t2, t3))
+        t2 = fastexp.multi_exp(((y, s_r), (c2, q - c_j)), p, order=q, tables=tables)
+        commitments.append((t1, (t2 * w) % p, (pow_g(s_x) * w_inv) % p))
 
     total = _challenge_hash(gpk, signature.ciphertext, commitments, message)
     return sum(signature.challenges) % q == total
@@ -481,7 +491,7 @@ def group_batch_verify(
         ):
             return False
         c1, c2 = signature.ciphertext.c1, signature.ciphertext.c2
-        if not (params.is_element(c1) and params.is_element(c2)):
+        if not (params.is_element(c1, memo=False) and params.is_element(c2, memo=False)):
             return False
         if not all(
             0 <= c_j < q and 0 <= s_r < q and 0 <= s_x < q

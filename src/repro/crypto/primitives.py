@@ -87,6 +87,29 @@ def modinv(a: int, m: int) -> int:
     return inv
 
 
+class NotInvertibleError(ValueError):
+    """A value handed to :func:`batch_modinv` is not a unit of the modulus."""
+
+
+def batch_modinv(values: list[int], m: int) -> list[int]:
+    """Inverses of all ``values`` modulo ``m`` from one inversion (Montgomery's
+    trick: invert the running product, then peel factors off back to front)."""
+    prefixes = []
+    acc = 1
+    for value in values:
+        prefixes.append(acc)
+        acc = (acc * value) % m
+    try:
+        acc = pow(acc, -1, m)
+    except ValueError:
+        raise NotInvertibleError("a value shares a factor with the modulus") from None
+    inverses = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        inverses[i] = (prefixes[i] * acc) % m
+        acc = (acc * values[i]) % m
+    return inverses
+
+
 def sha256(data: bytes) -> bytes:
     """SHA-256 digest of ``data``."""
     return hashlib.sha256(data).digest()

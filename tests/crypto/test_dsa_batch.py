@@ -11,7 +11,6 @@ import pytest
 from repro.crypto import primitives
 from repro.crypto.dsa import (
     DsaNoncePool,
-    _batch_modinv,
     dsa_generate,
     dsa_sign,
     dsa_sign_batch,
@@ -29,17 +28,17 @@ class TestBatchModinv:
     def test_matches_individual_inverses(self):
         q = PARAMS_TEST_512.q
         values = [3, 7, q - 1, 123456789 % q, 2**64 % q]
-        assert _batch_modinv(values, q) == [primitives.modinv(v, q) for v in values]
+        assert primitives.batch_modinv(values, q) == [primitives.modinv(v, q) for v in values]
 
     def test_single_value(self):
         q = PARAMS_TEST_512.q
-        assert _batch_modinv([5], q) == [primitives.modinv(5, q)]
+        assert primitives.batch_modinv([5], q) == [primitives.modinv(5, q)]
 
     def test_every_product_is_unwound(self):
         # 200 values: the backwards peel must restore each inverse exactly.
         q = PARAMS_TEST_512.q
         values = [(i * i + 1) % q or 1 for i in range(1, 201)]
-        for value, inverse in zip(values, _batch_modinv(values, q)):
+        for value, inverse in zip(values, primitives.batch_modinv(values, q)):
             assert (value * inverse) % q == 1
 
 

@@ -1,18 +1,58 @@
 """Group signature tests: anonymity, verifiability, openability (Section 3.2)."""
 
+import contextlib
 import dataclasses
+import hashlib
+import json
+import random
+import secrets
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.crypto import fastexp, group_signature
+from repro.crypto.elgamal import ElGamalCiphertext
 from repro.crypto.group_signature import (
     GroupManager,
+    GroupPublicKey,
     GroupSignature,
     GroupSignatureError,
+    group_batch_verify,
     group_sign,
     group_verify,
 )
-from repro.crypto.params import PARAMS_TEST_512
+from repro.crypto.keys import PublicKey
+from repro.crypto.params import PARAMS_1024_160, PARAMS_TEST_512
 from repro.crypto.shamir import combine_shares
+
+# The parent's signer and the pre-acceleration verifier live on as replicas
+# in the crypto micro-benchmark; import the module, not its test_bench_* names.
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+import bench_crypto_ops  # noqa: E402
+
+GOLDEN = Path(__file__).with_name("golden_group_signature.json")
+PARAM_SETS = {params.name: params for params in (PARAMS_TEST_512, PARAMS_1024_160)}
+
+
+@contextlib.contextmanager
+def seeded_secrets(seed):
+    """Feed ``secrets.randbelow``/``randbits`` from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(secrets, "randbelow", rng.randrange)
+        patch.setattr(secrets, "randbits", rng.getrandbits)
+        yield
+
+
+def _unhex(values):
+    return tuple(int(value, 16) for value in values)
+
+
+def _roster(params, size):
+    manager = GroupManager(params)
+    members = [manager.register(f"m{i}") for i in range(size)]
+    return manager, members, manager.public_key()
 
 
 @pytest.fixture(scope="module")
@@ -204,3 +244,142 @@ class TestTampering:
         sig_bob = group_sign(gpk, members["bob"], b"m")
         franken = dataclasses.replace(sig_alice, ciphertext=sig_bob.ciphertext)
         assert not group_verify(gpk, b"m", franken)
+
+
+class TestWitnessAwareSigner:
+    """The signer computes the simulated clauses from ``r`` and ``x``; the
+    integers it returns are the ones the verifier-style signer returned."""
+
+    # 6 is the roster at which the old signer started building ciphertext tables.
+    @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=PARAM_SETS.keys())
+    @pytest.mark.parametrize("size", [1, 2, 6, 16])
+    def test_equals_parent_signer_under_seeded_entropy(self, params, size):
+        _manager, members, gpk = _roster(params, size)
+        for index, member in enumerate(members):
+            with seeded_secrets(1000 * size + index):
+                new = group_sign(gpk, member, b"differential")
+            with seeded_secrets(1000 * size + index):
+                old = bench_crypto_ops.baseline_group_sign(gpk, member, b"differential")
+            for field in dataclasses.fields(GroupSignature):
+                assert getattr(new, field.name) == getattr(old, field.name), (index, field.name)
+            assert new.encode() == old.encode()
+
+    @pytest.mark.parametrize("size", [1, 2, 6, 16])
+    def test_new_signatures_pass_every_other_verifier(self, size, monkeypatch):
+        manager, members, gpk = _roster(PARAMS_TEST_512, size)
+        messages = [b"msg-%d" % i for i in range(size)]
+        items = [(m, group_sign(gpk, member, m)) for m, member in zip(messages, members)]
+        for index, (message, signature) in enumerate(items):
+            assert bench_crypto_ops.baseline_group_verify(gpk, message, signature)
+            assert manager.open(signature) == f"m{index}"
+
+        # The hints must carry the batch on their own: no exact fallback.
+        def no_fallback(*_args):
+            raise AssertionError("hinted signature fell back to leftover")
+
+        monkeypatch.setattr(group_signature, "group_verify", no_fallback)
+        assert group_batch_verify(gpk, items)
+
+    def test_parent_made_signatures_verify(self):
+        for vector in json.loads(GOLDEN.read_text())["vectors"]:
+            params = PARAM_SETS[vector["params"]]
+            gpk = GroupPublicKey(
+                params=params,
+                opening_key=PublicKey(params=params, y=int(vector["opening_key"], 16)),
+                roster=_unhex(vector["roster"]),
+                version=vector["version"],
+            )
+            signature = GroupSignature(
+                ciphertext=ElGamalCiphertext(c1=int(vector["c1"], 16), c2=int(vector["c2"], 16)),
+                challenges=_unhex(vector["challenges"]),
+                responses_r=_unhex(vector["responses_r"]),
+                responses_x=_unhex(vector["responses_x"]),
+                commitments=tuple(_unhex(c) for c in vector["commitments"]),
+            )
+            message = vector["message"].encode()
+            assert group_verify(gpk, message, signature)
+            assert group_batch_verify(gpk, [(message, signature)])
+            assert not group_verify(gpk, message + b"!", signature)
+            assert hashlib.sha256(signature.encode()).hexdigest() == vector["encode_sha256"]
+            # Open: c2 / c1**secret is the signer's roster key.
+            mask = pow(signature.ciphertext.c1, -int(vector["opening_secret"], 16), params.p)
+            assert (signature.ciphertext.c2 * mask) % params.p == gpk.roster[vector["signer"]]
+
+    def test_roster_of_one_has_no_foreign_clause(self):
+        manager, (only,), gpk = _roster(PARAMS_TEST_512, 1)
+        signature = group_sign(gpk, only, b"alone")
+        assert len(signature.challenges) == 1
+        assert group_verify(gpk, b"alone", signature)
+        assert manager.open(signature) == "m0"
+
+    def test_stale_snapshot_still_raises(self):
+        manager = GroupManager(PARAMS_TEST_512)
+        manager.register("early")
+        stale = manager.public_key()
+        late = manager.register("late")
+        with pytest.raises(GroupSignatureError):
+            group_sign(stale, late, b"m")
+
+    def test_verify_is_a_deterministic_predicate(self, group):
+        manager, members = group
+        gpk = manager.public_key()
+        signature = group_sign(gpk, members["bob"], b"m")
+        assert {group_verify(gpk, b"m", signature) for _ in range(3)} == {True}
+
+
+@pytest.fixture()
+def exponentiations(monkeypatch):
+    """Count every ``multi_exp`` and fixed-base ``pow`` while the test runs."""
+    calls = []
+    for owner, name in ((fastexp, "multi_exp"), (fastexp.FixedBaseTable, "pow")):
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestFailFast:
+    @pytest.mark.parametrize("field", ["challenges", "responses_r", "responses_x"])
+    @pytest.mark.parametrize("position", [0, 3, 7])
+    @pytest.mark.parametrize("value", [-1, int(PARAMS_TEST_512.q)])
+    def test_out_of_range_scalar_costs_no_exponentiation(
+        self, field, position, value, exponentiations
+    ):
+        _manager, members, gpk = _roster(PARAMS_TEST_512, 8)
+        signature = group_sign(gpk, members[2], b"m")
+        scalars = list(getattr(signature, field))
+        scalars[position] = value
+        bad = dataclasses.replace(signature, **{field: tuple(scalars)})
+        exponentiations.clear()
+        assert not group_verify(gpk, b"m", bad)
+        assert exponentiations == []
+        assert group_verify(gpk, b"m", signature) and exponentiations
+
+
+class TestMembershipMemo:
+    def test_verified_signatures_do_not_churn_the_memo(self, monkeypatch):
+        # A memo this small would lose the key to 2 x 100 one-shot halves.
+        monkeypatch.setattr(fastexp, "_MAX_MEMBERS", 4)
+        _manager, members, gpk = _roster(PARAMS_TEST_512, 3)
+        params = gpk.params
+        broker_key = params.pow_g(777)
+        assert params.is_element(broker_key)
+        key = (broker_key, params.q, params.p)
+        before = len(fastexp._members)
+        items = [(b"%d" % i, group_sign(gpk, members[i % 3], b"%d" % i)) for i in range(100)]
+        assert all(group_verify(gpk, message, signature) for message, signature in items)
+        assert group_batch_verify(gpk, items)
+        assert len(fastexp._members) == before
+        assert fastexp._members[key] is True
+
+    def test_unmemoized_check_rejects_the_same_values(self):
+        params = PARAMS_TEST_512
+        outside = next(x for x in range(2, 50) if pow(x, params.q, params.p) != 1)
+        for value in (0, params.p, outside):
+            assert not params.is_element(value, memo=False)
+            assert not params.is_element(value)
+        assert params.is_element(params.pow_g(5), memo=False)

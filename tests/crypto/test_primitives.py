@@ -68,6 +68,16 @@ class TestModular:
         with pytest.raises(ValueError):
             primitives.modinv(6, 9)
 
+    def test_batch_modinv_of_nothing(self):
+        # Element-wise agreement with modinv is in test_dsa_batch.TestBatchModinv.
+        assert primitives.batch_modinv([], 7) == []
+
+    def test_batch_modinv_nonunit_raises_typed_error(self):
+        with pytest.raises(primitives.NotInvertibleError):
+            primitives.batch_modinv([2, 6, 5], 9)
+        with pytest.raises(primitives.NotInvertibleError):
+            primitives.batch_modinv([0], 7)
+
 
 class TestHashToInt:
     def test_deterministic(self):
