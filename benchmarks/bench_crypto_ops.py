@@ -13,8 +13,11 @@ Two entry points:
   accelerated hot paths (fixed-base tables, multi-exp, batch verification;
   see DESIGN.md §1.1) against in-file replicas of the pre-acceleration
   implementations and writes machine-readable speedups to
-  ``benchmarks/out/BENCH_crypto.json``.  ``--quick`` restricts to the
-  512-bit group with fewer repetitions (the CI smoke configuration).
+  ``benchmarks/out/BENCH_crypto.json``, plus the roster curve (group sign /
+  exact verify / hinted verify / batch-10 at roster 16…1024: the scheme's
+  linear term as a committed number).  ``--quick`` restricts to the 512-bit
+  group, rosters 16 and 64, and fewer repetitions (the CI smoke
+  configuration).
 """
 
 import json
@@ -35,8 +38,10 @@ from repro.crypto.group_signature import (
     GroupSignatureError,
     _challenge_hash,
     _ciphertext_tables,
+    group_batch_verify,
     group_sign,
     group_verify,
+    group_verify_exact,
 )
 from repro.crypto.hashchain import HashChain, verify_chain_link
 from repro.crypto.params import PARAMS_1024_160, PARAMS_TEST_512
@@ -309,6 +314,41 @@ def _compare(name, baseline, accelerated, repeat, results) -> None:
     print(f"  {name:<42} {base_us:>10.1f}us -> {accel_us:>8.1f}us   {base_us / accel_us:5.2f}x")
 
 
+#: Signatures per batch in the roster curve's batch row.
+CURVE_BATCH = 10
+
+
+def roster_curve(params, rosters, repeat: int) -> dict:
+    """Group-signature cost against roster size, one fresh group per point.
+
+    Each point starts from cold caches and registers its own roster, so the
+    points do not depend on their order.  Past ``fastexp._MAX_TABLES``
+    members the roster no longer fits the fixed-base table cache, and the
+    numbers include the rebuilds that costs — as a deployment would pay them.
+    """
+    curve: dict = {}
+    for n in rosters:
+        fastexp.clear_caches()
+        manager = GroupManager(params)
+        members = [manager.register(f"m{i}") for i in range(n)]
+        gpk = manager.public_key()
+        items = [(b"m%d" % i, group_sign(gpk, members[i % n], b"m%d" % i)) for i in range(CURVE_BATCH)]
+        message, signature = items[0]
+        assert group_verify(gpk, message, signature)  # also warms the tables
+        assert group_verify_exact(gpk, message, signature)
+        reps = max(3, repeat * 16 // n)
+        row = {
+            "sign_us": _time_us(lambda: group_sign(gpk, members[0], message), reps),
+            "verify_exact_us": _time_us(lambda: group_verify_exact(gpk, message, signature), reps),
+            "verify_hinted_us": _time_us(lambda: group_verify(gpk, message, signature), reps),
+            f"batch{CURVE_BATCH}_per_sig_us": _time_us(lambda: group_batch_verify(gpk, items), reps)
+            / CURVE_BATCH,
+        }
+        curve[str(n)] = {"repeat": reps, **{key: round(value, 1) for key, value in row.items()}}
+        print(f"  roster {n:<5}" + "".join(f"  {key} {value / 1e3:8.2f}ms" for key, value in row.items()))
+    return curve
+
+
 def run_comparison(quick: bool = False) -> dict:
     """Benchmark accelerated hot paths against the pre-acceleration replicas."""
     fastexp.clear_caches()
@@ -316,7 +356,7 @@ def run_comparison(quick: bool = False) -> dict:
     if not quick:
         param_sets.append(("1024_160", PARAMS_1024_160))
     repeat = 10 if quick else 30
-    report: dict = {"quick": quick, "repeat": repeat, "groups": {}}
+    report: dict = {"quick": quick, "repeat": repeat, "groups": {}, "roster_curve": {}}
 
     for label, params in param_sets:
         print(f"[{label}]")
@@ -361,6 +401,13 @@ def run_comparison(quick: bool = False) -> dict:
             results,
         )
         _compare(
+            "group_verify_hinted_roster16",
+            lambda: group_verify_exact(gpk, message, gsig),
+            lambda: group_verify(gpk, message, gsig),
+            repeat,
+            results,
+        )
+        _compare(
             "group_sign_roster16",
             lambda: baseline_group_sign(gpk, members[0], message),
             lambda: group_sign(gpk, members[0], message),
@@ -368,6 +415,11 @@ def run_comparison(quick: bool = False) -> dict:
             results,
         )
         report["groups"][label] = results
+
+    rosters = (16, 64) if quick else (16, 64, 256, 1024)
+    for label, params in param_sets:
+        print(f"[{label}] roster curve")
+        report["roster_curve"][label] = roster_curve(params, rosters, repeat)
 
     return report
 
@@ -391,8 +443,14 @@ def main() -> int:
     print(f"wrote {args.out}")
 
     # Acceptance floors (ISSUE / DESIGN §1.1): 1.8x on DSA verification,
-    # 2x on group verification and 1.5x on group signing at roster 16.
-    floors = {"dsa_verify": 1.8, "group_verify_roster16": 2.0, "group_sign_roster16": 1.5}
+    # 2x on group verification, 1.5x for the hinted verifier over the exact
+    # one and 1.5x on group signing, all at roster 16.
+    floors = {
+        "dsa_verify": 1.8,
+        "group_verify_roster16": 2.0,
+        "group_verify_hinted_roster16": 1.5,
+        "group_sign_roster16": 1.5,
+    }
     ok = True
     for label, results in report["groups"].items():
         for name, floor in floors.items():

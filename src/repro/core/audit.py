@@ -22,6 +22,7 @@ from repro.core import protocol
 from repro.core.coin import Coin
 from repro.core.errors import FraudDetected
 from repro.core.judge import Judge
+from repro.crypto.group_signature import group_verify_exact
 from repro.crypto.params import DlogParams
 
 
@@ -47,7 +48,11 @@ def verify_relinquishment(
         envelope = protocol.decode_dual(data, params)
         operation = protocol.HolderOperation.from_payload(envelope.payload)
         gpk = judge.group_public_key_at(envelope.roster_version)
-        if not envelope.verify(gpk):
+        # Adjudication is exact: same bytes, same verdict, no randomized fold.
+        inner = envelope.inner
+        if not inner.verify():
+            return None
+        if not group_verify_exact(gpk, inner.encode(), envelope.group_signature):
             return None
         coin = Coin(cert=protocol.decode_signed(operation.coin_cert, params))
         if coin.coin_y != coin_y:

@@ -223,7 +223,7 @@ class Peer(Node):
     def _gpk(self, version: int | None = None):
         if version is None:
             gpk = self.judge.group_public_key()
-            self._gpk_cache[len(gpk.roster)] = gpk
+            self._gpk_cache[gpk.version] = gpk
             return gpk
         if version not in self._gpk_cache:
             self._gpk_cache[version] = self.judge.group_public_key_at(version)

@@ -80,11 +80,13 @@ def decode_signed(data: bytes, params: DlogParams) -> SignedMessage:
 def encode_dual(message: DualSignedMessage) -> bytes:
     """Bytes form of a dual-signed (holder) envelope.
 
-    ``gs_t`` carries the group signature's per-clause commitment hints so
-    the broker can batch-verify holder envelopes
-    (:func:`repro.crypto.group_signature.group_batch_verify`); like
-    ``sig_c`` on the inner envelope it is untrusted accelerator metadata —
-    stripping it merely costs the receiver exact verification.
+    ``gs_t`` carries the group signature's per-clause commitment hints:
+    every verifier — a peer or the broker checking one envelope
+    (:func:`repro.crypto.group_signature.group_verify`), the pipeline
+    checking a batch (``group_batch_verify``) — folds them instead of
+    recomputing the clauses.  Like ``sig_c`` on the inner envelope it is
+    untrusted accelerator metadata — stripping it merely costs the receiver
+    exact verification.
     """
     gs = message.group_signature
     fields = {

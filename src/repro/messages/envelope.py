@@ -113,7 +113,9 @@ class DualSignedMessage:
 
         For callers (the broker) that fold the inner DSA signature into a
         randomized batch (:func:`repro.crypto.dsa.dsa_batch_verify`) with
-        the other DSA signatures of the same request.
+        the other DSA signatures of the same request.  Uses the signature's
+        commitment hints when they bind (:func:`group_verify`); a judge
+        needing a randomness-free verdict calls ``group_verify_exact``.
         """
         return group_verify(gpk, self.inner.encode(), self.group_signature)
 

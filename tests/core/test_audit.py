@@ -1,9 +1,11 @@
 """Fraud adjudication tests (detect-and-punish, Sections 2 & 4.3)."""
 
 import copy
+from dataclasses import replace
 
 import pytest
 
+from repro.core import protocol
 from repro.core.audit import Verdict, adjudicate_double_deposit, verify_relinquishment
 from repro.core.errors import DoubleSpendDetected, FraudDetected
 
@@ -89,6 +91,33 @@ class TestRelinquishmentVerification:
         assert checked is not None
         holder_y, _seq = checked
         assert holder_y == bob_holder_y
+
+    def test_adjudication_draws_no_randomness(self, funded_trio, monkeypatch):
+        # Same bytes, same verdict: the judge never runs the randomized fold
+        # that peers and the broker use on the very same envelope.
+        import secrets
+
+        net, alice, bob, carol = funded_trio
+        state = alice.purchase()
+        alice.issue("bob", state.coin_y)
+        bob.transfer("carol", state.coin_y)
+        (entry,) = alice.owned[state.coin_y].relinquishments
+
+        def no_randomness(*_args):
+            raise AssertionError("adjudication drew randomness")
+
+        monkeypatch.setattr(secrets, "randbits", no_randomness)
+        monkeypatch.setattr(secrets, "randbelow", no_randomness)
+        assert verify_relinquishment(entry, net.params, net.judge, state.coin_y) is not None
+        # Swapped responses leave the hint bound (the hash does not cover
+        # them): refusing this is the clause arithmetic's job.
+        envelope = protocol.decode_dual(entry, net.params)
+        signature = envelope.group_signature
+        forged = replace(
+            signature, responses_r=signature.responses_x, responses_x=signature.responses_r
+        )
+        tampered = protocol.encode_dual(replace(envelope, group_signature=forged))
+        assert verify_relinquishment(tampered, net.params, net.judge, state.coin_y) is None
 
     def test_garbage_entry_rejected(self, funded_trio):
         net, _alice, _bob, _carol = funded_trio

@@ -99,6 +99,51 @@ class TestRevocationFloor:
                 {"envelope": protocol.encode_dual(envelope), "payee": "carol", "nonce": b"n" * 16},
             )
 
+    def test_later_registrations_do_not_shadow_an_accepted_snapshot(self, funded_trio):
+        # Three registrations (v3), an expulsion (v4), two more registrations:
+        # v6 has a roster of FOUR.  A peer that filed its current key under
+        # the roster length put v6 where v4 lives and then refused an honest
+        # envelope signed at the still-accepted v4.
+        net, alice, bob, carol = funded_trio
+        first, second = alice.purchase(), alice.purchase()
+        alice.issue("carol", first.coin_y)
+        alice.issue("carol", second.coin_y)
+        assert net.judge.expel("bob") == 4
+        in_flight_gpk = net.judge.group_public_key()
+        held = carol.wallet[first.coin_y]
+        from repro.core import protocol
+        from repro.core.errors import ProtocolError
+        from repro.crypto.keys import KeyPair
+        from repro.messages.envelope import group_seal
+
+        payee_key = KeyPair.generate(net.params)
+        operation = protocol.HolderOperation(
+            op="transfer",
+            coin_cert=held.coin.encode(),
+            proof_binding=held.binding.signed.encode(),
+            proof_via_broker=held.binding.via_broker,
+            new_holder_y=payee_key.public.y,
+            nonce=b"n" * 16,
+        )
+        envelope = group_seal(
+            held.holder_keypair, carol.member_key, in_flight_gpk, operation.to_payload()
+        )
+        net.add_peer("dave")
+        net.add_peer("erin")
+        assert net.judge.group_public_key().version == 6
+        assert net.judge.minimum_accepted_version == 4
+        # Alice signs as a holder at v6 — the call that cached by length.
+        carol.transfer("alice", second.coin_y)
+        alice.deposit(second.coin_y, payout_to="alice")
+        # The envelope verifies: the request gets as far as the payee, who
+        # was never offered this hand-made transfer.
+        with pytest.raises(ProtocolError, match="payee rejected the transfer"):
+            carol.request(
+                alice.address,
+                protocol.TRANSFER_REQUEST,
+                {"envelope": protocol.encode_dual(envelope), "payee": "dave", "nonce": b"n" * 16},
+            )
+
     def test_historical_evidence_still_opens(self, funded_trio):
         # Expulsion must not destroy the judge's ability to open the
         # culprit's past signatures (the evidence trail).

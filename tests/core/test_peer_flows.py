@@ -233,3 +233,46 @@ class TestLazySync:
         bob.transfer("carol", state.coin_y)
         carol.transfer("bob", state.coin_y)
         assert alice.counts.checks == 1  # second transfer needs no check
+
+
+class TestHintsStrippedOnTheWire:
+    def test_full_cycle_completes_on_exact_verification(self, funded_trio, monkeypatch):
+        # ``gs_t`` is untrusted accelerator metadata: a transport that drops
+        # it costs every verifier the exact recomputation, nothing else.
+        import dataclasses
+
+        from repro.core import protocol
+        from repro.crypto import group_signature
+
+        net, alice, bob, carol = funded_trio
+        real_encode = protocol.encode_dual
+
+        def encode_without_hints(message):
+            bare = dataclasses.replace(message.group_signature, commitments=None)
+            return real_encode(dataclasses.replace(message, group_signature=bare))
+
+        def no_fold(_gpk, signatures):
+            assert not signatures, "a hintless signature reached the fold"
+            return True
+
+        recomputed = []
+        real_recompute = group_signature._recompute_clauses
+
+        def recompute(gpk, signature):
+            recomputed.append(signature)
+            return real_recompute(gpk, signature)
+
+        monkeypatch.setattr(protocol, "encode_dual", encode_without_hints)
+        monkeypatch.setattr(group_signature, "_fold", no_fold)
+        monkeypatch.setattr(group_signature, "_recompute_clauses", recompute)
+        state = alice.purchase()
+        alice.issue("bob", state.coin_y)
+        bob.transfer("carol", state.coin_y)  # owner verifies
+        carol.renew(state.coin_y)
+        alice.depart()
+        carol.transfer_via_broker("bob", state.coin_y)  # broker verifies
+        bob.renew(state.coin_y)
+        alice.rejoin()
+        bob.transfer("carol", state.coin_y)
+        assert carol.deposit(state.coin_y) == 1
+        assert len(recomputed) >= 6  # every holder request above, peer- or broker-side

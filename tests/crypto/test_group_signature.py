@@ -21,6 +21,7 @@ from repro.crypto.group_signature import (
     group_batch_verify,
     group_sign,
     group_verify,
+    group_verify_exact,
 )
 from repro.crypto.keys import PublicKey
 from repro.crypto.params import PARAMS_1024_160, PARAMS_TEST_512
@@ -246,6 +247,14 @@ class TestTampering:
         assert not group_verify(gpk, b"m", franken)
 
 
+class TestTamperingExact(TestTampering):
+    """The same suite, unmodified, over the verifier that never folds."""
+
+    @pytest.fixture(autouse=True)
+    def _exact_verifier(self, monkeypatch):
+        monkeypatch.setattr(sys.modules[__name__], "group_verify", group_verify_exact)
+
+
 class TestWitnessAwareSigner:
     """The signer computes the simulated clauses from ``r`` and ``x``; the
     integers it returns are the ones the verifier-style signer returned."""
@@ -278,6 +287,7 @@ class TestWitnessAwareSigner:
             raise AssertionError("hinted signature fell back to leftover")
 
         monkeypatch.setattr(group_signature, "group_verify", no_fallback)
+        monkeypatch.setattr(group_signature, "_recompute_clauses", no_fallback)
         assert group_batch_verify(gpk, items)
 
     def test_parent_made_signatures_verify(self):
@@ -298,6 +308,7 @@ class TestWitnessAwareSigner:
             )
             message = vector["message"].encode()
             assert group_verify(gpk, message, signature)
+            assert group_verify_exact(gpk, message, signature)
             assert group_batch_verify(gpk, [(message, signature)])
             assert not group_verify(gpk, message + b"!", signature)
             assert hashlib.sha256(signature.encode()).hexdigest() == vector["encode_sha256"]
@@ -329,9 +340,11 @@ class TestWitnessAwareSigner:
 
 @pytest.fixture()
 def exponentiations(monkeypatch):
-    """Count every ``multi_exp`` and fixed-base ``pow`` while the test runs."""
+    """Count every ``multi_exp``, fixed-base ``pow`` and membership test
+    (a native ``pow``) while the test runs."""
     calls = []
-    for owner, name in ((fastexp, "multi_exp"), (fastexp.FixedBaseTable, "pow")):
+    counted_names = ((fastexp, "multi_exp"), (fastexp.FixedBaseTable, "pow"), (fastexp, "is_member"))
+    for owner, name in counted_names:
         original = getattr(owner, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
@@ -358,6 +371,210 @@ class TestFailFast:
         assert not group_verify(gpk, b"m", bad)
         assert exponentiations == []
         assert group_verify(gpk, b"m", signature) and exponentiations
+
+    @pytest.mark.parametrize("path", ["hinted", "hintless", "exact", "batch"])
+    @pytest.mark.parametrize("field", ["challenges", "responses_r", "responses_x"])
+    def test_every_path_refuses_it_before_the_subgroup_checks(self, path, field, exponentiations):
+        _manager, members, gpk = _roster(PARAMS_TEST_512, 8)
+        good = [(b"%d" % i, group_sign(gpk, members[i], b"%d" % i)) for i in range(3)]
+        message, signature = good[-1]
+        if path == "hintless":
+            signature = dataclasses.replace(signature, commitments=None)
+        scalars = list(getattr(signature, field))
+        scalars[5] = int(PARAMS_TEST_512.q)
+        bad = dataclasses.replace(signature, **{field: tuple(scalars)})
+        exponentiations.clear()
+        if path == "batch":  # the offender is last: nobody's c1/c2 is tested first
+            assert not group_batch_verify(gpk, good[:-1] + [(message, bad)])
+        elif path == "exact":
+            assert not group_verify_exact(gpk, message, bad)
+        else:
+            assert not group_verify(gpk, message, bad)
+        assert exponentiations == []
+
+
+def _damaged_hints(hints, foreign, kind, p):
+    """The ``commitments`` tuple ``hints`` after one of the hint attacks."""
+    hints = list(hints)
+    if kind == "stripped":
+        return None
+    if kind == "short":
+        return tuple(hints[:-1])
+    if kind == "long":
+        return tuple(hints + hints[:1])
+    if kind == "zero-entry":
+        hints[1] = (0, hints[1][1], hints[1][2])
+    elif kind == "p-entry":
+        hints[1] = (hints[1][0], p, hints[1][2])
+    elif kind == "swapped-clauses":
+        hints[0], hints[2] = hints[2], hints[0]
+    elif kind == "foreign":
+        hints = list(foreign)
+    elif kind == "small-order":  # t * (p - 1) == -t: same subgroup component
+        hints[1] = (hints[1][0] * (p - 1) % p, hints[1][1], hints[1][2])
+        hints[3] = (hints[3][0], hints[3][1], hints[3][2] * (p - 1) % p)
+    return tuple(hints)
+
+
+HINT_ATTACKS = [
+    "stripped", "short", "long", "zero-entry", "p-entry", "swapped-clauses", "foreign", "small-order",
+]
+
+
+def _rebound(gpk, message, signature):
+    """What a forger who controls the hints does: shift one challenge so the
+    Fiat-Shamir hash binds over whatever the hints now say."""
+    q = gpk.params.q
+    total = group_signature._challenge_hash(
+        gpk, signature.ciphertext, signature.commitments, message
+    )
+    challenges = list(signature.challenges)
+    challenges[0] = (challenges[0] + total - sum(challenges)) % q
+    rebound = dataclasses.replace(signature, challenges=tuple(challenges))
+    assert group_signature._hint_binds(gpk, message, rebound)
+    return rebound
+
+
+def _verdicts(gpk, message, signature):
+    """Every verifier's answer: hinted scalar, batch, exact."""
+    return (
+        group_verify(gpk, message, signature),
+        group_batch_verify(gpk, [(message, signature)]),
+        group_verify_exact(gpk, message, signature),
+    )
+
+
+class TestHintedVerification:
+    """``group_verify`` decides a bound hint by the fold; hints stay untrusted."""
+
+    @pytest.fixture(scope="class")
+    def signed(self):
+        _manager, members, gpk = _roster(PARAMS_TEST_512, 6)
+        return gpk, group_sign(gpk, members[4], b"m"), group_sign(gpk, members[1], b"m")
+
+    @pytest.mark.parametrize("kind", HINT_ATTACKS)
+    def test_damaged_hint_on_a_valid_signature_still_accepts(self, signed, kind, monkeypatch):
+        gpk, signature, other = signed
+        hints = _damaged_hints(signature.commitments, other.commitments, kind, gpk.params.p)
+        damaged = dataclasses.replace(signature, commitments=hints)
+        # Decided by the exact fallback: the fold never sees an unbound hint.
+        monkeypatch.setattr(group_signature, "_fold", lambda _gpk, sigs: not sigs)
+        assert _verdicts(gpk, b"m", damaged) == (True, True, True)
+
+    @pytest.mark.parametrize("kind", [None] + HINT_ATTACKS)
+    def test_forgery_is_rejected_whatever_the_hint_says(self, signed, kind):
+        gpk, signature, other = signed
+        responses = list(signature.responses_r)
+        responses[2] = (responses[2] + 1) % gpk.params.q
+        forged = dataclasses.replace(signature, responses_r=tuple(responses))
+        # The challenge hash does not cover the responses: the honest hint
+        # still binds, and only the fold stands between this and acceptance.
+        assert group_signature._hint_binds(gpk, b"m", forged)
+        if kind is not None:
+            hints = _damaged_hints(signature.commitments, other.commitments, kind, gpk.params.p)
+            forged = dataclasses.replace(forged, commitments=hints)
+        assert _verdicts(gpk, b"m", forged) == (False, False, False)
+
+    @pytest.mark.parametrize("kind", ["swapped-clauses", "foreign", "small-order"])
+    def test_forger_who_rebinds_the_hash_to_its_hints_is_rejected(self, signed, kind):
+        gpk, signature, other = signed
+        hints = _damaged_hints(signature.commitments, other.commitments, kind, gpk.params.p)
+        forged = _rebound(gpk, b"m", dataclasses.replace(signature, commitments=hints))
+        assert _verdicts(gpk, b"m", forged) == (False, False, False)
+
+    def test_small_order_factor_bound_by_the_signer_gets_one_verdict_everywhere(
+        self, signed, monkeypatch
+    ):
+        # A *member* can hash over -t instead of t: the subgroup components
+        # satisfy every clause, the fold (which projects the cofactor away)
+        # accepts, and a judge who refused it would let a holder frame the
+        # owner holding this as a relinquishment.  Peer and judge must agree.
+        _manager, members, gpk = _roster(PARAMS_TEST_512, 6)
+        p = gpk.params.p
+        real_hash = group_signature._challenge_hash
+        seen = []
+
+        def hash_over_negated(gpk_, ciphertext, commitments, message):
+            seen[:] = _damaged_hints(commitments, None, "small-order", p)
+            return real_hash(gpk_, ciphertext, seen, message)
+
+        monkeypatch.setattr(group_signature, "_challenge_hash", hash_over_negated)
+        signature = group_sign(gpk, members[0], b"m")
+        monkeypatch.setattr(group_signature, "_challenge_hash", real_hash)
+        smuggled = dataclasses.replace(signature, commitments=tuple(seen))
+        assert _verdicts(gpk, b"m", smuggled) == (True, True, True)
+        assert _verdicts(gpk, b"other", smuggled) == (False, False, False)
+        # Without its hint it is not a signature at all, for anyone.
+        stripped = dataclasses.replace(smuggled, commitments=None)
+        assert _verdicts(gpk, b"m", stripped) == (False, False, False)
+
+    def test_exact_verifier_draws_no_randomness(self, signed, monkeypatch):
+        gpk, signature, _other = signed
+
+        def no_randomness(*_args):
+            raise AssertionError("the exact verifier drew randomness")
+
+        monkeypatch.setattr(secrets, "randbits", no_randomness)
+        monkeypatch.setattr(secrets, "randbelow", no_randomness)
+        assert group_verify_exact(gpk, b"m", signature)
+        assert not group_verify_exact(gpk, b"x", signature)
+        with pytest.raises(AssertionError):
+            group_verify(gpk, b"m", signature)
+
+    def test_hinted_path_cost_at_roster_16(self, exponentiations, monkeypatch):
+        # n + 2 cached-table lookups (g, y, every h_j), two products, and
+        # three native pows: c1 and c2 membership, the cofactor projection.
+        _manager, members, gpk = _roster(PARAMS_TEST_512, 16)
+        signature = group_sign(gpk, members[9], b"m")
+        native = []
+
+        def native_pow(*args):
+            native.append(args)
+            return pow(*args)
+
+        def no_exact(*_args):
+            raise AssertionError("a bound hint reached the exact path")
+
+        monkeypatch.setattr(group_signature, "_recompute_clauses", no_exact)
+        for module in (fastexp, group_signature):  # shadow the builtin in both
+            monkeypatch.setattr(module, "pow", native_pow, raising=False)
+        exponentiations.clear()
+        assert group_verify(gpk, b"m", signature)
+        assert exponentiations.count("pow") <= 16 + 2
+        assert exponentiations.count("multi_exp") == 2
+        assert len(native) <= 3
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_mutations_get_the_exact_verdict(self, signed, seed):
+        gpk, signature, other = signed
+        rng = random.Random(seed)
+        q, n = gpk.params.q, len(gpk.roster)
+        for _ in range(6):
+            mutant = signature
+            for _ in range(rng.choice((1, 1, 2))):
+                field = rng.choice(
+                    ["challenges", "responses_r", "responses_x", "commitments", "ciphertext"]
+                )
+                j = rng.randrange(n)
+                if field == "ciphertext":
+                    mutant = dataclasses.replace(mutant, ciphertext=other.ciphertext)
+                elif field == "commitments":
+                    kind = rng.choice(HINT_ATTACKS)
+                    hints = _damaged_hints(
+                        signature.commitments, other.commitments, kind, gpk.params.p
+                    )
+                    mutant = dataclasses.replace(mutant, commitments=hints)
+                    if hints is not None and len(hints) == n and rng.random() < 0.5:
+                        with contextlib.suppress(AssertionError):  # 0 / p entries never bind
+                            mutant = _rebound(gpk, b"m", mutant)
+                else:
+                    values = list(getattr(mutant, field))
+                    values[j] = rng.randrange(q)
+                    mutant = dataclasses.replace(mutant, **{field: tuple(values)})
+            hinted, batched, exact = _verdicts(gpk, b"m", mutant)
+            assert hinted == batched == exact
+            stripped = dataclasses.replace(mutant, commitments=None)
+            assert exact == bench_crypto_ops.baseline_group_verify(gpk, b"m", stripped)
 
 
 class TestMembershipMemo:
