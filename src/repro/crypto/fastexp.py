@@ -12,25 +12,39 @@ transparently:
   (Brickell–Gordon–McCurley–Wilson).  A one-time table of
   ``base**(j * 2**(w*i))`` turns every later exponentiation into
   ``ceil(bits/w)`` modular multiplications and **zero** squarings — measured
-  4–6× faster than CPython's native ``pow`` at our parameter sizes.
+  4–6× faster than CPython's native ``pow`` at our parameter sizes.  The
+  window is the table's one knob, and there are three settings:
+  :data:`CACHED_WINDOW` (5: 32 multiplications per 160-bit exponent, 1024
+  entries) for every cached key, :data:`EPHEMERAL_WINDOW` (4) for tables
+  that live for one signature, and :data:`SYSTEM_WINDOW` (8: 20
+  multiplications, 5120 entries, digits read straight off the exponent's
+  bytes) for the two bases the whole system shares — the generator and the
+  judge's opening key.
 * :func:`multi_exp` — simultaneous multi-exponentiation.  Cached bases are
   resolved through their tables; the remaining ad-hoc bases share one
   interleaved square-and-multiply loop (Straus/Shamir), so a product of
   ``k`` exponentiations costs one set of squarings instead of ``k``.
-* An **auto-promotion cache**: any base seen :data:`PROMOTE_AFTER` times for
-  the same modulus gets a table built and cached (bounded LRU).  Long-lived
-  keys therefore accelerate themselves; one-shot bases never pay the table
-  cost.  Verifiers that only ever see a key as an integer on the wire reach
-  the same cache as code holding the rich objects.
+* A **table cache** with two ways in (bounded, least recently used out
+  first).  Owners of long-lived keys *register* them by name with
+  :func:`precompute`; any other base seen :data:`PROMOTE_AFTER` times for
+  the same modulus is *promoted*: it gets a table built and cached, so
+  long-lived keys accelerate themselves and one-shot bases never pay the
+  table cost.  Verifiers that only ever see a key as an integer on the wire
+  reach the same cache as code holding the rich objects.  A full cache
+  evicts: a registered table gives way only to another registered table,
+  promoted tables rotate among themselves, and a promotion that finds
+  every slot registered is refused (native ``pow`` instead) — a roster
+  larger than the cache keeps the tables it has rather than evicting and
+  rebuilding them signature after signature.
 
 The module also memoizes subgroup-membership checks (``x**q == 1 mod p``),
 which cost a full exponentiation and are repeated endlessly for the same
 handful of keys by protocol code.
 
 Thread-safety: the caches are process-local plain dicts guarded by the GIL;
-entries are only ever added, and a racing duplicate build is harmless.  The
-parallel sweep runner forks workers, each inheriting (then growing) its own
-copy.
+a racing duplicate build or eviction costs a rebuild, never a wrong power
+(a table is immutable once built).  The parallel sweep runner forks
+workers, each inheriting (then growing) its own copy.
 """
 
 from __future__ import annotations
@@ -64,6 +78,15 @@ CACHED_WINDOW = 5
 #: uses (e.g. the ciphertext bases inside a group-signature roster loop).
 EPHEMERAL_WINDOW = 4
 
+#: Window width for the two system-wide bases: the generator and the judge's
+#: opening key, which every peer, the broker and the judge exponentiate for
+#: the life of the system.  One byte per digit, so a 160-bit exponent is 20
+#: multiplications instead of 32 — bought with 5x the build and 5x the
+#: memory of a :data:`CACHED_WINDOW` table (20 x 256 entries: 0.5 MB at
+#: 512-bit, 0.9 MB at 1024-bit), which is why their owners ask for it by
+#: name and nobody else gets it.
+SYSTEM_WINDOW = 8
+
 #: Straus interleaving window for ad-hoc simultaneous exponentiation.
 _STRAUS_WINDOW = 4
 
@@ -84,7 +107,12 @@ class FixedBaseTable:
     The table stores ``base**(j * 2**(window*i)) mod modulus`` for every
     window digit ``j`` and every digit position ``i`` up to ``max_bits``.
     :meth:`pow` then assembles ``base**e`` as a product of one table entry
-    per non-zero digit of ``e`` — no squarings at all.
+    per digit of ``e`` — no squarings at all.  ``ceil(max_bits / window)``
+    rows of ``2**window`` entries: a wider window buys fewer
+    multiplications per exponentiation with a longer build and more memory.
+    At ``window == 8`` a row is one byte of the exponent
+    (``rows[i][d] == base**(d * 256**i)``) and :meth:`pow` reads the digits
+    from ``exponent.to_bytes`` instead of shifting them out.
 
     ``order``, when given, is the multiplicative order of ``base`` (our
     bases are order-``q`` subgroup elements); exponents are reduced modulo
@@ -164,12 +192,17 @@ class FixedBaseTable:
             raise ValueError("negative exponent needs a known order")
         if exponent.bit_length() > self.max_bits:
             return pow(self.base, exponent, self.modulus)  # beyond the table
+        m = self.modulus
+        rows = self._rows
+        result = 1
+        if self.window == 8:
+            # Byte-wide rows: the exponent's own bytes are the digits.
+            for row, digit in zip(rows, exponent.to_bytes(len(rows), "little")):
+                result = (result * row[digit]) % m
+            return result
         w = self.window
         mask = (1 << w) - 1
-        m = self.modulus
-        result = 1
         i = 0
-        rows = self._rows
         while exponent:
             digit = exponent & mask
             if digit:
@@ -181,7 +214,11 @@ class FixedBaseTable:
 
 # -- global caches ------------------------------------------------------------
 
-_tables: OrderedDict[tuple[int, int], FixedBaseTable] = OrderedDict()
+_tables: OrderedDict[tuple[int, int], FixedBaseTable] = OrderedDict()  # LRU, oldest first
+#: Keys of ``_tables`` that somebody asked for by name (:func:`precompute`,
+#: :func:`install_cache`), as opposed to promoted by use.  Always a subset of
+#: ``_tables``: promotion never evicts these.
+_registered: set[tuple[int, int]] = set()
 _use_counts: dict[tuple[int, int], int] = {}
 _members: OrderedDict[tuple[int, int, int], bool] = OrderedDict()
 
@@ -189,6 +226,7 @@ _members: OrderedDict[tuple[int, int, int], bool] = OrderedDict()
 def clear_caches() -> None:
     """Drop every cached table, counter, and membership memo (test hook)."""
     _tables.clear()
+    _registered.clear()
     _use_counts.clear()
     _members.clear()
 
@@ -200,23 +238,43 @@ def _lookup(base: int, modulus: int) -> FixedBaseTable | None:
     return table
 
 
-def precompute(base: int, modulus: int, max_bits: int, order: int | None = None) -> FixedBaseTable:
+def _store(key: tuple[int, int], table: FixedBaseTable, registered: bool) -> None:
+    """Cache ``table`` as the newest entry; the oldest give way past the bound."""
+    _tables[key] = table
+    _tables.move_to_end(key)
+    if registered:
+        _registered.add(key)
+    _use_counts.pop(key, None)
+    while len(_tables) > _MAX_TABLES:
+        evicted, _ = _tables.popitem(last=False)
+        _registered.discard(evicted)
+
+
+def precompute(
+    base: int,
+    modulus: int,
+    max_bits: int,
+    order: int | None = None,
+    window: int = CACHED_WINDOW,
+) -> FixedBaseTable:
     """Build (or fetch) the cached table for ``(base, modulus)``.
 
     Call this eagerly for keys known to be long-lived — the generator, the
     judge's opening key, roster membership keys — to skip the promotion
-    warm-up entirely.
+    warm-up entirely.  A table registered here is only ever evicted by
+    another registered table, never by a promoted one.  ``window`` is a
+    floor: a cached table that is narrower (or covers fewer bits) is
+    rebuilt, a wider one is kept — so the owners of the two system-wide
+    bases pass :data:`SYSTEM_WINDOW` and everybody else's request for the
+    same base finds their table.
     """
     key = (base, modulus)
     table = _lookup(base, modulus)
-    if table is not None and table.max_bits >= max_bits:
+    if table is not None and table.max_bits >= max_bits and table.window >= window:
+        _registered.add(key)  # a promoted table somebody now names is theirs
         return table
-    table = FixedBaseTable(base, modulus, max_bits, window=CACHED_WINDOW, order=order)
-    _tables[key] = table
-    _tables.move_to_end(key)
-    while len(_tables) > _MAX_TABLES:
-        _tables.popitem(last=False)
-    _use_counts.pop(key, None)
+    table = FixedBaseTable(base, modulus, max_bits, window=window, order=order)
+    _store(key, table, registered=True)
     return table
 
 
@@ -225,12 +283,31 @@ def fixed_base(base: int, modulus: int) -> FixedBaseTable | None:
     return _lookup(base, modulus)
 
 
+def _room_to_promote() -> bool:
+    """Make room for one promoted table without touching a registered one.
+
+    Promoted tables rotate among themselves, oldest first.  When every slot
+    is held by a registered table there is nothing to rotate: evicting one
+    would swap a table its owner asked for against one that is itself
+    evicted before it pays for its build (the roster-past-the-cache cliff),
+    so the caller falls through to native ``pow`` instead.
+    """
+    if len(_tables) < _MAX_TABLES:
+        return True
+    if len(_registered) >= len(_tables):
+        return False
+    del _tables[next(key for key in _tables if key not in _registered)]
+    return True
+
+
 def _note_use(base: int, modulus: int, max_bits: int, order: int | None) -> FixedBaseTable | None:
     """Count a cache miss; promote the base once it proves to be recurrent."""
     key = (base, modulus)
     count = _use_counts.get(key, 0) + 1
-    if count >= PROMOTE_AFTER:
-        return precompute(base, modulus, max_bits, order=order)
+    if count >= PROMOTE_AFTER and _room_to_promote():
+        table = FixedBaseTable(base, modulus, max_bits, window=CACHED_WINDOW, order=order)
+        _store(key, table, registered=False)
+        return table
     if len(_use_counts) >= _MAX_COUNTS:
         _use_counts.clear()  # cheap mass eviction; counters are advisory
     _use_counts[key] = count
@@ -413,6 +490,7 @@ def export_cache() -> bytes:
                 "order": table.order,
                 "window": table.window,
                 "max_bits": table.max_bits,
+                "registered": (base, modulus) in _registered,
                 "rows": tuple(tuple(row) for row in table._rows),
             }
         )
@@ -423,7 +501,9 @@ def install_cache(blob: bytes) -> int:
     """Install tables serialized by :func:`export_cache`; returns the count.
 
     Existing entries for the same ``(base, modulus)`` are kept if they cover
-    at least as many bits (a rebuilt local table is never downgraded).
+    at least as many bits at least as wide a window (a rebuilt local table
+    is never downgraded).  Each table arrives as what it was in the
+    exporting process: registered by name, or promoted by use.
     """
     from repro.messages.codec import decode
 
@@ -431,9 +511,13 @@ def install_cache(blob: bytes) -> int:
     for entry in decode(blob):
         key = (entry["base"], entry["modulus"])
         held = _tables.get(key)
-        if held is not None and held.max_bits >= entry["max_bits"]:
+        if (
+            held is not None
+            and held.max_bits >= entry["max_bits"]
+            and held.window >= entry["window"]
+        ):
             continue
-        _tables[key] = FixedBaseTable.restore(
+        table = FixedBaseTable.restore(
             base=entry["base"],
             modulus=entry["modulus"],
             max_bits=entry["max_bits"],
@@ -441,10 +525,8 @@ def install_cache(blob: bytes) -> int:
             order=entry["order"],
             rows=[list(row) for row in entry["rows"]],
         )
-        _tables.move_to_end(key)
+        _store(key, table, registered=entry["registered"])
         installed += 1
-    while len(_tables) > _MAX_TABLES:
-        _tables.popitem(last=False)
     return installed
 
 

@@ -9,9 +9,12 @@ import secrets
 import pytest
 
 from repro.crypto import fastexp
-from repro.crypto.params import PARAMS_1024_160, PARAMS_TEST_512
+from repro.crypto.params import PARAMS_1024_160, PARAMS_2048_256, PARAMS_TEST_512
 
 P = PARAMS_TEST_512
+ALL_PARAMS = pytest.mark.parametrize(
+    "params", [PARAMS_TEST_512, PARAMS_1024_160, PARAMS_2048_256], ids=lambda params: params.name
+)
 
 
 @pytest.fixture(autouse=True)
@@ -51,6 +54,76 @@ class TestFixedBaseTable:
         for window in (1, 2, 4, 5, 8):
             table = fastexp.FixedBaseTable(P.g, P.p, P.q.bit_length(), window=window)
             assert table.pow(e) == pow(P.g, e, P.p)
+
+
+class TestByteWideTable:
+    """``window=SYSTEM_WINDOW``: digits are the exponent's own bytes."""
+
+    @staticmethod
+    def _table(params, order=True):
+        return fastexp.FixedBaseTable(
+            params.g,
+            params.p,
+            params.q_bits,
+            window=fastexp.SYSTEM_WINDOW,
+            order=params.q if order else None,
+        )
+
+    @ALL_PARAMS
+    def test_one_row_of_256_per_exponent_byte(self, params):
+        table = self._table(params)
+        assert len(table._rows) == params.q_bits // 8
+        assert len(table._rows) in (20, 32)
+        assert {len(row) for row in table._rows} == {256}
+        assert table._rows[3][7] == pow(params.g, 7 * 256**3, params.p)
+
+    @ALL_PARAMS
+    def test_matches_native_pow(self, params):
+        q, tables = params.q, (self._table(params), self._table(params, order=False))
+        edges = [0, 1, 255, 256, q - 1, q, q + 1]
+        edges += [secrets.randbelow(q) for _ in range(20)]
+        for table in tables:
+            for e in edges:
+                assert table.pow(e) == pow(params.g, e, params.p)
+
+    @ALL_PARAMS
+    def test_zero_bytes_in_every_position(self, params):
+        table, size = self._table(params, order=False), params.q_bits // 8
+        dense = int.from_bytes(secrets.token_bytes(size - 1) + b"\x7f", "little") | int.from_bytes(
+            b"\x01" * size, "little"
+        )
+        for position in range(size):
+            holed = dense & ~(0xFF << (8 * position))
+            alone = dense & (0xFF << (8 * position))
+            for e in (holed, alone):
+                assert e.bit_length() <= table.max_bits
+                assert table.pow(e) == pow(params.g, e, params.p)
+
+    @ALL_PARAMS
+    def test_negative_exponents_reduce_by_the_order(self, params):
+        table = self._table(params)
+        for c in (1, 255, 256, secrets.randbelow(params.q), params.q + 5):
+            assert table.pow(-c) == pow(params.g, -c, params.p)
+
+    def test_negative_exponent_without_order_is_refused(self):
+        for window in (fastexp.CACHED_WINDOW, fastexp.SYSTEM_WINDOW):
+            table = fastexp.FixedBaseTable(P.g, P.p, P.q_bits, window=window)
+            with pytest.raises(ValueError):
+                table.pow(-1)
+
+    @ALL_PARAMS
+    def test_exponent_past_the_table_falls_back_to_native(self, params):
+        table = self._table(params, order=False)
+        for e in (1 << params.q_bits, params.q << 9, (1 << (params.q_bits + 8)) - 1):
+            assert e.bit_length() > table.max_bits
+            assert table.pow(e) == pow(params.g, e, params.p)
+
+    def test_membership_through_an_unordered_wide_table_is_the_exact_test(self):
+        non_member = next(x for x in range(2, 50) if pow(x, P.q, P.p) != 1)
+        for x, verdict in ((pow(P.g, 77, P.p), True), (non_member, False)):
+            table = fastexp.precompute(x, P.p, P.q_bits, window=fastexp.SYSTEM_WINDOW)
+            assert table.order is None and table.pow(P.q) == pow(x, P.q, P.p)
+            assert fastexp.is_member(x, P.q, P.p) is verdict
 
 
 class TestModPow:
@@ -181,3 +254,115 @@ class TestCacheSharing:
 
     def test_empty_cache_round_trips(self):
         assert fastexp.install_cache(fastexp.export_cache()) == 0
+
+    def test_round_trip_keeps_width_and_standing(self):
+        fastexp.precompute(P.g, P.p, P.q_bits, order=P.q, window=fastexp.SYSTEM_WINDOW)
+        roster_key, coin_key = pow(P.g, 5, P.p), pow(P.g, 6, P.p)
+        fastexp.precompute(roster_key, P.p, P.q_bits, order=P.q)
+        for _ in range(fastexp.PROMOTE_AFTER):
+            fastexp.mod_pow(coin_key, 3, P.p, order=P.q)
+        blob = fastexp.export_cache()
+        fastexp.clear_caches()
+        assert fastexp.install_cache(blob) == 3
+        windows = {base: fastexp.fixed_base(base, P.p).window for base in (P.g, roster_key, coin_key)}
+        assert windows == {
+            P.g: fastexp.SYSTEM_WINDOW,
+            roster_key: fastexp.CACHED_WINDOW,
+            coin_key: fastexp.CACHED_WINDOW,
+        }
+        assert fastexp._registered == {(P.g, P.p), (roster_key, P.p)}
+        for e in (0, 1, 255, 256, P.q - 1, secrets.randbelow(P.q)):
+            assert fastexp.fixed_base(P.g, P.p).pow(e) == pow(P.g, e, P.p)
+
+    def test_install_never_narrows_a_byte_wide_local_table(self):
+        fastexp.precompute(P.g, P.p, P.q_bits, order=P.q)
+        blob = fastexp.export_cache()  # width-5 table in the blob
+        fastexp.clear_caches()
+        wide = fastexp.precompute(P.g, P.p, P.q_bits, order=P.q, window=fastexp.SYSTEM_WINDOW)
+        assert fastexp.install_cache(blob) == 0
+        assert fastexp.fixed_base(P.g, P.p) is wide
+
+
+class TestWindowIsAFloor:
+    def test_wide_request_rebuilds_a_narrow_table_and_never_the_reverse(self):
+        narrow = fastexp.precompute(P.g, P.p, P.q_bits, order=P.q)
+        assert narrow.window == fastexp.CACHED_WINDOW
+        wide = fastexp.precompute(P.g, P.p, P.q_bits, order=P.q, window=fastexp.SYSTEM_WINDOW)
+        assert wide.window == fastexp.SYSTEM_WINDOW
+        assert fastexp.precompute(P.g, P.p, P.q_bits, order=P.q) is wide
+        assert fastexp.fixed_base(P.g, P.p) is wide
+
+    def test_wide_request_replaces_a_promoted_table(self):
+        for _ in range(fastexp.PROMOTE_AFTER):
+            fastexp.mod_pow(P.g, 3, P.p, order=P.q)
+        assert fastexp.fixed_base(P.g, P.p).window == fastexp.CACHED_WINDOW
+        assert P.fixed_g().window == fastexp.SYSTEM_WINDOW
+        assert fastexp.mod_pow(P.g, P.q - 2, P.p, order=P.q) == pow(P.g, P.q - 2, P.p)
+
+
+@pytest.fixture()
+def small_cache(monkeypatch):
+    """A cache of 8 tables, and the list of every table built meanwhile."""
+    monkeypatch.setattr(fastexp, "_MAX_TABLES", 8)
+    built = []
+    original = fastexp.FixedBaseTable.__init__
+
+    def counted(self, base, *args, **kwargs):
+        built.append(base)
+        original(self, base, *args, **kwargs)
+
+    monkeypatch.setattr(fastexp.FixedBaseTable, "__init__", counted)
+    return built
+
+
+def _use(base, times=fastexp.PROMOTE_AFTER):
+    for _ in range(times):
+        e = secrets.randbelow(P.q)
+        assert fastexp.mod_pow(base, e, P.p, order=P.q) == pow(base, e, P.p)
+
+
+class TestPromotionNeverEvictsARegisteredTable:
+    """The roster-past-the-cache cliff: promotion used to evict tables their
+    owner had registered, to build ones evicted before they paid off."""
+
+    def test_full_of_registered_tables_means_native_pow(self, small_cache):
+        keys = [pow(P.g, 100 + i, P.p) for i in range(12)]
+        for key in keys:
+            fastexp.precompute(key, P.p, P.q_bits, order=P.q)
+        resident = [key for key in keys if fastexp.fixed_base(key, P.p)]
+        assert resident == keys[-8:]  # registered tables rotate among themselves
+        small_cache.clear()
+        for _ in range(3):  # a roster loop, again and again
+            for key in keys:
+                _use(key, times=1)
+        assert small_cache == []
+        assert [key for key in keys if fastexp.fixed_base(key, P.p)] == resident
+
+    def test_promoted_tables_rotate_among_themselves(self, small_cache):
+        P.fixed_g()
+        registered = [pow(P.g, 100 + i, P.p) for i in range(3)]
+        for key in registered:
+            fastexp.precompute(key, P.p, P.q_bits, order=P.q)
+        coins = [pow(P.g, 200 + i, P.p) for i in range(7)]
+        for coin in coins[:4]:
+            _use(coin)
+        assert len(fastexp._tables) == 8  # full: 4 registered, 4 promoted
+        small_cache.clear()
+        for coin in coins[4:]:  # first seen after the cache filled
+            _use(coin)
+            assert fastexp.fixed_base(coin, P.p) is not None
+        assert small_cache == coins[4:]
+        assert [coin for coin in coins if fastexp.fixed_base(coin, P.p)] == coins[3:]
+        assert all(fastexp.fixed_base(key, P.p) for key in registered)
+        assert fastexp.fixed_base(P.g, P.p).window == fastexp.SYSTEM_WINDOW
+
+    def test_naming_a_promoted_table_registers_it(self, small_cache):
+        coin = pow(P.g, 300, P.p)
+        _use(coin)
+        promoted = fastexp.fixed_base(coin, P.p)
+        assert fastexp.precompute(coin, P.p, P.q_bits, order=P.q) is promoted
+        for i in range(7):
+            fastexp.precompute(pow(P.g, 400 + i, P.p), P.p, P.q_bits, order=P.q)
+        small_cache.clear()
+        _use(pow(P.g, 500, P.p), times=3)
+        assert small_cache == [] and fastexp.fixed_base(coin, P.p) is promoted

@@ -600,3 +600,86 @@ class TestMembershipMemo:
             assert not params.is_element(value, memo=False)
             assert not params.is_element(value)
         assert params.is_element(params.pow_g(5), memo=False)
+
+
+@pytest.fixture()
+def cold_caches():
+    fastexp.clear_caches()
+    yield
+    fastexp.clear_caches()
+
+
+@pytest.mark.usefixtures("cold_caches")
+class TestSystemWideBases:
+    """``g`` and the judge's opening key exponentiate through byte-wide
+    tables; roster keys (and everything else) keep the cached width."""
+
+    @staticmethod
+    def _widths(gpk):
+        params = gpk.params
+        tables = [fastexp.fixed_base(base, params.p) for base in (params.g, gpk.opening_key.y)]
+        return [table and table.window for table in tables]
+
+    def test_signature_lookups_by_table_at_roster_16(self, monkeypatch):
+        # Per simulated clause g**u, y**u, g**(-x*c_j), g**s_x on the wide
+        # tables and h_j**c_j on the roster's; c1, y**r and the honest
+        # clause's three commitments make the other five.
+        n = 16
+        _manager, members, gpk = _roster(PARAMS_TEST_512, n)
+        system = (gpk.params.g, gpk.opening_key.y)
+        lookups = []
+        original = fastexp.FixedBaseTable.pow
+
+        def counted(table, exponent):
+            lookups.append((table.window, table.base in system, table.base in gpk.roster))
+            return original(table, exponent)
+
+        monkeypatch.setattr(fastexp.FixedBaseTable, "pow", counted)
+        group_sign(gpk, members[9], b"m")
+        assert lookups.count((fastexp.SYSTEM_WINDOW, True, False)) == 4 * (n - 1) + 5
+        assert lookups.count((fastexp.CACHED_WINDOW, False, True)) == n - 1
+        assert len(lookups) == 5 * (n - 1) + 5
+
+    @pytest.mark.parametrize("first_call", ["sign", "verify", "verify_exact", "batch_verify"])
+    def test_first_call_after_cleared_caches_finds_both_wide_tables(self, first_call):
+        _manager, members, gpk = _roster(PARAMS_TEST_512, 4)
+        signature = group_sign(gpk, members[1], b"m")
+        fastexp.clear_caches()
+        assert self._widths(gpk) == [None, None]
+        if first_call == "sign":
+            signature = group_sign(gpk, members[2], b"m")
+        elif first_call == "verify":
+            assert group_verify(gpk, b"m", signature)
+        elif first_call == "verify_exact":
+            assert group_verify_exact(gpk, b"m", signature)
+        else:
+            assert group_batch_verify(gpk, [(b"m", signature)])
+        assert self._widths(gpk) == [fastexp.SYSTEM_WINDOW] * 2
+
+    def test_roster_larger_than_the_cache_builds_nothing_once_warm(self, monkeypatch):
+        # The cliff: a roster past _MAX_TABLES had every signature evict
+        # registered roster tables to promote the keys that missed, which the
+        # rest of the same loop evicted again before their second use.
+        monkeypatch.setattr(fastexp, "_MAX_TABLES", 12)
+        built = []
+        original = fastexp.FixedBaseTable.__init__
+
+        def counted(table, base, modulus, max_bits, window=fastexp.CACHED_WINDOW, order=None):
+            if window != fastexp.EPHEMERAL_WINDOW:  # the exact verifier's c1/c2, never cached
+                built.append(base)
+            original(table, base, modulus, max_bits, window=window, order=order)
+
+        monkeypatch.setattr(fastexp.FixedBaseTable, "__init__", counted)
+        _manager, members, gpk = _roster(PARAMS_TEST_512, 20)
+        signature = group_sign(gpk, members[0], b"warm")  # brings the opening key back
+        assert group_verify_exact(gpk, b"warm", signature)
+        resident = set(fastexp._tables)
+        assert len(resident) == 12 and self._widths(gpk) == [fastexp.SYSTEM_WINDOW] * 2
+        built.clear()
+        for index in (3, 17):
+            signature = group_sign(gpk, members[index], b"m")
+            assert group_verify_exact(gpk, b"m", signature)
+            assert group_verify(gpk, b"m", signature)
+            assert self._widths(gpk) == [fastexp.SYSTEM_WINDOW] * 2
+        assert built == []
+        assert set(fastexp._tables) == resident

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.errors import DoubleSpendDetected
-from repro.core.network import PeerConfig
+from repro.core.network import BrokerTopology, PeerConfig, WhoPayNetwork
+from repro.crypto import fastexp
+from repro.crypto.params import PARAMS_TEST_512
 
 
 class TestCoinLifecycle:
@@ -151,3 +153,34 @@ class TestDetectionIntegration:
         peers[3].deposit(state.coin_y)
         assert net.detection.publishes >= 3
         assert all(not p.alarms for p in peers)  # honest run: no alarms
+
+
+class TestFixedBaseTables:
+    def test_a_deployment_holds_exactly_two_byte_wide_tables(self, tmp_path):
+        """The set-up of the benchmark's ``peer_ops_m1`` (16 durable peers,
+        one broker, every operation once): ``g`` and the judge's opening key
+        are byte-wide, the roster and every promoted key are not."""
+        fastexp.clear_caches()
+        net = WhoPayNetwork(
+            params=PARAMS_TEST_512, store_dir=tmp_path, topology=BrokerTopology(shards=1)
+        )
+        config = PeerConfig(balance=1_000, durable=True)
+        p, q, r, *_rest = (net.add_peer(f"peer{index:02d}", config) for index in range(16))
+        coin_y = p.purchase().coin_y
+        p.issue(q.address, coin_y)
+        q.transfer(r.address, coin_y)
+        r.renew(coin_y)
+        p.depart()
+        r.transfer_via_broker(q.address, coin_y)
+        q.renew(coin_y)
+        p.rejoin()
+        q.transfer(r.address, coin_y)
+        r.deposit(coin_y)
+
+        params, gpk = net.params, net.judge.group_public_key()
+        system = {params.g, gpk.opening_key.y}
+        for base in system:
+            assert fastexp.fixed_base(base, params.p).window == fastexp.SYSTEM_WINDOW
+        widths = {base: table.window for (base, _modulus), table in fastexp._tables.items()}
+        assert {base for base, window in widths.items() if window != fastexp.CACHED_WINDOW} == system
+        assert set(gpk.roster) | {coin_y} <= set(widths)
