@@ -371,21 +371,14 @@ def roster_curve(params, rosters, repeat: int) -> dict:
         message, signature = items[0]
         assert group_verify(gpk, message, signature)  # also warms the tables
         assert group_verify_exact(gpk, message, signature)
-        reps = max(5, repeat * 16 // n)
-        operations = {
-            "sign_us": lambda: group_sign(gpk, members[0], message),
-            "verify_exact_us": lambda: group_verify_exact(gpk, message, signature),
-            "verify_hinted_us": lambda: group_verify(gpk, message, signature),
-            f"batch{CURVE_BATCH}_per_sig_us": lambda: group_batch_verify(gpk, items),
+        reps = max(3, repeat * 16 // n)
+        row = {
+            "sign_us": _time_us(lambda: group_sign(gpk, members[0], message), reps),
+            "verify_exact_us": _time_us(lambda: group_verify_exact(gpk, message, signature), reps),
+            "verify_hinted_us": _time_us(lambda: group_verify(gpk, message, signature), reps),
+            f"batch{CURVE_BATCH}_per_sig_us": _time_us(lambda: group_batch_verify(gpk, items), reps)
+            / CURVE_BATCH,
         }
-        # One sample of each operation per round, so that a stall of the host
-        # lands in one round of every row, not in most samples of one row.
-        samples: dict = {key: [] for key in operations}
-        for _ in range(reps):
-            for key, operation in operations.items():
-                samples[key].append(_time_us(operation, 1))
-        row = {key: statistics.median(values) for key, values in samples.items()}
-        row[f"batch{CURVE_BATCH}_per_sig_us"] /= CURVE_BATCH
         curve[str(n)] = {"repeat": reps, **{key: round(value, 1) for key, value in row.items()}}
         print(f"  roster {n:<5}" + "".join(f"  {key} {value / 1e3:8.2f}ms" for key, value in row.items()))
     return curve

@@ -17,9 +17,8 @@ transparently:
   :data:`CACHED_WINDOW` (5: 32 multiplications per 160-bit exponent, 1024
   entries) for every cached key, :data:`EPHEMERAL_WINDOW` (4) for tables
   that live for one signature, and :data:`SYSTEM_WINDOW` (8: 20
-  multiplications, 5120 entries, digits read straight off the exponent's
-  bytes) for the two bases the whole system shares — the generator and the
-  judge's opening key.
+  multiplications, 5120 entries) for the two bases the whole system
+  shares — the generator and the judge's opening key.
 * :func:`multi_exp` — simultaneous multi-exponentiation.  Cached bases are
   resolved through their tables; the remaining ad-hoc bases share one
   interleaved square-and-multiply loop (Straus/Shamir), so a product of
@@ -31,11 +30,12 @@ transparently:
   long-lived keys accelerate themselves and one-shot bases never pay the
   table cost.  Verifiers that only ever see a key as an integer on the wire
   reach the same cache as code holding the rich objects.  A full cache
-  evicts: a registered table gives way only to another registered table,
-  promoted tables rotate among themselves, and a promotion that finds
-  every slot registered is refused (native ``pow`` instead) — a roster
-  larger than the cache keeps the tables it has rather than evicting and
-  rebuilding them signature after signature.
+  evicts its promoted tables first, whoever arrives: a registered table
+  gives way only to another registration that finds no promoted table
+  left, and a promotion that finds every slot registered is refused
+  (native ``pow`` instead) — a roster larger than the cache keeps the
+  tables it has rather than evicting and rebuilding them signature after
+  signature.
 
 The module also memoizes subgroup-membership checks (``x**q == 1 mod p``),
 which cost a full exponentiation and are repeated endlessly for the same
@@ -111,8 +111,7 @@ class FixedBaseTable:
     rows of ``2**window`` entries: a wider window buys fewer
     multiplications per exponentiation with a longer build and more memory.
     At ``window == 8`` a row is one byte of the exponent
-    (``rows[i][d] == base**(d * 256**i)``) and :meth:`pow` reads the digits
-    from ``exponent.to_bytes`` instead of shifting them out.
+    (``rows[i][d] == base**(d * 256**i)``).
 
     ``order``, when given, is the multiplicative order of ``base`` (our
     bases are order-``q`` subgroup elements); exponents are reduced modulo
@@ -195,11 +194,6 @@ class FixedBaseTable:
         m = self.modulus
         rows = self._rows
         result = 1
-        if self.window == 8:
-            # Byte-wide rows: the exponent's own bytes are the digits.
-            for row, digit in zip(rows, exponent.to_bytes(len(rows), "little")):
-                result = (result * row[digit]) % m
-            return result
         w = self.window
         mask = (1 << w) - 1
         i = 0
@@ -217,7 +211,7 @@ class FixedBaseTable:
 _tables: OrderedDict[tuple[int, int], FixedBaseTable] = OrderedDict()  # LRU, oldest first
 #: Keys of ``_tables`` that somebody asked for by name (:func:`precompute`,
 #: :func:`install_cache`), as opposed to promoted by use.  Always a subset of
-#: ``_tables``: promotion never evicts these.
+#: ``_tables``: promotion never evicts these, and promoted tables go first.
 _registered: set[tuple[int, int]] = set()
 _use_counts: dict[tuple[int, int], int] = {}
 _members: OrderedDict[tuple[int, int, int], bool] = OrderedDict()
@@ -238,16 +232,34 @@ def _lookup(base: int, modulus: int) -> FixedBaseTable | None:
     return table
 
 
+def _evict(for_registered: bool) -> bool:
+    """Drop one table: the least recently used *promoted* one, whoever asks.
+
+    When every slot is held by a registered table, only another
+    registration may take one (the least recently used).  A promotion is
+    refused: it would swap a table its owner asked for against one that is
+    itself evicted before it pays for its build (the roster-past-the-cache
+    cliff), so the caller falls through to native ``pow`` instead.
+    """
+    victim = next((key for key in _tables if key not in _registered), None)
+    if victim is None:
+        if not for_registered:
+            return False
+        victim = next(iter(_tables))
+    del _tables[victim]
+    _registered.discard(victim)
+    return True
+
+
 def _store(key: tuple[int, int], table: FixedBaseTable, registered: bool) -> None:
-    """Cache ``table`` as the newest entry; the oldest give way past the bound."""
+    """Cache ``table`` as the newest entry, evicting past the bound."""
     _tables[key] = table
     _tables.move_to_end(key)
     if registered:
         _registered.add(key)
     _use_counts.pop(key, None)
     while len(_tables) > _MAX_TABLES:
-        evicted, _ = _tables.popitem(last=False)
-        _registered.discard(evicted)
+        _evict(for_registered=True)
 
 
 def precompute(
@@ -262,17 +274,20 @@ def precompute(
     Call this eagerly for keys known to be long-lived — the generator, the
     judge's opening key, roster membership keys — to skip the promotion
     warm-up entirely.  A table registered here is only ever evicted by
-    another registered table, never by a promoted one.  ``window`` is a
-    floor: a cached table that is narrower (or covers fewer bits) is
-    rebuilt, a wider one is kept — so the owners of the two system-wide
-    bases pass :data:`SYSTEM_WINDOW` and everybody else's request for the
-    same base finds their table.
+    another registered table, never by a promoted one.  ``window`` and
+    ``max_bits`` are floors: a cached table that is narrower or covers
+    fewer bits is rebuilt at the larger of each, never narrowed or
+    shortened — so the owners of the two system-wide bases pass
+    :data:`SYSTEM_WINDOW` and everybody else's request for the same base
+    finds their table.
     """
     key = (base, modulus)
     table = _lookup(base, modulus)
-    if table is not None and table.max_bits >= max_bits and table.window >= window:
-        _registered.add(key)  # a promoted table somebody now names is theirs
-        return table
+    if table is not None:
+        if table.max_bits >= max_bits and table.window >= window:
+            _registered.add(key)  # a promoted table somebody now names is theirs
+            return table
+        max_bits, window = max(max_bits, table.max_bits), max(window, table.window)
     table = FixedBaseTable(base, modulus, max_bits, window=window, order=order)
     _store(key, table, registered=True)
     return table
@@ -283,28 +298,11 @@ def fixed_base(base: int, modulus: int) -> FixedBaseTable | None:
     return _lookup(base, modulus)
 
 
-def _room_to_promote() -> bool:
-    """Make room for one promoted table without touching a registered one.
-
-    Promoted tables rotate among themselves, oldest first.  When every slot
-    is held by a registered table there is nothing to rotate: evicting one
-    would swap a table its owner asked for against one that is itself
-    evicted before it pays for its build (the roster-past-the-cache cliff),
-    so the caller falls through to native ``pow`` instead.
-    """
-    if len(_tables) < _MAX_TABLES:
-        return True
-    if len(_registered) >= len(_tables):
-        return False
-    del _tables[next(key for key in _tables if key not in _registered)]
-    return True
-
-
 def _note_use(base: int, modulus: int, max_bits: int, order: int | None) -> FixedBaseTable | None:
     """Count a cache miss; promote the base once it proves to be recurrent."""
     key = (base, modulus)
     count = _use_counts.get(key, 0) + 1
-    if count >= PROMOTE_AFTER and _room_to_promote():
+    if count >= PROMOTE_AFTER and (len(_tables) < _MAX_TABLES or _evict(for_registered=False)):
         table = FixedBaseTable(base, modulus, max_bits, window=CACHED_WINDOW, order=order)
         _store(key, table, registered=False)
         return table
@@ -490,7 +488,6 @@ def export_cache() -> bytes:
                 "order": table.order,
                 "window": table.window,
                 "max_bits": table.max_bits,
-                "registered": (base, modulus) in _registered,
                 "rows": tuple(tuple(row) for row in table._rows),
             }
         )
@@ -500,10 +497,10 @@ def export_cache() -> bytes:
 def install_cache(blob: bytes) -> int:
     """Install tables serialized by :func:`export_cache`; returns the count.
 
-    Existing entries for the same ``(base, modulus)`` are kept if they cover
-    at least as many bits at least as wide a window (a rebuilt local table
-    is never downgraded).  Each table arrives as what it was in the
-    exporting process: registered by name, or promoted by use.
+    A local table for the same ``(base, modulus)`` is kept unless the
+    incoming one is wider, or as wide and longer (a local table is never
+    narrowed).  Installed tables are registered: the parent already paid
+    for them, so a worker's promotions never evict them.
     """
     from repro.messages.codec import decode
 
@@ -511,11 +508,7 @@ def install_cache(blob: bytes) -> int:
     for entry in decode(blob):
         key = (entry["base"], entry["modulus"])
         held = _tables.get(key)
-        if (
-            held is not None
-            and held.max_bits >= entry["max_bits"]
-            and held.window >= entry["window"]
-        ):
+        if held is not None and (held.window, held.max_bits) >= (entry["window"], entry["max_bits"]):
             continue
         table = FixedBaseTable.restore(
             base=entry["base"],
@@ -525,7 +518,7 @@ def install_cache(blob: bytes) -> int:
             order=entry["order"],
             rows=[list(row) for row in entry["rows"]],
         )
-        _store(key, table, registered=entry["registered"])
+        _store(key, table, registered=True)
         installed += 1
     return installed
 

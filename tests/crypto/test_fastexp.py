@@ -57,7 +57,7 @@ class TestFixedBaseTable:
 
 
 class TestByteWideTable:
-    """``window=SYSTEM_WINDOW``: digits are the exponent's own bytes."""
+    """``window=SYSTEM_WINDOW``: one row of 256 per byte of the exponent."""
 
     @staticmethod
     def _table(params, order=True):
@@ -255,7 +255,7 @@ class TestCacheSharing:
     def test_empty_cache_round_trips(self):
         assert fastexp.install_cache(fastexp.export_cache()) == 0
 
-    def test_round_trip_keeps_width_and_standing(self):
+    def test_round_trip_keeps_width_and_registers_what_it_installs(self):
         fastexp.precompute(P.g, P.p, P.q_bits, order=P.q, window=fastexp.SYSTEM_WINDOW)
         roster_key, coin_key = pow(P.g, 5, P.p), pow(P.g, 6, P.p)
         fastexp.precompute(roster_key, P.p, P.q_bits, order=P.q)
@@ -270,7 +270,7 @@ class TestCacheSharing:
             roster_key: fastexp.CACHED_WINDOW,
             coin_key: fastexp.CACHED_WINDOW,
         }
-        assert fastexp._registered == {(P.g, P.p), (roster_key, P.p)}
+        assert fastexp._registered == set(fastexp._tables)  # the parent paid for all three
         for e in (0, 1, 255, 256, P.q - 1, secrets.randbelow(P.q)):
             assert fastexp.fixed_base(P.g, P.p).pow(e) == pow(P.g, e, P.p)
 
@@ -279,6 +279,14 @@ class TestCacheSharing:
         blob = fastexp.export_cache()  # width-5 table in the blob
         fastexp.clear_caches()
         wide = fastexp.precompute(P.g, P.p, P.q_bits, order=P.q, window=fastexp.SYSTEM_WINDOW)
+        assert fastexp.install_cache(blob) == 0
+        assert fastexp.fixed_base(P.g, P.p) is wide
+
+    def test_install_keeps_a_wide_short_local_table_over_a_narrow_long_one(self):
+        fastexp.precompute(P.g, P.p, P.p_bits, order=P.q)  # width 5, 512 bits
+        blob = fastexp.export_cache()
+        fastexp.clear_caches()
+        wide = P.fixed_g()  # byte-wide, q_bits
         assert fastexp.install_cache(blob) == 0
         assert fastexp.fixed_base(P.g, P.p) is wide
 
@@ -298,6 +306,20 @@ class TestWindowIsAFloor:
         assert fastexp.fixed_base(P.g, P.p).window == fastexp.CACHED_WINDOW
         assert P.fixed_g().window == fastexp.SYSTEM_WINDOW
         assert fastexp.mod_pow(P.g, P.q - 2, P.p, order=P.q) == pow(P.g, P.q - 2, P.p)
+
+    def test_a_longer_request_keeps_the_width_and_a_wider_one_the_length(self):
+        for first in ("wide", "long"):
+            fastexp.clear_caches()
+            if first == "wide":
+                P.fixed_g()
+            table = fastexp.precompute(P.g, P.p, P.p_bits, order=P.q)  # default width, more bits
+            if first == "long":
+                assert table.window == fastexp.CACHED_WINDOW
+                table = P.fixed_g()
+            assert (table.window, table.max_bits) == (fastexp.SYSTEM_WINDOW, P.p_bits)
+            # Both floors met: neither caller rebuilds the other's table again.
+            assert P.fixed_g() is table
+            assert fastexp.precompute(P.g, P.p, P.p_bits, order=P.q) is table
 
 
 @pytest.fixture()
@@ -355,6 +377,26 @@ class TestPromotionNeverEvictsARegisteredTable:
         assert [coin for coin in coins if fastexp.fixed_base(coin, P.p)] == coins[3:]
         assert all(fastexp.fixed_base(key, P.p) for key in registered)
         assert fastexp.fixed_base(P.g, P.p).window == fastexp.SYSTEM_WINDOW
+
+    def test_a_registration_evicts_promoted_tables_before_registered_ones(self, small_cache):
+        roster = [pow(P.g, 100 + i, P.p) for i in range(4)]
+        for key in roster:
+            fastexp.precompute(key, P.p, P.q_bits, order=P.q)
+        coins = [pow(P.g, 200 + i, P.p) for i in range(4)]
+        for coin in coins:  # newer than every registered table
+            _use(coin)
+        late = [pow(P.g, 300 + i, P.p) for i in range(6)]
+        for key in late[:4]:
+            fastexp.precompute(key, P.p, P.q_bits, order=P.q)
+        assert [key for key, _ in fastexp._tables] == roster + late[:4]  # not one coin key
+        for key in late[4:]:  # nothing promoted is left: the oldest registered go
+            fastexp.precompute(key, P.p, P.q_bits, order=P.q)
+        assert [key for key, _ in fastexp._tables] == roster[2:] + late
+        small_cache.clear()
+        for _ in range(3):  # the roster outgrew the cache: no slot left to rotate through
+            for key in roster + late + coins:
+                _use(key, times=1)
+        assert small_cache == []
 
     def test_naming_a_promoted_table_registers_it(self, small_cache):
         coin = pow(P.g, 300, P.p)

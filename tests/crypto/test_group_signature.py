@@ -656,10 +656,14 @@ class TestSystemWideBases:
             assert group_batch_verify(gpk, [(b"m", signature)])
         assert self._widths(gpk) == [fastexp.SYSTEM_WINDOW] * 2
 
-    def test_roster_larger_than_the_cache_builds_nothing_once_warm(self, monkeypatch):
+    @pytest.mark.parametrize("coins", [0, 4], ids=["roster_only", "coin_keys_promoted_meanwhile"])
+    def test_roster_larger_than_the_cache_builds_nothing_once_warm(self, monkeypatch, coins):
         # The cliff: a roster past _MAX_TABLES had every signature evict
         # registered roster tables to promote the keys that missed, which the
-        # rest of the same loop evicted again before their second use.
+        # rest of the same loop evicted again before their second use.  With
+        # coin keys promoted while the roster still fitted, a registration
+        # that evicted a roster table and kept a promoted slot left the same
+        # rotation running through that slot.
         monkeypatch.setattr(fastexp, "_MAX_TABLES", 12)
         built = []
         original = fastexp.FixedBaseTable.__init__
@@ -670,13 +674,24 @@ class TestSystemWideBases:
             original(table, base, modulus, max_bits, window=window, order=order)
 
         monkeypatch.setattr(fastexp.FixedBaseTable, "__init__", counted)
-        _manager, members, gpk = _roster(PARAMS_TEST_512, 20)
+        params = PARAMS_TEST_512
+        manager, members, gpk = _roster(params, 6)
+        assert group_verify(gpk, b"early", group_sign(gpk, members[0], b"early"))
+        coin_keys = [params.pow_g(1000 + i) for i in range(coins)]
+        for key in coin_keys:  # used after the last roster loop: newer than every h_j
+            for _ in range(fastexp.PROMOTE_AFTER):
+                fastexp.mod_pow(key, 7, params.p, order=params.q)
+        assert len(fastexp._tables) == 8 + coins  # g, y, six roster keys, the coin keys
+        members += [manager.register(f"late{i}") for i in range(8)]  # roster 14 + g + y > 12
+        gpk = manager.public_key()
+        assert not any(fastexp.fixed_base(key, params.p) for key in coin_keys)
         signature = group_sign(gpk, members[0], b"warm")  # brings the opening key back
         assert group_verify_exact(gpk, b"warm", signature)
         resident = set(fastexp._tables)
-        assert len(resident) == 12 and self._widths(gpk) == [fastexp.SYSTEM_WINDOW] * 2
+        assert resident == fastexp._registered and len(resident) == 12
+        assert self._widths(gpk) == [fastexp.SYSTEM_WINDOW] * 2
         built.clear()
-        for index in (3, 17):
+        for index in (3, 12):
             signature = group_sign(gpk, members[index], b"m")
             assert group_verify_exact(gpk, b"m", signature)
             assert group_verify(gpk, b"m", signature)
