@@ -17,6 +17,11 @@ restores them:
    request for it after rejoining.
 3. *Fraud attribution* → issuers group-sign their issue messages, so the
    judge can still open a cheating anonymous owner.
+
+On the *holder's* side the extension is one seam: how the owner is reached
+(:meth:`AnonymousOwnerPeer._ask_owner`).  What a holder sends, what it
+accepts back and what its wallet then does are :class:`Peer`'s, the same
+for an ownerless coin as for a basic one.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core import protocol
-from repro.core.coin import CoinBinding, OwnedCoinState
-from repro.core.errors import CoinExpired, NotHolder, ProtocolError, UnknownCoin, VerificationFailed
+from repro.core.coin import HeldCoin, OwnedCoinState
+from repro.core.errors import UnknownCoin, VerificationFailed
 from repro.core.peer import Peer
 from repro.crypto.keys import KeyPair
 from repro.crypto.primitives import int_to_bytes
@@ -78,10 +83,6 @@ class AnonymousOwnerPeer(Peer):
         self.counts.purchases += 1
         return state
 
-    def depart(self) -> None:
-        """Go offline; i3 triggers stay registered but dead-end until rejoin."""
-        super().depart()
-
     def release_handle(self, coin_y: int) -> None:
         """Remove the i3 trigger for a coin (after it is fully retired)."""
         state = self.owned.get(coin_y)
@@ -90,88 +91,20 @@ class AnonymousOwnerPeer(Peer):
             raise UnknownCoin(f"no handle state for coin {coin_y:#x}")
         self.i3.remove_trigger(state.coin.handle, token, src=self.address)
 
-    # -- payer side ----------------------------------------------------------------
+    # -- holder side -------------------------------------------------------------
 
-    def transfer(self, payee: str, coin_y: int | None = None) -> CoinBinding:
-        """Transfer a held coin; ownerless coins route via the i3 handle."""
-        held = self._pick_held_any(coin_y)
+    def _ask_owner(self, held: HeldCoin, kind: str, payload: Any) -> Any:
+        """Reach an ownerless coin's owner through its i3 handle.
+
+        The only thing approach 3 changes on the holder's side is how the
+        owner is *reached*; what is sent and what is accepted back are
+        :meth:`Peer._holder_exchange`'s, as for a basic coin.  A dead-end
+        trigger (owner offline) surfaces as ``NodeOffline``, on which a
+        renewal falls back to the broker and a transfer is ``pay``'s call.
+        """
         if not held.coin.is_ownerless:
-            return super().transfer(payee, held.coin_y)
-        if held.is_expired(self.clock.now()):
-            raise CoinExpired(f"coin {held.coin_y:#x} expired")
-        offer = self.peer_client.transfer_offer(payee, held.coin.encode())
-        envelope = self._holder_envelope(
-            held, "transfer", new_holder_y=offer["holder_y"], nonce=offer["nonce"]
-        )
-        self._expected_rebinds.add(held.coin_y)
+            return super()._ask_owner(held, kind, payload)
         try:
-            response = self.i3.send(
-                self.address,
-                held.coin.handle,
-                protocol.TRANSFER_REQUEST,
-                {
-                    "envelope": protocol.encode_dual(envelope),
-                    "payee": payee,
-                    "nonce": offer["nonce"],
-                },
-            )
-        except (NodeOffline, NetworkError) as exc:
+            return self.i3.send(self.address, held.coin.handle, kind, payload)
+        except NetworkError as exc:
             raise NodeOffline(f"owner unreachable via handle: {exc}") from exc
-        binding = CoinBinding(
-            signed=protocol.decode_signed(response["binding"], self.params),
-            via_broker=False,
-        )
-        if not binding.verify(held.coin.coin_public_key(self.params), self.broker_key):
-            raise VerificationFailed("owner returned an invalid transfer binding")
-        if binding.holder_y != offer["holder_y"] or binding.seq <= held.binding.seq:
-            raise VerificationFailed("transfer binding does not match the request")
-        if self.detection is not None:
-            self.detection.unsubscribe(self, held.coin_y)
-        del self.wallet[held.coin_y]
-        self._wal_del(held.coin_y)
-        self._expected_rebinds.discard(held.coin_y)
-        self.counts.transfers_sent += 1
-        return binding
-
-    def renew(self, coin_y: int) -> CoinBinding:
-        """Renew; ownerless coins try the handle first, broker on failure."""
-        held = self.wallet.get(coin_y)
-        if held is None:
-            raise NotHolder(f"not holding coin {coin_y:#x}")
-        if not held.coin.is_ownerless:
-            return super().renew(coin_y)
-        envelope = self._holder_envelope(held, "renewal")
-        try:
-            response = self.i3.send(
-                self.address,
-                held.coin.handle,
-                protocol.RENEW_REQUEST,
-                protocol.encode_dual(envelope),
-            )
-            binding = CoinBinding(
-                signed=protocol.decode_signed(response, self.params), via_broker=False
-            )
-            self.counts.renewals_sent += 1
-        except (NodeOffline, NetworkError):
-            response = self.broker_client.downtime_renewal(
-                protocol.encode_dual(envelope), coin_y=held.coin_y
-            )
-            binding = CoinBinding(
-                signed=protocol.decode_signed(response, self.params), via_broker=True
-            )
-            self.counts.downtime_renewals += 1
-        if not binding.verify(held.coin.coin_public_key(self.params), self.broker_key):
-            raise VerificationFailed("renewal returned an invalid binding")
-        held.binding = binding
-        self._wal_held(held)
-        return binding
-
-    def _pick_held_any(self, coin_y: int | None):
-        if coin_y is not None:
-            held = self.wallet.get(coin_y)
-            if held is None:
-                raise NotHolder(f"not holding coin {coin_y:#x}")
-            return held
-        if not self.wallet:
-            raise UnknownCoin("wallet is empty")
-        return next(iter(self.wallet.values()))

@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core import protocol
-from repro.core.coin import Coin
-from repro.core.errors import FraudDetected
+from repro.core.errors import FraudDetected, ProtocolError
 from repro.core.judge import Judge
-from repro.crypto.group_signature import group_verify_exact
+from repro.crypto.group_signature import GroupSignatureError, group_verify_exact
 from repro.crypto.params import DlogParams
 
 
@@ -45,25 +44,19 @@ def verify_relinquishment(
     deposit) request concerning ``coin_y``, else ``None``.
     """
     try:
-        envelope = protocol.decode_dual(data, params)
-        operation = protocol.HolderOperation.from_payload(envelope.payload)
+        request = protocol.open_holder_request(data, params)
+        envelope = request.envelope
         gpk = judge.group_public_key_at(envelope.roster_version)
-        # Adjudication is exact: same bytes, same verdict, no randomized fold.
-        inner = envelope.inner
-        if not inner.verify():
-            return None
-        if not group_verify_exact(gpk, inner.encode(), envelope.group_signature):
-            return None
-        coin = Coin(cert=protocol.decode_signed(operation.coin_cert, params))
-        if coin.coin_y != coin_y:
-            return None
-        proof = protocol.decode_signed(operation.proof_binding, params)
-        binding = proof.payload
-        if envelope.coin_signer.y != binding["holder_y"]:
-            return None
-        return binding["holder_y"], binding["seq"]
-    except (ValueError, KeyError, TypeError):
+    except (ProtocolError, GroupSignatureError):
         return None
+    # Adjudication is exact: same bytes, same verdict, no randomized fold.
+    if not envelope.inner.verify():
+        return None
+    if not group_verify_exact(gpk, envelope.inner.encode(), envelope.group_signature):
+        return None
+    if request.coin.coin_y != coin_y or envelope.coin_signer.y != request.proof.holder_y:
+        return None
+    return request.proof.holder_y, request.proof.seq
 
 
 def adjudicate_double_deposit(
@@ -104,14 +97,12 @@ def adjudicate_double_deposit(
     culprits: list[str] = []
     for deposit in deposits:
         try:
-            envelope = protocol.decode_dual(deposit, params)
-            operation = protocol.HolderOperation.from_payload(envelope.payload)
-            proof = protocol.decode_signed(operation.proof_binding, params)
-            key = (proof.payload["holder_y"], proof.payload["seq"])
-        except (ValueError, KeyError, TypeError):
+            request = protocol.open_holder_request(deposit, params)
+        except ProtocolError:
             continue
+        key = (request.proof.holder_y, request.proof.seq)
         if key in relinquishments:
-            identity = judge.open(envelope.group_signature)
+            identity = judge.open(request.envelope.group_signature)
             if identity is not None:
                 culprits.append(identity)
 

@@ -41,10 +41,10 @@ from repro.core.errors import (
 )
 from repro.core.judge import Judge
 from repro.core.sharding import ShardMap
-from repro.crypto.dsa import DsaSignature, dsa_batch_verify, dsa_verify
+from repro.crypto.dsa import dsa_batch_verify, dsa_verify
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.params import DlogParams
-from repro.messages.envelope import DualSignedMessage, seal
+from repro.messages.envelope import seal
 from repro.net.node import Node
 from repro.net.rpc import RetryPolicy, RpcClient, unwrap_idempotent, wrap_idempotent
 from repro.net.transport import NetworkError, Transport
@@ -557,10 +557,10 @@ class Broker(Node):
             self._gpk_cache[version] = self.judge.group_public_key_at(version)
         return self._gpk_cache[version]
 
-    def _verify_holder_op(self, data: bytes) -> tuple[protocol.HolderOperation, DualSignedMessage, Coin, CoinBinding]:
-        """Common validation for deposit / downtime transfer / downtime renewal.
+    def _verify_holder_op(self, data: bytes, kind: str) -> protocol.HolderRequest:
+        """Common validation for the four holder endpoints (``kind`` is the one serving).
 
-        Returns the decoded operation, its envelope, the coin, and the
+        Returns the opened request — operation, envelope, coin and the
         holder's (verified) proof binding.  Raises a protocol error subclass
         on any failure.
 
@@ -571,11 +571,8 @@ class Broker(Node):
         signature) on these exact bytes.  All state checks below still run.
         """
         crypto_done = self._crypto_preverified(data)
-        try:
-            envelope = protocol.decode_dual(data, self.params)
-            operation = protocol.HolderOperation.from_payload(envelope.payload)
-        except (ValueError, KeyError) as exc:
-            raise ProtocolError(f"malformed holder operation: {exc}") from exc
+        request = protocol.open_holder_request(data, self.params, kind)
+        envelope, coin, proof = request.envelope, request.coin, request.proof
 
         if envelope.roster_version < self.judge.minimum_accepted_version:
             raise VerificationFailed(
@@ -584,18 +581,8 @@ class Broker(Node):
         gpk = self._gpk_at(envelope.roster_version)
         if not crypto_done and not envelope.verify_group(gpk):
             raise VerificationFailed("holder envelope signatures invalid")
-        # The request's DSA signatures (inner holder envelope, coin cert,
-        # proof binding) are collected here and checked together with one
-        # randomized batch verification at the end, after every structural
-        # check has picked its precise error.
-        dsa_batch: list[tuple[PublicKey, bytes, DsaSignature]] = [
-            (envelope.coin_signer, envelope.inner.payload_bytes, envelope.inner.signature)
-        ]
-
-        coin = Coin(cert=protocol.decode_signed(operation.coin_cert, self.params))
-        if coin.cert.signer.y != self.public_key.y or not coin.verify_unsigned():
+        if coin.cert.signer.y != self.public_key.y:
             raise VerificationFailed("coin certificate invalid")
-        dsa_batch.append((coin.cert.signer, coin.cert.payload_bytes, coin.cert.signature))
         if coin.coin_y not in self.valid_coins:
             raise UnknownCoin(f"coin {coin.coin_y:#x} is not in circulation")
         if coin.coin_y in self.deposited:
@@ -610,22 +597,22 @@ class Broker(Node):
             self.fraud_events.append(event)
             raise event
 
-        proof = CoinBinding(
-            signed=protocol.decode_signed(operation.proof_binding, self.params),
-            via_broker=operation.proof_via_broker,
-        )
+        # The request's DSA signatures (inner holder envelope, coin cert,
+        # proof binding) are checked together with one randomized batch
+        # verification at the end, after every structural check has picked
+        # its precise error.
+        dsa_batch = request.dsa_triples()
         stored = self.downtime_bindings.get(coin.coin_y)
-        if stored is not None and operation.proof_via_broker:
-            # Second flavour (Section 4.2): bit-by-bit comparison with state.
+        if stored is not None and proof.via_broker:
+            # Second flavour (Section 4.2): bit-by-bit comparison with state
+            # stands in for the proof binding's signature.
             if proof.encode() != stored.encode():
                 raise NotHolder("proof binding does not match broker state")
+            dsa_batch.pop()
         else:
             coin_key = coin.coin_public_key(self.params)
             if not proof.verify_unsigned(coin_key, self.public_key):
                 raise VerificationFailed("proof binding signature invalid")
-            dsa_batch.append(
-                (proof.signed.signer, proof.signed.payload_bytes, proof.signed.signature)
-            )
             if stored is not None and proof.seq < stored.seq:
                 raise NotHolder("proof binding is stale (older than broker state)")
         # Holdership: the inner envelope must be signed by the bound holder key.
@@ -640,7 +627,7 @@ class Broker(Node):
             if not coin.cert.verify():
                 raise VerificationFailed("coin certificate invalid")
             raise VerificationFailed("proof binding signature invalid")
-        return operation, envelope, coin, proof
+        return request
 
     def _record_downtime_binding(self, coin: Coin, binding: CoinBinding) -> None:
         self._stage(
@@ -683,7 +670,7 @@ class Broker(Node):
             else:
                 request = protocol.BatchPurchaseRequest.from_payload(signed.payload)
                 pairs = request.coins
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ProtocolError(f"malformed {label}: {exc}") from exc
         if not self._crypto_preverified(data) and not signed.verify():
             raise VerificationFailed(f"{label} signature invalid")
@@ -711,10 +698,8 @@ class Broker(Node):
     def _handle_deposit(self, src: str, data: bytes) -> dict[str, Any]:
         """Deposit: verify holdership + membership, credit, retire the coin."""
         self.counts.deposits += 1
-        operation, envelope, coin, proof = self._verify_holder_op(data)
-        if operation.op != "deposit":
-            raise ProtocolError("deposit handler got a non-deposit operation")
-        assert operation.payout_to is not None
+        request = self._verify_holder_op(data, protocol.DEPOSIT)
+        operation, envelope, coin = request.operation, request.envelope, request.coin
         # The broker's registry is authoritative for value: a holder whose
         # certificate predates a top-up still redeems the full amount.
         # Unknown payout names open a pseudonymous bearer account on the fly
@@ -742,24 +727,20 @@ class Broker(Node):
     def _handle_downtime_transfer(self, src: str, data: bytes) -> bytes:
         """Downtime transfer (Section 4.2): re-bind the coin, keep state."""
         self.counts.downtime_transfers += 1
-        operation, envelope, coin, proof = self._verify_holder_op(data)
-        if operation.op != "transfer":
-            raise ProtocolError("downtime-transfer handler got a non-transfer op")
-        assert operation.new_holder_y is not None
-        if not self.params.is_element(operation.new_holder_y):
+        request = self._verify_holder_op(data, protocol.DOWNTIME_TRANSFER)
+        new_holder_y = request.operation.new_holder_y
+        if not self.params.is_element(new_holder_y):
             raise ProtocolError("new holder key is not a valid group element")
-        binding = self._fresh_binding(coin, operation.new_holder_y, proof.seq)
-        self._record_downtime_binding(coin, binding)
+        binding = self._fresh_binding(request.coin, new_holder_y, request.proof.seq)
+        self._record_downtime_binding(request.coin, binding)
         return binding.encode()
 
     def _handle_downtime_renewal(self, src: str, data: bytes) -> bytes:
         """Downtime renewal (Section 4.2): same holder, new seq and expiry."""
         self.counts.downtime_renewals += 1
-        operation, envelope, coin, proof = self._verify_holder_op(data)
-        if operation.op != "renewal":
-            raise ProtocolError("downtime-renewal handler got a non-renewal op")
-        binding = self._fresh_binding(coin, proof.holder_y, proof.seq)
-        self._record_downtime_binding(coin, binding)
+        request = self._verify_holder_op(data, protocol.DOWNTIME_RENEWAL)
+        binding = self._fresh_binding(request.coin, request.proof.holder_y, request.proof.seq)
+        self._record_downtime_binding(request.coin, binding)
         return binding.encode()
 
     def _handle_top_up(self, src: str, data: bytes) -> bytes:
@@ -773,15 +754,11 @@ class Broker(Node):
         so the coin keeps circulating seamlessly.
         """
         self.counts.purchases += 1  # value creation: accounted like a purchase
-        operation, envelope, coin, proof = self._verify_holder_op(data)
-        if operation.op != "top_up":
-            raise ProtocolError("top-up handler got a different operation")
-        assert operation.delta is not None and operation.funding_auth is not None
-        auth = protocol.decode_signed(operation.funding_auth, self.params)
+        request = self._verify_holder_op(data, protocol.TOP_UP)
+        operation, coin, auth = request.operation, request.coin, request.funding_auth
         auth_payload = auth.payload
         if (
-            not isinstance(auth_payload, dict)
-            or auth_payload.get("kind") != "whopay.debit_auth"
+            auth_payload.get("kind") != "whopay.debit_auth"
             or auth_payload.get("coin_y") != coin.coin_y
             or auth_payload.get("amount") != operation.delta
         ):

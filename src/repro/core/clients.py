@@ -2,7 +2,10 @@
 
 Every internal caller used to hand-roll ``transport.request(src, dst, kind,
 payload)``; these facades are now the only internal way protocol traffic is
-sent.  One method per message kind, so:
+sent.  One method per message kind — except the holder operations, whose
+kinds are rows of :data:`repro.core.protocol.HOLDER_OPS`: one method per
+facade (:meth:`BrokerClient.holder_op`, :meth:`PeerClient.holder_request`)
+sends whichever kind the row names — so:
 
 * idempotency keys and per-call timeouts are threaded in exactly one place
   (every *mutating* exchange gets a fresh key; reads go bare);
@@ -108,7 +111,7 @@ class EndpointClient:
 
 
 class BrokerClient(EndpointClient):
-    """Peer→broker operations, one method per kind.
+    """Peer→broker operations, one method per kind (one for the four holder kinds).
 
     Mutating operations (everything that moves value or commits broker
     state — including :meth:`sync_challenge`, whose handler mints a pending
@@ -161,49 +164,15 @@ class BrokerClient(EndpointClient):
             timeout=timeout,
         )
 
-    def deposit(
-        self, dual_envelope: bytes, timeout: float | None = None, *, coin_y: int
-    ) -> dict[str, Any]:
-        """Redeem a held coin; returns the broker's result dict."""
+    def holder_op(
+        self, op: str, dual_envelope: bytes, timeout: float | None = None, *, coin_y: int
+    ) -> Any:
+        """One of the four holder operations, under the broker kind its row of
+        :data:`protocol.HOLDER_OPS` names; returns the broker's reply (a new
+        binding, a re-certified coin, or the deposit's result dict)."""
         return self._call(
             self.shard_map.shard_for_coin(coin_y),
-            protocol.DEPOSIT,
-            dual_envelope,
-            mutating=True,
-            timeout=timeout,
-        )
-
-    def top_up(
-        self, dual_envelope: bytes, timeout: float | None = None, *, coin_y: int
-    ) -> bytes:
-        """Increase a coin's value; returns the re-certified coin."""
-        return self._call(
-            self.shard_map.shard_for_coin(coin_y),
-            protocol.TOP_UP,
-            dual_envelope,
-            mutating=True,
-            timeout=timeout,
-        )
-
-    def downtime_transfer(
-        self, dual_envelope: bytes, timeout: float | None = None, *, coin_y: int
-    ) -> bytes:
-        """Broker-served transfer (owner offline); returns the new binding."""
-        return self._call(
-            self.shard_map.shard_for_coin(coin_y),
-            protocol.DOWNTIME_TRANSFER,
-            dual_envelope,
-            mutating=True,
-            timeout=timeout,
-        )
-
-    def downtime_renewal(
-        self, dual_envelope: bytes, timeout: float | None = None, *, coin_y: int
-    ) -> bytes:
-        """Broker-served renewal (owner offline); returns the new binding."""
-        return self._call(
-            self.shard_map.shard_for_coin(coin_y),
-            protocol.DOWNTIME_RENEWAL,
+            protocol.HOLDER_OPS[op].broker_kind,
             dual_envelope,
             mutating=True,
             timeout=timeout,
@@ -245,7 +214,7 @@ class BrokerClient(EndpointClient):
 
 
 class PeerClient(EndpointClient):
-    """Peer→peer operations, one method per kind.
+    """Peer→peer operations, one method per kind (one for the two an owner serves).
 
     The offer steps are mutating (the payee mints a holder key and records
     pending state), so a retried offer returns the *same* holder key and
@@ -264,17 +233,15 @@ class PeerClient(EndpointClient):
         """Open a transfer exchange; returns {holder_y, nonce}."""
         return self._call(payee, protocol.TRANSFER_OFFER, coin_cert, mutating=True, timeout=timeout)
 
-    def transfer_request(self, owner: str, payload: dict[str, Any], timeout: float | None = None) -> dict[str, Any]:
-        """Ask the owner to re-bind a held coin; returns {binding}."""
-        return self._call(owner, protocol.TRANSFER_REQUEST, payload, mutating=True, timeout=timeout)
+    def holder_request(self, owner: str, kind: str, payload: Any, timeout: float | None = None) -> Any:
+        """Ask the owner to serve a holder operation it may serve — ``kind``
+        is ``TRANSFER_REQUEST`` (returns {binding}) or ``RENEW_REQUEST``
+        (returns the new binding)."""
+        return self._call(owner, kind, payload, mutating=True, timeout=timeout)
 
     def transfer_complete(self, payee: str, payload: dict[str, Any], timeout: float | None = None) -> dict[str, Any]:
         """Deliver the new binding closing a transfer; returns {ok, reason}."""
         return self._call(payee, protocol.TRANSFER_COMPLETE, payload, mutating=True, timeout=timeout)
-
-    def renew_request(self, owner: str, dual_envelope: bytes, timeout: float | None = None) -> bytes:
-        """Ask the owner to renew a held coin; returns the new binding."""
-        return self._call(owner, protocol.RENEW_REQUEST, dual_envelope, mutating=True, timeout=timeout)
 
     def binding_update(self, subscriber: str, record_bytes: bytes, timeout: float | None = None) -> None:
         """Push a public-binding change to a monitoring holder."""

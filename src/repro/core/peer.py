@@ -592,85 +592,128 @@ class Peer(Node):
         for held in self.wallet.values():
             if held.is_expired(now):
                 continue
-            if owner_online is None:
-                return held
-            online = self.transport.is_online(held.coin.owner_address)
-            if online == owner_online:
+            # An ownerless coin matches either way: whether its owner is
+            # reachable (through the handle) only asking can tell.
+            owner = held.coin.owner_address
+            if owner_online is None or owner is None or self.transport.is_online(owner) == owner_online:
                 return held
         raise UnknownCoin("no suitable coin in the wallet")
 
-    def transfer(self, payee: str, coin_y: int | None = None) -> CoinBinding:
-        """Transfer a held coin via its owner (Section 4.2, Transfer)."""
-        held = self._pick_held(coin_y, owner_online=True)
+    def _ask_owner(self, held: HeldCoin, kind: str, payload: Any) -> Any:
+        """Reach this coin's owner (``NodeOffline`` when there is no way to) —
+        the seam :class:`AnonymousOwnerPeer` overrides."""
+        owner = held.coin.owner_address
+        if owner is None:
+            raise NodeOffline(f"coin {held.coin_y:#x} names no owner address")
+        return self.peer_client.holder_request(owner, kind, payload)
+
+    def _holder_exchange(
+        self, held: HeldCoin, op: str, via_broker: bool, payee: str | None = None, **fields: Any
+    ) -> Any:
+        """The holder's side of a row of :data:`protocol.HOLDER_OPS`: seal the
+        request, send it along one route, return the reply.
+
+        The route is the coin's owner (the row's owner kind) or the broker
+        (its downtime kind); ``payee`` marks a transfer, whose owner
+        completes with the payee itself.  A renewal whose owner turns out
+        unreachable falls back to the broker with the same envelope; a
+        transfer does not — that choice is :meth:`pay`'s.
+
+        A transfer or renewal comes back as the *accepted* new binding — the
+        one acceptance check: signed by the key the route dictates (coin
+        key from the owner, ``pk_B`` from the broker) over this coin, naming
+        the expected holder key (the payee's, or mine for a renewal),
+        ``seq`` strictly above the held one.
+        """
+        row = protocol.HOLDER_OPS[op]
+        data = protocol.encode_dual(self._holder_envelope(held, op, **fields))
+        if row.wallet == "delete":
+            # The rebind about to appear on the public list is our own doing
+            # (Section 5.1: only *unexpected* updates matter) — while the
+            # request is out, and not a moment longer if it fails.
+            self._expected_rebinds.add(held.coin_y)
+        try:
+            if not via_broker:
+                try:
+                    if payee is None:
+                        reply = self._ask_owner(held, row.owner_kind, data)
+                    else:
+                        request = {"envelope": data, "payee": payee, "nonce": fields["nonce"]}
+                        reply = self._ask_owner(held, row.owner_kind, request)["binding"]
+                except NodeOffline:
+                    if payee is not None:
+                        raise
+                    via_broker = True  # a renewal: the broker answers the same envelope
+            if via_broker:
+                reply = self.broker_client.holder_op(op, data, coin_y=held.coin_y)
+        finally:
+            self._expected_rebinds.discard(held.coin_y)
+        if row.owner_kind is None:
+            return reply  # deposit / top-up: the caller knows what the broker owes it
+        binding = CoinBinding(
+            signed=protocol.decode_signed(reply, self.params), via_broker=via_broker
+        )
+        if not binding.verify(held.coin.coin_public_key(self.params), self.broker_key):
+            raise VerificationFailed(f"{op} returned an invalid binding")
+        expected = fields.get("new_holder_y", held.holder_keypair.public.y)
+        if binding.holder_y != expected or binding.seq <= held.binding.seq:
+            raise VerificationFailed(f"{op} binding does not match the request")
+        return binding
+
+    def _settle(self, held: HeldCoin, op: str, reply: Any = None) -> None:
+        """Do, and journal, what the op's row says the wallet does on success."""
+        effect = protocol.HOLDER_OPS[op].wallet
+        if effect == "delete":
+            if self.detection is not None:
+                self.detection.unsubscribe(self, held.coin_y)
+            del self.wallet[held.coin_y]
+            self._wal_del(held.coin_y)
+            return
+        if effect == "binding":
+            held.binding = reply
+        else:
+            held.coin = reply
+        self._wal_held(held)
+
+    def _transfer(self, held: HeldCoin, payee: str, via_broker: bool) -> CoinBinding:
         if held.is_expired(self.clock.now()):
             raise CoinExpired(f"coin {held.coin_y:#x} expired")
         offer = self.peer_client.transfer_offer(payee, held.coin.encode())
-        envelope = self._holder_envelope(
-            held, "transfer", new_holder_y=offer["holder_y"], nonce=offer["nonce"]
+        binding = self._holder_exchange(
+            held, "transfer", via_broker, payee,
+            new_holder_y=offer["holder_y"], nonce=offer["nonce"],
         )
-        # The rebind we are about to see on the public list is our own doing;
-        # do not alarm on it (Section 5.1: only *unexpected* updates matter).
-        self._expected_rebinds.add(held.coin_y)
-        response = self.peer_client.transfer_request(
-            held.coin.owner_address,
-            {"envelope": protocol.encode_dual(envelope), "payee": payee, "nonce": offer["nonce"]},
-        )
-        binding = CoinBinding(
-            signed=protocol.decode_signed(response["binding"], self.params),
-            via_broker=False,
-        )
-        if not binding.verify(held.coin.coin_public_key(self.params), self.broker_key):
-            raise VerificationFailed("owner returned an invalid transfer binding")
-        if binding.holder_y != offer["holder_y"] or binding.seq <= held.binding.seq:
-            raise VerificationFailed("transfer binding does not match the request")
-        if self.detection is not None:
-            self.detection.unsubscribe(self, held.coin_y)
-        del self.wallet[held.coin_y]
-        self._wal_del(held.coin_y)
-        self._expected_rebinds.discard(held.coin_y)
+        if via_broker:
+            # Relay the completed payment to the payee (the broker stays out
+            # of the payer-payee path; Section 4.2 has the broker "send W the
+            # signed binding" — the relay is equivalent and keeps W hidden
+            # from B).
+            result = self.peer_client.transfer_complete(
+                payee,
+                {
+                    "coin": held.coin.encode(),
+                    "binding": binding.encode(),
+                    "binding_dual": None,
+                    "via_broker": True,
+                    "proof_t": None,
+                    "proof_z": None,
+                    "nonce": offer["nonce"],
+                },
+            )
+            if not result.get("ok"):
+                raise ProtocolError(f"payee rejected the downtime transfer: {result.get('reason')}")
+        self._settle(held, "transfer")
+        return binding
+
+    def transfer(self, payee: str, coin_y: int | None = None) -> CoinBinding:
+        """Transfer a held coin via its owner (Section 4.2, Transfer)."""
+        binding = self._transfer(self._pick_held(coin_y, owner_online=True), payee, False)
         self.counts.transfers_sent += 1
         return binding
 
     def transfer_via_broker(self, payee: str, coin_y: int | None = None) -> CoinBinding:
         """Transfer a held coin whose owner is offline (Downtime transfer)."""
-        held = self._pick_held(coin_y, owner_online=False)
-        if held.is_expired(self.clock.now()):
-            raise CoinExpired(f"coin {held.coin_y:#x} expired")
-        offer = self.peer_client.transfer_offer(payee, held.coin.encode())
-        envelope = self._holder_envelope(
-            held, "transfer", new_holder_y=offer["holder_y"], nonce=offer["nonce"]
-        )
-        self._expected_rebinds.add(held.coin_y)
-        binding_bytes = self.broker_client.downtime_transfer(
-            protocol.encode_dual(envelope), coin_y=held.coin_y
-        )
-        binding = CoinBinding(
-            signed=protocol.decode_signed(binding_bytes, self.params), via_broker=True
-        )
-        if not binding.verify(held.coin.coin_public_key(self.params), self.broker_key):
-            raise VerificationFailed("broker returned an invalid downtime binding")
-        # Relay the completed payment to the payee (the broker stays out of
-        # the payer-payee path; Section 4.2 has the broker "send W the signed
-        # binding" — the relay is equivalent and keeps W hidden from B).
-        result = self.peer_client.transfer_complete(
-            payee,
-            {
-                "coin": held.coin.encode(),
-                "binding": binding.encode(),
-                "binding_dual": None,
-                "via_broker": True,
-                "proof_t": None,
-                "proof_z": None,
-                "nonce": offer["nonce"],
-            },
-        )
-        if not result.get("ok"):
-            raise ProtocolError(f"payee rejected the downtime transfer: {result.get('reason')}")
-        if self.detection is not None:
-            self.detection.unsubscribe(self, held.coin_y)
-        del self.wallet[held.coin_y]
-        self._wal_del(held.coin_y)
-        self._expected_rebinds.discard(held.coin_y)
+        binding = self._transfer(self._pick_held(coin_y, owner_online=False), payee, True)
         self.counts.downtime_transfers += 1
         return binding
 
@@ -683,14 +726,10 @@ class Peer(Node):
         """
         held = self._pick_held(coin_y)
         account = payout_to if payout_to is not None else "bearer-" + secrets.token_hex(8)
-        envelope = self._holder_envelope(held, "deposit", payout_to=account)
-        result = self.broker_client.deposit(protocol.encode_dual(envelope), coin_y=held.coin_y)
+        result = self._holder_exchange(held, "deposit", True, payout_to=account)
         if not result.get("ok"):
             raise ProtocolError("broker rejected the deposit")
-        if self.detection is not None:
-            self.detection.unsubscribe(self, held.coin_y)
-        del self.wallet[held.coin_y]
-        self._wal_del(held.coin_y)
+        self._settle(held, "deposit")
         self.counts.deposits += 1
         return result["credited"]
 
@@ -704,13 +743,10 @@ class Peer(Node):
         """
         if delta <= 0:
             raise ValueError("top-up delta must be positive")
-        held = self.wallet.get(coin_y)
-        if held is None:
-            raise NotHolder(f"not holding coin {coin_y:#x}")
+        held = self._pick_held(coin_y)
         account = funding_account if funding_account is not None else self.address
         auth = funding_voucher(self.identity, account, delta, coin_y)
-        envelope = self._holder_envelope(held, "top_up", delta=delta, funding_auth=auth)
-        new_cert = self.broker_client.top_up(protocol.encode_dual(envelope), coin_y=coin_y)
+        new_cert = self._holder_exchange(held, "top_up", True, delta=delta, funding_auth=auth)
         new_coin = Coin(cert=protocol.decode_signed(new_cert, self.params))
         if (
             not new_coin.verify(self.broker_key)
@@ -718,37 +754,21 @@ class Peer(Node):
             or new_coin.value != held.coin.value + delta
         ):
             raise VerificationFailed("broker returned an invalid topped-up coin")
-        held.coin = new_coin
-        self._wal_held(held)
+        self._settle(held, "top_up", new_coin)
         return new_coin.value
 
     def renew(self, coin_y: int) -> CoinBinding:
         """Renew a held coin via its owner, or the broker when offline."""
-        held = self.wallet.get(coin_y)
-        if held is None:
-            raise NotHolder(f"not holding coin {coin_y:#x}")
-        envelope = self._holder_envelope(held, "renewal")
+        held = self._pick_held(coin_y)
         owner = held.coin.owner_address
-        if owner is not None and self.transport.is_online(owner):
-            response = self.peer_client.renew_request(owner, protocol.encode_dual(envelope))
-            binding = CoinBinding(
-                signed=protocol.decode_signed(response, self.params), via_broker=False
-            )
-            self.counts.renewals_sent += 1
-        else:
-            response = self.broker_client.downtime_renewal(
-                protocol.encode_dual(envelope), coin_y=coin_y
-            )
-            binding = CoinBinding(
-                signed=protocol.decode_signed(response, self.params), via_broker=True
-            )
+        binding = self._holder_exchange(
+            held, "renewal", owner is not None and not self.transport.is_online(owner)
+        )
+        self._settle(held, "renewal", binding)
+        if binding.via_broker:
             self.counts.downtime_renewals += 1
-        if not binding.verify(held.coin.coin_public_key(self.params), self.broker_key):
-            raise VerificationFailed("renewal returned an invalid binding")
-        if binding.holder_y != held.holder_keypair.public.y or binding.seq <= held.binding.seq:
-            raise VerificationFailed("renewal binding does not match")
-        held.binding = binding
-        self._wal_held(held)
+        else:
+            self.counts.renewals_sent += 1
         return binding
 
     def renew_due_coins(self) -> int:
@@ -955,37 +975,28 @@ class Peer(Node):
     # owner handlers
     # ------------------------------------------------------------------
 
-    def _serve_holder_request(self, data: bytes, expected_op: str) -> tuple[protocol.HolderOperation, DualSignedMessage, OwnedCoinState]:
-        try:
-            envelope = protocol.decode_dual(data, self.params)
-            operation = protocol.HolderOperation.from_payload(envelope.payload)
-        except (ValueError, KeyError) as exc:
-            raise ProtocolError(f"malformed holder request: {exc}") from exc
-        if operation.op != expected_op:
-            raise ProtocolError(f"expected a {expected_op} request")
-        if not self._verify_dual(envelope):
+    def _serve_holder_request(self, data: Any, kind: str) -> tuple[protocol.HolderOperation, OwnedCoinState]:
+        request = protocol.open_holder_request(data, self.params, kind)
+        if not self._verify_dual(request.envelope):
             raise VerificationFailed("holder envelope signatures invalid")
-        coin = Coin(cert=protocol.decode_signed(operation.coin_cert, self.params))
-        state = self.owned.get(coin.coin_y)
+        state = self.owned.get(request.coin.coin_y)
         if state is None:
-            raise NotOwner(f"I do not own coin {coin.coin_y:#x}")
+            raise NotOwner(f"I do not own coin {request.coin.coin_y:#x}")
         if state.dirty:
             self._check_coin_state(state)
         if state.binding is None:
             raise ProtocolError("coin was never issued")
-        proof = CoinBinding(
-            signed=protocol.decode_signed(operation.proof_binding, self.params),
-            via_broker=operation.proof_via_broker,
-        )
-        if proof.encode() != state.binding.encode():
+        # Bit-for-bit against my own binding: that equality stands in for
+        # the proof's signature (I signed it, or adopted it verified).
+        if request.proof.encode() != state.binding.encode():
             raise NotHolder("proof binding does not match the owner's state")
-        if envelope.coin_signer.y != proof.holder_y:
+        if request.envelope.coin_signer.y != request.proof.holder_y:
             raise NotHolder("request not signed with the bound holder key")
-        if self.clock.now() > proof.exp_date:
+        if self.clock.now() > request.proof.exp_date:
             raise CoinExpired("held binding has expired")
         # Audit trail: keep the dual-signed request as relinquishment proof.
         state.relinquishments.append(data)
-        return operation, envelope, state
+        return request.operation, state
 
     def _next_binding(self, state: OwnedCoinState, holder_y: int) -> CoinBinding:
         assert state.binding is not None
@@ -1001,10 +1012,11 @@ class Peer(Node):
 
     def _handle_transfer_request(self, src: str, payload: dict[str, Any]) -> dict[str, Any]:
         """Owner side of Transfer: re-bind the coin and notify the payee."""
-        operation, envelope, state = self._serve_holder_request(
-            payload["envelope"], "transfer"
+        if not isinstance(payload, dict) or not isinstance(payload.get("payee"), str):
+            raise ProtocolError("malformed transfer request")
+        operation, state = self._serve_holder_request(
+            payload.get("envelope"), protocol.TRANSFER_REQUEST
         )
-        assert operation.new_holder_y is not None
         binding = self._next_binding(state, operation.new_holder_y)
         if self.detection is not None:
             self.detection.publish_owner(self, state, binding)
@@ -1022,7 +1034,7 @@ class Peer(Node):
 
     def _handle_renew_request(self, src: str, data: bytes) -> bytes:
         """Owner side of Renewal: same holder, bumped seq and expiry."""
-        operation, envelope, state = self._serve_holder_request(data, "renewal")
+        _operation, state = self._serve_holder_request(data, protocol.RENEW_REQUEST)
         binding = self._next_binding(state, state.binding.holder_y)
         if self.detection is not None:
             self.detection.publish_owner(self, state, binding)

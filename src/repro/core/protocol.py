@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.core.coin import Coin, CoinBinding
+from repro.core.errors import ProtocolError
 from repro.crypto.dsa import DsaSignature
 from repro.crypto.group_signature import GroupSignature
 from repro.crypto.keys import PublicKey
@@ -58,22 +60,19 @@ BINDING_UPDATE = "binding.update"
 # typed objects on the receiving side.
 
 
-def encode_signed(message: SignedMessage) -> bytes:
-    """Bytes form of a single-signed envelope."""
-    return message.encode()
-
-
 def decode_signed(data: bytes, params: DlogParams) -> SignedMessage:
-    """Rebuild a :class:`SignedMessage` from :func:`encode_signed` output."""
+    """Rebuild a :class:`SignedMessage` from its ``encode()`` output."""
     fields = decode(data)
+    payload, hint = fields["payload"], fields.get("sig_c")
+    scalars = (fields["signer_y"], fields["sig_r"], fields["sig_s"], 0 if hint is None else hint)
+    if not isinstance(payload, bytes) or not all(isinstance(v, int) for v in scalars):
+        raise ValueError("signed envelope carries a mistyped field")
     return SignedMessage(
-        payload_bytes=fields["payload"],
+        payload_bytes=payload,
         signer=PublicKey(params=params, y=fields["signer_y"]),
         # ``sig_c`` (the batch-verification hint) is optional: envelopes
         # sealed by older peers simply verify one at a time.
-        signature=DsaSignature(
-            r=fields["sig_r"], s=fields["sig_s"], commit=fields.get("sig_c")
-        ),
+        signature=DsaSignature(r=fields["sig_r"], s=fields["sig_s"], commit=hint),
     )
 
 
@@ -109,6 +108,11 @@ def decode_dual(data: bytes, params: DlogParams) -> DualSignedMessage:
 
     fields = decode(data)
     inner = decode_signed(fields["inner"], params)
+    scalars = [fields["roster_version"], fields["gs_c1"], fields["gs_c2"]]
+    for name in ("gs_challenges", "gs_responses_r", "gs_responses_x"):
+        scalars.extend(fields[name])
+    if not all(isinstance(v, int) for v in scalars):
+        raise ValueError("dual envelope carries a mistyped field")
     hints = fields.get("gs_t")
     signature = GroupSignature(
         ciphertext=ElGamalCiphertext(c1=fields["gs_c1"], c2=fields["gs_c2"]),
@@ -219,8 +223,43 @@ class BatchPurchaseRequest:
 
 
 @dataclass(frozen=True)
+class HolderOpRow:
+    """One row of :data:`HOLDER_OPS`: who serves the operation and what it does."""
+
+    #: Wire kind under which the coin's *owner* serves it (``None``: broker only).
+    owner_kind: str | None
+    #: Wire kind under which the *broker* serves it.
+    broker_kind: str
+    #: Fields the request must carry beyond coin, proof binding and flavour:
+    #: name -> (type, what a request without it is missing).
+    required: dict[str, tuple[type, str]]
+    #: What the holder's wallet does on success: ``"delete"`` the entry, or
+    #: replace its ``"binding"`` / its ``"coin"`` certificate with the reply.
+    wallet: str
+
+
+#: The four holder operations (Section 4.2) — the one statement of which
+#: endpoint may serve which, read by both servers, the pool, the judge and
+#: the holder's side (docs/PROTOCOL.md, "Holder operations").  The downtime
+#: kinds answer *the same dual-signed request* the owner would have.
+HOLDER_OPS: dict[str, HolderOpRow] = {
+    "transfer": HolderOpRow(
+        TRANSFER_REQUEST, DOWNTIME_TRANSFER, {"new_holder_y": (int, "a new holder key")}, "delete"
+    ),
+    "renewal": HolderOpRow(RENEW_REQUEST, DOWNTIME_RENEWAL, {}, "binding"),
+    "deposit": HolderOpRow(None, DEPOSIT, {"payout_to": (str, "a payout account")}, "delete"),
+    "top_up": HolderOpRow(
+        None,
+        TOP_UP,
+        {"delta": (int, "a positive delta"), "funding_auth": (bytes, "a funding authorization")},
+        "coin",
+    ),
+}
+
+
+@dataclass(frozen=True)
 class HolderOperation:
-    """Body of a dual-signed holder message (deposit / transfer / renewal).
+    """Body of a dual-signed holder message (one row of :data:`HOLDER_OPS`).
 
     ``op`` selects the operation; the coin and the holder's current proof
     binding travel as encoded envelopes; ``new_holder_y`` is present for
@@ -257,21 +296,18 @@ class HolderOperation:
 
     @classmethod
     def from_payload(cls, payload: Any) -> "HolderOperation":
-        """Validate and rebuild; raises ``ValueError`` on bad shape."""
+        """Validate against the op's table row and rebuild; ``ValueError`` on bad shape."""
         if not isinstance(payload, dict) or payload.get("kind") != "whopay.holder_op":
             raise ValueError("not a holder operation")
         op = payload.get("op")
-        if op not in ("deposit", "transfer", "renewal", "top_up"):
+        if not isinstance(op, str) or op not in HOLDER_OPS:
             raise ValueError(f"unknown holder op {op!r}")
-        if op == "transfer" and not isinstance(payload.get("new_holder_y"), int):
-            raise ValueError("transfer without new holder key")
-        if op == "deposit" and not isinstance(payload.get("payout_to"), str):
-            raise ValueError("deposit without payout account")
-        if op == "top_up":
-            if not isinstance(payload.get("delta"), int) or payload["delta"] <= 0:
-                raise ValueError("top_up needs a positive delta")
-            if not isinstance(payload.get("funding_auth"), bytes):
-                raise ValueError("top_up needs a funding authorization")
+        for name, (kind, what) in HOLDER_OPS[op].required.items():
+            value = payload.get(name)
+            if not isinstance(value, kind) or (kind is int and value <= 0):
+                raise ValueError(f"{op} needs {what}")
+        if not all(isinstance(payload.get(n, b""), bytes) for n in ("coin_cert", "proof_binding", "nonce")):
+            raise ValueError("coin certificate, proof binding and nonce must be bytes")
         return cls(
             op=op,
             coin_cert=payload["coin_cert"],
@@ -283,3 +319,60 @@ class HolderOperation:
             delta=payload.get("delta"),
             funding_auth=payload.get("funding_auth"),
         )
+
+
+@dataclass(frozen=True)
+class HolderRequest:
+    """A holder request as :func:`open_holder_request` opened it: every
+    nested envelope decoded and shape-checked, **nothing verified yet**."""
+
+    envelope: DualSignedMessage
+    operation: HolderOperation
+    coin: Coin
+    proof: CoinBinding
+    #: The decoded ``debit_auth`` envelope of a top-up (``None`` otherwise).
+    funding_auth: SignedMessage | None
+
+    def dsa_triples(self) -> list[tuple[PublicKey, bytes, DsaSignature]]:
+        """The request's DSA signatures as ``(signer, message, signature)``,
+        always in this order: holder envelope, coin certificate, proof binding."""
+        return [
+            (signed.signer, signed.payload_bytes, signed.signature)
+            for signed in (self.envelope.inner, self.coin.cert, self.proof.signed)
+        ]
+
+
+def open_holder_request(data: Any, params: DlogParams, kind: str | None = None) -> HolderRequest:
+    """Open the bytes of a holder request — the one place that does.
+
+    Both servers, the verification pool and the judge call this, so they
+    agree on what is malformed: *every* decode or shape failure, at any
+    nesting depth (envelope, operation, coin certificate, proof binding,
+    funding authorization), is a :class:`ProtocolError`.  With ``kind`` —
+    the wire kind of the endpoint that received the bytes — the op must be
+    one the table lets that endpoint serve.  Nothing is verified here.
+    """
+    try:
+        envelope = decode_dual(data, params)
+        operation = HolderOperation.from_payload(envelope.payload)
+        coin = Coin(cert=decode_signed(operation.coin_cert, params))
+        proof = CoinBinding(
+            signed=decode_signed(operation.proof_binding, params),
+            via_broker=operation.proof_via_broker,
+        )
+        binding = proof.payload
+        if not coin.verify_unsigned() or not isinstance(binding, dict) or not all(
+            isinstance(binding.get(name), int) for name in ("coin_y", "holder_y", "seq", "exp_date")
+        ):
+            raise ValueError("coin certificate or proof binding has a malformed payload")
+        funding_auth = None
+        if operation.funding_auth is not None:
+            funding_auth = decode_signed(operation.funding_auth, params)
+            if not isinstance(funding_auth.payload, dict):
+                raise ValueError("funding authorization has a malformed payload")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ProtocolError(f"malformed holder request: {exc}") from exc
+    row = HOLDER_OPS[operation.op]
+    if kind is not None and kind not in (row.owner_kind, row.broker_kind):
+        raise ProtocolError(f"a {operation.op} request cannot be served as {kind}")
+    return HolderRequest(envelope, operation, coin, proof, funding_auth)

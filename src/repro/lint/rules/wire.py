@@ -13,7 +13,12 @@ Send sites recognized:
   ``<x>._shard_rpc.call(...)`` — RPC clients (the last is the broker's
   federation-internal shard-to-shard sender);
 * ``<node>.request(dst, KIND, ...)`` — a node's convenience sender, from
-  inside the node (``self.request``) or from an external driver script.
+  inside the node (``self.request``) or from an external driver script;
+* ``HolderOpRow(OWNER_KIND, BROKER_KIND, ...)`` — a row of
+  ``protocol.HOLDER_OPS``.  ``PeerClient.holder_request`` and
+  ``BrokerClient.holder_op`` send the kind their caller looked up in that
+  table, so the ``_call`` itself is dynamic and the row is where the send
+  is provable.
 
 Handler sites: ``<node>.on(KIND, handler)``.
 
@@ -47,21 +52,23 @@ class _Site:
     col: int
 
 
-def _kind_expr(node: ast.Call) -> ast.expr | None:
-    """The kind-expression argument of a send/handler call, if this is one."""
+def _kind_exprs(node: ast.Call) -> list[ast.expr]:
+    """The kind-expression arguments of a send/handler call (empty: not one)."""
     func = node.func
+    if isinstance(func, ast.Name) and func.id == "HolderOpRow":
+        return node.args[:2]
     if not isinstance(func, ast.Attribute):
-        return None
+        return []
     if func.attr == "on" and len(node.args) >= 2:
-        return node.args[0]
+        return node.args[:1]
     if func.attr == "_call" and len(node.args) >= 2:
-        return node.args[1]
+        return node.args[1:2]
     if (
         func.attr == "call"
         and len(node.args) >= 2
         and receiver_attr(func.value) in _RPC_RECEIVERS
     ):
-        return node.args[1]
+        return node.args[1:2]
     if (
         func.attr == "request"
         and len(node.args) >= 2
@@ -72,8 +79,8 @@ def _kind_expr(node: ast.Call) -> ast.expr | None:
         # (example/bench script) calling <node>.request(dst, KIND, ...).
         # Transport.request has a different shape (src, dst, kind, payload),
         # so a bare ``transport`` receiver is excluded.
-        return node.args[1]
-    return None
+        return node.args[1:2]
+    return []
 
 
 @register
@@ -95,16 +102,14 @@ class WireSchemaConsistency(Rule):
             for node in ast.walk(module.tree):
                 if not isinstance(node, ast.Call):
                     continue
-                expr = _kind_expr(node)
-                if expr is None:
-                    continue
-                kind = resolver.resolve(expr, module)
-                if kind is None:
-                    continue  # dynamic kind — nothing provable
-                table = handled if node.func.attr == "on" else sent  # type: ignore[union-attr]
-                table.setdefault(kind, []).append(
-                    _Site(module.path, node.lineno, node.col_offset)
-                )
+                for expr in _kind_exprs(node):
+                    kind = resolver.resolve(expr, module)
+                    if kind is None:
+                        continue  # dynamic kind (or a row's ``None``) — nothing provable
+                    table = handled if getattr(node.func, "attr", None) == "on" else sent
+                    table.setdefault(kind, []).append(
+                        _Site(module.path, node.lineno, node.col_offset)
+                    )
         for kind in sorted(set(sent) - set(handled)):
             for site in sent[kind]:
                 yield Diagnostic(

@@ -52,10 +52,7 @@ from repro.store.groupcommit import GroupCommitter
 
 #: Which pool job, if any, verifies each broker request kind.
 _JOB_FOR_KIND = {
-    protocol.DEPOSIT: JOB_HOLDER,
-    protocol.DOWNTIME_TRANSFER: JOB_HOLDER,
-    protocol.DOWNTIME_RENEWAL: JOB_HOLDER,
-    protocol.TOP_UP: JOB_HOLDER,
+    **{row.broker_kind: JOB_HOLDER for row in protocol.HOLDER_OPS.values()},
     protocol.PURCHASE: JOB_PURCHASE,
     protocol.PURCHASE_BATCH: JOB_PURCHASE,
 }

@@ -38,7 +38,7 @@ from repro.core.coin import Coin, CoinBinding
 from repro.core.network import WhoPayNetwork
 from repro.crypto.keys import KeyPair
 from repro.crypto.params import DlogParams
-from repro.messages.envelope import group_seal, seal
+from repro.messages.envelope import seal
 from repro.pipeline.engine import ReplyRecord
 
 
@@ -74,7 +74,7 @@ class _Held:
     coin: Coin
     binding: CoinBinding
     holder_keypair: KeyPair
-    holder_address: str  # whose group member key signs the next envelope
+    holder_address: str  # the peer that seals the next envelope (its member key signs)
 
 
 class LoadGenerator:
@@ -111,6 +111,8 @@ class LoadGenerator:
             self.network.add_peer(f"peer{index:03d}", PeerConfig(balance=balance))
             for index in range(peers)
         ]
+        #: The roster snapshot every envelope is signed against (drivers hand
+        #: it to the verification pool).
         self._gpk = self.network.judge.group_public_key()
         for peer in self._peers:
             for state in peer.purchase_batch(coins_per_peer, value=value):
@@ -157,18 +159,10 @@ class LoadGenerator:
     # request construction
     # ------------------------------------------------------------------
 
-    def _holder_request(self, kind: str, held: _Held, op: str, **fields: Any) -> Request:
-        operation = protocol.HolderOperation(
-            op=op,
-            coin_cert=held.coin.encode(),
-            proof_binding=held.binding.signed.encode(),
-            proof_via_broker=held.binding.via_broker,
-            **fields,
-        )
-        member = self.network.peers[held.holder_address].member_key
-        envelope = group_seal(
-            held.holder_keypair, member, self._gpk, operation.to_payload()
-        )
+    def _holder_request(self, held: _Held, op: str, **fields: Any) -> Request:
+        """Sealed by the holding peer itself, sent under the op's broker kind."""
+        envelope = self.network.peers[held.holder_address]._holder_envelope(held, op, **fields)
+        kind = protocol.HOLDER_OPS[op].broker_kind
         return self._request(kind, held.holder_address, protocol.encode_dual(envelope))
 
     def _request(self, kind: str, src: str, data: bytes) -> Request:
@@ -208,18 +202,11 @@ class LoadGenerator:
                 new_holder = KeyPair.generate(self.params)
                 new_address = self.rng.choice(self._peers).address
                 requests.append(
-                    self._holder_request(
-                        protocol.DOWNTIME_TRANSFER,
-                        held,
-                        "transfer",
-                        new_holder_y=new_holder.public.y,
-                    )
+                    self._holder_request(held, "transfer", new_holder_y=new_holder.public.y)
                 )
                 self._pending.append(("transfer", coin_y, new_holder, new_address))
             else:
-                requests.append(
-                    self._holder_request(protocol.DOWNTIME_RENEWAL, held, "renewal")
-                )
+                requests.append(self._holder_request(held, "renewal"))
                 self._pending.append(("renewal", coin_y))
         return requests
 

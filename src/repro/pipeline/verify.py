@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.core import protocol
-from repro.core.coin import Coin, CoinBinding
+from repro.core.errors import ProtocolError
 from repro.crypto import fastexp
 from repro.crypto.dsa import DsaSignature, dsa_batch_verify, dsa_verify
 from repro.crypto.group_signature import (
@@ -113,44 +113,31 @@ def _verify_jobs(state: _PoolState, chunk: Sequence[tuple[str, bytes]]) -> list[
     for index, (job, data) in enumerate(chunk):
         try:
             if job == JOB_HOLDER:
-                envelope = protocol.decode_dual(data, state.params)
-                operation = protocol.HolderOperation.from_payload(envelope.payload)
-                if envelope.roster_version not in state.gpks:
-                    continue
-                coin = Coin(cert=protocol.decode_signed(operation.coin_cert, state.params))
-                if coin.cert.signer.y != state.broker_key.y or not coin.verify_unsigned():
-                    continue
-                proof = CoinBinding(
-                    signed=protocol.decode_signed(operation.proof_binding, state.params),
-                    via_broker=operation.proof_via_broker,
-                )
-                coin_key = coin.coin_public_key(state.params)
-                if not proof.verify_unsigned(coin_key, state.broker_key):
+                request = protocol.open_holder_request(data, state.params)
+                envelope, coin, proof = request.envelope, request.coin, request.proof
+                if (
+                    envelope.roster_version not in state.gpks
+                    or coin.cert.signer.y != state.broker_key.y
+                    or not proof.verify_unsigned(coin.coin_public_key(state.params), state.broker_key)
+                ):
                     continue
                 results[index] = True  # provisional; revoked on signature failure
                 group_items.setdefault(envelope.roster_version, []).append(
                     (index, envelope.inner.encode(), envelope.group_signature)
                 )
-                dsa_items.append(
-                    (index, (envelope.coin_signer, envelope.inner.payload_bytes, envelope.inner.signature))
-                )
-                dsa_items.append(
-                    (index, (coin.cert.signer, coin.cert.payload_bytes, coin.cert.signature))
-                )
-                # The broker only checks this signature on the fresh-binding
-                # flavour; checking it unconditionally is strictly stronger
-                # (a stored via_broker binding carries a valid broker
-                # signature, so honest requests are unaffected).
-                dsa_items.append(
-                    (index, (proof.signed.signer, proof.signed.payload_bytes, proof.signed.signature))
-                )
+                # All three DSA signatures, unconditionally: the broker only
+                # checks the proof binding's on the fresh-binding flavour;
+                # checking it always is strictly stronger (a stored
+                # via_broker binding carries a valid broker signature, so
+                # honest requests are unaffected).
+                dsa_items.extend((index, triple) for triple in request.dsa_triples())
             elif job == JOB_PURCHASE:
                 signed = protocol.decode_signed(data, state.params)
                 results[index] = True
                 dsa_items.append(
                     (index, (signed.signer, signed.payload_bytes, signed.signature))
                 )
-        except (ValueError, KeyError, TypeError):
+        except (ProtocolError, ValueError, KeyError, TypeError):
             continue
     for version, entries in group_items.items():
         gpk = state.gpks[version]

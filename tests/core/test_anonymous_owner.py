@@ -9,31 +9,32 @@ from repro.crypto.params import PARAMS_TEST_512
 from repro.indirection.i3 import I3Overlay
 
 
+def add_anonymous_peer(net, i3, address, balance=0, **kwargs):
+    member = net.judge.register(address)
+    peer = AnonymousOwnerPeer(
+        net.transport,
+        address=address,
+        params=net.params,
+        clock=net.clock,
+        judge=net.judge,
+        member_key=member,
+        broker_address=net.broker.address,
+        broker_key=net.broker.public_key,
+        i3=i3,
+        **kwargs,
+    )
+    net.broker.open_account(address, peer.identity.public, balance)
+    net.peers[address] = peer
+    return peer
+
+
 @pytest.fixture()
 def rig():
     net = WhoPayNetwork(params=PARAMS_TEST_512)
     i3 = I3Overlay(net.transport, size=3)
-
-    def add(address, balance=0):
-        member = net.judge.register(address)
-        peer = AnonymousOwnerPeer(
-            net.transport,
-            address=address,
-            params=net.params,
-            clock=net.clock,
-            judge=net.judge,
-            member_key=member,
-            broker_address=net.broker.address,
-            broker_key=net.broker.public_key,
-            i3=i3,
-        )
-        net.broker.open_account(address, peer.identity.public, balance)
-        net.peers[address] = peer
-        return peer
-
-    alice = add("alice", balance=20)
-    bob = add("bob", balance=5)
-    carol = add("carol")
+    alice = add_anonymous_peer(net, i3, "alice", balance=20)
+    bob = add_anonymous_peer(net, i3, "bob", balance=5)
+    carol = add_anonymous_peer(net, i3, "carol")
     return net, i3, alice, bob, carol
 
 
@@ -123,6 +124,27 @@ class TestAnonymousPayments:
         state = alice.purchase_anonymous(value=2)
         alice.issue("bob", state.coin_y)
         assert bob.deposit(state.coin_y) == 2
+
+    def test_renewal_via_handle_refuses_a_previous_holders_binding(self, rig, tmp_path):
+        # The owner answers a renewal with the binding it signed for the
+        # *previous* holder: a valid coin-key signature, one seq too low,
+        # naming a key the renewing holder has no secret for.
+        from repro.core import protocol
+        from repro.store.journal import DurableStore
+
+        net, i3, alice, bob, _carol = rig
+        dana = add_anonymous_peer(net, i3, "dana", store=DurableStore(tmp_path / "dana"))
+        state = alice.purchase_anonymous()
+        stale = alice.issue("bob", state.coin_y)
+        bob.transfer("dana", state.coin_y)
+        alice._handlers[protocol.RENEW_REQUEST] = lambda src, data: stale.encode()
+        held = dana.wallet[state.coin_y].binding
+        journaled = dana.store.next_lsn
+        with pytest.raises(VerificationFailed):
+            dana.renew(state.coin_y)
+        assert dana.wallet[state.coin_y].binding is held
+        assert held.seq == stale.seq + 1
+        assert dana.store.next_lsn == journaled
 
 
 class TestFairnessOfAnonymousIssuers:

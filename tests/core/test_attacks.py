@@ -240,3 +240,85 @@ class TestTamperedBindings:
             },
         )
         assert not result["ok"] and "expired" in result["reason"]
+
+
+class TestReissuedBindingAcceptance:
+    """Route x tamper matrix for the one check a holder runs on a re-issued
+    binding (``Peer._holder_exchange``): signed by the key the route
+    dictates, for this coin, naming the expected holder key, ``seq`` strictly
+    above the held one.  A refused reply changes nothing on the holder."""
+
+    TAMPERS = (
+        "none", "wrong_key", "other_holder", "seq_equal", "seq_below", "other_coin", "other_flavour"
+    )
+
+    @pytest.mark.parametrize("tamper", TAMPERS)
+    @pytest.mark.parametrize("route", ("owner", "handle", "broker"))
+    @pytest.mark.parametrize("op", ("transfer", "renewal"))
+    def test_tampered_reply_is_refused_and_changes_nothing(self, tmp_path, op, route, tamper):
+        from repro.core.network import PeerConfig, WhoPayNetwork
+        from repro.crypto.params import PARAMS_TEST_512
+        from repro.indirection.i3 import I3Overlay
+        from repro.store.journal import DurableStore
+        from tests.core.test_anonymous_owner import add_anonymous_peer
+
+        net = WhoPayNetwork(params=PARAMS_TEST_512)
+        if route == "handle":
+            i3 = I3Overlay(net.transport, size=2)
+            alice, bob, _carol = (
+                add_anonymous_peer(net, i3, name, balance=9) for name in ("alice", "bob", "carol")
+            )
+            state, other = alice.purchase_anonymous(), alice.purchase_anonymous()
+        else:
+            alice = net.add_peer("alice", PeerConfig(balance=9))
+            bob, _carol = net.add_peer("bob"), net.add_peer("carol")
+            state, other = alice.purchase(), alice.purchase()
+        bob.bind_store(DurableStore(tmp_path / "bob"))
+        alice.issue("bob", state.coin_y)
+        held = bob.wallet[state.coin_y]
+        via_broker = route == "broker"
+
+        def respond(src, payload):
+            """What the route's honest server would sign, then one field off."""
+            data = payload["envelope"] if isinstance(payload, dict) else payload
+            asked = protocol.decode_dual(data, net.params).payload
+            fields = {
+                "signer": net.broker.keypair if via_broker else state.coin_keypair,
+                "coin_y": state.coin_y,
+                "holder_y": asked["new_holder_y"] or held.holder_keypair.public.y,
+                "seq": held.binding.seq + 1,
+            }
+            if tamper == "wrong_key":
+                fields["signer"] = KeyPair.generate(net.params)
+            elif tamper == "other_holder":
+                fields["holder_y"] = KeyPair.generate(net.params).public.y
+            elif tamper == "seq_equal":
+                fields["seq"] = held.binding.seq
+            elif tamper == "seq_below":
+                fields["seq"] = held.binding.seq - 1
+            elif tamper == "other_coin":
+                fields["coin_y"] = other.coin_y
+            elif tamper == "other_flavour":
+                fields["signer"] = state.coin_keypair if via_broker else net.broker.keypair
+            raw = CoinBinding.build(exp_date=net.clock.now() + 1000, **fields).encode()
+            return {"binding": raw} if isinstance(payload, dict) else raw
+
+        row = protocol.HOLDER_OPS[op]
+        server = net.broker if via_broker else alice
+        server._handlers[row.broker_kind if via_broker else row.owner_kind] = respond
+        if via_broker:
+            alice.depart()
+        if op == "renewal":
+            call, args = bob.renew, (state.coin_y,)
+        else:
+            call, args = (bob.transfer_via_broker if via_broker else bob.transfer), ("carol", state.coin_y)
+        before = (held.coin, held.binding, bob.store.next_lsn, copy.copy(bob.counts))
+        if tamper == "none":  # control: the untampered reply is accepted
+            assert call(*args).seq == before[1].seq + 1
+            assert (state.coin_y in bob.wallet) == (op == "renewal")
+            return
+        with pytest.raises(VerificationFailed):
+            call(*args)
+        assert bob.wallet[state.coin_y] is held
+        assert (held.coin, held.binding, bob.store.next_lsn, bob.counts) == before
+        assert bob._expected_rebinds == set()

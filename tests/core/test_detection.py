@@ -120,6 +120,51 @@ class TestMonitoring:
         assert published.holder_y == dave.identity.public.y
 
 
+class TestFailedTransferKeepsMonitoring:
+    """A transfer marks its own rebind as expected only while the request is
+    out; an attempt that fails must leave the Section 5.1 alarm armed."""
+
+    @pytest.mark.parametrize("route", ["owner", "handle", "broker"])
+    def test_failed_request_does_not_silence_the_alarm(self, detection_network, route):
+        from repro.indirection.i3 import I3Overlay
+        from repro.net.transport import NodeOffline
+        from tests.core.test_anonymous_owner import add_anonymous_peer
+
+        net = detection_network
+        if route == "handle":
+            i3 = I3Overlay(net.transport, size=2)
+            alice, bob, _carol, dave = (
+                add_anonymous_peer(net, i3, name, balance=20)
+                for name in ("alice", "bob", "carol", "dave")
+            )
+            for peer in net.peers.values():
+                peer.detection = net.detection
+            state = alice.purchase_anonymous()
+        else:
+            alice = net.add_peer("alice", PeerConfig(balance=20))
+            bob, _carol, dave = (net.add_peer(name) for name in ("bob", "carol", "dave"))
+            state = alice.purchase()
+        alice.issue("bob", state.coin_y)
+        # The offer to carol succeeds; the request step finds its server down.
+        server = net.broker if route == "broker" else alice
+        server.go_offline()
+        send = bob.transfer_via_broker if route == "broker" else bob.transfer
+        with pytest.raises(NodeOffline):
+            send("carol", state.coin_y)
+        server.go_online()
+        assert state.coin_y in bob.wallet
+        assert bob._expected_rebinds == set()
+        evil = CoinBinding.build(
+            state.coin_keypair,
+            coin_y=state.coin_y,
+            holder_y=dave.identity.public.y,
+            seq=alice.owned[state.coin_y].binding.seq + 1,
+            exp_date=net.clock.now() + 1000,
+        )
+        net.detection.publish_owner(alice, alice.owned[state.coin_y], evil)
+        assert len(bob.alarms) == 1
+
+
 class TestAccessControlIntegration:
     def test_rollback_publish_rejected(self, rig):
         net, alice, bob, _carol, dave = rig

@@ -276,3 +276,16 @@ class TestHintsStrippedOnTheWire:
         bob.transfer("carol", state.coin_y)
         assert carol.deposit(state.coin_y) == 1
         assert len(recomputed) >= 6  # every holder request above, peer- or broker-side
+
+
+class TestPublicOperationsStayOnPeer:
+    def test_the_traced_operations_are_defined_in_peers_own_class_body(self):
+        # The benchmark's tracer (benchmarks/e2e/layers.py) patches these
+        # eight through ``Peer.__dict__`` to open one ``core.peer_api.*``
+        # root span per operation; moved to a mixin or generated at import
+        # they would vanish from it and the per-layer metrics with them.
+        from repro.core.peer import Peer
+
+        traced = ("purchase", "issue", "transfer", "transfer_via_broker", "renew",
+                  "rejoin", "sync_with_broker", "deposit")
+        assert all(name in Peer.__dict__ for name in traced)

@@ -123,6 +123,34 @@ class TestWP105WireSchema:
         assert {("fixok.ping" in d.message or "fixok.store" in d.message) for d in found} == {True}
         assert len(found) == 2
 
+    def test_holder_op_table_rows_are_send_sites(self):
+        # The table-driven facades send a kind they looked up (dynamic at the
+        # ``_call``); the row naming it is where the send is provable.
+        from repro.lint import lint_sources
+
+        table = (
+            'SERVED = "fixrow.served"\n'
+            'ORPHAN = "fixrow.orphan"\n'
+            'ROWS = {"a": HolderOpRow(SERVED, ORPHAN, {}, "delete"), "b": HolderOpRow(None, SERVED, {}, "coin")}\n'
+            "class Facade:\n"
+            "    def holder_op(self, dst, op, data):\n"
+            "        return self._call(dst, ROWS[op].broker_kind, data)\n"
+        )
+        server = (
+            "from repro.fixrow.table import SERVED\n"
+            "class Server:\n"
+            "    def __init__(self):\n"
+            "        self.on(SERVED, self.handle)\n"
+            '        self.on("fixrow.unsent", self.handle)\n'
+        )
+        result = lint_sources(
+            [("table.py", table, "repro.fixrow.table"), ("server.py", server, "repro.fixrow.server")]
+        )
+        found = sorted((d.path, d.line, d.message) for d in result.findings if d.code == "WP105")
+        assert [(path, line) for path, line, _ in found] == [("server.py", 5), ("table.py", 3)]
+        assert "'fixrow.unsent' but no client or facade ever sends it" in found[0][2]
+        assert "'fixrow.orphan' is sent but no Node registers" in found[1][2]
+
 
 class TestWP106DurableFieldDiscipline:
     def test_bad_fires_on_every_mutation_shape(self):
@@ -326,6 +354,13 @@ class TestWP113VerifyBeforeTrust:
 
     def test_good_is_silent(self):
         assert findings_for("WP113", "wp113_good.py") == []
+
+    def test_a_parsed_holder_request_is_still_untrusted(self):
+        # ``open_holder_request`` only opens: journaling a field of what it
+        # returned before any verify call is the bug WP113 exists for.
+        found = findings_for("WP113", "wp113_parser_bad.py")
+        assert [diag.line for diag in found] == [12, 13]
+        assert findings_for("WP113", "wp113_parser_good.py") == []
 
 
 class TestWP114LivenessDiscipline:
