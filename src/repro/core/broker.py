@@ -42,6 +42,7 @@ from repro.core.errors import (
 from repro.core.judge import Judge
 from repro.core.sharding import ShardMap
 from repro.crypto.dsa import dsa_batch_verify, dsa_verify
+from repro.crypto.group_signature import GroupSignatureError
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.params import DlogParams
 from repro.messages.envelope import seal
@@ -186,8 +187,9 @@ class Broker(Node):
         #: (i.e. whether its reply must wait for a covering fsync).
         self.last_request_staged: bool = False
         # SHA-256 digests of raw requests whose *cryptographic* checks a
-        # verification pool already performed; consumed on first sight.
-        self._preverified: set[bytes] = set()
+        # verification pool already performed, each with the holder request
+        # the pool opened (if it handed one); consumed on first sight.
+        self._preverified: dict[bytes, protocol.HolderRequest | None] = {}
         #: Federation wiring (ring + shard-to-shard RPC client).  A broker
         #: is a federation of one until :meth:`attach_federation` says
         #: otherwise: same path, a ring that never names anyone else.
@@ -528,33 +530,42 @@ class Broker(Node):
 
     # -- verification helpers -----------------------------------------------------
 
-    def mark_preverified(self, digests: set[bytes] | list[bytes]) -> None:
-        """Record raw requests whose signatures a verification pool checked.
+    def mark_preverified(self, vouched: dict[bytes, protocol.HolderRequest | None]) -> None:
+        """Record one window of raw requests whose signatures a verification pool checked.
 
-        ``digests`` are SHA-256 digests of the exact request bytes.  The
-        next time each request arrives, the broker skips re-running its
-        *cryptographic* checks (group signature, DSA signatures) — every
-        structural and state check (circulation, double-spend, holdership
-        binding, expiry, balances) still runs in the broker, because only
-        the broker holds that state.  Entries are consumed on first use, so
-        the set cannot grow without bound and a digest can never vouch for
-        more than one admission.
+        Keys are SHA-256 digests of the exact request bytes; a value is the
+        :class:`~repro.core.protocol.HolderRequest` the pool opened from
+        them, or ``None`` (a purchase; a pool that hands nothing back).  When
+        each request arrives, the broker skips its *cryptographic* checks
+        (group signature, DSA signatures) and does not decode a handed
+        request again — the endpoint check and every state check
+        (circulation, double-spend, holdership binding, expiry, balances)
+        still run here, because only the broker knows which endpoint was
+        asked and holds that state.  Entries are consumed on first use, so a
+        digest vouches for one admission, and each call drops the previous
+        window's leftovers (a replay-cache hit never reaches a handler), so
+        nothing outlives its window.
         """
-        self._preverified.update(digests)
+        self._preverified = dict(vouched)
 
-    def _crypto_preverified(self, data: bytes) -> bool:
-        """Consume and report a pool pre-verification for ``data``."""
+    def _crypto_preverified(self, data: bytes) -> tuple[bool, protocol.HolderRequest | None]:
+        """Consume a pool pre-verification for ``data``: whether there was
+        one, and the opened request it came with (if any)."""
         if not self._preverified:
-            return False
+            return False, None
         digest = hashlib.sha256(data).digest()
-        if digest in self._preverified:
-            self._preverified.discard(digest)
-            return True
-        return False
+        if digest not in self._preverified:
+            return False, None
+        return True, self._preverified.pop(digest)
 
     def _gpk_at(self, version: int):
         if version not in self._gpk_cache:
-            self._gpk_cache[version] = self.judge.group_public_key_at(version)
+            try:
+                self._gpk_cache[version] = self.judge.group_public_key_at(version)
+            except GroupSignatureError as exc:
+                raise VerificationFailed(
+                    "group signature names a roster version the judge never issued"
+                ) from exc
         return self._gpk_cache[version]
 
     def _verify_holder_op(self, data: bytes, kind: str) -> protocol.HolderRequest:
@@ -568,10 +579,15 @@ class Broker(Node):
         (:meth:`mark_preverified`), the signature checks — the group
         signature here and the DSA batch at the end — are skipped; the pool
         already ran them (unconditionally, including the proof-binding
-        signature) on these exact bytes.  All state checks below still run.
+        signature) on these exact bytes.  A request it handed over opened
+        is not parsed again, only checked against this endpoint's kind (the
+        pool knows no endpoint).  All state checks below still run.
         """
-        crypto_done = self._crypto_preverified(data)
-        request = protocol.open_holder_request(data, self.params, kind)
+        crypto_done, request = self._crypto_preverified(data)
+        if request is None:
+            request = protocol.open_holder_request(data, self.params, kind)
+        else:
+            request.require_served_as(kind)
         envelope, coin, proof = request.envelope, request.coin, request.proof
 
         if envelope.roster_version < self.judge.minimum_accepted_version:
@@ -672,7 +688,7 @@ class Broker(Node):
                 pairs = request.coins
         except (ValueError, KeyError, TypeError) as exc:
             raise ProtocolError(f"malformed {label}: {exc}") from exc
-        if not self._crypto_preverified(data) and not signed.verify():
+        if not self._crypto_preverified(data)[0] and not signed.verify():
             raise VerificationFailed(f"{label} signature invalid")
         if single and request.anonymous:
             # Section 5.2 approach 3: ownerless coin — the certificate binds

@@ -42,12 +42,12 @@ from repro.core.errors import (
 )
 from repro.core.judge import Judge
 from repro.crypto.dsa import DsaSignature, dsa_batch_verify
-from repro.crypto.group_signature import GroupMemberKey
+from repro.crypto.group_signature import GroupMemberKey, GroupSignatureError
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.params import DlogParams
 from repro.crypto.schnorr import SchnorrProof, schnorr_prove, schnorr_verify
 from repro.anonymity.pseudonym import funding_voucher
-from repro.messages.envelope import DualSignedMessage, group_seal, seal
+from repro.messages.envelope import DualSignedMessage, group_countersign, group_seal, seal
 from repro.net.liveness import BreakerBoard, BreakerConfig
 from repro.net.node import Node
 from repro.net.rpc import CircuitOpen, RetryPolicy
@@ -93,7 +93,8 @@ class Alarm:
 class _PendingOffer:
     """Payee-side state between offer and completion."""
 
-    coin_y: int
+    coin: Coin  # verified at the offer; a completion with the same bytes is not re-verified
+    coin_bytes: bytes
     holder_keypair: KeyPair
     payer: str
 
@@ -209,9 +210,11 @@ class Peer(Node):
         if self.store is not None:
             self._wal({"type": "wallet_put", "entry": wallet_records.held_entry(held)})
 
-    def _wal_owned(self, state: OwnedCoinState) -> None:
+    def _wal_owned(self, *states: OwnedCoinState, then: tuple[dict[str, Any], ...] = ()) -> None:
+        """One record: an ``owned_put`` per state, then the ``then`` mutations."""
         if self.store is not None:
-            self._wal({"type": "owned_put", "entry": wallet_records.owned_entry(state)})
+            puts = [{"type": "owned_put", "entry": wallet_records.owned_entry(s)} for s in states]
+            self._wal(*puts, *then)
 
     def _wal_del(self, coin_y: int) -> None:
         self._wal({"type": "wallet_del", "coin_y": coin_y})
@@ -234,7 +237,11 @@ class Peer(Node):
         # snapshot that predates the latest expulsion.
         if envelope.roster_version < self.judge.minimum_accepted_version:
             return False
-        return envelope.verify(self._gpk(envelope.roster_version))
+        try:
+            gpk = self._gpk(envelope.roster_version)
+        except GroupSignatureError:
+            return False  # a roster version the judge never issued
+        return envelope.verify(gpk)
 
     def _owner_proof_context(self, nonce: bytes, binding: CoinBinding) -> bytes:
         return b"whopay-owner-proof|" + nonce + b"|" + binding.encode()
@@ -354,17 +361,16 @@ class Peer(Node):
                 if not binding.signed.verify():
                     raise VerificationFailed("broker sync returned an invalid binding")
             raise VerificationFailed("broker sync batch verification failed")
-        applied = 0
+        # One journal record: a crash keeps the whole sync or none of it.
+        updated = []
         for state, binding in accepted:
             if state.binding is None or binding.seq > state.binding.seq:
                 state.binding = binding
-                applied += 1
-                self._wal_owned(state)
-            state.dirty = False
+                updated.append(state)
         for state in self.owned.values():
             state.dirty = False
-        self._wal({"type": "owned_clean_all"})
-        return applied
+        self._wal_owned(*updated, then=({"type": "owned_clean_all"},))
+        return len(updated)
 
     def _check_coin_state(self, state: OwnedCoinState) -> None:
         """Lazy-sync *check*: refresh one coin's binding before serving it.
@@ -474,12 +480,7 @@ class Peer(Node):
             state = OwnedCoinState(coin=coin, coin_keypair=by_y[coin.coin_y])
             self.owned[coin.coin_y] = state
             states.append(state)
-        self._wal(
-            *[
-                {"type": "owned_put", "entry": wallet_records.owned_entry(state)}
-                for state in states
-            ]
-        )
+        self._wal_owned(*states)
         self.counts.purchases += 1
         return states
 
@@ -541,14 +542,7 @@ class Peer(Node):
         can still be opened by the judge.
         """
         if state.coin.is_ownerless:
-            from repro.crypto.group_signature import group_sign
-
-            gpk = self._gpk()
-            dual = DualSignedMessage(
-                inner=binding.signed,
-                group_signature=group_sign(gpk, self.member_key, binding.signed.encode()),
-                roster_version=len(gpk.roster),
-            )
+            dual = group_countersign(binding.signed, self.member_key, self._gpk())
             proof = schnorr_prove(
                 state.coin_keypair, self._owner_proof_context(nonce, binding)
             )
@@ -915,7 +909,7 @@ class Peer(Node):
         holder_keypair = KeyPair.generate(self.params)
         nonce = secrets.token_bytes(16)
         self._pending[nonce] = _PendingOffer(
-            coin_y=coin.coin_y, holder_keypair=holder_keypair, payer=src
+            coin=coin, coin_bytes=coin_bytes, holder_keypair=holder_keypair, payer=src
         )
         return {"holder_y": holder_keypair.public.y, "nonce": nonce}
 
@@ -925,9 +919,12 @@ class Peer(Node):
         pending = self._pending.get(nonce)
         if pending is None:
             return {"ok": False, "reason": "no pending offer for this nonce"}
-        coin = Coin(cert=protocol.decode_signed(payload["coin"], self.params))
-        if not coin.verify(self.broker_key) or coin.coin_y != pending.coin_y:
-            return {"ok": False, "reason": "coin does not match the offer"}
+        if payload["coin"] == pending.coin_bytes:
+            coin = pending.coin
+        else:
+            coin = Coin(cert=protocol.decode_signed(payload["coin"], self.params))
+            if not coin.verify(self.broker_key) or coin.coin_y != pending.coin.coin_y:
+                return {"ok": False, "reason": "coin does not match the offer"}
         if payload.get("binding_dual") is not None:
             # Ownerless coin: the binding travels group-countersigned.
             dual = protocol.decode_dual(payload["binding_dual"], self.params)

@@ -341,6 +341,12 @@ class HolderRequest:
             for signed in (self.envelope.inner, self.coin.cert, self.proof.signed)
         ]
 
+    def require_served_as(self, kind: str) -> None:
+        """``ProtocolError`` unless the table lets an endpoint of wire ``kind`` serve this op."""
+        row = HOLDER_OPS[self.operation.op]
+        if kind not in (row.owner_kind, row.broker_kind):
+            raise ProtocolError(f"a {self.operation.op} request cannot be served as {kind}")
+
 
 def open_holder_request(data: Any, params: DlogParams, kind: str | None = None) -> HolderRequest:
     """Open the bytes of a holder request — the one place that does.
@@ -372,7 +378,7 @@ def open_holder_request(data: Any, params: DlogParams, kind: str | None = None) 
                 raise ValueError("funding authorization has a malformed payload")
     except (ValueError, KeyError, TypeError) as exc:
         raise ProtocolError(f"malformed holder request: {exc}") from exc
-    row = HOLDER_OPS[operation.op]
-    if kind is not None and kind not in (row.owner_kind, row.broker_kind):
-        raise ProtocolError(f"a {operation.op} request cannot be served as {kind}")
-    return HolderRequest(envelope, operation, coin, proof, funding_auth)
+    request = HolderRequest(envelope, operation, coin, proof, funding_auth)
+    if kind is not None:
+        request.require_served_as(kind)
+    return request

@@ -23,9 +23,19 @@ rejected cleanly if the codec ever changes.
 
 from __future__ import annotations
 
-from typing import Any
+import struct
+from typing import Any, Callable
 
 MAGIC = b"\x01"  # codec version 1
+
+# Every length and count on the wire is an unsigned 64-bit big-endian integer.
+_U64 = struct.Struct(">Q")
+_len8 = _U64.pack
+_read8 = _U64.unpack_from
+
+_int = int.from_bytes  # one global lookup in the decode loop, not a lookup and an attribute
+
+_TRUNCATED = "truncated message"
 
 
 class CodecError(ValueError):
@@ -34,107 +44,151 @@ class CodecError(ValueError):
 
 def encode(value: Any) -> bytes:
     """Canonically encode ``value`` (see module docstring for the domain)."""
-    return MAGIC + _encode(value)
+    parts = [MAGIC]
+    _encode(value, type(value), parts.append)
+    return b"".join(parts)
+
+
+def _encode(value: Any, kind: type, emit: Callable[[bytes], None]) -> None:
+    """Emit the encoding of ``value``; callers pass ``type(value)`` as ``kind``.
+
+    Identity dispatch cannot take a ``bool`` for an ``int`` (``type(True)``
+    is ``bool``); only a *subclass* instance reaches the ``isinstance``
+    ladder at the bottom, which names its wire type and dispatches again.
+    """
+    if kind is int:
+        if value < 0:
+            value = -value
+            emit(b"i-")
+        else:
+            emit(b"i+")
+        body = value.to_bytes((value.bit_length() + 7) // 8 or 1, "big")
+        emit(_len8(len(body)))
+        emit(body)
+    elif kind is bytes:
+        emit(b"b")
+        emit(_len8(len(value)))
+        emit(value)
+    elif kind is str:
+        body = value.encode("utf-8")
+        emit(b"s")
+        emit(_len8(len(body)))
+        emit(body)
+    elif kind is list or kind is tuple:
+        emit(b"l")
+        emit(_len8(len(value)))
+        for item in value:
+            _encode(item, type(item), emit)
+    elif kind is dict:
+        for key in value:
+            if not isinstance(key, str):
+                raise CodecError("dict keys must be strings")
+        emit(b"d")
+        emit(_len8(len(value)))
+        for key in sorted(value):
+            _encode(key, type(key), emit)
+            item = value[key]
+            _encode(item, type(item), emit)
+    elif value is None:
+        emit(b"n")
+    elif kind is bool:
+        emit(b"t" if value else b"f")
+    else:
+        for base in (int, bytes, str, list, tuple, dict):
+            if isinstance(value, base):
+                return _encode(value, base, emit)
+        raise CodecError(f"cannot encode values of type {kind.__name__}")
 
 
 def decode(data: bytes) -> Any:
-    """Inverse of :func:`encode`; raises :class:`CodecError` on bad input."""
+    """Inverse of :func:`encode`; raises :class:`CodecError` on bad input.
+
+    One loop with an explicit stack of open containers: nesting depth is
+    bounded by the input's length, not the interpreter's stack.  The bounds
+    rule: a slice never raises, so every end computed from a length field is
+    compared with ``size`` *before* the slice that uses it, and every
+    single-byte read (tags are the integers indexing yields) follows a
+    ``pos >= size`` test.
+    """
     if not data[:1] == MAGIC:
         raise CodecError("bad magic byte (codec version mismatch?)")
-    value, offset = _decode(data, 1)
-    if offset != len(data):
-        raise CodecError(f"{len(data) - offset} trailing bytes after value")
-    return value
-
-
-def _varlen(n: int) -> bytes:
-    return n.to_bytes(8, "big")
-
-
-def _encode(value: Any) -> bytes:
-    if value is None:
-        return b"n"
-    # bool must be tested before int (bool is an int subclass).
-    if isinstance(value, bool):
-        return b"t" if value else b"f"
-    if isinstance(value, int):
-        sign = b"-" if value < 0 else b"+"
-        magnitude = abs(value)
-        body = magnitude.to_bytes(max(1, (magnitude.bit_length() + 7) // 8), "big")
-        return b"i" + sign + _varlen(len(body)) + body
-    if isinstance(value, bytes):
-        return b"b" + _varlen(len(value)) + value
-    if isinstance(value, str):
-        body = value.encode("utf-8")
-        return b"s" + _varlen(len(body)) + body
-    if isinstance(value, (list, tuple)):
-        body = b"".join(_encode(item) for item in value)
-        return b"l" + _varlen(len(value)) + body
-    if isinstance(value, dict):
-        keys = list(value.keys())
-        if not all(isinstance(k, str) for k in keys):
-            raise CodecError("dict keys must be strings")
-        if len(set(keys)) != len(keys):  # pragma: no cover - dicts dedupe keys
-            raise CodecError("duplicate dict keys")
-        body = b"".join(_encode(k) + _encode(value[k]) for k in sorted(keys))
-        return b"d" + _varlen(len(keys)) + body
-    raise CodecError(f"cannot encode values of type {type(value).__name__}")
-
-
-def _take(data: bytes, offset: int, n: int) -> tuple[bytes, int]:
-    if offset + n > len(data):
-        raise CodecError("truncated message")
-    return data[offset : offset + n], offset + n
-
-
-def _decode(data: bytes, offset: int) -> tuple[Any, int]:
-    tag, offset = _take(data, offset, 1)
-    if tag == b"n":
-        return None, offset
-    if tag == b"t":
-        return True, offset
-    if tag == b"f":
-        return False, offset
-    if tag == b"i":
-        sign, offset = _take(data, offset, 1)
-        if sign not in (b"+", b"-"):
-            raise CodecError("bad integer sign byte")
-        raw_len, offset = _take(data, offset, 8)
-        body, offset = _take(data, offset, int.from_bytes(raw_len, "big"))
-        magnitude = int.from_bytes(body, "big")
-        return (-magnitude if sign == b"-" else magnitude), offset
-    if tag == b"b":
-        raw_len, offset = _take(data, offset, 8)
-        body, offset = _take(data, offset, int.from_bytes(raw_len, "big"))
-        return body, offset
-    if tag == b"s":
-        raw_len, offset = _take(data, offset, 8)
-        body, offset = _take(data, offset, int.from_bytes(raw_len, "big"))
-        try:
-            return body.decode("utf-8"), offset
-        except UnicodeDecodeError as exc:
-            raise CodecError("invalid UTF-8 in string") from exc
-    if tag == b"l":
-        raw_count, offset = _take(data, offset, 8)
-        count = int.from_bytes(raw_count, "big")
-        items = []
-        for _ in range(count):
-            item, offset = _decode(data, offset)
-            items.append(item)
-        return tuple(items), offset
-    if tag == b"d":
-        raw_count, offset = _take(data, offset, 8)
-        count = int.from_bytes(raw_count, "big")
-        out: dict[str, Any] = {}
-        previous_key: str | None = None
-        for _ in range(count):
-            key, offset = _decode(data, offset)
-            if not isinstance(key, str):
-                raise CodecError("dict key is not a string")
-            if previous_key is not None and key <= previous_key:
-                raise CodecError("dict keys not in canonical order")
-            value, offset = _decode(data, offset)
-            out[key] = value
-            previous_key = key
-        return out, offset
-    raise CodecError(f"unknown tag byte {tag!r}")
+    size = len(data)
+    pos = 1
+    stack: list[tuple[Any, int, str | None]] = []
+    into: Any = []  # the open container: a list or a dict (the top level is a list of one)
+    left = 1  # slots it still lacks; a dict's slots alternate key, value
+    key: str | None = None  # the open dict's latest key; None when a list is open
+    while True:
+        if pos >= size:
+            raise CodecError(_TRUNCATED)
+        tag = data[pos]
+        pos += 1
+        if tag == 0x69:  # "i": sign byte, length, magnitude
+            if pos >= size:
+                raise CodecError(_TRUNCATED)
+            sign = data[pos]
+            if sign != 0x2B and sign != 0x2D:  # "+", "-"
+                raise CodecError("bad integer sign byte")
+            start = pos + 9
+            if start > size:
+                raise CodecError(_TRUNCATED)
+            pos = start + _read8(data, pos + 1)[0]
+            if pos > size:
+                raise CodecError(_TRUNCATED)
+            value: Any = _int(data[start:pos], "big")
+            if sign == 0x2D:
+                value = -value
+        elif tag == 0x62 or tag == 0x73:  # "b", "s": length, body
+            start = pos + 8
+            if start > size:
+                raise CodecError(_TRUNCATED)
+            pos = start + _read8(data, pos)[0]
+            if pos > size:
+                raise CodecError(_TRUNCATED)
+            value = data[start:pos]
+            if tag == 0x73:
+                try:
+                    value = value.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise CodecError("invalid UTF-8 in string") from exc
+        elif tag == 0x6C or tag == 0x64:  # "l", "d": count, then the children
+            start = pos + 8
+            if start > size:
+                raise CodecError(_TRUNCATED)
+            count = _read8(data, pos)[0]
+            pos = start
+            if count:
+                # Nothing is allocated from ``count``: a lying one runs out of bytes.
+                stack.append((into, left, key))
+                into, left, key = ({}, 2 * count, "") if tag == 0x64 else ([], count, None)
+                continue
+            value = {} if tag == 0x64 else ()
+        elif tag == 0x6E:  # "n"
+            value = None
+        elif tag == 0x74:  # "t"
+            value = True
+        elif tag == 0x66:  # "f"
+            value = False
+        else:
+            raise CodecError(f"unknown tag byte {data[pos - 1:pos]!r}")
+        # Put the value into the open container, closing every container it completes.
+        while True:
+            if key is None:
+                into.append(value)
+            elif left & 1:
+                into[key] = value
+            else:
+                if not isinstance(value, str):
+                    raise CodecError("dict key is not a string")
+                if into and value <= key:
+                    raise CodecError("dict keys not in canonical order")
+                key = value
+            left -= 1
+            if left:
+                break
+            if not stack:
+                if pos != size:
+                    raise CodecError(f"{size - pos} trailing bytes after value")
+                return value
+            value = tuple(into) if key is None else into
+            into, left, key = stack.pop()

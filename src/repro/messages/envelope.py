@@ -142,7 +142,14 @@ def group_seal(
     payload: Any,
 ) -> DualSignedMessage:
     """Build the dual-signed holder envelope ``{{payload}_skC}_gk``."""
-    inner = seal(coin_keypair, payload)
+    return group_countersign(seal(coin_keypair, payload), member, gpk)
+
+
+def group_countersign(
+    inner: SignedMessage, member: GroupMemberKey, gpk: GroupPublicKey
+) -> DualSignedMessage:
+    """Countersign an already sealed envelope with the group key — the one
+    place that stamps which roster snapshot the signature was made against."""
     return DualSignedMessage(
         inner=inner,
         group_signature=group_sign(gpk, member, inner.encode()),

@@ -5,8 +5,9 @@ requests with the two batched accelerators wired in:
 
 1. each verify-batch of requests goes to the :class:`~repro.pipeline.verify.VerificationPool`
    first; the digests of the requests that pass are handed to
-   :meth:`~repro.core.broker.Broker.mark_preverified`, so the broker's
-   handlers skip re-running the signature checks;
+   :meth:`~repro.core.broker.Broker.mark_preverified` — beside the holder
+   request the inline pool opened for each — so the broker's handlers skip
+   re-running the signature checks and decode nothing a second time;
 2. with a :class:`~repro.store.groupcommit.GroupCommitter` attached, the
    broker stages each request's journal record instead of fsyncing it, and
    the engine *holds the reply* until the committer's covering fsync runs
@@ -178,7 +179,8 @@ class ThroughputEngine:
     def _preverify(
         self, batch: Sequence[tuple[str, str, bytes, str | None]], stats: EngineStats
     ) -> None:
-        """Pool-verify one batch and mark the passing digests on the broker."""
+        """Pool-verify one batch; mark the passing digests on the broker, each
+        with the holder request the pool opened for it (if it handed one)."""
         if self.pool is None:
             return
         jobs = [
@@ -188,15 +190,16 @@ class ThroughputEngine:
         ]
         if not jobs:
             return
-        verdicts = self.pool.verify(jobs)
+        opened: dict[int, protocol.HolderRequest] = {}
+        verdicts = self.pool.verify(jobs, opened)
         stats.pool_jobs += len(jobs)
-        digests = {
-            hashlib.sha256(data).digest()
-            for (_job, data), passed in zip(jobs, verdicts)
+        vouched = {
+            hashlib.sha256(data).digest(): opened.get(index)
+            for index, ((_job, data), passed) in enumerate(zip(jobs, verdicts))
             if passed
         }
-        stats.preverified += len(digests)
-        self.broker.mark_preverified(digests)
+        stats.preverified += len(vouched)
+        self.broker.mark_preverified(vouched)
 
     def _handle_one(
         self, kind: str, src: str, data: bytes, idem: str | None, stats: EngineStats

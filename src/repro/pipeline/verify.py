@@ -9,7 +9,10 @@ across forked worker processes — and reports one verdict per request.
 The verdicts feed :meth:`repro.core.broker.Broker.mark_preverified`: the
 broker skips re-running the *cryptographic* checks for requests the pool
 vouched for (keyed by the SHA-256 of the exact bytes, consumed on first
-use) while still running every state check itself.  A pool rejection is
+use) while still running every state check itself.  The inline pool also
+hands back the :class:`~repro.core.protocol.HolderRequest` it opened for
+each holder job, so the broker does not decode the same bytes a second
+time; forked workers hand back verdicts only.  A pool rejection is
 deliberately non-fatal — the request simply arrives at the broker without
 the mark, the broker re-runs the full scalar checks, and its error message
 names the precise failure.  The pool is a pure accelerator: admitting or
@@ -97,8 +100,15 @@ def _verify_chunk(chunk: list[tuple[str, bytes]]) -> list[bool]:
     return _verify_jobs(_WORKER_STATE, chunk)
 
 
-def _verify_jobs(state: _PoolState, chunk: Sequence[tuple[str, bytes]]) -> list[bool]:
+def _verify_jobs(
+    state: _PoolState,
+    chunk: Sequence[tuple[str, bytes]],
+    opened: dict[int, protocol.HolderRequest] | None = None,
+) -> list[bool]:
     """Batch-verify a chunk; scalar fallback isolates any bad signature.
+
+    Given ``opened``, each holder request that opened is left there under
+    its job's index.
 
     Structural failures (malformed encodings, wrong signer, unknown roster)
     are plain ``False`` verdicts — the broker will re-derive the precise
@@ -122,6 +132,8 @@ def _verify_jobs(state: _PoolState, chunk: Sequence[tuple[str, bytes]]) -> list[
                 ):
                     continue
                 results[index] = True  # provisional; revoked on signature failure
+                if opened is not None:
+                    opened[index] = request
                 group_items.setdefault(envelope.roster_version, []).append(
                     (index, envelope.inner.encode(), envelope.group_signature)
                 )
@@ -202,14 +214,22 @@ class VerificationPool:
         else:
             self._state = _build_state(spec)
 
-    def verify(self, jobs: Sequence[tuple[str, bytes]]) -> list[bool]:
-        """One verdict per job, in order.  ``True`` = all signatures valid."""
+    def verify(
+        self,
+        jobs: Sequence[tuple[str, bytes]],
+        opened: dict[int, protocol.HolderRequest] | None = None,
+    ) -> list[bool]:
+        """One verdict per job, in order.  ``True`` = all signatures valid.
+
+        The inline pool fills ``opened`` (job index -> the holder request it
+        opened); forked workers leave it empty and the broker parses.
+        """
         if not jobs:
             return []
         self.jobs_verified += len(jobs)
         if self._pool is None:
             assert self._state is not None
-            return _verify_jobs(self._state, jobs)
+            return _verify_jobs(self._state, jobs, opened)
         chunks = [
             list(jobs[start : start + self.chunk_size])
             for start in range(0, len(jobs), self.chunk_size)

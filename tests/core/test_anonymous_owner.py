@@ -147,6 +147,40 @@ class TestAnonymousPayments:
         assert dana.store.next_lsn == journaled
 
 
+class TestOwnerlessIssueAcrossRosterChanges:
+    def test_issue_after_an_expulsion_names_the_snapshot_it_signed_against(self, rig):
+        # Three registrations (v3), one expulsion (v4): the roster now has TWO
+        # members.  An issuer that stamped the roster's length sent the payee
+        # to snapshot v2 — another roster, and below the revocation floor.
+        net, _i3, alice, bob, _carol = rig
+        state = alice.purchase_anonymous()
+        assert net.judge.expel("carol") == 4
+        assert len(net.judge.group_public_key().roster) == 2
+        alice.issue("bob", state.coin_y)
+        assert state.coin_y in bob.wallet
+
+    def test_a_completion_naming_an_unissued_snapshot_is_refused_not_a_crash(self, rig):
+        import dataclasses
+
+        from repro.core import protocol
+        from repro.core.errors import ProtocolError
+
+        net, _i3, alice, bob, _carol = rig
+        state = alice.purchase_anonymous()
+        real = alice._completion_payload
+
+        def misnumbered(*args):
+            payload = real(*args)
+            dual = protocol.decode_dual(payload["binding_dual"], net.params)
+            payload["binding_dual"] = protocol.encode_dual(dataclasses.replace(dual, roster_version=99))
+            return payload
+
+        alice._completion_payload = misnumbered
+        with pytest.raises(ProtocolError, match="issuer group signature invalid"):
+            alice.issue("bob", state.coin_y)
+        assert state.coin_y not in bob.wallet
+
+
 class TestFairnessOfAnonymousIssuers:
     def test_judge_can_open_issue_group_signature(self, rig):
         # The issuer group-signs the binding; capture it on the payee side

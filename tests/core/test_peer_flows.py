@@ -278,6 +278,64 @@ class TestHintsStrippedOnTheWire:
         assert len(recomputed) >= 6  # every holder request above, peer- or broker-side
 
 
+class TestPayeeVerifiesTheCertificateOnce:
+    """The payee checks the offered certificate at the offer; a completion
+    carrying those exact bytes is not checked again, any other bytes are
+    checked exactly as before."""
+
+    @staticmethod
+    def _count_certificate_checks(monkeypatch, coin):
+        from repro.messages import envelope
+
+        checked = []
+        real = envelope.dsa_verify
+
+        def counting(signer, message, signature):
+            if message == coin.cert.payload_bytes:
+                checked.append(signer.y)
+            return real(signer, message, signature)
+
+        monkeypatch.setattr(envelope, "dsa_verify", counting)
+        return checked
+
+    def test_one_certificate_verification_per_payment(self, funded_trio, monkeypatch):
+        _net, alice, bob, carol = funded_trio
+        state = alice.purchase()
+        checked = self._count_certificate_checks(monkeypatch, state.coin)
+        alice.issue("bob", state.coin_y)
+        assert len(checked) == 1
+        bob.transfer("carol", state.coin_y)
+        assert len(checked) == 2
+        alice.depart()
+        carol.transfer_via_broker("bob", state.coin_y)
+        assert len(checked) == 3 and state.coin_y in bob.wallet
+
+    @pytest.mark.parametrize("swap", ("another-valid-coin", "re-signed", "corrupted"))
+    def test_a_completion_with_other_bytes_is_still_verified_and_refused(
+        self, funded_trio, monkeypatch, swap
+    ):
+        from repro.messages.codec import decode, encode
+        from repro.messages.envelope import seal
+
+        _net, alice, bob, _carol = funded_trio
+        state = alice.purchase()
+        if swap == "another-valid-coin":
+            other = alice.purchase().coin.encode()
+        elif swap == "re-signed":  # the same certificate body, sealed by the payer
+            other = seal(alice.identity, state.coin.payload).encode()
+        else:
+            fields = decode(state.coin.encode())
+            other = encode(dict(fields, sig_s=fields["sig_s"] ^ 1))
+        assert other != state.coin.encode()
+        real = alice._completion_payload
+        monkeypatch.setattr(
+            alice, "_completion_payload", lambda *args: dict(real(*args), coin=other)
+        )
+        with pytest.raises(ProtocolError, match="coin does not match the offer"):
+            alice.issue("bob", state.coin_y)
+        assert state.coin_y not in bob.wallet
+
+
 class TestPublicOperationsStayOnPeer:
     def test_the_traced_operations_are_defined_in_peers_own_class_body(self):
         # The benchmark's tracer (benchmarks/e2e/layers.py) patches these

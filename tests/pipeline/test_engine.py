@@ -9,7 +9,10 @@ honest requests sharing a batch with a forgery are unaffected.
 
 from __future__ import annotations
 
+import random
+import secrets
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -123,6 +126,96 @@ class TestForgedRequestInBatch:
         assert "signatures invalid" in bad.error
         assert all(r.ok and r.released for i, r in enumerate(records) if i != victim)
         assert generator.absorb(records) == 2
+
+
+class _VerdictsOnlyPool(VerificationPool):
+    """A pool that hands back verdicts and nothing else (what forked workers
+    do), so the broker opens every request itself — in the same process and
+    with the same random draws as the pool that hands its requests over."""
+
+    def verify(self, jobs, opened=None):
+        return super().verify(jobs)
+
+
+def _seed_secrets(monkeypatch, seed):
+    """Keys, signing nonces and batch multipliers from one seeded stream."""
+    rng = random.Random(seed)
+    monkeypatch.setattr(secrets, "randbelow", rng.randrange)
+    monkeypatch.setattr(secrets, "randbits", rng.getrandbits)
+    monkeypatch.setattr(secrets, "token_bytes", rng.randbytes)
+    monkeypatch.setattr(secrets, "token_hex", lambda nbytes: rng.randbytes(nbytes).hex())
+
+
+class TestHandedRequests:
+    """The inline pool hands the broker the requests it opened; a broker that
+    opens them itself must not be told apart from outside."""
+
+    def _run(self, monkeypatch, root, pool_class):
+        _seed_secrets(monkeypatch, 77)
+        generator = LoadGenerator(
+            peers=3, coins_per_peer=2, params=PARAMS_TEST_512, store_dir=root, seed=13,
+            mix=WorkloadMix(transfer=0.5, renewal=0.3, purchase=0.2),
+        )
+        opened = []
+        real_open = protocol.open_holder_request
+        monkeypatch.setattr(
+            protocol, "open_holder_request",
+            lambda *args: opened.append(len(args)) or real_open(*args),
+        )
+        wire = _wire(generator.make_round(8))
+        transfers = [i for i, (kind, *_rest) in enumerate(wire) if kind == protocol.DOWNTIME_TRANSFER]
+        forged, misrouted, replayed = transfers[:3]
+        kind, src, data, idem = wire[forged]
+        wire[forged] = (kind, src, _forge_group_signature(data, generator.params), idem)
+        _kind, src, data, idem = wire[misrouted]
+        wire[misrouted] = (protocol.DOWNTIME_RENEWAL, src, data, idem)
+        kind, src, data, _idem = wire[replayed]
+        wire.append((kind, src, data, "replay-same-window"))
+        later = [(kind, src, data, "replay-next-window")]
+
+        pool = pool_class(generator.params, generator.broker.public_key, [generator._gpk])
+        committer = GroupCommitter(generator.broker.store, max_batch=4)
+        engine = ThroughputEngine(generator.broker, pool=pool, committer=committer, verify_batch=16)
+        records, stats = engine.run(wire)
+        more, _stats = engine.run(later)
+        return SimpleNamespace(
+            # accept/reject set, replies, errors and LSNs, in submission order
+            outcome=[(r.kind, r.idem, r.ok, r.reply, r.error, r.durable_lsn) for r in records + more],
+            journal=generator.broker.store.journal_path.read_bytes(),
+            preverified=stats.preverified,
+            opened=opened,
+            holder_jobs=sum(kind != protocol.PURCHASE for kind, *_rest in wire + later),
+            broker=generator.broker,
+            forged=forged, misrouted=misrouted, replayed=replayed,
+        )
+
+    def test_handed_and_parsed_requests_are_indistinguishable(self, monkeypatch, tmp_path):
+        handed = self._run(monkeypatch, tmp_path / "handed", VerificationPool)
+        parsed = self._run(monkeypatch, tmp_path / "parsed", _VerdictsOnlyPool)
+        assert handed.outcome == parsed.outcome
+        assert handed.journal == parsed.journal  # byte for byte
+        errors = {index: row[4] for index, row in enumerate(handed.outcome) if not row[2]}
+        assert sorted(errors) == [handed.forged, handed.misrouted, 8, 9]
+        assert "signatures invalid" in errors[handed.forged]
+        assert errors[handed.misrouted] == (
+            "ProtocolError: a transfer request cannot be served as whopay.downtime_renewal"
+        )
+        assert handed.outcome[handed.replayed][2]
+        assert errors[8] == errors[9] and errors[8].startswith("NotHolder")
+        assert handed.preverified == 7  # nine jobs: one forged, one twice in the window
+
+    def test_each_request_is_opened_once_and_handed_once(self, monkeypatch, tmp_path):
+        handed = self._run(monkeypatch, tmp_path / "handed", VerificationPool)
+        # Two arguments: the pool's kind-less call, once per holder job.
+        # Three: the broker's own, for the two requests no pool handed it —
+        # the forged one, and the replay that shared a window (and so one
+        # entry, which went to the original) with the request it copies.  The
+        # replay in the next window was vouched for alone, handed, consumed.
+        assert handed.opened.count(2) == handed.holder_jobs
+        assert handed.opened.count(3) == 2
+        assert handed.broker._preverified == {}
+        parsed = self._run(monkeypatch, tmp_path / "parsed", _VerdictsOnlyPool)
+        assert parsed.opened.count(2) == parsed.opened.count(3) == parsed.holder_jobs
 
 
 class TestValidation:

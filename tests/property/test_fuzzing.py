@@ -159,7 +159,7 @@ def _pool_and_judge_verdicts(rig, data):
     return pool.verify([(JOB_HOLDER, data)])[0], verify_relinquishment(data, P, net.judge, coin_y)
 
 
-def _assert_refused_without_trace(rig, kind, server, payload):
+def _assert_refused_without_trace(rig, kind, server, payload, error=ProtocolError):
     import dataclasses
 
     net, alice, _bob, coin_y = rig
@@ -174,7 +174,7 @@ def _assert_refused_without_trace(rig, kind, server, payload):
         }
 
     before = trace()
-    with pytest.raises(ProtocolError):
+    with pytest.raises(error):
         net.transport.request("bob", server, kind, payload)
     after = trace()
     # The one thing that may move: the endpoint counting the request it got.
@@ -204,6 +204,23 @@ class TestHolderEndpointFuzz:
             payload = {"envelope": data, "payee": "carol", "nonce": b"n" * 16}
         _assert_refused_without_trace(holder_rig, kind, server, payload)
         # The pool and the judge read the same bytes the same way.
+        assert _pool_and_judge_verdicts(holder_rig, data) == (False, None)
+
+    @pytest.mark.parametrize("version", (10**6, 1 << 70))
+    @pytest.mark.parametrize("kind,op,server", HOLDER_ENDPOINTS)
+    def test_a_roster_version_the_judge_never_issued(self, holder_rig, kind, op, server, version):
+        # Well-formed, so it opens — and the snapshot it names does not exist.
+        # That used to leave both servers as a bare GroupSignatureError.
+        import dataclasses
+
+        from repro.core.errors import VerificationFailed
+
+        envelope = protocol.decode_dual(_sealed(holder_rig, op), P)
+        data = protocol.encode_dual(dataclasses.replace(envelope, roster_version=version))
+        payload = data
+        if kind == protocol.TRANSFER_REQUEST:
+            payload = {"envelope": data, "payee": "carol", "nonce": b"n" * 16}
+        _assert_refused_without_trace(holder_rig, kind, server, payload, VerificationFailed)
         assert _pool_and_judge_verdicts(holder_rig, data) == (False, None)
 
     @pytest.mark.parametrize("kind,op,server", HOLDER_ENDPOINTS)

@@ -19,7 +19,7 @@ from repro.crypto.params import PARAMS_TEST_512
 from repro.messages.codec import decode, encode
 from repro.net.rpc import RetryPolicy
 from repro.net.transport import NodeOffline, Transport
-from repro.store.crashpoints import CrashPointPlan
+from repro.store.crashpoints import CrashPointPlan, SimulatedCrash
 from repro.store.journal import DurableStore
 from repro.store.recovery import RecoveryError, RecoveryManager
 
@@ -318,3 +318,57 @@ class TestPeerRecovery:
         net.add_peer("alice", PeerConfig(balance=5))
         with pytest.raises(ValueError, match="not durable"):
             net.restart_peer("alice")
+
+
+class TestSyncIsOneJournalRecord:
+    """``Peer.sync_with_broker`` journals every binding it adopted and the
+    clean flag as one record — it used to be one fsync per coin and one more
+    for the flag, with a crash between them landing in a state no sync made."""
+
+    def _rebound_while_away(self, tmp_path, sync_mode="proactive"):
+        net = make_net(tmp_path)
+        alice = net.add_peer("alice", PeerConfig(balance=10, durable=True, sync_mode=sync_mode))
+        bob = net.add_peer("bob")
+        coins = [alice.purchase().coin_y for _ in range(2)]
+        for coin_y in coins:
+            alice.issue("bob", coin_y)
+        alice.depart()
+        for coin_y in coins:
+            bob.renew(coin_y)  # owner away: the broker re-binds both coins
+        return net, alice, coins
+
+    def test_a_sync_appends_one_record(self, tmp_path):
+        _net, alice, _coins = self._rebound_while_away(tmp_path)
+        before = alice.store.next_lsn
+        alice.go_online()
+        assert alice.sync_with_broker() == 2
+        assert alice.store.next_lsn == before + 1
+        _state, records, _torn = alice.store.load()
+        assert [mut["type"] for mut in records[-1]["muts"]] == [
+            "owned_put", "owned_put", "owned_clean_all",
+        ]
+
+    @pytest.mark.parametrize("fire_at", range(2))
+    def test_a_crash_during_sync_keeps_all_of_it_or_none(self, tmp_path, fire_at):
+        net, alice, coins = self._rebound_while_away(tmp_path)
+        stale = {coin_y: alice.owned[coin_y].binding.seq for coin_y in coins}
+        plan = alice.store.crash_points = CrashPointPlan(fire_at=fire_at)
+        with pytest.raises(SimulatedCrash):
+            alice.rejoin()
+        assert plan.crossings == fire_at + 1  # the sync has no third boundary to die at
+        net.restart_peer("alice")
+        alice = net.peers["alice"]
+        adopted = [alice.owned[coin_y].binding.seq > stale[coin_y] for coin_y in coins]
+        # Before the fsync the record is lost whole, after it kept whole.
+        assert adopted == [fire_at == 1] * 2
+
+    def test_replaying_the_record_restores_bindings_and_clean_flags(self, tmp_path):
+        net, alice, coins = self._rebound_while_away(tmp_path, sync_mode="lazy")
+        alice.rejoin()  # lazy: every owned coin journaled as possibly stale
+        assert all(alice.owned[coin_y].dirty for coin_y in coins)
+        assert alice.sync_with_broker() == 2
+        adopted = {coin_y: alice.owned[coin_y].binding.encode() for coin_y in coins}
+        net.restart_peer("alice")
+        alice = net.peers["alice"]
+        assert {coin_y: alice.owned[coin_y].binding.encode() for coin_y in coins} == adopted
+        assert not any(state.dirty for state in alice.owned.values())
