@@ -310,6 +310,10 @@ class OwnedCoinState:
     #: retries must stay above it or the DHT's rollback protection (rightly)
     #: rejects them.
     seq_floor: int = 0
+    #: How much of ``relinquishments`` the owner's journal already holds: the
+    #: next ``owned_put`` writes the trail from here on (bookkeeping of the
+    #: peer's store, not coin state — it stays out of comparisons).
+    trail_journaled: int = field(default=0, compare=False)
 
     @property
     def coin_y(self) -> int:

@@ -58,6 +58,10 @@ from repro.store.journal import DurableStore
 #: How long before expiry a holder starts renewing (one quarter of the period).
 RENEWAL_WINDOW_FRACTION = 0.25
 
+#: Offers a payee keeps open at once; past it the oldest gives way, so offers
+#: that are never completed cannot pile up (each holds a key pair and a coin).
+MAX_PENDING_OFFERS = 256
+
 
 @dataclass
 class PeerCounts:
@@ -211,10 +215,20 @@ class Peer(Node):
             self._wal({"type": "wallet_put", "entry": wallet_records.held_entry(held)})
 
     def _wal_owned(self, *states: OwnedCoinState, then: tuple[dict[str, Any], ...] = ()) -> None:
-        """One record: an ``owned_put`` per state, then the ``then`` mutations."""
+        """One record: an ``owned_put`` per state, then the ``then`` mutations.
+
+        Each put carries the relinquishments its coin's previous put did not
+        (``trail_journaled``), so a trail is journaled once however often
+        its coin changes hands.
+        """
         if self.store is not None:
-            puts = [{"type": "owned_put", "entry": wallet_records.owned_entry(s)} for s in states]
+            puts = [
+                {"type": "owned_put", "entry": wallet_records.owned_entry(s, s.trail_journaled)}
+                for s in states
+            ]
             self._wal(*puts, *then)
+            for s in states:
+                s.trail_journaled = len(s.relinquishments)
 
     def _wal_del(self, coin_y: int) -> None:
         self._wal({"type": "wallet_del", "coin_y": coin_y})
@@ -724,6 +738,7 @@ class Peer(Node):
         if not result.get("ok"):
             raise ProtocolError("broker rejected the deposit")
         self._settle(held, "deposit")
+        self.params.forget(held.coin_y)  # the coin is dead, and with it the table its key was promoted to
         self.counts.deposits += 1
         return result["credited"]
 
@@ -911,6 +926,8 @@ class Peer(Node):
         self._pending[nonce] = _PendingOffer(
             coin=coin, coin_bytes=coin_bytes, holder_keypair=holder_keypair, payer=src
         )
+        if len(self._pending) > MAX_PENDING_OFFERS:
+            del self._pending[next(iter(self._pending))]
         return {"holder_y": holder_keypair.public.y, "nonce": nonce}
 
     def _handle_payment_complete(self, src: str, payload: dict[str, Any]) -> dict[str, Any]:
@@ -991,8 +1008,6 @@ class Peer(Node):
             raise NotHolder("request not signed with the bound holder key")
         if self.clock.now() > request.proof.exp_date:
             raise CoinExpired("held binding has expired")
-        # Audit trail: keep the dual-signed request as relinquishment proof.
-        state.relinquishments.append(data)
         return request.operation, state
 
     def _next_binding(self, state: OwnedCoinState, holder_y: int) -> CoinBinding:
@@ -1007,6 +1022,14 @@ class Peer(Node):
             exp_date=self.clock.now() + self.renewal_period,
         )
 
+    def _rebind(self, state: OwnedCoinState, binding: CoinBinding, request: bytes) -> None:
+        """The served request took effect: only now does it join the audit
+        trail, as the proof that the previous binding was relinquished — an
+        entry for a request that failed would accuse its (still live) holder."""
+        state.relinquishments.append(request)
+        state.binding = binding
+        self._wal_owned(state)
+
     def _handle_transfer_request(self, src: str, payload: dict[str, Any]) -> dict[str, Any]:
         """Owner side of Transfer: re-bind the coin and notify the payee."""
         if not isinstance(payload, dict) or not isinstance(payload.get("payee"), str):
@@ -1020,12 +1043,9 @@ class Peer(Node):
         result = self.peer_client.transfer_complete(
             payload["payee"], self._completion_payload(state, binding, operation.nonce)
         )
-        if not result.get("ok"):
-            # Roll back: the payee refused, the old binding stands.
-            state.relinquishments.pop()
+        if not result.get("ok"):  # the payee refused: the old binding stands
             raise ProtocolError(f"payee rejected the transfer: {result.get('reason')}")
-        state.binding = binding
-        self._wal_owned(state)
+        self._rebind(state, binding, payload["envelope"])
         self.counts.transfers_handled += 1
         return {"binding": binding.encode()}
 
@@ -1035,8 +1055,7 @@ class Peer(Node):
         binding = self._next_binding(state, state.binding.holder_y)
         if self.detection is not None:
             self.detection.publish_owner(self, state, binding)
-        state.binding = binding
-        self._wal_owned(state)
+        self._rebind(state, binding, data)
         self.counts.renewals_handled += 1
         return binding.encode()
 

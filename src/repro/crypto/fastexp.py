@@ -35,7 +35,9 @@ transparently:
   left, and a promotion that finds every slot registered is refused
   (native ``pow`` instead) — a roster larger than the cache keeps the
   tables it has rather than evicting and rebuilding them signature after
-  signature.
+  signature.  A promoted table leaves when its base dies (:func:`forget`:
+  a coin's key, at its deposit); the bound is for the bases nobody
+  reports dead.
 
 The module also memoizes subgroup-membership checks (``x**q == 1 mod p``),
 which cost a full exponentiation and are repeated endlessly for the same
@@ -55,6 +57,7 @@ __all__ = [
     "FixedBaseTable",
     "fixed_base",
     "precompute",
+    "forget",
     "mod_pow",
     "multi_exp",
     "is_member",
@@ -296,6 +299,19 @@ def precompute(
 def fixed_base(base: int, modulus: int) -> FixedBaseTable | None:
     """The cached table for ``(base, modulus)``, if one exists."""
     return _lookup(base, modulus)
+
+
+def forget(base: int, modulus: int) -> None:
+    """Drop what promotion holds for a base whose owner says it is dead.
+
+    A deposited coin's key is never exponentiated again, and its table
+    would otherwise sit in the cache until :data:`_MAX_TABLES` pushed it
+    out.  A registered table stays: its owner asked for it by name.
+    """
+    key = (base, modulus)
+    _use_counts.pop(key, None)
+    if key not in _registered:
+        _tables.pop(key, None)
 
 
 def _note_use(base: int, modulus: int, max_bits: int, order: int | None) -> FixedBaseTable | None:

@@ -31,7 +31,6 @@ table-build cost per request.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -202,6 +201,8 @@ class VerificationPool:
         self._pool: Any = None
         self._state: _PoolState | None = None
         if workers > 0:
+            import multiprocessing  # only a forking pool pays for it
+
             blob = fastexp.export_cache() if share_tables else b""
             self.cache_blob_bytes = len(blob)
             methods = multiprocessing.get_all_start_methods()

@@ -83,11 +83,6 @@ from repro.sim.costs import (
 from repro.sim.metrics import SimMetrics, apply_heartbeat_model
 from repro.sim.simulator import RENEWAL_POINT, SimResult, Simulation
 
-try:  # optional accelerator; the pure-Python path is bitwise-identical
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in the dev image
-    _np = None
-
 #: Engine names accepted by :func:`build_simulation`.
 ENGINES = ("reference", "fast")
 
@@ -162,13 +157,21 @@ _BROKER_OP_IDX = tuple(OP_INDEX[op] for op in BROKER_OPS)
 
 
 def _resolve_numpy(use_numpy: bool | None):
-    """The numpy module to accelerate with, or ``None`` for pure Python."""
+    """The numpy module to accelerate with, or ``None`` for pure Python.
+
+    Imported here, when the first :class:`FastSimulation` is built, so a
+    process that only plays a protocol role never loads it.
+    """
     if use_numpy is None:
         env = os.environ.get("WHOPAY_NUMPY", "").strip().lower()
-        if env in ("0", "off", "false", "no"):
-            return None
-        return _np
-    return _np if use_numpy else None
+        use_numpy = env not in ("0", "off", "false", "no")
+    if not use_numpy:
+        return None
+    try:  # optional accelerator; the pure-Python path is bitwise-identical
+        import numpy
+    except ImportError:  # pragma: no cover - numpy is present in the dev image
+        return None
+    return numpy
 
 
 class _BlockStream:

@@ -35,14 +35,16 @@ import atexit
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.core.clock import HOUR
 from repro.sim.config import SimConfig, setup_a_configs, setup_b_configs
 from repro.sim.engine import build_simulation
 from repro.sim.policies import Policy
+
+if TYPE_CHECKING:  # pragma: no cover
+    from concurrent.futures import ProcessPoolExecutor
 
 
 #: Per-row wall-clock stamps — the only row entries that vary run to run.
@@ -190,6 +192,8 @@ def _default_chunksize(n_points: int, workers: int) -> int:
 def _pool(max_workers: int) -> ProcessPoolExecutor:
     """Return the shared executor, (re)building it if the size changed."""
     global _executor, _executor_workers
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: parallel sweeps only
+
     if _executor is None or _executor_workers != max_workers:
         if _executor is not None:
             _executor.shutdown(wait=False, cancel_futures=True)

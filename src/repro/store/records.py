@@ -59,14 +59,20 @@ def held_entry(held: HeldCoin) -> dict[str, Any]:
     }
 
 
-def owned_entry(state: OwnedCoinState) -> dict[str, Any]:
-    """Serialize one owned coin (certificate, coin secret, audit trail)."""
+def owned_entry(state: OwnedCoinState, trail_from: int = 0) -> dict[str, Any]:
+    """Serialize one owned coin (certificate, coin secret, audit trail).
+
+    ``trail_from`` is how much of the trail the reader already holds: a
+    journal record carries only what was relinquished since the coin's
+    previous record, a snapshot (0) the whole trail.
+    """
     return {
         "coin": state.coin.encode(),
         "coin_x": state.coin_keypair.x,
         "binding": state.binding.signed.encode() if state.binding else None,
         "binding_via_broker": state.binding.via_broker if state.binding else False,
-        "relinquishments": list(state.relinquishments),
+        "trail_from": trail_from,
+        "relinquishments": state.relinquishments[trail_from:],
         "dirty": state.dirty,
         "seq_floor": state.seq_floor,
     }
@@ -90,7 +96,12 @@ def restore_held(peer: "Peer", entry: dict[str, Any]) -> HeldCoin:
 
 
 def restore_owned(peer: "Peer", entry: dict[str, Any]) -> OwnedCoinState:
-    """Rebuild (and verify) an owned coin's state from its entry."""
+    """Rebuild (and verify) an owned coin's state from its entry.
+
+    An entry with ``trail_from`` > 0 continues the trail ``peer`` holds for
+    the coin; one without the field (written before it existed) or at 0
+    carries the whole trail.
+    """
     coin = Coin(cert=decode_signed(entry["coin"], peer.params))
     if not coin.verify(peer.broker_key):
         raise VerificationFailed("stored owned-coin certificate invalid")
@@ -105,11 +116,16 @@ def restore_owned(peer: "Peer", entry: dict[str, Any]) -> OwnedCoinState:
         )
         if not binding.verify(coin_keypair.public, peer.broker_key):
             raise VerificationFailed("stored owner binding invalid")
+    trail_from = entry.get("trail_from", 0)
+    known = peer.owned.get(coin.coin_y)
+    base = known.relinquishments[:trail_from] if known is not None else []
+    if len(base) != trail_from:
+        raise VerificationFailed("stored trail continues one this store never wrote")
     return OwnedCoinState(
         coin=coin,
         coin_keypair=coin_keypair,
         binding=binding,
-        relinquishments=list(entry["relinquishments"]),
+        relinquishments=base + list(entry["relinquishments"]),
         dirty=bool(entry["dirty"]),
         seq_floor=int(entry["seq_floor"]),
     )

@@ -229,6 +229,8 @@ class RecoveryManager:
             for mut in record["muts"]:
                 self._apply_peer(peer, mut, wallet_records)
             replayed += 1
+        for state in peer.owned.values():  # snapshot + journal hold every trail in full
+            state.trail_journaled = len(state.relinquishments)
         peer.bind_store(self.store)
         return RecoveryResult(
             entity=peer,

@@ -336,6 +336,33 @@ class TestPayeeVerifiesTheCertificateOnce:
         assert state.coin_y not in bob.wallet
 
 
+class TestPendingOffersAreBounded:
+    """An offer that is never completed used to stay for the life of the
+    payee (a key pair and a certificate each).  Past ``MAX_PENDING_OFFERS``
+    the oldest gives way; the payer it belonged to sees what it would see
+    for any unknown nonce, and offers younger than the bound are untouched."""
+
+    def test_ten_times_the_bound_then_the_newest_offer_completes(self, funded_trio):
+        from repro.core.peer import MAX_PENDING_OFFERS
+
+        _net, alice, bob, carol = funded_trio
+        state = alice.purchase()
+        alice.issue("bob", state.coin_y)
+        coin_bytes = state.coin.encode()
+        nonces = [
+            carol._handle_payment_offer("mallory", coin_bytes)["nonce"]
+            for _ in range(10 * MAX_PENDING_OFFERS)
+        ]
+        assert len(carol._pending) == MAX_PENDING_OFFERS
+        assert list(carol._pending) == nonces[-MAX_PENDING_OFFERS:]  # oldest first out
+        refused = carol._handle_payment_complete("mallory", {"nonce": nonces[0]})
+        assert refused == {"ok": False, "reason": "no pending offer for this nonce"}
+        # The newest offer — a real payment arriving behind the flood — completes.
+        bob.transfer("carol", state.coin_y)
+        assert state.coin_y in carol.wallet
+        assert len(carol._pending) == MAX_PENDING_OFFERS - 1  # it pushed one more out, then left
+
+
 class TestPublicOperationsStayOnPeer:
     def test_the_traced_operations_are_defined_in_peers_own_class_body(self):
         # The benchmark's tracer (benchmarks/e2e/layers.py) patches these

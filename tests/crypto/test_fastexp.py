@@ -219,6 +219,28 @@ class TestCaches:
         assert fastexp.mod_pow(g2, e, p2, order=q2) == pow(g2, e, p2)
 
 
+class TestAdvisoryStateIsBounded:
+    """The two memos that grow with every new key: both run 10x past a
+    (shrunk) bound and stay under it, answers unchanged."""
+
+    def test_use_counters_are_dropped_wholesale_at_the_bound(self, monkeypatch):
+        monkeypatch.setattr(fastexp, "_MAX_COUNTS", 8)
+        for i in range(80):  # each base seen once: counted, never promoted
+            base = pow(P.g, 700 + i, P.p)
+            assert fastexp.mod_pow(base, 5, P.p, order=P.q) == pow(base, 5, P.p)
+            assert len(fastexp._use_counts) <= 8
+        assert not fastexp._tables
+
+    def test_membership_memo_is_least_recently_used_out(self, monkeypatch):
+        monkeypatch.setattr(fastexp, "_MAX_MEMBERS", 8)
+        first = pow(P.g, 800, P.p)
+        for i in range(80):
+            assert fastexp.is_member(pow(P.g, 800 + i, P.p), P.q, P.p)
+            assert fastexp.is_member(first, P.q, P.p)  # kept warm, so kept
+            assert len(fastexp._members) <= 8
+        assert (first, P.q, P.p) in fastexp._members
+
+
 class TestCacheSharing:
     """export_cache/install_cache: how worker pools inherit parent tables."""
 
@@ -408,3 +430,59 @@ class TestPromotionNeverEvictsARegisteredTable:
         small_cache.clear()
         _use(pow(P.g, 500, P.p), times=3)
         assert small_cache == [] and fastexp.fixed_base(coin, P.p) is promoted
+
+
+class TestForget:
+    """A promoted table ends with its base (a deposited coin's key); a table
+    its owner registered is never anybody else's to release."""
+
+    def test_drops_a_promoted_table(self):
+        coin = pow(P.g, 600, P.p)
+        _use(coin)
+        assert fastexp.fixed_base(coin, P.p) is not None
+        fastexp.forget(coin, P.p)
+        assert fastexp.fixed_base(coin, P.p) is None
+        assert (coin, P.p) not in fastexp._use_counts
+        _use(coin, times=1)  # a dead key seen again starts from nothing
+        assert fastexp.fixed_base(coin, P.p) is None
+
+    def test_drops_the_counter_of_a_base_seen_once(self):
+        coin = pow(P.g, 601, P.p)
+        _use(coin, times=1)
+        assert fastexp._use_counts[(coin, P.p)] == 1
+        fastexp.forget(coin, P.p)
+        assert (coin, P.p) not in fastexp._use_counts
+
+    def test_an_unknown_base_is_a_no_op(self):
+        P.fixed_g()
+        fastexp.forget(pow(P.g, 602, P.p), P.p)
+        fastexp.forget(P.g, PARAMS_1024_160.p)  # same base, another modulus
+        assert list(fastexp._tables) == [(P.g, P.p)]
+
+    def test_never_drops_a_registered_table(self):
+        from repro.core.judge import Judge
+
+        judge = Judge(P)  # registers g's neighbour, the opening key
+        judge.register("alice")  # ... and a roster key
+        gpk = judge.group_public_key()
+        named = [P.g, gpk.opening_key.y, gpk.roster[0]]
+        P.fixed_g()
+        tables = [fastexp.fixed_base(base, P.p) for base in named]
+        assert all(table is not None for table in tables)
+        for base in named:
+            fastexp.forget(base, P.p)
+            P.forget(base)  # the seam ``core`` reaches it through
+        assert [fastexp.fixed_base(base, P.p) for base in named] == tables
+
+    def test_a_promoted_table_somebody_then_named_stays(self):
+        coin = pow(P.g, 603, P.p)
+        _use(coin)
+        table = fastexp.precompute(coin, P.p, P.q_bits, order=P.q)
+        P.forget(coin)
+        assert fastexp.fixed_base(coin, P.p) is table
+
+    def test_params_forget_releases_a_promoted_key(self):
+        coin = pow(P.g, 604, P.p)
+        _use(coin)
+        P.forget(coin)
+        assert fastexp.fixed_base(coin, P.p) is None

@@ -175,7 +175,6 @@ class TestFixedBaseTables:
         q.renew(coin_y)
         p.rejoin()
         q.transfer(r.address, coin_y)
-        r.deposit(coin_y)
 
         params, gpk = net.params, net.judge.group_public_key()
         system = {params.g, gpk.opening_key.y}
@@ -184,3 +183,6 @@ class TestFixedBaseTables:
         widths = {base: table.window for (base, _modulus), table in fastexp._tables.items()}
         assert {base for base, window in widths.items() if window != fastexp.CACHED_WINDOW} == system
         assert set(gpk.roster) | {coin_y} <= set(widths)
+        # The coin's promoted table lives as long as the coin: the deposit ends both.
+        r.deposit(coin_y)
+        assert set(widths) - {base for base, _modulus in fastexp._tables} == {coin_y}

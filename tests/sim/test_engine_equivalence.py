@@ -175,10 +175,7 @@ class TestCompatBitIdentical:
 
     @pytest.fixture(autouse=True)
     def _needs_numpy(self):
-        from repro.sim import engine as engine_mod
-
-        if engine_mod._np is None:
-            pytest.skip("numpy not installed; only the fallback path exists")
+        pytest.importorskip("numpy", reason="numpy not installed; only the fallback path exists")
 
     def test_ten_plus_seeds_identical(self):
         for seed in range(12):
@@ -210,10 +207,7 @@ class TestFastDeterministic:
         assert run_metrics(config, "fast") == run_metrics(config, "fast")
 
     def test_numpy_and_fallback_identical(self):
-        from repro.sim import engine as engine_mod
-
-        if engine_mod._np is None:
-            pytest.skip("numpy not installed; only the fallback path exists")
+        pytest.importorskip("numpy", reason="numpy not installed; only the fallback path exists")
         for seed in (0, 5):
             for overrides in ({}, VARIANTS["powerlaw"], VARIANTS["lazy"]):
                 config = cfg(seed=seed, **overrides)
