@@ -28,9 +28,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core import protocol
 from repro.core.coin import HeldCoin, OwnedCoinState
-from repro.core.errors import UnknownCoin, VerificationFailed
+from repro.core.errors import UnknownCoin
 from repro.core.peer import Peer
 from repro.crypto.keys import KeyPair
 from repro.crypto.primitives import int_to_bytes
@@ -59,28 +58,9 @@ class AnonymousOwnerPeer(Peer):
         """Buy an ownerless coin and claim its i3 handle."""
         coin_keypair = KeyPair.generate(self.params)
         handle, token = I3Overlay.mint_handle(int_to_bytes(coin_keypair.x))
-        request = protocol.PurchaseRequest(
-            coin_y=coin_keypair.public.y,
-            value=value,
-            account=account if account is not None else self.address,
-            anonymous=True,
-            handle=handle,
-        )
-        from repro.messages.envelope import seal
-
-        signed = seal(self.identity, request.to_payload())
-        coin_bytes = self.broker_client.purchase(signed.encode(), account=request.account)
-        from repro.core.coin import Coin
-
-        coin = Coin(cert=protocol.decode_signed(coin_bytes, self.params))
-        if not coin.verify(self.broker_key) or coin.handle != handle:
-            raise VerificationFailed("broker returned an invalid anonymous coin")
+        state = self._purchase(coin_keypair, value, account, handle)
         self.i3.insert_trigger(handle, token, self.address, src=self.address)
-        state = OwnedCoinState(coin=coin, coin_keypair=coin_keypair)
-        self.owned[coin.coin_y] = state
-        self._wal_owned(state)
-        self._handle_tokens[coin.coin_y] = token
-        self.counts.purchases += 1
+        self._handle_tokens[state.coin_y] = token
         return state
 
     def release_handle(self, coin_y: int) -> None:

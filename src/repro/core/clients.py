@@ -7,7 +7,7 @@ kinds are rows of :data:`repro.core.protocol.HOLDER_OPS`: one method per
 facade (:meth:`BrokerClient.holder_op`, :meth:`PeerClient.holder_request`)
 sends whichever kind the row names — so:
 
-* idempotency keys and per-call timeouts are threaded in exactly one place
+* idempotency keys and per-call deadlines are threaded in exactly one place
   (every *mutating* exchange gets a fresh key; reads go bare);
 * retry exhaustion maps to one structured error,
   :class:`~repro.core.errors.ServiceUnavailable`, instead of each caller
@@ -88,7 +88,6 @@ class EndpointClient:
         payload: Any,
         *,
         mutating: bool,
-        timeout: float | None = None,
         deadline: float | None = None,
     ) -> Any:
         key = new_idempotency_key() if mutating else None
@@ -99,7 +98,6 @@ class EndpointClient:
                 payload,
                 src=self._src,
                 idempotency_key=key,
-                timeout=timeout,
                 deadline=deadline if deadline is not None else self.deadline,
             )
         except (RetriesExhausted, RpcTimeout) as exc:
@@ -140,33 +138,25 @@ class BrokerClient(EndpointClient):
 
         self.shard_map = shard_map or ShardMap((broker_address,), points_per_shard=1)
 
-    def purchase(
-        self, signed_request: bytes, timeout: float | None = None, *, account: str
-    ) -> bytes:
+    def purchase(self, signed_request: bytes, *, account: str) -> bytes:
         """Mint one coin; returns the encoded coin certificate."""
         return self._call(
             self.shard_map.shard_for_account(account),
             protocol.PURCHASE,
             signed_request,
             mutating=True,
-            timeout=timeout,
         )
 
-    def purchase_batch(
-        self, signed_request: bytes, timeout: float | None = None, *, account: str
-    ) -> Any:
+    def purchase_batch(self, signed_request: bytes, *, account: str) -> Any:
         """Mint a batch of coins; returns the list of encoded certificates."""
         return self._call(
             self.shard_map.shard_for_account(account),
             protocol.PURCHASE_BATCH,
             signed_request,
             mutating=True,
-            timeout=timeout,
         )
 
-    def holder_op(
-        self, op: str, dual_envelope: bytes, timeout: float | None = None, *, coin_y: int
-    ) -> Any:
+    def holder_op(self, op: str, dual_envelope: bytes, *, coin_y: int) -> Any:
         """One of the four holder operations, under the broker kind its row of
         :data:`protocol.HOLDER_OPS` names; returns the broker's reply (a new
         binding, a re-certified coin, or the deposit's result dict)."""
@@ -175,41 +165,33 @@ class BrokerClient(EndpointClient):
             protocol.HOLDER_OPS[op].broker_kind,
             dual_envelope,
             mutating=True,
-            timeout=timeout,
         )
 
-    def sync_challenge(
-        self, timeout: float | None = None, *, shard: str | None = None
-    ) -> bytes:
+    def sync_challenge(self, *, shard: str | None = None) -> bytes:
         """Start a proactive sync; returns the broker's freshness nonce."""
         return self._call(
             shard or self.broker_address,
             protocol.SYNC_CHALLENGE,
             None,
             mutating=True,
-            timeout=timeout,
         )
 
-    def sync(
-        self, signed_challenge: bytes, timeout: float | None = None, *, shard: str | None = None
-    ) -> Any:
+    def sync(self, signed_challenge: bytes, *, shard: str | None = None) -> Any:
         """Complete a proactive sync; returns the missed-binding list."""
         return self._call(
             shard or self.broker_address,
             protocol.SYNC,
             signed_challenge,
             mutating=True,
-            timeout=timeout,
         )
 
-    def binding_query(self, coin_y: int, timeout: float | None = None) -> bytes | None:
+    def binding_query(self, coin_y: int) -> bytes | None:
         """Lazy-sync read of one coin's authoritative binding (idempotent read)."""
         return self._call(
             self.shard_map.shard_for_coin(coin_y),
             protocol.BINDING_QUERY,
             coin_y,
             mutating=False,
-            timeout=timeout,
         )
 
 
@@ -221,30 +203,28 @@ class PeerClient(EndpointClient):
     nonce instead of leaking abandoned pending entries.
     """
 
-    def issue_offer(self, payee: str, coin_cert: bytes, timeout: float | None = None) -> dict[str, Any]:
+    def issue_offer(self, payee: str, coin_cert: bytes) -> dict[str, Any]:
         """Open an issue exchange; returns {holder_y, nonce}."""
-        return self._call(payee, protocol.ISSUE_OFFER, coin_cert, mutating=True, timeout=timeout)
+        return self._call(payee, protocol.ISSUE_OFFER, coin_cert, mutating=True)
 
-    def issue_complete(self, payee: str, payload: dict[str, Any], timeout: float | None = None) -> dict[str, Any]:
+    def issue_complete(self, payee: str, payload: dict[str, Any]) -> dict[str, Any]:
         """Deliver the signed binding closing an issue; returns {ok, reason}."""
-        return self._call(payee, protocol.ISSUE_COMPLETE, payload, mutating=True, timeout=timeout)
+        return self._call(payee, protocol.ISSUE_COMPLETE, payload, mutating=True)
 
-    def transfer_offer(self, payee: str, coin_cert: bytes, timeout: float | None = None) -> dict[str, Any]:
+    def transfer_offer(self, payee: str, coin_cert: bytes) -> dict[str, Any]:
         """Open a transfer exchange; returns {holder_y, nonce}."""
-        return self._call(payee, protocol.TRANSFER_OFFER, coin_cert, mutating=True, timeout=timeout)
+        return self._call(payee, protocol.TRANSFER_OFFER, coin_cert, mutating=True)
 
-    def holder_request(self, owner: str, kind: str, payload: Any, timeout: float | None = None) -> Any:
+    def holder_request(self, owner: str, kind: str, payload: Any) -> Any:
         """Ask the owner to serve a holder operation it may serve — ``kind``
         is ``TRANSFER_REQUEST`` (returns {binding}) or ``RENEW_REQUEST``
         (returns the new binding)."""
-        return self._call(owner, kind, payload, mutating=True, timeout=timeout)
+        return self._call(owner, kind, payload, mutating=True)
 
-    def transfer_complete(self, payee: str, payload: dict[str, Any], timeout: float | None = None) -> dict[str, Any]:
+    def transfer_complete(self, payee: str, payload: dict[str, Any]) -> dict[str, Any]:
         """Deliver the new binding closing a transfer; returns {ok, reason}."""
-        return self._call(payee, protocol.TRANSFER_COMPLETE, payload, mutating=True, timeout=timeout)
+        return self._call(payee, protocol.TRANSFER_COMPLETE, payload, mutating=True)
 
-    def binding_update(self, subscriber: str, record_bytes: bytes, timeout: float | None = None) -> None:
+    def binding_update(self, subscriber: str, record_bytes: bytes) -> None:
         """Push a public-binding change to a monitoring holder."""
-        return self._call(
-            subscriber, protocol.BINDING_UPDATE, record_bytes, mutating=True, timeout=timeout
-        )
+        return self._call(subscriber, protocol.BINDING_UPDATE, record_bytes, mutating=True)

@@ -24,7 +24,7 @@ from repro.core.detection import DetectionService
 from repro.core.judge import Judge
 from repro.core.peer import Peer
 from repro.core.sharding import DEFAULT_POINTS_PER_SHARD, ShardMap
-from repro.core.supervision import CrashHookSupervision, SupervisionPolicy
+from repro.core.supervision import LeaseGatedSupervision
 from repro.crypto.keys import KeyPair
 from repro.crypto.params import DlogParams, default_params
 from repro.dht.binding_store import BindingStore
@@ -149,8 +149,8 @@ class WhoPayNetwork:
         #: broker facade runs behind per-destination circuit breakers and
         #: queues payments aimed at a tripped shard instead of failing.
         self.breaker_config = breaker_config
-        #: The active supervision policy (see :meth:`supervise_broker`).
-        self.supervision: SupervisionPolicy | None = None
+        #: The attached supervisor (see :meth:`supervise_broker`).
+        self.supervision: LeaseGatedSupervision | None = None
         self.sync_mode = sync_mode
         self.renewal_period = renewal_period
         self.peers: dict[str, Peer] = {}
@@ -220,10 +220,9 @@ class WhoPayNetwork:
     def advance(self, seconds: float) -> float:
         """Move simulated time forward (and run one supervision round).
 
-        With a :class:`~repro.core.supervision.LeaseGatedSupervision`
-        attached, each advance emits the heartbeats that came due and runs
-        the detector/lease failover check — time moving is what lets a dead
-        shard be noticed.
+        Under :meth:`supervise_broker`, each advance emits the heartbeats
+        that came due and runs the detector/lease failover check — time
+        moving is what lets a dead shard be noticed.
         """
         now = self.clock.advance(seconds)
         if self.supervision is not None:
@@ -270,24 +269,20 @@ class WhoPayNetwork:
             raise ValueError("the network was not built with store_dir")
         return save_broker_snapshot(target, target.store)
 
-    def supervise_broker(self, policy: SupervisionPolicy | None = None) -> SupervisionPolicy:
-        """Attach a shard-supervision policy (default: legacy crash hooks).
+    def supervise_broker(
+        self, policy: LeaseGatedSupervision | None = None
+    ) -> LeaseGatedSupervision:
+        """Attach a shard supervisor (default liveness configuration if omitted).
 
-        With no argument this preserves the historical behavior —
-        :class:`~repro.core.supervision.CrashHookSupervision` registers
-        transport crash handlers that restart a dying shard *before* the
-        in-flight sender sees ``ReplyLost``, so the sender's retry (same
-        idempotency key) lands on the recovered shard and is deduplicated
-        against the journal-refilled replay cache.
-
-        Pass a :class:`~repro.core.supervision.LeaseGatedSupervision` for
-        the realistic story: no transport magic, shard death is noticed by
-        heartbeat silence (phi-accrual detector) and repaired only after
-        the dead shard's lease lapses.  Returns the attached policy.
+        No transport magic: shard death is noticed by heartbeat silence
+        (phi-accrual detector) and repaired only after the dead shard's
+        lease lapses, on the :meth:`advance` that finds both true.  A
+        supervisor attached earlier is detached first (its monitor leaves
+        the transport).  Returns the attached supervisor.
         """
         if self.supervision is not None:
             self.supervision.detach()
-        self.supervision = policy if policy is not None else CrashHookSupervision()
+        self.supervision = policy if policy is not None else LeaseGatedSupervision()
         self.supervision.attach(self)
         return self.supervision
 

@@ -431,16 +431,34 @@ class Peer(Node):
 
     def purchase(self, value: int = 1, account: str | None = None) -> OwnedCoinState:
         """Buy a coin from the broker (Section 4.2, Purchase)."""
-        coin_keypair = KeyPair.generate(self.params)
+        return self._purchase(KeyPair.generate(self.params), value, account)
+
+    def _purchase(
+        self, coin_keypair: KeyPair, value: int, account: str | None, handle: bytes | None = None
+    ) -> OwnedCoinState:
+        """One purchase round trip: request, verify the reply, record, journal.
+
+        ``handle`` asks for an ownerless coin addressed by that i3 handle
+        (Section 5.2, approach 3); ``None`` for a basic coin.  The coin that
+        comes back must be the broker's, for *this* coin key and with exactly
+        that handle — anything else would be filed under a key or a
+        rendezvous this peer cannot answer for.
+        """
         request = protocol.PurchaseRequest(
             coin_y=coin_keypair.public.y,
             value=value,
             account=account if account is not None else self.address,
+            anonymous=handle is not None,
+            handle=handle,
         )
         signed = seal(self.identity, request.to_payload())
         coin_bytes = self.broker_client.purchase(signed.encode(), account=request.account)
         coin = Coin(cert=protocol.decode_signed(coin_bytes, self.params))
-        if not coin.verify(self.broker_key) or coin.coin_y != coin_keypair.public.y:
+        if (
+            not coin.verify(self.broker_key)
+            or coin.coin_y != coin_keypair.public.y
+            or coin.handle != handle
+        ):
             raise VerificationFailed("broker returned an invalid coin")
         state = OwnedCoinState(coin=coin, coin_keypair=coin_keypair)
         self.owned[coin.coin_y] = state

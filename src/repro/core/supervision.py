@@ -1,13 +1,7 @@
-"""Pluggable broker-shard supervision: crash hooks vs. detector-driven failover.
+"""Broker-shard supervision: detector-driven, lease-gated failover.
 
-:meth:`~repro.core.network.WhoPayNetwork.supervise_broker` historically
-registered transport crash handlers — the transport restarts a dying shard
-synchronously *before* the in-flight sender sees ``ReplyLost``, a trick no
-real deployment has.  That behavior is preserved as
-:class:`CrashHookSupervision`, now just one :class:`SupervisionPolicy`
-among several.
-
-:class:`LeaseGatedSupervision` is the realistic one.  It owns a
+:class:`LeaseGatedSupervision` is what
+:meth:`~repro.core.network.WhoPayNetwork.supervise_broker` attaches.  It owns a
 :class:`HeartbeatMonitor` node on the ordinary transport; every clock
 advance it
 
@@ -40,67 +34,12 @@ from repro.net.liveness import (
 )
 from repro.net.node import Node
 from repro.net.transport import NetworkError
-from repro.store.crashpoints import SimulatedCrash
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.network import WhoPayNetwork
 
 #: Address the lease-gated supervisor's monitor node registers under.
 SUPERVISOR_ADDRESS = "liveness-supervisor"
-
-
-class SupervisionPolicy:
-    """How a :class:`~repro.core.network.WhoPayNetwork` keeps shards alive.
-
-    ``attach(net)`` wires the policy into the network;
-    ``tick(now)`` runs once per :meth:`WhoPayNetwork.advance`;
-    ``detach()`` unwires it.  Policies must be idempotent under repeated
-    ``detach``.
-    """
-
-    def attach(self, net: "WhoPayNetwork") -> None:
-        raise NotImplementedError
-
-    def tick(self, now: float) -> None:  # pragma: no cover - trivial default
-        """Periodic work (heartbeats, failure checks); default none."""
-
-    def detach(self) -> None:  # pragma: no cover - trivial default
-        """Unwire from the network; default none."""
-
-
-class CrashHookSupervision(SupervisionPolicy):
-    """The legacy transport-magic policy: restart inside the crash handler.
-
-    The transport runs the restart *before* the in-flight sender sees
-    ``ReplyLost``, so the sender's retry — same idempotency key — lands on
-    the recovered shard and is deduplicated against the journal-refilled
-    replay cache.  Useful as a deterministic upper bound on availability;
-    unrealistic as a deployment story.
-    """
-
-    def __init__(self) -> None:
-        self._net: "WhoPayNetwork | None" = None
-        self._addresses: list[str] = []
-
-    def attach(self, net: "WhoPayNetwork") -> None:
-        self._net = net
-        self._addresses = []
-        for index in range(len(net.shards)):
-
-            def on_crash(_crash: SimulatedCrash, index: int = index) -> None:
-                net.restart_shard(index)
-
-            address = net.shards[index].address
-            net.transport.set_crash_handler(address, on_crash)
-            self._addresses.append(address)
-
-    def detach(self) -> None:
-        if self._net is None:
-            return
-        for address in self._addresses:
-            self._net.transport.set_crash_handler(address, None)
-        self._addresses = []
-        self._net = None
 
 
 class HeartbeatMonitor(Node):
@@ -146,7 +85,7 @@ class DetectionEvent:
     redriven_handoffs: int
 
 
-class LeaseGatedSupervision(SupervisionPolicy):
+class LeaseGatedSupervision:
     """Detector-driven failover: heartbeat silence → DEAD → lease lapse → restart.
 
     No transport crash handlers are involved: a killed shard fails its
@@ -290,10 +229,8 @@ class LeaseGatedSupervision(SupervisionPolicy):
 
 
 __all__ = [
-    "CrashHookSupervision",
     "DetectionEvent",
     "HeartbeatMonitor",
     "LeaseGatedSupervision",
     "SUPERVISOR_ADDRESS",
-    "SupervisionPolicy",
 ]

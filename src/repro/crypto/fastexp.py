@@ -45,8 +45,9 @@ handful of keys by protocol code.
 
 Thread-safety: the caches are process-local plain dicts guarded by the GIL;
 a racing duplicate build or eviction costs a rebuild, never a wrong power
-(a table is immutable once built).  The parallel sweep runner forks
-workers, each inheriting (then growing) its own copy.
+(a table is immutable once built).  A forked child (the parallel sweep
+runner's workers) inherits, then grows, its own copy; nothing is shipped
+between processes.
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ __all__ = [
     "multi_exp",
     "is_member",
     "clear_caches",
-    "export_cache",
-    "install_cache",
 ]
 
 #: Build-and-cache a table for a base after this many uses with the same
@@ -156,36 +155,6 @@ class FixedBaseTable:
             b = (row[span - 1] * b) % modulus
         self._rows = rows
 
-    @classmethod
-    def restore(
-        cls,
-        base: int,
-        modulus: int,
-        max_bits: int,
-        window: int,
-        order: int | None,
-        rows: list[list[int]],
-    ) -> FixedBaseTable:
-        """Rebuild a table from serialized rows without recomputing them.
-
-        The counterpart of :func:`export_cache`: a worker process installs
-        tables its parent already paid to build.  Rows are trusted input
-        (they come from this process family, not the network) — only their
-        shape is checked.
-        """
-        span = 1 << window
-        n_digits = (max_bits + window - 1) // window
-        if len(rows) != n_digits or any(len(row) != span for row in rows):
-            raise ValueError("serialized table shape does not match its header")
-        table = cls.__new__(cls)
-        table.base = base
-        table.modulus = modulus
-        table.order = order
-        table.window = window
-        table.max_bits = max_bits
-        table._rows = rows
-        return table
-
     def pow(self, exponent: int) -> int:
         """``base ** exponent mod modulus`` via table lookups only."""
         if self.order is not None:
@@ -212,9 +181,9 @@ class FixedBaseTable:
 # -- global caches ------------------------------------------------------------
 
 _tables: OrderedDict[tuple[int, int], FixedBaseTable] = OrderedDict()  # LRU, oldest first
-#: Keys of ``_tables`` that somebody asked for by name (:func:`precompute`,
-#: :func:`install_cache`), as opposed to promoted by use.  Always a subset of
-#: ``_tables``: promotion never evicts these, and promoted tables go first.
+#: Keys of ``_tables`` that somebody asked for by name (:func:`precompute`),
+#: as opposed to promoted by use.  Always a subset of ``_tables``: promotion
+#: never evicts these, and promoted tables go first.
 _registered: set[tuple[int, int]] = set()
 _use_counts: dict[tuple[int, int], int] = {}
 _members: OrderedDict[tuple[int, int, int], bool] = OrderedDict()
@@ -482,61 +451,6 @@ def multi_exp(
     elif adhoc:
         result = (result * _straus(adhoc, modulus)) % modulus
     return result
-
-
-def export_cache() -> bytes:
-    """Serialize every cached fixed-base table into one canonical blob.
-
-    The tables for long-lived bases (generator, opening key, roster keys,
-    broker key) cost several native exponentiations each to build; a worker
-    pool that forks per run would otherwise rebuild all of them per process.
-    The parent calls this once and ships the blob through the worker
-    initializer, where :func:`install_cache` maps it back in.
-    """
-    from repro.messages.codec import encode
-
-    entries = []
-    for (base, modulus), table in _tables.items():
-        entries.append(
-            {
-                "base": base,
-                "modulus": modulus,
-                "order": table.order,
-                "window": table.window,
-                "max_bits": table.max_bits,
-                "rows": tuple(tuple(row) for row in table._rows),
-            }
-        )
-    return encode(tuple(entries))
-
-
-def install_cache(blob: bytes) -> int:
-    """Install tables serialized by :func:`export_cache`; returns the count.
-
-    A local table for the same ``(base, modulus)`` is kept unless the
-    incoming one is wider, or as wide and longer (a local table is never
-    narrowed).  Installed tables are registered: the parent already paid
-    for them, so a worker's promotions never evict them.
-    """
-    from repro.messages.codec import decode
-
-    installed = 0
-    for entry in decode(blob):
-        key = (entry["base"], entry["modulus"])
-        held = _tables.get(key)
-        if held is not None and (held.window, held.max_bits) >= (entry["window"], entry["max_bits"]):
-            continue
-        table = FixedBaseTable.restore(
-            base=entry["base"],
-            modulus=entry["modulus"],
-            max_bits=entry["max_bits"],
-            window=entry["window"],
-            order=entry["order"],
-            rows=[list(row) for row in entry["rows"]],
-        )
-        _store(key, table, registered=True)
-        installed += 1
-    return installed
 
 
 def is_member(x: int, q: int, p: int, memo: bool = True) -> bool:

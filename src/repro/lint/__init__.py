@@ -19,8 +19,7 @@ codebase carries a handful of load-bearing conventions:
 This package enforces those conventions with a from-scratch static
 analyzer built on stdlib :mod:`ast` only: a rule registry with stable
 ``WPxxx`` codes, per-file and whole-program visitors, ``# wp-lint:
-disable=WPxxx`` suppression pragmas, a committed baseline for
-grandfathered findings, and a CLI::
+disable=WPxxx`` suppression pragmas, and a CLI::
 
     python -m repro.lint [paths] --format text|json
 

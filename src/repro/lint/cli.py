@@ -1,24 +1,18 @@
 """Command-line entry point: ``python -m repro.lint [paths] --format text|json|sarif``.
 
-Exit codes: 0 — clean (every finding baselined, exempted, or suppressed);
-1 — at least one new finding; 2 — usage or I/O error.
+Exit codes: 0 — clean (every finding exempted or suppressed);
+1 — at least one finding; 2 — usage or I/O error.
 
-Defaults (paths, baseline location, per-path rule exemptions) are set once
-in ``pyproject.toml`` so CI, pre-commit hooks, and developers all run the
+Defaults (paths, per-path rule exemptions) are set once in
+``pyproject.toml`` so CI, pre-commit hooks, and developers all run the
 same invocation::
 
     [tool.wp-lint]
     paths = ["src", "benchmarks", "examples"]
-    baseline = "lint-baseline.json"
 
     [tool.wp-lint.exempt]
     # path prefix -> rule codes that do not apply under it
     "benchmarks/bench_crypto_ops.py" = ["WP103"]
-
-Repeat runs reuse a content-hash cache (``.wp-lint-cache.json``): an
-unchanged tree replays the previous result without parsing anything, and a
-partially-changed tree re-runs file-scoped rules only for changed files.
-``--no-cache`` forces a cold run.
 """
 
 from __future__ import annotations
@@ -29,14 +23,8 @@ import os
 import sys
 from typing import Any, Sequence
 
-from repro.lint.baseline import (
-    BaselineError,
-    load_baseline,
-    split_baselined,
-    write_baseline,
-)
-from repro.lint.cache import DEFAULT_CACHE_PATH, LintCache, lint_paths_cached
 from repro.lint.diagnostics import Diagnostic
+from repro.lint.engine import lint_paths
 from repro.lint.registry import get_rules
 from repro.lint.sarif import to_sarif
 
@@ -44,8 +32,6 @@ try:  # pragma: no cover - tomllib ships with 3.11+
     import tomllib
 except ImportError:  # pragma: no cover
     tomllib = None  # type: ignore[assignment]
-
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def _load_config(start_dir: str) -> dict[str, Any]:
@@ -102,9 +88,10 @@ def split_exempt(
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    codes = [rule.code for rule in get_rules()]
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
-        description="WhoPay invariant checker (rules WP101-WP113).",
+        description=f"WhoPay invariant checker (rules {codes[0]}-{codes[-1]}).",
     )
     parser.add_argument(
         "paths",
@@ -116,30 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("text", "json", "sarif"),
         default="text",
         help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        help=f"baseline file (default: [tool.wp-lint] baseline, else {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; every finding counts",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write all current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the content-hash result cache; lint everything cold",
-    )
-    parser.add_argument(
-        "--cache-file",
-        default=DEFAULT_CACHE_PATH,
-        help=f"cache file location (default: {DEFAULT_CACHE_PATH})",
     )
     parser.add_argument(
         "--list-rules",
@@ -160,32 +123,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     config = _load_config(os.getcwd())
     paths = list(args.paths) or list(config.get("paths", [])) or ["src"]
-    baseline_path = args.baseline or config.get("baseline") or DEFAULT_BASELINE
     exempt = _exemption_map(config)
 
-    cache = None if args.no_cache else LintCache.load(args.cache_file)
     try:
-        result, cache_status = lint_paths_cached(paths, cache)
+        result = lint_paths(paths)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     findings, exempted = split_exempt(result.findings, exempt)
-
-    if args.write_baseline:
-        count = write_baseline(baseline_path, findings)
-        print(f"wrote {count} entr{'y' if count == 1 else 'ies'} to {baseline_path}")
-        return 0
-
-    baseline: dict[str, Any] = {}
-    if not args.no_baseline:
-        try:
-            baseline = load_baseline(baseline_path)
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    new, grandfathered, stale = split_baselined(findings, baseline)
 
     if args.format == "json":
         print(
@@ -195,31 +141,21 @@ def main(argv: Sequence[str] | None = None) -> int:
                     "checked_files": result.checked_files,
                     "suppressed": result.suppressed,
                     "exempted": [diag.to_json() for diag in exempted],
-                    "cache": cache_status,
-                    "baselined": [diag.to_json() for diag in grandfathered],
-                    "stale_baseline_entries": stale,
-                    "findings": [diag.to_json() for diag in new],
+                    "findings": [diag.to_json() for diag in findings],
                 },
                 indent=2,
                 sort_keys=True,
             )
         )
     elif args.format == "sarif":
-        print(json.dumps(to_sarif(new), indent=2, sort_keys=True))
+        print(json.dumps(to_sarif(findings), indent=2, sort_keys=True))
     else:
-        for diag in new:
+        for diag in findings:
             print(diag.format_text())
-        for entry in stale:
-            print(
-                f"note: stale baseline entry {entry['fingerprint']} "
-                f"({entry.get('code', '?')} in {entry.get('path', '?')}) — "
-                "the finding is gone; remove the entry"
-            )
         summary = (
-            f"{len(new)} finding(s), {len(grandfathered)} baselined, "
-            f"{result.suppressed} suppressed, {len(exempted)} exempted "
-            f"across {result.checked_files} file(s) [cache: {cache_status}]"
+            f"{len(findings)} finding(s), {result.suppressed} suppressed, "
+            f"{len(exempted)} exempted across {result.checked_files} file(s)"
         )
-        print(("FAIL: " if new else "ok: ") + summary)
+        print(("FAIL: " if findings else "ok: ") + summary)
 
-    return 1 if new else 0
+    return 1 if findings else 0

@@ -1,9 +1,9 @@
 """Diagnostic records: what a rule found, where, and its stable identity.
 
-A diagnostic's *fingerprint* deliberately excludes the line number: baseline
-entries must survive unrelated edits that shift code up or down, and two
-findings with the same code, file, and message are the same grandfathered
-debt wherever they land in the file.
+A diagnostic's *fingerprint* deliberately excludes the line number: a
+code-scanning backend that deduplicates findings across pushes (the SARIF
+output carries it) must see the same finding after unrelated edits shift
+the code up or down.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ class Diagnostic:
 
     @property
     def fingerprint(self) -> str:
-        """Stable identity for baseline matching (line-number independent)."""
+        """Stable identity across pushes (line-number independent)."""
         raw = f"{self.code}|{self.path}|{self.message}"
         return hashlib.sha1(raw.encode("utf-8")).hexdigest()[:16]
 
@@ -34,7 +34,7 @@ class Diagnostic:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
     def to_json(self) -> dict[str, Any]:
-        """JSON-ready dict (used by ``--format json`` and the baseline)."""
+        """JSON-ready dict (used by ``--format json``)."""
         return {
             "path": self.path,
             "line": self.line,
@@ -43,14 +43,3 @@ class Diagnostic:
             "message": self.message,
             "fingerprint": self.fingerprint,
         }
-
-    @classmethod
-    def from_json(cls, entry: dict[str, Any]) -> "Diagnostic":
-        """Rebuild a diagnostic from :meth:`to_json` output (cache reload)."""
-        return cls(
-            path=str(entry["path"]),
-            line=int(entry["line"]),
-            col=int(entry["col"]),
-            code=str(entry["code"]),
-            message=str(entry["message"]),
-        )

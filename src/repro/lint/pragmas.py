@@ -6,8 +6,7 @@ Two comment forms are recognized:
   named codes for findings on that physical line, or anywhere within the
   same (possibly multi-line) statement: a pragma on the closing line of a
   call that spans several lines suppresses a finding anchored at the first.
-  A suppression is a visible, reviewable decision at the violation site;
-  prefer it over the baseline for anything intentional.
+  A suppression is a visible, reviewable decision at the violation site.
 * ``# wp-lint: module=repro.core.whatever`` — within the first few lines of
   a file, override the module name the engine derives from the path.  This
   exists for lint's own test fixtures, which live outside ``src/`` but must

@@ -2,9 +2,9 @@
 
 Hand-rolled against the spec (no dependency): one run, one driver, the
 registered rules as ``reportingDescriptor`` entries, and one ``result``
-per finding.  The baseline fingerprint rides along as a partial
-fingerprint so code-scanning backends deduplicate findings across pushes
-the same way the local baseline does — line-independent.
+per finding.  The diagnostic's line-independent fingerprint rides along
+as a partial fingerprint so code-scanning backends deduplicate findings
+across pushes.
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@
 
 Three pieces:
 
-* :class:`RetryPolicy` — bounded exponential backoff with jitter and a
-  per-call virtual-time budget;
+* :class:`RetryPolicy` — bounded exponential backoff with jitter;
 * :class:`RpcClient` — issues a request under a policy, retrying the
   transient transport failures (:class:`MessageDropped`,
   :class:`ReplyLost`, :class:`LinkPartitioned`) and tagging retried calls
@@ -93,9 +92,7 @@ class RetryPolicy:
     transport semantics, raw wire format.  Backoff before attempt *n+1* is
     ``min(base_delay * multiplier**(n-1), max_delay)`` stretched by up to
     ``jitter`` (a fraction, drawn uniformly), accrued as virtual latency.
-    ``timeout`` bounds the *total* backoff a call may accrue;
-    ``retry_offline`` opts churn (:class:`NodeOffline`) into retrying,
-    which protocol code never wants but infrastructure sweeps may.
+    The time budget is per call (:meth:`RpcClient.call`'s ``deadline``).
     """
 
     max_attempts: int = 1
@@ -103,8 +100,6 @@ class RetryPolicy:
     multiplier: float = 2.0
     max_delay: float = 2.0
     jitter: float = 0.5
-    timeout: float | None = None
-    retry_offline: bool = False
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -202,8 +197,7 @@ class RpcStats:
     retries: int = 0
     recovered: int = 0  # calls that succeeded only after >= 1 retry
     exhausted: int = 0
-    timeouts: int = 0
-    deadline_exceeded: int = 0  # subset of timeouts caused by a deadline
+    deadline_exceeded: int = 0  # calls that raised RpcTimeout
     short_circuits: int = 0  # calls refused by an open circuit breaker
     backoff_accrued: float = 0.0
 
@@ -277,28 +271,23 @@ class RpcClient:
         src: str | None = None,
         idempotency_key: str | None = None,
         policy: RetryPolicy | None = None,
-        timeout: float | None = None,
         deadline: float | None = None,
     ) -> Any:
         """Send ``payload`` to ``dst`` as ``kind``, retrying per policy.
 
-        ``timeout`` (virtual seconds of total backoff) overrides the
-        policy's.  The idempotency envelope is applied only when the
-        effective policy actually retries — single-attempt traffic keeps
-        the raw wire format.
+        The idempotency envelope is applied only when the effective policy
+        actually retries — single-attempt traffic keeps the raw wire format.
 
-        ``deadline`` is a harder bound: the call's total *virtual-time*
-        budget, covering backoff **and** every virtual second the transport
+        ``deadline`` is the call's total *virtual-time* budget, covering
+        backoff **and** every virtual second the transport
         accrues on the call's behalf (per-hop latency, fault-plan jitter,
         nested RPC work inside the handler).  Backoff is clamped so it
         never exceeds the remaining budget, and a reply that lands after
         the budget is spent raises :class:`RpcTimeout` instead of silently
         succeeding late — the caller asked for an answer *in time*, not an
-        answer eventually.  ``None`` (the default) means unbounded, the
-        pre-deadline behavior.
+        answer eventually.  ``None`` (the default) means unbounded.
         """
         active = policy if policy is not None else self.policy
-        budget = timeout if timeout is not None else active.timeout
         wire = payload
         if idempotency_key is not None and active.max_attempts > 1:
             wire = wrap_idempotent(payload, idempotency_key)
@@ -307,14 +296,12 @@ class RpcClient:
             raise CircuitOpen(f"{kind} to {dst}: circuit breaker is open")
         self.stats.calls += 1
         latency_start = self._transport.virtual_latency_accrued
-        waited = 0.0
         last: Exception | None = None
 
         def consumed() -> float:
             return self._transport.virtual_latency_accrued - latency_start
 
         def deadline_exceeded(attempt: int, detail: str) -> RpcTimeout:
-            self.stats.timeouts += 1
             self.stats.deadline_exceeded += 1
             self._record_outcome(dst, ok=False)
             return RpcTimeout(
@@ -330,10 +317,8 @@ class RpcClient:
             except RETRYABLE_ERRORS as exc:
                 last = exc
             except NodeOffline:
-                if not active.retry_offline:
-                    self._record_outcome(dst, ok=False)
-                    raise
-                last = NodeOffline(dst)
+                self._record_outcome(dst, ok=False)
+                raise
             else:
                 if deadline is not None and consumed() > deadline:
                     # The handler ran, but the reply is too late to use:
@@ -347,22 +332,12 @@ class RpcClient:
             if attempt == active.max_attempts:
                 break
             delay = active.backoff(attempt, self.rng)
-            if budget is not None and waited + delay > budget:
-                self.stats.timeouts += 1
-                self._record_outcome(dst, ok=False)
-                raise RpcTimeout(
-                    f"{kind} to {dst}: backoff budget {budget}s exhausted after "
-                    f"{attempt} attempt(s)",
-                    attempts=attempt,
-                    last_error=last,
-                ) from last
             if deadline is not None:
                 remaining = deadline - consumed()
                 if remaining <= 0.0:
                     raise deadline_exceeded(attempt, "(no budget left to retry)") from last
                 # Budget propagation: never back off past the deadline.
                 delay = min(delay, remaining)
-            waited += delay
             self.stats.retries += 1
             self.stats.backoff_accrued += delay
             # Accrue, never sleep: the transport tracks what a real client

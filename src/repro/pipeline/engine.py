@@ -6,7 +6,7 @@ requests with the two batched accelerators wired in:
 1. each verify-batch of requests goes to the :class:`~repro.pipeline.verify.VerificationPool`
    first; the digests of the requests that pass are handed to
    :meth:`~repro.core.broker.Broker.mark_preverified` — beside the holder
-   request the inline pool opened for each — so the broker's handlers skip
+   request the pool opened for each — so the broker's handlers skip
    re-running the signature checks and decode nothing a second time;
 2. with a :class:`~repro.store.groupcommit.GroupCommitter` attached, the
    broker stages each request's journal record instead of fsyncing it, and

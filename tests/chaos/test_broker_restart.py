@@ -30,6 +30,7 @@ from repro.net.rpc import RetryPolicy
 from repro.net.transport import FaultPlan, NodeOffline
 from repro.store.audit import audit_broker
 from repro.store.crashpoints import CrashPointPlan, SimulatedCrash
+from tests.conftest import restart_on_crash
 
 pytestmark = pytest.mark.chaos
 
@@ -67,7 +68,7 @@ def run_storm(seed: int, store_root, n_payments: int = N_PAYMENTS, fire_at: int 
     # fsync boundaries, identically for every run with this seed.
     crash_plan = CrashPointPlan(fire_at=fire_at, seed=seed)
     net.arm_crash_points(crash_plan)
-    net.supervise_broker()
+    restart_on_crash(net)
     fault_plan = FaultPlan(
         seed=seed,
         request_loss=0.05,

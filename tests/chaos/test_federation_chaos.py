@@ -35,6 +35,7 @@ from repro.net.rpc import RetryPolicy
 from repro.net.transport import FaultPlan, NodeOffline
 from repro.store.audit import audit_broker
 from repro.store.crashpoints import CrashPointPlan
+from tests.conftest import restart_on_crash
 
 pytestmark = pytest.mark.chaos
 
@@ -74,7 +75,7 @@ def run_storm(seed: int, store_root, n_payments: int = N_PAYMENTS, fire_at: int 
     # Arm after setup so the storm's own fsync boundaries are enumerated.
     crash_plan = CrashPointPlan(fire_at=fire_at, seed=seed)
     net.arm_crash_points(crash_plan, shard=TARGET_SHARD)
-    net.supervise_broker()
+    restart_on_crash(net)
     fault_plan = FaultPlan(
         seed=seed,
         request_loss=0.05,

@@ -55,3 +55,13 @@ def funded_trio(network):
     bob = network.add_peer("bob", PeerConfig(balance=10))
     carol = network.add_peer("carol")
     return network, alice, bob, carol
+
+
+def restart_on_crash(net):
+    """Restart a shard from its journal inside the transport's crash hook, before
+    the sender sees ``ReplyLost``: for suites that study durability at exact
+    fsync boundaries, not failure detection (that is ``supervise_broker``)."""
+    for index, shard in enumerate(net.shards):
+        net.transport.set_crash_handler(
+            shard.address, lambda _crash, index=index: net.restart_shard(index)
+        )

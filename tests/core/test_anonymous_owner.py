@@ -2,11 +2,15 @@
 
 import pytest
 
+from repro.core import protocol
 from repro.core.anonymous_owner import AnonymousOwnerPeer
+from repro.core.coin import Coin
 from repro.core.errors import VerificationFailed
 from repro.core.network import WhoPayNetwork
+from repro.crypto.keys import KeyPair
 from repro.crypto.params import PARAMS_TEST_512
 from repro.indirection.i3 import I3Overlay
+from repro.store.journal import DurableStore
 
 
 def add_anonymous_peer(net, i3, address, balance=0, **kwargs):
@@ -60,6 +64,61 @@ class TestAnonymousPurchase:
     def test_forces_lazy_sync(self, rig):
         _net, _i3, alice, _bob, _carol = rig
         assert alice.sync_mode == "lazy"
+
+
+class TestPurchaseReplyIsChecked:
+    """The coin in the reply must be the one asked for: the broker's
+    certificate, *this* coin key, exactly the requested handle (none for a
+    basic coin).  Both purchase methods take the one checked path."""
+
+    @pytest.fixture()
+    def dana(self, rig, tmp_path):
+        net, i3, *_peers = rig
+        return add_anonymous_peer(
+            net, i3, "dana", balance=5, store=DurableStore(tmp_path / "dana")
+        )
+
+    def _reply_with(self, net, peer, monkeypatch, build):
+        """Answer ``peer``'s purchases with a broker-signed coin of ``build``'s making."""
+
+        def purchase(signed_request, *, account):
+            signed = protocol.decode_signed(signed_request, net.params)
+            request = protocol.PurchaseRequest.from_payload(signed.payload)
+            return build(net.broker.keypair, request).encode()
+
+        monkeypatch.setattr(peer.broker_client, "purchase", purchase)
+
+    def _assert_refused(self, peer, purchase):
+        lsn = peer.store.next_lsn
+        with pytest.raises(VerificationFailed):
+            purchase()
+        assert peer.owned == {}
+        assert peer.store.next_lsn == lsn
+        assert peer.counts.purchases == 0
+
+    def test_ownerless_coin_for_another_coin_key_is_refused(self, rig, dana, monkeypatch):
+        # A valid certificate, the requested handle, somebody else's coin key:
+        # filed, it would sit under a key dana cannot sign for.
+        net = rig[0]
+        other = KeyPair.generate(net.params).public.y
+        self._reply_with(
+            net, dana, monkeypatch,
+            lambda broker, request: Coin.build(
+                broker, other, request.value, None, None, handle=request.handle
+            ),
+        )
+        self._assert_refused(dana, dana.purchase_anonymous)
+        assert dana._handle_tokens == {}
+
+    def test_ownerless_coin_for_a_basic_purchase_is_refused(self, rig, dana, monkeypatch):
+        net = rig[0]
+        self._reply_with(
+            net, dana, monkeypatch,
+            lambda broker, request: Coin.build(
+                broker, request.coin_y, request.value, None, None, handle=b"h" * 32
+            ),
+        )
+        self._assert_refused(dana, dana.purchase)
 
 
 class TestAnonymousPayments:

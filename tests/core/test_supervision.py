@@ -2,9 +2,9 @@
 
 No transport crash handlers anywhere in this file: shards die silently,
 heartbeat silence drives a phi-accrual detector, and only DEAD + lapsed
-lease triggers a journal restart plus handoff re-drive.  The legacy
-crash-hook path is exercised elsewhere (the federation chaos sweep);
-here it appears only to prove the policies are interchangeable.
+lease triggers a journal restart plus handoff re-drive.  (The crash-point
+suites restart through ``tests.conftest.restart_on_crash`` instead: they
+study durability at fsync boundaries, not detection.)
 """
 
 import pytest
@@ -12,11 +12,7 @@ import pytest
 from repro.core.broker import handoff_id
 from repro.core.coin import Coin
 from repro.core.network import BrokerTopology, PeerConfig, WhoPayNetwork
-from repro.core.supervision import (
-    SUPERVISOR_ADDRESS,
-    CrashHookSupervision,
-    LeaseGatedSupervision,
-)
+from repro.core.supervision import SUPERVISOR_ADDRESS, LeaseGatedSupervision
 from repro.crypto.keys import KeyPair
 from repro.crypto.params import PARAMS_TEST_512
 from repro.net.liveness import DEAD, BreakerConfig, LivenessConfig
@@ -54,18 +50,24 @@ def advance_until(net, predicate, step=TICK, limit=120):
 
 
 class TestPolicyPlumbing:
-    def test_default_policy_is_the_legacy_crash_hooks(self):
+    def test_default_policy_is_lease_gated(self):
         net = build_net()
         policy = net.supervise_broker()
-        assert isinstance(policy, CrashHookSupervision)
+        assert isinstance(policy, LeaseGatedSupervision)
         assert net.supervision is policy
+        assert net.transport.is_online(SUPERVISOR_ADDRESS)
+        assert not net.transport.crash_handlers  # no transport magic
 
     def test_swapping_policies_detaches_the_old_one(self):
         net = build_net()
-        net.supervise_broker(LeaseGatedSupervision(LIVENESS))
-        assert net.transport.is_online(SUPERVISOR_ADDRESS)
-        net.supervise_broker()  # back to crash hooks: monitor must unwire
-        assert not net.transport.is_online(SUPERVISOR_ADDRESS)
+        old = net.supervise_broker(LeaseGatedSupervision(LIVENESS))
+        old_monitor = old.monitor
+        assert net.transport.node(SUPERVISOR_ADDRESS) is old_monitor
+        # The new monitor takes the same address, which a transport refuses
+        # while the old one is still registered.
+        new = net.supervise_broker()
+        assert old.monitor is None
+        assert net.transport.node(SUPERVISOR_ADDRESS) is new.monitor is not old_monitor
 
 
 class TestHeartbeatFlow:

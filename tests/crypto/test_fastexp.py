@@ -241,78 +241,6 @@ class TestAdvisoryStateIsBounded:
         assert (first, P.q, P.p) in fastexp._members
 
 
-class TestCacheSharing:
-    """export_cache/install_cache: how worker pools inherit parent tables."""
-
-    def test_export_install_round_trip(self):
-        fastexp.precompute(P.g, P.p, P.q.bit_length(), order=P.q)
-        blob = fastexp.export_cache()
-        assert blob
-        fastexp.clear_caches()
-        assert fastexp.fixed_base(P.g, P.p) is None
-        assert fastexp.install_cache(blob) == 1
-        table = fastexp.fixed_base(P.g, P.p)
-        assert table is not None and table.order == P.q
-        e = secrets.randbelow(P.q)
-        assert table.pow(e) == pow(P.g, e, P.p)
-
-    def test_install_never_downgrades_a_wider_local_table(self):
-        fastexp.precompute(P.g, P.p, 16)
-        blob = fastexp.export_cache()  # narrow table in the blob
-        fastexp.clear_caches()
-        fastexp.precompute(P.g, P.p, P.q.bit_length(), order=P.q)
-        wide = fastexp.fixed_base(P.g, P.p)
-        assert fastexp.install_cache(blob) == 0
-        assert fastexp.fixed_base(P.g, P.p) is wide
-
-    def test_install_upgrades_a_narrower_local_table(self):
-        fastexp.precompute(P.g, P.p, P.q.bit_length(), order=P.q)
-        blob = fastexp.export_cache()
-        fastexp.clear_caches()
-        fastexp.precompute(P.g, P.p, 16)
-        assert fastexp.install_cache(blob) == 1
-        table = fastexp.fixed_base(P.g, P.p)
-        assert table is not None and table.max_bits >= P.q.bit_length()
-
-    def test_empty_cache_round_trips(self):
-        assert fastexp.install_cache(fastexp.export_cache()) == 0
-
-    def test_round_trip_keeps_width_and_registers_what_it_installs(self):
-        fastexp.precompute(P.g, P.p, P.q_bits, order=P.q, window=fastexp.SYSTEM_WINDOW)
-        roster_key, coin_key = pow(P.g, 5, P.p), pow(P.g, 6, P.p)
-        fastexp.precompute(roster_key, P.p, P.q_bits, order=P.q)
-        for _ in range(fastexp.PROMOTE_AFTER):
-            fastexp.mod_pow(coin_key, 3, P.p, order=P.q)
-        blob = fastexp.export_cache()
-        fastexp.clear_caches()
-        assert fastexp.install_cache(blob) == 3
-        windows = {base: fastexp.fixed_base(base, P.p).window for base in (P.g, roster_key, coin_key)}
-        assert windows == {
-            P.g: fastexp.SYSTEM_WINDOW,
-            roster_key: fastexp.CACHED_WINDOW,
-            coin_key: fastexp.CACHED_WINDOW,
-        }
-        assert fastexp._registered == set(fastexp._tables)  # the parent paid for all three
-        for e in (0, 1, 255, 256, P.q - 1, secrets.randbelow(P.q)):
-            assert fastexp.fixed_base(P.g, P.p).pow(e) == pow(P.g, e, P.p)
-
-    def test_install_never_narrows_a_byte_wide_local_table(self):
-        fastexp.precompute(P.g, P.p, P.q_bits, order=P.q)
-        blob = fastexp.export_cache()  # width-5 table in the blob
-        fastexp.clear_caches()
-        wide = fastexp.precompute(P.g, P.p, P.q_bits, order=P.q, window=fastexp.SYSTEM_WINDOW)
-        assert fastexp.install_cache(blob) == 0
-        assert fastexp.fixed_base(P.g, P.p) is wide
-
-    def test_install_keeps_a_wide_short_local_table_over_a_narrow_long_one(self):
-        fastexp.precompute(P.g, P.p, P.p_bits, order=P.q)  # width 5, 512 bits
-        blob = fastexp.export_cache()
-        fastexp.clear_caches()
-        wide = P.fixed_g()  # byte-wide, q_bits
-        assert fastexp.install_cache(blob) == 0
-        assert fastexp.fixed_base(P.g, P.p) is wide
-
-
 class TestWindowIsAFloor:
     def test_wide_request_rebuilds_a_narrow_table_and_never_the_reverse(self):
         narrow = fastexp.precompute(P.g, P.p, P.q_bits, order=P.q)

@@ -42,16 +42,13 @@ from repro.sim.runner import run_sweep_parallel, shutdown_pool
 net = WhoPayNetwork(params=PARAMS_TEST_512)
 alice = net.add_peer("alice")
 pool_args = (net.params, net.broker.public_key, [net.judge.group_public_key()])
-VerificationPool(*pool_args, workers=0).close()
+VerificationPool(*pool_args).close()
 tiny = SimConfig(n_peers=12, duration=20_000.0, renewal_period=8_000.0)
 build_simulation(tiny, "reference")
-note("a network, an inline pool, the reference engine")
+note("a network, a verification pool, the reference engine")
 
 build_simulation(tiny, "fast")
 note("fast engine built")
-
-VerificationPool(*pool_args, workers=1).close()
-note("forking pool built")
 
 run_sweep_parallel([replace(tiny, seed=seed) for seed in (1, 2)], max_workers=2)
 shutdown_pool()
@@ -71,8 +68,7 @@ def test_each_heavy_module_arrives_with_its_first_user():
     numpy = ["numpy"] if importlib.util.find_spec("numpy") is not None else []
     assert steps == {
         "roles imported": [],
-        "a network, an inline pool, the reference engine": [],
+        "a network, a verification pool, the reference engine": [],
         "fast engine built": numpy,
-        "forking pool built": numpy + ["multiprocessing"],
         "parallel sweep run": numpy + ["multiprocessing", "concurrent.futures"],
     }

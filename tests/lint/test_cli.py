@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 import os
 
+import pytest
+
 from repro.lint.cli import main, split_exempt
 from repro.lint.diagnostics import Diagnostic
+from repro.lint.registry import get_rules
 from repro.lint.sarif import SARIF_VERSION
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -15,8 +18,8 @@ SRC = os.path.join(HERE, "..", "..", "src")
 
 
 def test_self_check_committed_tree_is_clean(capsys):
-    """`python -m repro.lint src/` exits 0 with zero findings, no baseline."""
-    code = main([SRC, "--no-baseline", "--no-cache", "--format", "json"])
+    """`python -m repro.lint src/` exits 0 with zero findings."""
+    code = main([SRC, "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["findings"] == []
@@ -24,26 +27,25 @@ def test_self_check_committed_tree_is_clean(capsys):
 
 
 def test_bad_fixture_fails_with_exit_1(capsys):
-    code = main([os.path.join(FIXTURES, "wp103_bad.py"), "--no-baseline", "--no-cache"])
+    code = main([os.path.join(FIXTURES, "wp103_bad.py")])
     out = capsys.readouterr().out
     assert code == 1
     assert "WP103" in out
-    assert "file(s) [cache: disabled]" in out.strip().splitlines()[-1]
+    summary = out.strip().splitlines()[-1]
+    assert summary.startswith("FAIL: ") and summary.endswith("across 1 file(s)")
 
 
 def test_json_format_shape(capsys):
     code = main(
         [
             os.path.join(FIXTURES, "wp104_bad.py"),
-            "--no-baseline",
-            "--no-cache",
             "--format",
             "json",
         ]
     )
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
-    assert payload["cache"] == "disabled"
+    assert set(payload) == {"version", "checked_files", "suppressed", "exempted", "findings"}
     assert {f["code"] for f in payload["findings"]} == {"WP104"}
     for finding in payload["findings"]:
         assert set(finding) == {"path", "line", "col", "code", "message", "fingerprint"}
@@ -53,8 +55,6 @@ def test_sarif_format_from_the_cli(capsys):
     code = main(
         [
             os.path.join(FIXTURES, "wp104_bad.py"),
-            "--no-baseline",
-            "--no-cache",
             "--format",
             "sarif",
         ]
@@ -66,62 +66,20 @@ def test_sarif_format_from_the_cli(capsys):
     assert results and all(r["ruleId"] == "WP104" for r in results)
 
 
-def test_cache_status_transitions(tmp_path, capsys):
-    """cold on first run, full-hit on an unchanged tree, partial after an edit."""
-    cache = str(tmp_path / "cache.json")
-    tree = tmp_path / "tree"
-    tree.mkdir()
-    (tree / "a.py").write_text(
-        "# wp-lint: module=repro.core.a\nx = pow(2, 3)\n", encoding="utf-8"
-    )
-    (tree / "b.py").write_text(
-        "# wp-lint: module=repro.core.b\ny = 1\n", encoding="utf-8"
-    )
-    argv = [str(tree), "--no-baseline", "--cache-file", cache, "--format", "json"]
-
-    main(argv)
-    first = json.loads(capsys.readouterr().out)
-    assert first["cache"] == "cold"
-
-    main(argv)
-    second = json.loads(capsys.readouterr().out)
-    assert second["cache"] == "full-hit"
-
-    (tree / "b.py").write_text(
-        "# wp-lint: module=repro.core.b\ny = 2\n", encoding="utf-8"
-    )
-    main(argv)
-    third = json.loads(capsys.readouterr().out)
-    assert third["cache"] == "partial-hit:1/2"
-
-
-def test_write_baseline_then_clean(tmp_path, capsys):
-    baseline = str(tmp_path / "baseline.json")
-    bad = os.path.join(FIXTURES, "wp102_bad.py")
-    assert main([bad, "--baseline", baseline, "--no-cache", "--write-baseline"]) == 0
-    capsys.readouterr()
-    # Same findings, now grandfathered: exit 0, reported as baselined.
-    code = main([bad, "--baseline", baseline, "--no-cache", "--format", "json"])
+def test_undecodable_file_is_a_finding_not_a_traceback(tmp_path, capsys):
+    (tmp_path / "latin.py").write_bytes(b"\xff")
+    (tmp_path / "fine.py").write_text("x = 1\n", encoding="utf-8")
+    code = main([str(tmp_path), "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert payload["findings"] == []
-    assert len(payload["baselined"]) > 0
-
-
-def test_stale_baseline_entries_surface(tmp_path, capsys):
-    baseline = str(tmp_path / "baseline.json")
-    bad = os.path.join(FIXTURES, "wp104_bad.py")
-    good = os.path.join(FIXTURES, "wp104_good.py")
-    main([bad, "--baseline", baseline, "--no-cache", "--write-baseline"])
-    capsys.readouterr()
-    code = main([good, "--baseline", baseline, "--no-cache"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "stale baseline entry" in out
+    assert code == 1
+    assert payload["checked_files"] == 2
+    [finding] = payload["findings"]
+    assert finding["code"] == "WP100" and finding["path"].endswith("latin.py")
+    assert "not valid UTF-8" in finding["message"]
 
 
 def test_missing_path_is_a_usage_error(capsys):
-    assert main(["definitely/not/a/path.py", "--no-cache"]) == 2
+    assert main(["definitely/not/a/path.py"]) == 2
     assert "error" in capsys.readouterr().err
 
 
@@ -130,6 +88,13 @@ def test_list_rules(capsys):
     out = capsys.readouterr().out
     for code in ("WP101", "WP102", "WP103", "WP104", "WP105"):
         assert code in out
+
+
+def test_description_names_the_registered_range(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    codes = [rule.code for rule in get_rules()]
+    assert f"rules {codes[0]}-{codes[-1]}" in capsys.readouterr().out
 
 
 class TestExemptionMap:

@@ -190,15 +190,6 @@ class TestRpcClient:
             caller.rpc.call("server", "op", {}, policy=RESILIENT_POLICY)
         assert caller.rpc.stats.retries == 0
 
-    def test_retry_offline_opts_in(self):
-        t = Transport()
-        caller = make_counter_node(t, "caller")
-        server = make_counter_node(t, "server")
-        server.go_offline()
-        policy = RetryPolicy(max_attempts=2, base_delay=0.01, retry_offline=True)
-        with pytest.raises(RetriesExhausted):
-            caller.rpc.call("server", "op", {}, policy=policy)
-
     def test_timeout_budget(self):
         t = Transport()
         caller = make_counter_node(t, "caller")
@@ -206,9 +197,11 @@ class TestRpcClient:
         t.install_faults(FaultPlan(seed=1, request_loss=1.0))
         policy = RetryPolicy(max_attempts=10, base_delay=1.0, jitter=0.0)
         with pytest.raises(RpcTimeout) as exc_info:
-            caller.rpc.call("server", "op", {}, policy=policy, timeout=2.5)
-        assert caller.rpc.stats.timeouts == 1
-        assert exc_info.value.attempts >= 1
+            caller.rpc.call("server", "op", {}, policy=policy, deadline=2.5)
+        assert caller.rpc.stats.deadline_exceeded == 1
+        # 1.0s, then the 2.0s backoff clamped to the 1.5s left, then nothing.
+        assert exc_info.value.attempts == 3
+        assert t.virtual_latency_accrued == pytest.approx(2.5)
 
     def test_backoff_accrues_virtual_latency_not_clock(self):
         t = Transport()

@@ -129,9 +129,9 @@ class TestForgedRequestInBatch:
 
 
 class _VerdictsOnlyPool(VerificationPool):
-    """A pool that hands back verdicts and nothing else (what forked workers
-    do), so the broker opens every request itself — in the same process and
-    with the same random draws as the pool that hands its requests over."""
+    """A pool that hands back verdicts and nothing else, so the broker is told
+    ``mark_preverified({digest: None})`` and opens every request itself — with
+    the same random draws as the pool that hands its requests over."""
 
     def verify(self, jobs, opened=None):
         return super().verify(jobs)
@@ -147,7 +147,7 @@ def _seed_secrets(monkeypatch, seed):
 
 
 class TestHandedRequests:
-    """The inline pool hands the broker the requests it opened; a broker that
+    """The pool hands the broker the requests it opened; a broker that
     opens them itself must not be told apart from outside."""
 
     def _run(self, monkeypatch, root, pool_class):

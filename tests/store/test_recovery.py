@@ -22,6 +22,7 @@ from repro.net.transport import NodeOffline, Transport
 from repro.store.crashpoints import CrashPointPlan, SimulatedCrash
 from repro.store.journal import DurableStore
 from repro.store.recovery import RecoveryError, RecoveryManager
+from tests.conftest import restart_on_crash
 
 POLICY = RetryPolicy(max_attempts=6, base_delay=0.01, multiplier=2.0, max_delay=0.1)
 
@@ -234,7 +235,7 @@ class TestReplayCacheAcrossRestart:
         state = alice.purchase()
         alice.issue("bob", state.coin_y)
 
-        net.supervise_broker()
+        restart_on_crash(net)
         plan = CrashPointPlan(fire_at=1, seed=3)  # next append's post_sync
         net.arm_crash_points(plan)
         assert bob.deposit(state.coin_y, payout_to="bob") == 1
