@@ -176,7 +176,7 @@ def run_campaign(quick: bool = False) -> dict:
     def prepared(config: SimConfig) -> SimConfig:
         return _budgeted(config, QUICK_BUDGET) if quick else config
 
-    started = time.perf_counter()  # wp-lint: disable=WP102
+    started = time.perf_counter()
     setup_a: dict[str, list[dict]] = {}
     for policy_name, sync_mode in CONFIGS:
         key = f"{policy_name}+{sync_mode}"
@@ -233,7 +233,7 @@ def run_campaign(quick: bool = False) -> dict:
         "spot_budget_events": SPOT_BUDGET,
         "mu_grid_hours": list(mu_grid),
         "size_grid": list(size_grid),
-        "campaign_wall_s": round(time.perf_counter() - started, 1),  # wp-lint: disable=WP102
+        "campaign_wall_s": round(time.perf_counter() - started, 1),
         "setup_a": setup_a,
         "setup_b": setup_b,
         "ablations": ablations,

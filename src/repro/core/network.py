@@ -360,7 +360,7 @@ class WhoPayNetwork:
             judge=self.judge,
             broker_address=self.broker.address,
             broker_key=self.broker.public_key,
-            sync_mode=self.sync_mode,
+            sync_mode=peer.sync_mode,
             renewal_period=self.renewal_period,
             retry_policy=self.retry_policy,
             shard_map=self.shard_map,

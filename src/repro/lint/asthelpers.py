@@ -5,16 +5,34 @@ from __future__ import annotations
 import ast
 
 
-def dotted_name(node: ast.AST) -> str | None:
-    """``"a.b.c"`` for a Name/Attribute chain, else ``None``."""
+#: Container methods that mutate their receiver in place (a write when the
+#: receiver is a durable field: WP106, WP112, WP113).
+MUTATOR_METHODS = frozenset(
+    {"append", "pop", "setdefault", "update", "clear", "remove", "add",
+     "insert", "extend", "popitem", "discard"}
+)
+
+#: RPC-client receivers: ``<x>.rpc.call(dst, KIND, ..., deadline=...)``.
+_RPC_RECEIVERS = frozenset({"rpc", "_rpc", "_shard_rpc"})
+
+
+def dotted_prefix(expr: ast.AST) -> str | None:
+    """``"a.b.c"`` for a pure Name/Attribute chain, else ``None``."""
     parts: list[str] = []
+    node = expr
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
         node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def chain_parts(expr: ast.AST) -> list[str]:
+    """``["a", "b", "c"]`` for ``a.b.c``; empty for anything but a pure chain."""
+    name = dotted_prefix(expr)
+    return name.split(".") if name else []
 
 
 def receiver_attr(node: ast.AST) -> str | None:
@@ -24,6 +42,11 @@ def receiver_attr(node: ast.AST) -> str | None:
     if isinstance(node, ast.Name):
         return node.id
     return None
+
+
+def is_rpc_call(func: ast.Attribute) -> bool:
+    """``<rpc client>.call`` — the send WP105 resolves and WP114 budgets."""
+    return func.attr == "call" and receiver_attr(func.value) in _RPC_RECEIVERS
 
 
 def identifier_parts(identifier: str) -> set[str]:
@@ -36,6 +59,11 @@ def in_package(module: str, prefixes: tuple[str, ...]) -> bool:
     return any(
         module == prefix or module.startswith(prefix + ".") for prefix in prefixes
     )
+
+
+def guarded(module: str, scope: tuple[str, ...], exempt: tuple[str, ...]) -> bool:
+    """True iff ``module`` is under ``scope`` (empty: anywhere) and not ``exempt``."""
+    return (not scope or in_package(module, scope)) and not in_package(module, exempt)
 
 
 def exception_names(type_node: ast.expr | None) -> set[str]:

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-from repro.lint.resolve import ModuleSymbols, collect_symbols, dotted_prefix
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lint.engine import ModuleInfo, Program
+
+_MAX_ROUNDS = 6
 
 #: Method names too generic to resolve by uniqueness — they collide with
 #: builtin container/str/bytes methods, so a lone program definition of
@@ -95,12 +95,10 @@ class FunctionIndex:
 
     def __init__(self, program: "Program") -> None:
         self.functions: list[FunctionInfo] = []
-        self.symbols: dict[str, ModuleSymbols] = {}
         self._toplevel: dict[tuple[str, str], FunctionInfo] = {}
         self._methods: dict[str, list[FunctionInfo]] = {}
         self._hierarchy = _Hierarchy()
         for info in program.modules:
-            self.symbols[info.module] = collect_symbols(info.tree)
             for stmt in info.tree.body:
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     fn = FunctionInfo(info, stmt, None)
@@ -123,6 +121,23 @@ class FunctionIndex:
         self.by_qualname: dict[str, FunctionInfo] = {
             fn.qualname: fn for fn in self.functions
         }
+        #: method names registered as message handlers via ``node.on(KIND, h)``
+        self.handlers = frozenset(self._handler_names())
+
+    def _handler_names(self) -> Iterator[str]:
+        for fn in self.functions:
+            for node in ast.walk(fn.node):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "on"
+                    and len(node.args) >= 2
+                ):
+                    target = node.args[1]
+                    if isinstance(target, ast.Attribute):
+                        yield target.attr
+                    elif isinstance(target, ast.Name):
+                        yield target.id
 
     def callee_name(self, call: ast.Call) -> str | None:
         """The attribute/function name a call invokes, if syntactically plain."""
@@ -136,19 +151,14 @@ class FunctionIndex:
     def resolve_call(self, call: ast.Call, caller: FunctionInfo) -> list[FunctionInfo]:
         """Candidate definitions a call site may invoke (possibly empty)."""
         func = call.func
-        module = caller.module.module
-        symbols = self.symbols.get(module)
-        if isinstance(func, ast.Name):
-            local = self._toplevel.get((module, func.id))
-            if local is not None:
-                return [local]
-            if symbols is not None:
-                origin = symbols.imported_names.get(func.id)
-                if origin is not None:
-                    target = self._toplevel.get(origin)
-                    if target is not None:
-                        return [target]
-            return []
+        # A plain or module-qualified function: ``helper()``, ``mod.helper()``
+        # — local definitions and imports alike, through the file's bindings.
+        qualified = caller.module.symbols.qualify(func)
+        if qualified is not None:
+            owner, _, name = qualified.rpartition(".")
+            fn = self._toplevel.get((owner or caller.module.module, name))
+            if fn is not None:
+                return [fn]
         if not isinstance(func, ast.Attribute):
             return []
         name = func.attr
@@ -183,21 +193,6 @@ class FunctionIndex:
             ]
             if related:
                 return related
-        # module_alias.function
-        if symbols is not None:
-            prefix = dotted_prefix(func.value)
-            if prefix is not None:
-                head, _, rest = prefix.partition(".")
-                base = symbols.module_aliases.get(head)
-                candidates = []
-                if base is not None:
-                    candidates.append(f"{base}.{rest}" if rest else base)
-                if head in symbols.plain_import_roots:
-                    candidates.append(prefix)
-                for target in candidates:
-                    fn = self._toplevel.get((target, name))
-                    if fn is not None:
-                        return [fn]
         # x.method where the method name is unambiguous program-wide.
         if name not in _BUILTIN_METHOD_NAMES:
             methods = self._methods.get(name, [])
@@ -213,3 +208,25 @@ def get_index(program: "Program") -> FunctionIndex:
         cache = FunctionIndex(program)
         program._dataflow_index = cache  # type: ignore[attr-defined]
     return cache
+
+
+def settle_summaries(
+    functions: Sequence[FunctionInfo],
+    analyze: Callable[[FunctionInfo], object],
+    summaries: dict[str, object],
+) -> None:
+    """Re-analyze ``functions`` until no summary changes (bounded rounds).
+
+    A summary is what a function looks like from its call sites, so a change
+    in one can change its callers'; recursion and long chains stop at
+    ``_MAX_ROUNDS``.
+    """
+    for _ in range(_MAX_ROUNDS):
+        changed = False
+        for fn in functions:
+            summary = analyze(fn)
+            if summary != summaries.get(fn.qualname):
+                summaries[fn.qualname] = summary
+                changed = True
+        if not changed:
+            break

@@ -1,10 +1,12 @@
 """Path-sensitive happens-before checks over handler bodies.
 
-Both analyses here interpret a function's statement list abstractly: each
-branch forks the path-state set, loops iterate to a (bounded) fixpoint,
-``raise`` kills a path — a crash before the reply escapes is safe, the
-journal replays or the operation never happened — and ``return`` is an
-*exit event* the analysis inspects.
+Both analyses here interpret a function's statement list abstractly, and
+with the same interpreter (:class:`_PathAnalysis`): each branch forks the
+path-state set, loops iterate to a (bounded) fixpoint, ``raise`` kills a
+path — a crash before the reply escapes is safe, the journal replays or the
+operation never happened — and ``return`` is an *exit event* the analysis
+inspects.  An analysis supplies the two things that differ: which events a
+statement raises, and how an event moves a path state.
 
 * :class:`ObligationAnalysis` (WP112): a durable-state mutation creates an
   obligation that must be discharged by a covering journal write
@@ -26,35 +28,22 @@ journal replays or the operation never happened — and ``return`` is an
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.lint.dataflow.callgraph import FunctionIndex, FunctionInfo, get_index
-from repro.lint.dataflow.taint import handler_names
+from repro.lint.asthelpers import MUTATOR_METHODS, chain_parts
+from repro.lint.dataflow.callgraph import (
+    FunctionIndex,
+    FunctionInfo,
+    get_index,
+    settle_summaries,
+)
+from repro.lint.diagnostics import Diagnostic
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lint.engine import Program
 
 _LOOP_PASSES = 3
-_MAX_ROUNDS = 6
-
-#: container-mutating method names (a write when called on a durable field)
-MUTATOR_METHODS = frozenset(
-    {"append", "pop", "setdefault", "update", "clear", "remove", "add",
-     "insert", "extend", "popitem", "discard"}
-)
-
-
-def attr_chain(expr: ast.expr) -> list[str]:
-    """Names along a Name/Attribute chain (``a.b.c`` → ``["a","b","c"]``)."""
-    parts: list[str] = []
-    node = expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    return list(reversed(parts))
 
 
 def _header_nodes(stmt: ast.stmt) -> list[ast.AST]:
@@ -99,25 +88,21 @@ def _calls_in_order(stmt: ast.stmt) -> list[ast.Call]:
     return calls
 
 
+def _assigned_targets(stmt: ast.stmt) -> list[ast.expr]:
+    """What a statement assigns to or deletes."""
+    if isinstance(stmt, (ast.Assign, ast.Delete)):
+        return list(stmt.targets)
+    if isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
+        return [stmt.target]
+    return []
+
+
 @dataclass(frozen=True)
 class Site:
     path: str
     line: int
     col: int
     description: str
-
-
-@dataclass(frozen=True)
-class OrderingFinding:
-    path: str
-    line: int
-    col: int
-    message: str
-
-
-# ---------------------------------------------------------------------------
-# WP112 — journal-before-reply obligations
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -131,168 +116,84 @@ class OrderingConfig:
     exempt_functions: frozenset[str]
 
 
-@dataclass
-class _ObligationSummary:
-    leaks: frozenset[Site] = frozenset()
-    always_journals: bool = False
-    mutates: bool = False
+class _PathAnalysis:
+    """The path walker and fixpoint driver WP112 and WP113 instantiate.
 
+    A subclass names its event alphabet in :meth:`_events` (what one
+    statement does, in order), moves a path state over those events in
+    :meth:`_apply`, and folds a function's exit states into a summary its
+    callers' events read in :meth:`_analyze`.
+    """
 
-class ObligationAnalysis:
-    """WP112: every path from a durable mutation to a reply passes a journal."""
+    code: str
 
     def __init__(self, program: "Program", config: OrderingConfig) -> None:
-        self.program = program
         self.config = config
         self.index: FunctionIndex = get_index(program)
-        self.handlers = handler_names(self.index)
-        self.summaries: dict[str, _ObligationSummary] = {}
+        self.summaries: dict[str, object] = {}
+        self.in_scope = [
+            fn
+            for fn in self.index.functions
+            if fn.module.module in config.scope_modules
+            and fn.name not in config.exempt_functions
+        ]
 
-    def _in_scope(self, fn: FunctionInfo) -> bool:
-        return (
-            fn.module.module in self.config.scope_modules
-            and fn.name not in self.config.exempt_functions
-        )
+    # -- the durable-write vocabulary both alphabets share ----------------
 
-    def _is_root(self, fn: FunctionInfo) -> bool:
-        if fn.name in self.handlers:
-            return True
-        return not fn.name.startswith("_")
+    def _durable_field(self, receiver: ast.expr) -> str | None:
+        fields = self.config.durable_fields
+        return next((p for p in chain_parts(receiver) if p in fields), None)
 
-    # -- event classification -------------------------------------------
-
-    def _journal_call(self, call: ast.Call) -> bool:
-        func = call.func
-        if not isinstance(func, ast.Attribute):
-            return False
-        chain = attr_chain(func.value)
-        if func.attr in self.config.journal_methods and chain[:1] == ["self"]:
-            return True
-        if func.attr in ("append", "append_many") and chain and chain[-1] == "store":
-            return True
-        if func.attr == "stage" and any("committer" in part for part in chain):
-            return True
-        return False
-
-    def _mutating_call(self, call: ast.Call) -> Site | None:
+    def _mutating_call(self, call: ast.Call, fn: FunctionInfo) -> Site | None:
         func = call.func
         if not isinstance(func, ast.Attribute) or func.attr not in MUTATOR_METHODS:
             return None
-        chain = attr_chain(func.value)
-        hit = next((p for p in chain if p in self.config.durable_fields), None)
+        hit = self._durable_field(func.value)
         if hit is None:
             return None
-        return Site("", call.lineno, call.col_offset, f"{hit}.{func.attr}(...)")
+        return Site(fn.module.path, call.lineno, call.col_offset, f"{hit}.{func.attr}(...)")
 
-    def _target_mutation(self, target: ast.expr) -> Site | None:
-        if isinstance(target, ast.Subscript):
-            chain = attr_chain(target.value)
-            hit = next((p for p in chain if p in self.config.durable_fields), None)
-            if hit is not None:
-                return Site("", target.lineno, target.col_offset, f"{hit}[...]")
-        elif isinstance(target, ast.Attribute):
-            chain = attr_chain(target.value)
-            if (
-                target.attr in self.config.durable_attrs
-                and chain[:1] != ["self"]
+    def _target_mutations(self, stmt: ast.stmt, fn: FunctionInfo) -> list[Site]:
+        sites: list[Site] = []
+        for target in _assigned_targets(stmt):
+            description = None
+            if isinstance(target, ast.Subscript):
+                hit = self._durable_field(target.value)
+                if hit is not None:
+                    description = f"{hit}[...]"
+            elif (
+                isinstance(target, ast.Attribute)
+                and target.attr in self.config.durable_attrs
+                and chain_parts(target.value)[:1] != ["self"]
             ):
-                return Site(
-                    "", target.lineno, target.col_offset, f".{target.attr} ="
+                description = f".{target.attr} ="
+            if description is not None:
+                sites.append(
+                    Site(fn.module.path, target.lineno, target.col_offset, description)
                 )
-        return None
+        return sites
 
-    def _stmt_events(
-        self, stmt: ast.stmt, fn: FunctionInfo
-    ) -> list[tuple[str, object]]:
-        """Ordered (kind, payload) events: ``("M", Site) | ("J", None) |
-        ``("CALL", summary)`` for resolvable non-primitive callees."""
-        events: list[tuple[str, object]] = []
-        for call in _calls_in_order(stmt):
-            if self._journal_call(call):
-                events.append(("J", None))
-                continue
-            mutation = self._mutating_call(call)
-            if mutation is not None:
-                events.append(("M", mutation))
-                continue
-            for callee in self.index.resolve_call(call, fn):
-                summary = self.summaries.get(callee.qualname)
-                if summary is None:
-                    continue
-                # J before INHERIT: a callee that journals early and then
-                # leaves new mutations pending must not have its own journal
-                # write discharge the sites it leaks to us.
-                if summary.always_journals:
-                    events.append(("J", None))
-                if summary.leaks:
-                    events.append(("INHERIT", summary.leaks))
-        targets: list[ast.expr] = []
-        if isinstance(stmt, ast.Assign):
-            targets = list(stmt.targets)
-        elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-            targets = [stmt.target]
-        elif isinstance(stmt, ast.Delete):
-            targets = list(stmt.targets)
-        for target in targets:
-            mutation = self._target_mutation(target)
-            if mutation is not None:
-                events.append(("M", mutation))
-        return events
+    # -- hooks -------------------------------------------------------------
 
-    def _stmt_has_anchor(self, stmt: ast.stmt, fn: FunctionInfo) -> bool:
-        """Does this statement journal or mutate (for dead-code reporting)?"""
-        return any(kind in ("M", "J") for kind, _ in self._stmt_events(stmt, fn))
+    def _events(self, stmt: ast.stmt, fn: FunctionInfo) -> list[tuple[str, object]]:
+        raise NotImplementedError
 
-    # -- path interpretation --------------------------------------------
+    def _apply(self, events: list[tuple[str, object]], state):
+        raise NotImplementedError
 
-    def _analyze(self, fn: FunctionInfo) -> tuple[_ObligationSummary, set[int]]:
-        """(summary, visited statement line numbers)."""
+    def _analyze(self, fn: FunctionInfo) -> object:
+        raise NotImplementedError
+
+    # -- path interpretation -----------------------------------------------
+
+    def _walk(self, fn: FunctionInfo, initial) -> list:
+        """Every path of ``fn`` from ``initial``: the states at its exits."""
         self._fn = fn
         self._visited: set[int] = set()
-        self._exit_states: list[tuple[frozenset[Site], bool]] = []
-        final = self._exec_block(
-            fn.node.body, {(frozenset(), False)}  # (pending, journaled)
-        )
-        for state in final:  # fall off the end: implicit return
-            self._exit_states.append(state)
-        leaks: set[Site] = set()
-        mutated = False
-        always_journals = bool(self._exit_states)
-        for pending, journaled in self._exit_states:
-            leaks |= pending
-            if not journaled:
-                always_journals = False
-        for stmt in ast.walk(fn.node):
-            if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.Delete, ast.Expr)):
-                for kind, payload in self._stmt_events(stmt, fn):
-                    if kind in ("M", "INHERIT"):
-                        mutated = True
-        return (
-            _ObligationSummary(
-                leaks=frozenset(
-                    Site(fn.module.path, s.line, s.col, s.description) for s in leaks
-                ),
-                always_journals=always_journals,
-                mutates=mutated,
-            ),
-            self._visited,
-        )
-
-    def _apply(
-        self, events: list[tuple[str, object]], state: tuple[frozenset[Site], bool]
-    ) -> tuple[frozenset[Site], bool]:
-        pending, journaled = state
-        for kind, payload in events:
-            if kind == "J":
-                pending, journaled = frozenset(), True
-            elif kind == "M":
-                site: Site = payload  # type: ignore[assignment]
-                pending = pending | {
-                    Site(self._fn.module.path, site.line, site.col, site.description)
-                }
-            elif kind == "INHERIT":
-                pending = pending | payload  # type: ignore[operator]
-        return pending, journaled
+        self._exit_states: list = []
+        # falling off the end is an implicit return
+        self._exit_states.extend(self._exec_block(fn.node.body, {initial}))
+        return self._exit_states
 
     def _exec_block(self, stmts, states):
         for stmt in stmts:
@@ -303,7 +204,7 @@ class ObligationAnalysis:
 
     def _exec_stmt(self, stmt, states):
         self._visited.add(stmt.lineno)
-        events = self._stmt_events(stmt, self._fn)
+        events = self._events(stmt, self._fn)
         states = {self._apply(events, s) for s in states}
         if isinstance(stmt, ast.Return):
             self._exit_states.extend(states)
@@ -347,63 +248,126 @@ class ObligationAnalysis:
             return set()
         return states
 
-    # -- driver ----------------------------------------------------------
 
-    def run(self) -> list[OrderingFinding]:
-        in_scope = [fn for fn in self.index.functions if self._in_scope(fn)]
-        visited_map: dict[str, set[int]] = {}
-        for _ in range(_MAX_ROUNDS):
-            changed = False
-            for fn in in_scope:
-                summary, visited = self._analyze(fn)
-                visited_map[fn.qualname] = visited
-                if summary != self.summaries.get(fn.qualname):
-                    self.summaries[fn.qualname] = summary
-                    changed = True
-            if not changed:
-                break
-        findings: list[OrderingFinding] = []
-        for fn in in_scope:
-            summary = self.summaries[fn.qualname]
-            if summary.leaks and self._is_root(fn):
-                for site in sorted(
-                    summary.leaks, key=lambda s: (s.path, s.line, s.col)
-                ):
+# ---------------------------------------------------------------------------
+# WP112 — journal-before-reply obligations
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _ObligationSummary:
+    leaks: frozenset[Site] = frozenset()
+    always_journals: bool = False
+
+
+class ObligationAnalysis(_PathAnalysis):
+    """WP112: every path from a durable mutation to a reply passes a journal."""
+
+    code = "WP112"
+
+    def _is_root(self, fn: FunctionInfo) -> bool:
+        if fn.name in self.index.handlers:
+            return True
+        return not fn.name.startswith("_")
+
+    def _journal_call(self, call: ast.Call) -> bool:
+        func = call.func
+        if not isinstance(func, ast.Attribute):
+            return False
+        chain = chain_parts(func.value)
+        if func.attr in self.config.journal_methods and chain[:1] == ["self"]:
+            return True
+        if func.attr in ("append", "append_many") and chain and chain[-1] == "store":
+            return True
+        if func.attr == "stage" and any("committer" in part for part in chain):
+            return True
+        return False
+
+    def _events(self, stmt: ast.stmt, fn: FunctionInfo) -> list[tuple[str, object]]:
+        """Ordered (kind, payload) events: ``("M", Site) | ("J", None) |
+        ``("INHERIT", sites)`` for resolvable non-primitive callees."""
+        events: list[tuple[str, object]] = []
+        for call in _calls_in_order(stmt):
+            if self._journal_call(call):
+                events.append(("J", None))
+                continue
+            mutation = self._mutating_call(call, fn)
+            if mutation is not None:
+                events.append(("M", mutation))
+                continue
+            for callee in self.index.resolve_call(call, fn):
+                summary = self.summaries.get(callee.qualname)
+                if summary is None:
+                    continue
+                # J before INHERIT: a callee that journals early and then
+                # leaves new mutations pending must not have its own journal
+                # write discharge the sites it leaks to us.
+                if summary.always_journals:
+                    events.append(("J", None))
+                if summary.leaks:
+                    events.append(("INHERIT", summary.leaks))
+        events.extend(("M", site) for site in self._target_mutations(stmt, fn))
+        return events
+
+    def _apply(self, events, state):
+        pending, journaled = state
+        for kind, payload in events:
+            if kind == "J":
+                pending, journaled = frozenset(), True
+            elif kind == "M":
+                pending = pending | {payload}
+            elif kind == "INHERIT":
+                pending = pending | payload
+        return pending, journaled
+
+    def _analyze(self, fn: FunctionInfo) -> _ObligationSummary:
+        exits = self._walk(fn, (frozenset(), False))  # (pending, journaled)
+        self._reached[fn.qualname] = self._visited
+        return _ObligationSummary(
+            leaks=frozenset().union(*(pending for pending, _ in exits)),
+            always_journals=bool(exits) and all(journaled for _, journaled in exits),
+        )
+
+    def run(self) -> list[Diagnostic]:
+        self._reached: dict[str, set[int]] = {}
+        settle_summaries(self.in_scope, self._analyze, self.summaries)
+        findings: list[Diagnostic] = []
+        for fn in self.in_scope:
+            if self._is_root(fn):
+                for site in self.summaries[fn.qualname].leaks:
                     findings.append(
-                        OrderingFinding(
-                            path=site.path,
-                            line=site.line,
-                            col=site.col,
-                            message=(
-                                f"durable mutation {site.description} can reach a "
-                                f"reply in {fn.name}() without a covering journal "
-                                "write (DurableStore append / GroupCommitter.stage) "
-                                "on every path"
-                            ),
+                        Diagnostic(
+                            site.path,
+                            site.line,
+                            site.col,
+                            self.code,
+                            f"durable mutation {site.description} can reach a "
+                            f"reply in {fn.name}() without a covering journal "
+                            "write (DurableStore append / GroupCommitter.stage) "
+                            "on every path",
                         )
                     )
             # statements with journal/mutation anchors that no path reaches:
             # the "reply moved above the append" regression.
-            visited = visited_map.get(fn.qualname, set())
+            reached = self._reached[fn.qualname]
             for stmt in ast.walk(fn.node):
-                if not isinstance(stmt, ast.stmt) or stmt.lineno in visited:
-                    continue
-                if isinstance(
-                    stmt, (ast.Assign, ast.AugAssign, ast.Delete, ast.Expr)
-                ) and self._stmt_has_anchor(stmt, fn):
+                if (
+                    isinstance(stmt, (ast.Assign, ast.AugAssign, ast.Delete, ast.Expr))
+                    and stmt.lineno not in reached
+                    and any(kind in ("M", "J") for kind, _ in self._events(stmt, fn))
+                ):
                     findings.append(
-                        OrderingFinding(
-                            path=fn.module.path,
-                            line=stmt.lineno,
-                            col=stmt.col_offset,
-                            message=(
-                                f"journal/mutation statement in {fn.name}() is "
-                                "unreachable — a reply returns before the covering "
-                                "journal write"
-                            ),
+                        Diagnostic(
+                            fn.module.path,
+                            stmt.lineno,
+                            stmt.col_offset,
+                            self.code,
+                            f"journal/mutation statement in {fn.name}() is "
+                            "unreachable — a reply returns before the covering "
+                            "journal write",
                         )
                     )
-        return sorted(set(findings), key=lambda f: (f.path, f.line, f.message))
+        return findings
 
 
 # ---------------------------------------------------------------------------
@@ -412,14 +376,9 @@ class ObligationAnalysis:
 
 
 @dataclass(frozen=True)
-class TrustConfig:
-    scope_modules: tuple[str, ...]
+class TrustConfig(OrderingConfig):
     decode_calls: frozenset[str]
     verify_calls: frozenset[str]
-    durable_fields: frozenset[str]
-    durable_attrs: frozenset[str]
-    journal_methods: frozenset[str]
-    exempt_functions: frozenset[str]
 
 
 @dataclass
@@ -430,21 +389,12 @@ class _TrustSummary:
     mutates: bool = False
 
 
-class TrustAnalysis:
+class TrustAnalysis(_PathAnalysis):
     """WP113: untrusted envelope data must be verified before it is trusted."""
 
-    def __init__(self, program: "Program", config: TrustConfig) -> None:
-        self.program = program
-        self.config = config
-        self.index = get_index(program)
-        self.handlers = handler_names(self.index)
-        self.summaries: dict[str, _TrustSummary] = {}
-
-    def _in_scope(self, fn: FunctionInfo) -> bool:
-        return (
-            fn.module.module in self.config.scope_modules
-            and fn.name not in self.config.exempt_functions
-        )
+    code = "WP113"
+    #: ``None`` while summaries settle; a list on the reporting pass after it
+    _findings: list[Diagnostic] | None = None
 
     def _is_verify(self, name: str | None) -> bool:
         if name is None:
@@ -452,35 +402,14 @@ class TrustAnalysis:
         return "verify" in name or name in self.config.verify_calls
 
     def _untrusted_params(self, fn: FunctionInfo) -> frozenset[str]:
-        if fn.name not in self.handlers:
+        if fn.name not in self.index.handlers:
             return frozenset()
         params = fn.param_names()
         return frozenset(params[2:])  # (self, src, payload...) by convention
 
-    def _mutation_site(self, stmt: ast.stmt, fn: FunctionInfo) -> str | None:
-        targets: list[ast.expr] = []
-        if isinstance(stmt, ast.Assign):
-            targets = list(stmt.targets)
-        elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-            targets = [stmt.target]
-        elif isinstance(stmt, ast.Delete):
-            targets = list(stmt.targets)
-        for target in targets:
-            if isinstance(target, ast.Subscript):
-                chain = attr_chain(target.value)
-                hit = next(
-                    (p for p in chain if p in self.config.durable_fields), None
-                )
-                if hit is not None:
-                    return f"{hit}[...]"
-            elif isinstance(target, ast.Attribute):
-                chain = attr_chain(target.value)
-                if target.attr in self.config.durable_attrs and chain[:1] != ["self"]:
-                    return f".{target.attr} ="
-        return None
-
-    def _stmt_events(self, stmt, fn, untrusted):
+    def _events(self, stmt: ast.stmt, fn: FunctionInfo) -> list[tuple[str, object]]:
         """Ordered events: U (untrusted read), V (verification), M (trust sink)."""
+        untrusted = self._untrusted
         events: list[tuple[str, object]] = []
         for header in _header_nodes(stmt):
             for node in ast.walk(header):
@@ -488,7 +417,7 @@ class TrustAnalysis:
                     node.value, ast.Name
                 ):
                     if node.value.id in untrusted:
-                        events.append(("U", node))
+                        events.append(("U", None))
                 elif (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
@@ -496,29 +425,22 @@ class TrustAnalysis:
                     and isinstance(node.func.value, ast.Name)
                     and node.func.value.id in untrusted
                 ):
-                    events.append(("U", node))
+                    events.append(("U", None))
         for call in _calls_in_order(stmt):
+            where = (fn.module.path, call.lineno, call.col_offset)
             name = self.index.callee_name(call)
             if name in self.config.decode_calls:
-                events.append(("U", call))
+                events.append(("U", None))
             elif self._is_verify(name):
-                events.append(("V", call))
+                events.append(("V", None))
             elif (
                 isinstance(call.func, ast.Attribute)
                 and call.func.attr in self.config.journal_methods
-                and attr_chain(call.func.value)[:1] == ["self"]
+                and chain_parts(call.func.value)[:1] == ["self"]
             ):
-                events.append(("M", (call, f"self.{call.func.attr}(...)")))
-            elif (
-                isinstance(call.func, ast.Attribute)
-                and call.func.attr in MUTATOR_METHODS
-            ):
-                chain = attr_chain(call.func.value)
-                hit = next(
-                    (p for p in chain if p in self.config.durable_fields), None
-                )
-                if hit is not None:
-                    events.append(("M", (call, f"{hit}.{call.func.attr}(...)")))
+                events.append(("M", Site(*where, f"self.{call.func.attr}(...)")))
+            elif (mutation := self._mutating_call(call, fn)) is not None:
+                events.append(("M", mutation))
             else:
                 for callee in self.index.resolve_call(call, fn):
                     summary = self.summaries.get(callee.qualname)
@@ -529,125 +451,51 @@ class TrustAnalysis:
                     # a callee that verifies at its own trust boundary
                     # launders the decode (its body is checked separately).
                     if summary.leaks_decode:
-                        events.append(("U", call))
+                        events.append(("U", None))
                     if summary.must_verify:
-                        events.append(("V", call))
+                        events.append(("V", None))
                     if summary.mutates:
-                        events.append(("M", (call, f"{callee.name}(...)")))
-        description = self._mutation_site(stmt, fn)
-        if description is not None:
-            events.append(("M", (stmt, description)))
+                        events.append(("M", Site(*where, f"{callee.name}(...)")))
+        events.extend(("M", site) for site in self._target_mutations(stmt, fn))
         return events
 
-    def _apply(self, events, state, findings):
+    def _apply(self, events, state):
         decoded, verified = state
-        for kind, payload in events:
+        for kind, site in events:
             if kind == "U":
                 decoded = True
             elif kind == "V":
                 verified = True
-            elif kind == "M":
-                node, description = payload  # type: ignore[misc]
-                if decoded and not verified and findings is not None:
-                    findings.append(
-                        OrderingFinding(
-                            path=self._fn.module.path,
-                            line=node.lineno,
-                            col=node.col_offset,
-                            message=(
-                                f"state mutation {description} in {self._fn.name}() "
-                                "uses envelope data with no dominating "
-                                "signature/validation check on this path"
-                            ),
-                        )
+            elif decoded and not verified and self._findings is not None:
+                self._findings.append(
+                    Diagnostic(
+                        site.path,
+                        site.line,
+                        site.col,
+                        self.code,
+                        f"state mutation {site.description} in {self._fn.name}() "
+                        "uses envelope data with no dominating "
+                        "signature/validation check on this path",
                     )
+                )
         return decoded, verified
 
-    def _exec_block(self, stmts, states, findings):
-        for stmt in stmts:
-            if not states:
-                return states
-            states = self._exec_stmt(stmt, states, findings)
-        return states
-
-    def _exec_stmt(self, stmt, states, findings):
-        events = self._stmt_events(stmt, self._fn, self._untrusted)
-        states = {self._apply(events, s, findings) for s in states}
-        if isinstance(stmt, ast.Return):
-            self._exit_states.extend(states)
-            return set()
-        if isinstance(stmt, ast.Raise):
-            return set()
-        if isinstance(stmt, ast.If):
-            return self._exec_block(stmt.body, set(states), findings) | (
-                self._exec_block(stmt.orelse, set(states), findings)
-            )
-        if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-            out = set(states)
-            body_states = set(states)
-            for _ in range(_LOOP_PASSES):
-                body_states = self._exec_block(stmt.body, body_states, findings)
-                if body_states <= out:
-                    break
-                out |= body_states
-            return self._exec_block(stmt.orelse, out, findings) if stmt.orelse else out
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            return self._exec_block(stmt.body, states, findings)
-        if isinstance(stmt, ast.Try):
-            after_body = self._exec_block(stmt.body, set(states), findings)
-            merged = set(after_body)
-            for handler in stmt.handlers:
-                merged |= self._exec_block(handler.body, states | after_body, findings)
-            if stmt.orelse:
-                merged = self._exec_block(stmt.orelse, after_body, findings) | (
-                    merged - after_body
-                )
-            if stmt.finalbody:
-                merged = self._exec_block(stmt.finalbody, merged, findings)
-            return merged
-        if isinstance(stmt, ast.Match):
-            out = set()
-            for case in stmt.cases:
-                out |= self._exec_block(case.body, set(states), findings)
-            return out | states
-        if isinstance(stmt, (ast.Break, ast.Continue)):
-            return set()
-        return states
-
-    def _analyze(self, fn, findings):
-        self._fn = fn
+    def _analyze(self, fn: FunctionInfo) -> _TrustSummary:
         self._untrusted = self._untrusted_params(fn)
-        self._exit_states: list[tuple[bool, bool]] = []
-        final = self._exec_block(fn.node.body, {(False, False)}, findings)
-        self._exit_states.extend(final)
-        leaks_decode = any(
-            decoded and not verified for decoded, verified in self._exit_states
-        )
-        must_verify = bool(self._exit_states) and all(
-            verified for _, verified in self._exit_states
-        )
-        mutates = False
-        for stmt in ast.walk(fn.node):
-            if isinstance(stmt, ast.stmt):
-                if self._mutation_site(stmt, fn) is not None:
-                    mutates = True
-                    break
+        exits = self._walk(fn, (False, False))  # (decoded, verified)
         return _TrustSummary(
-            leaks_decode=leaks_decode, must_verify=must_verify, mutates=mutates
+            leaks_decode=any(decoded and not verified for decoded, verified in exits),
+            must_verify=bool(exits) and all(verified for _, verified in exits),
+            mutates=any(
+                self._target_mutations(stmt, fn)
+                for stmt in ast.walk(fn.node)
+                if isinstance(stmt, ast.stmt)
+            ),
         )
 
-    def run(self) -> list[OrderingFinding]:
-        in_scope = [fn for fn in self.index.functions if self._in_scope(fn)]
-        for _ in range(_MAX_ROUNDS):
-            changed = False
-            for fn in in_scope:
-                summary = self._analyze(fn, findings=None)
-                if summary != self.summaries.get(fn.qualname):
-                    self.summaries[fn.qualname] = summary
-                    changed = True
-            if not changed:
-                break
-        findings: list[OrderingFinding] = []
-        for fn in in_scope:
-            self._analyze(fn, findings)
-        return sorted(set(findings), key=lambda f: (f.path, f.line, f.message))
+    def run(self) -> list[Diagnostic]:
+        settle_summaries(self.in_scope, self._analyze, self.summaries)
+        self._findings = []
+        for fn in self.in_scope:
+            self._analyze(fn)
+        return self._findings

@@ -25,26 +25,18 @@ import ast
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-from repro.lint.dataflow.callgraph import FunctionIndex, FunctionInfo, get_index
+from repro.lint.dataflow.callgraph import FunctionInfo, get_index, settle_summaries
+from repro.lint.diagnostics import Diagnostic
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lint.engine import Program
 
 SRC = "SRC"
 
-_MAX_ROUNDS = 6
 _LOOP_PASSES = 3
 
 Labels = frozenset[str]
 _EMPTY: Labels = frozenset()
-
-
-@dataclass(frozen=True)
-class TaintFinding:
-    path: str
-    line: int
-    col: int
-    message: str
 
 
 @dataclass
@@ -103,54 +95,25 @@ class TaintSpec:
         raise NotImplementedError
 
 
-def handler_names(index: FunctionIndex) -> frozenset[str]:
-    """Method names registered as message handlers via ``node.on(KIND, h)``."""
-    names: set[str] = set()
-    for fn in index.functions:
-        for node in ast.walk(fn.node):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "on"
-                and len(node.args) >= 2
-            ):
-                target = node.args[1]
-                if isinstance(target, ast.Attribute):
-                    names.add(target.attr)
-                elif isinstance(target, ast.Name):
-                    names.add(target.id)
-    return frozenset(names)
-
-
 class TaintAnalysis:
     """Runs one spec over a whole program; yields findings at sink hits."""
 
     def __init__(self, program: "Program", spec: TaintSpec) -> None:
-        self.program = program
         self.spec = spec
         self.index = get_index(program)
         self.summaries: dict[str, Summary] = {}
-        self.handlers = handler_names(self.index)
-        self._findings: list[TaintFinding] = []
+        self._findings: list[Diagnostic] = []
         self._collect = False
 
     # -- public ----------------------------------------------------------
 
-    def run(self) -> list[TaintFinding]:
-        for _ in range(_MAX_ROUNDS):
-            changed = False
-            for fn in self.index.functions:
-                summary = self._analyze(fn)
-                if summary != self.summaries.get(fn.qualname):
-                    self.summaries[fn.qualname] = summary
-                    changed = True
-            if not changed:
-                break
+    def run(self) -> list[Diagnostic]:
+        settle_summaries(self.index.functions, self._analyze, self.summaries)
         self._collect = True
         self._findings = []
         for fn in self.index.functions:
             self._analyze(fn)
-        return sorted(set(self._findings), key=lambda f: (f.path, f.line, f.message))
+        return self._findings
 
     # -- per-function analysis -------------------------------------------
 
@@ -167,10 +130,11 @@ class TaintAnalysis:
     def _report(self, node: ast.AST, description: str) -> None:
         if self._collect and self.spec.in_sink_scope(self._fn.module.module):
             self._findings.append(
-                TaintFinding(
+                Diagnostic(
                     path=self._fn.module.path,
                     line=getattr(node, "lineno", 1),
                     col=getattr(node, "col_offset", 0),
+                    code=self.spec.code,
                     message=self.spec.message(description),
                 )
             )

@@ -24,6 +24,7 @@ from repro.lint.pragmas import (
     statement_spans,
 )
 from repro.lint.registry import get_rules
+from repro.lint.resolve import ModuleSymbols, collect_symbols
 
 #: Engine-level code for files the parser rejects (not a registry rule: a
 #: file that does not parse cannot be checked against any invariant).
@@ -41,6 +42,12 @@ class ModuleInfo:
     tree: ast.Module
     lines: list[str]
     pragmas: dict[int, frozenset[str]]
+    #: the file's import bindings, read once (``symbols.qualify(expr)``)
+    symbols: ModuleSymbols
+
+    def diagnostic(self, node: ast.AST, code: str, message: str) -> Diagnostic:
+        """A ``code`` finding in this file, anchored where ``node`` starts."""
+        return Diagnostic(self.path, node.lineno, node.col_offset, code, message)
 
 
 @dataclass
@@ -48,12 +55,6 @@ class Program:
     """The whole analyzed file set (input to program-scoped rules)."""
 
     modules: list[ModuleInfo] = field(default_factory=list)
-
-    def by_path(self, path: str) -> ModuleInfo | None:
-        for info in self.modules:
-            if info.path == path:
-                return info
-        return None
 
 
 @dataclass
@@ -92,6 +93,7 @@ def load_source(path: str, source: str, module: str | None = None) -> ModuleInfo
         tree=tree,
         lines=lines,
         pragmas=expand_pragmas(scan_pragmas(lines), statement_spans(tree)),
+        symbols=collect_symbols(tree),
     )
 
 

@@ -1,14 +1,22 @@
-"""Cross-module constant resolution for whole-program rules.
+"""Name resolution: what a dotted expression in one file actually names.
 
-The wire-schema rule needs to know, for an expression like
-``protocol.PURCHASE`` or a bare ``ASSIGN``, which *string* actually crosses
-the transport.  Within this codebase message kinds are always module-level
-string constants referenced directly, via ``from pkg import mod`` aliases,
-via ``from mod import NAME`` (possibly re-exported through a package
-``__init__``), or via dotted module paths (``pkg.mod.NAME``) — so a small,
-honest resolver over the analyzed file set covers every real call site.
-Anything dynamic (a kind pulled out of a payload dict) resolves to ``None``
-and is skipped rather than guessed at.
+Every rule that asks "is this ``time.time``?" or "which string is
+``protocol.PURCHASE``?" asks it here.  :func:`collect_symbols` reads a
+module once — its top-level string constants and *every* ``import`` /
+``from … import`` in the file, function-level ones included — and the
+resulting :class:`ModuleSymbols` answers :meth:`~ModuleSymbols.qualify`:
+the fully qualified name behind ``import a as b``, ``from a import b as c``
+and ``import a.b`` spellings.  The forbidden-call table, the call graph and
+:class:`ConstantResolver` all read that one answer.
+
+Within this codebase message kinds are always module-level string constants
+referenced directly, via ``from pkg import mod`` aliases, via ``from mod
+import NAME`` (possibly re-exported through a package ``__init__``), or via
+dotted module paths (``pkg.mod.NAME``) — so a small, honest resolver over
+the analyzed file set covers every real call site.  Anything dynamic (a kind
+pulled out of a payload dict, a name rebound by assignment, ``getattr``,
+``importlib``, a star import) resolves to ``None`` or to itself and is
+skipped rather than guessed at.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+from repro.lint.asthelpers import dotted_prefix
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lint.engine import ModuleInfo, Program
@@ -34,9 +44,29 @@ class ModuleSymbols:
     #: root names bound by plain ``import a.b`` (binds ``a``; ``a.b.N`` works)
     plain_import_roots: set[str] = field(default_factory=set)
 
+    def qualify(self, expr: ast.AST) -> str | None:
+        """The qualified name a Name/Attribute chain denotes in this module.
+
+        ``t.time`` under ``import time as t`` is ``"time.time"``; ``RS`` under
+        ``from numpy.random import RandomState as RS`` is
+        ``"numpy.random.RandomState"``.  A chain whose head no import binds —
+        a plain ``import a.b`` root, a builtin, a parameter — is already
+        spelled out and comes back as written; anything that is not a pure
+        chain (``f().x``, ``a[0].x``) is ``None``.  Imports are one flat
+        namespace per file: a function-level import counts everywhere in it.
+        """
+        spelled = dotted_prefix(expr)
+        if spelled is None:
+            return None
+        head, _, rest = spelled.partition(".")
+        target = self.module_aliases.get(head)
+        if target is None:
+            return spelled
+        return f"{target}.{rest}" if rest else target
+
 
 def collect_symbols(tree: ast.Module) -> ModuleSymbols:
-    """Scan one module's top level for constants and import bindings."""
+    """Scan one module for top-level constants and every import binding."""
     symbols = ModuleSymbols()
     for stmt in tree.body:
         if isinstance(stmt, ast.Assign):
@@ -51,7 +81,8 @@ def collect_symbols(tree: ast.Module) -> ModuleSymbols:
                 and isinstance(stmt.value.value, str)
             ):
                 symbols.constants[stmt.target.id] = stmt.value.value
-        elif isinstance(stmt, ast.Import):
+    for stmt in ast.walk(tree):
+        if isinstance(stmt, ast.Import):
             for alias in stmt.names:
                 if alias.asname is not None:
                     # ``import a.b.c as x`` binds x to a.b.c.
@@ -72,25 +103,12 @@ def collect_symbols(tree: ast.Module) -> ModuleSymbols:
     return symbols
 
 
-def dotted_prefix(expr: ast.expr) -> str | None:
-    """``a.b.c`` for a pure Name/Attribute chain, else ``None``."""
-    parts: list[str] = []
-    node = expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
 class ConstantResolver:
     """Resolves kind expressions to strings across the analyzed file set."""
 
     def __init__(self, program: "Program") -> None:
         self._symbols: dict[str, ModuleSymbols] = {
-            info.module: collect_symbols(info.tree) for info in program.modules
+            info.module: info.symbols for info in program.modules
         }
 
     def _constant_in(
@@ -118,31 +136,12 @@ class ConstantResolver:
         seen.add(key)
         return self._constant_in(origin[0], origin[1], seen)
 
-    def _module_for_prefix(self, prefix: str, symbols: ModuleSymbols) -> str | None:
-        """The analyzed module a dotted receiver chain refers to, if any."""
-        head, _, rest = prefix.partition(".")
-        alias = symbols.module_aliases.get(head)
-        if alias is not None:
-            candidate = f"{alias}.{rest}" if rest else alias
-            if candidate in self._symbols:
-                return candidate
-        if head in symbols.plain_import_roots and prefix in self._symbols:
-            return prefix
-        return None
-
     def resolve(self, expr: ast.expr, module: "ModuleInfo") -> str | None:
         """The string ``expr`` evaluates to, or ``None`` if not static."""
         if isinstance(expr, ast.Constant):
             return expr.value if isinstance(expr.value, str) else None
-        symbols = self._symbols.get(module.module)
-        if symbols is None:
+        name = module.symbols.qualify(expr)
+        if name is None:
             return None
-        if isinstance(expr, ast.Name):
-            return self._constant_in(module.module, expr.id)
-        if isinstance(expr, ast.Attribute):
-            prefix = dotted_prefix(expr.value)
-            if prefix is not None:
-                target = self._module_for_prefix(prefix, symbols)
-                if target is not None:
-                    return self._constant_in(target, expr.attr)
-        return None
+        owner, _, attr = name.rpartition(".")
+        return self._constant_in(owner or module.module, attr)

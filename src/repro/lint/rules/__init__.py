@@ -2,15 +2,14 @@
 
 from repro.lint.rules import (  # noqa: F401
     anonymity,
-    construction,
     crypto,
     determinism,
     durability,
     exceptions,
+    forbidden,
     liveness,
     ordering,
     secrets,
-    seeding,
     transport,
     wire,
 )

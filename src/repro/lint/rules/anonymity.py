@@ -102,11 +102,4 @@ class AnonymityTaint(Rule):
     )
 
     def check(self, program: Program) -> Iterable[Diagnostic]:
-        for finding in TaintAnalysis(program, AnonymityTaintSpec()).run():
-            yield Diagnostic(
-                path=finding.path,
-                line=finding.line,
-                col=finding.col,
-                code=self.code,
-                message=finding.message,
-            )
+        return TaintAnalysis(program, AnonymityTaintSpec()).run()

@@ -76,16 +76,12 @@ class CryptoHygiene(Rule):
                 and node.func.id == "pow"
                 and len(node.args) == 3
             ):
-                yield Diagnostic(
-                    path=module.path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    code=self.code,
-                    message=(
-                        "direct pow(base, exp, mod) outside repro.crypto — "
-                        "route through repro.crypto.fastexp.mod_pow to use "
-                        "the fixed-base acceleration tables"
-                    ),
+                yield module.diagnostic(
+                    node,
+                    self.code,
+                    "direct pow(base, exp, mod) outside repro.crypto — "
+                    "route through repro.crypto.fastexp.mod_pow to use "
+                    "the fixed-base acceleration tables",
                 )
             elif isinstance(node, ast.Compare) and len(node.ops) == 1:
                 if not isinstance(node.ops[0], (ast.Eq, ast.NotEq)):
@@ -94,14 +90,10 @@ class CryptoHygiene(Rule):
                 if isinstance(left, ast.Constant) or isinstance(right, ast.Constant):
                     continue  # literals are public values
                 if _is_secretish(left) or _is_secretish(right):
-                    yield Diagnostic(
-                        path=module.path,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        code=self.code,
-                        message=(
-                            "variable-time ==/!= on secret material — use "
-                            "hmac.compare_digest (repro.crypto.primitives."
-                            "constant_time_eq)"
-                        ),
+                    yield module.diagnostic(
+                        node,
+                        self.code,
+                        "variable-time ==/!= on secret material — use "
+                        "hmac.compare_digest (repro.crypto.primitives."
+                        "constant_time_eq)",
                     )

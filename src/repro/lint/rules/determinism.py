@@ -24,33 +24,11 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.lint.asthelpers import in_package
+from repro.lint.asthelpers import guarded
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import ModuleInfo
 from repro.lint.registry import Rule, register
-
-EXEMPT_PACKAGES = ("repro.analysis", "repro.cli", "repro.lint")
-
-#: Functions on the *module-level* random generator (global hidden state).
-RANDOM_MODULE_FNS = frozenset(
-    {
-        "random", "randint", "randrange", "randbytes", "choice", "choices",
-        "shuffle", "sample", "uniform", "triangular", "betavariate",
-        "expovariate", "gammavariate", "gauss", "lognormvariate",
-        "normalvariate", "vonmisesvariate", "paretovariate",
-        "weibullvariate", "getrandbits", "seed",
-    }
-)
-
-WALL_CLOCK_TIME_FNS = frozenset(
-    {
-        "time", "time_ns", "monotonic", "monotonic_ns",
-        "perf_counter", "perf_counter_ns", "process_time", "process_time_ns",
-    }
-)
-
-_DATETIME_RECEIVERS = {"datetime", "date"}
-_DATETIME_FNS = {"now", "utcnow", "today"}
+from repro.lint.rules.forbidden import TOOLING_PACKAGES, forbidden_calls
 
 
 def _is_setlike(expr: ast.expr) -> bool:
@@ -73,83 +51,31 @@ class DeterminismDiscipline(Rule):
     )
 
     def check(self, module: ModuleInfo) -> Iterable[Diagnostic]:
-        if not module.module.startswith("repro"):
-            return
-        if in_package(module.module, EXEMPT_PACKAGES):
+        # The random.* / time.* / datetime.now families are table rows.
+        yield from forbidden_calls(module, self.code)
+        if not guarded(module.module, ("repro",), TOOLING_PACKAGES):
             return
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                yield from self._check_call(module, node)
-            elif isinstance(node, ast.For) and _is_setlike(node.iter):
+            if isinstance(node, ast.For) and _is_setlike(node.iter):
                 yield self._set_iteration(module, node.iter)
             elif isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.DictComp)):
                 for generator in node.generators:
                     if _is_setlike(generator.iter):
                         yield self._set_iteration(module, generator.iter)
-
-    def _check_call(self, module: ModuleInfo, node: ast.Call) -> Iterable[Diagnostic]:
-        func = node.func
-        if not isinstance(func, ast.Attribute):
-            # list(set(...)) / tuple(set(...)) materialize hash order.
-            if (
-                isinstance(func, ast.Name)
-                and func.id in ("list", "tuple")
+            elif (
+                # list(set(...)) / tuple(set(...)) materialize hash order.
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("list", "tuple")
                 and node.args
                 and _is_setlike(node.args[0])
             ):
                 yield self._set_iteration(module, node.args[0])
-            return
-        receiver = func.value
-        if isinstance(receiver, ast.Name) and receiver.id == "random":
-            if func.attr in RANDOM_MODULE_FNS:
-                yield Diagnostic(
-                    path=module.path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    code=self.code,
-                    message=(
-                        f"module-level random.{func.attr}() uses hidden global "
-                        "RNG state — draw from a seeded random.Random instance"
-                    ),
-                )
-        elif isinstance(receiver, ast.Name) and receiver.id == "time":
-            if func.attr in WALL_CLOCK_TIME_FNS:
-                yield Diagnostic(
-                    path=module.path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    code=self.code,
-                    message=(
-                        f"wall-clock time.{func.attr}() in protocol code — "
-                        "all timing flows from the virtual Clock"
-                    ),
-                )
-        elif func.attr in _DATETIME_FNS:
-            tail = (
-                receiver.id
-                if isinstance(receiver, ast.Name)
-                else receiver.attr if isinstance(receiver, ast.Attribute) else None
-            )
-            if tail in _DATETIME_RECEIVERS:
-                yield Diagnostic(
-                    path=module.path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    code=self.code,
-                    message=(
-                        f"wall-clock {tail}.{func.attr}() in protocol code — "
-                        "all timing flows from the virtual Clock"
-                    ),
-                )
 
     def _set_iteration(self, module: ModuleInfo, expr: ast.expr) -> Diagnostic:
-        return Diagnostic(
-            path=module.path,
-            line=expr.lineno,
-            col=expr.col_offset,
-            code=self.code,
-            message=(
-                "iterating a set in hash order — wrap in sorted(...) so wire "
-                "payloads and metrics replay bit-identically"
-            ),
+        return module.diagnostic(
+            expr,
+            self.code,
+            "iterating a set in hash order — wrap in sorted(...) so wire "
+            "payloads and metrics replay bit-identically",
         )

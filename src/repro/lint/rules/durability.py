@@ -1,4 +1,4 @@
-"""WP106/WP108 — durable broker state must flow through the journal API.
+"""WP106 — durable broker state must flow through the journal API.
 
 The broker's durable fields (``accounts``, ``valid_coins``, ``deposited``,
 ``downtime_bindings``, ``owner_coins``, ``pending_sync``, and the
@@ -21,7 +21,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.lint.asthelpers import dotted_name, in_package
+from repro.lint.asthelpers import MUTATOR_METHODS, in_package
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import ModuleInfo
 from repro.lint.registry import Rule, register
@@ -42,23 +42,6 @@ DURABLE_FIELDS = frozenset(
         "handoffs_seen",
     }
 )
-
-#: Methods that mutate a dict/set in place.
-MUTATOR_METHODS = frozenset(
-    {
-        "clear",
-        "pop",
-        "popitem",
-        "update",
-        "setdefault",
-        "add",
-        "discard",
-        "remove",
-        "append",
-        "extend",
-    }
-)
-
 
 def _durable_field_in_chain(node: ast.AST) -> str | None:
     """The durable field a receiver chain dereferences, if any.
@@ -108,16 +91,12 @@ class DurableFieldDiscipline(Rule):
             if (node.lineno, field) in seen:
                 return None
             seen.add((node.lineno, field))
-            return Diagnostic(
-                path=module.path,
-                line=node.lineno,
-                col=node.col_offset,
-                code=self.code,
-                message=(
-                    f"{what} of durable field {field!r} outside repro.store — "
-                    "stage a mutation record through the journal API "
-                    "(Broker._stage / repro.store.apply) instead"
-                ),
+            return module.diagnostic(
+                node,
+                self.code,
+                f"{what} of durable field {field!r} outside repro.store — "
+                "stage a mutation record through the journal API "
+                "(Broker._stage / repro.store.apply) instead",
             )
 
         for node in ast.walk(module.tree):
@@ -146,50 +125,3 @@ class DurableFieldDiscipline(Rule):
                     found = diag(node, field, f"in-place {node.func.attr}()")
                     if found:
                         yield found
-
-
-#: Only the journal layer itself may issue raw fsync/fdatasync calls.
-FSYNC_EXEMPT_PACKAGES = ("repro.store",)
-
-#: The os-module durability primitives WP108 fences off.
-FSYNC_FNS = frozenset({"fsync", "fdatasync"})
-
-
-@register
-class FsyncDiscipline(Rule):
-    code = "WP108"
-    name = "fsync-through-journal"
-    rationale = (
-        "A raw os.fsync outside repro.store bypasses the journal's "
-        "group-commit accounting: which mutations a given fsync covers — "
-        "and therefore when a reply may be released — is decided by the "
-        "store layer, and a side-channel sync silently breaks that ledger."
-    )
-
-    def check(self, module: ModuleInfo) -> Iterable[Diagnostic]:
-        if in_package(module.module, FSYNC_EXEMPT_PACKAGES):
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                name = dotted_name(node.func)
-                if name is not None and name.startswith("os.") and name[3:] in FSYNC_FNS:
-                    yield self._diag(module, node, f"{name}()")
-            elif isinstance(node, ast.ImportFrom) and node.module == "os":
-                for alias in node.names:
-                    if alias.name in FSYNC_FNS:
-                        yield self._diag(
-                            module, node, f"from os import {alias.name}"
-                        )
-
-    def _diag(self, module: ModuleInfo, node: ast.AST, what: str) -> Diagnostic:
-        return Diagnostic(
-            path=module.path,
-            line=node.lineno,
-            col=node.col_offset,
-            code=self.code,
-            message=(
-                f"{what} outside repro.store — durability flows through the "
-                "journal (DurableStore.append/append_many or a GroupCommitter); "
-                "a raw sync is invisible to group-commit reply gating"
-            ),
-        )

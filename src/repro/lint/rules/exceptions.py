@@ -40,26 +40,18 @@ class ExceptionDiscipline(Rule):
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None:
-                yield Diagnostic(
-                    path=module.path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    code=self.code,
-                    message=(
-                        "bare 'except:' — name the exceptions this handler "
-                        "can actually recover from"
-                    ),
+                yield module.diagnostic(
+                    node,
+                    self.code,
+                    "bare 'except:' — name the exceptions this handler "
+                    "can actually recover from",
                 )
                 continue
             caught = exception_names(node.type) & PROTOCOL_ERROR_NAMES
             if caught and body_is_silent(node.body):
-                yield Diagnostic(
-                    path=module.path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    code=self.code,
-                    message=(
-                        f"silently swallowed {'/'.join(sorted(caught))} — "
-                        "recover, degrade, re-raise, or record the failure"
-                    ),
+                yield module.diagnostic(
+                    node,
+                    self.code,
+                    f"silently swallowed {'/'.join(sorted(caught))} — "
+                    "recover, degrade, re-raise, or record the failure",
                 )

@@ -25,15 +25,11 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.lint.asthelpers import in_package, receiver_attr
+from repro.lint.asthelpers import guarded, is_rpc_call
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import ModuleInfo
 from repro.lint.registry import Rule, register
-
-EXEMPT_PACKAGES = ("repro.net", "repro.analysis", "repro.cli", "repro.lint")
-
-#: RPC-client receivers whose ``.call`` takes the ``deadline`` keyword.
-_RPC_RECEIVERS = frozenset({"rpc", "_rpc", "_shard_rpc"})
+from repro.lint.rules.forbidden import LIVENESS_EXEMPT, forbidden_calls
 
 
 @register
@@ -46,61 +42,21 @@ class LivenessDiscipline(Rule):
     )
 
     def check(self, module: ModuleInfo) -> Iterable[Diagnostic]:
-        if not module.module.startswith("repro"):
-            return
-        if in_package(module.module, EXEMPT_PACKAGES):
+        # ``time.sleep`` (called or from-imported) is a table row.
+        yield from forbidden_calls(module, self.code)
+        if not guarded(module.module, ("repro",), LIVENESS_EXEMPT):
             return
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                yield from self._check_call(module, node)
-            elif isinstance(node, ast.ImportFrom):
-                yield from self._check_import(module, node)
-
-    def _check_call(self, module: ModuleInfo, node: ast.Call) -> Iterable[Diagnostic]:
-        func = node.func
-        if not isinstance(func, ast.Attribute):
-            return
-        if func.attr == "call" and receiver_attr(func.value) in _RPC_RECEIVERS:
-            if not any(kw.arg == "deadline" for kw in node.keywords):
-                yield Diagnostic(
-                    path=module.path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    code=self.code,
-                    message=(
-                        "RpcClient.call without a deadline= budget — an "
-                        "unbounded RPC stalls liveness; state the virtual-time "
-                        "budget (a module constant) even if generous"
-                    ),
-                )
-        elif (
-            func.attr == "sleep"
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "time"
-        ):
-            yield Diagnostic(
-                path=module.path,
-                line=node.lineno,
-                col=node.col_offset,
-                code=self.code,
-                message=(
-                    "time.sleep() in protocol code — waiting flows from the "
-                    "virtual Clock; backoff is accounted, never slept"
-                ),
-            )
-
-    def _check_import(self, module: ModuleInfo, node: ast.ImportFrom) -> Iterable[Diagnostic]:
-        if node.module != "time":
-            return
-        for alias in node.names:
-            if alias.name == "sleep":
-                yield Diagnostic(
-                    path=module.path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    code=self.code,
-                    message=(
-                        "importing sleep from time in protocol code — waiting "
-                        "flows from the virtual Clock"
-                    ),
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and is_rpc_call(node.func)
+                and not any(kw.arg == "deadline" for kw in node.keywords)
+            ):
+                yield module.diagnostic(
+                    node,
+                    self.code,
+                    "RpcClient.call without a deadline= budget — an "
+                    "unbounded RPC stalls liveness; state the virtual-time "
+                    "budget (a module constant) even if generous",
                 )

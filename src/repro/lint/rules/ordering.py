@@ -78,14 +78,7 @@ class JournalBeforeReply(Rule):
     )
 
     def check(self, program: Program) -> Iterable[Diagnostic]:
-        for finding in ObligationAnalysis(program, ORDERING_CONFIG).run():
-            yield Diagnostic(
-                path=finding.path,
-                line=finding.line,
-                col=finding.col,
-                code=self.code,
-                message=finding.message,
-            )
+        return ObligationAnalysis(program, ORDERING_CONFIG).run()
 
 
 @register
@@ -100,11 +93,4 @@ class VerifyBeforeTrust(Rule):
     )
 
     def check(self, program: Program) -> Iterable[Diagnostic]:
-        for finding in TrustAnalysis(program, TRUST_CONFIG).run():
-            yield Diagnostic(
-                path=finding.path,
-                line=finding.line,
-                col=finding.col,
-                code=self.code,
-                message=finding.message,
-            )
+        return TrustAnalysis(program, TRUST_CONFIG).run()

@@ -18,8 +18,8 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.lint.dataflow.callgraph import FunctionInfo
-from repro.lint.dataflow.ordering import attr_chain
+from repro.lint.asthelpers import chain_parts
+from repro.lint.dataflow.callgraph import FunctionInfo, get_index
 from repro.lint.dataflow.taint import TaintAnalysis, TaintSpec
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import Program
@@ -74,7 +74,7 @@ class SecretEgressSpec(TaintSpec):
         func = call.func
         sinks: list[tuple[ast.expr, str]] = []
         if isinstance(func, ast.Attribute):
-            chain = attr_chain(func.value)
+            chain = chain_parts(func.value)
             if func.attr in _JOURNAL_SELF_METHODS and chain[:1] == ["self"]:
                 sinks.extend((arg, "a journal record") for arg in call.args)
             elif func.attr in ("append", "append_many") and chain and chain[-1] == "store":
@@ -115,15 +115,5 @@ class SecretEgress(Rule):
     )
 
     def check(self, program: Program) -> Iterable[Diagnostic]:
-        from repro.lint.dataflow.callgraph import get_index
-        from repro.lint.dataflow.taint import handler_names
-
-        spec = SecretEgressSpec(handler_names(get_index(program)))
-        for finding in TaintAnalysis(program, spec).run():
-            yield Diagnostic(
-                path=finding.path,
-                line=finding.line,
-                col=finding.col,
-                code=self.code,
-                message=finding.message,
-            )
+        spec = SecretEgressSpec(get_index(program).handlers)
+        return TaintAnalysis(program, spec).run()

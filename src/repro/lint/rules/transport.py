@@ -41,26 +41,18 @@ class TransportDiscipline(Rule):
                 continue
             func = node.func
             if func.attr == "request" and receiver_attr(func.value) in _TRANSPORT_RECEIVERS:
-                yield Diagnostic(
-                    path=module.path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    code=self.code,
-                    message=(
-                        "raw transport.request(...) outside repro.net — send "
-                        "through the typed facades in repro.core.clients or "
-                        "Node.request"
-                    ),
+                yield module.diagnostic(
+                    node,
+                    self.code,
+                    "raw transport.request(...) outside repro.net — send "
+                    "through the typed facades in repro.core.clients or "
+                    "Node.request",
                 )
             elif func.attr == "send_raw":
-                yield Diagnostic(
-                    path=module.path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    code=self.code,
-                    message=(
-                        "direct send_raw(...) outside repro.net — send_raw is "
-                        "the RPC layer's transport touchpoint, not an API; "
-                        "use Node.request or a typed facade"
-                    ),
+                yield module.diagnostic(
+                    node,
+                    self.code,
+                    "direct send_raw(...) outside repro.net — send_raw is "
+                    "the RPC layer's transport touchpoint, not an API; "
+                    "use Node.request or a typed facade",
                 )

@@ -36,13 +36,11 @@ import ast
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.lint.asthelpers import receiver_attr
+from repro.lint.asthelpers import is_rpc_call
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import ModuleInfo, Program
 from repro.lint.registry import Rule, register
 from repro.lint.resolve import ConstantResolver
-
-_RPC_RECEIVERS = {"rpc", "_rpc", "_shard_rpc"}
 
 
 @dataclass(frozen=True)
@@ -63,11 +61,7 @@ def _kind_exprs(node: ast.Call) -> list[ast.expr]:
         return node.args[:1]
     if func.attr == "_call" and len(node.args) >= 2:
         return node.args[1:2]
-    if (
-        func.attr == "call"
-        and len(node.args) >= 2
-        and receiver_attr(func.value) in _RPC_RECEIVERS
-    ):
+    if is_rpc_call(func) and len(node.args) >= 2:
         return node.args[1:2]
     if (
         func.attr == "request"

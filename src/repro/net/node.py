@@ -29,18 +29,18 @@ class Node:
       so a retried request whose original reply was lost is answered from
       the cache instead of re-running the handler (exactly-once effects).
 
-    ``replay_capacity`` bounds the dedupe cache; endpoints that serve many
-    clients (the broker) pass a larger bound.
+    ``REPLAY_CACHE_CAPACITY`` bounds the dedupe cache; endpoints that serve
+    many clients (the broker) override it with a larger bound.
     """
 
     REPLAY_CACHE_CAPACITY = 512
 
-    def __init__(self, transport: Transport, address: str, replay_capacity: int | None = None) -> None:
+    def __init__(self, transport: Transport, address: str) -> None:
         self.transport = transport
         self.address = address
         self.online = True
         self._handlers: dict[str, Handler] = {}
-        self.replay_cache = ReplayCache(replay_capacity or self.REPLAY_CACHE_CAPACITY)
+        self.replay_cache = ReplayCache(self.REPLAY_CACHE_CAPACITY)
         self.replays_served = 0
         self.rpc = RpcClient(node=self)
         transport.register(self)

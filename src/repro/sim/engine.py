@@ -1382,21 +1382,27 @@ class FastSimulation:
         metrics.events = self._cand_events + self._qevents
 
 
-def build_simulation(config: SimConfig, engine: str | None = None):
-    """Build the requested engine: ``fast`` or ``reference``.
+def resolve_engine(engine: str | None = None) -> str:
+    """The engine name to run: ``fast`` or ``reference``.
 
     ``None`` (or the empty string) resolves through the
     ``WHOPAY_SIM_ENGINE`` environment override and then defaults to the
     struct-of-arrays ``fast`` engine — the measurement engine for every
     figure and benchmark.  ``reference`` (the original event loop) survives
-    as the equivalence oracle and must be requested explicitly.
+    as the equivalence oracle and must be requested explicitly.  Any other
+    name, from either source, is rejected here — in a sweep that is the
+    parent process, before a point ships to a worker.
     """
-    if not engine:
-        engine = os.environ.get("WHOPAY_SIM_ENGINE") or "fast"
-    if engine == "fast":
+    engine = engine or os.environ.get("WHOPAY_SIM_ENGINE") or "fast"
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    return engine
+
+
+def build_simulation(config: SimConfig, engine: str | None = None):
+    """Build the engine :func:`resolve_engine` names for ``engine``."""
+    if resolve_engine(engine) == "fast":
         return FastSimulation(config)
-    if engine == "reference":
-        return Simulation(config)
-    raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    return Simulation(config)
 
 

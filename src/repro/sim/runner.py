@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.core.clock import HOUR
 from repro.sim.config import SimConfig, setup_a_configs, setup_b_configs
-from repro.sim.engine import build_simulation
+from repro.sim.engine import build_simulation, resolve_engine
 from repro.sim.policies import Policy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -55,11 +55,6 @@ TIMING_COLUMNS = ("wall_s", "events_per_sec", "peak_rss_kb")
 def strip_timing(row: dict[str, Any]) -> dict[str, Any]:
     """A copy of ``row`` without :data:`TIMING_COLUMNS` (for bitwise compares)."""
     return {k: v for k, v in row.items() if k not in TIMING_COLUMNS}
-
-
-def _resolve_engine(engine: str | None) -> str:
-    """Explicit argument, else the ``WHOPAY_SIM_ENGINE`` env, else fast."""
-    return engine or os.environ.get("WHOPAY_SIM_ENGINE") or "fast"
 
 
 def _peak_rss_kb() -> int | None:
@@ -83,7 +78,7 @@ def run_one(config: SimConfig, engine: str | None = None) -> dict[str, Any]:
     """
     import time
 
-    engine = _resolve_engine(engine)
+    engine = resolve_engine(engine)
     sim = build_simulation(config, engine)
     profile_dir = os.environ.get("WHOPAY_PROFILE")
     if profile_dir:
@@ -236,7 +231,7 @@ def run_sweep_parallel(
     configs = list(configs)
     if not configs:
         return []
-    engine = _resolve_engine(engine)
+    engine = resolve_engine(engine)
     workers = min(max_workers or default_workers(), len(configs))
     if workers <= 1 and len(configs) == 1:
         return [run_one(configs[0], engine)]
@@ -253,7 +248,7 @@ def _run_points(
 ) -> list[dict[str, Any]]:
     if parallel:
         return run_sweep_parallel(configs, engine=engine)
-    engine = _resolve_engine(engine)
+    engine = resolve_engine(engine)
     return [run_one(config, engine) for config in configs]
 
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 
 from repro.lint.cli import main, split_exempt
+from repro.lint import lint_sources
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.registry import get_rules
 from repro.lint.sarif import SARIF_VERSION
@@ -15,6 +17,31 @@ from repro.lint.sarif import SARIF_VERSION
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "fixtures")
 SRC = os.path.join(HERE, "..", "..", "src")
+REPO = os.path.abspath(os.path.join(HERE, "..", ".."))
+
+#: The committed tree's reviewed exceptions, pinned: a rule that silently
+#: stops firing moves one of these, where "zero findings" would not notice.
+PRAGMA_SITES = [
+    ("src/repro/dht/kademlia.py", 60, "WP105"),
+    ("src/repro/sim/runner.py", 88, "WP102"),
+    ("src/repro/sim/runner.py", 92, "WP102"),
+    ("src/repro/sim/runner.py", 101, "WP102"),
+    ("src/repro/sim/runner.py", 103, "WP102"),
+]
+EXEMPTED = [
+    ("benchmarks/bench_crypto_ops.py", 119, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 190, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 196, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 196, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 221, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 221, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 222, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 222, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 223, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 223, "WP103"),
+    ("examples/threshold_judges.py", 30, "WP111"),
+    ("examples/threshold_judges.py", 57, "WP111"),
+]
 
 
 def test_self_check_committed_tree_is_clean(capsys):
@@ -24,6 +51,29 @@ def test_self_check_committed_tree_is_clean(capsys):
     assert code == 0
     assert payload["findings"] == []
     assert payload["checked_files"] > 60
+
+
+def test_committed_tree_is_pinned(monkeypatch, capsys):
+    """The configured paths: no finding, and exactly the reviewed exceptions."""
+    monkeypatch.chdir(REPO)
+    code = main(["--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["findings"] == []
+    assert payload["suppressed"] == len(PRAGMA_SITES)
+    assert [(d["path"], d["line"], d["code"]) for d in payload["exempted"]] == EXEMPTED
+
+
+@pytest.mark.parametrize("path,line,code", PRAGMA_SITES)
+def test_each_pragma_still_suppresses_a_finding(path, line, code):
+    """Without its pragma, a site yields exactly one finding: that code, that line."""
+    with open(os.path.join(REPO, path), encoding="utf-8") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    stripped = re.sub(r"\s*# wp-lint: disable=\w+", "", lines[line - 1])
+    assert stripped != lines[line - 1], f"{path}:{line} carries no pragma"
+    lines[line - 1] = stripped
+    result = lint_sources([(path, "".join(lines))])
+    assert [(d.line, d.code) for d in result.findings] == [(line, code)]
 
 
 def test_bad_fixture_fails_with_exit_1(capsys):

@@ -385,3 +385,33 @@ class TestWP114LivenessDiscipline:
         outside = lint_sources([("peer.py", source, "repro.core.peer")])
         assert [d for d in inside.findings if d.code == "WP114"] == []
         assert len([d for d in outside.findings if d.code == "WP114"]) == 1
+
+
+class TestAliasedCalls:
+    """A forbidden call is one finding however the file imported its module."""
+
+    def test_every_aliased_spelling_is_reported_at_its_line(self):
+        result = lint_paths([fixture("alias_bad_core.py"), fixture("alias_bad_sim.py")])
+        found = [(os.path.basename(d.path), d.line, d.code) for d in result.findings]
+        assert found == [
+            ("alias_bad_core.py", 4, "WP102"),  # from time import time as now; now()
+            ("alias_bad_core.py", 5, "WP102"),  # perf_counter()
+            ("alias_bad_core.py", 6, "WP102"),  # import time as t; t.time()
+            ("alias_bad_core.py", 7, "WP114"),  # t.sleep(1)
+            ("alias_bad_core.py", 8, "WP102"),  # import random as r; r.random()
+            ("alias_bad_core.py", 9, "WP102"),  # from random import choice; choice(xs)
+            ("alias_bad_core.py", 10, "WP108"),  # import os as o; o.fsync(fd)
+            ("alias_bad_core.py", 11, "WP108"),  # from os import fsync as f; f(fd)
+            ("alias_bad_core.py", 12, "WP102"),  # from datetime import datetime as dt; dt.now()
+            ("alias_bad_core.py", 13, "WP109"),  # from repro.core.broker import Broker as B; B()
+            ("alias_bad_core.py", 14, "WP109"),  # from repro.core import broker as bmod; bmod.Broker()
+            ("alias_bad_core.py", 20, "WP102"),  # the import is inside the function
+            ("alias_bad_sim.py", 4, "WP107"),  # import numpy.random as nr; nr.random()
+            ("alias_bad_sim.py", 5, "WP107"),  # from numpy import random as rr; rr.random()
+        ]
+        # The message names what was called, not how the file spelled it.
+        assert "time.time()" in result.findings[0].message
+        assert "datetime.now()" in result.findings[8].message
+
+    def test_sanctioned_forms_through_the_same_aliases_are_clean(self):
+        assert lint_paths([fixture("alias_good.py")]).findings == []

@@ -136,6 +136,17 @@ class TestEngineSelection:
         assert [row["engine"] for row in rows] == ["reference", "reference"]
 
 
+    def test_a_misspelt_engine_is_rejected_before_any_point_ships(self, monkeypatch):
+        # One resolver, validating: the parent raises, not a pool worker.
+        monkeypatch.setenv("WHOPAY_SIM_ENGINE", "warp")
+        monkeypatch.setattr(
+            runner, "_pool", lambda workers: pytest.fail("a point reached the pool")
+        )
+        configs = [replace(TINY, seed=s) for s in (51, 52)]
+        with pytest.raises(ValueError, match="unknown engine 'warp'"):
+            run_sweep_parallel(configs, max_workers=2)
+
+
 class TestProfileHooks:
     def test_profile_writes_dump(self, monkeypatch, tmp_path):
         monkeypatch.setenv("WHOPAY_PROFILE", str(tmp_path))

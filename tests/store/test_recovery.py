@@ -314,6 +314,32 @@ class TestPeerRecovery:
         assert result.records_replayed == 0
         assert len(net.peers["alice"].owned) + len(net.peers["alice"].wallet) >= 1
 
+    @pytest.mark.parametrize(
+        "network_mode,peer_mode", [("proactive", "lazy"), ("lazy", "proactive")]
+    )
+    def test_a_restarted_peer_keeps_its_own_sync_mode(self, tmp_path, network_mode, peer_mode):
+        # The mode is the peer's (PeerConfig), not the network default it was
+        # rebuilt with: a lazy peer must come back marking its coins dirty for
+        # the Section 5.2 check-before-serve, not running a sync exchange.
+        net = make_net(tmp_path, sync_mode=network_mode)
+        alice = net.add_peer("alice", PeerConfig(balance=10, durable=True, sync_mode=peer_mode))
+        alice.purchase()
+        net.restart_peer("alice")
+        alice = net.peers["alice"]
+        assert alice.sync_mode == peer_mode
+        syncs = alice.counts.syncs
+        alice.depart()
+        alice.rejoin()
+        _state, records, _torn = alice.store.load()
+        last = [mut["type"] for mut in records[-1]["muts"]]
+        if peer_mode == "lazy":
+            assert last == ["owned_dirty_all"]
+            assert alice.counts.syncs == syncs
+            assert all(state.dirty for state in alice.owned.values())
+        else:
+            assert "owned_dirty_all" not in last
+            assert alice.counts.syncs == syncs + 1
+
     def test_non_durable_peer_cannot_restart(self, tmp_path):
         net = make_net(tmp_path)
         net.add_peer("alice", PeerConfig(balance=5))
