@@ -7,7 +7,9 @@ stack (actual crypto, Chord routing, push notifications):
   the fraudulent re-bind is published — *before* any deposit; without it,
   the fraud surfaces only when the second deposit hits the broker.
 * **overhead**: extra transport messages per payment (DHT publishes, payee
-  verification reads, notifications).
+  verification reads, notifications);
+* **coverage**: every re-bind of a long transfer chain is published (one
+  publish per issue and per transfer — none skipped, none doubled).
 """
 
 from repro.analysis.tables import format_table
@@ -91,3 +93,22 @@ def test_ablation_dht_detection(benchmark):
     # routing), but bounded — well under 10x the base protocol.
     assert on["messages_per_payment"] > off["messages_per_payment"]
     assert on["messages_per_payment"] < 10 * off["messages_per_payment"]
+
+
+CHAIN = 20
+
+
+def run_transfer_chain():
+    net = WhoPayNetwork(params=PARAMS_TEST_512, enable_detection=True, dht_size=4)
+    alice = net.add_peer("alice", PeerConfig(balance=25))
+    holders = [net.add_peer("bob"), net.add_peer("carol")]
+    state = alice.purchase()
+    alice.issue("bob", state.coin_y)
+    for i in range(CHAIN):
+        holders[i % 2].transfer(holders[(i + 1) % 2].address, state.coin_y)
+    return net
+
+
+def test_detection_publishes_every_rebind(benchmark):
+    net = benchmark.pedantic(run_transfer_chain, rounds=1, iterations=1)
+    assert net.detection.publishes >= CHAIN + 1  # issue + every transfer

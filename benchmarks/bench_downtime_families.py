@@ -12,21 +12,14 @@ plotted against *availability* rather than µ.
 
 from repro.analysis.series import is_decreasing, is_increasing, rises_then_falls
 from repro.analysis.tables import format_series_table
-from repro.sim.policies import POLICY_I
-from repro.sim.runner import run_availability_sweep
 
-from _common import FULL_SCALE, emit
+from _common import emit, sweep
 
 FAMILIES = (1.0, 2.0, 4.0)
 
 
 def run_families():
-    return {
-        nu: run_availability_sweep(
-            POLICY_I, "proactive", small=not FULL_SCALE, mean_offline_hours=nu
-        )
-        for nu in FAMILIES
-    }
+    return {nu: sweep("A", "I", "proactive", mean_offline_hours=nu) for nu in FAMILIES}
 
 
 def test_downtime_families_similar(benchmark, scale_note):

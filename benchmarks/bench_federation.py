@@ -20,23 +20,16 @@ Entry points:
 
 * ``python benchmarks/bench_federation.py`` — full scale; writes
   ``benchmarks/out/BENCH_federation.json``.
-* ``--quick`` — CI smoke: smaller wallets, side artifact path, and a
-  looser floor is expected from the caller (0.5 with ``--check-flatten``).
-* ``--check-flatten X`` — exit non-zero unless max per-shard load at the
-  largest M is at most ``X`` times the M=1 load.
+* ``--quick`` — CI smoke: smaller wallets, ``BENCH_federation_quick.json``,
+  and a looser floor (the quick column of its row in ``check.py``).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
-from pathlib import Path
-
-from _common import OUT_DIR
-
 from collections import Counter
+
+from _common import report_main
 
 from repro.core.network import BrokerTopology, PeerConfig, WhoPayNetwork
 from repro.core.sharding import ShardMap
@@ -151,9 +144,7 @@ def run_sweep(quick: bool) -> dict:
         f"{largest['load_vs_single']}x the single-broker load"
     )
     return {
-        "benchmark": "broker_federation_load",
         "params": "PARAMS_TEST_512",
-        "quick": quick,
         "workload": {
             "peers": peers,
             "coins_per_peer": coins_per_peer,
@@ -164,39 +155,5 @@ def run_sweep(quick: bool) -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true", help="CI smoke scale")
-    parser.add_argument(
-        "--check-flatten",
-        type=float,
-        default=None,
-        metavar="X",
-        help="exit non-zero unless max per-shard load at the largest M <= X times M=1",
-    )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        help="artifact path (default: benchmarks/out/BENCH_federation.json)",
-    )
-    args = parser.parse_args(argv)
-    report = run_sweep(quick=args.quick)
-    out_path = args.out
-    if out_path is None:
-        name = "BENCH_federation_quick.json" if args.quick else "BENCH_federation.json"
-        out_path = OUT_DIR / name
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {out_path}")
-    if args.check_flatten is not None and report["flatten_at_largest"] > args.check_flatten:
-        print(
-            f"FAIL: per-shard load {report['flatten_at_largest']}x "
-            f"> allowed {args.check_flatten}x"
-        )
-        return 1
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    report_main("BENCH_federation", run_sweep, __doc__, benchmark="broker_federation_load")

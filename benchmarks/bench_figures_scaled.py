@@ -10,10 +10,12 @@ N = 10^4, plus **100x spot columns** (N = 10^5, event-budgeted horizons per
 the scaling-bench methodology) for selected Setup-A points and the Setup-B
 corner.
 
-Every point runs in its own subprocess so the ``peak_rss_kb`` stamp is a
-true per-point peak (one process's ``ru_maxrss`` only ever rises), and every
-row carries the runner's ``engine`` / ``wall_s`` / ``events_per_sec`` /
-``peak_rss_kb`` stamps.
+Every point runs in its own subprocess (``_common.run_point``) so the
+``peak_rss_kb`` stamp is a true per-point peak (one process's ``ru_maxrss``
+only ever rises), and every row carries the runner's ``engine`` / ``wall_s``
+/ ``events_per_sec`` / ``peak_rss_kb`` stamps — which is what its rows in
+``benchmarks/check.py`` hold: sanity floors, not figure-shape assertions
+(those live in the paper-scale benches).
 
 Entry points:
 
@@ -21,19 +23,17 @@ Entry points:
   (~25 min on one core); writes ``benchmarks/out/BENCH_figures_scaled.json``
   and a ``figures_scaled.txt`` report.
 * ``--quick`` — CI smoke: 3-point µ grid, 2 Setup-B sizes, no 100x spots,
-  event-budgeted horizons (~1 min).
+  event-budgeted horizons (~1 min); writes ``BENCH_figures_scaled_quick.json``
+  (``figures_scaled.txt`` is written by full runs only).
 """
 
 from __future__ import annotations
 
-import json
-import subprocess
-import sys
 import time
-from dataclasses import fields, replace
-from pathlib import Path
+from dataclasses import replace
 
-from _common import OUT_DIR, emit
+import _common
+from bench_ablations import VARIANTS
 
 from repro.analysis.tables import format_series_table
 from repro.core.clock import HOUR
@@ -44,13 +44,8 @@ from repro.sim.config import (
     SimConfig,
     expected_event_count,
 )
-from repro.sim.policies import (
-    POLICY_I,
-    POLICY_I_LAYERED,
-    POLICY_II_A,
-    POLICY_III,
-    policy_by_name,
-)
+from repro.sim.figures import CONFIGS
+from repro.sim.policies import POLICY_II_A, policy_by_name
 
 SCALE = 10
 SETUP_A_PEERS = 10_000          # 10x the paper's 1000
@@ -58,20 +53,13 @@ SPOT_PEERS = 100_000            # 100x spot columns
 SPOT_BUDGET = 10_000_000        # event budget for 100x spots (scaling-bench style)
 QUICK_BUDGET = 300_000          # event budget per point in --quick mode
 
-CONFIGS = (
-    ("I", "proactive"),
-    ("I", "lazy"),
-    ("III", "proactive"),
-    ("III", "lazy"),
-)
-
 #: Ablation rows, all at the 10x Setup-B corner (N = 10^4, µ = ν = 2 h).
 ABLATIONS = (
     ("baseline", {}),
-    ("detection", {"detection": True}),
-    ("powerlaw", {"heterogeneity": "powerlaw"}),
-    ("superpeer_capped", {"heterogeneity": "powerlaw", "superpeer_max_availability": 0.9}),
-    ("layered", {"policy": POLICY_I_LAYERED, "max_layers": 4}),
+    ("detection", VARIANTS["detection"]),
+    ("powerlaw", VARIANTS["powerlaw"]),
+    ("superpeer_capped", {**VARIANTS["powerlaw"], "superpeer_max_availability": 0.9}),
+    ("layered", {**VARIANTS["layered"], "max_layers": 4}),
     ("policy_II_budget", {"policy": POLICY_II_A, "initial_balance": 50}),
     ("message_loss_10pct", {"message_loss": 0.1}),
     ("broker_restarts_3", {"broker_restarts": 3}),
@@ -101,45 +89,10 @@ def _budgeted(config: SimConfig, event_budget: float) -> SimConfig:
     )
 
 
-def _config_spec(config: SimConfig) -> dict:
-    """JSON-serializable SimConfig (policy by name) for the child process."""
-    spec = {f.name: getattr(config, f.name) for f in fields(SimConfig)}
-    spec["policy"] = config.policy.name
-    return spec
-
-
-def _config_from_spec(spec: dict) -> SimConfig:
-    spec = dict(spec)
-    spec["policy"] = policy_by_name(spec["policy"])
-    return SimConfig(**spec)
-
-
-def _run_point_child(spec: dict) -> None:
-    """Child-process entry: run one point via the runner, print its row."""
-    from repro.sim.runner import run_one
-
-    print(json.dumps(run_one(_config_from_spec(spec))))
-
-
 def run_point(config: SimConfig, label: str) -> dict:
     """Run one point in a fresh subprocess; return its stamped row."""
-    proc = subprocess.run(
-        [
-            sys.executable,
-            str(Path(__file__).resolve()),
-            "--point",
-            json.dumps(_config_spec(config)),
-        ],
-        capture_output=True,
-        text=True,
-        check=False,
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"point {label} ({config.describe()}) failed "
-            f"(rc={proc.returncode}):\n{proc.stderr}"
-        )
-    row = json.loads(proc.stdout.strip().splitlines()[-1])
+    row = _common.run_point(config)
+    del row["total_s"]  # the runner's stamps are this campaign's columns
     row["label"] = label
     print(
         f"  {label:<42} {row['events']:>12,} ev  {row['wall_s']:>7.1f}s  "
@@ -225,8 +178,7 @@ def run_campaign(quick: bool = False) -> dict:
                 run_point(config, f"spot:B {policy_name}+{sync_mode} N={SPOT_PEERS}")
             )
 
-    return {
-        "quick": quick,
+    report = {
         "scale_factor": SCALE,
         "setup_a_peers": SETUP_A_PEERS,
         "spot_peers": SPOT_PEERS,
@@ -239,6 +191,11 @@ def run_campaign(quick: bool = False) -> dict:
         "ablations": ablations,
         "spots_100x": spots,
     }
+    if not quick:
+        _common.emit("figures_scaled", _report(report))
+    rows = sum(len(group) for group in (*setup_a.values(), *setup_b.values(), ablations, spots))
+    print(f"{rows} rows in {report['campaign_wall_s']:,.0f}s")
+    return report
 
 
 def _report(report: dict) -> str:
@@ -282,56 +239,5 @@ def _report(report: dict) -> str:
     return "\n\n".join(parts)
 
 
-def main() -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke: reduced grids, event-budgeted horizons, no 100x spots",
-    )
-    parser.add_argument(
-        "--out",
-        default=str(OUT_DIR / "BENCH_figures_scaled.json"),
-        help="JSON report path",
-    )
-    parser.add_argument("--point", help=argparse.SUPPRESS)
-    args = parser.parse_args()
-
-    if args.point:
-        _run_point_child(json.loads(args.point))
-        return 0
-
-    report = run_campaign(quick=args.quick)
-    OUT_DIR.mkdir(exist_ok=True)
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.out}")
-    emit("figures_scaled", _report(report))
-
-    # Sanity floors, not figure-shape assertions (those live in the
-    # paper-scale benches): every row ran on the fast engine and carries
-    # its timing stamps.
-    all_rows = [
-        row
-        for group in (*report["setup_a"].values(), *report["setup_b"].values())
-        for row in group
-    ] + report["ablations"] + report["spots_100x"]
-    ok = True
-    for row in all_rows:
-        if row["engine"] != "fast":
-            print(f"FAIL: {row['label']} ran on {row['engine']!r}")
-            ok = False
-        if not all(row.get(k) for k in ("wall_s", "events_per_sec", "peak_rss_kb")):
-            print(f"FAIL: {row['label']} missing timing stamps")
-            ok = False
-    print(
-        f"{len(all_rows)} rows in {report['campaign_wall_s']:,.0f}s"
-        + ("" if ok else " — stamp checks FAILED")
-    )
-    return 0 if ok else 1
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    _common.report_main("BENCH_figures_scaled", run_campaign, __doc__)

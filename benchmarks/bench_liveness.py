@@ -33,13 +33,10 @@ per seed regardless of host speed.
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import tempfile
 from pathlib import Path
 
-from _common import OUT_DIR
+from _common import report_main
 
 from repro.core.network import BrokerTopology, WhoPayNetwork
 from repro.core.supervision import LeaseGatedSupervision
@@ -162,9 +159,17 @@ def run_sweep(quick: bool) -> dict:
             assert latencies == sorted(latencies), (interval, latencies)
             assert verdicts == sorted(verdicts, reverse=True), (interval, verdicts)
             curves.append({"heartbeat_interval": interval, "points": points})
+            print(f"interval={interval}s")
+            for point in points:
+                print(
+                    f"  phi>={point['phi_threshold']:>4}: "
+                    f"latency={point['detection_latency']:>6.2f}s "
+                    f"window<={point['detection_window']:>6.2f}s "
+                    f"dead_verdicts/min={point['dead_verdicts_per_min']:>6.2f} "
+                    f"spurious_restarts/min={point['spurious_restarts_per_min']:>5.2f}"
+                )
     return {
         "artifact": "liveness detection-latency vs false-positive tradeoff",
-        "quick": quick,
         "shards": SHARDS,
         "lease_duration": LEASE,
         "heartbeat_request_loss": HEARTBEAT_LOSS,
@@ -174,36 +179,5 @@ def run_sweep(quick: bool) -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true", help="CI smoke scale")
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        help="artifact path (default: benchmarks/out/BENCH_liveness.json)",
-    )
-    args = parser.parse_args(argv)
-    report = run_sweep(quick=args.quick)
-    out_path = args.out
-    if out_path is None:
-        name = "BENCH_liveness_quick.json" if args.quick else "BENCH_liveness.json"
-        out_path = OUT_DIR / name
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {out_path}")
-    for curve in report["curves"]:
-        print(f"interval={curve['heartbeat_interval']}s")
-        for point in curve["points"]:
-            print(
-                f"  phi>={point['phi_threshold']:>4}: "
-                f"latency={point['detection_latency']:>6.2f}s "
-                f"window<={point['detection_window']:>6.2f}s "
-                f"dead_verdicts/min={point['dead_verdicts_per_min']:>6.2f} "
-                f"spurious_restarts/min={point['spurious_restarts_per_min']:>5.2f}"
-            )
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    report_main("BENCH_liveness", run_sweep, __doc__)

@@ -13,36 +13,30 @@ per-event cost is what varies) across N ∈ {10^3, 10^4, 10^5, 10^6}:
   fast engine only — the reference engine cannot reach them in
   reasonable time, which is the point of this PR.
 
-Every point runs in its own subprocess so ``ru_maxrss`` is a true
-per-point peak, not the high-water mark of whichever point ran first.
+Every point runs in its own subprocess (``_common.run_point``) so
+``ru_maxrss`` is a true per-point peak, not the high-water mark of whichever
+point ran first.
 
 Entry points:
 
 * ``python benchmarks/bench_scaling_million.py`` — full sweep including
-  the million-peer point; asserts it completes under 10 minutes and
-  8 GiB peak RSS, and writes ``benchmarks/out/BENCH_sim_scaling.json``.
-* ``--quick`` — CI smoke: caps the sweep at N=10^5 and skips the
-  full-mode wall/RSS assertions.
-* ``--check-speedup X`` — exit non-zero unless the recorded N=10^4
-  fast/reference ratio is at least ``X`` (CI uses 5.0: half the
-  committed 10x so machine noise on shared runners doesn't flake).
-* ``--check-baseline FRAC`` — regression floor against the *committed*
-  report: exit non-zero unless this run's N=10^4 fast events/sec is at
-  least ``FRAC`` of the committed headline (the baseline is read before
-  the run overwrites ``--out``).  CI uses 0.4 — shared runners are
-  slower than the dev container, but a real regression (a hot-path slip
-  past the in-run ratio check) still trips it.
+  the million-peer point; writes ``benchmarks/out/BENCH_sim_scaling.json``.
+* ``--quick`` — CI smoke: caps the sweep at N=10^5; writes
+  ``BENCH_sim_scaling_quick.json``.
+
+The floors are rows of ``benchmarks/check.py``: the N=10^4 fast/reference
+ratio (10x for a full run, half that for a quick one), a quick run's N=10^4
+fast events/sec against the *committed* full run's, and — full runs only —
+the million-peer point under 10 minutes and 8 GiB peak RSS.
 """
 
 from __future__ import annotations
 
-import json
-import subprocess
-import sys
-import time
-from pathlib import Path
+from dataclasses import replace
 
-from _common import OUT_DIR
+import _common
+
+from repro.sim.config import setup_b_point
 
 SPEEDUP_BUDGET = 400_000
 SCALE_BUDGET = 2_000_000
@@ -51,69 +45,25 @@ SPEEDUP_REPEATS = 5
 HEADLINE_N = 10_000
 SEED = 20060704
 
-MAX_MILLION_WALL_S = 600.0
-MAX_MILLION_RSS_KB = 8 * 1024 * 1024  # 8 GiB in KiB (Linux ru_maxrss units)
-
-
-def _run_point_child(spec: dict) -> None:
-    """Child-process entry: run one point, print its row as JSON."""
-    import resource
-    from dataclasses import replace
-
-    from repro.sim.config import setup_b_point
-    from repro.sim.engine import build_simulation
-
-    config = replace(
-        setup_b_point(spec["n_peers"], event_budget=spec["event_budget"]),
-        seed=spec["seed"],
-    )
-    build_start = time.perf_counter()
-    sim = build_simulation(config, spec["engine"])
-    run_start = time.perf_counter()
-    metrics = sim.run().metrics
-    end = time.perf_counter()
-    wall = end - run_start
-    print(
-        json.dumps(
-            {
-                "n_peers": spec["n_peers"],
-                "engine": spec["engine"],
-                "event_budget": spec["event_budget"],
-                "seed": spec["seed"],
-                "sim_duration_s": config.duration,
-                "events": metrics.events,
-                "payments_made": metrics.payments_made,
-                "setup_s": round(run_start - build_start, 4),
-                "wall_s": round(wall, 4),
-                "total_s": round(end - build_start, 4),
-                "events_per_sec": round(metrics.events / wall) if wall > 0 else 0,
-                "peak_rss_kb": int(
-                    resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-                ),
-            }
-        )
-    )
-
 
 def run_point(n_peers: int, engine: str, event_budget: int, seed: int = SEED) -> dict:
     """Run one point in a fresh subprocess and return its row."""
-    spec = {
+    config = replace(setup_b_point(n_peers, event_budget=event_budget), seed=seed)
+    row = _common.run_point(config, engine)
+    return {
         "n_peers": n_peers,
         "engine": engine,
         "event_budget": event_budget,
         "seed": seed,
+        "sim_duration_s": config.duration,
+        "events": row["events"],
+        "payments_made": row["payments_made"],
+        "setup_s": round(row["total_s"] - row["wall_s"], 4),
+        "wall_s": round(row["wall_s"], 4),
+        "total_s": round(row["total_s"], 4),
+        "events_per_sec": round(row["events_per_sec"]),
+        "peak_rss_kb": row["peak_rss_kb"],
     }
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--point", json.dumps(spec)],
-        capture_output=True,
-        text=True,
-        check=False,
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"point {spec} failed (rc={proc.returncode}):\n{proc.stderr}"
-        )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def run_sweep(quick: bool = False) -> dict:
@@ -159,8 +109,12 @@ def run_sweep(quick: bool = False) -> dict:
             "speedup": round(fast / ref, 2) if ref else None,
         }
 
+    headline = ratios[str(HEADLINE_N)]
+    print(
+        f"N={HEADLINE_N:,}: reference {headline['reference_events_per_sec']:,} ev/s, "
+        f"fast {headline['fast_events_per_sec']:,} ev/s -> {headline['speedup']}x"
+    )
     return {
-        "quick": quick,
         "seed": SEED,
         "speedup_budget_events": SPEEDUP_BUDGET,
         "scale_budget_events": SCALE_BUDGET,
@@ -171,101 +125,5 @@ def run_sweep(quick: bool = False) -> dict:
     }
 
 
-def main() -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true", help="CI smoke: cap the sweep at N=10^5"
-    )
-    parser.add_argument(
-        "--check-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="fail unless the N=10^4 fast/reference ratio is at least X",
-    )
-    parser.add_argument(
-        "--check-baseline",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help="fail unless the N=10^4 fast events/sec reaches FRAC of the "
-        "committed report's headline (read from --out before the run)",
-    )
-    parser.add_argument(
-        "--out",
-        default=str(OUT_DIR / "BENCH_sim_scaling.json"),
-        help="JSON report path",
-    )
-    parser.add_argument("--point", help=argparse.SUPPRESS)
-    args = parser.parse_args()
-
-    if args.point:
-        _run_point_child(json.loads(args.point))
-        return 0
-
-    baseline_eps = None
-    if args.check_baseline is not None:
-        with open(args.out) as fh:
-            baseline_eps = json.load(fh)["speedup"][str(HEADLINE_N)][
-                "fast_events_per_sec"
-            ]
-
-    report = run_sweep(quick=args.quick)
-    OUT_DIR.mkdir(exist_ok=True)
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.out}")
-
-    ok = True
-    headline = report["speedup"][str(HEADLINE_N)]
-    print(
-        f"N={HEADLINE_N:,}: reference {headline['reference_events_per_sec']:,} ev/s, "
-        f"fast {headline['fast_events_per_sec']:,} ev/s -> {headline['speedup']}x"
-    )
-    if args.check_speedup is not None and (
-        headline["speedup"] is None or headline["speedup"] < args.check_speedup
-    ):
-        print(f"FAIL: N={HEADLINE_N:,} speedup {headline['speedup']} < {args.check_speedup}")
-        ok = False
-    if baseline_eps is not None:
-        floor = args.check_baseline * baseline_eps
-        current = headline["fast_events_per_sec"]
-        if current < floor:
-            print(
-                f"FAIL: N={HEADLINE_N:,} fast {current:,} ev/s < "
-                f"{args.check_baseline} x committed {baseline_eps:,} ev/s"
-            )
-            ok = False
-        else:
-            print(
-                f"N={HEADLINE_N:,} fast {current:,} ev/s >= "
-                f"{args.check_baseline} x committed {baseline_eps:,} ev/s"
-            )
-
-    if not args.quick:
-        # Acceptance: the million-peer Setup-B point must complete in under
-        # 10 minutes and 8 GiB peak RSS.
-        million = next(p for p in report["points"] if p["n_peers"] == 1_000_000)
-        if million["total_s"] >= MAX_MILLION_WALL_S:
-            print(f"FAIL: N=10^6 took {million['total_s']:.1f}s >= {MAX_MILLION_WALL_S}s")
-            ok = False
-        if million["peak_rss_kb"] >= MAX_MILLION_RSS_KB:
-            print(
-                f"FAIL: N=10^6 peak RSS {million['peak_rss_kb'] / 1024:,.0f} MiB "
-                f">= {MAX_MILLION_RSS_KB / 1024:,.0f} MiB"
-            )
-            ok = False
-        print(
-            f"N=1,000,000: {million['events_per_sec']:,} ev/s, "
-            f"{million['total_s']:.1f}s, {million['peak_rss_kb'] / 1024:,.0f} MiB peak"
-        )
-
-    print("scaling floors met" if ok else "scaling floors NOT met")
-    return 0 if ok else 1
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    _common.report_main("BENCH_sim_scaling", run_sweep, __doc__)

@@ -19,23 +19,18 @@ Entry points:
 * ``python benchmarks/bench_throughput.py`` — full sweep; writes
   ``benchmarks/out/BENCH_throughput.json``, host and commit stamped.
 * ``--quick`` — CI smoke: fewer ops, one row, artifact still written (to
-  a side path unless ``--out`` says otherwise).
-* ``--check-speedup X`` — exit non-zero unless the best sweep row is at
-  least ``X`` times the baseline rate (full runs read about 2.4x; CI uses
-  a lower bar so shared-runner noise doesn't flake).
+  ``BENCH_throughput_quick.json`` unless ``--out`` says otherwise).
+
+The floor — the best sweep row against the baseline rate — is a row of
+``benchmarks/check.py``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import tempfile
 import time
-from pathlib import Path
 
-from _common import OUT_DIR
-from e2e.envelope import commit_stamp, host_stamp
+from _common import report_main
 
 from repro.crypto.params import PARAMS_TEST_512
 from repro.pipeline import LoadGenerator, ThroughputEngine, VerificationPool
@@ -141,12 +136,8 @@ def run_sweep(quick: bool) -> dict:
         )
     best = max(rows, key=lambda row: row["speedup"])
     return {
-        "benchmark": "broker_throughput_pipeline",
-        "host": host_stamp(Path(tempfile.gettempdir())),
-        "commit": commit_stamp(Path(__file__).resolve().parent.parent),
         "params": "PARAMS_TEST_512",
         "seed": SEED,
-        "quick": quick,
         "workload": {
             "peers": PEERS,
             "coins_per_peer": COINS_PER_PEER,
@@ -162,39 +153,5 @@ def run_sweep(quick: bool) -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true", help="CI smoke scale")
-    parser.add_argument(
-        "--check-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="exit non-zero unless best speedup >= X",
-    )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        help="artifact path (default: benchmarks/out/BENCH_throughput.json)",
-    )
-    args = parser.parse_args(argv)
-    report = run_sweep(quick=args.quick)
-    out_path = args.out
-    if out_path is None:
-        name = "BENCH_throughput_quick.json" if args.quick else "BENCH_throughput.json"
-        out_path = OUT_DIR / name
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {out_path}")
-    if args.check_speedup is not None and report["best_speedup"] < args.check_speedup:
-        print(
-            f"FAIL: best speedup {report['best_speedup']}x "
-            f"< required {args.check_speedup}x"
-        )
-        return 1
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    report_main("BENCH_throughput", run_sweep, __doc__, benchmark="broker_throughput_pipeline")

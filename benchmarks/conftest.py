@@ -14,10 +14,10 @@ import pytest
 
 from _common import FULL_SCALE
 
+from repro.sim.figures import SCALE_NOTES
+
 
 @pytest.fixture(scope="session")
 def scale_note() -> str:
     """Human-readable scale marker included in emitted tables."""
-    if FULL_SCALE:
-        return "paper scale (1000 peers, 10 days)"
-    return "reduced scale (150 peers, 5 days; WHOPAY_FULL=1 for paper scale)"
+    return SCALE_NOTES[not FULL_SCALE]

@@ -22,6 +22,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from e2e.envelope import commit_stamp
+
 HERE = Path(__file__).resolve().parent
 COMMITTED = HERE / "out" / "BENCH_counts.json"
 WORKLOADS = ("peer_ops_m1", "peer_ops_m3", "peer_ops_1024", "detect_lazy", "broker_batch")
@@ -47,11 +49,8 @@ def main() -> int:
     args = parser.parse_args()
     measured = {workload: counts(workload) for workload in WORKLOADS}
     if args.write:
-        head = subprocess.run(
-            ["git", "-C", str(HERE), "rev-parse", "HEAD"], capture_output=True, text=True, check=False
-        ).stdout.strip()
         document = {
-            "benchmark": "same_work", "commit": head or None, "python": platform.python_version(),
+            "benchmark": "same_work", "commit": commit_stamp(HERE.parent)["rev"], "python": platform.python_version(),
             "seed": SEED, "units": UNITS, "workloads": measured,
         }
         COMMITTED.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")

@@ -99,7 +99,6 @@ class CentralizedBroker(Node):
         self.deposited: set[int] = set()
         self.fraud_events: list[DoubleSpendDetected] = []
         self.counts = {"purchases": 0, "transfers": 0, "deposits": 0}
-        self._gpk_cache: dict[int, Any] = {}
         self.on(PURCHASE, self._handle_purchase)
         self.on(TRANSFER, self._handle_transfer)
         self.on(DEPOSIT, self._handle_deposit)
@@ -117,13 +116,8 @@ class CentralizedBroker(Node):
         """Account balance."""
         return self.accounts[name][1]
 
-    def _gpk_at(self, version: int):
-        if version not in self._gpk_cache:
-            self._gpk_cache[version] = self.judge.group_public_key_at(version)
-        return self._gpk_cache[version]
-
     def _verify_holder(self, envelope: DualSignedMessage, coin_y: int) -> None:
-        if not envelope.verify(self._gpk_at(envelope.roster_version)):
+        if not envelope.verify(self.judge.verification_key(envelope.roster_version)):
             raise VerificationFailed("holder envelope invalid")
         if coin_y not in self.bindings:
             raise UnknownCoin(f"coin {coin_y:#x} not in circulation")

@@ -1,12 +1,14 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Three commands cover the common entry points without writing any code:
+Four commands cover the common entry points without writing any code:
 
 * ``sweep``  — run a Setup-A availability sweep (or Setup-B size sweep) for
   one (policy, sync) configuration and print the figure-style table;
-* ``run``    — run a single simulation with explicit parameters and print
-  its operation counts and load summary;
-* ``crypto`` — time the crypto substrate on this host (Table 2 style).
+* ``run``    — run a single simulation with explicit parameters (one point
+  of a sweep: same engine selection) and print its operation counts and
+  load summary;
+* ``crypto`` — time the crypto substrate on this host (Table 2 style);
+* ``figures`` — regenerate the data of Figures 2–11 (CSV + text report).
 
 Examples::
 
@@ -14,6 +16,7 @@ Examples::
     python -m repro sweep --setup B --policy III --full
     python -m repro run --peers 200 --days 3 --mu 4 --nu 2 --policy II.a
     python -m repro crypto --bits 1024
+    python -m repro figures --out figures-out
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ import time
 from repro.analysis.tables import format_series_table, format_table
 from repro.core.clock import DAY, HOUR
 from repro.sim.config import SimConfig
+from repro.sim.costs import BROKER_OPS, PEER_OPS
 from repro.sim.policies import POLICIES, policy_by_name
 from repro.sim.runner import run_availability_sweep, run_one, run_scaling_sweep
-from repro.sim.simulator import Simulation
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -117,24 +120,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
         heterogeneity=args.heterogeneity,
         seed=args.seed,
     )
-    start = time.perf_counter()
-    metrics = Simulation(config).run().metrics
-    elapsed = time.perf_counter() - start
-    print(f"# {config.describe()}  [simulated {args.days:g} days in {elapsed:.2f}s]")
+    row = run_one(config)
+    print(
+        f"# {config.describe()}  [{row['engine']} engine: simulated {args.days:g} days, "
+        f"{row['events']:,} events in {row['wall_s']:.2f}s]"
+    )
     print(format_table(
-        [{"operation": op, "count": count} for op, count in sorted(metrics.ops.items())],
-        ["operation", "count"],
+        [
+            {
+                "operation": op,
+                "per_peer_avg": round(row[f"peer_avg_{op}"], 2) if op in PEER_OPS else "",
+                "at_broker": row[f"broker_{op}"] if op in BROKER_OPS else "",
+            }
+            for op in sorted({*PEER_OPS, *BROKER_OPS})
+        ],
+        ["operation", "per_peer_avg", "at_broker"],
         title="operation counts",
     ))
     print()
     print(format_table(
         [
-            {"metric": "payments made", "value": metrics.payments_made},
-            {"metric": "payments failed", "value": metrics.payments_failed},
-            {"metric": "broker CPU load", "value": metrics.broker_cpu_load()},
-            {"metric": "broker/peer CPU ratio", "value": round(metrics.cpu_load_ratio(), 2)},
-            {"metric": "broker share of CPU load", "value": round(metrics.broker_cpu_share(), 4)},
-            {"metric": "broker share of comm load", "value": round(metrics.broker_comm_share(), 4)},
+            {"metric": "payments made", "value": row["payments_made"]},
+            {"metric": "broker CPU load", "value": row["broker_cpu"]},
+            {"metric": "broker/peer CPU ratio", "value": round(row["cpu_ratio"], 2)},
+            {"metric": "broker share of CPU load", "value": round(row["broker_cpu_share"], 4)},
+            {"metric": "broker share of comm load", "value": round(row["broker_comm_share"], 4)},
         ],
         ["metric", "value"],
         title="load summary",
@@ -188,15 +198,8 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "crypto":
-        return _cmd_crypto(args)
-    if args.command == "figures":
-        return _cmd_figures(args)
-    raise AssertionError("unreachable")
+    commands = {"sweep": _cmd_sweep, "run": _cmd_run, "crypto": _cmd_crypto, "figures": _cmd_figures}
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -42,7 +42,6 @@ from repro.core.errors import (
 from repro.core.judge import Judge
 from repro.core.sharding import ShardMap
 from repro.crypto.dsa import dsa_batch_verify, dsa_verify
-from repro.crypto.group_signature import GroupSignatureError
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.params import DlogParams
 from repro.messages.envelope import seal
@@ -171,7 +170,6 @@ class Broker(Node):
         self.fraud_events: list[DoubleSpendDetected] = []
         self.counts = OperationCounts()
         self._sync_nonces: dict[str, bytes] = {}
-        self._gpk_cache: dict[int, Any] = {}
         self.detection = None  # set by WhoPayNetwork when the DHT is enabled
         self.store: DurableStore | None = None
         self._staged: list[dict[str, Any]] = []
@@ -558,16 +556,6 @@ class Broker(Node):
             return False, None
         return True, self._preverified.pop(digest)
 
-    def _gpk_at(self, version: int):
-        if version not in self._gpk_cache:
-            try:
-                self._gpk_cache[version] = self.judge.group_public_key_at(version)
-            except GroupSignatureError as exc:
-                raise VerificationFailed(
-                    "group signature names a roster version the judge never issued"
-                ) from exc
-        return self._gpk_cache[version]
-
     def _verify_holder_op(self, data: bytes, kind: str) -> protocol.HolderRequest:
         """Common validation for the four holder endpoints (``kind`` is the one serving).
 
@@ -590,11 +578,7 @@ class Broker(Node):
             request.require_served_as(kind)
         envelope, coin, proof = request.envelope, request.coin, request.proof
 
-        if envelope.roster_version < self.judge.minimum_accepted_version:
-            raise VerificationFailed(
-                "group signature predates the latest expulsion (revoked snapshot)"
-            )
-        gpk = self._gpk_at(envelope.roster_version)
+        gpk = self.judge.verification_key(envelope.roster_version)
         if not crypto_done and not envelope.verify_group(gpk):
             raise VerificationFailed("holder envelope signatures invalid")
         if coin.cert.signer.y != self.public_key.y:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.errors import VerificationFailed
 from repro.crypto.elgamal import ElGamalKeyPair, elgamal_decrypt
 from repro.crypto.group_signature import GroupManager, GroupMemberKey, GroupPublicKey, GroupSignature
 from repro.crypto.keys import KeyPair
@@ -57,11 +58,20 @@ class Judge:
         return self._manager.public_key()
 
     def group_public_key_at(self, version: int) -> GroupPublicKey:
-        """The group public key at a given roster version.
+        """The group public key at any issued roster version: the exact snapshot
+        an envelope was signed against (``DualSignedMessage.roster_version``)."""
+        return self._manager.public_key_at(version)
 
-        Used by verifiers to reconstruct the exact snapshot a dual-signed
-        envelope was produced against (see ``DualSignedMessage.roster_version``).
-        """
+    def verification_key(self, version: int) -> GroupPublicKey:
+        """The snapshot a live verifier (owner, payee, broker) checks a group
+        signature against.  A version below the revocation floor and one the
+        judge never issued are refused alike, as :class:`VerificationFailed`;
+        audits use :meth:`group_public_key_at`, which looks below the floor."""
+        if not self.minimum_accepted_version <= version <= self._manager.current_version:
+            raise VerificationFailed(
+                f"group signature names roster version {version}: a revoked snapshot "
+                "(it predates the latest expulsion) or one the judge never issued"
+            )
         return self._manager.public_key_at(version)
 
     def member_count(self) -> int:

@@ -42,7 +42,7 @@ from repro.core.errors import (
 )
 from repro.core.judge import Judge
 from repro.crypto.dsa import DsaSignature, dsa_batch_verify
-from repro.crypto.group_signature import GroupMemberKey, GroupSignatureError
+from repro.crypto.group_signature import GroupMemberKey
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.params import DlogParams
 from repro.crypto.schnorr import SchnorrProof, schnorr_prove, schnorr_verify
@@ -168,7 +168,6 @@ class Peer(Node):
         self.detection = None  # set by WhoPayNetwork when the DHT is enabled
         self._pending: dict[bytes, _PendingOffer] = {}
         self._expected_rebinds: set[int] = set()  # coins I am moving myself
-        self._gpk_cache: dict[int, Any] = {}
         self.store: DurableStore | None = None
         if store is not None:
             self.bind_store(store)
@@ -237,24 +236,11 @@ class Peer(Node):
     # helpers
     # ------------------------------------------------------------------
 
-    def _gpk(self, version: int | None = None):
-        if version is None:
-            gpk = self.judge.group_public_key()
-            self._gpk_cache[gpk.version] = gpk
-            return gpk
-        if version not in self._gpk_cache:
-            self._gpk_cache[version] = self.judge.group_public_key_at(version)
-        return self._gpk_cache[version]
-
     def _verify_dual(self, envelope: DualSignedMessage) -> bool:
-        # Revocation floor: refuse signatures minted against a roster
-        # snapshot that predates the latest expulsion.
-        if envelope.roster_version < self.judge.minimum_accepted_version:
-            return False
         try:
-            gpk = self._gpk(envelope.roster_version)
-        except GroupSignatureError:
-            return False  # a roster version the judge never issued
+            gpk = self.judge.verification_key(envelope.roster_version)
+        except VerificationFailed:
+            return False  # a revoked snapshot, or one the judge never issued
         return envelope.verify(gpk)
 
     def _owner_proof_context(self, nonce: bytes, binding: CoinBinding) -> bytes:
@@ -574,7 +560,8 @@ class Peer(Node):
         can still be opened by the judge.
         """
         if state.coin.is_ownerless:
-            dual = group_countersign(binding.signed, self.member_key, self._gpk())
+            gpk = self.judge.group_public_key()
+            dual = group_countersign(binding.signed, self.member_key, gpk)
             proof = schnorr_prove(
                 state.coin_keypair, self._owner_proof_context(nonce, binding)
             )
@@ -606,7 +593,8 @@ class Peer(Node):
             proof_via_broker=held.binding.via_broker,
             **fields,
         )
-        return group_seal(held.holder_keypair, self.member_key, self._gpk(), operation.to_payload())
+        gpk = self.judge.group_public_key()
+        return group_seal(held.holder_keypair, self.member_key, gpk, operation.to_payload())
 
     def _pick_held(self, coin_y: int | None, owner_online: bool | None = None) -> HeldCoin:
         now = self.clock.now()
@@ -895,6 +883,7 @@ class Peer(Node):
             raise ValueError("amount must be positive")
         legs: list[tuple[str, int]] = []
         remaining = amount
+        unusable: set[int] = set()
         # Spend existing holdings largest-first without overshooting.
         while remaining > 0:
             now = self.clock.now()
@@ -902,7 +891,9 @@ class Peer(Node):
                 (
                     held
                     for held in self.wallet.values()
-                    if not held.is_expired(now) and held.value <= remaining
+                    if not held.is_expired(now)
+                    and held.value <= remaining
+                    and held.coin_y not in unusable
                 ),
                 key=lambda held: held.value,
                 reverse=True,
@@ -921,7 +912,7 @@ class Peer(Node):
                 remaining -= held.value
             except (NodeOffline, NetworkError, ProtocolError):
                 # This coin is unusable right now; exclude it and move on.
-                break
+                unusable.add(held.coin_y)
         # Cover the remainder with the policy's non-transfer methods.
         fallback = tuple(m for m in preferences if m not in ("transfer", "downtime_transfer"))
         while remaining > 0:

@@ -177,6 +177,11 @@ def _opening_table(params: DlogParams, y: int) -> fastexp.FixedBaseTable:
     )
 
 
+#: Roster versions whose :class:`GroupPublicKey` the manager keeps built:
+#: the current one and the few in flight (an older one is rebuilt on demand).
+MAX_PUBLIC_KEYS = 8
+
+
 class GroupManager:
     """The judge's side of the scheme: registration and opening.
 
@@ -196,6 +201,8 @@ class GroupManager:
         # and every expulsion appends a snapshot, so old signatures remain
         # verifiable against the exact roster they were minted under.
         self._snapshots: list[tuple[int, ...]] = [()]
+        # version -> its one GroupPublicKey (the object memoises the roster encoding)
+        self._public_keys: dict[int, GroupPublicKey] = {}
         self._expelled: dict[str, int] = {}  # identity -> expulsion version
 
     @property
@@ -211,16 +218,23 @@ class GroupManager:
         """The group public key as of roster version ``version``.
 
         A verifier can reconstruct exactly the snapshot a signer used (the
-        signer's envelope records its roster version).
+        signer's envelope records its roster version).  One object per
+        version (the :data:`MAX_PUBLIC_KEYS` latest built), so all who sign or
+        verify against a snapshot share its memoised roster encoding.
         """
-        if not 0 <= version < len(self._snapshots):
-            raise GroupSignatureError(f"unknown roster version {version}")
-        return GroupPublicKey(
-            params=self.params,
-            opening_key=self._opening.public,
-            roster=self._snapshots[version],
-            version=version,
-        )
+        gpk = self._public_keys.get(version)
+        if gpk is None:
+            if not 0 <= version < len(self._snapshots):
+                raise GroupSignatureError(f"unknown roster version {version}")
+            gpk = self._public_keys[version] = GroupPublicKey(
+                params=self.params,
+                opening_key=self._opening.public,
+                roster=self._snapshots[version],
+                version=version,
+            )
+            if len(self._public_keys) > MAX_PUBLIC_KEYS:
+                del self._public_keys[next(iter(self._public_keys))]
+        return gpk
 
     @property
     def current_version(self) -> int:

@@ -1,93 +1,153 @@
-"""One-call regeneration of every figure's data (paper Section 6.2).
+"""Figures 2–11, stated once (paper Section 6.2).
 
-:func:`generate_all` runs the four Setup-A configurations and the four
-Setup-B configurations once each and derives the data series behind every
-figure (2–11), returning them as a dict and optionally writing one CSV per
-figure plus a combined plain-text report.  The CLI exposes this as
-``python -m repro figures``.
-
-This module is about *convenience packaging*; the per-figure shape
-assertions live in the benchmark suite, which remains the verification
-path.
+:data:`FIGURES` is the one table of what each figure plots: sweep,
+configuration(s), row keys, column names and rounding, x-axis cut, title,
+and the artefact under ``benchmarks/out`` holding the committed series.
+Everything that draws a figure reads it: :func:`generate_all` (``python -m
+repro figures``: CSVs plus a text report), ``benchmarks/bench_figures.py``
+(the same text to the artefact, then the shape assertions of DESIGN.md §2)
+and the engine-equivalence test (at reduced scale that text equals the
+committed artefact byte for byte).
 """
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping, NamedTuple
 
 from repro.analysis.tables import format_series_table
-from repro.sim.policies import POLICY_I, POLICY_III
+from repro.sim.policies import policy_by_name
 from repro.sim.runner import run_availability_sweep, run_scaling_sweep
 
-CONFIGS = (
+Config = tuple[str, str]  # (policy name, sync mode)
+
+#: The four (policy, sync) configurations of Figures 6–11, in column order.
+CONFIGS: tuple[Config, ...] = (
     ("I", "proactive"),
     ("I", "lazy"),
     ("III", "proactive"),
     ("III", "lazy"),
 )
 
-_POLICIES = {"I": POLICY_I, "III": POLICY_III}
-
-#: Figure id -> (x key, [(series label, row key)], which sweep, which configs)
-_FIGURES: dict[str, dict[str, Any]] = {
-    "fig2": {
-        "title": "Broker Load: Policy I + Pro Sync",
-        "sweep": "A",
-        "config": ("I", "proactive"),
-        "series": [
-            ("purchases", "broker_purchase"),
-            ("downtime_transfers", "broker_downtime_transfer"),
-            ("downtime_renewals", "broker_downtime_renewal"),
-            ("syncs", "broker_sync"),
-        ],
-    },
-    "fig3": {
-        "title": "Broker Load: Policy I + Lazy Sync",
-        "sweep": "A",
-        "config": ("I", "lazy"),
-        "series": [
-            ("purchases", "broker_purchase"),
-            ("downtime_transfers", "broker_downtime_transfer"),
-            ("downtime_renewals", "broker_downtime_renewal"),
-        ],
-    },
-    "fig4": {
-        "title": "Average Peer Load: Policy I + Pro Sync",
-        "sweep": "A",
-        "config": ("I", "proactive"),
-        "series": [
-            ("purchases", "peer_avg_purchase"),
-            ("issues", "peer_avg_issue"),
-            ("transfers", "peer_avg_transfer"),
-            ("renewals", "peer_avg_renewal"),
-            ("downtime_transfers", "peer_avg_downtime_transfer"),
-            ("downtime_renewals", "peer_avg_downtime_renewal"),
-            ("syncs", "peer_avg_sync"),
-        ],
-    },
-    "fig5": {
-        "title": "Average Peer Load: Policy I + Lazy Sync",
-        "sweep": "A",
-        "config": ("I", "lazy"),
-        "series": [
-            ("purchases", "peer_avg_purchase"),
-            ("issues", "peer_avg_issue"),
-            ("transfers", "peer_avg_transfer"),
-            ("renewals", "peer_avg_renewal"),
-            ("downtime_transfers", "peer_avg_downtime_transfer"),
-            ("downtime_renewals", "peer_avg_downtime_renewal"),
-            ("checks", "peer_avg_check"),
-        ],
-    },
-    "fig6": {"title": "Broker CPU Load", "sweep": "A", "multi": "broker_cpu"},
-    "fig7": {"title": "Broker Communication Load", "sweep": "A", "multi": "broker_comm"},
-    "fig8": {"title": "Broker-Peer CPU Load Ratio", "sweep": "A", "multi": "cpu_ratio"},
-    "fig9": {"title": "Broker-Peer Communication Load Ratio", "sweep": "A", "multi": "comm_ratio"},
-    "fig10": {"title": "Broker CPU Load Scaling", "sweep": "B", "multi": "broker_cpu_share"},
-    "fig11": {"title": "Broker Communication Load Scaling", "sweep": "B", "multi": "broker_comm_share"},
+SCALE_NOTES = {
+    True: "reduced scale (150 peers, 5 days; WHOPAY_FULL=1 for paper scale)",
+    False: "paper scale (1000 peers, 10 days)",
 }
+
+
+class Column(NamedTuple):
+    """One plotted series: ``label`` heads the column, the values are
+    ``row[key]`` over the ``config`` sweep, rounded to ``digits`` if set."""
+
+    label: str
+    config: Config
+    key: str
+    digits: int | None = None
+
+
+class Figure(NamedTuple):
+    """One figure: its artefact, title, sweep (``setup`` A: µ, B: N),
+    columns and — Figures 8/9 show µ ∈ [0.25, 6] h only — x-axis cut."""
+
+    artefact: str
+    title: str  # may name ``{n_peers}``
+    setup: str
+    columns: tuple[Column, ...]
+    max_x: float = float("inf")
+
+
+def _broker_ops(config: Config, *ops: str):
+    """Columns of a broker-load figure (2, 3): plural label, ``broker_<op>`` counts."""
+    return tuple(Column(op + "s", config, "broker_" + op) for op in ops)
+
+
+def _peer_ops(config: Config, *ops: str):
+    """Columns of a peer-load figure (4, 5): ``peer_avg_<op>`` to two places."""
+    return tuple(Column(op, config, "peer_avg_" + op, 2) for op in ops)
+
+
+def _per_config(key: str, digits: int | None = None):
+    """Columns of a four-configuration figure (6–11): one row key, four sweeps."""
+    return tuple(Column(f"{p}+{sync[:4]}", (p, sync), key, digits) for p, sync in CONFIGS)
+
+
+_BROKER_OPS = ("purchase", "downtime_transfer", "downtime_renewal", "sync")
+_PEER_OPS = ("purchase", "issue", "transfer", "renewal", "downtime_transfer", "downtime_renewal")
+
+FIGURES: dict[str, Figure] = {
+    "fig2": Figure(
+        "fig2_broker_load_pro", "Broker Load, Policy I + Proactive Sync", "A",
+        # Deposits are plotted to show they are zero: policy I never deposits.
+        _broker_ops(("I", "proactive"), *_BROKER_OPS, "deposit"),
+    ),
+    "fig3": Figure(
+        "fig3_broker_load_lazy", "Broker Load, Policy I + Lazy Sync", "A",
+        # Syncs likewise: lazy synchronization eliminates them.
+        _broker_ops(("I", "lazy"), *_BROKER_OPS),
+    ),
+    "fig4": Figure(
+        "fig4_peer_load_pro", "Average Peer Load, Policy I + Proactive Sync", "A",
+        _peer_ops(("I", "proactive"), *_PEER_OPS, "sync"),
+    ),
+    "fig5": Figure(
+        "fig5_peer_load_lazy", "Average Peer Load, Policy I + Lazy Sync", "A",
+        _peer_ops(("I", "lazy"), *_PEER_OPS, "check", "lazy_sync", "sync"),
+    ),
+    "fig6": Figure(
+        "fig6_broker_cpu", "Broker CPU Load (Table 3 units)", "A", _per_config("broker_cpu")
+    ),
+    "fig7": Figure(
+        "fig7_broker_comm", "Broker Communication Load (message endpoints)", "A",
+        _per_config("broker_comm"),
+    ),
+    "fig8": Figure(
+        "fig8_cpu_ratio", "Broker-Peer CPU Load Ratio (N={n_peers})", "A",
+        _per_config("cpu_ratio", 1), max_x=6.0,
+    ),
+    "fig9": Figure(
+        "fig9_comm_ratio", "Broker-Peer Communication Load Ratio (N={n_peers})", "A",
+        _per_config("comm_ratio", 1), max_x=6.0,
+    ),
+    "fig10": Figure(
+        "fig10_cpu_scaling", "Broker CPU Load Share vs System Size", "B",
+        _per_config("broker_cpu_share", 4),
+    ),
+    "fig11": Figure(
+        "fig11_comm_scaling", "Broker Communication Load Share vs System Size", "B",
+        _per_config("broker_comm_share", 4),
+    ),
+}
+
+
+def figure_data(
+    figure_id: str, sweeps: Mapping[Config, list[dict[str, Any]]], small: bool = True
+) -> dict[str, Any]:
+    """One figure's ``{"title", "x_label", "x", "series", "n_peers"}``: the
+    values as plotted — cut and rounded per :data:`FIGURES` — from ``sweeps``,
+    the :func:`repro.sim.runner.run_one` rows of each configuration it names."""
+    figure = FIGURES[figure_id]
+    x_label = {"A": "mu_hours", "B": "n_peers"}[figure.setup]
+    reference = sweeps[figure.columns[0].config]
+    shown = [i for i, row in enumerate(reference) if row[x_label] <= figure.max_x]
+    n_peers = reference[0]["n_peers"]
+    title = figure.title.format(n_peers=n_peers)
+    series = {}
+    for label, config, key, digits in figure.columns:
+        values = [sweeps[config][i][key] for i in shown]
+        series[label] = values if digits is None else [round(v, digits) for v in values]
+    return {
+        "title": f"Figure {figure_id[3:]}: {title} — {SCALE_NOTES[small]}",
+        "x_label": x_label,
+        "x": [reference[i][x_label] for i in shown],
+        "series": series,
+        "n_peers": n_peers,
+    }
+
+
+def render(data: Mapping[str, Any]) -> str:
+    """The text of one figure — what ``benchmarks/out/<artefact>.txt`` holds."""
+    return format_series_table(data["x_label"], data["x"], data["series"], title=data["title"])
 
 
 def generate_all(
@@ -95,63 +155,31 @@ def generate_all(
     out_dir: str | Path | None = None,
     engine: str | None = None,
 ) -> dict[str, dict[str, Any]]:
-    """Run the sweeps and derive every figure's series.
+    """Run the eight sweeps and derive every figure's series.
 
-    Returns ``{figure_id: {"title", "x_label", "x", series...}}``; when
-    ``out_dir`` is given, also writes ``<figure>.csv`` per figure and a
-    combined ``figures.txt`` report there.  ``engine`` selects the
-    simulation engine (see :func:`repro.sim.engine.build_simulation`);
-    the default resolves to the fast engine.
+    Returns ``{figure_id: figure_data(...)}``; when ``out_dir`` is given,
+    also writes ``<figure>.csv`` per figure and a combined ``figures.txt``
+    there.  ``engine``: see :func:`repro.sim.engine.build_simulation`.
     """
-    sweeps_a = {
-        cfg: run_availability_sweep(_POLICIES[cfg[0]], cfg[1], small=small, engine=engine)
-        for cfg in CONFIGS
+    run = {"A": run_availability_sweep, "B": run_scaling_sweep}
+    sweeps = {
+        setup: {
+            (policy, sync): run[setup](policy_by_name(policy), sync, small=small, engine=engine)
+            for policy, sync in CONFIGS
+        }
+        for setup in run
     }
-    sweeps_b = {
-        cfg: run_scaling_sweep(_POLICIES[cfg[0]], cfg[1], small=small, engine=engine)
-        for cfg in CONFIGS
+    figures = {
+        figure_id: figure_data(figure_id, sweeps[figure.setup], small)
+        for figure_id, figure in FIGURES.items()
     }
-
-    figures: dict[str, dict[str, Any]] = {}
-    for figure_id, spec in _FIGURES.items():
-        if spec["sweep"] == "A":
-            x_label = "mu_hours"
-            rows_by_config = sweeps_a
-        else:
-            x_label = "n_peers"
-            rows_by_config = sweeps_b
-        if "series" in spec:
-            rows = rows_by_config[spec["config"]]
-            x = [row[x_label] for row in rows]
-            series = {label: [row[key] for row in rows] for label, key in spec["series"]}
-        else:
-            key = spec["multi"]
-            reference = rows_by_config[CONFIGS[0]]
-            x = [row[x_label] for row in reference]
-            series = {
-                f"{policy}+{sync[:4]}": [row[key] for row in rows_by_config[(policy, sync)]]
-                for policy, sync in CONFIGS
-            }
-        figures[figure_id] = {"title": spec["title"], "x_label": x_label, "x": x, "series": series}
-
     if out_dir is not None:
-        _write(figures, Path(out_dir))
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for figure_id, data in figures.items():
+            with open(out_dir / f"{figure_id}.csv", "w", newline="") as handle:
+                writer = csv.writer(handle)
+                writer.writerow([data["x_label"], *data["series"]])
+                writer.writerows(zip(data["x"], *data["series"].values()))
+        (out_dir / "figures.txt").write_text("\n\n".join(map(render, figures.values())) + "\n")
     return figures
-
-
-def _write(figures: dict[str, dict[str, Any]], out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_parts: list[str] = []
-    for figure_id, data in figures.items():
-        with open(out_dir / f"{figure_id}.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow([data["x_label"], *data["series"].keys()])
-            for i, x in enumerate(data["x"]):
-                writer.writerow([x, *(values[i] for values in data["series"].values())])
-        report_parts.append(
-            format_series_table(
-                data["x_label"], data["x"], data["series"],
-                title=f"{figure_id}: {data['title']}",
-            )
-        )
-    (out_dir / "figures.txt").write_text("\n\n".join(report_parts) + "\n")

@@ -17,9 +17,8 @@ Environment knobs (all optional):
   values warn and fall back instead of killing the sweep);
 * ``WHOPAY_SIM_ENGINE`` — default engine for sweep points (``fast`` or
   ``reference``; see :mod:`repro.sim.engine`);
-* ``WHOPAY_CHUNK`` — ``pool.map`` chunksize override (default: spread
-  points evenly at ~4 chunks per worker);
 * ``WHOPAY_PROFILE`` — directory for per-point cProfile dumps.
+  (The ``pool.map`` chunk size is computed from the sweep, not a knob.)
 
 Every row is stamped with its ``engine`` plus ``wall_s`` /
 ``events_per_sec`` / ``peak_rss_kb`` timing columns, so committed figure
@@ -41,6 +40,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 from repro.core.clock import HOUR
 from repro.sim.config import SimConfig, setup_a_configs, setup_b_configs
 from repro.sim.engine import build_simulation, resolve_engine
+from repro.sim.metrics import SimMetrics
 from repro.sim.policies import Policy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -102,6 +102,17 @@ def run_one(config: SimConfig, engine: str | None = None) -> dict[str, Any]:
         result = sim.run()
         wall = time.perf_counter() - start  # wp-lint: disable=WP102
     metrics = result.metrics
+    row = metrics_row(config, metrics, engine)
+    row["wall_s"] = wall
+    row["events_per_sec"] = metrics.events / wall if wall > 0 else 0.0
+    row["peak_rss_kb"] = _peak_rss_kb()
+    return row
+
+
+def metrics_row(config: SimConfig, metrics: SimMetrics, engine: str) -> dict[str, Any]:
+    """Flatten one run's metrics into the row the figures read — everything
+    in a :func:`run_one` row except the :data:`TIMING_COLUMNS`, and a pure
+    function of its arguments."""
     row: dict[str, Any] = {
         "engine": engine,
         "mu_hours": config.mean_online / HOUR,
@@ -130,9 +141,6 @@ def run_one(config: SimConfig, engine: str | None = None) -> dict[str, Any]:
         row[f"broker_shard{shard}_cpu"] = load
     for op, avg in metrics.peer_op_counts_avg().items():
         row[f"peer_avg_{op}"] = avg
-    row["wall_s"] = wall
-    row["events_per_sec"] = metrics.events / wall if wall > 0 else 0.0
-    row["peak_rss_kb"] = _peak_rss_kb()
     return row
 
 
@@ -168,22 +176,6 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _default_chunksize(n_points: int, workers: int) -> int:
-    """Chunk sweep points so each worker sees ~4 chunks (amortizes IPC
-    without serializing the tail); ``WHOPAY_CHUNK`` overrides."""
-    env = (os.environ.get("WHOPAY_CHUNK") or "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            warnings.warn(
-                f"ignoring malformed WHOPAY_CHUNK={env!r} (expected an integer)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return max(1, n_points // (workers * 4))
-
-
 def _pool(max_workers: int) -> ProcessPoolExecutor:
     """Return the shared executor, (re)building it if the size changed."""
     global _executor, _executor_workers
@@ -209,47 +201,41 @@ def shutdown_pool() -> None:
 atexit.register(shutdown_pool)
 
 
+def map_points(point, configs: Iterable[SimConfig], max_workers: int | None) -> list:
+    """``[point(c) for c in configs]``, fanned over the shared process pool.
+
+    Order is preserved; ``point`` must pickle.  With one config or one worker
+    the list comprehension is what runs (a one-worker pool is the same work
+    plus a fork and a pickle per point); otherwise points ship in chunks, ~4
+    per worker, which amortizes IPC without serializing the tail.
+    """
+    configs = list(configs)
+    workers = min(max_workers or default_workers(), len(configs))
+    if workers <= 1:
+        return [point(config) for config in configs]
+    chunk = max(1, len(configs) // (workers * 4))
+    return list(_pool(workers).map(point, configs, chunksize=chunk))
+
+
 def run_sweep_parallel(
     configs: Iterable[SimConfig],
     max_workers: int | None = None,
     engine: str | None = None,
-    chunksize: int | None = None,
 ) -> list[dict[str, Any]]:
     """Run independent sweep points on a process pool, preserving order.
 
     Returns exactly what ``[run_one(c, engine) for c in configs]`` would:
     each point is seeded by its config and workers share no state, so rows
     are bit-identical to the sequential runner's modulo the wall-clock
-    :data:`TIMING_COLUMNS` stamps.  With one config (or one
-    worker available and one config) the pool is skipped entirely.  Points
-    ship to workers in chunks (see :func:`_default_chunksize`) so short
-    sweep points don't pay one IPC round-trip each.
-
-    The engine name is resolved *here*, in the parent, so a sweep is pinned
-    to one engine even if a worker's environment drifts.
+    :data:`TIMING_COLUMNS` stamps.  The engine name is resolved *here*, in
+    the parent, so a sweep is pinned to one engine even if a worker's
+    environment drifts.
     """
-    configs = list(configs)
-    if not configs:
-        return []
-    engine = resolve_engine(engine)
-    workers = min(max_workers or default_workers(), len(configs))
-    if workers <= 1 and len(configs) == 1:
-        return [run_one(configs[0], engine)]
-    chunk = chunksize or _default_chunksize(len(configs), workers)
-    # ``map`` yields in submission order regardless of completion order;
-    # ``partial`` keeps the callable picklable for the worker processes.
-    return list(_pool(workers).map(partial(run_one, engine=engine), configs, chunksize=chunk))
+    return map_points(partial(run_one, engine=resolve_engine(engine)), configs, max_workers)
 
 
-def _run_points(
-    configs: Iterable[SimConfig],
-    parallel: bool,
-    engine: str | None = None,
-) -> list[dict[str, Any]]:
-    if parallel:
-        return run_sweep_parallel(configs, engine=engine)
-    engine = resolve_engine(engine)
-    return [run_one(config, engine) for config in configs]
+def _run_points(configs: Iterable[SimConfig], parallel: bool, engine: str | None) -> list[dict]:
+    return run_sweep_parallel(configs, None if parallel else 1, engine)
 
 
 # -- replication --------------------------------------------------------------

@@ -90,8 +90,7 @@ class DurableStore:
         self.journal_path = self.root / self.JOURNAL_NAME
         self.snapshot_path = self.root / self.SNAPSHOT_NAME
         self.crash_points = crash_points
-        covers = self._covers_lsn(self._read_snapshot())
-        _state, records, _torn = self.load()
+        covers, _state, records, _torn = self._load()
         self.next_lsn = max([covers] + [record["lsn"] for record in records]) + 1
 
     # -- state queries -------------------------------------------------------
@@ -210,7 +209,7 @@ class DurableStore:
         member's, so the covered/uncovered decision is per member).
         """
         frames: list[bytes] = []
-        for payload in self._raw_frames():
+        for payload in self._scan_frames()[0]:
             record = decode(payload)
             if _is_group_frame(record):
                 members = record["group"]
@@ -239,17 +238,13 @@ class DurableStore:
         new frames written after torn bytes would be unreachable (the
         reader stops at the tear).
         """
-        good = 0
-        for payload in self._raw_frames():
-            good += _LEN.size + len(payload) + _CHECKSUM_BYTES
-        size = self.journal_path.stat().st_size if self.journal_path.exists() else 0
-        excess = size - good
-        if excess > 0:
+        _payloads, torn_bytes = self._scan_frames()
+        if torn_bytes:
             with open(self.journal_path, "r+b") as fh:
-                fh.truncate(good)
+                fh.truncate(fh.seek(-torn_bytes, os.SEEK_END))
                 fh.flush()
                 os.fsync(fh.fileno())
-        return max(excess, 0)
+        return torn_bytes
 
     # -- reading -------------------------------------------------------------
 
@@ -262,12 +257,17 @@ class DurableStore:
         ``torn_tail`` reports an incomplete final frame (tolerated).
         Raises :class:`JournalCorrupt` on any integrity failure.
         """
+        return self._load()[1:]
+
+    def _load(self) -> tuple[int, bytes | None, list[dict[str, Any]], bool]:
+        """:meth:`load` behind the LSN the snapshot covers (the constructor
+        wants it): one read of each file, one checksum pass."""
         snapshot = self._read_snapshot()
-        covers = self._covers_lsn(snapshot)
+        covers, state = (snapshot["covers_lsn"], snapshot["state"]) if snapshot else (0, None)
         records: list[dict[str, Any]] = []
         last_lsn = None
-        torn = False
-        for payload in self._raw_frames():
+        payloads, torn_bytes = self._scan_frames()
+        for payload in payloads:
             try:
                 record = decode(payload)
             except CodecError as exc:  # pragma: no cover - checksum guards this
@@ -292,36 +292,27 @@ class DurableStore:
                 last_lsn = lsn
                 if lsn > covers:
                     records.append(member)
-        torn = self._has_torn_tail()
-        state = None if snapshot is None else snapshot["state"]
-        return state, records, torn
+        return covers, state, records, torn_bytes > 0
 
-    def _raw_frames(self) -> list[bytes]:
-        """Complete, checksum-verified frame payloads (stops at a tear)."""
-        payloads, _torn = self._scan_frames()
-        return payloads
-
-    def _has_torn_tail(self) -> bool:
-        _payloads, torn = self._scan_frames()
-        return torn
-
-    def _scan_frames(self) -> tuple[list[bytes], bool]:
+    def _scan_frames(self) -> tuple[list[bytes], int]:
+        """Complete, checksum-verified frame payloads, and how many bytes of
+        an incomplete frame (a tear: the scan stops there) follow them."""
         if not self.journal_path.exists():
-            return [], False
+            return [], 0
         data = self.journal_path.read_bytes()
         payloads: list[bytes] = []
         offset = 0
         while offset < len(data):
             if offset + _LEN.size > len(data):
-                return payloads, True  # torn inside the length prefix
+                break  # torn inside the length prefix
             (length,) = _LEN.unpack_from(data, offset)
             if length == 0 or length > MAX_FRAME_PAYLOAD:
                 # A complete-but-absurd length prefix can only come from a
                 # tear (the prefix bytes are a fragment of a lost frame).
-                return payloads, True
+                break
             end = offset + _LEN.size + length + _CHECKSUM_BYTES
             if end > len(data):
-                return payloads, True  # torn inside payload or checksum
+                break  # torn inside payload or checksum
             payload = data[offset + _LEN.size : offset + _LEN.size + length]
             checksum = data[offset + _LEN.size + length : end]
             if not hmac.compare_digest(hashlib.sha256(payload).digest(), checksum):
@@ -330,7 +321,7 @@ class DurableStore:
                 )
             payloads.append(payload)
             offset = end
-        return payloads, False
+        return payloads, len(data) - offset
 
     def _read_snapshot(self) -> dict[str, Any] | None:
         if not self.snapshot_path.exists():
@@ -357,9 +348,3 @@ class DurableStore:
         ):
             raise JournalCorrupt(f"{self.snapshot_path} has an unrecognized shape")
         return snapshot
-
-    @staticmethod
-    def _covers_lsn(snapshot: dict[str, Any] | bytes | None) -> int:
-        if isinstance(snapshot, dict):
-            return snapshot["covers_lsn"]
-        return 0

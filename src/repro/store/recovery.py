@@ -117,8 +117,8 @@ class RecoveryManager:
         from repro.core.broker import Broker
         from repro.core.persistence import restore_broker_state
 
-        torn_bytes = self.store.truncate_torn_tail()
-        snapshot_blob, records, _torn = self.store.load()
+        snapshot_blob, records, torn = self.store.load()
+        torn_bytes = self.store.truncate_torn_tail() if torn else 0
         blob = _decrypted(snapshot_blob, encryption_key)
         stored_address = _peek_address(blob, _init_mutation(records, "broker_init"))
         if address is not None and address != stored_address:
@@ -193,8 +193,8 @@ class RecoveryManager:
         from repro.crypto.group_signature import GroupMemberKey
         from repro.store import records as wallet_records
 
-        torn_bytes = self.store.truncate_torn_tail()
-        snapshot_blob, records, _torn = self.store.load()
+        snapshot_blob, records, torn = self.store.load()
+        torn_bytes = self.store.truncate_torn_tail() if torn else 0
         blob = _decrypted(snapshot_blob, encryption_key)
         init = _init_mutation(records, "peer_init")
         address = _peek_address(blob, init)

@@ -17,6 +17,15 @@ class TestRunCommand:
         assert "broker share of CPU load" in out
         assert "transfer" in out
 
+    def test_run_is_the_sweeps_point_and_names_its_engine(self, capsys, monkeypatch):
+        argv = ["run", "--peers", "20", "--days", "0.5", "--renewal-days", "0.2", "--seed", "3"]
+        monkeypatch.delenv("WHOPAY_SIM_ENGINE", raising=False)
+        assert main(argv) == 0
+        assert "[fast engine:" in capsys.readouterr().out
+        monkeypatch.setenv("WHOPAY_SIM_ENGINE", "reference")
+        assert main(argv) == 0
+        assert "[reference engine:" in capsys.readouterr().out
+
     def test_run_powerlaw(self, capsys):
         code = main([
             "run", "--peers", "20", "--days", "0.5", "--renewal-days", "0.2",

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.errors import VerificationFailed
 from repro.core.judge import Judge
 from repro.crypto.group_signature import group_sign
 from repro.crypto.params import PARAMS_TEST_512
@@ -30,6 +31,26 @@ class TestRegistration:
         from repro.crypto.group_signature import group_verify
 
         assert group_verify(judge.group_public_key_at(1), b"m", sig)
+
+
+class TestVerificationKey:
+    """What owner, payee and broker all ask before checking a group signature."""
+
+    def test_accepted_version_is_the_audit_key(self, judge):
+        judge.register("alice")
+        assert judge.verification_key(1) is judge.group_public_key_at(1)
+
+    def test_unissued_and_revoked_versions_raise_one_type(self, judge):
+        judge.register("alice")
+        judge.register("bob")
+        with pytest.raises(VerificationFailed, match="roster version 1000000"):
+            judge.verification_key(10**6)
+        floor = judge.expel("bob")
+        with pytest.raises(VerificationFailed, match="revoked snapshot"):
+            judge.verification_key(floor - 1)
+        # The audit path still looks below the floor.
+        assert len(judge.group_public_key_at(floor - 1).roster) == 2
+        assert judge.verification_key(floor).version == floor
 
 
 class TestOpening:

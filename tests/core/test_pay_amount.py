@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.errors import ProtocolError
+
 
 class TestPayAmount:
     def test_single_coin_exact(self, funded_trio):
@@ -51,6 +53,32 @@ class TestPayAmount:
         alice.depart()
         legs = bob.pay_amount("carol", 3)
         assert legs == [("downtime_transfer", 3)]
+
+    def test_a_failed_coin_is_skipped_not_the_whole_wallet(self, funded_trio, monkeypatch):
+        _net, alice, bob, carol = funded_trio
+        coins = {}
+        for value in (2, 1, 1):
+            state = alice.purchase(value=value)
+            alice.issue("bob", state.coin_y)
+            coins[state.coin_y] = value
+        broken = next(y for y, value in coins.items() if value == 2)
+        transfer = bob.transfer
+
+        def failing_transfer(payee, coin_y):
+            if coin_y == broken:
+                raise ProtocolError("owner refused this coin")
+            return transfer(payee, coin_y)
+
+        monkeypatch.setattr(bob, "transfer", failing_transfer)
+        legs = bob.pay_amount("carol", 4)
+        assert legs == [
+            ("transfer", 1),
+            ("transfer", 1),
+            ("purchase_issue", 1),
+            ("purchase_issue", 1),
+        ]
+        assert list(bob.wallet) == [broken]
+        assert carol.balance_held() == 4
 
     def test_rejects_nonpositive(self, funded_trio):
         _net, alice, _bob, _carol = funded_trio

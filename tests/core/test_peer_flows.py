@@ -374,3 +374,26 @@ class TestPublicOperationsStayOnPeer:
         traced = ("purchase", "issue", "transfer", "transfer_via_broker", "renew",
                   "rejoin", "sync_with_broker", "deposit")
         assert all(name in Peer.__dict__ for name in traced)
+
+
+class TestOneRosterLookup:
+    def test_two_holder_requests_sign_against_the_same_key_object(self, funded_trio, monkeypatch):
+        # The roster encoding is memoised on the GroupPublicKey: a peer that
+        # got a fresh object per request re-encoded the roster per signature.
+        from repro.core import peer as peer_module
+
+        _net, alice, bob, carol = funded_trio
+        seen = []
+        real_seal = peer_module.group_seal
+
+        def recording_seal(keypair, member, gpk, payload):
+            seen.append(gpk)
+            return real_seal(keypair, member, gpk, payload)
+
+        monkeypatch.setattr(peer_module, "group_seal", recording_seal)
+        state = alice.purchase()
+        alice.issue("bob", state.coin_y)
+        bob.renew(state.coin_y)
+        bob.transfer("carol", state.coin_y)
+        assert len(seen) == 2 and seen[0] is seen[1]
+        assert seen[0]._encode_memo is not None

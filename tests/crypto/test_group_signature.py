@@ -163,6 +163,27 @@ class TestRosterVersioning:
         assert manager.public_key_at(1).version == 1
 
 
+class TestPublicKeyMemo:
+    def test_one_object_per_version(self):
+        manager = GroupManager(PARAMS_TEST_512)
+        manager.register("a")
+        assert manager.public_key() is manager.public_key() is manager.public_key_at(1)
+        manager.register("b")
+        assert manager.public_key() is not manager.public_key_at(1)
+        assert manager.public_key_at(1).roster == manager.public_key().roster[:1]
+
+    def test_memo_is_bounded_and_an_evicted_version_is_rebuilt(self):
+        manager = GroupManager(PARAMS_TEST_512)
+        bound = group_signature.MAX_PUBLIC_KEYS
+        for i in range(3 * bound):
+            manager.register(f"m{i}")
+            manager.public_key()
+            assert len(manager._public_keys) <= bound
+        first = manager.public_key_at(1)  # long evicted
+        assert (first.version, len(first.roster)) == (1, 1)
+        assert len(manager._public_keys) <= bound
+
+
 class TestExpulsion:
     def test_expel_shrinks_roster_and_bumps_version(self):
         manager = GroupManager(PARAMS_TEST_512)

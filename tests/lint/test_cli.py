@@ -30,15 +30,15 @@ PRAGMA_SITES = [
 ]
 EXEMPTED = [
     ("benchmarks/bench_crypto_ops.py", 119, "WP103"),
-    ("benchmarks/bench_crypto_ops.py", 190, "WP103"),
-    ("benchmarks/bench_crypto_ops.py", 196, "WP103"),
-    ("benchmarks/bench_crypto_ops.py", 196, "WP103"),
-    ("benchmarks/bench_crypto_ops.py", 221, "WP103"),
-    ("benchmarks/bench_crypto_ops.py", 221, "WP103"),
-    ("benchmarks/bench_crypto_ops.py", 222, "WP103"),
-    ("benchmarks/bench_crypto_ops.py", 222, "WP103"),
-    ("benchmarks/bench_crypto_ops.py", 223, "WP103"),
-    ("benchmarks/bench_crypto_ops.py", 223, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 197, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 203, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 203, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 228, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 228, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 229, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 229, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 230, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 230, "WP103"),
     ("examples/threshold_judges.py", 30, "WP111"),
     ("examples/threshold_judges.py", 57, "WP111"),
 ]

@@ -9,16 +9,12 @@ Three layers of guarantee (see ``docs/SIMULATOR.md``):
   configuration knob.
 * **fast ≡ reference, statistically.**  The fast engine consumes its
   randomness in a different (batched) order, so per-seed values differ;
-  over a pool of seeds the means must agree within sampling error, and a
-  single fixed-seed sweep must stay within tolerance of the committed
-  fig2–fig11 rows under ``benchmarks/out/``.
+  over a pool of seeds the means must agree within sampling error.
 
-The statistical bounds were calibrated against measured noise: per-seed
-relative stdev of the payment total is ~5% at the small preset, and the
-noisiest committed series (downtime transfers) shows single-seed swings
-of ~10–15%, so the per-point tolerance is 0.35 with a per-column mean of
-0.18 — loose enough for legitimate statistical-level engine changes,
-tight enough to catch a broken thinning gate or a mispriced operation.
+And the committed fig2–fig11 rows under ``benchmarks/out/`` are the fast
+engine's own (the default engine since the flip): the text
+:data:`repro.sim.figures.FIGURES` renders from a fixed-seed reduced-scale
+run must equal each artefact byte for byte.
 """
 
 from __future__ import annotations
@@ -40,14 +36,8 @@ from repro.sim.engine import (
     bucket_count,
     build_simulation,
 )
-from repro.sim.policies import (
-    POLICY_I,
-    POLICY_I_LAYERED,
-    POLICY_II_A,
-    POLICY_II_B,
-    POLICY_III,
-)
-from repro.sim.runner import run_availability_sweep, run_scaling_sweep
+from repro.sim.figures import FIGURES, generate_all, render
+from repro.sim.policies import POLICY_I_LAYERED, POLICY_II_A, POLICY_II_B, POLICY_III
 from repro.sim.simulator import Simulation
 
 OUT = Path(__file__).resolve().parents[2] / "benchmarks" / "out"
@@ -282,115 +272,22 @@ class TestFastStatisticallyEquivalent:
             assert m.events > 0
 
 
-def _parse_series_table(path: Path):
-    """Parse a committed ``format_series_table`` artifact.
-
-    Line 1 is the title, line 2 the column names, line 3 dashes; every
-    further non-empty line is one row of comma-grouped numbers.
-    """
-    lines = path.read_text().splitlines()
-    header = lines[1].split()
-    rows = [
-        [float(token.replace(",", "")) for token in line.split()]
-        for line in lines[3:]
-        if line.strip()
-    ]
-    return header, rows
-
-
-def _broker_key(column: str) -> str:
-    return "broker_" + (column[:-1] if column.endswith("s") else column)
-
-
-#: artifact file -> (sweep family, row-key source).  A string source is a
-#: per-config sweep: the prefix maps each column name to a row key.  A
-#: ``dict`` source is a multi-config figure: every column is one
-#: (policy, sync) configuration and the value is the shared row key.
-GOLDEN_FIGURES = {
-    "fig2_broker_load_pro.txt": ("A", ("I", "proactive"), _broker_key),
-    "fig3_broker_load_lazy.txt": ("A", ("I", "lazy"), _broker_key),
-    "fig4_peer_load_pro.txt": ("A", ("I", "proactive"), "peer_avg_".__add__),
-    "fig5_peer_load_lazy.txt": ("A", ("I", "lazy"), "peer_avg_".__add__),
-    "fig6_broker_cpu.txt": ("A", None, "broker_cpu"),
-    "fig7_broker_comm.txt": ("A", None, "broker_comm"),
-    "fig8_cpu_ratio.txt": ("A", None, "cpu_ratio"),
-    "fig9_comm_ratio.txt": ("A", None, "comm_ratio"),
-    "fig10_cpu_scaling.txt": ("B", None, "broker_cpu_share"),
-    "fig11_comm_scaling.txt": ("B", None, "broker_comm_share"),
-}
-
-CONFIG_COLUMNS = {
-    "I+proa": ("I", "proactive"),
-    "I+lazy": ("I", "lazy"),
-    "III+proa": ("III", "proactive"),
-    "III+lazy": ("III", "lazy"),
-}
-
-_POLICIES = {"I": POLICY_I, "III": POLICY_III}
-
-#: Calibrated against the committed rows (see module docstring): today's
-#: worst per-point normalized deviation is 0.26 and the worst per-column
-#: mean is 0.10.
-POINT_TOLERANCE = 0.35
-COLUMN_MEAN_TOLERANCE = 0.18
+#: committed artefact file -> figure id
+ARTEFACTS = {f"{figure.artefact}.txt": figure_id for figure_id, figure in FIGURES.items()}
 
 
 @pytest.fixture(scope="module")
-def fast_sweeps():
+def fast_figures():
     """One fixed-seed fast-engine run of all eight committed sweeps."""
-    sweeps_a = {
-        key: run_availability_sweep(_POLICIES[p], sync, small=True, engine="fast")
-        for key, (p, sync) in CONFIG_COLUMNS.items()
-    }
-    sweeps_b = {
-        key: run_scaling_sweep(_POLICIES[p], sync, small=True, engine="fast")
-        for key, (p, sync) in CONFIG_COLUMNS.items()
-    }
-    return {"A": sweeps_a, "B": sweeps_b}
+    return generate_all(small=True, engine="fast")
 
 
 @pytest.mark.skipif(
     os.environ.get("WHOPAY_FULL") == "1",
     reason="committed golden rows are the reduced-scale preset",
 )
-@pytest.mark.parametrize("artifact", sorted(GOLDEN_FIGURES))
-def test_fast_engine_matches_committed_golden_rows(artifact, fast_sweeps):
-    sweep_name, config, key_source = GOLDEN_FIGURES[artifact]
-    path = OUT / artifact
-    assert path.exists(), f"committed golden artifact missing: {path}"
-    header, rows = _parse_series_table(path)
-    sweeps = fast_sweeps[sweep_name]
-    x_key = "mu_hours" if sweep_name == "A" else "n_peers"
-
-    def rows_at_golden_x(sweep_rows):
-        # Some artifacts (the ratio figures) commit only a prefix of the
-        # sweep, so select fast rows by x value rather than position.
-        by_x = {round(float(r[x_key]), 6): r for r in sweep_rows}
-        return [by_x[round(row[0], 6)] for row in rows]
-
-    for column_index, column in enumerate(header[1:], start=1):
-        golden = [row[column_index] for row in rows]
-        if config is not None:
-            policy, sync = config
-            matched = rows_at_golden_x(sweeps[f"{policy}+{sync[:4]}"])
-            fast = [row[key_source(column)] for row in matched]
-        else:
-            fast = [row[key_source] for row in rows_at_golden_x(sweeps[column])]
-        scale = max(abs(g) for g in golden)
-        if scale == 0.0:
-            # Structurally-zero series (e.g. policy I deposits) must stay
-            # exactly zero: a nonzero value means broken policy logic, not
-            # statistical drift.
-            assert all(f == 0 for f in fast), (artifact, column, fast)
-            continue
-        assert len(golden) == len(fast), (artifact, column)
-        norms = [
-            abs(f - g) / max(abs(g), abs(f), 0.05 * scale)
-            for g, f in zip(golden, fast)
-        ]
-        assert max(norms) <= POINT_TOLERANCE, (artifact, column, norms)
-        assert sum(norms) / len(norms) <= COLUMN_MEAN_TOLERANCE, (
-            artifact,
-            column,
-            norms,
-        )
+@pytest.mark.parametrize("artifact", sorted(ARTEFACTS))
+def test_fast_engine_matches_committed_golden_rows(artifact, fast_figures):
+    """Since the default-engine flip the committed rows *are* the fast
+    engine's: what ``FIGURES`` renders equals the artefact byte for byte."""
+    assert render(fast_figures[ARTEFACTS[artifact]]) + "\n" == (OUT / artifact).read_text()

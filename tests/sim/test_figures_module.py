@@ -1,10 +1,11 @@
 """Figure-regeneration module tests."""
 
 import csv
+from pathlib import Path
 
 import pytest
 
-from repro.sim.figures import generate_all
+from repro.sim.figures import FIGURES, generate_all
 
 pytestmark = pytest.mark.slow  # runs 8 small sweeps (~30 s); still under CI budget
 
@@ -54,3 +55,8 @@ class TestGenerateAll:
         header, first = rows[0], rows[1]
         column = header.index("purchases")
         assert float(first[column]) == float(data["fig2"]["series"]["purchases"][0])
+
+
+def test_every_figure_names_a_committed_artefact():
+    out = Path(__file__).resolve().parents[2] / "benchmarks" / "out"
+    assert [figure_id for figure_id, figure in FIGURES.items() if not (out / f"{figure.artefact}.txt").exists()] == []

@@ -18,7 +18,6 @@ from repro.sim import runner
 from repro.sim.config import SimConfig
 from repro.sim.runner import (
     TIMING_COLUMNS,
-    _default_chunksize,
     _spread,
     default_workers,
     run_one,
@@ -94,22 +93,11 @@ class TestWorkerAndChunkKnobs:
         with pytest.warns(RuntimeWarning, match="malformed WHOPAY_WORKERS"):
             assert default_workers() == (os.cpu_count() or 1)
 
-    def test_chunksize_default_and_override(self, monkeypatch):
-        monkeypatch.delenv("WHOPAY_CHUNK", raising=False)
-        assert _default_chunksize(32, 4) == 2
-        assert _default_chunksize(3, 8) == 1  # never zero
-        monkeypatch.setenv("WHOPAY_CHUNK", "5")
-        assert _default_chunksize(32, 4) == 5
-        monkeypatch.setenv("WHOPAY_CHUNK", "bogus")
-        with pytest.warns(RuntimeWarning, match="malformed WHOPAY_CHUNK"):
-            assert _default_chunksize(32, 4) == 2
-
-    def test_explicit_chunksize_matches_default_rows(self):
-        configs = [replace(TINY, seed=s) for s in (31, 32, 33, 34)]
-        chunked = run_sweep_parallel(configs, max_workers=2, chunksize=2)
-        assert [strip_timing(r) for r in chunked] == [
-            strip_timing(run_one(c)) for c in configs
-        ]
+    def test_one_worker_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(runner, "_pool", lambda workers: pytest.fail("a one-worker pool"))
+        configs = [replace(TINY, seed=s) for s in (31, 32)]
+        rows = run_sweep_parallel(configs, max_workers=1)
+        assert [strip_timing(r) for r in rows] == [strip_timing(run_one(c)) for c in configs]
 
 
 class TestEngineSelection:

@@ -78,6 +78,48 @@ class TestRoundTrip:
         assert [r["lsn"] for r in records] == [1, 2, 3, 4]
 
 
+class TestOneScan:
+    """Opening and loading read each file once (they used to read both twice)."""
+
+    @pytest.fixture()
+    def reads(self, monkeypatch):
+        from pathlib import Path
+
+        seen = []
+        real = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda self: (seen.append(self.name), real(self))[1])
+        return seen
+
+    def test_load_and_open_read_journal_and_snapshot_once(self, tmp_path, reads):
+        store = DurableStore(tmp_path / "s")
+        for i in range(3):
+            store.append(sample_record(i))
+        store.snapshot(b"state")
+        store.append(sample_record(3))
+        del reads[:]
+        state, records, torn = store.load()
+        assert (state, [r["lsn"] for r in records], torn) == (b"state", [4], False)
+        assert sorted(reads) == ["journal.wal", "snapshot.bin"]
+        del reads[:]
+        assert DurableStore(tmp_path / "s").next_lsn == 5
+        assert sorted(reads) == ["journal.wal", "snapshot.bin"]
+
+    def test_recovery_scans_an_intact_journal_once_and_a_torn_one_twice(self, tmp_path, reads):
+        from repro.core.network import PeerConfig, WhoPayNetwork
+        from repro.crypto.params import PARAMS_TEST_512
+
+        net = WhoPayNetwork(params=PARAMS_TEST_512, store_dir=tmp_path)
+        net.add_peer("buyer", PeerConfig(balance=2)).purchase()
+        del reads[:]
+        net.restart_broker()
+        assert reads.count("journal.wal") == 1
+        with open(net.broker.store.journal_path, "ab") as fh:
+            fh.write(b"\x00\x00")  # a tear
+        del reads[:]
+        assert net.restart_broker().torn_tail_bytes == 2
+        assert reads.count("journal.wal") == 2  # the truncation's own pass
+
+
 class TestSnapshotAndCompaction:
     def test_snapshot_compacts_and_covers(self, tmp_path):
         store = DurableStore(tmp_path / "s")
