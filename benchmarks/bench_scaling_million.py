@@ -26,8 +26,9 @@ Entry points:
 
 The floors are rows of ``benchmarks/check.py``: the N=10^4 fast/reference
 ratio (10x for a full run, half that for a quick one), a quick run's N=10^4
-fast events/sec against the *committed* full run's, and — full runs only —
-the million-peer point under 10 minutes and 8 GiB peak RSS.
+fast events/sec and every run's N=10^5 peak RSS against the *committed* full
+run's, and — full runs only — the million-peer point under 10 minutes and
+within a quarter of its committed peak RSS.
 """
 
 from __future__ import annotations

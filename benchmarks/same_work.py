@@ -10,7 +10,9 @@ that the unit cap, not the clock, ends each pass.  Under the harness's seeded
 entropy every metric whose unit is ``count`` or ``B`` (calls, messages, fsyncs,
 wire and journal bytes per operation) then repeats bit for bit, so a change
 that claims to do the same work must reproduce the committed file exactly.
-``sim_setup_b`` is left out: no protocol layer runs in it.
+``sim_setup_b`` runs the same way capped at 3 units (three 2M-event runs); no
+protocol layer runs in it, so its counts are the simulator's own two,
+``sim.events`` and ``sim.payments_made``.
 """
 
 from __future__ import annotations
@@ -26,21 +28,28 @@ from e2e.envelope import commit_stamp
 
 HERE = Path(__file__).resolve().parent
 COMMITTED = HERE / "out" / "BENCH_counts.json"
-WORKLOADS = ("peer_ops_m1", "peer_ops_m3", "peer_ops_1024", "detect_lazy", "broker_batch")
 SEED, UNITS, SECONDS = 1, 40, 3600
+#: workload -> (unit cap, prefix of the count metrics that are its work)
+WORKLOADS = {
+    **dict.fromkeys(("peer_ops_m1", "peer_ops_m3", "peer_ops_1024", "detect_lazy", "broker_batch"), (UNITS, "")),
+    "sim_setup_b": (3, "sim."),
+}
 
 
 def counts(workload: str) -> dict[str, float]:
     """The ``count`` and ``B`` metrics of one capped, traced run of ``workload``."""
+    units, prefix = WORKLOADS[workload]
     command = [
         sys.executable, str(HERE / "e2e" / "run.py"), "--workload", workload, "--seed", str(SEED),
-        "--units", str(UNITS), "--seconds", str(SECONDS), "--trace", "1",
+        "--units", str(units), "--seconds", str(SECONDS), "--trace", "1",
     ]
     done = subprocess.run(command, capture_output=True, text=True, timeout=1800, check=False)
     if done.returncode != 0:
         sys.exit(f"{workload}: run.py exited {done.returncode}\n{done.stdout}{done.stderr}")
     metrics = json.loads(done.stdout.rstrip().rsplit("\n", 1)[-1])["metrics"]
-    return {key: m["value"] for key, m in metrics.items() if m["unit"] in ("count", "B")}
+    return {
+        key: m["value"] for key, m in metrics.items() if m["unit"] in ("count", "B") and key.startswith(prefix)
+    }
 
 
 def main() -> int:
@@ -51,7 +60,8 @@ def main() -> int:
     if args.write:
         document = {
             "benchmark": "same_work", "commit": commit_stamp(HERE.parent)["rev"], "python": platform.python_version(),
-            "seed": SEED, "units": UNITS, "workloads": measured,
+            "seed": SEED, "units": {workload: units for workload, (units, _) in WORKLOADS.items()},
+            "workloads": measured,
         }
         COMMITTED.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
         print(f"wrote {COMMITTED}")

@@ -316,7 +316,11 @@ class FastSimulation:
         # is always time-sorted without a heap), and the full toggle/restart
         # schedule is precomputed by ``_initialize`` into per-bucket CSR
         # columns — no event queue and no event tuples at all; this engine
-        # only needs the bucket geometry, sized for the toggle count.
+        # only needs the bucket geometry.  The ``n`` term dates from the
+        # queue that held one pending toggle per peer; the out-of-horizon
+        # ones are no longer stored, but the bucket count fixes the bucket
+        # boundaries and so which Poisson draw covers which candidates —
+        # dropping the term would change every committed realization.
         qevents = (
             n
             + config.broker_restarts
@@ -428,9 +432,17 @@ class FastSimulation:
 
     #: Candidate chunk size for the numpy fast path: payer/payee index
     #: columns are built for a run of buckets at a time (one astype /
-    #: searchsorted per ~256k candidates instead of per bucket), bounded so
-    #: the transient chunk stays a few MiB even at the N=10^6 event budget.
-    _CHUNK_CANDIDATES = 1 << 18
+    #: searchsorted per ~64k candidates instead of per bucket).  A candidate
+    #: costs a measured 41 B while its chunk is built — two float64 uniform
+    #: columns, three int64 index columns, one bool — so the transient is
+    #: bounded by 41 B x 2^16 = 2.7 MB, which fits the cache; 2^18 peaked
+    #: at 10.7 MB for no gain in ns per event (DESIGN §1.8).
+    _CHUNK_CANDIDATES = 1 << 16
+
+    #: Peers per block of ``_initialize``'s uniform draws: two boxed floats
+    #: per peer live for one block (2.6 MB), not for the whole population
+    #: (80 B a peer — 80 MB at N=10^6, more than half the built engine).
+    _INIT_BLOCK_PEERS = 1 << 15
 
     def _advance_chunk(self, b: int) -> None:
         """Build payer/payee index columns for buckets ``[b, b1)``.
@@ -600,10 +612,10 @@ class FastSimulation:
 
     def _initialize(self) -> None:
         # Stationary start, like the reference engine: one availability draw
-        # and one residual-session draw per peer, block-drawn from the init
-        # stream (identical values to per-call draws — same stream, same
-        # order) with the exponential transform kept scalar for bitwise
-        # numpy independence.
+        # and one residual-session draw per peer, drawn from the init stream
+        # a block of peers at a time (identical values to per-call draws —
+        # same stream, same order, whatever the block) with the exponential
+        # transform kept scalar for bitwise numpy independence.
         #
         # The whole toggle *schedule* is precomputed here.  A peer's session
         # process is an alternating renewal process independent of
@@ -624,9 +636,8 @@ class FastSimulation:
         # kind order).
         n = self.config.n_peers
         duration = self.config.duration
-        us = self._init_stream.uniforms(2 * n)
-        if self._np is not None:
-            us = us.tolist()
+        uniforms = self._init_stream.uniforms
+        block = self._INIT_BLOCK_PEERS
         avail = self._avail
         mean_on = self._mean_on
         mean_off = self._mean_off
@@ -637,20 +648,25 @@ class FastSimulation:
         subjects: list[int] = []
         t_append = times.append
         s_append = subjects.append
-        k = 0
-        for index in range(n):
-            if us[k] < avail[index]:
-                online[index] = 1
-                s = 1
-            else:
-                s = 0
-            t = -log(1.0 - us[k + 1]) * (mean_on[index] if s else mean_off[index])
-            k += 2
-            while t <= duration:
-                t_append(t)
-                s_append(index)
-                s = 1 - s
-                t += -log(1.0 - rnd()) * (mean_on[index] if s else mean_off[index])
+        for base in range(0, n, block):
+            stop = min(base + block, n)
+            us = uniforms(2 * (stop - base))
+            if self._np is not None:
+                us = us.tolist()
+            k = 0
+            for index in range(base, stop):
+                if us[k] < avail[index]:
+                    online[index] = 1
+                    s = 1
+                else:
+                    s = 0
+                t = -log(1.0 - us[k + 1]) * (mean_on[index] if s else mean_off[index])
+                k += 2
+                while t <= duration:
+                    t_append(t)
+                    s_append(index)
+                    s = 1 - s
+                    t += -log(1.0 - rnd()) * (mean_on[index] if s else mean_off[index])
         restarts = self.config.broker_restarts
         for i in range(1, restarts + 1):
             t_append(duration * i / (restarts + 1))

@@ -69,12 +69,12 @@ def _peak_rss_kb() -> int | None:
 def run_one(config: SimConfig, engine: str | None = None) -> dict[str, Any]:
     """Run a single configuration and flatten its metrics into a row.
 
-    ``engine`` picks the simulation engine (default: the fast
-    struct-of-arrays engine, overridable via ``WHOPAY_SIM_ENGINE``).
+    ``engine`` picks the engine (default fast, or ``WHOPAY_SIM_ENGINE``).
     Every row carries ``engine`` plus the :data:`TIMING_COLUMNS` stamps;
-    everything else is a pure function of the config.  With
-    ``WHOPAY_PROFILE`` set the point additionally runs under cProfile and
-    dumps its stats into that directory.
+    everything else is a pure function of the config.  ``peak_rss_kb`` is the
+    *process's* high-water mark: monotone over an in-process sweep, a point's
+    own only with one child per point (``benchmarks/_common.run_point``).
+    With ``WHOPAY_PROFILE`` set the point also runs under cProfile.
     """
     import time
 

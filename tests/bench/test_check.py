@@ -36,12 +36,15 @@ class TestOperators:
         assert not check.holds(op, None, 1)
 
     def test_fraction_of_committed(self):
-        assert check.holds(">= committed x", 40, 0.4, committed=100)
-        assert not check.holds(">= committed x", 39, 0.4, committed=100)
-        assert not check.holds(">= committed x", 39, 0.4, committed=None)
+        for op, bound, inside, outside in ((">= committed x", 0.4, 40, 39), ("<= committed x", 1.25, 125, 126)):
+            assert check.holds(op, inside, bound, committed=100), op
+            assert not check.holds(op, outside, bound, committed=100), op
+            assert not check.holds(op, inside, bound, committed=None), op
+            assert not check.holds(op, None, bound, committed=100), op
 
     def test_every_operator_in_the_table_is_implemented(self):
-        assert {floor.op for floor in check.FLOORS} <= {*check._COMPARE, ">= committed x"}
+        relative = {op + check._RELATIVE for op in (">=", "<=")}
+        assert {floor.op for floor in check.FLOORS} <= {*check._COMPARE, *relative}
 
 
 class TestSelect:
@@ -89,15 +92,19 @@ class TestCheck:
 
     def test_a_bound_of_none_is_not_held_at_that_scale(self, tmp_path):
         # No million-peer point in a quick report, and no row asks for one;
-        # the committed-file comparison reads the full run beside it.
+        # the committed-file comparisons read the full run beside it.
         quick = {"benchmark": "BENCH_sim_scaling", "quick": True,
-                 "speedup": {"10000": {"speedup": 6.0, "fast_events_per_sec": 50}}, "points": []}
-        committed = {"speedup": {"10000": {"fast_events_per_sec": 100}}}
+                 "speedup": {"10000": {"speedup": 6.0, "fast_events_per_sec": 50}},
+                 "points": [{"n_peers": 100000, "peak_rss_kb": 110}]}
+        committed = {"speedup": {"10000": {"fast_events_per_sec": 100}},
+                     "points": [{"n_peers": 100000, "peak_rss_kb": 88}, {"n_peers": 1000000, "peak_rss_kb": 230}]}
         (tmp_path / "BENCH_sim_scaling.json").write_text(json.dumps(committed))
         assert check.check(quick, "x", out_dir=tmp_path) == []
         quick["speedup"]["10000"]["fast_events_per_sec"] = 39
-        (failure,) = check.check(quick, "x", out_dir=tmp_path)
-        assert "39 not >= committed x 0.4 x 100" in failure
+        quick["points"][0]["peak_rss_kb"] = 111
+        below, above = check.check(quick, "x", out_dir=tmp_path)
+        assert "39 not >= committed x 0.4 x 100" in below
+        assert "111 not <= committed x 1.25 x 88" in above
 
     def test_command_line_takes_paths_only(self, tmp_path, capsys):
         good = tmp_path / "BENCH_federation_quick.json"

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.core.clock import DAY, HOUR
-from repro.sim.config import SimConfig
+from repro.sim.config import SimConfig, setup_b_point
 from repro.sim.engine import (
     ENGINES,
     MAX_BUCKETS,
@@ -181,6 +182,22 @@ class TestCompatBitIdentical:
         config = cfg(seed=7, **VARIANTS[variant])
         assert fast_metrics(config, use_numpy=False) == fast_metrics(config, use_numpy=True)
 
+    # 300 peers: ~5k candidates a bucket over 17 buckets, so a 2^8 chunk is
+    # one bucket, 2^16 a dozen and 2^18 the whole run; an init block of 7
+    # ends on a partial block and 2^15 > n is the whole population at once.
+    @pytest.mark.parametrize("heterogeneity", ["uniform", "powerlaw"])
+    @pytest.mark.parametrize("init_block", [1, 7, 1 << 15])
+    @pytest.mark.parametrize("chunk", [1 << 8, 1 << 16, 1 << 18])
+    def test_block_sizes_never_change_a_value(self, monkeypatch, chunk, init_block, heterogeneity):
+        for seed in (0, 7):
+            config = cfg(seed=seed, n_peers=300, heterogeneity=heterogeneity)
+            expected = fast_metrics(config, use_numpy=True)
+            with monkeypatch.context() as patched:
+                patched.setattr(FastSimulation, "_CHUNK_CANDIDATES", chunk)
+                patched.setattr(FastSimulation, "_INIT_BLOCK_PEERS", init_block)
+                for use_numpy in (True, False):
+                    assert fast_metrics(config, use_numpy) == expected, (seed, use_numpy)
+
 
 class TestFastDeterministic:
     def test_same_seed_same_metrics(self):
@@ -204,6 +221,29 @@ class TestFastDeterministic:
                 with_np = FastSimulation(config, use_numpy=True).run().metrics
                 without = FastSimulation(config, use_numpy=False).run().metrics
                 assert with_np == without, (seed, overrides)
+
+
+@pytest.mark.parametrize("use_numpy", [True, False])
+def test_initialize_streams_its_uniforms(use_numpy):
+    """Scratch space inside ``_initialize`` is a block of peers, not the population.
+
+    Drawing all ``2n`` init uniforms up front held 64 B a peer as boxed
+    floats (80 B on the numpy path, the ndarray beside its list).  On the
+    minimum horizon little else is allocated there (the toggle schedule and
+    its sort: 18 / 26 B a peer traced, numpy / stdlib), so the bound of 40 B
+    a peer passes with room and fails on one population-sized draw.
+    """
+    if use_numpy:
+        pytest.importorskip("numpy", reason="numpy not installed; only the fallback path exists")
+    n = 200_000
+    sim = FastSimulation(setup_b_point(n, event_budget=1), use_numpy=use_numpy)
+    tracemalloc.start()
+    try:
+        sim._initialize()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * n
 
 
 class TestFastStatisticallyEquivalent:
