@@ -303,9 +303,16 @@ class FastSimulation:
         self._ap_layers = self._c_layers.append
         self._ap_onext = self._c_onext.append
 
+        self._ids = None
         if self._np is not None:
             self._online_np = self._np.frombuffer(self._online, dtype=self._np.uint8)
             self._dirty_np = self._np.zeros(n, dtype=self._np.uint8)
+            if n <= self._ID_TABLE_PEERS:
+                # ``ids[k] is`` one shared int equal to ``k`` for ``k`` in
+                # ``[-n, n)``: the negative half sits at the end, where numpy's
+                # negative indexing finds it, so a dirty payee ``-1 - q``
+                # gathers like any other.
+                self._ids = self._np.array([*range(n), *range(-n, 0)], dtype=object)
         else:
             self._online_np = None
             self._dirty_np = None
@@ -444,6 +451,13 @@ class FastSimulation:
     #: (80 B a peer — 80 MB at N=10^6, more than half the built engine).
     _INIT_BLOCK_PEERS = 1 << 15
 
+    #: Largest population for which the numpy path gathers survivor ids from
+    #: one interned table instead of boxing a fresh ``int`` per id in
+    #: ``tolist()``: every coin's owner and holder then shares one of ``n``
+    #: objects.  The table costs 80 B a peer; above 2^16 its random gathers
+    #: miss the cache and it loses on both time and peak memory (DESIGN §1.8).
+    _ID_TABLE_PEERS = 1 << 16
+
     def _advance_chunk(self, b: int) -> None:
         """Build payer/payee index columns for buckets ``[b, b1)``.
 
@@ -572,8 +586,13 @@ class FastSimulation:
                 pes = pe[sel]
                 if dirty:
                     pes = np_mod.where(st[sel] == 2, pes, -1 - pes)
-                cq = pes.tolist()
-                cp = pr[sel].tolist()
+                ids = self._ids
+                if ids is None:
+                    cq = pes.tolist()
+                    cp = pr[sel].tolist()
+                else:
+                    cq = ids[pes].tolist()
+                    cp = ids[pr[sel]].tolist()
         else:
             online = self._online
             if dirty:

@@ -198,6 +198,23 @@ class TestCompatBitIdentical:
                 for use_numpy in (True, False):
                     assert fast_metrics(config, use_numpy) == expected, (seed, use_numpy)
 
+    # 300 peers: most ids lie above CPython's small-int cache, so the
+    # interned id table changes which objects the coin columns hold.
+    @pytest.mark.parametrize("heterogeneity", ["uniform", "powerlaw"])
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_id_table_never_changes_a_value(self, monkeypatch, variant, heterogeneity):
+        for seed in (0, 7):
+            config = cfg(
+                seed=seed, n_peers=300, **{"heterogeneity": heterogeneity, **VARIANTS[variant]}
+            )
+            runs = []
+            for table_peers in (0, 1 << 16):
+                with monkeypatch.context() as patched:
+                    patched.setattr(FastSimulation, "_ID_TABLE_PEERS", table_peers)
+                    runs.append(fast_metrics(config, use_numpy=True))
+            runs.append(fast_metrics(config, use_numpy=False))
+            assert runs[0] == runs[1] == runs[2], seed
+
 
 class TestFastDeterministic:
     def test_same_seed_same_metrics(self):
@@ -244,6 +261,20 @@ def test_initialize_streams_its_uniforms(use_numpy):
     finally:
         tracemalloc.stop()
     assert peak < 40 * n
+
+
+def test_coin_owners_share_the_interned_ids():
+    """On the numpy path every coin's owner is one of ``n`` shared ints.
+
+    Boxing survivor ids with ``ndarray.tolist()`` made a fresh ``int`` per
+    kept candidate, so each coin held its own owner object above 256.
+    """
+    pytest.importorskip("numpy", reason="numpy not installed; only the fallback path exists")
+    n = 2000
+    sim = FastSimulation(setup_b_point(n, event_budget=400_000), use_numpy=True)
+    sim.run()
+    assert len(sim._c_owner) > 4 * n
+    assert len({id(x) for x in sim._c_owner}) <= n
 
 
 class TestFastStatisticallyEquivalent:
