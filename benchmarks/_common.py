@@ -20,7 +20,8 @@ Two styles of measurement live here (DESIGN.md §2, "Benchmarks"):
   ``benchmark`` / ``host`` / ``commit`` / ``quick`` stamp), its floors rows
   of the table in ``check.py``.  A script that needs a true per-point
   ``ru_maxrss`` runs each point through :func:`run_point` (a fresh child of
-  this file printing :func:`repro.sim.runner.run_one`'s row).
+  this file printing :func:`repro.sim.runner.run_one`'s row, or the
+  reference loop's counts and stamps).
 """
 
 from __future__ import annotations
@@ -32,18 +33,18 @@ import sys
 import tempfile
 import time
 from dataclasses import fields
-from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_SRC = os.path.join(_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from e2e.envelope import commit_stamp, host_stamp
 
 from repro.sim.config import SimConfig, setup_a_configs, setup_b_configs
-from repro.sim.engine import build_simulation, resolve_engine
+from repro.sim.engine import FastSimulation
 from repro.sim.metrics import SimMetrics
 from repro.sim.policies import policy_by_name
 from repro.sim.runner import map_points, metrics_row, run_one
@@ -60,8 +61,8 @@ OUT_DIR = Path(__file__).parent / "out"
 _metrics: dict[SimConfig, SimMetrics] = {}
 
 
-def _simulate_one(config: SimConfig, engine: str) -> SimMetrics:
-    return build_simulation(config, engine).run().metrics
+def _simulate_one(config: SimConfig) -> SimMetrics:
+    return FastSimulation(config).run().metrics
 
 
 def simulate(configs: Iterable[SimConfig]) -> list[SimMetrics]:
@@ -72,8 +73,7 @@ def simulate(configs: Iterable[SimConfig]) -> list[SimMetrics]:
     """
     configs = list(configs)
     missing = [config for config in dict.fromkeys(configs) if config not in _metrics]
-    point = partial(_simulate_one, engine=resolve_engine(None))
-    _metrics.update(zip(missing, map_points(point, missing, None if PARALLEL else 1)))
+    _metrics.update(zip(missing, map_points(_simulate_one, missing, None if PARALLEL else 1)))
     return [_metrics[config] for config in configs]
 
 
@@ -83,8 +83,7 @@ def sweep(setup: str, policy_name: str, sync_mode: str, **family: float) -> list
     configs = {"A": setup_a_configs, "B": setup_b_configs}[setup](
         policy=policy_by_name(policy_name), sync_mode=sync_mode, small=not FULL_SCALE, **family
     )
-    engine = resolve_engine(None)
-    return [metrics_row(config, metrics, engine) for config, metrics in zip(configs, simulate(configs))]
+    return [metrics_row(config, metrics) for config, metrics in zip(configs, simulate(configs))]
 
 
 def emit(artifact: str, text: str) -> None:
@@ -131,12 +130,16 @@ def report_main(
     return report
 
 
-def run_point(config: SimConfig, engine: str | None = None) -> dict[str, Any]:
+def run_point(config: SimConfig, engine: str = "fast") -> dict[str, Any]:
     """Run one simulator point in a fresh interpreter; return its row.
 
     The row is :func:`repro.sim.runner.run_one`'s plus ``total_s`` (build and
-    run, as the child timed it).  One process per point, because one
-    process's ``ru_maxrss`` only ever rises: ``peak_rss_kb`` is this point's.
+    run, as the child timed it).  ``engine="reference"`` runs the test
+    oracle (``tests/sim/reference.py``) instead, for the speedup
+    ``bench_scaling_million.py`` reports; its row holds ``events``,
+    ``payments_made`` and the runner's timing stamps.  One process per
+    point, because one process's ``ru_maxrss`` only ever rises:
+    ``peak_rss_kb`` is this point's.
     """
     spec = {f.name: getattr(config, f.name) for f in fields(SimConfig)}
     spec["policy"] = config.policy.name
@@ -151,11 +154,32 @@ def run_point(config: SimConfig, engine: str | None = None) -> dict[str, Any]:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _reference_row(config: SimConfig) -> dict[str, Any]:
+    """The oracle's counts and :func:`run_one`'s timing stamps for ``config``."""
+    import resource
+
+    sys.path.insert(0, _ROOT)
+    from tests.sim.reference import Simulation
+
+    sim = Simulation(config)
+    start = time.perf_counter()
+    metrics = sim.run().metrics
+    wall = time.perf_counter() - start
+    return {
+        "events": metrics.events,
+        "payments_made": metrics.payments_made,
+        "wall_s": wall,
+        "events_per_sec": metrics.events / wall,
+        "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    }
+
+
 def _point_child(argument: str) -> None:
     spec, engine = json.loads(argument)
     spec["policy"] = policy_by_name(spec["policy"])
+    config = SimConfig(**spec)
     start = time.perf_counter()
-    row = run_one(SimConfig(**spec), engine)
+    row = _reference_row(config) if engine == "reference" else run_one(config)
     row["total_s"] = time.perf_counter() - start
     print(json.dumps(row))
 

@@ -139,6 +139,11 @@ def test_ablation_detection_at_scale(benchmark, scale_note):
     paper's explicit design goal for the extension), peer communication load up
     by a roughly constant factor, rising slightly with availability (more
     payments → more publishes/reads per peer).
+
+    Both sides run lazy sync, so both take the engine's generic merge loop and
+    share one realization: that is what makes the broker-load equality exact.
+    Under proactive sync the detection-off side would take the plain loop, a
+    different realization (docs/SIMULATOR.md, "Why two paths, twice").
     """
     rows = benchmark.pedantic(run_detection, rounds=1, iterations=1)
     mu = [r["mu"] for r in rows]
@@ -379,6 +384,11 @@ def test_ablation_load_distribution(benchmark, scale_note):
     spread evenly; under the power-law population, the activity head issues
     most coins and therefore serves most transfers/renewals — work follows
     activity, exactly the "desirable" alignment the paper asserts.
+
+    The two populations are two realizations, and per-peer tracking puts both
+    on the engine's generic merge loop; the comparison is of distributions,
+    not of one run with and without a counter (docs/SIMULATOR.md, "Why two
+    paths, twice").
     """
     data = benchmark.pedantic(run_load_distribution, rounds=1, iterations=1)
     rows = [

@@ -12,8 +12,8 @@ corner.
 
 Every point runs in its own subprocess (``_common.run_point``) so the
 ``peak_rss_kb`` stamp is a true per-point peak (one process's ``ru_maxrss``
-only ever rises), and every row carries the runner's ``engine`` / ``wall_s``
-/ ``events_per_sec`` / ``peak_rss_kb`` stamps — which is what its rows in
+only ever rises), and every row carries the runner's ``wall_s`` /
+``events_per_sec`` / ``peak_rss_kb`` stamps — which is what its rows in
 ``benchmarks/check.py`` hold: sanity floors, not figure-shape assertions
 (those live in the paper-scale benches).
 
@@ -37,13 +37,7 @@ from bench_ablations import VARIANTS
 
 from repro.analysis.tables import format_series_table
 from repro.core.clock import HOUR
-from repro.sim.config import (
-    FULL_MU_SWEEP_HOURS,
-    FULL_SIZE_SWEEP,
-    MINUTE,
-    SimConfig,
-    expected_event_count,
-)
+from repro.sim.config import FULL_MU_SWEEP_HOURS, FULL_SIZE_SWEEP, SimConfig, event_budgeted
 from repro.sim.figures import CONFIGS
 from repro.sim.policies import POLICY_II_A, policy_by_name
 
@@ -69,24 +63,7 @@ ABLATIONS = (
 #: and the paper's median-availability point.
 SPOT_MU_HOURS = (0.25, 2.0, 32.0)
 
-TIMING_KEYS = ("engine", "wall_s", "events_per_sec", "peak_rss_kb")
-
-
-def _budgeted(config: SimConfig, event_budget: float) -> SimConfig:
-    """Shrink the horizon so the expected event count hits ``event_budget``.
-
-    Same methodology as :func:`repro.sim.config.setup_b_point`: the renewal
-    period shrinks with the horizon so renewal traffic stays represented.
-    """
-    per_time = expected_event_count(config) / config.duration
-    duration = max(event_budget / per_time, 10 * MINUTE)
-    if duration >= config.duration:
-        return config
-    return replace(
-        config,
-        duration=duration,
-        renewal_period=duration * (config.renewal_period / config.duration),
-    )
+TIMING_KEYS = ("wall_s", "events_per_sec", "peak_rss_kb")
 
 
 def run_point(config: SimConfig, label: str) -> dict:
@@ -127,7 +104,7 @@ def run_campaign(quick: bool = False) -> dict:
     )
 
     def prepared(config: SimConfig) -> SimConfig:
-        return _budgeted(config, QUICK_BUDGET) if quick else config
+        return event_budgeted(config, QUICK_BUDGET) if quick else config
 
     started = time.perf_counter()
     setup_a: dict[str, list[dict]] = {}
@@ -165,13 +142,13 @@ def run_campaign(quick: bool = False) -> dict:
     if not quick:
         print("100x spot columns:", flush=True)
         for mu in SPOT_MU_HOURS:
-            config = _budgeted(
+            config = event_budgeted(
                 replace(_setup_a_config("I", "proactive", mu), n_peers=SPOT_PEERS),
                 SPOT_BUDGET,
             )
             spots.append(run_point(config, f"spot:A mu={mu:g}h N={SPOT_PEERS}"))
         for policy_name, sync_mode in CONFIGS:
-            config = _budgeted(
+            config = event_budgeted(
                 _setup_b_config(policy_name, sync_mode, SPOT_PEERS), SPOT_BUDGET
             )
             spots.append(

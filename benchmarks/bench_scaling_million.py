@@ -1,17 +1,18 @@
 """Simulation-engine scaling benchmark: events/sec and peak RSS up to N=10^6.
 
 The paper's evaluation (Section 6.2) stops at 1000 peers; the ROADMAP
-north star is millions.  This bench measures the simulation engines on
+north star is millions.  This bench measures the simulation engine on
 event-budgeted Setup-B points (:func:`repro.sim.config.setup_b_point` —
 the horizon shrinks with N so the *event count* stays fixed and the
 per-event cost is what varies) across N ∈ {10^3, 10^4, 10^5, 10^6}:
 
 * **speedup points** (N=10^3, 10^4, 400k-event budget): the reference
-  engine and the fast engine run interleaved, repeated, best-of; the
-  N=10^4 ratio is the headline "≥10x" acceptance number.
+  loop (the test oracle, ``tests/sim/reference.py``) and the fast engine
+  run interleaved, repeated, best-of; the N=10^4 ratio is the headline
+  "≥10x" acceptance number.
 * **scale points** (N=10^5 and, in full mode, 10^6, 2M-event budget):
-  fast engine only — the reference engine cannot reach them in
-  reasonable time, which is the point of this PR.
+  fast engine only — the reference loop cannot reach them in reasonable
+  time.
 
 Every point runs in its own subprocess (``_common.run_point``) so
 ``ru_maxrss`` is a true per-point peak, not the high-water mark of whichever

@@ -61,7 +61,7 @@ FLOORS = (
           "max per-shard load at M=4 over the M=1 load (perfect split 0.25); the quick workload "
           "is smaller, so sync fan-out weighs more"),
     Floor("BENCH_sim_scaling", "speedup.10000.speedup", ">=", 5.0, 10.0,
-          "fast over reference engine at N=10^4, same run; quick is half the 10x headline so "
+          "fast engine over the reference loop at N=10^4, same run; quick is half the 10x headline so "
           "shared-runner noise does not flake"),
     Floor("BENCH_sim_scaling", "speedup.10000.fast_events_per_sec", ">= committed x", 0.4, None,
           "absolute floor against the committed full run: a shared runner is slower than the "
@@ -73,8 +73,6 @@ FLOORS = (
           "memory) and repeats to a megabyte; a quarter over the committed run means scratch space is back"),
     Floor("BENCH_sim_scaling", "points.n_peers=1000000.peak_rss_kb", "<= committed x", None, 1.25,
           "… and the same at the million-peer point"),
-    Floor("BENCH_figures_scaled", "**.engine", "==", "fast", "fast",
-          "every row ran on the default engine; " + _STAMPED),
     Floor("BENCH_figures_scaled", "**.wall_s", ">", 0, 0, _STAMPED),
     Floor("BENCH_figures_scaled", "**.events_per_sec", ">", 0, 0, _STAMPED),
     Floor("BENCH_figures_scaled", "**.peak_rss_kb", ">", 0, 0, _STAMPED),

@@ -36,7 +36,7 @@ from repro.core import (
     WhoPayNetwork,
 )
 from repro.crypto.params import PARAMS_1024_160, PARAMS_2048_256, PARAMS_TEST_512, DlogParams
-from repro.sim import SimConfig, Simulation
+from repro.sim import FastSimulation, SimConfig
 
 __version__ = "1.0.0"
 
@@ -57,6 +57,6 @@ __all__ = [
     "PARAMS_1024_160",
     "PARAMS_2048_256",
     "SimConfig",
-    "Simulation",
+    "FastSimulation",
     "__version__",
 ]

@@ -5,8 +5,7 @@ Four commands cover the common entry points without writing any code:
 * ``sweep``  — run a Setup-A availability sweep (or Setup-B size sweep) for
   one (policy, sync) configuration and print the figure-style table;
 * ``run``    — run a single simulation with explicit parameters (one point
-  of a sweep: same engine selection) and print its operation counts and
-  load summary;
+  of a sweep) and print its operation counts and load summary;
 * ``crypto`` — time the crypto substrate on this host (Table 2 style);
 * ``figures`` — regenerate the data of Figures 2–11 (CSV + text report).
 
@@ -122,7 +121,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     row = run_one(config)
     print(
-        f"# {config.describe()}  [{row['engine']} engine: simulated {args.days:g} days, "
+        f"# {config.describe()}  [simulated {args.days:g} days, "
         f"{row['events']:,} events in {row['wall_s']:.2f}s]"
     )
     print(format_table(

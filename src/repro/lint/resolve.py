@@ -41,8 +41,6 @@ class ModuleSymbols:
     module_aliases: dict[str, str] = field(default_factory=dict)
     #: local name → (defining module, original name) from ``from m import N``
     imported_names: dict[str, tuple[str, str]] = field(default_factory=dict)
-    #: root names bound by plain ``import a.b`` (binds ``a``; ``a.b.N`` works)
-    plain_import_roots: set[str] = field(default_factory=set)
 
     def qualify(self, expr: ast.AST) -> str | None:
         """The qualified name a Name/Attribute chain denotes in this module.
@@ -84,13 +82,10 @@ def collect_symbols(tree: ast.Module) -> ModuleSymbols:
     for stmt in ast.walk(tree):
         if isinstance(stmt, ast.Import):
             for alias in stmt.names:
+                # ``import a.b.c as x`` binds x to a.b.c; a plain ``import
+                # a.b`` binds only ``a``, and ``a.b.NAME`` is spelled out.
                 if alias.asname is not None:
-                    # ``import a.b.c as x`` binds x to a.b.c.
                     symbols.module_aliases[alias.asname] = alias.name
-                else:
-                    # Plain ``import a.b`` binds only ``a``; constants are then
-                    # reachable through the full dotted path ``a.b.NAME``.
-                    symbols.plain_import_roots.add(alias.name.split(".")[0])
         elif isinstance(stmt, ast.ImportFrom):
             if stmt.module is None or stmt.level:
                 continue  # relative imports are not used in this codebase

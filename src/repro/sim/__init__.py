@@ -12,18 +12,17 @@ that methodology, faithfully:
   (user-centric), II.a/II.b (middle grounds), III (broker-centric).
 * :mod:`repro.sim.costs` — micro-operation counts per coarse operation and
   the Table 3 relative CPU weights; message counts for communication load.
-* :mod:`repro.sim.simulator` — the reference event loop: exponential on/off
-  sessions, per-peer Poisson candidate payments (1 per 5 min) thinned by
-  payee availability, 3-day renewal period, proactive or lazy
-  synchronization.
-* :mod:`repro.sim.engine` — the scaling engine (``docs/SIMULATOR.md``):
-  the million-peer "fast" engine (struct-of-arrays state, batched
-  sampling, optional numpy accelerator), selected via
-  :func:`build_simulation`.
+* :mod:`repro.sim.engine` — the engine (``docs/SIMULATOR.md``): exponential
+  on/off sessions, Poisson candidate payments (1 per 5 min per peer) thinned
+  by payee availability, renewals, proactive or lazy synchronization, run
+  by :class:`~repro.sim.engine.FastSimulation` up to a million peers
+  (struct-of-arrays state, batched sampling, optional numpy accelerator).
+  The per-event loop it is checked against is the test oracle
+  ``tests/sim/reference.py``.
 * :mod:`repro.sim.metrics` — per-operation counters and the CPU /
   communication load aggregates of Figures 2–11.
 * :mod:`repro.sim.runner` — parameter sweeps that produce each figure's
-  series (engine selection, process-pool fan-out, profiling hooks).
+  series (process-pool fan-out, profiling hooks).
 * :mod:`repro.sim.figures` — one-call regeneration of every figure's data.
 * :mod:`repro.sim.baseline_sim` — the same workload driven against PPay and
   a fully centralized system (ablation comparisons).
@@ -35,7 +34,7 @@ from repro.sim.config import (
     setup_b_configs,
     setup_b_point,
 )
-from repro.sim.engine import ENGINES, build_simulation
+from repro.sim.engine import FastSimulation, SimResult, build_simulation
 from repro.sim.metrics import SimMetrics
 from repro.sim.policies import POLICY_I, POLICY_II_A, POLICY_II_B, POLICY_III, Policy
 from repro.sim.runner import (
@@ -45,7 +44,6 @@ from repro.sim.runner import (
     run_scaling_sweep,
     run_sweep_parallel,
 )
-from repro.sim.simulator import SimResult, Simulation
 
 __all__ = [
     "SimConfig",
@@ -57,10 +55,9 @@ __all__ = [
     "POLICY_II_A",
     "POLICY_II_B",
     "POLICY_III",
-    "Simulation",
+    "FastSimulation",
     "SimResult",
     "SimMetrics",
-    "ENGINES",
     "build_simulation",
     "run_one",
     "run_replicated",

@@ -26,7 +26,7 @@ peer count and horizon; benches use the small variants unless
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.core.clock import DAY, HOUR
 from repro.sim.policies import POLICY_I, Policy
@@ -122,29 +122,6 @@ class SimConfig:
     #: 0 (the default) models an uninterrupted broker and leaves every load
     #: figure exactly as before.
     broker_restarts: int = 0
-    #: Number of broker federation shards to model (PR 7).  With ``1`` (the
-    #: default) every broker op lands on the single broker and all figures
-    #: are exactly as before.  With ``M > 1`` the reference engine
-    #: attributes each broker operation to the shard owning its anchor key
-    #: — purchases to the buyer's account shard, coin ops to the coin's
-    #: shard, syncs fan out over the shards owning the peer's coins — so
-    #: fig2/fig6-style series regenerate *per shard* (``broker_shard{i}_*``
-    #: columns; the fast engines keep aggregate counts only).
-    broker_shards: int = 1
-    #: Heartbeat period of the PR 9 lease-gated supervisor, in virtual
-    #: seconds.  ``0.0`` (the default) models an unsupervised federation —
-    #: no heartbeat traffic, no detection columns, every figure exactly as
-    #: before.  With a positive interval each shard emits one heartbeat per
-    #: period for the whole run; the beats are charged to communication
-    #: load and the detection-latency bound implied by the phi threshold is
-    #: reported alongside.
-    heartbeat_interval: float = 0.0
-    #: Phi-accrual threshold the modeled detector runs at (only consulted
-    #: when ``heartbeat_interval > 0``).  The closed-form worst-case
-    #: detection latency is ``phi · ln 10 · interval · mean_ceiling`` with
-    #: the detector's default mean ceiling of 2 (see
-    #: :meth:`repro.net.liveness.LivenessConfig.detection_window`).
-    detector_phi_threshold: float = 4.0
     seed: int = 20060704  # ICDCS 2006 vintage
 
     def __post_init__(self) -> None:
@@ -165,12 +142,6 @@ class SimConfig:
             raise ValueError("rpc_max_attempts must be >= 1")
         if self.broker_restarts < 0:
             raise ValueError("broker_restarts must be >= 0")
-        if self.broker_shards < 1:
-            raise ValueError("broker_shards must be >= 1")
-        if self.heartbeat_interval < 0.0:
-            raise ValueError("heartbeat_interval must be >= 0 (0 disables supervision)")
-        if self.detector_phi_threshold <= 0.0:
-            raise ValueError("detector_phi_threshold must be positive")
 
     @property
     def availability(self) -> float:
@@ -192,14 +163,35 @@ def expected_event_count(config: SimConfig) -> float:
     ``payment_interval`` (exactly, in both population models — the power-law
     intervals are normalized to preserve the aggregate rate), and each peer
     toggles at rate ``2 / (µ + ν)``.  Renewals and restarts are a small
-    correction and are covered by the initial-event term.  Used to size the
-    calendar-queue buckets (:mod:`repro.sim.engine`) and to pick
-    event-budgeted horizons for the scaling benchmark.
+    correction and are covered by the initial-event term.  Used to pick
+    event-budgeted horizons (:func:`event_budgeted`).
     """
     n = config.n_peers
     candidates = config.duration * n / config.payment_interval
     toggles = config.duration * 2.0 * n / (config.mean_online + config.mean_offline)
     return candidates + toggles + n
+
+
+def event_budgeted(config: SimConfig, event_budget: float) -> SimConfig:
+    """``config`` with its horizon shrunk so the expected event count is ``event_budget``.
+
+    Beyond paper scale a fixed-duration run grows the event count linearly
+    with ``n_peers`` (10 days at N=10^6 is ~3×10^9 candidate events), so
+    the scaling benchmarks fix an *event budget* instead: the expected event
+    count stays constant across sizes and the per-event cost is what varies.
+    The horizon never drops below ten minutes nor grows past ``config``'s,
+    and the renewal period shrinks with it (keeping the duration/renewal
+    ratio) so renewal traffic stays represented.
+    """
+    per_time = expected_event_count(config) / config.duration
+    duration = max(event_budget / per_time, 10 * MINUTE)
+    if duration >= config.duration:
+        return config
+    return replace(
+        config,
+        duration=duration,
+        renewal_period=duration * (config.renewal_period / config.duration),
+    )
 
 
 def setup_b_point(
@@ -210,14 +202,8 @@ def setup_b_point(
 ) -> SimConfig:
     """One Setup-B-shaped point (µ = ν = 2 h) at an arbitrary system size.
 
-    At paper scale the horizon is the paper's 10 days.  Beyond paper scale a
-    fixed-duration run would grow the event count linearly with ``n_peers``
-    (10 days at N=10^6 is ~3×10^9 candidate events), so the scaling
-    benchmark fixes an *event budget* instead: ``event_budget`` shrinks the
-    horizon so the expected event count stays constant across sizes and the
-    per-event cost is what varies.  The renewal period is shortened with the
-    horizon (keeping the paper's duration/renewal ratio) so renewal traffic
-    stays represented.
+    The horizon is the paper's 10 days, or :func:`event_budgeted`'s for
+    ``event_budget``.
     """
     base = SimConfig(
         n_peers=n_peers,
@@ -226,17 +212,7 @@ def setup_b_point(
         mean_online=2 * HOUR,
         mean_offline=2 * HOUR,
     )
-    if event_budget is None:
-        return base
-    per_time = expected_event_count(base) / base.duration
-    duration = max(event_budget / per_time, 10 * MINUTE)
-    if duration >= base.duration:
-        return base
-    return replace(
-        base,
-        duration=duration,
-        renewal_period=duration * (base.renewal_period / base.duration),
-    )
+    return base if event_budget is None else event_budgeted(base, event_budget)
 
 
 def setup_a_configs(

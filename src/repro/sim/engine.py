@@ -1,27 +1,23 @@
-"""High-throughput simulation engines (million-peer scaling).
+"""The simulation engine (paper Section 6.1, at up to a million peers).
 
-The reference simulator (:mod:`repro.sim.simulator`) is a per-event pure
-Python loop: one heap entry per candidate payment, per-object peer/coin
-state, and a ``Counter`` update per operation.  That is the *specification*
-of the model, but it tops out around paper scale.  This module provides the
-engine that runs the same operation-level model at scale:
+:class:`FastSimulation` runs the operation-level model: struct-of-arrays
+state (stdlib :mod:`array` / ``bytearray``), batched candidate-payment
+sampling via the Poisson superposition theorem, and bucket-level vectorized
+thinning with an optional numpy accelerator.  The model's plain statement
+is a per-event loop — one heap entry per candidate payment, one object per
+peer and coin — kept as the test oracle (``tests/sim/reference.py``).
+This engine is *statistically* equivalent to it (same processes, same
+mechanics, a different but equally valid random-stream architecture),
+bit-identically reproducible per seed, and — by construction, see below —
+produces **identical results with and without numpy**.
 
-* :class:`FastSimulation` ("fast") — struct-of-arrays state (stdlib
-  :mod:`array` / ``bytearray``), batched candidate-payment sampling via the
-  Poisson superposition theorem, and bucket-level vectorized thinning with
-  an optional numpy accelerator.  It is *statistically* equivalent to the
-  reference model (same processes, same mechanics, different but equally
-  valid random-stream architecture), bit-identically reproducible per seed,
-  and — by construction, see below — produces **identical results with and
-  without numpy**.
-
-Why the fast engine cannot be bit-equal to the reference
---------------------------------------------------------
-The reference draws its randomness from a single stream in per-event
+Why the engine cannot be bit-equal to the oracle
+------------------------------------------------
+The oracle draws its randomness from a single stream in per-event
 interleaved order and schedules one candidate-payment event per peer; coin
 selection in ``_find_held`` even depends on ``set`` iteration order.  Any
-batched sampler necessarily consumes randomness in a different order, so the
-fast engine instead targets the *distributional* contract: per-peer Poisson
+batched sampler necessarily consumes randomness in a different order, so
+this engine instead targets the *distributional* contract: per-peer Poisson
 candidate processes with aggregate rate ``Λ = n / payment_interval`` are
 replaced by one global Poisson stream at the same rate with the payer drawn
 per event (the superposition theorem), and the global stream is sampled per
@@ -29,8 +25,8 @@ bucket as a Poisson count ``K ~ Poisson(Λ · span)`` followed by ``K`` sorted
 uniforms on the bucket span (the conditional-uniformity property of the
 Poisson process).  Both identities are exact, not approximations.  Coin
 selection walks deterministic per-peer lists.  The equivalence gate in
-``tests/sim`` checks the fast engine against the reference engine and the
-golden figure rows within statistical tolerance.
+``tests/sim`` checks the engine against the oracle within statistical
+tolerance and against the golden figure rows byte for byte.
 
 Exact bucket-level thinning
 ---------------------------
@@ -69,6 +65,7 @@ import os
 import random
 from array import array
 from collections import Counter
+from dataclasses import dataclass
 from typing import Any
 
 from repro.sim import policies as pol
@@ -80,15 +77,24 @@ from repro.sim.costs import (
     REPLAY_RECORD_COST,
     expected_attempts,
 )
-from repro.sim.metrics import SimMetrics, apply_heartbeat_model
-from repro.sim.simulator import RENEWAL_POINT, SimResult, Simulation
+from repro.sim.metrics import SimMetrics
 
-#: Engine names accepted by :func:`build_simulation`.
-ENGINES = ("reference", "fast")
+#: Renew at this fraction of the renewal period after the last renewal.
+RENEWAL_POINT = 0.9
 
-#: Calendar-bucket sizing bounds shared by every engine: at least 16 buckets
-#: (tiny runs stay exact without degenerate widths), at most 2^17 (a million
-#: peers must not allocate a bucket list per handful of events).
+
+@dataclass
+class SimResult:
+    """Everything a figure bench needs from one run."""
+
+    config: SimConfig
+    metrics: SimMetrics
+    final_time: float
+
+
+#: Calendar-bucket sizing bounds: at least 16 buckets (tiny runs stay exact
+#: without degenerate widths), at most 2^17 (a million peers must not
+#: allocate a bucket list per handful of events).
 MIN_BUCKETS = 16
 MAX_BUCKETS = 1 << 17
 
@@ -244,7 +250,6 @@ class FastSimulation:
             n_peers=config.n_peers,
             msg_overhead=expected_attempts(config.message_loss, config.rpc_max_attempts),
         )
-        apply_heartbeat_model(self.metrics, config)
         self.now = 0.0
         self._np = _resolve_numpy(use_numpy)
         self._lazy = config.sync_mode == "lazy"
@@ -393,7 +398,7 @@ class FastSimulation:
     # -- population ---------------------------------------------------------
 
     def _build_population(self) -> None:
-        """Identical parameterization to the reference engine's, fed from the
+        """Identical parameterization to the reference loop's, fed from the
         dedicated population stream (a permutation of the same weight
         multiset, so every aggregate distribution matches)."""
         cfg = self.config
@@ -630,7 +635,7 @@ class FastSimulation:
     # -- run ----------------------------------------------------------------
 
     def _initialize(self) -> None:
-        # Stationary start, like the reference engine: one availability draw
+        # Stationary start, like the reference loop: one availability draw
         # and one residual-session draw per peer, drawn from the init stream
         # a block of peers at a time (identical values to per-call draws —
         # same stream, same order, whatever the block) with the exponential
@@ -1417,27 +1422,11 @@ class FastSimulation:
         metrics.events = self._cand_events + self._qevents
 
 
-def resolve_engine(engine: str | None = None) -> str:
-    """The engine name to run: ``fast`` or ``reference``.
+def build_simulation(config: SimConfig, engine: str = "fast") -> FastSimulation:
+    """``FastSimulation(config)``; ``engine`` names it, and no other name exists.
 
-    ``None`` (or the empty string) resolves through the
-    ``WHOPAY_SIM_ENGINE`` environment override and then defaults to the
-    struct-of-arrays ``fast`` engine — the measurement engine for every
-    figure and benchmark.  ``reference`` (the original event loop) survives
-    as the equivalence oracle and must be requested explicitly.  Any other
-    name, from either source, is rejected here — in a sweep that is the
-    parent process, before a point ships to a worker.
+    The signature is the one ``benchmarks/e2e/workloads.py`` calls.
     """
-    engine = engine or os.environ.get("WHOPAY_SIM_ENGINE") or "fast"
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    return engine
-
-
-def build_simulation(config: SimConfig, engine: str | None = None):
-    """Build the engine :func:`resolve_engine` names for ``engine``."""
-    if resolve_engine(engine) == "fast":
-        return FastSimulation(config)
-    return Simulation(config)
-
-
+    if engine != "fast":
+        raise ValueError(f"unknown engine {engine!r}; the one engine is 'fast'")
+    return FastSimulation(config)

@@ -151,20 +151,18 @@ def render(data: Mapping[str, Any]) -> str:
 
 
 def generate_all(
-    small: bool = True,
-    out_dir: str | Path | None = None,
-    engine: str | None = None,
+    small: bool = True, out_dir: str | Path | None = None
 ) -> dict[str, dict[str, Any]]:
     """Run the eight sweeps and derive every figure's series.
 
     Returns ``{figure_id: figure_data(...)}``; when ``out_dir`` is given,
     also writes ``<figure>.csv`` per figure and a combined ``figures.txt``
-    there.  ``engine``: see :func:`repro.sim.engine.build_simulation`.
+    there.
     """
     run = {"A": run_availability_sweep, "B": run_scaling_sweep}
     sweeps = {
         setup: {
-            (policy, sync): run[setup](policy_by_name(policy), sync, small=small, engine=engine)
+            (policy, sync): run[setup](policy_by_name(policy), sync, small=small)
             for policy, sync in CONFIGS
         }
         for setup in run

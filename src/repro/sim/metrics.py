@@ -63,29 +63,8 @@ class SimMetrics:
     recovery_replay_cost: float = 0.0
     #: Total simulation events processed (candidate payments, session
     #: toggles, renewals, broker restarts).  The throughput denominator for
-    #: the scaling benchmark's events/sec figures; identical across engines
-    #: for equivalent runs.
+    #: the scaling benchmark's events/sec figures.
     events: int = 0
-    #: Broker federation shards modeled (SimConfig.broker_shards); the
-    #: per-shard counters below stay empty at 1 so the single-broker
-    #: figures are untouched.
-    broker_shards: int = 1
-    #: Per-shard broker operation counters (index = shard); filled by the
-    #: reference engine via :meth:`count_broker` when ``broker_shards > 1``.
-    shard_ops: list = field(default_factory=list)
-    #: Heartbeats emitted by the modeled lease-gated supervisor over the
-    #: whole run (SimConfig.heartbeat_interval; 0 when unsupervised).
-    #: Closed-form — shards × ⌊duration / interval⌋ — and applied
-    #: identically by every engine, so equivalence checks stay exact.
-    heartbeats_sent: int = 0
-    #: Worst-case failure-detection latency implied by the configured
-    #: detector (:meth:`repro.net.liveness.LivenessConfig.detection_window`);
-    #: 0 when unsupervised.
-    detection_window: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.broker_shards > 1 and not self.shard_ops:
-            self.shard_ops = [Counter() for _ in range(self.broker_shards)]
 
     def count_recovery(self, records_replayed: int, replay_cost: float) -> None:
         """Record one broker restart: journal replay plus compaction snapshot."""
@@ -112,12 +91,6 @@ class SimMetrics:
             raise ValueError(f"unknown operation {op!r}")
         self.ops[op] += times
 
-    def count_broker(self, op: str, shard: int = 0, times: int = 1) -> None:
-        """Record a broker-side operation, attributed to federation ``shard``."""
-        self.count(op, times)
-        if self.shard_ops:
-            self.shard_ops[shard][op] += times
-
     def count_micro(self, micro: str, times: int = 1) -> None:
         """Record peer-side micro-operations priced outside the op table."""
         if micro not in MICRO_COST:
@@ -129,22 +102,6 @@ class SimMetrics:
     def broker_op_counts(self) -> dict[str, int]:
         """Counts of the operations the broker participates in."""
         return {op: self.ops[op] for op in BROKER_OPS}
-
-    def per_shard_op_counts(self) -> list[dict[str, int]]:
-        """Figure-2-shaped op counts, one dict per federation shard."""
-        return [{op: ops[op] for op in BROKER_OPS} for ops in self.shard_ops]
-
-    def per_shard_cpu_load(self) -> list[float]:
-        """Figure-6-shaped CPU load per federation shard (Table 3 units).
-
-        Recovery replay cost is not shard-attributed (restarts are modeled
-        against the aggregate), so these sum to :meth:`broker_cpu_load`
-        only in runs without modeled restarts.
-        """
-        return [
-            float(sum(OP_COSTS[op].broker_cpu * count for op, count in ops.items()))
-            for ops in self.shard_ops
-        ]
 
     # -- figure 4/5: average peer operation counts ------------------------------
 
@@ -160,15 +117,10 @@ class SimMetrics:
         return float(fixed) + self.recovery_replay_cost
 
     def broker_comm_load(self) -> float:
-        """Total broker communication load (message endpoints × retries).
-
-        Supervision heartbeats (request + reply endpoints each) are charged
-        here without the retry multiplier — the supervisor deliberately
-        never retries a beat, because a missed beat *is* the signal.
-        """
+        """Total broker communication load (message endpoints × retries)."""
         return self.msg_overhead * float(
             sum(OP_COSTS[op].broker_msgs * count for op, count in self.ops.items())
-        ) + 2.0 * self.heartbeats_sent
+        )
 
     def peer_cpu_load_total(self) -> float:
         """Total peer-side CPU load across all peers."""
@@ -205,25 +157,3 @@ class SimMetrics:
         """Broker fraction of total communication load."""
         total = self.broker_comm_load() + self.peer_comm_load_total()
         return self.broker_comm_load() / total if total else 0.0
-
-
-def apply_heartbeat_model(metrics: SimMetrics, config) -> None:
-    """Charge the PR 9 supervisor's heartbeat traffic to ``metrics``.
-
-    Closed-form over the run horizon — one beat per shard per interval —
-    so the reference and fast engines stay exactly equivalent, and a
-    zero interval (the default) leaves every figure untouched.  The
-    detection window comes from the *real* detector's configuration
-    arithmetic, not a re-derivation, so the simulated bound is the one the
-    chaos suite asserts against.
-    """
-    if config.heartbeat_interval <= 0.0:
-        return
-    from repro.net.liveness import LivenessConfig
-
-    shards = max(1, config.broker_shards)
-    metrics.heartbeats_sent = shards * int(config.duration / config.heartbeat_interval)
-    metrics.detection_window = LivenessConfig(
-        heartbeat_interval=config.heartbeat_interval,
-        phi_threshold=config.detector_phi_threshold,
-    ).detection_window()

@@ -11,21 +11,24 @@ share no state, and results are returned in submission order — the parallel
 path produces bit-identical rows to the sequential one (modulo the
 wall-clock timing stamps, see below).
 
+Every point runs on :class:`repro.sim.engine.FastSimulation`, the one
+engine.  The per-event loop that states the model plainly is the test
+oracle (``tests/sim/reference.py``); ``benchmarks/bench_scaling_million.py``
+times it beside this engine, each in a child process of its own.
+
 Environment knobs (all optional):
 
 * ``WHOPAY_WORKERS`` — pool size (``auto``/empty → CPU count; malformed
   values warn and fall back instead of killing the sweep);
-* ``WHOPAY_SIM_ENGINE`` — default engine for sweep points (``fast`` or
-  ``reference``; see :mod:`repro.sim.engine`);
 * ``WHOPAY_PROFILE`` — directory for per-point cProfile dumps.
   (The ``pool.map`` chunk size is computed from the sweep, not a knob.)
 
-Every row is stamped with its ``engine`` plus ``wall_s`` /
-``events_per_sec`` / ``peak_rss_kb`` timing columns, so committed figure
-artifacts are self-describing.  The timing columns are the only
-non-deterministic row entries — comparisons that want bit-identical rows
-strip :data:`TIMING_COLUMNS` first (the parallel runner's determinism
-contract is phrased modulo those columns).
+Every row is stamped with ``wall_s`` / ``events_per_sec`` /
+``peak_rss_kb`` timing columns, so committed figure artifacts are
+self-describing.  They are the only non-deterministic row entries —
+comparisons that want bit-identical rows strip :data:`TIMING_COLUMNS`
+first (the parallel runner's determinism contract is phrased modulo
+those columns).
 """
 
 from __future__ import annotations
@@ -34,12 +37,11 @@ import atexit
 import math
 import os
 import warnings
-from functools import partial
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.core.clock import HOUR
 from repro.sim.config import SimConfig, setup_a_configs, setup_b_configs
-from repro.sim.engine import build_simulation, resolve_engine
+from repro.sim.engine import FastSimulation
 from repro.sim.metrics import SimMetrics
 from repro.sim.policies import Policy
 
@@ -66,20 +68,18 @@ def _peak_rss_kb() -> int | None:
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
-def run_one(config: SimConfig, engine: str | None = None) -> dict[str, Any]:
+def run_one(config: SimConfig) -> dict[str, Any]:
     """Run a single configuration and flatten its metrics into a row.
 
-    ``engine`` picks the engine (default fast, or ``WHOPAY_SIM_ENGINE``).
-    Every row carries ``engine`` plus the :data:`TIMING_COLUMNS` stamps;
-    everything else is a pure function of the config.  ``peak_rss_kb`` is the
-    *process's* high-water mark: monotone over an in-process sweep, a point's
-    own only with one child per point (``benchmarks/_common.run_point``).
-    With ``WHOPAY_PROFILE`` set the point also runs under cProfile.
+    Every row carries the :data:`TIMING_COLUMNS` stamps; everything else
+    is a pure function of the config.  ``peak_rss_kb`` is the *process's*
+    high-water mark: monotone over an in-process sweep, a point's own only
+    with one child per point (``benchmarks/_common.run_point``).  With
+    ``WHOPAY_PROFILE`` set the point also runs under cProfile.
     """
     import time
 
-    engine = resolve_engine(engine)
-    sim = build_simulation(config, engine)
+    sim = FastSimulation(config)
     profile_dir = os.environ.get("WHOPAY_PROFILE")
     if profile_dir:
         import cProfile
@@ -94,7 +94,7 @@ def run_one(config: SimConfig, engine: str | None = None) -> dict[str, Any]:
         prof.dump_stats(
             os.path.join(
                 profile_dir,
-                f"sim_{engine}_n{config.n_peers}_s{config.seed}.prof",
+                f"sim_n{config.n_peers}_s{config.seed}.prof",
             )
         )
     else:
@@ -102,19 +102,18 @@ def run_one(config: SimConfig, engine: str | None = None) -> dict[str, Any]:
         result = sim.run()
         wall = time.perf_counter() - start  # wp-lint: disable=WP102
     metrics = result.metrics
-    row = metrics_row(config, metrics, engine)
+    row = metrics_row(config, metrics)
     row["wall_s"] = wall
     row["events_per_sec"] = metrics.events / wall if wall > 0 else 0.0
     row["peak_rss_kb"] = _peak_rss_kb()
     return row
 
 
-def metrics_row(config: SimConfig, metrics: SimMetrics, engine: str) -> dict[str, Any]:
+def metrics_row(config: SimConfig, metrics: SimMetrics) -> dict[str, Any]:
     """Flatten one run's metrics into the row the figures read — everything
     in a :func:`run_one` row except the :data:`TIMING_COLUMNS`, and a pure
     function of its arguments."""
     row: dict[str, Any] = {
-        "engine": engine,
         "mu_hours": config.mean_online / HOUR,
         "nu_hours": config.mean_offline / HOUR,
         "n_peers": config.n_peers,
@@ -132,13 +131,6 @@ def metrics_row(config: SimConfig, metrics: SimMetrics, engine: str) -> dict[str
     }
     for op, count in metrics.broker_op_counts().items():
         row[f"broker_{op}"] = count
-    # Federation (broker_shards > 1, reference engine): the fig2/fig6
-    # series again, but per shard — the load-flattening evidence.
-    for shard, ops in enumerate(metrics.per_shard_op_counts()):
-        for op, count in ops.items():
-            row[f"broker_shard{shard}_{op}"] = count
-    for shard, load in enumerate(metrics.per_shard_cpu_load()):
-        row[f"broker_shard{shard}_cpu"] = load
     for op, avg in metrics.peer_op_counts_avg().items():
         row[f"peer_avg_{op}"] = avg
     return row
@@ -218,24 +210,20 @@ def map_points(point, configs: Iterable[SimConfig], max_workers: int | None) -> 
 
 
 def run_sweep_parallel(
-    configs: Iterable[SimConfig],
-    max_workers: int | None = None,
-    engine: str | None = None,
+    configs: Iterable[SimConfig], max_workers: int | None = None
 ) -> list[dict[str, Any]]:
     """Run independent sweep points on a process pool, preserving order.
 
-    Returns exactly what ``[run_one(c, engine) for c in configs]`` would:
-    each point is seeded by its config and workers share no state, so rows
-    are bit-identical to the sequential runner's modulo the wall-clock
-    :data:`TIMING_COLUMNS` stamps.  The engine name is resolved *here*, in
-    the parent, so a sweep is pinned to one engine even if a worker's
-    environment drifts.
+    Returns exactly what ``[run_one(c) for c in configs]`` would: each point
+    is seeded by its config and workers share no state, so rows are
+    bit-identical to the sequential runner's modulo the wall-clock
+    :data:`TIMING_COLUMNS` stamps.
     """
-    return map_points(partial(run_one, engine=resolve_engine(engine)), configs, max_workers)
+    return map_points(run_one, configs, max_workers)
 
 
-def _run_points(configs: Iterable[SimConfig], parallel: bool, engine: str | None) -> list[dict]:
-    return run_sweep_parallel(configs, None if parallel else 1, engine)
+def _run_points(configs: Iterable[SimConfig], parallel: bool) -> list[dict]:
+    return run_sweep_parallel(configs, None if parallel else 1)
 
 
 # -- replication --------------------------------------------------------------
@@ -262,7 +250,6 @@ def run_replicated(
     config: SimConfig,
     seeds: tuple[int, ...],
     parallel: bool = False,
-    engine: str | None = None,
 ) -> dict[str, Any]:
     """Run ``config`` under several seeds; report mean and spread per metric.
 
@@ -277,7 +264,7 @@ def run_replicated(
         raise ValueError("need at least one seed")
     from dataclasses import replace
 
-    rows = _run_points((replace(config, seed=seed) for seed in seeds), parallel, engine)
+    rows = _run_points((replace(config, seed=seed) for seed in seeds), parallel)
     merged: dict[str, Any] = {}
     for key, value in rows[0].items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -301,7 +288,6 @@ def run_availability_sweep(
     small: bool = False,
     mean_offline_hours: float = 2.0,
     parallel: bool = False,
-    engine: str | None = None,
 ) -> list[dict[str, Any]]:
     """Setup A (Figures 2–9): sweep µ for one (policy, sync) configuration."""
     return _run_points(
@@ -312,7 +298,6 @@ def run_availability_sweep(
             small=small,
         ),
         parallel,
-        engine,
     )
 
 
@@ -321,11 +306,8 @@ def run_scaling_sweep(
     sync_mode: str,
     small: bool = False,
     parallel: bool = False,
-    engine: str | None = None,
 ) -> list[dict[str, Any]]:
     """Setup B (Figures 10–11): sweep the system size at 50% availability."""
     return _run_points(
-        setup_b_configs(policy=policy, sync_mode=sync_mode, small=small),
-        parallel,
-        engine,
+        setup_b_configs(policy=policy, sync_mode=sync_mode, small=small), parallel
     )

@@ -15,6 +15,7 @@ from repro.core.clock import DAY, HOUR  # noqa: E402
 from repro.sim.config import SimConfig  # noqa: E402
 from repro.sim.policies import POLICY_III  # noqa: E402
 from repro.sim.runner import run_one, strip_timing  # noqa: E402
+from tests.sim.reference import Simulation  # noqa: E402
 
 TINY = SimConfig(
     n_peers=15,
@@ -60,8 +61,8 @@ class TestReportMain:
 class TestSimulate:
     def test_each_distinct_config_runs_once(self, monkeypatch):
         built = []
-        real = _common.build_simulation
-        monkeypatch.setattr(_common, "build_simulation", lambda c, e: (built.append(c), real(c, e))[1])
+        real = _common.FastSimulation
+        monkeypatch.setattr(_common, "FastSimulation", lambda c: (built.append(c), real(c))[1])
         monkeypatch.setattr(_common, "_metrics", {})
         a, b = replace(TINY, seed=1), replace(TINY, seed=2)
         first = _common.simulate([a, b, a])
@@ -74,3 +75,11 @@ def test_run_point_returns_the_runners_row_from_a_fresh_process():
     assert row.pop("total_s") >= row["wall_s"] > 0
     assert strip_timing(row) == strip_timing(run_one(TINY))
     assert row["peak_rss_kb"] > 0
+
+
+def test_run_point_times_the_reference_loop_in_a_fresh_process():
+    row = _common.run_point(TINY, "reference")
+    assert row.pop("total_s") >= row["wall_s"] > 0
+    metrics = Simulation(TINY).run().metrics
+    assert (row["events"], row["payments_made"]) == (metrics.events, metrics.payments_made)
+    assert row["events_per_sec"] > 0 and row["peak_rss_kb"] > 0

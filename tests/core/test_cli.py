@@ -3,6 +3,9 @@
 import pytest
 
 from repro.cli import main
+from repro.core.clock import DAY
+from repro.sim.config import SimConfig
+from repro.sim.runner import run_one
 
 
 class TestRunCommand:
@@ -17,14 +20,11 @@ class TestRunCommand:
         assert "broker share of CPU load" in out
         assert "transfer" in out
 
-    def test_run_is_the_sweeps_point_and_names_its_engine(self, capsys, monkeypatch):
+    def test_run_is_the_sweeps_point(self, capsys):
         argv = ["run", "--peers", "20", "--days", "0.5", "--renewal-days", "0.2", "--seed", "3"]
-        monkeypatch.delenv("WHOPAY_SIM_ENGINE", raising=False)
         assert main(argv) == 0
-        assert "[fast engine:" in capsys.readouterr().out
-        monkeypatch.setenv("WHOPAY_SIM_ENGINE", "reference")
-        assert main(argv) == 0
-        assert "[reference engine:" in capsys.readouterr().out
+        point = run_one(SimConfig(n_peers=20, duration=0.5 * DAY, renewal_period=0.2 * DAY, seed=3))
+        assert f"[simulated 0.5 days, {point['events']:,} events in " in capsys.readouterr().out
 
     def test_run_powerlaw(self, capsys):
         code = main([

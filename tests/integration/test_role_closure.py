@@ -44,8 +44,7 @@ alice = net.add_peer("alice")
 pool_args = (net.params, net.broker.public_key, [net.judge.group_public_key()])
 VerificationPool(*pool_args).close()
 tiny = SimConfig(n_peers=12, duration=20_000.0, renewal_period=8_000.0)
-build_simulation(tiny, "reference")
-note("a network, a verification pool, the reference engine")
+note("a network, a verification pool")
 
 build_simulation(tiny, "fast")
 note("fast engine built")
@@ -68,7 +67,7 @@ def test_each_heavy_module_arrives_with_its_first_user():
     numpy = ["numpy"] if importlib.util.find_spec("numpy") is not None else []
     assert steps == {
         "roles imported": [],
-        "a network, a verification pool, the reference engine": [],
+        "a network, a verification pool": [],
         "fast engine built": numpy,
         "parallel sweep run": numpy + ["multiprocessing", "concurrent.futures"],
     }

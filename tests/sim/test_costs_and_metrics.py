@@ -120,10 +120,10 @@ class TestRetryOverhead:
     def test_simulation_wires_loss_into_overhead(self):
         from repro.sim.config import SimConfig
         from repro.sim.costs import expected_attempts
-        from repro.sim.simulator import Simulation
+        from repro.sim.engine import FastSimulation
 
         config = SimConfig(n_peers=4, message_loss=0.1, rpc_max_attempts=6)
-        sim = Simulation(config)
+        sim = FastSimulation(config)
         assert sim.metrics.msg_overhead == pytest.approx(expected_attempts(0.1, 6))
         with pytest.raises(ValueError):
             SimConfig(n_peers=4, message_loss=1.5)

@@ -1,9 +1,11 @@
 """Golden regression pins: fixed-seed runs must not drift silently.
 
 The figure benches assert *shapes*; these tests pin exact operation counts
-for fixed seeds, so an accidental semantic change to the simulator (event
-ordering, policy logic, renewal scheduling) fails loudly instead of
-shifting every figure a little.  If a change is *intentional*, update the
+for fixed seeds of the reference loop (``tests/sim/reference.py``), so an
+accidental semantic change to the oracle (event ordering, policy logic,
+renewal scheduling) fails loudly instead of silently moving the target the
+engine is held to.  The engine's own pins are the committed figure rows
+(``test_engine_equivalence``).  If a change is *intentional*, update the
 constants and say why in the commit.
 """
 
@@ -12,7 +14,7 @@ import pytest
 from repro.core.clock import DAY, HOUR
 from repro.sim.config import SimConfig
 from repro.sim.policies import POLICY_I, POLICY_III
-from repro.sim.simulator import Simulation
+from tests.sim.reference import Simulation
 
 BASE = dict(
     n_peers=50,

@@ -16,6 +16,7 @@ import pytest
 from repro.core.clock import DAY, HOUR
 from repro.sim import runner
 from repro.sim.config import SimConfig
+from repro.sim.engine import FastSimulation
 from repro.sim.runner import (
     TIMING_COLUMNS,
     _spread,
@@ -100,48 +101,13 @@ class TestWorkerAndChunkKnobs:
         assert [strip_timing(r) for r in rows] == [strip_timing(run_one(c)) for c in configs]
 
 
-class TestEngineSelection:
-    def test_rows_carry_engine_and_events(self):
-        row = run_one(replace(TINY, seed=41))
-        assert row["engine"] == "fast"
-        assert row["events"] > 0
-
-    def test_env_default_engine(self, monkeypatch):
-        monkeypatch.setenv("WHOPAY_SIM_ENGINE", "reference")
-        assert run_one(replace(TINY, seed=41))["engine"] == "reference"
-
-    def test_explicit_engine_beats_env(self, monkeypatch):
-        monkeypatch.setenv("WHOPAY_SIM_ENGINE", "fast")
-        row = run_one(replace(TINY, seed=41), engine="reference")
-        assert row["engine"] == "reference"
-
-    def test_parallel_pins_engine_in_parent(self, monkeypatch):
-        # The engine resolves before configs ship to workers, so rows agree
-        # with the sequential run even though workers re-read the env.
-        monkeypatch.setenv("WHOPAY_SIM_ENGINE", "reference")
-        configs = [replace(TINY, seed=s) for s in (51, 52)]
-        rows = run_sweep_parallel(configs, max_workers=2)
-        assert [row["engine"] for row in rows] == ["reference", "reference"]
-
-
-    def test_a_misspelt_engine_is_rejected_before_any_point_ships(self, monkeypatch):
-        # One resolver, validating: the parent raises, not a pool worker.
-        monkeypatch.setenv("WHOPAY_SIM_ENGINE", "warp")
-        monkeypatch.setattr(
-            runner, "_pool", lambda workers: pytest.fail("a point reached the pool")
-        )
-        configs = [replace(TINY, seed=s) for s in (51, 52)]
-        with pytest.raises(ValueError, match="unknown engine 'warp'"):
-            run_sweep_parallel(configs, max_workers=2)
-
-
 class TestProfileHooks:
     def test_profile_writes_dump(self, monkeypatch, tmp_path):
         monkeypatch.setenv("WHOPAY_PROFILE", str(tmp_path))
         config = replace(TINY, seed=61)
-        row = run_one(config, engine="fast")
+        row = run_one(config)
         assert row["wall_s"] > 0
-        dumps = list(tmp_path.glob("sim_fast_n15_s61.prof"))
+        dumps = list(tmp_path.glob("sim_n15_s61.prof"))
         assert len(dumps) == 1 and dumps[0].stat().st_size > 0
 
     def test_every_row_carries_timing_stamps(self, monkeypatch):
@@ -153,7 +119,17 @@ class TestProfileHooks:
         assert rss is None or rss > 0
         stripped = strip_timing(row)
         assert not any(col in stripped for col in TIMING_COLUMNS)
-        assert stripped["engine"] == "fast"
+        assert stripped["events"] > 0
+
+
+class TestEngineSelection:
+    """Rows come from the one engine, so they name none."""
+
+    def test_rows_carry_engine_and_events(self):
+        config = replace(TINY, seed=41)
+        row = run_one(config)
+        assert "engine" not in row
+        assert row["events"] == FastSimulation(config).run().metrics.events > 0
 
 
 class TestReplicatedSpread:

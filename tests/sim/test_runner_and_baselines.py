@@ -5,9 +5,9 @@ import pytest
 from repro.core.clock import DAY, HOUR
 from repro.sim.baseline_sim import centralized_load, compare_systems, ppay_load, whopay_load
 from repro.sim.config import SimConfig
+from repro.sim.engine import FastSimulation
 from repro.sim.policies import POLICY_I
 from repro.sim.runner import run_one
-from repro.sim.simulator import Simulation
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +16,7 @@ def metrics():
         n_peers=40, duration=2 * DAY, renewal_period=0.6 * DAY,
         mean_online=2 * HOUR, mean_offline=2 * HOUR, seed=99,
     )
-    return Simulation(config).run().metrics
+    return FastSimulation(config).run().metrics
 
 
 class TestRunner:

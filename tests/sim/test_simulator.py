@@ -1,18 +1,23 @@
-"""Simulator tests: determinism, invariants, policy semantics, churn."""
+"""Simulator tests: determinism, invariants, policy semantics, churn.
+
+They run the engine that ships; the few that need the reference loop
+(``tests/sim/reference.py``) say why on the line that builds it.
+"""
 
 import pytest
 
 from repro.core.clock import DAY, HOUR
 from repro.sim.config import SimConfig
-from repro.sim.policies import POLICY_I, POLICY_II_A, POLICY_II_B, POLICY_III
-from repro.sim.simulator import Simulation
+from repro.sim.engine import FastSimulation
+from repro.sim.policies import POLICY_I, POLICY_I_LAYERED, POLICY_II_A, POLICY_II_B, POLICY_III
+from tests.sim.reference import Simulation
 
 FAST = dict(n_peers=30, duration=1 * DAY, renewal_period=0.4 * DAY)
 
 
 def run(**overrides):
     merged = {**FAST, **overrides}
-    return Simulation(SimConfig(**merged)).run()
+    return FastSimulation(SimConfig(**merged)).run()
 
 
 class TestDeterminism:
@@ -29,9 +34,11 @@ class TestDeterminism:
 
 
 class TestInvariants:
+    """The reference loop's coin and peer objects; :class:`TestEngineInvariants`
+    states the same invariants over the engine's columns."""
+
     def test_coin_conservation(self):
-        result = run(policy=POLICY_III, initial_balance=3, seed=11)
-        sim = Simulation(result.config)
+        sim = Simulation(SimConfig(**FAST, policy=POLICY_III, initial_balance=3, seed=11))
         result = sim.run()
         metrics = result.metrics
         live = sum(1 for coin in sim.coins if not coin.retired)
@@ -74,6 +81,43 @@ class TestInvariants:
         assert total == 5 * len(sim.peers)
 
 
+class TestEngineInvariants:
+    """Value and custody invariants over :class:`FastSimulation`'s columns.
+
+    The plain merge loop never appends ``_c_retired`` (nothing retires
+    there), so a coin past its end is read as not retired.
+    """
+
+    CONFIGS = (
+        {},
+        dict(policy=POLICY_III, initial_balance=3),
+        dict(policy=POLICY_II_A, initial_balance=5, sync_mode="lazy"),
+        dict(policy=POLICY_I_LAYERED, max_layers=3, heterogeneity="powerlaw"),
+        dict(initial_balance=4, detection=True, broker_restarts=2),
+    )
+
+    @pytest.mark.parametrize("use_numpy", [True, False])
+    @pytest.mark.parametrize("overrides", CONFIGS)
+    def test_custody_and_value_are_conserved(self, overrides, use_numpy):
+        if use_numpy:
+            pytest.importorskip("numpy", reason="numpy not installed; only the fallback path exists")
+        config = SimConfig(**FAST, seed=11, **overrides)
+        sim = FastSimulation(config, use_numpy=use_numpy)
+        metrics = sim.run().metrics
+        retired = sim._c_retired
+        live = [c for c in range(sim._n_coins) if c >= len(retired) or not retired[c]]
+        holdings = {}
+        for index, wallet in enumerate(sim._wallets):
+            for coin in wallet:
+                assert coin not in holdings, "coin held twice"
+                holdings[coin] = index
+        assert holdings == {coin: sim._c_holder[coin] for coin in live}
+        assert metrics.coins_created - metrics.coins_retired == len(live)
+        if config.initial_balance is not None:
+            total = sum(sim._balance) + len(live) * config.coin_value
+            assert total == config.initial_balance * config.n_peers
+
+
 class TestPolicySemantics:
     def test_policy_i_uses_downtime_transfers(self):
         metrics = run(policy=POLICY_I, seed=29).metrics
@@ -89,9 +133,11 @@ class TestPolicySemantics:
         assert metrics.ops["deposit"] > 0  # recycling fires once budgets drain
 
     def test_policy_ii_between_i_and_iii(self):
+        # The reference loop: a one-seed ordering, pinned on its realization.
         broker_cpu = {}
         for policy in (POLICY_I, POLICY_II_A, POLICY_II_B, POLICY_III):
-            metrics = run(policy=policy, seed=37, n_peers=60, duration=2 * DAY).metrics
+            config = SimConfig(**{**FAST, "n_peers": 60, "duration": 2 * DAY}, policy=policy, seed=37)
+            metrics = Simulation(config).run().metrics
             broker_cpu[policy.name] = metrics.broker_cpu_load()
         assert broker_cpu["III"] <= broker_cpu["II.a"] <= broker_cpu["I"]
         assert broker_cpu["III"] <= broker_cpu["II.b"] <= broker_cpu["I"]
@@ -106,7 +152,7 @@ class TestPolicySemantics:
 
 class TestSyncModes:
     def test_proactive_counts_one_sync_per_rejoin(self):
-        sim = Simulation(SimConfig(**FAST, sync_mode="proactive", seed=43))
+        sim = FastSimulation(SimConfig(**FAST, sync_mode="proactive", seed=43))
         result = sim.run()
         assert result.metrics.ops["sync"] > 0
         assert result.metrics.ops["check"] == 0
@@ -181,8 +227,10 @@ class TestBrokerRestarts:
     def test_restarts_add_replay_cost_without_changing_the_op_mix(self):
         from repro.sim.costs import BROKER_OPS, REPLAY_RECORD_COST
 
-        base = run(seed=7).metrics
-        restarted = run(seed=7, broker_restarts=3).metrics
+        # The reference loop: on the engine a restart switches the merge
+        # loop, and so the realization (docs/SIMULATOR.md, the fork table).
+        base = Simulation(SimConfig(**FAST, seed=7)).run().metrics
+        restarted = Simulation(SimConfig(**FAST, seed=7, broker_restarts=3)).run().metrics
         assert restarted.ops == base.ops  # retries hide the outage from clients
         assert restarted.broker_restarts == 3
         assert restarted.snapshots_taken == 3
