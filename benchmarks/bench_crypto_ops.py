@@ -15,13 +15,17 @@ Two entry points:
   implementations and writes machine-readable speedups to
   ``benchmarks/out/BENCH_crypto.json`` (``BENCH_crypto_quick.json`` under
   ``--quick``; the floors are rows of ``check.py``), plus the byte-wide table
-  of the two system-wide bases against the cached width, and the roster curve
+  of the two system-wide bases against the cached width, one fold of a group
+  signature with DSA signatures against separate checks at the owner's shape
+  (a holder envelope's two layers) and the broker's (those, the coin
+  certificate and the proof binding), and the roster curve
   (group sign / exact verify / hinted verify / batch-10 at roster 16…1024: the
   scheme's linear term as a committed number).  ``--quick`` restricts to the
   512-bit group, rosters 16 and 64, and fewer repetitions (the CI smoke
   configuration).
 """
 
+import secrets
 import statistics
 import sys
 import time
@@ -30,7 +34,7 @@ import pytest
 
 from _common import report_main
 
-from repro.crypto import fastexp, primitives
+from repro.crypto import fastexp, primitives, schnorr
 from repro.crypto.dsa import dsa_batch_verify, dsa_generate, dsa_sign, dsa_verify
 from repro.crypto.elgamal import elgamal_decrypt, elgamal_encrypt, elgamal_generate
 from repro.crypto.elgamal import ElGamalCiphertext
@@ -300,6 +304,31 @@ def baseline_group_sign(gpk, member, message) -> GroupSignature:
     )
 
 
+def baseline_schnorr_batch_verify(items) -> bool:
+    """``schnorr_batch_verify`` before the shared fold: a native ``pow`` per
+    commitment (a one-base ``multi_exp`` is one), the ``g`` side inverted;
+    same-group items only."""
+    params = items[0][0].params
+    p, q = params.p, params.q
+    g_exponent = 0
+    commitment_product = 1
+    y_exponents: dict[int, int] = {}
+    for public, proof, context in items:
+        if not params.is_element(public.y):
+            return False
+        if not (0 < proof.commitment < p) or not (0 <= proof.response < q):
+            return False
+        c = schnorr._challenge(public, proof.commitment, context)
+        multiplier = secrets.randbits(fastexp.BATCH_RANDOMIZER_BITS) | 1
+        g_exponent = (g_exponent + multiplier * proof.response) % q
+        commitment = fastexp.multi_exp([(proof.commitment, multiplier)], p, promote=False)
+        commitment_product = (commitment_product * commitment) % p
+        y_exponents[public.y] = (y_exponents.get(public.y, 0) + multiplier * c) % q
+    rhs = (commitment_product * fastexp.multi_exp(list(y_exponents.items()), p, order=q)) % p
+    ratio = (rhs * primitives.modinv(params.pow_g(g_exponent), p)) % p
+    return fastexp.multi_exp([(ratio, params.cofactor)], p, promote=False) == 1
+
+
 def _time_us(fn, repeat: int) -> float:
     """Median wall-clock time of ``fn()`` in microseconds."""
     samples = []
@@ -311,10 +340,14 @@ def _time_us(fn, repeat: int) -> float:
 
 
 def _compare(name, baseline, accelerated, repeat, results) -> None:
-    """Time both implementations and record the speedup."""
+    """Time both implementations and record the speedup: sample by sample,
+    alternating which goes first, so a host that drifts slows both alike."""
     assert baseline() and accelerated(), f"{name}: implementations disagree"
-    base_us = _time_us(baseline, repeat)
-    accel_us = _time_us(accelerated, repeat)
+    samples: tuple[list[float], list[float]] = ([], [])
+    for i in range(repeat):
+        for side in (0, 1) if i % 2 == 0 else (1, 0):
+            samples[side].append(_time_us((baseline, accelerated)[side], 1))
+    base_us, accel_us = (statistics.median(times) for times in samples)
     results[name] = {
         "baseline_us": round(base_us, 2),
         "accelerated_us": round(accel_us, 2),
@@ -353,6 +386,52 @@ def compare_fixed_base_pow(params, repeat: int, results: dict) -> None:
     results["fixed_base_pow"].update(
         pows_per_sample=POW_SAMPLE, baseline_table=_footprint(narrow), accelerated_table=_footprint(wide)
     )
+
+
+def compare_sites(params, gpk, member, repeat: int, results: dict) -> None:
+    """One fold of a group signature with DSA signatures against separate
+    checks: the broker's site, and the owner's shape — which the owner does
+    not fold, for soundness (DESIGN.md §1.1, "One fold"), so that row is
+    what it gives up.  A fresh holder key (and coin key) per sample, as every
+    holder operation has; the broker's key warm."""
+    broker = dsa_generate(params)
+    for _ in range(fastexp.PROMOTE_AFTER + 1):
+        dsa_verify(broker.public, b"warm", dsa_sign(broker, b"warm"))
+
+    def samples():
+        """``repeat + 1`` requests: the group-signed inner triple, then the
+        certificate and proof-binding triples."""
+        made = []
+        for i in range(repeat + 1):
+            holder, coin = dsa_generate(params), dsa_generate(params)
+            signed = [(holder, b"inner-%d" % i), (broker, b"cert-%d" % i), (coin, b"proof-%d" % i)]
+            triples = [(key.public, message, dsa_sign(key, message)) for key, message in signed]
+            inner = triples[0][1]  # stands for the sealed envelope the group signature covers
+            made.append((triples, (inner, group_sign(gpk, member, inner))))
+        return made
+
+    def separate(owner):
+        taken = iter(samples())
+
+        def check():
+            triples, (inner, gsig) = next(taken)
+            if owner:  # DualSignedMessage.verify
+                return dsa_verify(*triples[0]) and group_verify(gpk, inner, gsig)
+            return group_verify(gpk, inner, gsig) and dsa_batch_verify(triples)
+
+        return check
+
+    def folded(owner):
+        taken = iter(samples())
+
+        def check():
+            triples, group = next(taken)
+            return dsa_batch_verify(triples[:1] if owner else triples, groups=[(gpk, [group])])
+
+        return check
+
+    for name, owner in (("owner_site_roster16", True), ("broker_site_roster16", False)):
+        _compare(name, separate(owner), folded(owner), repeat, results)
 
 
 #: Signatures per batch in the roster curve's batch row.
@@ -430,6 +509,17 @@ def run_comparison(quick: bool = False) -> dict:
             max(3, repeat // 3),
             results,
         )
+        proofs = [
+            (keypair.public, schnorr_prove(keypair, ctx), ctx)
+            for ctx in (b"schnorr-%d" % i for i in range(BATCH))
+        ]
+        _compare(
+            f"schnorr_batch_verify{BATCH}",
+            lambda: baseline_schnorr_batch_verify(proofs),
+            lambda: schnorr_batch_verify(proofs),
+            repeat,
+            results,
+        )
 
         manager = GroupManager(params)
         members = [manager.register(f"m{i}") for i in range(16)]
@@ -457,6 +547,7 @@ def run_comparison(quick: bool = False) -> dict:
             repeat,
             results,
         )
+        compare_sites(params, gpk, members[1], repeat, results)
         report["groups"][label] = results
 
     rosters = (16, 64) if quick else (16, 64, 256, 1024)

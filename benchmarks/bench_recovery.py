@@ -54,7 +54,8 @@ def measure(quick: bool) -> dict:
             net = _build_net(Path(root), n_records)
             elapsed, result = _timed_restart(net)
             assert result.audit is not None  # its verdict is a floor (check.py)
-            # +2 bookkeeping records: broker_init and open_account.
+            # One mint record a purchase, +2 bookkeeping: broker_init and open_account.
+            assert result.records_replayed == n_records + 2
             rows.append(
                 {
                     "journal_records": result.records_replayed,
@@ -81,14 +82,12 @@ def measure(quick: bool) -> dict:
             f"{row['records_per_second']:>10.1f}"
         )
     print(f"snapshot over {sizes[-1]} records: {elapsed:.4f}s (0 replayed)")
-    # Shape check: replay work grows with journal length.
-    assert rows[-1]["recovery_seconds"] > rows[0]["recovery_seconds"], (
-        "recovery time should grow with the journal"
-    )
     return {
         "params": "512-bit test group",
         "workload": "N coin purchases (one mint record each)",
         "rows": rows,
+        # Longest over shortest replay: a floor at full size only (check.py).
+        "replay_growth": rows[-1]["recovery_seconds"] / rows[0]["recovery_seconds"],
         "snapshot_recovery": snapshot_row,
     }
 

@@ -54,6 +54,15 @@ FLOORS = (
           "hinted verifier over the exact one at roster 16"),
     Floor("BENCH_crypto", "groups.*.group_sign_roster16.speedup", ">=", 1.5, 1.5,
           "witness-aware signer over the verifier-style signer at roster 16"),
+    Floor("BENCH_crypto", "groups.*.broker_site_roster16.speedup", ">=", 0.95, 1.0,
+          "one fold for a holder request's group signature and three DSA signatures is never "
+          "slower than a group check beside a DSA batch; the gain is a few per cent, so a quick "
+          "run's ten samples get 5 % of noise"),
+    Floor("BENCH_crypto", "groups.*.owner_site_roster16.speedup", ">=", 0.9, 0.95,
+          "… and for a holder envelope's two layers, a fold no site runs (the owner checks them "
+          "apart for soundness, DESIGN.md §1.1): the row is what that costs, held as a guard"),
+    Floor("BENCH_crypto", "groups.*.schnorr_batch_verify32.speedup", ">=", 1.5, 1.5,
+          "the shared fold's bucket product over a native pow per Schnorr commitment"),
     Floor("broker_throughput_pipeline", "best_speedup", ">=", 1.5, 2.0,
           "batch verify + group commit over scalar verify + fsync per request; full runs read "
           "about 2.4x, the one quick row on a shared runner with cold caches less"),
@@ -82,6 +91,9 @@ FLOORS = (
           "at the highest threshold swept, 35 % heartbeat loss restarts no live shard"),
     Floor("BENCH_recovery", "rows.*.audit_ok", "==", True, True,
           "the invariant audit passes after every replay"),
+    Floor("BENCH_recovery", "replay_growth", ">", None, 1.0,
+          "replaying the longest journal takes longer than the shortest (full sizes 8 -> 128 "
+          "records); a quick run's 4 -> 16 is within the host's noise"),
     Floor("BENCH_recovery", "snapshot_recovery.records_replayed", "==", 0, 0,
           "a snapshot covers the whole journal: nothing is replayed"),
 )

@@ -42,6 +42,7 @@ from repro.core.errors import (
 from repro.core.judge import Judge
 from repro.core.sharding import ShardMap
 from repro.crypto.dsa import dsa_batch_verify, dsa_verify
+from repro.crypto.group_signature import group_verify
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.params import DlogParams
 from repro.messages.envelope import seal
@@ -563,11 +564,13 @@ class Broker(Node):
         holder's (verified) proof binding.  Raises a protocol error subclass
         on any failure.
 
-        When the request was pre-verified by a verification pool
-        (:meth:`mark_preverified`), the signature checks — the group
-        signature here and the DSA batch at the end — are skipped; the pool
-        already ran them (unconditionally, including the proof-binding
-        signature) on these exact bytes.  A request it handed over opened
+        One fold decides every signature before any state check; if it
+        fails, the group signature is named first and the DSA ones after
+        the state checks, as each check reads.  When the request was
+        pre-verified by a verification pool (:meth:`mark_preverified`), the
+        signature checks are skipped; the pool already ran them
+        (unconditionally, including the proof-binding signature) on these
+        exact bytes.  A request it handed over opened
         is not parsed again, only checked against this endpoint's kind (the
         pool knows no endpoint).  All state checks below still run.
         """
@@ -579,7 +582,14 @@ class Broker(Node):
         envelope, coin, proof = request.envelope, request.coin, request.proof
 
         gpk = self.judge.verification_key(envelope.roster_version)
-        if not crypto_done and not envelope.verify_group(gpk):
+        stored = self.downtime_bindings.get(coin.coin_y)
+        # Second flavour (Section 4.2): bit-by-bit comparison with state
+        # stands in for the proof binding's signature (the last triple).
+        via_state = stored is not None and proof.via_broker
+        dsa_batch = request.dsa_triples()[: 2 if via_state else 3]
+        group = (envelope.inner.encode(), envelope.group_signature)
+        signatures_ok = crypto_done or dsa_batch_verify(dsa_batch, groups=[(gpk, [group])])
+        if not signatures_ok and not group_verify(gpk, *group):
             raise VerificationFailed("holder envelope signatures invalid")
         if coin.cert.signer.y != self.public_key.y:
             raise VerificationFailed("coin certificate invalid")
@@ -597,18 +607,9 @@ class Broker(Node):
             self.fraud_events.append(event)
             raise event
 
-        # The request's DSA signatures (inner holder envelope, coin cert,
-        # proof binding) are checked together with one randomized batch
-        # verification at the end, after every structural check has picked
-        # its precise error.
-        dsa_batch = request.dsa_triples()
-        stored = self.downtime_bindings.get(coin.coin_y)
-        if stored is not None and proof.via_broker:
-            # Second flavour (Section 4.2): bit-by-bit comparison with state
-            # stands in for the proof binding's signature.
+        if via_state:
             if proof.encode() != stored.encode():
                 raise NotHolder("proof binding does not match broker state")
-            dsa_batch.pop()
         else:
             coin_key = coin.coin_public_key(self.params)
             if not proof.verify_unsigned(coin_key, self.public_key):
@@ -620,8 +621,8 @@ class Broker(Node):
             raise NotHolder("request not signed with the bound holder key")
         if self.clock.now() > proof.exp_date:
             raise CoinExpired(f"coin {coin.coin_y:#x} expired")
-        if not crypto_done and not dsa_batch_verify(dsa_batch):
-            # Re-check individually for a precise error message.
+        if not signatures_ok:
+            # The group layer verified, so a DSA signature failed: name it.
             if not envelope.inner.verify():
                 raise VerificationFailed("holder envelope signatures invalid")
             if not coin.cert.verify():

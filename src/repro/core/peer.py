@@ -352,15 +352,8 @@ class Peer(Node):
                     raise VerificationFailed("broker sync returned an invalid binding")
                 accepted.append((state, binding))
         self.counts.syncs += 1
-        batch = [
-            (binding.signed.signer, binding.signed.payload_bytes, binding.signed.signature)
-            for _, binding in accepted
-        ]
-        if not dsa_batch_verify(batch):
-            for _, binding in accepted:
-                if not binding.signed.verify():
-                    raise VerificationFailed("broker sync returned an invalid binding")
-            raise VerificationFailed("broker sync batch verification failed")
+        if not dsa_batch_verify([binding.signed.triple for _, binding in accepted]):
+            raise VerificationFailed("broker sync returned an invalid binding")
         # One journal record: a crash keeps the whole sync or none of it.
         updated = []
         for state, binding in accepted:
@@ -473,9 +466,8 @@ class Peer(Node):
         by_y = {kp.public.y: kp for kp in keypairs}
         # One randomized batch verification covers every certificate in the
         # reply — the broker attaches ``sig_c`` commit hints precisely so
-        # receivers can do this.  Structural checks stay per coin; on a
-        # batch failure, re-check individually to name the bad certificate
-        # without rejecting the honest ones alongside it.
+        # receivers can do this.  Structural checks stay per coin; a failed
+        # fold defers to the exact verifier, so ``False`` is a bad certificate.
         dsa_batch: list[tuple[PublicKey, bytes, DsaSignature]] = []
         coins: list[Coin] = []
         for coin_bytes in minted:
@@ -487,13 +479,10 @@ class Peer(Node):
                 or not coin.verify_unsigned()
             ):
                 raise VerificationFailed("broker returned an invalid batch coin")
-            dsa_batch.append((coin.cert.signer, coin.cert.payload_bytes, coin.cert.signature))
+            dsa_batch.append(coin.cert.triple)
             coins.append(coin)
         if not dsa_batch_verify(dsa_batch):
-            bad = [coin for coin in coins if not coin.verify(self.broker_key)]
-            raise VerificationFailed(
-                f"broker returned {len(bad)} invalid batch coin certificate(s)"
-            )
+            raise VerificationFailed("broker returned an invalid batch coin certificate")
         for coin in coins:
             state = OwnedCoinState(coin=coin, coin_keypair=by_y[coin.coin_y])
             self.owned[coin.coin_y] = state

@@ -80,9 +80,9 @@ def encode_dual(message: DualSignedMessage) -> bytes:
     """Bytes form of a dual-signed (holder) envelope.
 
     ``gs_t`` carries the group signature's per-clause commitment hints:
-    every verifier — a peer or the broker checking one envelope
-    (:func:`repro.crypto.group_signature.group_verify`), the pipeline
-    checking a batch (``group_batch_verify``) — folds them instead of
+    every verifier — a peer or the broker checking one envelope, the
+    pipeline checking a batch (each through one fold,
+    :func:`repro.crypto.dsa.dsa_batch_verify`) — folds them instead of
     recomputing the clauses.  Like ``sig_c`` on the inner envelope it is
     untrusted accelerator metadata — stripping it merely costs the receiver
     exact verification.
@@ -336,10 +336,7 @@ class HolderRequest:
     def dsa_triples(self) -> list[tuple[PublicKey, bytes, DsaSignature]]:
         """The request's DSA signatures as ``(signer, message, signature)``,
         always in this order: holder envelope, coin certificate, proof binding."""
-        return [
-            (signed.signer, signed.payload_bytes, signed.signature)
-            for signed in (self.envelope.inner, self.coin.cert, self.proof.signed)
-        ]
+        return [signed.triple for signed in (self.envelope.inner, self.coin.cert, self.proof.signed)]
 
     def require_served_as(self, kind: str) -> None:
         """``ProtocolError`` unless the table lets an endpoint of wire ``kind`` serve this op."""

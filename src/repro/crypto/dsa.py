@@ -17,8 +17,9 @@ Performance engineering (DESIGN.md §1.1, "Performance engineering"):
   auto-promoted to tables of their own.
 * Signatures carry an optional ``commit`` hint — the full ``R = g**k mod p``
   whose reduction ``R mod q`` is ``r``.  Individual verification ignores it;
-  :func:`dsa_batch_verify` uses it to verify many signatures with one
-  randomized linear combination (small-exponent test à la Naccache et al.).
+  :func:`dsa_batch_verify` uses it to verify many signatures — and the group
+  signatures beside them — with one randomized linear combination (the
+  small-exponent test of :class:`repro.crypto.fastexp.Fold`).
 * :func:`dsa_digest` exposes the per-message digest so callers that sign
   *and* verify the same message (or verify in batches) hash it only once.
 """
@@ -31,13 +32,10 @@ import secrets
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.crypto import fastexp, primitives
+from repro.crypto import fastexp, group_signature, primitives
+from repro.crypto.group_signature import GroupPublicKey, GroupSignature
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.params import DlogParams, default_params
-
-#: Bit width of the per-item randomizers in the batch small-exponent test.
-#: A forged batch member survives with probability ~2**-BATCH_RANDOMIZER_BITS.
-BATCH_RANDOMIZER_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -283,90 +281,64 @@ def dsa_verify(
     return v % params.q == r
 
 
+def _join(
+    fold: fastexp.Fold,
+    items: Sequence[tuple[PublicKey, bytes, DsaSignature]],
+    digests: Sequence[int | None],
+) -> None:
+    """Count ``(public, message, signature)`` triples into ``fold``.
+
+    One joins with ``R**l * g**(-l*u1) * y**(-l*u2) == 1`` (``R`` its
+    ``commit`` hint), every ``s`` inverted by one batch inversion.  The rest
+    go to :func:`dsa_verify`: no hint or one that is not ``r`` mod ``q``, a
+    scalar out of range, a key outside the subgroup or from another group.
+    """
+    params = fold.params
+    p, q = params.p, params.q
+    joining = []
+    for (public, message, signature), digest in zip(items, digests):
+        r, s, commit = signature.r, signature.s, signature.commit
+        hinted = commit is not None and 0 < commit < p and commit % q == r
+        if hinted and 0 < r < q and 0 < s < q and public.params == params and params.is_element(public.y):
+            joining.append((public, message, signature, digest))
+        else:
+            fold.defer(dsa_verify, public, message, signature, digest)
+    inverses = primitives.batch_modinv([signature.s for _, _, signature, _ in joining], q)
+    for (public, message, signature, digest), w in zip(joining, inverses):
+        if digest is None:
+            digest = dsa_digest(params, message)
+        multiplier = fold.hint(signature.commit)
+        fold.add(params.g, -multiplier * (digest * w % q))
+        fold.add(public.y, -multiplier * (signature.r * w % q))
+        fold.join(dsa_verify, public, message, signature, digest)
+
+
 def dsa_batch_verify(
     items: Sequence[tuple[PublicKey, bytes, DsaSignature]],
     digests: Iterable[int] | None = None,
+    groups: Sequence[tuple[GroupPublicKey, Sequence[tuple[bytes, GroupSignature]]]] = (),
 ) -> bool:
     """Verify many ``(public, message, signature)`` triples at once.
 
-    Randomized linear-combination ("small exponent") batch test: with
-    per-item random 64-bit multipliers ``l_i``, a single check
-
-        (prod R_i**l_i  /  (g**sum(l_i*u1_i) * prod y_i**(l_i*u2_i)))**cofactor == 1
-
-    replaces one double-exponentiation per signature.  Raising to the group
-    cofactor projects away any small-order component an adversary might
-    smuggle into a ``commit`` hint, so soundness rests only on the subgroup
-    components — a batch containing even one forged signature passes with
-    probability at most ~2**-64.  Signatures lacking ``commit`` (or with
-    ``commit mod q != r``) are verified individually, as are mixed-group
-    batches, so the function always agrees with per-item :func:`dsa_verify`
-    on honestly generated signatures.
+    One randomized test (:class:`repro.crypto.fastexp.Fold`) replaces a
+    double exponentiation per signature with a consistent ``commit`` hint;
+    :func:`dsa_verify` decides the rest, and all of them if the fold fails.
+    ``groups`` are ``(gpk, [(message, group_signature), …])`` pairs, the
+    arguments of :func:`~repro.crypto.group_signature.group_batch_verify`,
+    decided in the same fold: a holder envelope's two layers (§4.2), or a
+    drain of them, cost one test.
 
     Pure predicate: ``True`` iff *every* item verifies.  Callers needing to
     identify the offender re-check individually after a ``False``.
     """
     items = list(items)
-    if not items:
-        return True
     digest_list = list(digests) if digests is not None else [None] * len(items)
     if len(digest_list) != len(items):
         raise ValueError("digests, when given, must match items 1:1")
-
-    params = items[0][0].params
-    if any(public.params != params for public, _, _ in items):
-        return all(
-            dsa_verify(public, message, signature, digest=digest)
-            for (public, message, signature), digest in zip(items, digest_list)
-        )
-
-    p, q, g = params.p, params.q, params.g
-    leftover: list[int] = []  # indices that need individual verification
-    commits: list[tuple[int, int]] = []  # (commit hint R_i, multiplier l_i)
-    g_exponent = 0
-    y_exponents: dict[int, int] = {}  # signer y -> accumulated exponent mod q
-    for index, ((public, message, signature), digest) in enumerate(zip(items, digest_list)):
-        r, s, commit = signature.r, signature.s, signature.commit
-        if not (0 < r < q and 0 < s < q):
-            return False
-        if not params.is_element(public.y):
-            return False
-        if commit is None or not 0 < commit < p or commit % q != r:
-            # No (or inconsistent) hint: cannot join the combination.  An
-            # inconsistent hint on an otherwise valid signature must not
-            # reject it — the hint is untrusted metadata.
-            leftover.append(index)
-            continue
-        if digest is None:
-            digest = dsa_digest(params, message)
-        w = primitives.modinv(s, q)
-        u1 = (digest * w) % q
-        u2 = (r * w) % q
-        multiplier = secrets.randbits(BATCH_RANDOMIZER_BITS) | 1
-        commits.append((commit, multiplier))
-        g_exponent = (g_exponent + multiplier * u1) % q
-        y = public.y
-        y_exponents[y] = (y_exponents.get(y, 0) + multiplier * u2) % q
-
-    if commits:
-        # One multi-exponentiation for the whole equation: the commit hints
-        # ride along with their 64-bit multipliers (ad hoc bases — Pippenger
-        # buckets them far cheaper than a native pow each) and the known
-        # order-q bases ``g`` and the signer keys fold in with *negated*
-        # exponents, so the product is the LHS/RHS ratio directly.
-        # ``promote=False``: commit hints are one-shot bases, not worth
-        # learning tables for (existing tables for g/y still get used).
-        pairs = commits + [(g, (q - g_exponent) % q)]
-        pairs.extend((y, (q - exponent) % q) for y, exponent in y_exponents.items())
-        ratio = fastexp.multi_exp(pairs, p, order=q, promote=False)
-        # Compare up to the cofactor subgroup: commit hints are adversarial,
-        # so their order-dividing-cofactor components must be projected away
-        # before the equality means anything.
-        if pow(ratio, params.cofactor, p) != 1:
-            return False
-
-    for index in leftover:
-        public, message, signature = items[index]
-        if not dsa_verify(public, message, signature, digest=digest_list[index]):
-            return False
-    return True
+    if not items and not groups:
+        return True
+    fold = fastexp.Fold((groups[0][0] if groups else items[0][0]).params)
+    if not all(group_signature._join(fold, gpk, list(pairs)) for gpk, pairs in groups):
+        return False
+    _join(fold, items, digest_list)
+    return fold.decide()

@@ -41,7 +41,7 @@ transparently:
 
 The module also memoizes subgroup-membership checks (``x**q == 1 mod p``),
 which cost a full exponentiation and are repeated endlessly for the same
-handful of keys by protocol code.
+handful of keys by protocol code; :class:`Fold` is the one batch test.
 
 Thread-safety: the caches are process-local plain dicts guarded by the GIL;
 a racing duplicate build or eviction costs a rebuild, never a wrong power
@@ -52,10 +52,16 @@ between processes.
 
 from __future__ import annotations
 
+import secrets
 from collections import OrderedDict
+from typing import TYPE_CHECKING, Callable
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.crypto.params import DlogParams
 
 __all__ = [
     "FixedBaseTable",
+    "Fold",
     "fixed_base",
     "precompute",
     "forget",
@@ -97,6 +103,10 @@ _STRAUS_WINDOW = 4
 #: bucket method does not; past a dozen-odd bases the buckets win and keep
 #: winning — the batched group-signature test routinely brings hundreds.
 _PIPPENGER_MIN = 16
+
+#: Bit width of the random multipliers in a :class:`Fold`: an equation that
+#: does not hold survives the combination with probability ~2**-64.
+BATCH_RANDOMIZER_BITS = 64
 
 _MAX_TABLES = 256  # cached FixedBaseTable entries (LRU)
 _MAX_COUNTS = 8192  # promotion counters before mass eviction
@@ -451,6 +461,69 @@ def multi_exp(
     elif adhoc:
         result = (result * _straus(adhoc, modulus)) % modulus
     return result
+
+
+class Fold:
+    """One randomized small-exponent test over the equations of many signatures.
+
+    Bellare–Garay–Rabin (1998): each scheme adds its equations as
+    ``prod(base**exponent) == 1`` on the order-``q`` subgroup of ``params``:
+    *hint* terms (:meth:`hint`: untrusted bases, the commitments a signature
+    claims) with a fresh odd 64-bit multiplier that weights the rest of the
+    equation, *order-q* terms (:meth:`add`) with exponents summed per base.
+    :meth:`decide` takes the two products — the short hinted one, then the
+    order-``q`` one through the cached tables — and one cofactor power,
+    which projects away any small-order part of a hint: an equation that
+    does not hold on the subgroup survives with probability ~2**-64.
+
+    Every signature counted in names its exact verifier, which decides one
+    that cannot join (:meth:`defer`) and, when the fold fails, every one
+    that did (:meth:`join`): a hint can cost time, never a verdict.
+    """
+
+    __slots__ = ("params", "_hinted", "_exponents", "_joined", "_deferred")
+
+    def __init__(self, params: DlogParams) -> None:
+        self.params = params
+        self._hinted: list[tuple[int, int]] = []
+        self._exponents: dict[int, int] = {}
+        self._joined: list[tuple[Callable[..., bool], tuple]] = []
+        self._deferred: list[tuple[Callable[..., bool], tuple]] = []
+
+    def hint(self, base: int) -> int:
+        """Add ``base**l`` for a fresh odd multiplier ``l``, and return ``l``."""
+        multiplier = secrets.randbits(BATCH_RANDOMIZER_BITS) | 1
+        self._hinted.append((base, multiplier))
+        return multiplier
+
+    def add(self, base: int, exponent: int) -> None:
+        """Add ``base**exponent`` for an order-``q`` ``base``."""
+        self._exponents[base] = self._exponents.get(base, 0) + exponent
+
+    def merge(self, other: Fold) -> None:
+        """Add every term of ``other``."""
+        self._hinted += other._hinted
+        for base, exponent in other._exponents.items():
+            self.add(base, exponent)
+
+    def join(self, exact: Callable[..., bool], *args: object) -> None:
+        """Count in a signature whose equation was added; ``exact(*args)`` is its verifier."""
+        self._joined.append((exact, args))
+
+    def defer(self, exact: Callable[..., bool], *args: object) -> None:
+        """Count in a signature that ``exact(*args)`` alone decides."""
+        self._deferred.append((exact, args))
+
+    def decide(self) -> bool:
+        """True iff every signature counted in verifies."""
+        if self._hinted or self._exponents:
+            p, q = self.params.p, self.params.q
+            ratio = multi_exp(self._hinted, p, promote=False)
+            ratio = ratio * multi_exp(self._exponents.items(), p, order=q, promote=False) % p
+            failed = pow(ratio, self.params.cofactor, p) != 1
+            if failed and not all(exact(*args) for exact, args in self._joined):
+                return False
+        return all(exact(*args) for exact, args in self._deferred)
 
 
 def is_member(x: int, q: int, p: int, memo: bool = True) -> bool:

@@ -33,13 +33,14 @@ Clause arithmetic.  Clause ``j`` of the OR-proof commits to::
 
 Every signature carries its ``(t1, t2, t3)`` list as a hint, so a verifier
 normally recomputes nothing: it checks the challenge hash over the claimed
-commitments exactly and the clause equations by one randomized fold
-(:func:`_fold`: ``n + 2`` cached-table lookups and two short products per
-signature, soundness ``2^-64``).  Without a usable hint it evaluates the
-clauses inversion-free (``base^-c == base^(q-c)`` for order-``q`` bases) with
-``w_j = h_j^c_j`` computed once, used in ``t2`` and, inverted, in ``t3``: six
-exponentiations per clause, all ``w_j^-1`` from one modular inversion
-(:func:`group_verify_exact`).  The signer simulating the foreign
+commitments exactly and the clause equations (:func:`_fold`) by the one
+randomized test (:class:`fastexp.Fold`: ``n + 2`` cached-table lookups and
+two short products, soundness ``2^-64``).  Without a usable hint, or when
+the fold fails, it evaluates the clauses inversion-free (``base^-c ==
+base^(q-c)`` for order-``q`` bases) with ``w_j = h_j^c_j`` computed once,
+used in ``t2`` and, inverted, in ``t3``: six exponentiations per clause,
+all ``w_j^-1`` from one modular inversion (:func:`group_verify_exact`).
+The signer simulating the foreign
 clauses chose ``r`` and holds ``x``, so ``c1^-c = g^(-rc)`` and ``c2^-c =
 g^(-xc) · y_J^(-rc)``; with ``u = s_r - r·c_j mod q``::
 
@@ -62,7 +63,6 @@ scheme is reported separately by ``benchmarks/bench_table3_relative_cost.py``.
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -463,44 +463,27 @@ def _hint_binds(gpk: GroupPublicKey, message: bytes, signature: GroupSignature) 
     )
 
 
-#: Bit width of the per-clause randomizers in the folded equation test.
-#: A forged clause survives the combination with probability ~2**-64 —
-#: the same bound (and the same small-exponent technique) as
-#: ``repro.crypto.dsa.dsa_batch_verify``.
-BATCH_RANDOMIZER_BITS = 64
+def _fold(gpk: GroupPublicKey, signatures: Sequence[GroupSignature]) -> fastexp.Fold:
+    """The clause equations of well-formed, bound-hint ``signatures``, as one fold.
 
-
-def _fold(gpk: GroupPublicKey, signatures: Sequence[GroupSignature]) -> bool:
-    """Randomized check that bound hints satisfy every clause equation.
-
-    For well-formed signatures whose hints passed :func:`_hint_binds`,
-    confirm
+    Every clause ``j`` of a signature whose hint passed :func:`_hint_binds`
+    must satisfy
 
         g**s_r            == t1 * c1**c_j
         y**s_r * h_j**c_j == t2 * c2**c_j
         g**s_x            == t3 * h_j**c_j
 
-    with one linear combination over *all* clauses of *all* signatures:
-    per-clause random odd 64-bit multipliers ``(a, b, d)`` weight the three
-    equations and the order-``q`` bases fold into single accumulated
-    exponents.  The product is taken in two parts sized by exponent width:
-    the ``t*`` hints (unknown order, 64-bit multipliers) in their own short
-    bucket product, and ``c1``/``c2`` (160-bit exponents) beside the cached
-    ``g``/``y``/``h_j`` tables.  The equality is checked after raising to
-    the group cofactor, which projects away any small-order component an
-    adversary might smuggle into a hint; the subgroup components — the only
-    thing the proof system speaks about — must then cancel exactly, so a
-    forged signature passes with probability at most ~2**-64.
+    The hints ``t*`` are hint terms whose multipliers ``(a, b, d)`` weight
+    the three equations; ``c1``/``c2`` (per signature), ``g``, ``y`` and the
+    roster keys (over all of them) collect order-``q`` exponents.  Each
+    equation is added as RHS / LHS: an LHS base is order-``q``, so its
+    exponent just negates.
     """
-    if not signatures:
-        return True
     params = gpk.params
-    p, q = params.p, params.q
+    fold = fastexp.Fold(params)
     agg_g = 0  # exponent of g on the equation LHS
     agg_y = 0  # exponent of y on the equation LHS
     agg_h = [0] * len(gpk.roster)  # exponent of h_j on the LHS (E2) minus the RHS (E3)
-    hinted: list[tuple[int, int]] = []  # RHS t* bases, 64-bit exponents
-    long_pairs: list[tuple[int, int]] = []  # RHS c1/c2, then the negated LHS
     for signature in signatures:
         e_c1 = 0  # exponent of this signature's c1 on the RHS
         e_c2 = 0  # exponent of this signature's c2 on the RHS
@@ -511,26 +494,21 @@ def _fold(gpk: GroupPublicKey, signatures: Sequence[GroupSignature]) -> bool:
             signature.commitments,
         )
         for j, (c_j, s_r, s_x, (t1, t2, t3)) in enumerate(clauses):
-            a = secrets.randbits(BATCH_RANDOMIZER_BITS) | 1
-            b = secrets.randbits(BATCH_RANDOMIZER_BITS) | 1
-            d = secrets.randbits(BATCH_RANDOMIZER_BITS) | 1
+            a, b, d = fold.hint(t1), fold.hint(t2), fold.hint(t3)
             agg_g += a * s_r + d * s_x
             agg_y += b * s_r
             agg_h[j] += (b - d) * c_j
             e_c1 += a * c_j
             e_c2 += b * c_j
-            hinted += ((t1, a), (t2, b), (t3, d))
-        long_pairs += ((signature.ciphertext.c1, e_c1), (signature.ciphertext.c2, e_c2))
-    # RHS * LHS**-1, inversion-free: every LHS base is order-q, so its
-    # exponent negates mod q.  The t* hints have unknown order — they stay
-    # on the RHS with their positive multipliers, and get no ``order``.
-    params.fixed_g()  # g and y resolve to their byte-wide tables below
+        fold.add(signature.ciphertext.c1, e_c1)
+        fold.add(signature.ciphertext.c2, e_c2)
+    params.fixed_g()  # g and y resolve to their byte-wide tables
     _opening_table(params, gpk.opening_key.y)
-    long_pairs += ((params.g, -agg_g), (gpk.opening_key.y, -agg_y))
-    long_pairs.extend((h_j, -e) for h_j, e in zip(gpk.roster, agg_h))
-    ratio = fastexp.multi_exp(hinted, p, promote=False)
-    ratio = (ratio * fastexp.multi_exp(long_pairs, p, order=q, promote=False)) % p
-    return pow(ratio, params.cofactor, p) == 1
+    fold.add(params.g, -agg_g)
+    fold.add(gpk.opening_key.y, -agg_y)
+    for h_j, e in zip(gpk.roster, agg_h):
+        fold.add(h_j, -e)
+    return fold
 
 
 def _recompute_clauses(
@@ -594,15 +572,31 @@ def group_verify(gpk: GroupPublicKey, message: bytes, signature: GroupSignature)
     A signature whose ``commitments`` hint binds — well-formed and exactly
     what the challenge hash commits to — is decided by the randomized clause
     fold (:func:`_fold`, soundness 2**-64).  Hints are untrusted: a missing,
-    malformed or hash-inconsistent one falls through to the exact
-    recomputation, so a stripped or corrupted hint can never reject an
-    honest signature, nor accept a forged one.
+    malformed or hash-inconsistent one, or a failed fold, leaves the verdict
+    to :func:`group_verify_exact`: :func:`group_batch_verify` of one.
     """
-    if not _well_formed(gpk, (signature,)):
+    return group_batch_verify(gpk, [(message, signature)])
+
+
+def _join(
+    fold: fastexp.Fold, gpk: GroupPublicKey, items: Sequence[tuple[bytes, GroupSignature]]
+) -> bool:
+    """Count ``(message, signature)`` pairs into ``fold``: those whose hint
+    binds join with their clauses, the rest go to :func:`group_verify_exact`.
+    ``False``, counting nothing, if one is malformed (:func:`_well_formed`)."""
+    if not _well_formed(gpk, [signature for _, signature in items]):
         return False
-    if _hint_binds(gpk, message, signature):
-        return _fold(gpk, (signature,))
-    return _hash_binds(gpk, message, signature, _recompute_clauses(gpk, signature))
+    same_group = gpk.params == fold.params
+    joined = []
+    for message, signature in items:
+        if same_group and _hint_binds(gpk, message, signature):
+            fold.join(group_verify_exact, gpk, message, signature)
+            joined.append(signature)
+        else:
+            fold.defer(group_verify_exact, gpk, message, signature)
+    if joined:
+        fold.merge(_fold(gpk, joined))
+    return True
 
 
 def group_batch_verify(
@@ -610,21 +604,12 @@ def group_batch_verify(
 ) -> bool:
     """Verify many ``(message, signature)`` pairs against one roster at once.
 
-    :func:`group_verify` over a batch: one shared well-formedness front,
-    one clause fold (:func:`_fold`) over every signature whose hint binds,
-    exact recomputation for the rest.
+    One shared well-formedness front, then one fold (:class:`fastexp.Fold`)
+    over every signature whose hint binds, exact verification for the rest
+    and for all of them should the fold fail.
 
     Pure predicate: ``True`` iff *every* pair verifies.  Callers needing to
     identify the offender re-check individually after a ``False``.
     """
-    items = list(items)
-    if not _well_formed(gpk, [signature for _, signature in items]):
-        return False
-    bound = [_hint_binds(gpk, message, signature) for message, signature in items]
-    if not _fold(gpk, [signature for (_, signature), ok in zip(items, bound) if ok]):
-        return False
-    return all(
-        _hash_binds(gpk, message, signature, _recompute_clauses(gpk, signature))
-        for (message, signature), ok in zip(items, bound)
-        if not ok
-    )
+    fold = fastexp.Fold(gpk.params)
+    return _join(fold, gpk, list(items)) and fold.decide()

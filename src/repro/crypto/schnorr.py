@@ -10,7 +10,6 @@ nonce (so transcripts cannot be replayed to a different verifier).
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,54 +70,37 @@ def schnorr_verify(public: PublicKey, proof: SchnorrProof, context: bytes) -> bo
     return lhs == rhs
 
 
-#: Bit width of the per-item randomizers in the batch small-exponent test.
-BATCH_RANDOMIZER_BITS = 64
+def _join(fold: fastexp.Fold, items: Sequence[tuple[PublicKey, SchnorrProof, bytes]]) -> None:
+    """Count ``(public, proof, context)`` triples into ``fold``: ``t**l *
+    y**(l*c) * g**(-l*z) == 1`` with the commitment ``t`` as the hint term,
+    or :func:`schnorr_verify` for a value out of range or a foreign key."""
+    params = fold.params
+    for public, proof, context in items:
+        in_range = 0 < proof.commitment < params.p and 0 <= proof.response < params.q
+        if not (in_range and public.params == params and params.is_element(public.y)):
+            fold.defer(schnorr_verify, public, proof, context)
+            continue
+        c = _challenge(public, proof.commitment, context)
+        multiplier = fold.hint(proof.commitment)
+        fold.add(public.y, multiplier * c)
+        fold.add(params.g, -multiplier * proof.response)
+        fold.join(schnorr_verify, public, proof, context)
 
 
 def schnorr_batch_verify(
-    items: Sequence[tuple[PublicKey, "SchnorrProof", bytes]],
+    items: Sequence[tuple[PublicKey, SchnorrProof, bytes]],
 ) -> bool:
     """Verify many ``(public, proof, context)`` triples at once.
 
-    Randomized linear combination: with fresh 64-bit multipliers ``l_i``,
-    the per-proof equations ``g**z_i == t_i * y_i**c_i`` are folded into
-
-        (prod t_i**l_i * prod y_i**(l_i*c_i) / g**sum(l_i*z_i))**cofactor == 1
-
-    Raising to the group cofactor projects away small-order components a
-    malicious prover could hide in a commitment, so the test accepts iff
-    every equation holds on the order-``q`` subgroup — a batch with one
-    forged proof passes with probability at most ~2**-64.  Mixed-group
-    batches fall back to per-item :func:`schnorr_verify`.
+    One randomized small-exponent test (:class:`repro.crypto.fastexp.Fold`)
+    over the equations ``g**z_i == t_i * y_i**c_i``; :func:`schnorr_verify`
+    for a proof that cannot join, and for all of them should it fail.
 
     Pure predicate: ``True`` iff every proof verifies.
     """
     items = list(items)
     if not items:
         return True
-    params = items[0][0].params
-    if any(public.params != params for public, _, _ in items):
-        return all(schnorr_verify(public, proof, context) for public, proof, context in items)
-
-    p, q = params.p, params.q
-    g_exponent = 0
-    commitment_product = 1
-    y_exponents: dict[int, int] = {}
-    for public, proof, context in items:
-        if not params.is_element(public.y):
-            return False
-        if not (0 < proof.commitment < p) or not (0 <= proof.response < q):
-            return False
-        c = _challenge(public, proof.commitment, context)
-        multiplier = secrets.randbits(BATCH_RANDOMIZER_BITS) | 1
-        g_exponent = (g_exponent + multiplier * proof.response) % q
-        commitment_product = (commitment_product * pow(proof.commitment, multiplier, p)) % p
-        y = public.y
-        y_exponents[y] = (y_exponents.get(y, 0) + multiplier * c) % q
-
-    rhs = (
-        commitment_product * fastexp.multi_exp(list(y_exponents.items()), p, order=q)
-    ) % p
-    lhs = params.pow_g(g_exponent)
-    ratio = (rhs * primitives.modinv(lhs, p)) % p
-    return pow(ratio, params.cofactor, p) == 1
+    fold = fastexp.Fold(items[0][0].params)
+    _join(fold, items)
+    return fold.decide()

@@ -42,9 +42,14 @@ class SignedMessage:
             object.__setattr__(self, "_payload_memo", cached)
         return cached
 
+    @property
+    def triple(self) -> tuple[PublicKey, bytes, DsaSignature]:
+        """``(signer, payload_bytes, signature)``, as the DSA verifiers take it."""
+        return self.signer, self.payload_bytes, self.signature
+
     def verify(self) -> bool:
         """True iff the signature matches the payload and claimed signer."""
-        return dsa_verify(self.signer, self.payload_bytes, self.signature)
+        return dsa_verify(*self.triple)
 
     def encode(self) -> bytes:
         """Canonical encoding of the whole envelope (for nesting/transport).
@@ -103,21 +108,15 @@ class DualSignedMessage:
         return self.inner.signer
 
     def verify(self, gpk: GroupPublicKey) -> bool:
-        """Check both layers; pure predicate."""
-        if not self.inner.verify():
-            return False
-        return self.verify_group(gpk)
+        """Check both layers; pure predicate.
 
-    def verify_group(self, gpk: GroupPublicKey) -> bool:
-        """Check only the group-signature layer; pure predicate.
-
-        For callers (the broker) that fold the inner DSA signature into a
-        randomized batch (:func:`repro.crypto.dsa.dsa_batch_verify`) with
-        the other DSA signatures of the same request.  Uses the signature's
-        commitment hints when they bind (:func:`group_verify`); a judge
-        needing a randomness-free verdict calls ``group_verify_exact``.
+        The inner signature is checked exactly, not folded with the group
+        layer: a fold reads its commit hint up to the cofactor, so it would
+        accept a signature its own holder twisted there, which the judge's
+        ``dsa_verify`` refuses on the owner's relinquishment record — and
+        an exact fold saves nothing here (DESIGN.md §1.1, "One fold").
         """
-        return group_verify(gpk, self.inner.encode(), self.group_signature)
+        return self.inner.verify() and group_verify(gpk, self.inner.encode(), self.group_signature)
 
 
 def seal(keypair: KeyPair, payload: Any, nonce_pool: Any = None) -> SignedMessage:

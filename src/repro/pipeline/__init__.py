@@ -6,10 +6,9 @@ the real-crypto stack: it decomposes a broker's request loop into the
 three stages that dominate cost and batches each one.
 
 * :mod:`repro.pipeline.verify` — a verification pool that drains request
-  envelopes into batches and runs the randomized batch verifiers
-  (:func:`repro.crypto.dsa.dsa_batch_verify`,
-  :func:`repro.crypto.group_signature.group_batch_verify`), falling back
-  to scalar checks to isolate bad signatures;
+  envelopes into batches and decides every signature of a batch with one
+  randomized fold (:func:`repro.crypto.dsa.dsa_batch_verify`), falling
+  back to scalar checks to isolate bad signatures;
 * :mod:`repro.pipeline.engine` — the serial broker stage: state checks and
   journaling, with replies released only after a covering group-commit
   fsync (:class:`repro.store.groupcommit.GroupCommitter`);

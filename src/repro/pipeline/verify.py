@@ -1,10 +1,11 @@
 """Verification pool: batch the crypto, isolate the forgeries.
 
 Verifying a downtime request costs one group-signature check plus three
-DSA checks; all four have randomized batch forms that amortize to a small
-fraction of the scalar cost.  The pool runs those batch verifiers over a
-batch of raw request bytes, in the calling process, and reports one
-verdict per request.
+DSA checks; all four fit one randomized small-exponent test, whose cost
+per signature is a small fraction of the scalar one.  The pool folds every
+signature of a batch of raw request bytes into one such test
+(:func:`repro.crypto.dsa.dsa_batch_verify` with its ``groups``), in the
+calling process, and reports one verdict per request.
 
 The verdicts feed :meth:`repro.core.broker.Broker.mark_preverified`: the
 broker skips re-running the *cryptographic* checks for requests the pool
@@ -18,10 +19,11 @@ and its error message names the precise failure.  The pool is a pure
 accelerator: admitting or rejecting the wrong request changes latency,
 never the outcome.
 
-Isolation on batch failure: a randomized batch check rejects the whole
-batch when any member is forged.  Both layers here fall back to scalar
-verification of each batch member, so one forged signature costs one
-batch-sized re-check and honest requests in the same batch still pass.
+Isolation on batch failure: the fold answers for the whole batch (a failed
+fold has already asked the exact verifiers, so ``False`` means a signature
+really is bad).  The pool then re-checks each member on its own, so one
+forged signature costs batch-sized re-checks and honest requests in the
+same batch still pass.
 
 There are no worker processes: the engine blocks on each batch, so a
 forked verifier was the same serial work plus pickling and a second decode
@@ -36,12 +38,7 @@ from typing import Any, Sequence
 from repro.core import protocol
 from repro.core.errors import ProtocolError
 from repro.crypto.dsa import DsaSignature, dsa_batch_verify, dsa_verify
-from repro.crypto.group_signature import (
-    GroupPublicKey,
-    GroupSignature,
-    group_batch_verify,
-    group_verify,
-)
+from repro.crypto.group_signature import GroupPublicKey, GroupSignature, group_verify
 from repro.crypto.keys import PublicKey
 from repro.crypto.params import DlogParams
 
@@ -83,10 +80,9 @@ class VerificationPool:
 
         Structural failures (malformed encodings, wrong signer, unknown roster)
         are plain ``False`` verdicts — the broker will re-derive the precise
-        error.  Signature checks are collected into one group-signature batch
-        per roster version plus one DSA batch for everything else; a failing
-        batch is re-checked member by member so only the forged requests lose
-        their verdict.
+        error.  Every group signature (whatever its roster version) and every
+        DSA triple go into one fold; when it fails, each is re-checked on its
+        own so only the forged requests lose their verdict.
         """
         self.jobs_verified += len(jobs)
         results = [False] * len(jobs)
@@ -118,18 +114,18 @@ class VerificationPool:
                 elif job == JOB_PURCHASE:
                     signed = protocol.decode_signed(data, self.params)
                     results[index] = True
-                    dsa_items.append(
-                        (index, (signed.signer, signed.payload_bytes, signed.signature))
-                    )
+                    dsa_items.append((index, signed.triple))
             except (ProtocolError, ValueError, KeyError, TypeError):
                 continue
-        for version, entries in group_items.items():
-            gpk = self.gpks[version]
-            if not group_batch_verify(gpk, [(message, sig) for _, message, sig in entries]):
+        groups = [
+            (self.gpks[version], [(message, sig) for _, message, sig in entries])
+            for version, entries in group_items.items()
+        ]
+        if not dsa_batch_verify([item for _, item in dsa_items], groups=groups):
+            for version, entries in group_items.items():
                 for index, message, sig in entries:
-                    if not group_verify(gpk, message, sig):
+                    if not group_verify(self.gpks[version], message, sig):
                         results[index] = False
-        if dsa_items and not dsa_batch_verify([item for _, item in dsa_items]):
             for index, (signer, payload, signature) in dsa_items:
                 if not dsa_verify(signer, payload, signature):
                     results[index] = False

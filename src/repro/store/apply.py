@@ -202,16 +202,11 @@ def _apply_remint(broker: "Broker", effect: dict[str, Any]) -> None:
 
 
 def _signed_certificate(broker: "Broker", effect: dict[str, Any]) -> list[Triple]:
-    return [_triple(decode_signed(effect["coin"], broker.params))]
+    return [decode_signed(effect["coin"], broker.params).triple]
 
 
 def _signed_envelope(broker: "Broker", effect: dict[str, Any]) -> list[Triple]:
-    envelope = decode_dual(effect["envelope"], broker.params)
-    return [(envelope.coin_signer, envelope.inner.payload_bytes, envelope.inner.signature)]
-
-
-def _triple(signed: Any) -> Triple:
-    return (signed.signer, signed.payload_bytes, signed.signature)
+    return [decode_dual(effect["envelope"], broker.params).inner.triple]
 
 
 #: The value-move table: read by the live handlers, the cross-shard prepare
@@ -365,5 +360,5 @@ def verifiable_signatures(broker: "Broker", mut: dict[str, Any]) -> list[Triple]
         if signed is not None:
             triples.extend(signed(broker, effect))
     if mut.get("type") == "downtime_binding":
-        triples.append(_triple(decode_signed(mut["binding"], broker.params)))
+        triples.append(decode_signed(mut["binding"], broker.params).triple)
     return triples

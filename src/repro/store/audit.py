@@ -107,16 +107,14 @@ def audit_broker(broker: "Broker", expected_total: int | None = None) -> AuditRe
         if coin.cert.signer.y != broker.public_key.y:
             failures.append(f"coin {coin_y:#x} certificate signed by a foreign key")
             continue
-        batch.append((coin.cert.signer, coin.cert.payload_bytes, coin.cert.signature))
+        batch.append(coin.cert.triple)
     bindings_checked = 0
     for coin_y, binding in broker.downtime_bindings.items():
         bindings_checked += 1
         if binding.signed.signer.y != broker.public_key.y:
             failures.append(f"binding for {coin_y:#x} signed by a foreign key")
             continue
-        batch.append(
-            (binding.signed.signer, binding.signed.payload_bytes, binding.signed.signature)
-        )
+        batch.append(binding.signed.triple)
     if batch and not dsa_batch_verify(batch):
         # Fall back to singles so the report names the offender(s).
         for signer, payload, signature in batch:

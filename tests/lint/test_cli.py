@@ -29,16 +29,16 @@ PRAGMA_SITES = [
     ("src/repro/sim/runner.py", 103, "WP102"),
 ]
 EXEMPTED = [
-    ("benchmarks/bench_crypto_ops.py", 119, "WP103"),
-    ("benchmarks/bench_crypto_ops.py", 197, "WP103"),
-    ("benchmarks/bench_crypto_ops.py", 203, "WP103"),
-    ("benchmarks/bench_crypto_ops.py", 203, "WP103"),
-    ("benchmarks/bench_crypto_ops.py", 228, "WP103"),
-    ("benchmarks/bench_crypto_ops.py", 228, "WP103"),
-    ("benchmarks/bench_crypto_ops.py", 229, "WP103"),
-    ("benchmarks/bench_crypto_ops.py", 229, "WP103"),
-    ("benchmarks/bench_crypto_ops.py", 230, "WP103"),
-    ("benchmarks/bench_crypto_ops.py", 230, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 123, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 201, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 207, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 207, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 232, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 232, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 233, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 233, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 234, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 234, "WP103"),
     ("examples/threshold_judges.py", 30, "WP111"),
     ("examples/threshold_judges.py", 57, "WP111"),
 ]
