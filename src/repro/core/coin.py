@@ -305,11 +305,16 @@ class OwnedCoinState:
     binding: CoinBinding | None = None  # None until first issued
     relinquishments: list[bytes] = field(default_factory=list)
     dirty: bool = False
-    #: Highest sequence number ever signed for this coin, including bindings
-    #: from *failed* issue attempts that may already be on the public list;
-    #: retries must stay above it or the DHT's rollback protection (rightly)
-    #: rejects them.
+    #: Every sequence number ever signed for this coin is at or below this,
+    #: bindings of *failed* attempts included (they may already be on the
+    #: public list).  The owner reserves seqs in blocks and journals a
+    #: block's top before the first binding in it leaves, so an owner
+    #: recovered from its journal resumes above everything it let out.
     seq_floor: int = 0
+    #: The highest seq signed so far (at most ``seq_floor``; recovery resumes
+    #: it there): the next binding goes above it, or the DHT's rollback
+    #: protection (rightly) rejects the retry of a failed attempt.
+    seq_signed: int = field(default=0, compare=False)
     #: How much of ``relinquishments`` the owner's journal already holds: the
     #: next ``owned_put`` writes the trail from here on (bookkeeping of the
     #: peer's store, not coin state — it stays out of comparisons).

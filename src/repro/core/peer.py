@@ -58,6 +58,11 @@ from repro.store.journal import DurableStore
 #: How long before expiry a holder starts renewing (one quarter of the period).
 RENEWAL_WINDOW_FRACTION = 0.25
 
+#: Sequence numbers an owner reserves per journaled floor: a coin's owner
+#: journals once per this many bindings it signs, and a recovered owner
+#: skips at most this many.
+SEQ_RESERVATION = 1 << 10
+
 #: Offers a payee keeps open at once; past it the oldest gives way, so offers
 #: that are never completed cannot pile up (each holds a key pair and a coin).
 MAX_PENDING_OFFERS = 256
@@ -496,7 +501,12 @@ class Peer(Node):
     # ------------------------------------------------------------------
 
     def issue(self, payee: str, coin_y: int | None = None) -> CoinBinding:
-        """Issue a coin this peer owns to ``payee`` (Section 4.2, Issue)."""
+        """Issue a coin this peer owns to ``payee`` (Section 4.2, Issue).
+
+        Issuance is the owner's own transfer: after the payee's offer it is
+        the :meth:`_bind` step a served transfer takes, with no holder
+        request behind it.
+        """
         candidates = self.spendable_owned()
         if coin_y is None:
             if not candidates:
@@ -509,30 +519,7 @@ class Peer(Node):
             raise ProtocolError("coin already issued; it must circulate by transfer")
 
         offer = self.peer_client.issue_offer(payee, state.coin.encode())
-        holder_y, nonce = offer["holder_y"], offer["nonce"]
-        # "a randomly chosen sequence number" — but never at or below one we
-        # already signed (a failed earlier attempt may have published it).
-        seq = max(secrets.randbelow(1 << 30), state.seq_floor + 1)
-        state.seq_floor = seq
-        # Journal the floor *before* the binding can be published: a crash
-        # mid-issue must never lead to re-signing an already-used seq.
-        self._wal_owned(state)
-        binding = CoinBinding.build(
-            state.coin_keypair,
-            coin_y=state.coin_y,
-            holder_y=holder_y,
-            seq=seq,
-            exp_date=self.clock.now() + self.renewal_period,
-        )
-        if self.detection is not None:
-            self.detection.publish_owner(self, state, binding)
-        result = self.peer_client.issue_complete(
-            payee, self._completion_payload(state, binding, nonce)
-        )
-        if not result.get("ok"):
-            raise ProtocolError(f"payee rejected the issue: {result.get('reason')}")
-        state.binding = binding
-        self._wal_owned(state)
+        binding = self._bind(state, offer["holder_y"], payee=payee, nonce=offer["nonce"])
         self.counts.issues += 1
         return binding
 
@@ -549,25 +536,15 @@ class Peer(Node):
         can still be opened by the judge.
         """
         if state.coin.is_ownerless:
-            gpk = self.judge.group_public_key()
-            dual = group_countersign(binding.signed, self.member_key, gpk)
-            proof = schnorr_prove(
-                state.coin_keypair, self._owner_proof_context(nonce, binding)
-            )
-            return {
-                "coin": state.coin.encode(),
-                "binding": None,
-                "binding_dual": protocol.encode_dual(dual),
-                "via_broker": False,
-                "proof_t": proof.commitment,
-                "proof_z": proof.response,
-                "nonce": nonce,
-            }
-        proof = schnorr_prove(self.identity, self._owner_proof_context(nonce, binding))
+            dual = group_countersign(binding.signed, self.member_key, self.judge.group_public_key())
+            plain, countersigned, prover = None, protocol.encode_dual(dual), state.coin_keypair
+        else:
+            plain, countersigned, prover = binding.encode(), None, self.identity
+        proof = schnorr_prove(prover, self._owner_proof_context(nonce, binding))
         return {
             "coin": state.coin.encode(),
-            "binding": binding.encode(),
-            "binding_dual": None,
+            "binding": plain,
+            "binding_dual": countersigned,
             "via_broker": False,
             "proof_t": proof.commitment,
             "proof_z": proof.response,
@@ -1008,25 +985,60 @@ class Peer(Node):
             raise CoinExpired("held binding has expired")
         return request.operation, state
 
-    def _next_binding(self, state: OwnedCoinState, holder_y: int) -> CoinBinding:
-        assert state.binding is not None
-        seq = max(state.binding.seq, state.seq_floor) + 1
-        state.seq_floor = seq
-        return CoinBinding.build(
+    def _bind(
+        self,
+        state: OwnedCoinState,
+        holder_y: int,
+        request: bytes | None = None,
+        payee: str | None = None,
+        nonce: bytes = b"",
+    ) -> CoinBinding:
+        """Mint the coin's next binding, let it out, and make it the coin's.
+
+        The one step every owner-signed binding takes: an issue (no
+        ``request``), a served transfer (``request`` and ``payee``), a served
+        renewal (``request`` alone).  ``seq`` goes above every seq this coin
+        was signed at (an issue's is "a randomly chosen sequence number"
+        above them) and at or below the floor as journaled *before* the
+        binding leaves — publish, payee completion, reply — so an owner that
+        dies after any of them recovers above what is out there and never
+        signs one ``seq`` twice.  The floor is reserved
+        :data:`SEQ_RESERVATION` ahead: one journal write per block.  Only
+        once the payee accepted does the binding become the coin's, with
+        ``request`` on the audit trail as the proof the previous binding was
+        relinquished (an entry for a request that failed would accuse its
+        still-live holder), in one journal record.
+        """
+        if state.binding is None:
+            seq = max(secrets.randbelow(1 << 30), state.seq_signed + 1)
+        else:
+            seq = max(state.binding.seq, state.seq_signed) + 1
+        if seq > state.seq_floor:
+            state.seq_floor = seq + SEQ_RESERVATION
+            self._wal_owned(state)
+        state.seq_signed = seq
+        binding = CoinBinding.build(
             state.coin_keypair,
             coin_y=state.coin_y,
             holder_y=holder_y,
             seq=seq,
             exp_date=self.clock.now() + self.renewal_period,
         )
-
-    def _rebind(self, state: OwnedCoinState, binding: CoinBinding, request: bytes) -> None:
-        """The served request took effect: only now does it join the audit
-        trail, as the proof that the previous binding was relinquished — an
-        entry for a request that failed would accuse its (still live) holder."""
-        state.relinquishments.append(request)
+        if self.detection is not None:
+            self.detection.publish_owner(self, state, binding)
+        if payee is not None:
+            payload = self._completion_payload(state, binding, nonce)
+            if request is None:
+                what, result = "issue", self.peer_client.issue_complete(payee, payload)
+            else:
+                what, result = "transfer", self.peer_client.transfer_complete(payee, payload)
+            if not result.get("ok"):
+                raise ProtocolError(f"payee rejected the {what}: {result.get('reason')}")
+        if request is not None:
+            state.relinquishments.append(request)
         state.binding = binding
         self._wal_owned(state)
+        return binding
 
     def _handle_transfer_request(self, src: str, payload: dict[str, Any]) -> dict[str, Any]:
         """Owner side of Transfer: re-bind the coin and notify the payee."""
@@ -1035,25 +1047,16 @@ class Peer(Node):
         operation, state = self._serve_holder_request(
             payload.get("envelope"), protocol.TRANSFER_REQUEST
         )
-        binding = self._next_binding(state, operation.new_holder_y)
-        if self.detection is not None:
-            self.detection.publish_owner(self, state, binding)
-        result = self.peer_client.transfer_complete(
-            payload["payee"], self._completion_payload(state, binding, operation.nonce)
+        binding = self._bind(
+            state, operation.new_holder_y, payload["envelope"], payload["payee"], operation.nonce
         )
-        if not result.get("ok"):  # the payee refused: the old binding stands
-            raise ProtocolError(f"payee rejected the transfer: {result.get('reason')}")
-        self._rebind(state, binding, payload["envelope"])
         self.counts.transfers_handled += 1
         return {"binding": binding.encode()}
 
     def _handle_renew_request(self, src: str, data: bytes) -> bytes:
         """Owner side of Renewal: same holder, bumped seq and expiry."""
         _operation, state = self._serve_holder_request(data, protocol.RENEW_REQUEST)
-        binding = self._next_binding(state, state.binding.holder_y)
-        if self.detection is not None:
-            self.detection.publish_owner(self, state, binding)
-        self._rebind(state, binding, data)
+        binding = self._bind(state, state.binding.holder_y, data)
         self.counts.renewals_handled += 1
         return binding.encode()
 

@@ -11,7 +11,9 @@ statement raises, and how an event moves a path state.
 * :class:`ObligationAnalysis` (WP112): a durable-state mutation creates an
   obligation that must be discharged by a covering journal write
   (``self._wal*`` / ``self._stage`` / ``store.append`` /
-  ``committer.stage``) before any ``return`` on every path.  Obligations
+  ``committer.stage``) before any ``return`` on every path, and before any
+  *egress* — an outbound RPC or a DHT publish, which lets signed state
+  leave the process as surely as a reply does.  Obligations
   propagate interprocedurally: a helper that mutates and returns without
   journaling passes its pending sites to the caller, and only *root*
   functions (message handlers and public methods) report what is still
@@ -254,6 +256,13 @@ class _PathAnalysis:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ObligationConfig(OrderingConfig):
+    #: Calls that send out of the process: a receiver (``peer_client``: any
+    #: of its methods) or a ``receiver.method`` (``detection.publish_owner``).
+    egress: frozenset[str]
+
+
 @dataclass
 class _ObligationSummary:
     leaks: frozenset[Site] = frozenset()
@@ -283,13 +292,25 @@ class ObligationAnalysis(_PathAnalysis):
             return True
         return False
 
+    def _egress_call(self, call: ast.Call) -> bool:
+        func = call.func
+        if not isinstance(func, ast.Attribute):
+            return False
+        chain = chain_parts(func.value)
+        egress = self.config.egress
+        return bool(chain) and (chain[-1] in egress or f"{chain[-1]}.{func.attr}" in egress)
+
     def _events(self, stmt: ast.stmt, fn: FunctionInfo) -> list[tuple[str, object]]:
         """Ordered (kind, payload) events: ``("M", Site) | ("J", None) |
-        ``("INHERIT", sites)`` for resolvable non-primitive callees."""
+        ("E", line)`` for an egress | ``("INHERIT", sites)`` for resolvable
+        non-primitive callees."""
         events: list[tuple[str, object]] = []
         for call in _calls_in_order(stmt):
             if self._journal_call(call):
                 events.append(("J", None))
+                continue
+            if self._egress_call(call):
+                events.append(("E", call.lineno))
                 continue
             mutation = self._mutating_call(call, fn)
             if mutation is not None:
@@ -318,9 +339,12 @@ class ObligationAnalysis(_PathAnalysis):
                 pending = pending | {payload}
             elif kind == "INHERIT":
                 pending = pending | payload
+            elif kind == "E":
+                self._sent[self._fn.qualname] |= {(site, payload) for site in pending}
         return pending, journaled
 
     def _analyze(self, fn: FunctionInfo) -> _ObligationSummary:
+        self._sent[fn.qualname] = set()
         exits = self._walk(fn, (frozenset(), False))  # (pending, journaled)
         self._reached[fn.qualname] = self._visited
         return _ObligationSummary(
@@ -330,9 +354,25 @@ class ObligationAnalysis(_PathAnalysis):
 
     def run(self) -> list[Diagnostic]:
         self._reached: dict[str, set[int]] = {}
+        #: (mutation, egress line) pairs: state that left before it was journaled
+        self._sent: dict[str, set[tuple[Site, int]]] = {}
         settle_summaries(self.in_scope, self._analyze, self.summaries)
         findings: list[Diagnostic] = []
         for fn in self.in_scope:
+            for site, egress in sorted(
+                self._sent[fn.qualname], key=lambda pair: (pair[1], pair[0].line, pair[0].col)
+            ):
+                findings.append(
+                    Diagnostic(
+                        site.path,
+                        site.line,
+                        site.col,
+                        self.code,
+                        f"durable mutation {site.description} can leave the process "
+                        f"at line {egress} of {fn.name}() (an outbound RPC or "
+                        "publish) before a covering journal write",
+                    )
+                )
             if self._is_root(fn):
                 for site in self.summaries[fn.qualname].leaks:
                     findings.append(

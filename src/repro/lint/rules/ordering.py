@@ -7,7 +7,9 @@ performs must be covered by a journal write (``self._wal*`` /
 before control returns a reply.  A mutation still pending at a ``return``
 means a crash after the reply escapes loses acknowledged state; a journal
 statement made unreachable by an earlier ``return`` is the same bug in
-dead-code form.
+dead-code form.  An outbound RPC or a DHT publish in the middle of a handler
+is an egress too: an owner that sends a binding before its ``seq_floor`` is
+journaled can recover below it and sign that ``seq`` again.
 
 WP113 (verify-before-trust): once a handler touches untrusted input — a
 raw read of its payload parameter or an envelope decode — no durable-state
@@ -22,7 +24,7 @@ from typing import Iterable
 
 from repro.lint.dataflow.ordering import (
     ObligationAnalysis,
-    OrderingConfig,
+    ObligationConfig,
     TrustAnalysis,
     TrustConfig,
 )
@@ -47,12 +49,15 @@ _JOURNAL_METHODS = frozenset(
 #: bodies against it would be circular
 _PRIMITIVES = _JOURNAL_METHODS
 
-ORDERING_CONFIG = OrderingConfig(
+ORDERING_CONFIG = ObligationConfig(
     scope_modules=_SCOPE,
     durable_fields=_ORDERING_DURABLE,
     durable_attrs=_DURABLE_ATTRS,
     journal_methods=_JOURNAL_METHODS,
     exempt_functions=_PRIMITIVES,
+    egress=frozenset(
+        {"peer_client", "broker_client", "detection.publish_owner", "detection.publish_broker"}
+    ),
 )
 
 TRUST_CONFIG = TrustConfig(

@@ -128,4 +128,5 @@ def restore_owned(peer: "Peer", entry: dict[str, Any]) -> OwnedCoinState:
         relinquishments=base + list(entry["relinquishments"]),
         dirty=bool(entry["dirty"]),
         seq_floor=int(entry["seq_floor"]),
+        seq_signed=int(entry["seq_floor"]),
     )

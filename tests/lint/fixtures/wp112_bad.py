@@ -21,3 +21,14 @@ class BadPeer:
         self.owned[coin.coin_y] = coin  # line 21
         return coin
         self._wal_owned(coin)  # line 23: unreachable journal write
+
+    def _next_seq(self, state):
+        state.seq_floor += 1  # line 26: left pending for the caller
+        return state.seq_floor
+
+    def serve(self, state, payee, binding):
+        self._next_seq(state)
+        self.detection.publish_owner(self, state, binding)  # line 31: egress
+        self.peer_client.transfer_complete(payee, binding)  # line 32: egress
+        self._wal_owned(state)
+        return binding

@@ -35,3 +35,12 @@ class GoodPeer:
 
     def _record(self, coin):
         self._wal_owned(coin)
+
+    def journal_then_send(self, state, payee, binding):
+        state.seq_floor += 1
+        self._wal_owned(state)
+        self.detection.publish_owner(self, state, binding)
+        self.peer_client.transfer_complete(payee, binding)
+        state.binding = binding
+        self._wal_owned(state)
+        return binding

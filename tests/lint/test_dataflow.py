@@ -236,3 +236,30 @@ class TestSeededMutation:
         found = wp112(result)
         assert found, "WP112 missed the reply moved ahead of its journal append"
         assert any("_move_value" in d.message for d in found)
+
+
+class TestSeededEgressMutation:
+    """WP112 catches an owner that lets a binding out before its floor is durable."""
+
+    PEER = os.path.join(REPO, "src", "repro", "core", "peer.py")
+
+    def _lint(self, tree: ast.Module):
+        return wp112(lint_sources([("peer.py", ast.unparse(tree), "repro.core.peer")]))
+
+    def test_pristine_peer_is_clean(self):
+        with open(self.PEER, "r", encoding="utf-8") as fh:
+            assert self._lint(ast.parse(fh.read())) == []
+
+    def test_dropping_the_floor_journal_is_caught(self):
+        with open(self.PEER, "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        (bind,) = [
+            node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_bind"
+        ]
+        (reserve,) = [
+            stmt for stmt in ast.walk(bind) if isinstance(stmt, ast.If) and "SEQ_RESERVATION" in ast.unparse(stmt)
+        ]
+        reserve.body = [stmt for stmt in reserve.body if "_wal" not in ast.unparse(stmt)]
+        found = self._lint(tree)
+        assert found, "WP112 missed a binding sent before its seq floor was journaled"
+        assert all(".seq_floor" in d.message and "_bind()" in d.message for d in found)

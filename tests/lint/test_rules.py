@@ -332,10 +332,15 @@ class TestWP111SecretEgress:
 class TestWP112JournalBeforeReply:
     def test_bad_fires_on_unjournaled_one_armed_and_dead_code(self):
         found = findings_for("WP112", "wp112_bad.py")
-        assert [diag.line for diag in found] == [7, 11, 15, 21, 23]
+        assert [diag.line for diag in found] == [7, 11, 15, 21, 23, 26, 26]
         messages = " ".join(diag.message for diag in found)
         assert "without a covering journal write" in messages
         assert "unreachable" in messages
+
+    def test_an_outbound_send_before_the_journal_is_an_egress(self):
+        found = [d for d in findings_for("WP112", "wp112_bad.py") if "leave the process" in d.message]
+        # The helper's pending floor reaches both sends of its caller.
+        assert [(d.line, d.message.split("at line ")[1][:2]) for d in found] == [(26, "31"), (26, "32")]
 
     def test_good_is_silent(self):
         assert findings_for("WP112", "wp112_good.py") == []
