@@ -10,12 +10,12 @@ Two entry points:
   timings for each primitive (including the roster-16 group operations and
   the batch verifier).
 * ``python benchmarks/bench_crypto_ops.py [--quick]`` — compares the
-  accelerated hot paths (fixed-base tables, multi-exp, batch verification;
-  see DESIGN.md §1.1) against in-file replicas of the pre-acceleration
+  accelerated hot paths (the exponentiation kernel, batch verification; see
+  DESIGN.md §1.1) against in-file replicas of the pre-acceleration
   implementations and writes machine-readable speedups to
   ``benchmarks/out/BENCH_crypto.json`` (``BENCH_crypto_quick.json`` under
-  ``--quick``; the floors are rows of ``check.py``), plus the byte-wide table
-  of the two system-wide bases against the cached width, one fold of a group
+  ``--quick``; the floors are rows of ``check.py``), plus the kernel's
+  ``mod_pow`` against built-in ``pow`` on the same powers, one fold of a group
   signature with DSA signatures against separate checks at the owner's shape
   (a holder envelope's two layers) and the broker's (those, the coin
   certificate and the proof binding), and the roster curve
@@ -27,7 +27,6 @@ Two entry points:
 
 import secrets
 import statistics
-import sys
 import time
 
 import pytest
@@ -43,7 +42,6 @@ from repro.crypto.group_signature import (
     GroupSignature,
     GroupSignatureError,
     _challenge_hash,
-    _ciphertext_tables,
     group_batch_verify,
     group_sign,
     group_verify,
@@ -238,13 +236,13 @@ def baseline_group_verify(gpk, message, signature) -> bool:
 
 
 def baseline_group_sign(gpk, member, message) -> GroupSignature:
-    """The signer before witness-aware signing, line for line.
+    """The signer before witness-aware signing, on built-in ``pow``.
 
-    It simulates each foreign clause *as a verifier would*: seven table
-    exponentiations per clause, two of them on throw-away tables for the
-    fresh ``c1``/``c2``.  Same draws in the same order as ``group_sign``, so
-    under seeded entropy the two return equal signatures (the differential
-    test in ``tests/crypto/test_group_signature.py`` relies on that).
+    It simulates each foreign clause *as a verifier would*: seven
+    exponentiations per clause, two of them on the fresh ``c1``/``c2``.
+    Same draws in the same order as ``group_sign``, so under seeded entropy
+    the two return equal signatures (the differential test in
+    ``tests/crypto/test_group_signature.py`` relies on that).
     """
     params = gpk.params
     p, q, g = params.p, params.q, params.g
@@ -254,8 +252,8 @@ def baseline_group_sign(gpk, member, message) -> GroupSignature:
         raise GroupSignatureError("signer is not in the roster snapshot")
 
     r = params.random_exponent()
-    c1 = params.pow_g(r)
-    c2 = (member.h * fastexp.mod_pow(y, r, p, order=q)) % p
+    c1 = pow(g, r, p)
+    c2 = (member.h * pow(y, r, p)) % p
     ciphertext = ElGamalCiphertext(c1=c1, c2=c2)
 
     n = len(gpk.roster)
@@ -264,18 +262,15 @@ def baseline_group_sign(gpk, member, message) -> GroupSignature:
     responses_x = [0] * n
     commitments = [(0, 0, 0)] * n
 
-    tables = _ciphertext_tables(params, c1, c2, n)
     for j, h_j in enumerate(gpk.roster):
         if j == idx:
             continue
         c_j = primitives.randbelow(q)
         s_r = primitives.randbelow(q)
         s_x = primitives.randbelow(q)
-        t1 = fastexp.multi_exp(((g, s_r), (c1, q - c_j)), p, order=q, tables=tables)
-        t2 = fastexp.multi_exp(
-            ((y, s_r), (h_j, c_j), (c2, q - c_j)), p, order=q, tables=tables
-        )
-        t3 = fastexp.multi_exp(((g, s_x), (h_j, q - c_j)), p, order=q)
+        t1 = (pow(g, s_r, p) * pow(c1, q - c_j, p)) % p
+        t2 = (pow(y, s_r, p) * pow(h_j, c_j, p) * pow(c2, q - c_j, p)) % p
+        t3 = (pow(g, s_x, p) * pow(h_j, q - c_j, p)) % p
         challenges[j] = c_j
         responses_r[j] = s_r
         responses_x[j] = s_x
@@ -283,11 +278,7 @@ def baseline_group_sign(gpk, member, message) -> GroupSignature:
 
     a = params.random_exponent()
     b = params.random_exponent()
-    commitments[idx] = (
-        params.pow_g(a),
-        fastexp.mod_pow(y, a, p, order=q),
-        params.pow_g(b),
-    )
+    commitments[idx] = (pow(g, a, p), pow(y, a, p), pow(g, b, p))
 
     total = _challenge_hash(gpk, ciphertext, commitments, message)
     c_idx = (total - sum(challenges)) % q
@@ -305,9 +296,9 @@ def baseline_group_sign(gpk, member, message) -> GroupSignature:
 
 
 def baseline_schnorr_batch_verify(items) -> bool:
-    """``schnorr_batch_verify`` before the shared fold: a native ``pow`` per
-    commitment (a one-base ``multi_exp`` is one), the ``g`` side inverted;
-    same-group items only."""
+    """``schnorr_batch_verify`` before the shared fold, on built-in ``pow``:
+    a native ``pow`` per commitment, the ``g`` side inverted; same-group
+    items only."""
     params = items[0][0].params
     p, q = params.p, params.q
     g_exponent = 0
@@ -321,12 +312,13 @@ def baseline_schnorr_batch_verify(items) -> bool:
         c = schnorr._challenge(public, proof.commitment, context)
         multiplier = secrets.randbits(fastexp.BATCH_RANDOMIZER_BITS) | 1
         g_exponent = (g_exponent + multiplier * proof.response) % q
-        commitment = fastexp.multi_exp([(proof.commitment, multiplier)], p, promote=False)
-        commitment_product = (commitment_product * commitment) % p
+        commitment_product = (commitment_product * pow(proof.commitment, multiplier, p)) % p
         y_exponents[public.y] = (y_exponents.get(public.y, 0) + multiplier * c) % q
-    rhs = (commitment_product * fastexp.multi_exp(list(y_exponents.items()), p, order=q)) % p
-    ratio = (rhs * primitives.modinv(params.pow_g(g_exponent), p)) % p
-    return fastexp.multi_exp([(ratio, params.cofactor)], p, promote=False) == 1
+    rhs = commitment_product
+    for y, exponent in y_exponents.items():
+        rhs = (rhs * pow(y, exponent, p)) % p
+    ratio = (rhs * primitives.modinv(pow(params.g, g_exponent, p), p)) % p
+    return pow(ratio, params.cofactor, p) == 1
 
 
 def _time_us(fn, repeat: int) -> float:
@@ -356,36 +348,25 @@ def _compare(name, baseline, accelerated, repeat, results) -> None:
     print(f"  {name:<42} {base_us:>10.1f}us -> {accel_us:>8.1f}us   {base_us / accel_us:5.2f}x")
 
 
-#: Exponentiations per timed sample in the ``fixed_base_pow`` row.
+#: Exponentiations per timed sample in the ``kernel_pow`` row.
 POW_SAMPLE = 64
 
 
-def _footprint(table: fastexp.FixedBaseTable) -> dict:
-    """What one table costs to hold: its entries and their bytes."""
-    rows = table._rows
-    size = sys.getsizeof(rows) + sum(sys.getsizeof(row) for row in rows)
-    size += sum(sys.getsizeof(entry) for row in rows for entry in row)
-    return {"window": table.window, "entries": sum(len(row) for row in rows), "bytes": size}
-
-
-def compare_fixed_base_pow(params, repeat: int, results: dict) -> None:
-    """``g**e`` through a :data:`fastexp.CACHED_WINDOW` table (what ``g`` and
-    the opening key had) against the byte-wide table they have now."""
-    narrow = fastexp.FixedBaseTable(params.g, params.p, params.q_bits, order=params.q)
-    wide = params.fixed_g()
-    assert (narrow.window, wide.window) == (fastexp.CACHED_WINDOW, fastexp.SYSTEM_WINDOW)
+def compare_kernel_pow(params, repeat: int, results: dict) -> None:
+    """``mod_pow`` (the libcrypto kernel) against built-in ``pow``: the same
+    base, the same ``q``-sized exponents, the same integers out."""
+    base = params.pow_g(params.random_exponent())
     exponents = [params.random_exponent() for _ in range(POW_SAMPLE)]
-    assert [narrow.pow(e) for e in exponents] == [wide.pow(e) for e in exponents]
-    _compare(
-        "fixed_base_pow",
-        lambda: [narrow.pow(e) for e in exponents],
-        lambda: [wide.pow(e) for e in exponents],
-        repeat,
-        results,
-    )
-    results["fixed_base_pow"].update(
-        pows_per_sample=POW_SAMPLE, baseline_table=_footprint(narrow), accelerated_table=_footprint(wide)
-    )
+
+    def builtin():
+        return [pow(base, e, params.p) for e in exponents]
+
+    def kernel():
+        return [fastexp.mod_pow(base, e, params.p) for e in exponents]
+
+    assert kernel() == builtin()
+    _compare("kernel_pow", builtin, kernel, repeat, results)
+    results["kernel_pow"]["pows_per_sample"] = POW_SAMPLE
 
 
 def compare_sites(params, gpk, member, repeat: int, results: dict) -> None:
@@ -395,8 +376,7 @@ def compare_sites(params, gpk, member, repeat: int, results: dict) -> None:
     what it gives up.  A fresh holder key (and coin key) per sample, as every
     holder operation has; the broker's key warm."""
     broker = dsa_generate(params)
-    for _ in range(fastexp.PROMOTE_AFTER + 1):
-        dsa_verify(broker.public, b"warm", dsa_sign(broker, b"warm"))
+    dsa_verify(broker.public, b"warm", dsa_sign(broker, b"warm"))
 
     def samples():
         """``repeat + 1`` requests: the group-signed inner triple, then the
@@ -442,10 +422,7 @@ def roster_curve(params, rosters, repeat: int) -> dict:
     """Group-signature cost against roster size, one fresh group per point.
 
     Each point starts from cold caches and registers its own roster, so the
-    points do not depend on their order.  Past ``fastexp._MAX_TABLES``
-    members the roster no longer fits the fixed-base table cache: the keys
-    registered last keep their tables and the rest cost a native ``pow``
-    each — as a deployment would pay them.
+    points do not depend on their order.
     """
     curve: dict = {}
     for n in rosters:
@@ -455,7 +432,7 @@ def roster_curve(params, rosters, repeat: int) -> dict:
         gpk = manager.public_key()
         items = [(b"m%d" % i, group_sign(gpk, members[i % n], b"m%d" % i)) for i in range(CURVE_BATCH)]
         message, signature = items[0]
-        assert group_verify(gpk, message, signature)  # also warms the tables
+        assert group_verify(gpk, message, signature)
         assert group_verify_exact(gpk, message, signature)
         reps = max(3, repeat * 16 // n)
         row = {
@@ -485,11 +462,10 @@ def run_comparison(quick: bool = False) -> dict:
         keypair = dsa_generate(params)
         message = b"bench message"
         signature = dsa_sign(keypair, message)
-        compare_fixed_base_pow(params, repeat, results)
-        # Warm the promotion cache the way steady-state protocol traffic
+        compare_kernel_pow(params, repeat, results)
+        # Warm the membership memo the way steady-state protocol traffic
         # would: the broker sees each signer key repeatedly.
-        for _ in range(fastexp.PROMOTE_AFTER + 1):
-            dsa_verify(keypair.public, message, signature)
+        dsa_verify(keypair.public, message, signature)
         _compare(
             "dsa_verify",
             lambda: baseline_dsa_verify(keypair.public, message, signature),
@@ -525,7 +501,7 @@ def run_comparison(quick: bool = False) -> dict:
         members = [manager.register(f"m{i}") for i in range(16)]
         gpk = manager.public_key()
         gsig = group_sign(gpk, members[0], message)
-        group_verify(gpk, message, gsig)  # warm roster/opening tables
+        group_verify(gpk, message, gsig)  # warm the membership memo
         _compare(
             "group_verify_roster16",
             lambda: baseline_group_verify(gpk, message, gsig),

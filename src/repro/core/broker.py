@@ -712,9 +712,7 @@ class Broker(Node):
                 "credit", value, account=operation.payout_to, identity_y=envelope.coin_signer.y
             ),
         ]
-        reply = self._move_value(protocol.DEPOSIT, data, effects, {"ok": True, "credited": value})
-        self.params.forget(coin.coin_y)  # accepted: nobody exponentiates this coin's key again
-        return reply
+        return self._move_value(protocol.DEPOSIT, data, effects, {"ok": True, "credited": value})
 
     def _fresh_binding(self, coin: Coin, holder_y: int, previous_seq: int) -> CoinBinding:
         return CoinBinding.build(

@@ -710,7 +710,6 @@ class Peer(Node):
         if not result.get("ok"):
             raise ProtocolError("broker rejected the deposit")
         self._settle(held, "deposit")
-        self.params.forget(held.coin_y)  # the coin is dead, and with it the table its key was promoted to
         self.counts.deposits += 1
         return result["credited"]
 

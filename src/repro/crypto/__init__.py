@@ -1,7 +1,9 @@
 """Cryptographic substrate for the WhoPay reproduction.
 
-Everything in this package is implemented from scratch on top of the Python
-standard library (``hashlib``, ``secrets``, ``hmac``).  No third-party
+Every scheme in this package is implemented from scratch on top of the
+Python standard library (``hashlib``, ``secrets``, ``hmac``); modular
+exponentiation runs in the libcrypto bignum that ``hashlib`` already loads,
+through ``ctypes`` (:mod:`repro.crypto.fastexp`).  No third-party
 cryptography package is used.  The paper (Section 6.2, Table 2) assumes DSA
 1024-bit signatures and an "efficient group signature scheme" (Section 3.2);
 both are provided here, along with the auxiliary primitives the extensions

@@ -38,9 +38,8 @@ def blind(public: RsaPublicKey, message: bytes) -> tuple[int, BlindingState]:
         r = primitives.rand_range(2, n - 1)
         if math.gcd(r, n) == 1:
             break
-    # fastexp defers to native pow for the one-shot base; the call is routed
-    # through the layer so blinding shares its instrumentation and any
-    # future residue caching with the rest of the substrate.
+    # Routed through the kernel like every power of the substrate (RSA
+    # moduli are odd; fastexp keeps one Montgomery context per modulus).
     blinded = (hash_to_modulus(message, n) * fastexp.mod_pow(r, public.e, n)) % n
     return blinded, BlindingState(message=message, r=r)
 

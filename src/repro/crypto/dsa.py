@@ -9,12 +9,10 @@ RFC 6979 flavoured HMAC construction) so that signing is safe against nonce
 reuse and reproducible under test, while remaining indistinguishable from
 random-nonce DSA to verifiers.
 
-Performance engineering (DESIGN.md §1.1, "Performance engineering"):
+Performance engineering (DESIGN.md §1.1, "One exponentiation kernel", "One fold"):
 
-* Verification computes ``g**u1 * y**u2`` as one simultaneous
-  multi-exponentiation (:func:`repro.crypto.fastexp.multi_exp`); the
-  generator always hits its fixed-base table and recurrent signer keys are
-  auto-promoted to tables of their own.
+* Verification computes ``g**u1 * y**u2`` as one product
+  (:func:`repro.crypto.fastexp.multi_exp`) on the exponentiation kernel.
 * Signatures carry an optional ``commit`` hint — the full ``R = g**k mod p``
   whose reduction ``R mod q`` is ``r``.  Individual verification ignores it;
   :func:`dsa_batch_verify` uses it to verify many signatures — and the group
@@ -188,7 +186,7 @@ class DsaNoncePool:
     Each entry is a ready ``(k, R = g**k, k_inv)`` triple, so a pooled
     :func:`dsa_sign` costs two modular multiplications — the expensive
     exponentiation and inversion were done in bulk by :meth:`ensure`
-    (fixed-base tables for the commits, Montgomery batch inversion for the
+    (the kernel for the commits, Montgomery batch inversion for the
     inverses), once per group-commit flush.
 
     Nonce safety: entries derive from an HMAC chain keyed by the secret

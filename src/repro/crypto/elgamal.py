@@ -65,8 +65,6 @@ def elgamal_encrypt(public: PublicKey, element: int, nonce: int | None = None) -
         raise ValueError("ElGamal plaintext must be a subgroup element")
     r = params.random_exponent() if nonce is None else nonce
     c1 = params.pow_g(r)
-    # The encryption key is long-lived (the judge's opening key outlives the
-    # whole system), so it auto-promotes to a fixed-base table.
     c2 = (element * fastexp.mod_pow(public.y, r, params.p, order=params.q)) % params.p
     return ElGamalCiphertext(c1=c1, c2=c2)
 

@@ -34,9 +34,9 @@ Clause arithmetic.  Clause ``j`` of the OR-proof commits to::
 Every signature carries its ``(t1, t2, t3)`` list as a hint, so a verifier
 normally recomputes nothing: it checks the challenge hash over the claimed
 commitments exactly and the clause equations (:func:`_fold`) by the one
-randomized test (:class:`fastexp.Fold`: ``n + 2`` cached-table lookups and
-two short products, soundness ``2^-64``).  Without a usable hint, or when
-the fold fails, it evaluates the clauses inversion-free (``base^-c ==
+randomized test (:class:`fastexp.Fold`: one product of ``3n`` hints with
+64-bit exponents and one of ``n + 4`` order-``q`` bases, soundness
+``2^-64``).  Without a usable hint, or when the fold fails, it evaluates the clauses inversion-free (``base^-c ==
 base^(q-c)`` for order-``q`` bases) with ``w_j = h_j^c_j`` computed once,
 used in ``t2`` and, inverted, in ``t3``: six exponentiations per clause,
 all ``w_j^-1`` from one modular inversion (:func:`group_verify_exact`).
@@ -46,12 +46,9 @@ g^(-xc) · y_J^(-rc)``; with ``u = s_r - r·c_j mod q``::
 
     t1 = g^u     t2 = y_J^u · g^(-x·c_j) · w_j     t3 = g^s_x · w_j^-1
 
-— five exponentiations per clause, all on long-lived cached tables, and the
-same integers: ``c_j, s_r, s_x`` are the same uniform draws.  Four of the
-five are on ``g`` and ``y_J``, the two bases the whole system shares, whose
-tables are byte-wide (:data:`fastexp.SYSTEM_WINDOW`): a simulated clause
-costs 4 × 20 + 32 = 112 modular multiplications where five
-:data:`fastexp.CACHED_WINDOW` tables took 5 × 32 = 160.
+— five exponentiations per clause where the verifier's form takes seven,
+none of them on the fresh ``c1``/``c2``, and the same integers: ``c_j, s_r,
+s_x`` are the same uniform draws.
 
 Deviation note (recorded in DESIGN.md §4): the paper assumes a hypothetical
 "efficient group signature scheme" with constant-size signatures and guesses
@@ -163,20 +160,6 @@ class GroupSignature:
         return b"|".join(parts)
 
 
-def _opening_table(params: DlogParams, y: int) -> fastexp.FixedBaseTable:
-    """The (cached) byte-wide table for the judge's opening key ``y``.
-
-    With ``g`` (:meth:`DlogParams.fixed_g`) one of the two system-wide
-    bases.  The judge builds it with the group; signer and verifiers call
-    this before their first ``y`` exponentiation, so a process that never
-    saw the :class:`GroupManager` — or whose cache dropped the table — gets
-    the wide table rather than a promoted narrow one.  A lookup otherwise.
-    """
-    return fastexp.precompute(
-        y, params.p, params.q_bits, order=params.q, window=fastexp.SYSTEM_WINDOW
-    )
-
-
 #: Roster versions whose :class:`GroupPublicKey` the manager keeps built:
 #: the current one and the few in flight (an older one is rebuilt on demand).
 MAX_PUBLIC_KEYS = 8
@@ -193,9 +176,6 @@ class GroupManager:
     def __init__(self, params: DlogParams | None = None) -> None:
         self.params = params or default_params()
         self._opening = elgamal_generate(self.params)
-        # The opening key is exponentiated in every clause of every signature
-        # for the lifetime of the group: precompute its fixed-base table now.
-        _opening_table(self.params, self._opening.public.y)
         self._registry: dict[int, str] = {}  # h -> identity
         # Snapshot history: version v is _snapshots[v].  Every registration
         # and every expulsion appends a snapshot, so old signatures remain
@@ -251,8 +231,6 @@ class GroupManager:
         member = KeyPair.generate(self.params)
         if member.public.y in self._registry:  # astronomically unlikely
             raise GroupSignatureError("membership key collision")
-        # Roster keys are exponentiated on every sign/verify from now on.
-        fastexp.precompute(member.public.y, self.params.p, self.params.q_bits, order=self.params.q)
         self._registry[member.public.y] = identity
         self._snapshots.append(self._snapshots[-1] + (member.public.y,))
         return GroupMemberKey(params=self.params, x=member.x, h=member.public.y)
@@ -320,31 +298,6 @@ def _challenge_hash(
     return primitives.hash_to_int(*parts, modulus=gpk.params.q)
 
 
-#: The exact verifier builds per-signature fixed-base tables for the
-#: ciphertext elements once the roster reaches this size (below it, table
-#: construction outweighs the lookups it saves).  Signer and fold need none.
-_EPHEMERAL_TABLE_MIN_ROSTER = 6
-
-
-def _ciphertext_tables(
-    params: DlogParams, c1: int, c2: int, n: int
-) -> dict[int, fastexp.FixedBaseTable]:
-    """Ephemeral fixed-base tables for ``c1``/``c2``, used ``n`` times each.
-
-    Exact-verifier only: every clause :func:`_recompute_clauses` rebuilds
-    exponentiates both ciphertext halves, so a roster of ``n`` members
-    amortizes the one-off table build ``n`` times.
-    """
-    if n < _EPHEMERAL_TABLE_MIN_ROSTER:
-        return {}
-    return {
-        base: fastexp.FixedBaseTable(
-            base, params.p, params.q_bits, window=fastexp.EPHEMERAL_WINDOW, order=params.q
-        )
-        for base in (c1, c2)  # keyed dict dedupes c1 == c2 deterministically
-    }
-
-
 def group_sign(gpk: GroupPublicKey, member: GroupMemberKey, message: bytes) -> GroupSignature:
     """Sign ``message`` anonymously on behalf of the group.
 
@@ -353,8 +306,8 @@ def group_sign(gpk: GroupPublicKey, member: GroupMemberKey, message: bytes) -> G
     :class:`GroupSignatureError`.
 
     The simulated clauses are computed over the signer's witness (module
-    docstring, "Clause arithmetic"): cached bases ``g``, ``y``, ``h_j`` only,
-    one modular inversion per signature, no table for ``c1``/``c2``.
+    docstring, "Clause arithmetic"): bases ``g``, ``y``, ``h_j`` only and one
+    modular inversion per signature.
     """
     params = gpk.params
     p, q = params.p, params.q
@@ -362,7 +315,6 @@ def group_sign(gpk: GroupPublicKey, member: GroupMemberKey, message: bytes) -> G
     idx = gpk.roster_index(member.h)
     if idx is None:
         raise GroupSignatureError("signer is not in the roster snapshot")
-    _opening_table(params, y)
 
     # ElGamal-encrypt the signer's membership key, keeping the nonce for the proof.
     r = params.random_exponent()
@@ -383,7 +335,7 @@ def group_sign(gpk: GroupPublicKey, member: GroupMemberKey, message: bytes) -> G
         responses_r[j] = primitives.randbelow(q)
         responses_x[j] = primitives.randbelow(q)
     ws = [fastexp.mod_pow(gpk.roster[j], challenges[j], p, order=q) for j in foreign]
-    pow_g = params.fixed_g().pow
+    pow_g = params.pow_g
     for j, w, w_inv in zip(foreign, ws, primitives.batch_modinv(ws, p)):
         # t1 = g**u ; t2 = y**u * g**(-x*c_j) * w_j ; t3 = g**s_x * w_j**-1
         c_j = challenges[j]
@@ -502,8 +454,6 @@ def _fold(gpk: GroupPublicKey, signatures: Sequence[GroupSignature]) -> fastexp.
             e_c2 += b * c_j
         fold.add(signature.ciphertext.c1, e_c1)
         fold.add(signature.ciphertext.c2, e_c2)
-    params.fixed_g()  # g and y resolve to their byte-wide tables
-    _opening_table(params, gpk.opening_key.y)
     fold.add(params.g, -agg_g)
     fold.add(gpk.opening_key.y, -agg_y)
     for h_j, e in zip(gpk.roster, agg_h):
@@ -525,14 +475,12 @@ def _recompute_clauses(
     clauses = zip(gpk.roster, signature.challenges)
     ws = [fastexp.mod_pow(h_j, c_j, p, order=q) for h_j, c_j in clauses]
     w_invs = primitives.batch_modinv(ws, p)
-    tables = _ciphertext_tables(params, c1, c2, len(gpk.roster))
-    pow_g = params.fixed_g().pow
-    _opening_table(params, y)
+    pow_g = params.pow_g
     commitments: list[tuple[int, int, int]] = []
     for c_j, s_r, s_x, w, w_inv in zip(*scalars, ws, w_invs):
         # t1 = g**s_r * c1**-c_j ; t2 = y**s_r * c2**-c_j * w_j ; t3 = g**s_x * w_j**-1
-        t1 = fastexp.multi_exp(((g, s_r), (c1, q - c_j)), p, order=q, tables=tables)
-        t2 = fastexp.multi_exp(((y, s_r), (c2, q - c_j)), p, order=q, tables=tables)
+        t1 = fastexp.multi_exp(((g, s_r), (c1, q - c_j)), p, order=q)
+        t2 = fastexp.multi_exp(((y, s_r), (c2, q - c_j)), p, order=q)
         commitments.append((t1, (t2 * w) % p, (pow_g(s_x) * w_inv) % p))
     return commitments
 

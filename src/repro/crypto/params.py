@@ -46,21 +46,9 @@ class DlogParams:
         """``(p - 1) // q`` — the index of the subgroup in ``Z_p^*``."""
         return (self.p - 1) // self.q
 
-    def fixed_g(self) -> fastexp.FixedBaseTable:
-        """The (cached) fixed-base table for the generator.
-
-        Every scheme exponentiates ``g`` constantly, so the table is built
-        on first use and shared process-wide through the fastexp cache —
-        byte-wide, as one of the two system-wide bases (the other is the
-        judge's opening key).
-        """
-        return fastexp.precompute(
-            self.g, self.p, self.q_bits, order=self.q, window=fastexp.SYSTEM_WINDOW
-        )
-
     def pow_g(self, exponent: int) -> int:
-        """``g ** exponent mod p`` through the fixed-base table."""
-        return self.fixed_g().pow(exponent)
+        """``g ** exponent mod p``, the exponent reduced by ``q`` (so it may be negative)."""
+        return fastexp._power(self.g, exponent % self.q, self.p)
 
     def validate(self, rounds: int = 20) -> None:
         """Raise :class:`ValueError` unless this is a well-formed Schnorr group."""
@@ -88,11 +76,6 @@ class DlogParams:
         per-signature values that are never asked about again.
         """
         return fastexp.is_member(x, self.q, self.p, memo=memo)
-
-    def forget(self, y: int) -> None:
-        """Release what the fixed-base cache promoted for ``y``, a key that
-        will not be used again (a deposited coin's)."""
-        fastexp.forget(y, self.p)
 
     def encode(self) -> bytes:
         """Stable byte encoding used when hashing the group into challenges."""

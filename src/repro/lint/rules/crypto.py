@@ -1,12 +1,12 @@
-"""WP103 — crypto hygiene: fastexp routing and constant-time comparison.
+"""WP103 — crypto hygiene: kernel routing and constant-time comparison.
 
 Two checks:
 
 * **Direct 3-argument ``pow``** outside :mod:`repro.crypto` — protocol and
   baseline layers must route modular exponentiation through
-  :func:`repro.crypto.fastexp.mod_pow`, which transparently uses the
-  fixed-base tables PR 1 built.  A raw ``pow`` both forfeits the speedup
-  and fragments the hot path the benchmarks measure.  Inside
+  :func:`repro.crypto.fastexp.mod_pow`, which runs on the libcrypto
+  exponentiation kernel.  A raw ``pow`` both forfeits the speedup and
+  fragments the hot path the benchmarks measure.  Inside
   ``repro.crypto`` raw ``pow`` stays legal: fastexp itself and the
   primitives beneath it are the implementation layer.
 
@@ -60,7 +60,7 @@ class CryptoHygiene(Rule):
     code = "WP103"
     name = "crypto-hygiene"
     rationale = (
-        "Raw modular pow bypasses the fastexp acceleration layer; early-exit "
+        "Raw modular pow bypasses the fastexp exponentiation kernel; early-exit "
         "equality on secrets leaks match length through timing."
     )
 
@@ -81,7 +81,7 @@ class CryptoHygiene(Rule):
                     self.code,
                     "direct pow(base, exp, mod) outside repro.crypto — "
                     "route through repro.crypto.fastexp.mod_pow to use "
-                    "the fixed-base acceleration tables",
+                    "the exponentiation kernel",
                 )
             elif isinstance(node, ast.Compare) and len(node.ops) == 1:
                 if not isinstance(node.ops[0], (ast.Eq, ast.NotEq)):

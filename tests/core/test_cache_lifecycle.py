@@ -1,13 +1,11 @@
-"""A deposited coin's fixed-base table leaves the cache with the coin.
+"""Sixty cycles of the benchmark's rotation: what a payment process keeps,
+and what a late request naming a deposited coin is told.
 
-Every coin key a payee verifies twice is promoted to a table (``fastexp``,
-"promotion"), and a coin is deposited once: without a release the cache
-holds one dead table per coin ever deposited until ``_MAX_TABLES`` pushes
-it out — 0.1 MB each, the largest thing a payment process kept per cycle.
-The broker's accepted deposit and the depositor's wallet now report the key
-dead (``DlogParams.forget``).  What that must not do: rebuild a table inside
-a coin's life, touch a registered table, or change what a late request
-naming the dead coin is told.
+Every coin brings a fresh key that payees exponentiate; the kernel under
+them (``fastexp``) holds one Montgomery context per modulus, so its state
+is set by the group, not by how many coins have lived and died.  The
+deposited coins must leave nothing behind that changes what a late
+deposit or transfer of one of them is told.
 """
 
 from __future__ import annotations
@@ -26,18 +24,9 @@ CYCLES = 60
 
 
 @pytest.fixture()
-def built(monkeypatch):
-    """Fresh caches, and the base of every table built from here on."""
+def fresh():
     fastexp.clear_caches()
-    bases: list[int] = []
-    original = fastexp.FixedBaseTable.__init__
-
-    def counted(self, base, *args, **kwargs):
-        bases.append(base)
-        original(self, base, *args, **kwargs)
-
-    monkeypatch.setattr(fastexp.FixedBaseTable, "__init__", counted)
-    yield bases
+    yield
     fastexp.clear_caches()
 
 
@@ -59,28 +48,21 @@ def run_cycle(peers, cycle: int, keep_stale: bool = False):
     return coin_y, (p, q, r), (stale_q, stale_r)
 
 
-def test_sixty_cycles_of_the_benchmark_rotation(built):
+@pytest.mark.usefixtures("fresh")
+def test_sixty_cycles_of_the_benchmark_rotation():
     net = WhoPayNetwork(params=PARAMS_TEST_512)
     peers = [
         net.add_peer(f"peer{index:02d}", PeerConfig(balance=1_000)) for index in range(ROSTER)
     ]
-    registered = set(fastexp._registered)
-    coins = [run_cycle(peers, cycle)[0] for cycle in range(CYCLES - 1)]
+    run_cycle(peers, 0)
+    moduli = list(fastexp._kernel._moduli)
+    assert net.params.p in moduli
+    for cycle in range(1, CYCLES - 1):
+        run_cycle(peers, cycle)
     last, (p, q, r), (stale_q, stale_r) = run_cycle(peers, CYCLES - 1, keep_stale=True)
-    coins.append(last)
-
-    # A coin's key is promoted at most once in its life: releasing the table
-    # at the deposit never turns into rebuilding it for a later operation.
-    promotions = {coin_y: built.count(coin_y) for coin_y in coins}
-    assert set(promotions.values()) == {1}
-    # What is left belongs to keys that are still alive.
-    assert not any((coin_y, net.params.p) in fastexp._tables for coin_y in coins)
-    assert fastexp._registered == registered  # g, the opening key, the roster
-    identities = {peer.identity.public.y for peer in peers}
-    live = sum(len(peer.wallet) for peer in peers)
-    assert live == 0
-    assert len(fastexp._tables) <= len(registered) + len(identities) + live + 2
-    assert fastexp.fixed_base(net.params.g, net.params.p).window == fastexp.SYSTEM_WINDOW
+    # Sixty coin keys later: one context per modulus, the same ones.
+    assert list(fastexp._kernel._moduli) == moduli
+    assert sum(len(peer.wallet) for peer in peers) == 0
 
     # Late requests naming the deposited coin are told what they always were.
     r.wallet[last] = stale_r
@@ -93,5 +75,4 @@ def test_sixty_cycles_of_the_benchmark_rotation(built):
     with pytest.raises(DoubleSpendDetected, match="coin already deposited"):
         q.transfer_via_broker(r.address, last)
     assert len(net.broker.fraud_events) == 2
-    assert (last, net.params.p) not in fastexp._tables
-    assert built.count(last) == 1
+    assert list(fastexp._kernel._moduli) == moduli

@@ -361,10 +361,10 @@ class TestWitnessAwareSigner:
 
 @pytest.fixture()
 def exponentiations(monkeypatch):
-    """Count every ``multi_exp``, fixed-base ``pow`` and membership test
-    (a native ``pow``) while the test runs."""
+    """Count every ``multi_exp``, membership test and kernel exponentiation
+    (``_power``: every power the crypto layer takes) while the test runs."""
     calls = []
-    counted_names = ((fastexp, "multi_exp"), (fastexp.FixedBaseTable, "pow"), (fastexp, "is_member"))
+    counted_names = ((fastexp, "multi_exp"), (fastexp, "_power"), (fastexp, "is_member"))
     for owner, name in counted_names:
         original = getattr(owner, name)
 
@@ -543,9 +543,12 @@ class TestHintedVerification:
             group_verify(gpk, b"m", signature)
 
     def test_hinted_path_cost_at_roster_16(self, exponentiations, monkeypatch):
-        # n + 2 cached-table lookups (g, y, every h_j), two products, and
-        # three native pows: c1 and c2 membership, the cofactor projection.
-        _manager, members, gpk = _roster(PARAMS_TEST_512, 16)
+        # Two products: 3n hint powers (t1, t2, t3 of every clause) and n + 4
+        # order-q powers (g, y, every h_j, c1, c2); two membership powers
+        # (c1, c2).  The cofactor projection runs only when the fold's
+        # product is not 1, and for a valid signature it is 1.  No built-in pow.
+        n = 16
+        _manager, members, gpk = _roster(PARAMS_TEST_512, n)
         signature = group_sign(gpk, members[9], b"m")
         native = []
 
@@ -561,9 +564,10 @@ class TestHintedVerification:
             monkeypatch.setattr(module, "pow", native_pow, raising=False)
         exponentiations.clear()
         assert group_verify(gpk, b"m", signature)
-        assert exponentiations.count("pow") <= 16 + 2
+        assert exponentiations.count("_power") == 3 * n + (n + 4) + 2
         assert exponentiations.count("multi_exp") == 2
-        assert len(native) <= 3
+        assert exponentiations.count("is_member") == 2
+        assert native == []
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_mutations_get_the_exact_verdict(self, signed, seed):
@@ -623,99 +627,47 @@ class TestMembershipMemo:
         assert params.is_element(params.pow_g(5), memo=False)
 
 
-@pytest.fixture()
-def cold_caches():
-    fastexp.clear_caches()
-    yield
-    fastexp.clear_caches()
-
-
-@pytest.mark.usefixtures("cold_caches")
-class TestSystemWideBases:
-    """``g`` and the judge's opening key exponentiate through byte-wide
-    tables; roster keys (and everything else) keep the cached width."""
-
-    @staticmethod
-    def _widths(gpk):
-        params = gpk.params
-        tables = [fastexp.fixed_base(base, params.p) for base in (params.g, gpk.opening_key.y)]
-        return [table and table.window for table in tables]
-
-    def test_signature_lookups_by_table_at_roster_16(self, monkeypatch):
-        # Per simulated clause g**u, y**u, g**(-x*c_j), g**s_x on the wide
-        # tables and h_j**c_j on the roster's; c1, y**r and the honest
-        # clause's three commitments make the other five.
-        n = 16
+class TestSignerPowers:
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_five_per_clause_against_seven(self, monkeypatch, n):
+        # Per simulated clause h_j**c_j, g**u, y**u, g**(-x*c_j), g**s_x; c1,
+        # y**r and the honest clause's three commitments make the other five.
+        # The replica simulates as a verifier would: seven per clause.
         _manager, members, gpk = _roster(PARAMS_TEST_512, n)
-        system = (gpk.params.g, gpk.opening_key.y)
-        lookups = []
-        original = fastexp.FixedBaseTable.pow
+        kernel, native = [], []
+        original = fastexp._power
+        monkeypatch.setattr(fastexp, "_power", lambda *args: kernel.append(args) or original(*args))
+        monkeypatch.setattr(
+            bench_crypto_ops, "pow", lambda *args: native.append(args) or pow(*args), raising=False
+        )
+        group_sign(gpk, members[1], b"m")
+        bench_crypto_ops.baseline_group_sign(gpk, members[1], b"m")
+        assert len(kernel) == 5 * (n - 1) + 5
+        assert len(native) == 7 * (n - 1) + 5
 
-        def counted(table, exponent):
-            lookups.append((table.window, table.base in system, table.base in gpk.roster))
-            return original(table, exponent)
 
-        monkeypatch.setattr(fastexp.FixedBaseTable, "pow", counted)
-        group_sign(gpk, members[9], b"m")
-        assert lookups.count((fastexp.SYSTEM_WINDOW, True, False)) == 4 * (n - 1) + 5
-        assert lookups.count((fastexp.CACHED_WINDOW, False, True)) == n - 1
-        assert len(lookups) == 5 * (n - 1) + 5
-
-    @pytest.mark.parametrize("first_call", ["sign", "verify", "verify_exact", "batch_verify"])
-    def test_first_call_after_cleared_caches_finds_both_wide_tables(self, first_call):
-        _manager, members, gpk = _roster(PARAMS_TEST_512, 4)
-        signature = group_sign(gpk, members[1], b"m")
-        fastexp.clear_caches()
-        assert self._widths(gpk) == [None, None]
-        if first_call == "sign":
-            signature = group_sign(gpk, members[2], b"m")
-        elif first_call == "verify":
-            assert group_verify(gpk, b"m", signature)
-        elif first_call == "verify_exact":
-            assert group_verify_exact(gpk, b"m", signature)
-        else:
-            assert group_batch_verify(gpk, [(b"m", signature)])
-        assert self._widths(gpk) == [fastexp.SYSTEM_WINDOW] * 2
-
-    @pytest.mark.parametrize("coins", [0, 4], ids=["roster_only", "coin_keys_promoted_meanwhile"])
-    def test_roster_larger_than_the_cache_builds_nothing_once_warm(self, monkeypatch, coins):
-        # The cliff: a roster past _MAX_TABLES had every signature evict
-        # registered roster tables to promote the keys that missed, which the
-        # rest of the same loop evicted again before their second use.  With
-        # coin keys promoted while the roster still fitted, a registration
-        # that evicted a roster table and kept a promoted slot left the same
-        # rotation running through that slot.
-        monkeypatch.setattr(fastexp, "_MAX_TABLES", 12)
-        built = []
-        original = fastexp.FixedBaseTable.__init__
-
-        def counted(table, base, modulus, max_bits, window=fastexp.CACHED_WINDOW, order=None):
-            if window != fastexp.EPHEMERAL_WINDOW:  # the exact verifier's c1/c2, never cached
-                built.append(base)
-            original(table, base, modulus, max_bits, window=window, order=order)
-
-        monkeypatch.setattr(fastexp.FixedBaseTable, "__init__", counted)
+class TestRosterKeys:
+    def test_a_roster_past_the_context_bound_builds_none(self, monkeypatch):
+        # Roster keys are kernel operands, not cached state: a roster with
+        # more keys than the kernel keeps contexts signs and verifies on the
+        # group's one context, late registrations included.
         params = PARAMS_TEST_512
-        manager, members, gpk = _roster(params, 6)
+        fastexp.clear_caches()
+        manager, members, gpk = _roster(params, fastexp._MAX_MODULI + 4)
         assert group_verify(gpk, b"early", group_sign(gpk, members[0], b"early"))
-        coin_keys = [params.pow_g(1000 + i) for i in range(coins)]
-        for key in coin_keys:  # used after the last roster loop: newer than every h_j
-            for _ in range(fastexp.PROMOTE_AFTER):
-                fastexp.mod_pow(key, 7, params.p, order=params.q)
-        assert len(fastexp._tables) == 8 + coins  # g, y, six roster keys, the coin keys
-        members += [manager.register(f"late{i}") for i in range(8)]  # roster 14 + g + y > 12
+        kernel = fastexp._kernel
+        context = kernel._moduli[params.p]
+        built = []
+        original = kernel._context
+        monkeypatch.setattr(
+            kernel, "_context", lambda modulus: built.append(modulus) or original(modulus)
+        )
+        members += [manager.register(f"late{i}") for i in range(4)]
         gpk = manager.public_key()
-        assert not any(fastexp.fixed_base(key, params.p) for key in coin_keys)
-        signature = group_sign(gpk, members[0], b"warm")  # brings the opening key back
-        assert group_verify_exact(gpk, b"warm", signature)
-        resident = set(fastexp._tables)
-        assert resident == fastexp._registered and len(resident) == 12
-        assert self._widths(gpk) == [fastexp.SYSTEM_WINDOW] * 2
-        built.clear()
-        for index in (3, 12):
+        for index in (3, len(members) - 1):
             signature = group_sign(gpk, members[index], b"m")
             assert group_verify_exact(gpk, b"m", signature)
             assert group_verify(gpk, b"m", signature)
-            assert self._widths(gpk) == [fastexp.SYSTEM_WINDOW] * 2
+            assert group_batch_verify(gpk, [(b"m", signature)])
         assert built == []
-        assert set(fastexp._tables) == resident
+        assert list(kernel._moduli) == [params.p] and kernel._moduli[params.p] is context

@@ -155,11 +155,12 @@ class TestDetectionIntegration:
         assert all(not p.alarms for p in peers)  # honest run: no alarms
 
 
-class TestFixedBaseTables:
-    def test_a_deployment_holds_exactly_two_byte_wide_tables(self, tmp_path):
+class TestKernelContexts:
+    def test_a_deployment_holds_one_context(self, tmp_path):
         """The set-up of the benchmark's ``peer_ops_m1`` (16 durable peers,
-        one broker, every operation once): ``g`` and the judge's opening key
-        are byte-wide, the roster and every promoted key are not."""
+        one broker, every operation once): ``g``, the judge's opening key,
+        the roster and the coin's key all share the group's one Montgomery
+        context, and the coin's deposit leaves it where it was."""
         fastexp.clear_caches()
         net = WhoPayNetwork(
             params=PARAMS_TEST_512, store_dir=tmp_path, topology=BrokerTopology(shards=1)
@@ -176,13 +177,9 @@ class TestFixedBaseTables:
         p.rejoin()
         q.transfer(r.address, coin_y)
 
-        params, gpk = net.params, net.judge.group_public_key()
-        system = {params.g, gpk.opening_key.y}
-        for base in system:
-            assert fastexp.fixed_base(base, params.p).window == fastexp.SYSTEM_WINDOW
-        widths = {base: table.window for (base, _modulus), table in fastexp._tables.items()}
-        assert {base for base, window in widths.items() if window != fastexp.CACHED_WINDOW} == system
-        assert set(gpk.roster) | {coin_y} <= set(widths)
-        # The coin's promoted table lives as long as the coin: the deposit ends both.
+        kernel = fastexp._kernel
+        assert list(kernel._moduli) == [net.params.p]
+        context = kernel._moduli[net.params.p]
         r.deposit(coin_y)
-        assert set(widths) - {base for base, _modulus in fastexp._tables} == {coin_y}
+        assert list(kernel._moduli) == [net.params.p]
+        assert kernel._moduli[net.params.p] is context

@@ -2,9 +2,10 @@
 
 DESIGN §1: "numpy only in the simulator hot path".  Importing the protocol
 roles — peer, broker, the batching pipeline — and even the simulation
-engine's module must leave ``numpy``, ``multiprocessing`` and
-``concurrent.futures`` unloaded; each arrives with the first object that
-needs it.  Runs in a child interpreter: this one has long since imported
+engine's module must leave ``numpy``, ``multiprocessing``,
+``concurrent.futures`` and ``ctypes`` unloaded; each arrives with the first
+object that needs it (``ctypes`` with the first exponentiation, which loads
+the libcrypto kernel).  Runs in a child interpreter: this one has long since imported
 all three (pytest, hypothesis, the other tests).
 """
 
@@ -23,7 +24,7 @@ CHILD = """
 import json, sys
 from dataclasses import replace
 
-WATCHED = ("numpy", "multiprocessing", "concurrent.futures")
+WATCHED = ("numpy", "multiprocessing", "concurrent.futures", "ctypes")
 steps = {}
 
 def note(step):
@@ -67,7 +68,7 @@ def test_each_heavy_module_arrives_with_its_first_user():
     numpy = ["numpy"] if importlib.util.find_spec("numpy") is not None else []
     assert steps == {
         "roles imported": [],
-        "a network, a verification pool": [],
-        "fast engine built": numpy,
-        "parallel sweep run": numpy + ["multiprocessing", "concurrent.futures"],
+        "a network, a verification pool": ["ctypes"],
+        "fast engine built": numpy + ["ctypes"],
+        "parallel sweep run": numpy + ["multiprocessing", "concurrent.futures", "ctypes"],
     }

@@ -29,16 +29,33 @@ PRAGMA_SITES = [
     ("src/repro/sim/runner.py", 103, "WP102"),
 ]
 EXEMPTED = [
-    ("benchmarks/bench_crypto_ops.py", 123, "WP103"),
-    ("benchmarks/bench_crypto_ops.py", 201, "WP103"),
-    ("benchmarks/bench_crypto_ops.py", 207, "WP103"),
-    ("benchmarks/bench_crypto_ops.py", 207, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 121, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 199, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 205, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 205, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 230, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 230, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 231, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 231, "WP103"),
     ("benchmarks/bench_crypto_ops.py", 232, "WP103"),
     ("benchmarks/bench_crypto_ops.py", 232, "WP103"),
-    ("benchmarks/bench_crypto_ops.py", 233, "WP103"),
-    ("benchmarks/bench_crypto_ops.py", 233, "WP103"),
-    ("benchmarks/bench_crypto_ops.py", 234, "WP103"),
-    ("benchmarks/bench_crypto_ops.py", 234, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 255, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 256, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 271, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 271, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 272, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 272, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 272, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 273, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 273, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 281, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 281, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 281, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 315, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 319, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 320, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 321, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 362, "WP103"),
     ("examples/threshold_judges.py", 30, "WP111"),
     ("examples/threshold_judges.py", 57, "WP111"),
 ]
