@@ -3,9 +3,11 @@
 A complete, from-scratch reproduction of Wei, Chen, Smith & Vo (ICDCS 2006 /
 UCB/CSD-5-1386): the full cryptographic protocol suite, every substrate it
 depends on (signatures, group signatures, DHT, indirection overlay,
-in-memory network), the baselines it compares against (PPay, centralized
-anonymous transfer, layered coins, PayWord), and the operation-level
-simulator that regenerates every table and figure of the paper's evaluation.
+in-memory network), and the operation-level simulator that regenerates
+every table and figure of the paper's evaluation, including its PPay and
+centralized baselines (:mod:`repro.sim.baseline_sim`).  The two baselines
+also exist as protocol code in :mod:`repro.baselines`, which no figure
+reads yet.
 
 Quickstart::
 

@@ -9,9 +9,8 @@ under the funding identity, attached as opaque bytes.  The broker verifies
 the voucher's signature and reads the account from inside it; a payee or
 relay observing the envelope sees only ciphertext-shaped bytes.
 
-These constructors — alongside ``repro.crypto.blind`` — are the only
-functions the anonymity-taint rule (WP110) accepts as carriers of
-peer-identifying values into holder envelopes.
+These constructors are the only functions the anonymity-taint rule (WP110)
+accepts as carriers of peer-identifying values into holder envelopes.
 """
 
 from __future__ import annotations

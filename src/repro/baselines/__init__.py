@@ -1,4 +1,4 @@
-"""Baseline payment systems the paper compares against or builds on.
+"""Protocol-level implementations of the systems the paper compares against.
 
 * :mod:`repro.baselines.ppay` — PPay (Yang & Garcia-Molina, CCS 2003;
   paper Section 3.1): scalable like WhoPay but with owner *and* holder
@@ -7,17 +7,14 @@
   style online-transfer system where every transfer goes through the broker
   (paper Section 7): anonymous and fair but centralized.  The anonymity
   baseline.
-* :mod:`repro.baselines.layered` — layered-coin offline transfers (paper
-  Section 7): no third party per hop, but coins grow per transfer and
-  double-spending is only caught at deposit.
-* :mod:`repro.baselines.payword` — PayWord hash-chain credit windows that
-  aggregate micropayments into WhoPay payments (paper Section 7, last
-  paragraph).
+
+Every figure and ablation takes its baseline numbers from the
+operation-level model in :mod:`repro.sim.baseline_sim`, not from these
+classes; they stay as executable statements of the two protocols until
+they are measured against that model.
 """
 
 from repro.baselines.centralized import CentralizedBroker, CentralizedPeer
-from repro.baselines.layered import LayeredCoin, LayeredCoinSystem
-from repro.baselines.payword import PaywordCreditWindow
 from repro.baselines.ppay import PPayBroker, PPayPeer
 
 __all__ = [
@@ -25,7 +22,4 @@ __all__ = [
     "PPayPeer",
     "CentralizedBroker",
     "CentralizedPeer",
-    "LayeredCoin",
-    "LayeredCoinSystem",
-    "PaywordCreditWindow",
 ]

@@ -8,7 +8,7 @@ cryptography package is used.  The paper (Section 6.2, Table 2) assumes DSA
 1024-bit signatures and an "efficient group signature scheme" (Section 3.2);
 both are provided here, along with the auxiliary primitives the extensions
 need (ElGamal for the judge's opening key, Shamir secret sharing for
-threshold judges, PayWord hash chains for micropayment aggregation).
+threshold judges, and PayWord-style SHA-256 hash chains).
 
 The implementations are honest, working algorithms — signatures really
 verify, group signatures really hide and really open — but this is research

@@ -57,7 +57,7 @@ BATCH_RANDOMIZER_BITS = 64
 
 _MAX_MEMBERS = 8192  # memoized positive membership checks
 #: Montgomery contexts the kernel keeps, one per odd modulus, oldest out
-#: first: the Schnorr groups and a few RSA moduli are all a process uses.
+#: first: the Schnorr groups are all a process uses.
 _MAX_MODULI = 16
 
 

@@ -41,14 +41,16 @@ base^(q-c)`` for order-``q`` bases) with ``w_j = h_j^c_j`` computed once,
 used in ``t2`` and, inverted, in ``t3``: six exponentiations per clause,
 all ``w_j^-1`` from one modular inversion (:func:`group_verify_exact`).
 The signer simulating the foreign
-clauses chose ``r`` and holds ``x``, so ``c1^-c = g^(-rc)`` and ``c2^-c =
-g^(-xc) · y_J^(-rc)``; with ``u = s_r - r·c_j mod q``::
+clauses chose ``r`` and holds ``x`` with ``h = g^x``, so ``c1^-c =
+g^(-rc)`` and ``c2^-c = h^-c · y_J^(-rc)``; with ``u = s_r - r·c_j``, ``v =
+s_x - x·c_j`` (mod ``q``) and ``z_j = (h_j · h^-1)^c_j``::
 
-    t1 = g^u     t2 = y_J^u · g^(-x·c_j) · w_j     t3 = g^s_x · w_j^-1
+    t1 = g^u     t2 = y_J^u · z_j     t3 = g^v · z_j^-1
 
-— five exponentiations per clause where the verifier's form takes seven,
-none of them on the fresh ``c1``/``c2``, and the same integers: ``c_j, s_r,
-s_x`` are the same uniform draws.
+— four exponentiations per clause where the verifier's form takes seven,
+none of them on the fresh ``c1``/``c2``, one inversion of ``h`` and one
+batched inversion of the ``z_j`` per signature, and the same integers:
+``c_j, s_r, s_x`` are the same uniform draws.
 
 Deviation note (recorded in DESIGN.md §4): the paper assumes a hypothetical
 "efficient group signature scheme" with constant-size signatures and guesses
@@ -306,8 +308,8 @@ def group_sign(gpk: GroupPublicKey, member: GroupMemberKey, message: bytes) -> G
     :class:`GroupSignatureError`.
 
     The simulated clauses are computed over the signer's witness (module
-    docstring, "Clause arithmetic"): bases ``g``, ``y``, ``h_j`` only and one
-    modular inversion per signature.
+    docstring, "Clause arithmetic"): bases ``g``, ``y``, ``h_j/h`` only and
+    two modular inversions per signature.
     """
     params = gpk.params
     p, q = params.p, params.q
@@ -334,16 +336,21 @@ def group_sign(gpk: GroupPublicKey, member: GroupMemberKey, message: bytes) -> G
         challenges[j] = primitives.randbelow(q)
         responses_r[j] = primitives.randbelow(q)
         responses_x[j] = primitives.randbelow(q)
-    ws = [fastexp.mod_pow(gpk.roster[j], challenges[j], p, order=q) for j in foreign]
+    h_inv = primitives.modinv(member.h, p)
+    zs = [
+        fastexp.mod_pow(gpk.roster[j] * h_inv % p, challenges[j], p, order=q)
+        for j in foreign
+    ]
     pow_g = params.pow_g
-    for j, w, w_inv in zip(foreign, ws, primitives.batch_modinv(ws, p)):
-        # t1 = g**u ; t2 = y**u * g**(-x*c_j) * w_j ; t3 = g**s_x * w_j**-1
+    for j, z, z_inv in zip(foreign, zs, primitives.batch_modinv(zs, p)):
+        # t1 = g**u ; t2 = y**u * z_j ; t3 = g**v * z_j**-1
         c_j = challenges[j]
         u = (responses_r[j] - r * c_j) % q
+        v = (responses_x[j] - member.x * c_j) % q
         commitments[j] = (
             pow_g(u),
-            (fastexp.mod_pow(y, u, p, order=q) * pow_g(-member.x * c_j) * w) % p,
-            (pow_g(responses_x[j]) * w_inv) % p,
+            (fastexp.mod_pow(y, u, p, order=q) * z) % p,
+            (pow_g(v) * z_inv) % p,
         )
 
     # Honest commitment for the signer's clause.

@@ -7,9 +7,10 @@ A chain is built by repeatedly hashing a random seed::
 The anchor ``w_0`` is committed (in WhoPay's extension, signed alongside a
 credit-window agreement); revealing ``w_i`` then proves the payer authorized
 ``i`` unit payments, because producing a preimage chain of length ``i``
-ending at the anchor is infeasible without the seed.  Aggregation: many tiny
-payments become a single WhoPay payment when the window reaches a threshold
-(see :mod:`repro.baselines.payword`).
+ending at the anchor is infeasible without the seed.  The paper's Section 7
+aggregates many such unit payments into one WhoPay payment.  No protocol in
+this package does that yet: the chain is a primitive of :mod:`repro.crypto`,
+timed by ``benchmarks/bench_crypto_ops.py``.
 """
 
 from __future__ import annotations

@@ -49,6 +49,21 @@ def is_rpc_call(func: ast.Attribute) -> bool:
     return func.attr == "call" and receiver_attr(func.value) in _RPC_RECEIVERS
 
 
+def is_journal_call(call: ast.Call, self_methods: frozenset[str]) -> bool:
+    """A journal write: ``self.<one of self_methods>(...)``,
+    ``<...>.store.append[_many](...)`` or ``<...committer...>.stage(...)``
+    (WP111's journal sink, WP112's discharge)."""
+    func = call.func
+    if not isinstance(func, ast.Attribute):
+        return False
+    chain = chain_parts(func.value)
+    return (
+        (func.attr in self_methods and chain[:1] == ["self"])
+        or (func.attr in ("append", "append_many") and chain[-1:] == ["store"])
+        or (func.attr == "stage" and any("committer" in part for part in chain))
+    )
+
+
 def identifier_parts(identifier: str) -> set[str]:
     """Snake-case parts of an identifier, lowercased (``sig_r`` → {sig, r})."""
     return {part for part in identifier.lower().split("_") if part}

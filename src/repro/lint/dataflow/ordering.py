@@ -33,7 +33,7 @@ import ast
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.lint.asthelpers import MUTATOR_METHODS, chain_parts
+from repro.lint.asthelpers import MUTATOR_METHODS, chain_parts, is_journal_call
 from repro.lint.dataflow.callgraph import (
     FunctionIndex,
     FunctionInfo,
@@ -279,19 +279,6 @@ class ObligationAnalysis(_PathAnalysis):
             return True
         return not fn.name.startswith("_")
 
-    def _journal_call(self, call: ast.Call) -> bool:
-        func = call.func
-        if not isinstance(func, ast.Attribute):
-            return False
-        chain = chain_parts(func.value)
-        if func.attr in self.config.journal_methods and chain[:1] == ["self"]:
-            return True
-        if func.attr in ("append", "append_many") and chain and chain[-1] == "store":
-            return True
-        if func.attr == "stage" and any("committer" in part for part in chain):
-            return True
-        return False
-
     def _egress_call(self, call: ast.Call) -> bool:
         func = call.func
         if not isinstance(func, ast.Attribute):
@@ -306,7 +293,7 @@ class ObligationAnalysis(_PathAnalysis):
         non-primitive callees."""
         events: list[tuple[str, object]] = []
         for call in _calls_in_order(stmt):
-            if self._journal_call(call):
+            if is_journal_call(call, self.config.journal_methods):
                 events.append(("J", None))
                 continue
             if self._egress_call(call):

@@ -9,9 +9,8 @@ signature, never the identity key — so a peer-identifying value
 ``Peer._holder_envelope`` arguments) breaks the guarantee the paper is
 named for.
 
-Sanctioned declassification points: the blinding constructors in
-``repro.crypto.blind`` and the pseudonym/voucher constructors in
-``repro.anonymity`` — flows through those are deliberate, reviewed
+Sanctioned declassification points: the pseudonym/voucher constructors
+in ``repro.anonymity`` — flows through those are deliberate, reviewed
 linkage (e.g. a funding voucher that names the debited account *inside*
 an identity-signed blob the broker must verify anyway).
 """
@@ -28,9 +27,7 @@ from repro.lint.engine import Program
 from repro.lint.registry import Rule, register
 
 _SCOPE = ("repro.core.peer", "repro.core.anonymous_owner", "repro.core.coinshop")
-_SANCTIONED = frozenset(
-    {"blind", "unblind", "funding_voucher", "bearer_account", "pseudonym"}
-)
+_SANCTIONED = frozenset({"funding_voucher", "bearer_account", "pseudonym"})
 _IDENTIFYING_ATTRS = frozenset({"address", "identity"})
 
 
@@ -84,8 +81,8 @@ class AnonymityTaintSpec(TaintSpec):
     def message(self, sink_description: str) -> str:
         return (
             f"peer-identifying value flows into the anonymous channel "
-            f"({sink_description}) — route it through repro.crypto.blind or a "
-            "repro.anonymity pseudonym/voucher constructor"
+            f"({sink_description}) — route it through a repro.anonymity "
+            "pseudonym/voucher constructor"
         )
 
 
@@ -96,7 +93,7 @@ class AnonymityTaint(Rule):
     scope = "program"
     rationale = (
         "The holder envelope is the anonymous channel: a peer id, account "
-        "address, or identity key flowing into it un-blinded lets the broker "
+        "address, or identity key flowing into it in the clear lets the broker "
         "link coins to peers — the exact linkage the paper's anonymity "
         "guarantee forbids."
     )

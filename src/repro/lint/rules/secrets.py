@@ -18,7 +18,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.lint.asthelpers import chain_parts
+from repro.lint.asthelpers import chain_parts, is_journal_call
 from repro.lint.dataflow.callgraph import FunctionInfo, get_index
 from repro.lint.dataflow.taint import TaintAnalysis, TaintSpec
 from repro.lint.diagnostics import Diagnostic
@@ -35,7 +35,6 @@ _EXEMPT_PREFIXES = (
     "repro.anonymity",
     "repro.indirection",
     "repro.core.persistence",
-    "repro.baselines",
     "repro.lint",
 )
 
@@ -72,20 +71,17 @@ class SecretEgressSpec(TaintSpec):
         self, call: ast.Call, fn: FunctionInfo
     ) -> list[tuple[ast.expr, str]]:
         func = call.func
-        sinks: list[tuple[ast.expr, str]] = []
-        if isinstance(func, ast.Attribute):
-            chain = chain_parts(func.value)
-            if func.attr in _JOURNAL_SELF_METHODS and chain[:1] == ["self"]:
-                sinks.extend((arg, "a journal record") for arg in call.args)
-            elif func.attr in ("append", "append_many") and chain and chain[-1] == "store":
-                sinks.extend((arg, "a journal record") for arg in call.args)
-            elif func.attr == "stage" and any("committer" in p for p in chain):
-                sinks.extend((arg, "a journal record") for arg in call.args)
-            elif func.attr in _LOG_METHODS and chain[:1] in (["log"], ["logger"], ["logging"]):
-                sinks.extend((arg, "a log message") for arg in call.args)
-        elif isinstance(func, ast.Name) and func.id == "print":
-            sinks.extend((arg, "printed output") for arg in call.args)
-        return sinks
+        if is_journal_call(call, _JOURNAL_SELF_METHODS):
+            return [(arg, "a journal record") for arg in call.args]
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr in _LOG_METHODS
+            and chain_parts(func.value)[:1] in (["log"], ["logger"], ["logging"])
+        ):
+            return [(arg, "a log message") for arg in call.args]
+        if isinstance(func, ast.Name) and func.id == "print":
+            return [(arg, "printed output") for arg in call.args]
+        return []
 
     def raise_is_sink(self, fn: FunctionInfo) -> str | None:
         return "an exception message"

@@ -629,10 +629,10 @@ class TestMembershipMemo:
 
 class TestSignerPowers:
     @pytest.mark.parametrize("n", [4, 16])
-    def test_five_per_clause_against_seven(self, monkeypatch, n):
-        # Per simulated clause h_j**c_j, g**u, y**u, g**(-x*c_j), g**s_x; c1,
-        # y**r and the honest clause's three commitments make the other five.
-        # The replica simulates as a verifier would: seven per clause.
+    def test_four_per_clause_against_seven(self, monkeypatch, n):
+        # Per simulated clause (h_j/h)**c_j, g**u, y**u, g**v; c1, y**r and
+        # the honest clause's three commitments make the other five.  The
+        # replica simulates as a verifier would: seven per clause.
         _manager, members, gpk = _roster(PARAMS_TEST_512, n)
         kernel, native = [], []
         original = fastexp._power
@@ -642,7 +642,7 @@ class TestSignerPowers:
         )
         group_sign(gpk, members[1], b"m")
         bench_crypto_ops.baseline_group_sign(gpk, members[1], b"m")
-        assert len(kernel) == 5 * (n - 1) + 5
+        assert len(kernel) == 4 * (n - 1) + 5
         assert len(native) == 7 * (n - 1) + 5
 
 

@@ -83,32 +83,6 @@ class TestOwnerlessWithDetection:
         # could unmask the anonymous owner if presented with the evidence.
 
 
-class TestPaywordOverCoinShop:
-    def test_micropayments_settle_with_shop_coins(self):
-        from repro.baselines.payword import PaywordCreditWindow
-
-        net = WhoPayNetwork(params=P)
-        member = net.judge.register("shop")
-        shop = CoinShop(
-            net.transport, address="shop", params=net.params, clock=net.clock,
-            judge=net.judge, member_key=member, broker_address=net.broker.address,
-            broker_key=net.broker.public_key,
-        )
-        net.broker.open_account("shop", shop.identity.public, 100)
-        net.peers["shop"] = shop
-        listener = net.add_peer("listener")
-        station = net.add_peer("station")
-        for _ in range(3):
-            buy_coin_from_shop(listener, shop)
-        window = PaywordCreditWindow(listener, station, chain_length=30, threshold=10)
-        for _ in range(30):
-            window.micropay()
-        # Settlements were anonymous transfers of shop-issued coins.
-        assert window.whopay_payments_made == 3
-        assert listener.counts.issues == 0
-        assert len(station.wallet) == 3
-
-
 class TestOnionOverDetection:
     def test_anonymized_peer_with_dht_verification(self):
         from repro.anonymity.onion import OnionOverlay, anonymize_node

@@ -136,17 +136,17 @@ class TestInterproceduralTaint:
             [
                 (
                     "peer.py",
-                    "from repro.crypto.blind import blind_value\n"
+                    "from repro.crypto.elgamal import seal_value\n"
                     "class P:\n"
                     "    def entry(self, held):\n"
-                    "        token = blind_value(self.address)\n"
+                    "        token = seal_value(self.address)\n"
                     "        return self._holder_envelope(held, 'op', field=token)\n",
                     "repro.core.peer",
                 ),
                 (
-                    "blind.py",
-                    "def blind_value(x):\n    return x\n",
-                    "repro.crypto.blind",
+                    "elgamal.py",
+                    "def seal_value(x):\n    return x\n",
+                    "repro.crypto.elgamal",
                 ),
             ]
         )
