@@ -26,15 +26,14 @@ from repro.lint.engine import Program
 from repro.lint.registry import Rule, register
 
 #: Modules allowed to handle raw secrets: the crypto/anonymity primitives
-#: themselves, the serializer/recovery layer (at-rest custody is its job),
-#: persistence export (optional encryption handled there), and lint.
+#: themselves, the serializer/recovery layer (at-rest custody is its job,
+#: snapshots included), and lint.
 _EXEMPT_PREFIXES = (
     "repro.crypto",
     "repro.messages",
     "repro.store",
     "repro.anonymity",
     "repro.indirection",
-    "repro.core.persistence",
     "repro.lint",
 )
 

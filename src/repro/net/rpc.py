@@ -183,11 +183,6 @@ class ReplayCache:
         """Entries oldest-first, for durable snapshots of dedupe state."""
         return list(self._entries.items())
 
-    def restore_entries(self, items: list[tuple[tuple[str, str], Any]]) -> None:
-        """Refill from :meth:`snapshot_entries` output, preserving LRU order."""
-        for key, value in items:
-            self.store(tuple(key), value)
-
 
 @dataclass
 class RpcStats:

@@ -14,13 +14,13 @@ production deployment would put under that assumption:
 * :mod:`repro.store.groupcommit` — group commit: stage many records, fsync
   them as one atomic group frame, release replies only afterwards;
 * :mod:`repro.store.apply` — the single mutation-application layer shared
-  by the live broker path and recovery replay (the only code outside
-  :mod:`repro.core.persistence` allowed to touch durable broker fields —
-  lint rule WP106 enforces this);
-* :mod:`repro.store.records` — canonical wallet-entry serializers shared
-  by peer journaling and :mod:`repro.core.persistence`;
-* :mod:`repro.store.recovery` — rebuilds a broker or peer from
-  snapshot + replay and re-verifies every replayed signature;
+  by the live broker path and recovery replay (the only code allowed to
+  touch durable broker fields — lint rule WP106 enforces this);
+* :mod:`repro.store.records` — canonical journal-record serializers shared
+  by peer journaling, the snapshots that compact the journal, and replay;
+* :mod:`repro.store.recovery` — rebuilds a broker or peer by replaying its
+  snapshot's records and then its journal's, and re-verifies every
+  replayed signature;
 * :mod:`repro.store.audit` — the post-recovery invariant auditor.
 
 See ``docs/DURABILITY.md`` for the journal format and crash-point model.

@@ -4,9 +4,10 @@ Every durable broker mutation is described by a small codec-encodable dict
 (a *mutation record*) and applied by exactly one function here.  The live
 broker path stages a mutation and applies it through this module before
 replying; recovery replays the same records through the same functions —
-so replay equivalence is structural, not hoped-for.  Lint rule WP106
-enforces that no other module (besides :mod:`repro.core.persistence`)
-touches the durable fields directly.
+so replay equivalence is structural, not hoped-for.  A snapshot is the
+same records compacted (:mod:`repro.core.persistence`), so it too is
+rebuilt here.  Lint rule WP106 enforces that no other module touches the
+durable fields directly.
 
 Value moves through six primitive **effects**, the rows of :data:`EFFECTS`
 (tabulated in docs/FEDERATION.md).  The paper's Section 2 security property
@@ -18,8 +19,11 @@ its ``account`` or ``coin_y``; a record carries what *one shard* applies:
 
 ``broker_init``        address + signing key (first record of a fresh store)
 ``open_account``       a lone ``credit``: value enters the system here
+``snapshot_effects``   a snapshot's balances, coins and retirements (the
+                       deltas sum to its ``total_opened``, not to zero)
 ``move``               a whole operation on one shard (deltas must cancel)
 ``downtime_binding``   downtime transfer/renewal: record binding + pending sync
+``pending_sync``       set an owner's whole pending-sync set (a snapshot's)
 ``sync_consumed``      an owner's pending-sync set was delivered and cleared
 ``handoff_begin``      source half of a cross-shard operation, *reserved*:
                        journaled before any prepare RPC, applied at commit
@@ -260,11 +264,11 @@ def validate_effects(broker: "Broker", effects: Any, held: Reserved | None = Non
 
 
 def _apply_effects(broker: "Broker", effects: list[dict[str, Any]], whole: bool = False) -> None:
-    """The one place value moves on a shard — and, outside snapshot
-    restore, the only place ``total_opened`` is adjusted: by the sum of the
-    applied deltas, which for a ``whole`` operation must be zero (checked
-    before anything is touched: neither a handler bug nor a tampered
-    journal may mint or burn value through a ``move``)."""
+    """The one place value moves on a shard, and the only place
+    ``total_opened`` is adjusted: by the sum of the applied deltas, which
+    for a ``whole`` operation must be zero (checked before anything is
+    touched: neither a handler bug nor a tampered journal may mint or burn
+    value through a ``move``)."""
     moved = sum(EFFECTS[effect["effect"]].sign * effect["amount"] for effect in effects)
     if whole and moved:
         raise MutationRefused("a whole operation's effects must cancel")
@@ -280,7 +284,9 @@ def _apply_broker_init(broker: "Broker", mut: dict[str, Any]) -> None:
     broker.keypair = KeyPair.from_secret(broker.params, mut["signing_x"])
 
 
-def _apply_open_account(broker: "Broker", mut: dict[str, Any]) -> None:
+def _apply_unpaired(broker: "Broker", mut: dict[str, Any]) -> None:
+    """Effects whose deltas need not cancel: an account opening, or the
+    balances, coins and retirements a snapshot rebuilds."""
     _apply_effects(broker, mut["effects"])
 
 
@@ -295,6 +301,10 @@ def _apply_downtime_binding(broker: "Broker", mut: dict[str, Any]) -> None:
     broker.downtime_bindings[mut["coin_y"]] = binding
     if mut["owner"] is not None:
         broker.pending_sync.setdefault(mut["owner"], set()).add(mut["coin_y"])
+
+
+def _apply_pending_sync(broker: "Broker", mut: dict[str, Any]) -> None:
+    broker.pending_sync[mut["owner"]] = set(mut["coins"])
 
 
 def _apply_sync_consumed(broker: "Broker", mut: dict[str, Any]) -> None:
@@ -325,9 +335,11 @@ def _apply_xshard(broker: "Broker", mut: dict[str, Any]) -> None:
 
 _APPLIERS: dict[str, Callable[["Broker", dict[str, Any]], None]] = {
     "broker_init": _apply_broker_init,
-    "open_account": _apply_open_account,
+    "open_account": _apply_unpaired,
+    "snapshot_effects": _apply_unpaired,
     "move": _apply_move,
     "downtime_binding": _apply_downtime_binding,
+    "pending_sync": _apply_pending_sync,
     "sync_consumed": _apply_sync_consumed,
     "handoff_begin": _apply_handoff_begin,
     "handoff_commit": _apply_handoff_commit,

@@ -22,7 +22,7 @@ first — a corrupted store should be diagnosed in one pass):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro.core.errors import ProtocolError
 from repro.crypto.dsa import dsa_batch_verify, dsa_verify
@@ -41,16 +41,6 @@ class AuditReport:
     accounts_checked: int = 0
     coins_checked: int = 0
     bindings_checked: int = 0
-
-    def summary(self) -> dict[str, Any]:
-        """Plain-dict view (chaos tests diff these across replayed runs)."""
-        return {
-            "ok": self.ok,
-            "failures": list(self.failures),
-            "accounts_checked": self.accounts_checked,
-            "coins_checked": self.coins_checked,
-            "bindings_checked": self.bindings_checked,
-        }
 
 
 def audit_broker(broker: "Broker", expected_total: int | None = None) -> AuditReport:

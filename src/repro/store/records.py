@@ -1,10 +1,11 @@
-"""Canonical wallet-entry (de)serializers.
+"""Canonical journal-record (de)serializers.
 
-One entry shape per wallet side, shared by three consumers so they can
-never drift: :mod:`repro.core.persistence` snapshots, the peer's journal
-records (``wallet_put`` / ``owned_put``), and recovery replay.  The
-restore functions re-verify every certificate and binding against the
-broker key — a corrupted or tampered store must not inject bogus coins.
+One entry shape per wallet side, shared by the peer's journal records
+(``wallet_put`` / ``owned_put``), the snapshots that compact them
+(:mod:`repro.core.persistence` writes the same records), and recovery
+replay, so they can never drift.  The restore functions re-verify every
+certificate and binding against the broker key — a corrupted or tampered
+store must not inject bogus coins.
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ from repro.crypto.keys import KeyPair
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.peer import Peer
     from repro.crypto.group_signature import GroupMemberKey
+
+#: Format tags of the two snapshot kinds.  A snapshot is the list of journal
+#: records that rebuilds its entity; recovery refuses any other format.
+BROKER_SNAPSHOT = "whopay.broker.v2"
+WALLET_SNAPSHOT = "whopay.wallet.v2"
 
 
 def peer_init_record(

@@ -1,150 +1,160 @@
-"""Wallet persistence tests: restart survival, tamper rejection, encryption."""
+"""Wallet persistence tests: restart survival, tamper rejection, encryption.
+
+Each test snapshots a durable peer's wallet (compacting its journal), kills
+the peer and recovers it from the snapshot alone: the snapshot is a
+compacted journal, replayed through the same path as the live journal.
+"""
 
 import pytest
 
+from repro.anonymity.cipher import CipherError
 from repro.core.errors import VerificationFailed
-from repro.core.peer import Peer
-from repro.core.persistence import export_peer_state, restore_peer_state
-from repro.core.network import PeerConfig
+from repro.core.network import PeerConfig, WhoPayNetwork
+from repro.core.persistence import save_peer_snapshot
+from repro.crypto.params import PARAMS_TEST_512
+from repro.messages.codec import decode, encode
+from repro.store.recovery import RecoveryError, RecoveryManager
 
 
-def restart_peer(net, old_peer):
-    """Simulate a process restart: tear down and rebuild the node."""
-    net.transport.unregister(old_peer.address)
-    fresh = Peer(
+@pytest.fixture()
+def durable_trio(tmp_path):
+    """(net, alice, bob, carol), every wallet journaled, alice funded."""
+    net = WhoPayNetwork(params=PARAMS_TEST_512, store_dir=tmp_path)
+    alice = net.add_peer("alice", PeerConfig(balance=25, durable=True))
+    bob = net.add_peer("bob", PeerConfig(balance=10, durable=True))
+    carol = net.add_peer("carol", PeerConfig(durable=True))
+    return net, alice, bob, carol
+
+
+def snapshot_and_restart(net, peer):
+    """Snapshot ``peer``, kill it, and recover it from the snapshot alone."""
+    save_peer_snapshot(peer, peer.store)
+    result = net.restart_peer(peer.address)
+    assert result.snapshot_loaded and result.records_replayed == 0
+    return net.peers[peer.address]
+
+
+def recover(net, peer, **kwargs):
+    """Kill ``peer`` and recover it with explicit recovery options."""
+    net.transport.unregister(peer.address)
+    result = RecoveryManager(peer.store).recover_peer(
         net.transport,
-        address=old_peer.address,
         params=net.params,
         clock=net.clock,
         judge=net.judge,
-        member_key=old_peer.member_key,  # placeholder; restore overwrites
         broker_address=net.broker.address,
         broker_key=net.broker.public_key,
-        sync_mode=old_peer.sync_mode,
-        renewal_period=old_peer.renewal_period,
+        **kwargs,
     )
-    net.peers[old_peer.address] = fresh
-    return fresh
+    net.peers[peer.address] = result.entity
+    return result.entity
+
+
+def coins(peer) -> int:
+    return len(peer.wallet) + len(peer.owned)
 
 
 class TestRoundTrip:
-    def test_holder_state_survives_restart(self, funded_trio):
-        net, alice, bob, carol = funded_trio
+    def test_holder_state_survives_restart(self, durable_trio):
+        net, alice, bob, carol = durable_trio
         state = alice.purchase(value=2)
         alice.issue("bob", state.coin_y)
-        blob = export_peer_state(bob)
-        bob2 = restart_peer(net, bob)
-        assert restore_peer_state(bob2, blob) == 1
-        # The restored peer can actually spend the coin.
+        bob2 = snapshot_and_restart(net, bob)
+        assert coins(bob2) == 1
+        # The recovered peer can actually spend the coin.
         bob2.transfer("carol", state.coin_y)
         assert state.coin_y in carol.wallet
 
-    def test_owner_state_survives_restart(self, funded_trio):
-        net, alice, bob, carol = funded_trio
+    def test_owner_state_survives_restart(self, durable_trio):
+        net, alice, bob, carol = durable_trio
         state = alice.purchase()
         alice.issue("bob", state.coin_y)
         bob.transfer("carol", state.coin_y)
-        blob = export_peer_state(alice)
-        alice2 = restart_peer(net, alice)
-        restore_peer_state(alice2, blob)
-        # The restored owner serves transfers with the right coin secret,
+        alice2 = snapshot_and_restart(net, alice)
+        # The recovered owner serves transfers with the right coin secret,
         # and kept its relinquishment audit trail.
         carol.transfer("bob", state.coin_y)
-        assert state.coin_y in bob.wallet
+        assert state.coin_y in net.peers["bob"].wallet
         assert len(alice2.owned[state.coin_y].relinquishments) == 2
 
-    def test_identity_survives_for_broker_account(self, funded_trio):
-        net, alice, _bob, _carol = funded_trio
-        blob = export_peer_state(alice)
-        alice2 = restart_peer(net, alice)
-        restore_peer_state(alice2, blob)
+    def test_identity_survives_for_broker_account(self, durable_trio):
+        net, alice, _bob, _carol = durable_trio
+        alice2 = snapshot_and_restart(net, alice)
         # Purchases still authenticate against the existing account.
         alice2.purchase()
         assert net.broker.balance("alice") == 24
 
-    def test_group_membership_survives(self, funded_trio):
-        net, alice, bob, _carol = funded_trio
+    def test_group_membership_survives(self, durable_trio):
+        net, alice, bob, _carol = durable_trio
         state = alice.purchase()
         alice.issue("bob", state.coin_y)
-        blob = export_peer_state(bob)
-        bob2 = restart_peer(net, bob)
-        restore_peer_state(bob2, blob)
+        bob2 = snapshot_and_restart(net, bob)
         # Deposits need a valid group signature from the SAME member.
         assert bob2.deposit(state.coin_y) == 1
 
-    def test_empty_peer_roundtrip(self, funded_trio):
-        net, _alice, _bob, carol = funded_trio
-        blob = export_peer_state(carol)
-        carol2 = restart_peer(net, carol)
-        assert restore_peer_state(carol2, blob) == 0
+    def test_empty_peer_roundtrip(self, durable_trio):
+        net, _alice, _bob, carol = durable_trio
+        assert coins(snapshot_and_restart(net, carol)) == 0
 
 
 class TestSafety:
-    def test_wrong_address_rejected(self, funded_trio):
-        net, alice, bob, _carol = funded_trio
-        blob = export_peer_state(alice)
-        with pytest.raises(VerificationFailed, match="belongs to"):
-            restore_peer_state(bob, blob)
+    def test_garbage_rejected(self, durable_trio):
+        net, alice, _bob, _carol = durable_trio
+        alice.store.snapshot(b"not a wallet")
+        with pytest.raises(RecoveryError, match="snapshot"):
+            net.restart_peer("alice")
 
-    def test_garbage_rejected(self, funded_trio):
-        _net, alice, _bob, _carol = funded_trio
-        with pytest.raises(Exception):
-            restore_peer_state(alice, b"not a wallet")
-
-    def test_tampered_coin_rejected(self, funded_trio):
-        from repro.messages.codec import decode, encode
-
-        net, alice, bob, _carol = funded_trio
+    def test_tampered_coin_rejected(self, durable_trio):
+        net, alice, bob, _carol = durable_trio
         state = alice.purchase()
         alice.issue("bob", state.coin_y)
-        data = decode(export_peer_state(bob))
-        entry = dict(data["held"][0])
-        entry["holder_x"] = 12345  # claim a different holder secret
-        data = dict(data)
-        data["held"] = (entry,)
+        save_peer_snapshot(bob, bob.store)
+        blob, _records, _torn = bob.store.load()
+        data = decode(blob)
+        (record,) = data["records"]
+        (put,) = [mut for mut in record["muts"] if mut["type"] == "wallet_put"]
+        put["entry"]["holder_x"] = 12345  # claim a different holder secret
+        bob.store.snapshot(encode(data))
         with pytest.raises(VerificationFailed, match="holder key"):
-            restore_peer_state(bob, encode(data))
+            net.restart_peer("bob")
 
-    def test_encryption_roundtrip(self, funded_trio):
-        net, alice, bob, carol = funded_trio
+    def test_encryption_roundtrip(self, durable_trio):
+        net, alice, bob, _carol = durable_trio
         state = alice.purchase()
         alice.issue("bob", state.coin_y)
         key = b"k" * 32
-        blob = export_peer_state(bob, encryption_key=key)
+        save_peer_snapshot(bob, bob.store, encryption_key=key)
+        blob, _records, _torn = bob.store.load()
         assert blob.startswith(b"enc:")
-        bob2 = restart_peer(net, bob)
-        assert restore_peer_state(bob2, blob, encryption_key=key) == 1
+        assert coins(recover(net, bob, encryption_key=key)) == 1
 
-    def test_encrypted_blob_requires_key(self, funded_trio):
-        _net, alice, _bob, _carol = funded_trio
-        blob = export_peer_state(alice, encryption_key=b"k" * 32)
-        with pytest.raises(VerificationFailed, match="key required"):
-            restore_peer_state(alice, blob)
+    def test_encrypted_blob_requires_key(self, durable_trio):
+        net, alice, _bob, _carol = durable_trio
+        save_peer_snapshot(alice, alice.store, encryption_key=b"k" * 32)
+        with pytest.raises(RecoveryError, match="encryption key"):
+            recover(net, alice)
 
-    def test_wrong_key_rejected(self, funded_trio):
-        from repro.anonymity.cipher import CipherError
-
-        _net, alice, _bob, _carol = funded_trio
-        blob = export_peer_state(alice, encryption_key=b"k" * 32)
+    def test_wrong_key_rejected(self, durable_trio):
+        net, alice, _bob, _carol = durable_trio
+        save_peer_snapshot(alice, alice.store, encryption_key=b"k" * 32)
         with pytest.raises(CipherError):
-            restore_peer_state(alice, blob, encryption_key=b"x" * 32)
+            recover(net, alice, encryption_key=b"x" * 32)
 
 
 class TestDetectionIntegration:
-    def test_restore_rearms_dht_monitoring(self, detection_network):
+    def test_restore_rearms_dht_monitoring(self, tmp_path):
         from repro.core.coin import CoinBinding
 
-        net = detection_network
+        net = WhoPayNetwork(
+            params=PARAMS_TEST_512, enable_detection=True, dht_size=4, store_dir=tmp_path
+        )
         alice = net.add_peer("alice", PeerConfig(balance=10))
-        bob = net.add_peer("bob")
+        bob = net.add_peer("bob", PeerConfig(durable=True))
         state = alice.purchase()
         alice.issue("bob", state.coin_y)
-        blob = export_peer_state(bob)
-        bob2 = restart_peer(net, bob)
-        bob2.detection = net.detection
-        restore_peer_state(bob2, blob)
+        bob2 = snapshot_and_restart(net, bob)
         # A fraudulent re-bind after the restart still raises the alarm:
-        # the restore re-subscribed the restored wallet's coins.
+        # the recovered wallet's coins are still watched.
         evil = CoinBinding.build(
             state.coin_keypair,
             coin_y=state.coin_y,

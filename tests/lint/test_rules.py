@@ -167,7 +167,9 @@ class TestWP106DurableFieldDiscipline:
     def test_good_is_silent(self):
         assert findings_for("WP106", "wp106_good.py") == []
 
-    def test_store_and_persistence_are_exempt(self):
+    def test_store_is_exempt_and_persistence_is_not(self):
+        # A snapshot is a compacted journal rebuilt through repro.store.apply,
+        # so the snapshot writer gets no licence to touch durable fields.
         from repro.lint import lint_sources
 
         source = "def f(broker, y, data):\n    broker.deposited[y] = data\n"
@@ -175,7 +177,7 @@ class TestWP106DurableFieldDiscipline:
         persistence = lint_sources([("persistence.py", source, "repro.core.persistence")])
         outside = lint_sources([("broker.py", source, "repro.core.broker")])
         assert [d for d in inside.findings if d.code == "WP106"] == []
-        assert [d for d in persistence.findings if d.code == "WP106"] == []
+        assert len([d for d in persistence.findings if d.code == "WP106"]) == 1
         assert len([d for d in outside.findings if d.code == "WP106"]) == 1
 
 
