@@ -331,10 +331,6 @@ class PPayPeer(Node):
 
     # -- directory -----------------------------------------------------------
 
-    def learn_identity(self, address: str, key: PublicKey) -> None:
-        """PKI stand-in: record another peer's identity key."""
-        self.identities[address] = key
-
     def _identity_of(self, address: str) -> PublicKey:
         try:
             return self.identities[address]

@@ -58,7 +58,7 @@ class AnonymousOwnerPeer(Peer):
         """Buy an ownerless coin and claim its i3 handle."""
         coin_keypair = KeyPair.generate(self.params)
         handle, token = I3Overlay.mint_handle(int_to_bytes(coin_keypair.x))
-        state = self._purchase(coin_keypair, value, account, handle)
+        state = self._purchase([(coin_keypair, handle)], value, account)[0]
         self.i3.insert_trigger(handle, token, self.address, src=self.address)
         self._handle_tokens[state.coin_y] = token
         return state

@@ -200,7 +200,6 @@ class Broker(Node):
             self.bind_store(store)
 
         self.on(protocol.PURCHASE, self._handle_purchase)
-        self.on(protocol.PURCHASE_BATCH, self._handle_purchase_batch)
         self.on(protocol.DEPOSIT, self._handle_deposit)
         self.on(protocol.DOWNTIME_TRANSFER, self._handle_downtime_transfer)
         self.on(protocol.DOWNTIME_RENEWAL, self._handle_downtime_renewal)
@@ -646,45 +645,38 @@ class Broker(Node):
 
     # -- handlers --------------------------------------------------------------
 
-    def _handle_purchase(self, src: str, data: bytes) -> bytes:
-        """Purchase (Section 4.2): a batch of one."""
-        return self._purchase(src, data, protocol.PURCHASE)[0]
-
-    def _handle_purchase_batch(self, src: str, data: bytes) -> list[bytes]:
-        """Batch purchase: one signed request, many coins (Section 4.2)."""
-        return self._purchase(src, data, protocol.PURCHASE_BATCH)
-
-    def _purchase(self, src: str, data: bytes, kind: str) -> list[bytes]:
-        """Verify identity, sign the coins, debit the total, mint each coin.
+    def _handle_purchase(self, src: str, data: bytes) -> list[bytes]:
+        """Purchase (Section 4.2): verify identity, sign the coins, debit the
+        total, mint each coin; returns the certificates in request order.
 
         Atomic (all minted and the total debited, or nothing) and counted
-        as one broker operation — the amortization batching is for.
+        as one broker operation however many coins it buys — the
+        amortization the paper's batch remark is for.
         """
         self.counts.purchases += 1
-        single = kind == protocol.PURCHASE
-        label = "purchase" if single else "batch purchase"
         try:
             signed = protocol.decode_signed(data, self.params)
-            if single:
-                request = protocol.PurchaseRequest.from_payload(signed.payload)
-                pairs: Any = ((request.coin_y, request.value),)
-            else:
-                request = protocol.BatchPurchaseRequest.from_payload(signed.payload)
-                pairs = request.coins
+            request = protocol.PurchaseRequest.from_payload(signed.payload)
         except (ValueError, KeyError, TypeError) as exc:
-            raise ProtocolError(f"malformed {label}: {exc}") from exc
+            raise ProtocolError(f"malformed purchase: {exc}") from exc
         if not self._crypto_preverified(data)[0] and not signed.verify():
-            raise VerificationFailed(f"{label} signature invalid")
-        if single and request.anonymous:
-            # Section 5.2 approach 3: ownerless coin — the certificate binds
-            # only the handle and the coin key.  The broker cannot map the
-            # coin to its owner afterwards, so no owner index entry is made
-            # (which is why lazy synchronization replaces sync for these).
-            owner = {"owner_address": None, "owner_y": None, "handle": request.handle}
-        else:
-            owner = {"owner_address": src, "owner_y": signed.signer.y, "handle": None}
+            raise VerificationFailed("purchase signature invalid")
+        # A spec with a handle is a Section 5.2 approach-3 ownerless coin:
+        # the certificate binds only the handle and the coin key.  The broker
+        # cannot map the coin to its owner afterwards, so no owner index
+        # entry is made (which is why lazy synchronization replaces sync).
         coins = Coin.build_batch(
-            self.keypair, [dict(owner, coin_y=coin_y, value=value) for coin_y, value in pairs]
+            self.keypair,
+            [
+                {
+                    "coin_y": spec.coin_y,
+                    "value": spec.value,
+                    "owner": src if spec.handle is None else None,
+                    "owner_y": signed.signer.y if spec.handle is None else None,
+                    "handle": spec.handle,
+                }
+                for spec in request.coins
+            ],
         )
         minted = [coin.encode() for coin in coins]
         total = sum(coin.value for coin in coins)
@@ -694,7 +686,7 @@ class Broker(Node):
             store_apply.effect("mint", coin.value, coin_y=coin.coin_y, coin=raw)
             for coin, raw in zip(coins, minted)
         ]
-        return self._move_value(kind, data, effects, minted)
+        return self._move_value(protocol.PURCHASE, data, effects, minted)
 
     def _handle_deposit(self, src: str, data: bytes) -> dict[str, Any]:
         """Deposit: verify holdership + membership, credit, retire the coin."""
@@ -768,15 +760,8 @@ class Broker(Node):
         # (the debit's table row); the signature is checked here.
         if not auth.verify():
             raise VerificationFailed("funding authorization signature invalid")
-        payload = coin.payload
-        new_coin = Coin.build(
-            self.keypair,
-            coin_y=coin.coin_y,
-            value=self.valid_coins[coin.coin_y].value + operation.delta,
-            owner_address=payload["owner"],
-            owner_y=payload["owner_y"],
-            handle=payload["handle"],
-        ).encode()
+        value = self.valid_coins[coin.coin_y].value + operation.delta
+        new_coin = Coin.build_batch(self.keypair, [dict(coin.payload, value=value)])[0].encode()
         account = str(auth_payload.get("account"))
         effects = [
             store_apply.effect("debit", operation.delta, account=account, identity_y=auth.signer.y),

@@ -187,10 +187,6 @@ class ShardRouter:
             merged.merge(shard.counts)
         return merged
 
-    def per_shard_counts(self) -> dict[str, OperationCounts]:
-        """Per-shard counters — the load-flattening measurement surface."""
-        return {shard.address: shard.counts for shard in self.shards}
-
     @property
     def fraud_events(self) -> list:
         """Double-spend evidence collected anywhere in the federation."""

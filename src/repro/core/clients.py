@@ -138,20 +138,12 @@ class BrokerClient(EndpointClient):
 
         self.shard_map = shard_map or ShardMap((broker_address,), points_per_shard=1)
 
-    def purchase(self, signed_request: bytes, *, account: str) -> bytes:
-        """Mint one coin; returns the encoded coin certificate."""
+    def purchase(self, signed_request: bytes, *, account: str) -> Any:
+        """Mint the coins of a purchase request; returns their encoded
+        certificates, in request order."""
         return self._call(
             self.shard_map.shard_for_account(account),
             protocol.PURCHASE,
-            signed_request,
-            mutating=True,
-        )
-
-    def purchase_batch(self, signed_request: bytes, *, account: str) -> Any:
-        """Mint a batch of coins; returns the list of encoded certificates."""
-        return self._call(
-            self.shard_map.shard_for_account(account),
-            protocol.PURCHASE_BATCH,
             signed_request,
             mutating=True,
         )

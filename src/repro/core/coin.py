@@ -41,38 +41,17 @@ class Coin:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def build(
-        cls,
-        broker_keypair: KeyPair,
-        coin_y: int,
-        value: int,
-        owner_address: str | None,
-        owner_y: int | None,
-        handle: bytes | None = None,
-    ) -> "Coin":
-        """Mint (sign) a coin certificate.  Broker-side only."""
-        payload: dict[str, Any] = {
-            "kind": "whopay.coin",
-            "coin_y": coin_y,
-            "value": value,
-            "owner": owner_address,
-            "owner_y": owner_y,
-            "handle": handle,
-        }
-        return cls(cert=seal(broker_keypair, payload))
-
-    @classmethod
     def build_batch(
         cls,
         broker_keypair: KeyPair,
         specs: list[dict[str, Any]],
     ) -> list["Coin"]:
-        """Mint many certificates with one batched signing pass.
+        """Mint (sign) coin certificates in one signing pass.  Broker-side only.
 
-        ``specs`` entries carry the :meth:`build` keyword arguments
-        (``coin_y``, ``value``, ``owner_address``, ``owner_y``, ``handle``).
-        Output is bit-identical to calling :meth:`build` per spec — the
-        batching only amortizes the signing-side modular inversions
+        Each spec carries a certificate's fields: ``coin_y``, ``value``,
+        ``owner``, ``owner_y`` and ``handle`` (the last three ``None``
+        where they do not apply).  Each signature is the one per-message
+        signing would make; the batch only amortizes the modular inversions
         (:func:`repro.crypto.dsa.dsa_sign_batch`).
         """
         from repro.crypto.dsa import dsa_sign_batch
@@ -84,9 +63,9 @@ class Coin:
                     "kind": "whopay.coin",
                     "coin_y": spec["coin_y"],
                     "value": spec["value"],
-                    "owner": spec.get("owner_address"),
-                    "owner_y": spec.get("owner_y"),
-                    "handle": spec.get("handle"),
+                    "owner": spec["owner"],
+                    "owner_y": spec["owner_y"],
+                    "handle": spec["handle"],
                 }
             )
             for spec in specs

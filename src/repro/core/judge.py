@@ -12,22 +12,12 @@ The opening key can be split among ``N`` judges (Shamir, threshold ``K``);
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.errors import VerificationFailed
 from repro.crypto.elgamal import ElGamalKeyPair, elgamal_decrypt
 from repro.crypto.group_signature import GroupManager, GroupMemberKey, GroupPublicKey, GroupSignature
 from repro.crypto.keys import KeyPair
 from repro.crypto.params import DlogParams, default_params
 from repro.crypto.shamir import combine_shares
-
-
-@dataclass(frozen=True)
-class Enrollment:
-    """What a user receives from registration."""
-
-    member_key: GroupMemberKey
-    group_public_key: GroupPublicKey
 
 
 class Judge:

@@ -41,7 +41,7 @@ from repro.core.errors import (
     VerificationFailed,
 )
 from repro.core.judge import Judge
-from repro.crypto.dsa import DsaSignature, dsa_batch_verify
+from repro.crypto.dsa import dsa_batch_verify
 from repro.crypto.group_signature import GroupMemberKey
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.params import DlogParams
@@ -414,84 +414,62 @@ class Peer(Node):
     # ------------------------------------------------------------------
 
     def purchase(self, value: int = 1, account: str | None = None) -> OwnedCoinState:
-        """Buy a coin from the broker (Section 4.2, Purchase)."""
-        return self._purchase(KeyPair.generate(self.params), value, account)
-
-    def _purchase(
-        self, coin_keypair: KeyPair, value: int, account: str | None, handle: bytes | None = None
-    ) -> OwnedCoinState:
-        """One purchase round trip: request, verify the reply, record, journal.
-
-        ``handle`` asks for an ownerless coin addressed by that i3 handle
-        (Section 5.2, approach 3); ``None`` for a basic coin.  The coin that
-        comes back must be the broker's, for *this* coin key and with exactly
-        that handle — anything else would be filed under a key or a
-        rendezvous this peer cannot answer for.
-        """
-        request = protocol.PurchaseRequest(
-            coin_y=coin_keypair.public.y,
-            value=value,
-            account=account if account is not None else self.address,
-            anonymous=handle is not None,
-            handle=handle,
-        )
-        signed = seal(self.identity, request.to_payload())
-        coin_bytes = self.broker_client.purchase(signed.encode(), account=request.account)
-        coin = Coin(cert=protocol.decode_signed(coin_bytes, self.params))
-        if (
-            not coin.verify(self.broker_key)
-            or coin.coin_y != coin_keypair.public.y
-            or coin.handle != handle
-        ):
-            raise VerificationFailed("broker returned an invalid coin")
-        state = OwnedCoinState(coin=coin, coin_keypair=coin_keypair)
-        self.owned[coin.coin_y] = state
-        self._wal_owned(state)
-        self.counts.purchases += 1
-        return state
+        """Buy a coin from the broker (Section 4.2, Purchase): a batch of one."""
+        return self._purchase([(KeyPair.generate(self.params), None)], value, account)[0]
 
     def purchase_batch(self, count: int, value: int = 1, account: str | None = None) -> list[OwnedCoinState]:
-        """Buy ``count`` coins in one signed round trip (Section 4.2).
+        """Buy ``count`` coins in one signed round trip (Section 4.2)."""
+        return self._purchase([(KeyPair.generate(self.params), None) for _ in range(count)], value, account)
 
-        One broker operation regardless of ``count`` — the batching
-        amortization the paper points out.  Atomic on the broker side.
-        """
-        if count < 1:
-            raise ValueError("batch needs at least one coin")
-        keypairs = [KeyPair.generate(self.params) for _ in range(count)]
-        request = protocol.BatchPurchaseRequest(
-            coins=tuple((kp.public.y, value) for kp in keypairs),
-            account=account if account is not None else self.address,
+    def _purchase_request(
+        self, coins: list[tuple[KeyPair, bytes | None]], value: int, account: str
+    ) -> bytes:
+        """The identity-signed request for one coin of ``value`` per
+        ``(coin key, handle)`` pair, debiting ``account``."""
+        if not coins:
+            raise ValueError("a purchase needs at least one coin")
+        request = protocol.PurchaseRequest(
+            account=account,
+            coins=tuple(protocol.CoinSpec(kp.public.y, value, handle) for kp, handle in coins),
         )
-        signed = seal(self.identity, request.to_payload())
-        minted = self.broker_client.purchase_batch(signed.encode(), account=request.account)
-        if len(minted) != count:
+        return seal(self.identity, request.to_payload()).encode()
+
+    def _purchase(
+        self, coins: list[tuple[KeyPair, bytes | None]], value: int, account: str | None
+    ) -> list[OwnedCoinState]:
+        """The one purchase round trip: request, check the reply, record, journal.
+
+        Each pair is a coin key and the i3 handle its ownerless coin is
+        reached by (Section 5.2, approach 3), or ``None`` for a basic coin.
+        Each coin that comes back must be the broker's, for *its* coin key
+        and with exactly its handle — anything else would be filed under a
+        key or a rendezvous this peer cannot answer for.  One randomized
+        batch verification decides every certificate (the broker attaches
+        ``sig_c`` commit hints so receivers can); a failed fold defers to
+        the exact verifier, so ``False`` is a bad certificate.  One broker
+        operation and one journal record, however many coins.
+        """
+        account = account if account is not None else self.address
+        minted = self.broker_client.purchase(
+            self._purchase_request(coins, value, account), account=account
+        )
+        if len(minted) != len(coins):
             raise VerificationFailed("broker returned the wrong number of coins")
-        states: list[OwnedCoinState] = []
-        by_y = {kp.public.y: kp for kp in keypairs}
-        # One randomized batch verification covers every certificate in the
-        # reply — the broker attaches ``sig_c`` commit hints precisely so
-        # receivers can do this.  Structural checks stay per coin; a failed
-        # fold defers to the exact verifier, so ``False`` is a bad certificate.
-        dsa_batch: list[tuple[PublicKey, bytes, DsaSignature]] = []
-        coins: list[Coin] = []
-        for coin_bytes in minted:
+        states = []
+        for (coin_keypair, handle), coin_bytes in zip(coins, minted):
             coin = Coin(cert=protocol.decode_signed(coin_bytes, self.params))
-            keypair = by_y.get(coin.coin_y)
             if (
-                keypair is None
-                or coin.cert.signer.y != self.broker_key.y
+                coin.cert.signer.y != self.broker_key.y
                 or not coin.verify_unsigned()
+                or coin.coin_y != coin_keypair.public.y
+                or coin.handle != handle
             ):
-                raise VerificationFailed("broker returned an invalid batch coin")
-            dsa_batch.append(coin.cert.triple)
-            coins.append(coin)
-        if not dsa_batch_verify(dsa_batch):
-            raise VerificationFailed("broker returned an invalid batch coin certificate")
-        for coin in coins:
-            state = OwnedCoinState(coin=coin, coin_keypair=by_y[coin.coin_y])
-            self.owned[coin.coin_y] = state
-            states.append(state)
+                raise VerificationFailed("broker returned an invalid coin")
+            states.append(OwnedCoinState(coin=coin, coin_keypair=coin_keypair))
+        if not dsa_batch_verify([state.coin.cert.triple for state in states]):
+            raise VerificationFailed("broker returned an invalid coin certificate")
+        for state in states:
+            self.owned[state.coin_y] = state
         self._wal_owned(*states)
         self.counts.purchases += 1
         return states
@@ -982,6 +960,17 @@ class Peer(Node):
             raise NotHolder("request not signed with the bound holder key")
         if self.clock.now() > request.proof.exp_date:
             raise CoinExpired("held binding has expired")
+        # A holder's top-up re-minted the certificate at the broker alone:
+        # adopt the broker's newer one, or the next holder would be handed
+        # the old value.
+        coin = request.coin
+        if (
+            coin.value > state.coin.value
+            and (coin.owner_address, coin.owner_y, coin.handle)
+            == (state.coin.owner_address, state.coin.owner_y, state.coin.handle)
+            and coin.verify(self.broker_key)
+        ):
+            state.coin = coin
         return request.operation, state
 
     def _bind(

@@ -15,7 +15,7 @@ what the anonymity analysis is about.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.core.coin import Coin, CoinBinding
 from repro.core.errors import ProtocolError
@@ -30,7 +30,6 @@ from repro.messages.envelope import DualSignedMessage, SignedMessage
 
 # peer -> broker
 PURCHASE = "whopay.purchase"
-PURCHASE_BATCH = "whopay.purchase_batch"
 TOP_UP = "whopay.top_up"
 DEPOSIT = "whopay.deposit"
 DOWNTIME_TRANSFER = "whopay.downtime_transfer"
@@ -131,32 +130,37 @@ def decode_dual(data: bytes, params: DlogParams) -> DualSignedMessage:
 # -- payload shapes -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PurchaseRequest:
-    """Body of the identity-signed purchase message.
-
-    ``anonymous`` selects the Section 5.2 approach-3 coin format: the broker
-    signs ``{h_CU, pk_CU}`` with no owner identity inside, and ``handle`` is
-    the i3 rendezvous handle for reaching the owner.  The *purchase* itself
-    stays identified (the broker debits a named account either way — the
-    paper accepts that "the broker knows who made the initial purchase").
-    """
+class CoinSpec(NamedTuple):
+    """One coin of a purchase: its key, its value, and — for the Section 5.2
+    approach-3 ownerless coin — the i3 rendezvous handle reaching its owner."""
 
     coin_y: int
     value: int
-    account: str
-    anonymous: bool = False
     handle: bytes | None = None
+
+
+@dataclass(frozen=True)
+class PurchaseRequest:
+    """Body of the identity-signed purchase message (Section 4.2).
+
+    One signature and one round trip buy every coin in ``coins``; a coin
+    bought alone is a batch of one (the paper: "It should be straightforward
+    to modify this procedure to purchase coins in batch").  A spec with a
+    handle asks for an ownerless coin: the broker signs ``{h_CU, pk_CU}``
+    with no owner identity inside.  The *purchase* itself stays identified
+    (the broker debits a named account either way — the paper accepts that
+    "the broker knows who made the initial purchase").
+    """
+
+    account: str
+    coins: tuple[CoinSpec, ...]
 
     def to_payload(self) -> dict[str, Any]:
         """Codec-ready dict."""
         return {
             "kind": "whopay.purchase_request",
-            "coin_y": self.coin_y,
-            "value": self.value,
             "account": self.account,
-            "anonymous": self.anonymous,
-            "handle": self.handle,
+            "coins": [list(spec) for spec in self.coins],
         }
 
     @classmethod
@@ -164,62 +168,24 @@ class PurchaseRequest:
         """Validate and rebuild; raises ``ValueError`` on bad shape."""
         if not isinstance(payload, dict) or payload.get("kind") != "whopay.purchase_request":
             raise ValueError("not a purchase request")
-        if not isinstance(payload.get("coin_y"), int) or not isinstance(payload.get("value"), int):
-            raise ValueError("malformed purchase request")
-        if payload["value"] <= 0:
-            raise ValueError("coin value must be positive")
-        anonymous = bool(payload.get("anonymous", False))
-        handle = payload.get("handle")
-        if anonymous and not isinstance(handle, bytes):
-            raise ValueError("anonymous purchase requires a handle")
-        return cls(
-            coin_y=payload["coin_y"],
-            value=payload["value"],
-            account=str(payload["account"]),
-            anonymous=anonymous,
-            handle=handle,
-        )
-
-
-@dataclass(frozen=True)
-class BatchPurchaseRequest:
-    """Body of an identity-signed batch purchase (Section 4.2: "It should be
-    straightforward to modify this procedure to purchase coins in batch").
-
-    One signature and one round trip cover many coins — the batch is the
-    whole point, so the request carries a list of (coin key, value) pairs.
-    """
-
-    coins: tuple[tuple[int, int], ...]  # (coin_y, value) pairs
-    account: str
-
-    def to_payload(self) -> dict[str, Any]:
-        """Codec-ready dict."""
-        return {
-            "kind": "whopay.batch_purchase_request",
-            "coins": [list(pair) for pair in self.coins],
-            "account": self.account,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Any) -> "BatchPurchaseRequest":
-        """Validate and rebuild; raises ``ValueError`` on bad shape."""
-        if not isinstance(payload, dict) or payload.get("kind") != "whopay.batch_purchase_request":
-            raise ValueError("not a batch purchase request")
         raw = payload.get("coins")
-        if not isinstance(raw, tuple) or not raw:
-            raise ValueError("batch must contain at least one coin")
+        if not isinstance(raw, (list, tuple)) or not raw:
+            raise ValueError("a purchase needs at least one coin")
         coins = []
         for entry in raw:
-            if not (isinstance(entry, tuple) and len(entry) == 2):
-                raise ValueError("malformed batch entry")
-            coin_y, value = entry
-            if not isinstance(coin_y, int) or not isinstance(value, int) or value <= 0:
-                raise ValueError("malformed batch entry")
-            coins.append((coin_y, value))
-        if len({coin_y for coin_y, _ in coins}) != len(coins):
-            raise ValueError("duplicate coin keys in batch")
-        return cls(coins=tuple(coins), account=str(payload["account"]))
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
+                raise ValueError("malformed coin spec")
+            spec = CoinSpec(*entry)
+            if not isinstance(spec.coin_y, int) or not isinstance(spec.value, int):
+                raise ValueError("malformed coin spec")
+            if spec.value <= 0:
+                raise ValueError("coin value must be positive")
+            if spec.handle is not None and not isinstance(spec.handle, bytes):
+                raise ValueError("an ownerless coin needs a bytes handle")
+            coins.append(spec)
+        if len({spec.coin_y for spec in coins}) != len(coins):
+            raise ValueError("duplicate coin keys in purchase")
+        return cls(account=str(payload["account"]), coins=tuple(coins))
 
 
 @dataclass(frozen=True)

@@ -121,11 +121,6 @@ class GroupMemberKey:
     x: int
     h: int  # = g^x mod p, the membership (roster) key
 
-    @property
-    def membership_key(self) -> int:
-        """The public roster entry for this member."""
-        return self.h
-
 
 @dataclass(frozen=True)
 class GroupSignature:

@@ -75,11 +75,6 @@ class TrafficCounter:
     bytes_sent: int = 0
     bytes_received: int = 0
 
-    @property
-    def messages_total(self) -> int:
-        """Sent plus received messages (the paper counts both sides)."""
-        return self.messages_sent + self.messages_received
-
 
 # -- fault plan ---------------------------------------------------------------
 
@@ -268,10 +263,6 @@ class Transport:
     def install_faults(self, plan: FaultPlan | None) -> None:
         """Install (or, with ``None``, remove) the active fault plan."""
         self.faults = plan
-
-    def clear_faults(self) -> None:
-        """Remove the active fault plan (the network turns reliable again)."""
-        self.faults = None
 
     def set_crash_handler(self, address: str, handler: Callable[[SimulatedCrash], None] | None) -> None:
         """Register (or, with ``None``, remove) a crash supervisor for ``address``.

@@ -55,7 +55,6 @@ from repro.store.groupcommit import GroupCommitter
 _JOB_FOR_KIND = {
     **{row.broker_kind: JOB_HOLDER for row in protocol.HOLDER_OPS.values()},
     protocol.PURCHASE: JOB_PURCHASE,
-    protocol.PURCHASE_BATCH: JOB_PURCHASE,
 }
 
 #: Request kinds whose reply carries a freshly broker-signed binding.

@@ -38,7 +38,6 @@ from repro.core.coin import Coin, CoinBinding
 from repro.core.network import WhoPayNetwork
 from repro.crypto.keys import KeyPair
 from repro.crypto.params import DlogParams
-from repro.messages.envelope import seal
 from repro.pipeline.engine import ReplyRecord
 
 
@@ -188,10 +187,7 @@ class LoadGenerator:
             if op == "purchase":
                 peer = self.rng.choice(self._peers)
                 coin_keypair = KeyPair.generate(self.params)
-                purchase = protocol.PurchaseRequest(
-                    coin_y=coin_keypair.public.y, value=self.value, account=peer.address
-                )
-                data = seal(peer.identity, purchase.to_payload()).encode()
+                data = peer._purchase_request([(coin_keypair, None)], self.value, peer.address)
                 requests.append(self._request(protocol.PURCHASE, peer.address, data))
                 self._pending.append(("purchase", coin_keypair))
                 continue
@@ -232,7 +228,7 @@ class LoadGenerator:
             applied += 1
             if entry[0] == "purchase":
                 _tag, coin_keypair = entry
-                coin = Coin(cert=protocol.decode_signed(record.reply, self.params))
+                coin = Coin(cert=protocol.decode_signed(record.reply[0], self.params))
                 self._install_coin(coin, coin_keypair)
             elif entry[0] == "transfer":
                 _tag, coin_y, new_holder, new_address = entry

@@ -19,6 +19,7 @@ if _SRC not in sys.path:
 
 import pytest
 
+from repro.core.coin import Coin
 from repro.core.network import PeerConfig, WhoPayNetwork
 from repro.crypto.keys import KeyPair
 from repro.crypto.params import PARAMS_TEST_512
@@ -55,6 +56,13 @@ def funded_trio(network):
     bob = network.add_peer("bob", PeerConfig(balance=10))
     carol = network.add_peer("carol")
     return network, alice, bob, carol
+
+
+def mint_coin(keypair, coin_y, value, owner=None, owner_y=None, handle=None):
+    """One certificate signed by ``keypair``, minted the way the broker mints
+    every coin (:meth:`Coin.build_batch`)."""
+    spec = {"coin_y": coin_y, "value": value, "owner": owner, "owner_y": owner_y, "handle": handle}
+    return Coin.build_batch(keypair, [spec])[0]
 
 
 def restart_on_crash(net):

@@ -4,13 +4,13 @@ import pytest
 
 from repro.core import protocol
 from repro.core.anonymous_owner import AnonymousOwnerPeer
-from repro.core.coin import Coin
 from repro.core.errors import VerificationFailed
 from repro.core.network import WhoPayNetwork
 from repro.crypto.keys import KeyPair
 from repro.crypto.params import PARAMS_TEST_512
 from repro.indirection.i3 import I3Overlay
 from repro.store.journal import DurableStore
+from tests.conftest import mint_coin
 
 
 def add_anonymous_peer(net, i3, address, balance=0, **kwargs):
@@ -79,12 +79,12 @@ class TestPurchaseReplyIsChecked:
         )
 
     def _reply_with(self, net, peer, monkeypatch, build):
-        """Answer ``peer``'s purchases with a broker-signed coin of ``build``'s making."""
+        """Answer each coin ``peer`` buys with a broker-signed coin of ``build``'s making."""
 
         def purchase(signed_request, *, account):
             signed = protocol.decode_signed(signed_request, net.params)
             request = protocol.PurchaseRequest.from_payload(signed.payload)
-            return build(net.broker.keypair, request).encode()
+            return [build(net.broker.keypair, spec).encode() for spec in request.coins]
 
         monkeypatch.setattr(peer.broker_client, "purchase", purchase)
 
@@ -103,9 +103,7 @@ class TestPurchaseReplyIsChecked:
         other = KeyPair.generate(net.params).public.y
         self._reply_with(
             net, dana, monkeypatch,
-            lambda broker, request: Coin.build(
-                broker, other, request.value, None, None, handle=request.handle
-            ),
+            lambda broker, spec: mint_coin(broker, other, spec.value, handle=spec.handle),
         )
         self._assert_refused(dana, dana.purchase_anonymous)
         assert dana._handle_tokens == {}
@@ -114,9 +112,7 @@ class TestPurchaseReplyIsChecked:
         net = rig[0]
         self._reply_with(
             net, dana, monkeypatch,
-            lambda broker, request: Coin.build(
-                broker, request.coin_y, request.value, None, None, handle=b"h" * 32
-            ),
+            lambda broker, spec: mint_coin(broker, spec.coin_y, spec.value, handle=b"h" * 32),
         )
         self._assert_refused(dana, dana.purchase)
 

@@ -11,10 +11,11 @@ import copy
 import pytest
 
 from repro.core import protocol
-from repro.core.coin import Coin, CoinBinding
+from repro.core.coin import CoinBinding
 from repro.core.errors import NotHolder, NotOwner, ProtocolError, UnknownCoin, VerificationFailed
 from repro.crypto.keys import KeyPair
 from repro.messages.envelope import group_seal, seal
+from tests.conftest import mint_coin
 
 
 class TestCoinForgery:
@@ -22,7 +23,7 @@ class TestCoinForgery:
         net, alice, bob, _carol = funded_trio
         fake_broker = KeyPair.generate(net.params)
         coin_keypair = KeyPair.generate(net.params)
-        fake_coin = Coin.build(fake_broker, coin_keypair.public.y, 100, "alice", alice.identity.public.y)
+        fake_coin = mint_coin(fake_broker, coin_keypair.public.y, 100, "alice", alice.identity.public.y)
         with pytest.raises(VerificationFailed):
             bob.request(alice.address, protocol.ISSUE_OFFER, fake_coin.encode())
 
@@ -30,7 +31,7 @@ class TestCoinForgery:
         net, alice, _bob, _carol = funded_trio
         # Alice forges a coin signed by herself and tries to deposit it.
         coin_keypair = KeyPair.generate(net.params)
-        fake_coin = Coin.build(alice.identity, coin_keypair.public.y, 100, "alice", alice.identity.public.y)
+        fake_coin = mint_coin(alice.identity, coin_keypair.public.y, 100, "alice", alice.identity.public.y)
         binding = CoinBinding.build(coin_keypair, coin_keypair.public.y, coin_keypair.public.y, 1, 10_000)
         operation = protocol.HolderOperation(
             op="deposit",

@@ -25,6 +25,10 @@ class TestAccounts:
             network.broker.open_account("alice", network.peers["alice"].identity.public, 0)
 
 
+def coin_keys(net, count):
+    return [(KeyPair.generate(net.params), None) for _ in range(count)]
+
+
 class TestPurchase:
     def test_purchase_debits_account(self, network):
         alice = network.add_peer("alice", PeerConfig(balance=5))
@@ -40,14 +44,13 @@ class TestPurchase:
     def test_purchase_requires_account_identity(self, network):
         alice = network.add_peer("alice", PeerConfig(balance=5))
         bob = network.add_peer("bob", PeerConfig(balance=0))
-        # Bob signs a purchase against alice's account: rejected.
-        coin_keypair = KeyPair.generate(network.params)
-        request = protocol.PurchaseRequest(
-            coin_y=coin_keypair.public.y, value=1, account="alice"
-        )
-        signed = seal(bob.identity, request.to_payload())
-        with pytest.raises(VerificationFailed):
-            bob.request(network.broker.address, protocol.PURCHASE, signed.encode())
+        # Bob signs a purchase against alice's account: rejected, whatever its size.
+        for count in (1, 3):
+            data = bob._purchase_request(coin_keys(network, count), 1, "alice")
+            with pytest.raises(VerificationFailed):
+                bob.request(network.broker.address, protocol.PURCHASE, data)
+        assert network.broker.balance("alice") == 5
+        assert not network.broker.valid_coins
 
     def test_coin_added_to_valid_list(self, network):
         alice = network.add_peer("alice", PeerConfig(balance=5))
@@ -58,14 +61,19 @@ class TestPurchase:
     def test_duplicate_coin_key_rejected(self, network):
         alice = network.add_peer("alice", PeerConfig(balance=5))
         state = alice.purchase()
-        request = protocol.PurchaseRequest(coin_y=state.coin_y, value=1, account="alice")
-        signed = seal(alice.identity, request.to_payload())
-        with pytest.raises(ProtocolError):
-            alice.request(network.broker.address, protocol.PURCHASE, signed.encode())
+        # A key already minted, alone or among fresh ones: the whole request fails.
+        for count in (0, 2):
+            coins = [(state.coin_keypair, None)] + coin_keys(network, count)
+            data = alice._purchase_request(coins, 1, "alice")
+            with pytest.raises(ProtocolError):
+                alice.request(network.broker.address, protocol.PURCHASE, data)
+        assert network.broker.balance("alice") == 4
 
     def test_invalid_coin_key_rejected(self, network):
         alice = network.add_peer("alice", PeerConfig(balance=5))
-        request = protocol.PurchaseRequest(coin_y=network.params.p - 1, value=1, account="alice")
+        request = protocol.PurchaseRequest(
+            account="alice", coins=(protocol.CoinSpec(network.params.p - 1, 1),)
+        )
         signed = seal(alice.identity, request.to_payload())
         with pytest.raises(ProtocolError):
             alice.request(network.broker.address, protocol.PURCHASE, signed.encode())

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core.coin import Coin, CoinBinding, HeldCoin, OwnedCoinState
+from repro.core.coin import CoinBinding, HeldCoin, OwnedCoinState
 from repro.crypto.keys import KeyPair
 from repro.crypto.params import PARAMS_TEST_512
+from tests.conftest import mint_coin
 
 P = PARAMS_TEST_512
 
@@ -21,7 +22,7 @@ def coin_keypair():
 
 class TestCoin:
     def test_build_and_verify(self, broker_keypair, coin_keypair):
-        coin = Coin.build(broker_keypair, coin_keypair.public.y, 3, "alice", 42)
+        coin = mint_coin(broker_keypair, coin_keypair.public.y, 3, "alice", 42)
         assert coin.verify(broker_keypair.public)
         assert coin.coin_y == coin_keypair.public.y
         assert coin.value == 3
@@ -30,27 +31,27 @@ class TestCoin:
         assert not coin.is_ownerless
 
     def test_ownerless_coin(self, broker_keypair, coin_keypair):
-        coin = Coin.build(broker_keypair, coin_keypair.public.y, 1, None, None, handle=b"h" * 32)
+        coin = mint_coin(broker_keypair, coin_keypair.public.y, 1, None, None, handle=b"h" * 32)
         assert coin.verify(broker_keypair.public)
         assert coin.is_ownerless
         assert coin.handle == b"h" * 32
 
     def test_wrong_broker_key_rejected(self, broker_keypair, coin_keypair):
         other = KeyPair.generate(P)
-        coin = Coin.build(broker_keypair, coin_keypair.public.y, 1, "a", 1)
+        coin = mint_coin(broker_keypair, coin_keypair.public.y, 1, "a", 1)
         assert not coin.verify(other.public)
 
     def test_forged_coin_rejected(self, broker_keypair, coin_keypair):
         fake_broker = KeyPair.generate(P)
-        coin = Coin.build(fake_broker, coin_keypair.public.y, 1, "a", 1)
+        coin = mint_coin(fake_broker, coin_keypair.public.y, 1, "a", 1)
         assert not coin.verify(broker_keypair.public)
 
     def test_zero_value_rejected(self, broker_keypair, coin_keypair):
-        coin = Coin.build(broker_keypair, coin_keypair.public.y, 0, "a", 1)
+        coin = mint_coin(broker_keypair, coin_keypair.public.y, 0, "a", 1)
         assert not coin.verify(broker_keypair.public)
 
     def test_coin_public_key(self, broker_keypair, coin_keypair):
-        coin = Coin.build(broker_keypair, coin_keypair.public.y, 1, "a", 1)
+        coin = mint_coin(broker_keypair, coin_keypair.public.y, 1, "a", 1)
         assert coin.coin_public_key(P).y == coin_keypair.public.y
 
 
@@ -89,7 +90,7 @@ class TestCoinBinding:
 
 class TestWalletEntries:
     def test_held_coin_expiry(self, broker_keypair, coin_keypair):
-        coin = Coin.build(broker_keypair, coin_keypair.public.y, 2, "a", 1)
+        coin = mint_coin(broker_keypair, coin_keypair.public.y, 2, "a", 1)
         holder = KeyPair.generate(P)
         binding = CoinBinding.build(coin_keypair, coin.coin_y, holder.public.y, 1, exp_date=100.0)
         held = HeldCoin(coin=coin, holder_keypair=holder, binding=binding)
@@ -101,7 +102,7 @@ class TestWalletEntries:
         assert not held.needs_renewal(now=101.0, window=30.0)  # expired != renewable
 
     def test_owned_state_lifecycle(self, broker_keypair, coin_keypair):
-        coin = Coin.build(broker_keypair, coin_keypair.public.y, 1, "a", 1)
+        coin = mint_coin(broker_keypair, coin_keypair.public.y, 1, "a", 1)
         state = OwnedCoinState(coin=coin, coin_keypair=coin_keypair)
         assert not state.issued
         state.binding = CoinBinding.build(coin_keypair, coin.coin_y, 7, 1, 10.0)

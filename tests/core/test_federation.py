@@ -21,6 +21,7 @@ from repro.messages.envelope import seal
 from repro.net.rpc import RetryPolicy
 from repro.net.transport import FaultPlan, NetworkError
 from repro.store.apply import effect
+from tests.conftest import mint_coin
 from repro.store.audit import audit_broker
 
 RETRY = RetryPolicy(max_attempts=4, base_delay=0.01, multiplier=2.0, max_delay=0.1)
@@ -48,11 +49,8 @@ def purchase_homed(net, peer, shard_address, value=1):
     """Purchase a coin whose home is ``shard_address`` (forces or avoids a
     cross-shard handoff depending on the buyer's account home)."""
     keypair = coin_keypair_homed(net, shard_address)
-    request = protocol.PurchaseRequest(
-        coin_y=keypair.public.y, value=value, account=peer.address
-    )
-    signed = seal(peer.identity, request.to_payload())
-    coin_bytes = peer.broker_client.purchase(signed.encode(), account=peer.address)
+    data = peer._purchase_request([(keypair, None)], value, peer.address)
+    (coin_bytes,) = peer.broker_client.purchase(data, account=peer.address)
     coin = Coin(cert=protocol.decode_signed(coin_bytes, net.params))
     assert coin.verify(peer.broker_key)
     return coin
@@ -348,11 +346,11 @@ class TestHandoffExactlyOnce:
         # Orphan a handoff: journal the begin exactly as a crash between
         # begin and prepare would leave it, then re-drive.
         keypair = coin_keypair_homed(fednet, coin_home)
-        coin = Coin.build(
+        coin = mint_coin(
             source.keypair,
             coin_y=keypair.public.y,
             value=2,
-            owner_address="alice",
+            owner="alice",
             owner_y=alice.identity.public.y,
         )
         h = handoff_id("purchase", coin.encode())
@@ -388,12 +386,9 @@ class TestHandoffExactlyOnce:
         acct_home = fednet.shard_map.shard_for_account("alice")
         coin_home = next(a for a in fednet.shard_map.addresses if a != acct_home)
         keypair = coin_keypair_homed(fednet, coin_home)
-        request = protocol.PurchaseRequest(
-            coin_y=keypair.public.y, value=5, account="alice"
-        )
-        signed = seal(alice.identity, request.to_payload())
+        data = alice._purchase_request([(keypair, None)], 5, "alice")
         with pytest.raises(Exception):
-            alice.broker_client.purchase(signed.encode(), account="alice")
+            alice.broker_client.purchase(data, account="alice")
         assert fednet.broker.balance("alice") == 1
         assert not any(s.pending_handoffs for s in fednet.shards)
         assert fednet.broker.verify_conservation(1)
@@ -422,9 +417,10 @@ class TestBatchFanOutRegression:
     """
 
     def _batch(self, net, peer, coins):
-        request = protocol.BatchPurchaseRequest(coins=tuple(coins), account=peer.address)
+        specs = tuple(protocol.CoinSpec(coin_y, value) for coin_y, value in coins)
+        request = protocol.PurchaseRequest(account=peer.address, coins=specs)
         signed = seal(peer.identity, request.to_payload())
-        return peer.broker_client.purchase_batch(signed.encode(), account=peer.address)
+        return peer.broker_client.purchase(signed.encode(), account=peer.address)
 
     def _remote_homes(self, net, peer):
         acct_home = net.shard_map.shard_for_account(peer.address)

@@ -46,9 +46,9 @@ class TestCorruptedHintInTransit:
     def test_a_batch_purchase_keeps_every_coin_it_paid_for(self, network, monkeypatch):
         alice = network.add_peer("alice", PeerConfig(balance=10))
         bob = network.add_peer("bob")
-        real = alice.broker_client.purchase_batch
+        real = alice.broker_client.purchase
         monkeypatch.setattr(
-            alice.broker_client, "purchase_batch",
+            alice.broker_client, "purchase",
             lambda request, *, account: [_shifted(raw, network.params) for raw in real(request, account=account)],
         )
         states = alice.purchase_batch(count=4, value=2)

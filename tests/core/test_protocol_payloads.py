@@ -2,19 +2,26 @@
 
 import pytest
 
-from repro.core.protocol import BatchPurchaseRequest, HolderOperation, PurchaseRequest
+from repro.core.protocol import CoinSpec, HolderOperation, PurchaseRequest
+from repro.messages.codec import decode, encode
+
+
+def wire(coins, account="a"):
+    """A purchase payload as the broker receives it (through the codec)."""
+    return decode(encode({"kind": "whopay.purchase_request", "account": account, "coins": coins}))
 
 
 class TestPurchaseRequest:
     def test_roundtrip(self):
-        request = PurchaseRequest(coin_y=123, value=5, account="alice")
-        rebuilt = PurchaseRequest.from_payload(request.to_payload())
-        assert rebuilt == request
+        for coins in ((CoinSpec(123, 5),), (CoinSpec(1, 2), CoinSpec(3, 4, b"h" * 32))):
+            request = PurchaseRequest(account="alice", coins=coins)
+            assert PurchaseRequest.from_payload(request.to_payload()) == request
+            assert PurchaseRequest.from_payload(decode(encode(request.to_payload()))) == request
 
     def test_anonymous_roundtrip(self):
-        request = PurchaseRequest(coin_y=1, value=1, account="a", anonymous=True, handle=b"h" * 32)
+        request = PurchaseRequest(account="a", coins=(CoinSpec(1, 1, b"h" * 32),))
         rebuilt = PurchaseRequest.from_payload(request.to_payload())
-        assert rebuilt.anonymous and rebuilt.handle == b"h" * 32
+        assert rebuilt.coins[0].handle == b"h" * 32
 
     def test_rejects_wrong_kind(self):
         with pytest.raises(ValueError, match="not a purchase"):
@@ -23,59 +30,23 @@ class TestPurchaseRequest:
             PurchaseRequest.from_payload("not a dict")
 
     def test_rejects_bad_types(self):
-        payload = PurchaseRequest(coin_y=1, value=1, account="a").to_payload()
-        payload["coin_y"] = "string"
-        with pytest.raises(ValueError, match="malformed"):
-            PurchaseRequest.from_payload(payload)
+        for bad_coins in ([["string", 1, None]], [[1, "1", None]], [[1, 1]], [1]):
+            with pytest.raises(ValueError, match="malformed"):
+                PurchaseRequest.from_payload(wire(bad_coins))
 
-    def test_rejects_nonpositive_value(self):
-        payload = PurchaseRequest(coin_y=1, value=1, account="a").to_payload()
-        payload["value"] = 0
-        with pytest.raises(ValueError, match="positive"):
-            PurchaseRequest.from_payload(payload)
-
-    def test_anonymous_requires_handle(self):
-        payload = PurchaseRequest(coin_y=1, value=1, account="a").to_payload()
-        payload["anonymous"] = True
-        payload["handle"] = None
-        with pytest.raises(ValueError, match="handle"):
-            PurchaseRequest.from_payload(payload)
-
-
-class TestBatchPurchaseRequest:
-    def test_roundtrip(self):
-        request = BatchPurchaseRequest(coins=((1, 2), (3, 4)), account="a")
-        payload = request.to_payload()
-        from repro.messages.codec import decode, encode
-
-        rebuilt = BatchPurchaseRequest.from_payload(decode(encode(payload)))
-        assert rebuilt.coins == ((1, 2), (3, 4))
-
-    def test_rejects_empty_batch(self):
-        from repro.messages.codec import decode, encode
-
-        payload = decode(encode({"kind": "whopay.batch_purchase_request", "coins": [], "account": "a"}))
-        with pytest.raises(ValueError, match="at least one"):
-            BatchPurchaseRequest.from_payload(payload)
-
-    def test_rejects_duplicates(self):
-        from repro.messages.codec import decode, encode
-
-        payload = decode(encode(
-            {"kind": "whopay.batch_purchase_request", "coins": [[1, 1], [1, 2]], "account": "a"}
-        ))
-        with pytest.raises(ValueError, match="duplicate"):
-            BatchPurchaseRequest.from_payload(payload)
-
-    def test_rejects_malformed_entries(self):
-        from repro.messages.codec import decode, encode
-
-        for bad_coins in ([[1]], [[1, 0]], [["x", 2]]):
-            payload = decode(encode(
-                {"kind": "whopay.batch_purchase_request", "coins": bad_coins, "account": "a"}
-            ))
-            with pytest.raises(ValueError):
-                BatchPurchaseRequest.from_payload(payload)
+    @pytest.mark.parametrize(
+        "coins, match",
+        [
+            ([], "at least one"),
+            ([[1, 1, None], [1, 2, None]], "duplicate"),
+            ([[1, 0, None]], "positive"),
+            ([[1, 1, "h" * 32]], "handle"),
+        ],
+        ids=["empty", "duplicate-key", "nonpositive-value", "handle-not-bytes"],
+    )
+    def test_refusals(self, coins, match):
+        with pytest.raises(ValueError, match=match):
+            PurchaseRequest.from_payload(wire(coins))
 
 
 class TestHolderOperation:

@@ -10,7 +10,6 @@ study durability at fsync boundaries, not detection.)
 import pytest
 
 from repro.core.broker import handoff_id
-from repro.core.coin import Coin
 from repro.core.network import BrokerTopology, PeerConfig, WhoPayNetwork
 from repro.core.supervision import SUPERVISOR_ADDRESS, LeaseGatedSupervision
 from repro.crypto.keys import KeyPair
@@ -18,6 +17,7 @@ from repro.crypto.params import PARAMS_TEST_512
 from repro.net.liveness import DEAD, BreakerConfig, LivenessConfig
 from repro.net.rpc import RetryPolicy
 from repro.store.apply import effect
+from tests.conftest import mint_coin
 
 RETRY = RetryPolicy(max_attempts=4, base_delay=0.01, multiplier=2.0, max_delay=0.1)
 LIVENESS = LivenessConfig(heartbeat_interval=0.5, phi_threshold=4.0, lease_duration=2.0)
@@ -152,11 +152,11 @@ class TestLeaseGatedFailover:
         source_index = net.shards.index(source)
         coin_home = next(a for a in net.shard_map.addresses if a != source.address)
         keypair = coin_keypair_homed(net, coin_home)
-        coin = Coin.build(
+        coin = mint_coin(
             source.keypair,
             coin_y=keypair.public.y,
             value=2,
-            owner_address="alice",
+            owner="alice",
             owner_y=alice.identity.public.y,
         )
         h = handoff_id("purchase", coin.encode())

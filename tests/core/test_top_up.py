@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import protocol
+from repro.core import PeerConfig, protocol
+from repro.core.coin import Coin
 from repro.core.errors import InsufficientFunds, NotHolder, ProtocolError, VerificationFailed
 from repro.messages.envelope import seal
 
@@ -25,17 +26,37 @@ class TestTopUp:
         assert bob.deposit(state.coin_y, payout_to="bob") == 3
 
     def test_old_certificate_still_redeems_full_value(self, funded_trio):
-        # A payee holding a pre-top-up cert must not lose the delta: the
-        # broker's registry is authoritative.  The owner never learns about
-        # top-ups, so the cert it hands the next payee is the stale one —
-        # this scenario occurs naturally on every post-top-up transfer.
-        net, alice, bob, carol = funded_trio
+        # A holder presenting a pre-top-up cert must not lose the delta: the
+        # broker's registry, not the certificate, is authoritative for value.
+        net, alice, bob, _carol = funded_trio
         state = alice.purchase(value=1)
         alice.issue("bob", state.coin_y)
         bob.top_up(state.coin_y, delta=5, funding_account="bob")
-        bob.transfer("carol", state.coin_y)
-        assert carol.wallet[state.coin_y].coin.value == 1  # stale cert
-        assert carol.deposit(state.coin_y, payout_to="carol") == 6
+        bob.wallet[state.coin_y].coin = state.coin  # the owner's pre-top-up cert
+        assert bob.deposit(state.coin_y, payout_to="bob") == 6
+
+    def test_a_transfer_hands_the_payee_the_topped_up_certificate(self, funded_trio):
+        # The owner serving the transfer adopts the holder's re-minted
+        # certificate, so the payee can check and top up the value it holds.
+        net, alice, bob, _carol = funded_trio
+        dave = net.add_peer("dave", PeerConfig(balance=10))
+        state = alice.purchase(value=1)
+        alice.issue("bob", state.coin_y)
+        bob.top_up(state.coin_y, delta=2, funding_account="bob")
+        bob.transfer("dave", state.coin_y)
+        assert alice.owned[state.coin_y].coin.value == 3
+        assert dave.wallet[state.coin_y].coin.value == 3
+        assert dave.top_up(state.coin_y, delta=3, funding_account="dave") == 6
+        assert dave.deposit(state.coin_y, payout_to="dave") == 6
+
+    def test_the_owner_adopts_no_certificate_the_broker_did_not_sign(self, funded_trio):
+        _net, alice, bob, _carol = funded_trio
+        state = alice.purchase(value=2)
+        alice.issue("bob", state.coin_y)
+        forged = Coin(cert=seal(bob.identity, dict(state.coin.payload, value=9)))
+        bob.wallet[state.coin_y].coin = forged
+        bob.renew(state.coin_y)
+        assert alice.owned[state.coin_y].coin == state.coin
 
     def test_only_holder_can_top_up(self, funded_trio):
         net, alice, bob, carol = funded_trio

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.core import protocol
 from repro.core.broker import Broker
-from repro.core.coin import Coin
 from repro.core.errors import ProtocolError
 from repro.core.network import PeerConfig, WhoPayNetwork
 from repro.crypto.keys import KeyPair
@@ -28,6 +27,7 @@ from repro.store.apply import effect
 from repro.store.audit import audit_broker
 from repro.store.journal import DurableStore
 from repro.store.recovery import RecoveryManager
+from tests.conftest import mint_coin
 
 KIND = "test.move"
 
@@ -100,8 +100,8 @@ def build_operation(op: str, amounts: list[int], world, keypair, identity):
         return effect("mint", coin.value, coin_y=coin.coin_y, coin=coin.encode())
 
     def fresh(value):
-        return Coin.build(keypair, coin_y=KeyPair.generate(PARAMS_TEST_512).public.y, value=value,
-                          owner_address="payer", owner_y=identity.y)
+        return mint_coin(keypair, coin_y=KeyPair.generate(PARAMS_TEST_512).public.y, value=value,
+                         owner="payer", owner_y=identity.y)
 
     if op == "purchase":
         coins = [fresh(value) for value in amounts]
@@ -111,8 +111,8 @@ def build_operation(op: str, amounts: list[int], world, keypair, identity):
         credit = effect("credit", held_coin.value, account="payout", identity_y=identity.y)
         return [retire, credit], [mint(held_coin)]
     old = fresh(amounts[0])
-    new = Coin.build(keypair, coin_y=old.coin_y, value=old.value + 1,
-                     owner_address="payer", owner_y=identity.y)
+    new = mint_coin(keypair, coin_y=old.coin_y, value=old.value + 1,
+                    owner="payer", owner_y=identity.y)
     remint = effect("remint", 1, coin_y=old.coin_y, coin=new.encode())
     return [debit(1), remint], [funding, mint(old)]
 

@@ -36,7 +36,11 @@ POLICY = RetryPolicy(max_attempts=6, base_delay=0.01, multiplier=2.0, max_delay=
 PEERS = 6
 BALANCE = 20
 ROUNDS = 24
+#: A sequence runs past ROUNDS, up to this, until it has reached every field.
+MAX_ROUNDS = 128
 CHECK_EVERY = 4
+#: The fields a run without faults can fill.
+REACHED = {"valid_coins", "deposited", "downtime_bindings", "pending_sync"}
 
 
 def durable_net(tmp_path, shards: int) -> WhoPayNetwork:
@@ -119,13 +123,8 @@ def snapshot_kill_recover(net) -> None:
     kill_and_recover(net, snapshot_only=True)
 
 
-def step(net, rng: random.Random, topped: set[int]) -> None:
-    """One seeded operation among online peers (the owner of a coin may be away).
-
-    A coin is topped up at most once: a transfer hands the payee the owner's
-    pre-top-up certificate, so a second top-up fails the payee's own value
-    check (ROADMAP, small items: "Found while testing snapshots").
-    """
+def step(net, rng: random.Random) -> None:
+    """One seeded operation among online peers (the owner of a coin may be away)."""
     online = [p for p in net.peers.values() if net.transport.is_online(p.address)]
     away = [p for p in net.peers.values() if p not in online]
     online_names = {p.address for p in online}
@@ -150,8 +149,7 @@ def step(net, rng: random.Random, topped: set[int]) -> None:
         holder.renew(coin_y)
     elif roll < 0.68:
         holder.deposit(coin_y, payout_to=holder.address)
-    elif roll < 0.72 and coin_y not in topped:
-        topped.add(coin_y)
+    elif roll < 0.72:
         holder.top_up(coin_y, delta=1)
     elif roll < 0.86 and len(online) > 3:
         rng.choice([p for p in online if p is not holder]).depart()
@@ -165,17 +163,18 @@ class TestSeededSequences:
     def test_recovered_state_equals_the_state_snapshotted(self, tmp_path, shards, seed):
         net = durable_net(tmp_path, shards)
         rng = random.Random(seed)
-        filled, topped = set(), set()
-        for round_ in range(1, ROUNDS + 1):
-            step(net, rng, topped)
+        filled = set()
+        for round_ in range(1, MAX_ROUNDS + 1):
+            step(net, rng)
             if round_ % CHECK_EVERY == 0:
                 # The last snapshot plus the journal after it, then a new
                 # snapshot alone: both must rebuild the same state.
                 kill_and_recover(net)
                 snapshot_kill_recover(net)
                 filled |= {k for shard in durable_state(net)["shards"] for k, v in shard.items() if v}
-        # The sequences reach every field a run without faults can fill.
-        assert filled >= {"valid_coins", "deposited", "downtime_bindings", "pending_sync"}
+                if round_ >= ROUNDS and filled >= REACHED:
+                    break
+        assert filled >= REACHED
         assert ("handoffs_seen" in filled) == (shards > 1)
         for peer in net.peers.values():
             if not net.transport.is_online(peer.address):
