@@ -13,10 +13,9 @@ def wire(coins, account="a"):
 
 class TestPurchaseRequest:
     def test_roundtrip(self):
-        for coins in ((CoinSpec(123, 5),), (CoinSpec(1, 2), CoinSpec(3, 4, b"h" * 32))):
-            request = PurchaseRequest(account="alice", coins=coins)
-            assert PurchaseRequest.from_payload(request.to_payload()) == request
-            assert PurchaseRequest.from_payload(decode(encode(request.to_payload()))) == request
+        request = PurchaseRequest(account="alice", coins=(CoinSpec(123, 5),))
+        assert PurchaseRequest.from_payload(request.to_payload()) == request
+        assert PurchaseRequest.from_payload(decode(encode(request.to_payload()))) == request
 
     def test_anonymous_roundtrip(self):
         request = PurchaseRequest(account="a", coins=(CoinSpec(1, 1, b"h" * 32),))
@@ -47,6 +46,22 @@ class TestPurchaseRequest:
     def test_refusals(self, coins, match):
         with pytest.raises(ValueError, match=match):
             PurchaseRequest.from_payload(wire(coins))
+
+
+class TestBatchPurchaseRequest:
+    """A batch is the same PurchaseRequest carrying several coin specs."""
+
+    def test_roundtrip(self):
+        request = PurchaseRequest(account="alice", coins=(CoinSpec(1, 2), CoinSpec(3, 4, b"h" * 32)))
+        rebuilt = PurchaseRequest.from_payload(decode(encode(request.to_payload())))
+        assert rebuilt == request
+        assert [(spec.coin_y, spec.value) for spec in rebuilt.coins] == [(1, 2), (3, 4)]
+
+    def test_rejects_malformed_entries(self):
+        good = [1, 2, None]
+        for bad in ([3], [3, 0, None], ["x", 2, None], [3, 2, "h" * 32]):
+            with pytest.raises(ValueError):
+                PurchaseRequest.from_payload(wire([good, bad]))
 
 
 class TestHolderOperation:
