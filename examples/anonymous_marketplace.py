@@ -24,7 +24,7 @@ def coin_shop_market(net: WhoPayNetwork) -> None:
     member = net.judge.register("coin-shop")
     shop = CoinShop(
         net.transport, address="coin-shop", params=net.params, clock=net.clock,
-        judge=net.judge, member_key=member, broker_address=net.broker.address,
+        judge=net.judge, member_key=member, shard_map=net.shard_map,
         broker_key=net.broker.public_key, fee=1,
     )
     net.broker.open_account("coin-shop", shop.identity.public, 100)
@@ -49,7 +49,7 @@ def ownerless_market(net: WhoPayNetwork, i3: I3Overlay) -> None:
         member = net.judge.register(address)
         peer = AnonymousOwnerPeer(
             net.transport, address=address, params=net.params, clock=net.clock,
-            judge=net.judge, member_key=member, broker_address=net.broker.address,
+            judge=net.judge, member_key=member, shard_map=net.shard_map,
             broker_key=net.broker.public_key, i3=i3,
         )
         net.broker.open_account(address, peer.identity.public, balance)

@@ -54,7 +54,7 @@ def main() -> None:
 
     print("\n== 7. Deposit ==")
     credited = bob.deposit(state.coin_y)  # anonymous bearer payout
-    bearer = [name for name in net.broker.accounts if name.startswith("bearer-")]
+    bearer = [name for name in net.broker.export_ledger()["accounts"] if name.startswith("bearer-")]
     print(f"bob deposited the coin for {credited} into pseudonymous account {bearer[0]!r}")
     print("the broker verified holdership + membership but learned no identity.")
 

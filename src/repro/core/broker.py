@@ -330,19 +330,12 @@ class Broker(Node):
             if coin_y not in self.deposited
         )
 
-    def verify_conservation(self, expected_total: int) -> bool:
-        """Audit hook: accounts + circulating value must equal total wealth.
-
-        Value enters the system only through :meth:`open_account`; every
-        protocol operation merely moves it between accounts and coins.  A
-        False return means a minting/accounting bug — tests and the stateful
-        property machine call this after every step.
-        """
-        accounts = sum(account.balance for account in self.accounts.values())
-        return accounts + self.circulating_value() == expected_total
-
     def export_ledger(self) -> dict[str, Any]:
-        """Audit export: counts, balances, and circulation (no secrets)."""
+        """Audit export: balances, coin counts and circulation (no secrets).
+
+        Holds only what the journal rebuilds; the operation counters are
+        process telemetry, merged once by the router.
+        """
         return {
             "accounts": {name: account.balance for name, account in self.accounts.items()},
             "coins_minted": len(self.valid_coins),
@@ -350,29 +343,7 @@ class Broker(Node):
             "circulating_value": self.circulating_value(),
             "downtime_bindings": len(self.downtime_bindings),
             "fraud_events": len(self.fraud_events),
-            "operation_counts": {
-                "purchases": self.counts.purchases,
-                "deposits": self.counts.deposits,
-                "downtime_transfers": self.counts.downtime_transfers,
-                "downtime_renewals": self.counts.downtime_renewals,
-                "syncs": self.counts.syncs,
-                "binding_queries": self.counts.binding_queries,
-                "handoffs": self.counts.handoffs,
-            },
             "pending_handoffs": len(self.pending_handoffs),
-        }
-
-    def health(self) -> dict[str, Any]:
-        """Liveness surface for supervisors and dashboards (cheap, no secrets)."""
-        pending = len(self.pending_handoffs)
-        return {
-            "ok": bool(self.online) and pending == 0,
-            "online": bool(self.online),
-            "address": self.address,
-            "pending_handoffs": pending,
-            "accounts": len(self.accounts),
-            "circulating_value": self.circulating_value(),
-            "operations": self.counts.total(),
         }
 
     # -- federation (cross-shard handoffs) ---------------------------------------

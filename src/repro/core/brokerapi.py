@@ -1,12 +1,11 @@
-"""The unified broker surface: one protocol, two implementations.
+"""The broker surface: a router over the shards, for every M.
 
 PR 7 splits the mint across ``M`` shards (consistent hashing over coin and
-account keys, :mod:`repro.core.sharding`) — but everything that *consumes*
-a broker (tests, benchmarks, the simulation, operator tooling) should not
-care whether it talks to one :class:`~repro.core.broker.Broker` or a
-federation.  :class:`BrokerAPI` is that contract; :class:`ShardRouter` is
-the federation-side implementation, aggregating ledgers, counters, and
-conservation checks across shards.
+account keys, :mod:`repro.core.sharding`).  Everything that *consumes* a
+broker (tests, benchmarks, the simulation, operator tooling) talks to one
+:class:`ShardRouter`, which aggregates ledgers, counters, and conservation
+checks across shards.  A lone broker is a federation of one: the same
+router over a one-shard ring.
 
 Note what the router is *not*: a network hop.  Peers route their RPCs
 directly to the owning shard (``BrokerClient`` carries the shard map); the
@@ -15,73 +14,25 @@ router is the control-plane facade for account provisioning and auditing.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Protocol, runtime_checkable
+from dataclasses import asdict
+from typing import Any
 
 from repro.core.broker import Broker, OperationCounts
 from repro.core.sharding import ShardMap
 from repro.crypto.keys import PublicKey
 
 
-@runtime_checkable
-class BrokerAPI(Protocol):
-    """What every broker implementation — standalone or federated — exposes.
-
-    :class:`~repro.core.broker.Broker` satisfies this structurally; the
-    :class:`ShardRouter` implements it by aggregation.  Keep this surface
-    small: it is the operator/audit contract, not the wire protocol (which
-    lives in :mod:`repro.core.protocol`).
-    """
-
-    @property
-    def public_key(self) -> PublicKey:
-        """The system-wide coin-signing key ``pk_B``."""
-        ...
-
-    def open_account(self, name: str, identity: PublicKey, balance: int) -> None:
-        """Open a cash account (value enters the system here)."""
-        ...
-
-    def open_account_from_certificate(self, certificate: Any, ca_key: PublicKey, balance: int) -> None:
-        """Open an account from a CA-issued identity certificate."""
-        ...
-
-    def balance(self, name: str) -> int:
-        """Current balance of ``name`` (0 for unknown accounts)."""
-        ...
-
-    def circulating_value(self) -> int:
-        """Total value of coins minted and not yet deposited."""
-        ...
-
-    def verify_conservation(self, expected_total: int) -> bool:
-        """Accounts + circulating value must equal total opened value."""
-        ...
-
-    def export_ledger(self) -> dict[str, Any]:
-        """Audit export: counts, balances, circulation (no secrets)."""
-        ...
-
-    def complete_pending_handoffs(self) -> int:
-        """Re-drive any cross-shard handoffs orphaned by a crash."""
-        ...
-
-    def health(self) -> dict[str, Any]:
-        """Liveness/health surface: online flags and in-flight work.
-
-        This is what a supervisor or operator dashboard polls — it must
-        stay cheap (no signature checks, no fan-out RPCs) and must not
-        leak secrets.
-        """
-        ...
-
-
 class ShardRouter:
-    """A federation of broker shards behind the :class:`BrokerAPI` surface.
+    """A federation of broker shards behind one surface.
 
     Account operations route to the account's home shard (the same ring
     peers use, so the balance an operator reads is the balance the debit
     hit); read-side aggregates (circulation, ledgers, conservation) fan out
     and merge.
+
+    ``shards`` is held, not copied: the owner of the list (the network)
+    replaces a restarted shard in it, and the router sees the new one.  It
+    lists the shards in the order of ``shard_map.addresses``.
 
     Conservation across a federation needs one extra term: value currently
     *in flight* between shards.  Each shard conserves locally against its
@@ -91,54 +42,34 @@ class ShardRouter:
     when a storm may have orphaned some.
     """
 
-    def __init__(self, shards: Iterable[Broker], shard_map: ShardMap) -> None:
-        self.shards: list[Broker] = list(shards)
-        if not self.shards:
-            raise ValueError("a federation needs at least one shard")
-        self.shard_map = shard_map
-        self._by_address = {shard.address: shard for shard in self.shards}
-        if set(self._by_address) != set(shard_map.addresses):
+    def __init__(self, shards: list[Broker], shard_map: ShardMap) -> None:
+        if [shard.address for shard in shards] != list(shard_map.addresses):
             raise ValueError("shard map and shard list disagree on addresses")
+        self.shards = shards
+        self.shard_map = shard_map
 
     # -- routing -----------------------------------------------------------------
 
+    def _shard(self, address: str) -> Broker:
+        return self.shards[self.shard_map.addresses.index(address)]
+
     def shard_for_account(self, name: str) -> Broker:
         """The shard that owns account ``name``."""
-        return self._by_address[self.shard_map.shard_for_account(name)]
+        return self._shard(self.shard_map.shard_for_account(name))
 
     def shard_for_coin(self, coin_y: int) -> Broker:
         """The shard that owns coin key ``coin_y``."""
-        return self._by_address[self.shard_map.shard_for_coin(coin_y)]
+        return self._shard(self.shard_map.shard_for_coin(coin_y))
 
-    # -- BrokerAPI ---------------------------------------------------------------
-
-    @property
-    def params(self):
-        """Shared group parameters (identical across shards)."""
-        return self.shards[0].params
-
-    @property
-    def clock(self):
-        """Shared simulation clock."""
-        return self.shards[0].clock
-
-    @property
-    def renewal_period(self) -> float:
-        """Binding renewal period (identical across shards)."""
-        return self.shards[0].renewal_period
+    # -- the surface ---------------------------------------------------------------
 
     @property
     def public_key(self) -> PublicKey:
         """The federation's shared signing key ``pk_B``."""
         return self.shards[0].public_key
 
-    @property
-    def address(self) -> str:
-        """Default shard address (clients carrying a shard map re-route)."""
-        return self.shards[0].address
-
     def open_account(self, name: str, identity: PublicKey, balance: int) -> None:
-        """Open the account on its home shard."""
+        """Open the account on its home shard (value enters the system here)."""
         self.shard_for_account(name).open_account(name, identity, balance)
 
     def open_account_from_certificate(self, certificate: Any, ca_key: PublicKey, balance: int) -> None:
@@ -148,7 +79,7 @@ class ShardRouter:
         )
 
     def balance(self, name: str) -> int:
-        """Balance as recorded by the account's home shard."""
+        """Balance as recorded by the account's home shard (0 if unknown)."""
         return self.shard_for_account(name).balance(name)
 
     def circulating_value(self) -> int:
@@ -165,10 +96,13 @@ class ShardRouter:
         return sum(shard.total_opened for shard in self.shards)
 
     def verify_conservation(self, expected_total: int) -> bool:
-        """Federation-wide conservation: every shard locally, and the sum.
+        """Accounts + circulating value must equal the total opened value.
 
-        Requires no in-flight handoffs (each one carries value between two
-        shards' baselines); complete them first.
+        Value enters the system only through :meth:`open_account`; every
+        protocol operation merely moves it between accounts and coins.  A
+        False return means a minting/accounting bug, or a handoff still in
+        flight (each one carries value between two shards' baselines):
+        complete them first.
         """
         if any(shard.pending_handoffs for shard in self.shards):
             return False
@@ -196,8 +130,12 @@ class ShardRouter:
         return events
 
     def export_ledger(self) -> dict[str, Any]:
-        """Merged audit export plus the per-shard breakdown."""
-        merged_counts = self.counts
+        """Merged audit export (no secrets) plus the per-shard breakdown.
+
+        ``operation_counts`` is process telemetry, not journaled state: it
+        appears once, merged, so dropping that one key leaves what a
+        restart recovers.
+        """
         accounts: dict[str, int] = {}
         for shard in self.shards:
             for name, account in shard.accounts.items():
@@ -209,15 +147,7 @@ class ShardRouter:
             "circulating_value": self.circulating_value(),
             "downtime_bindings": sum(len(shard.downtime_bindings) for shard in self.shards),
             "fraud_events": len(self.fraud_events),
-            "operation_counts": {
-                "purchases": merged_counts.purchases,
-                "deposits": merged_counts.deposits,
-                "downtime_transfers": merged_counts.downtime_transfers,
-                "downtime_renewals": merged_counts.downtime_renewals,
-                "syncs": merged_counts.syncs,
-                "binding_queries": merged_counts.binding_queries,
-                "handoffs": merged_counts.handoffs,
-            },
+            "operation_counts": asdict(self.counts),
             "pending_handoffs": sum(len(shard.pending_handoffs) for shard in self.shards),
             "shards": {shard.address: shard.export_ledger() for shard in self.shards},
         }
@@ -225,19 +155,3 @@ class ShardRouter:
     def complete_pending_handoffs(self) -> int:
         """Re-drive orphaned handoffs on every shard; returns the total."""
         return sum(shard.complete_pending_handoffs() for shard in self.shards)
-
-    def health(self) -> dict[str, Any]:
-        """Federation health: per-shard liveness plus roll-up flags.
-
-        ``ok`` is True only when every shard is online and no handoff is
-        stranded mid-flight — the condition under which
-        :meth:`verify_conservation` can hold.
-        """
-        shards = {shard.address: shard.health() for shard in self.shards}
-        return {
-            "ok": all(entry["ok"] for entry in shards.values()),
-            "shards_online": sum(1 for entry in shards.values() if entry["online"]),
-            "shards_total": len(self.shards),
-            "pending_handoffs": sum(entry["pending_handoffs"] for entry in shards.values()),
-            "shards": shards,
-        }

@@ -38,6 +38,7 @@ from repro.net.rpc import (
 from repro.net.transport import Transport
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.sharding import ShardMap  # imports repro.dht, which imports us
     from repro.net.node import Node
 
 
@@ -115,28 +116,24 @@ class BrokerClient(EndpointClient):
     state — including :meth:`sync_challenge`, whose handler mints a pending
     nonce) carry idempotency keys when the policy retries.
 
-    Every call routes over the ``shard_map`` ring to the shard owning the
+    The ``shard_map`` ring is the only broker address book, a lone broker
+    being a ring of one.  Every call routes to the shard owning the
     operation's anchor key — purchases to the *account's* home (it debits
     there), holder operations and binding queries to the *coin's* home
-    (circulation state lives there), syncs to an explicit shard (owners
-    fan out over the shards holding their coins).  Without a map the ring
-    is ``broker_address`` alone, so a lone broker is reached the same way.
+    (circulation state lives there), syncs to the shard the caller names
+    (owners fan out over the shards holding their coins).
     """
 
     def __init__(
         self,
         node: "Node",
-        broker_address: str,
+        shard_map: "ShardMap",
         policy: RetryPolicy | None = None,
-        shard_map: Any = None,
         breakers: Any = None,
         deadline: float | None = None,
     ) -> None:
         super().__init__(node, policy=policy, breakers=breakers, deadline=deadline)
-        self.broker_address = broker_address
-        from repro.core.sharding import ShardMap  # imports repro.dht, which imports us
-
-        self.shard_map = shard_map or ShardMap((broker_address,), points_per_shard=1)
+        self.shard_map = shard_map
 
     def purchase(self, signed_request: bytes, *, account: str) -> Any:
         """Mint the coins of a purchase request; returns their encoded
@@ -159,19 +156,19 @@ class BrokerClient(EndpointClient):
             mutating=True,
         )
 
-    def sync_challenge(self, *, shard: str | None = None) -> bytes:
-        """Start a proactive sync; returns the broker's freshness nonce."""
+    def sync_challenge(self, *, shard: str) -> bytes:
+        """Start a proactive sync with ``shard``; returns its freshness nonce."""
         return self._call(
-            shard or self.broker_address,
+            shard,
             protocol.SYNC_CHALLENGE,
             None,
             mutating=True,
         )
 
-    def sync(self, signed_challenge: bytes, *, shard: str | None = None) -> Any:
-        """Complete a proactive sync; returns the missed-binding list."""
+    def sync(self, signed_challenge: bytes, *, shard: str) -> Any:
+        """Complete a proactive sync with ``shard``; returns the missed-binding list."""
         return self._call(
-            shard or self.broker_address,
+            shard,
             protocol.SYNC,
             signed_challenge,
             mutating=True,

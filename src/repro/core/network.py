@@ -18,12 +18,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.broker import Broker
-from repro.core.brokerapi import BrokerAPI, ShardRouter
+from repro.core.brokerapi import ShardRouter
 from repro.core.clock import DEFAULT_RENEWAL_PERIOD, Clock
 from repro.core.detection import DetectionService
 from repro.core.judge import Judge
 from repro.core.peer import Peer
-from repro.core.sharding import DEFAULT_POINTS_PER_SHARD, ShardMap
+from repro.core.sharding import ShardMap
 from repro.core.supervision import LeaseGatedSupervision
 from repro.crypto.keys import KeyPair
 from repro.crypto.params import DlogParams, default_params
@@ -42,29 +42,24 @@ from repro.store.recovery import RecoveryManager, RecoveryResult
 class BrokerTopology:
     """How the mint side of the network is laid out.
 
-    ``shards=1`` (default) builds one broker at ``base_address`` — a
-    federation of one, on the same routing path as any other.
-    ``shards=M`` builds a federation of ``M`` shard brokers
-    (``base_address-0`` … ``base_address-{M-1}``) sharing one signing key,
-    partitioned by the consistent-hash ring in :mod:`repro.core.sharding`,
-    and fronted by a :class:`~repro.core.brokerapi.ShardRouter`.
+    ``shards=M`` builds ``M`` shard brokers (``broker-0`` …
+    ``broker-{M-1}``) sharing one signing key, partitioned by the
+    consistent-hash ring in :mod:`repro.core.sharding`, and fronted by a
+    :class:`~repro.core.brokerapi.ShardRouter`.  ``shards=1`` (default) is
+    a federation of one, at ``broker``, behind the same router.
     """
 
     shards: int = 1
-    points_per_shard: int = DEFAULT_POINTS_PER_SHARD
-    base_address: str = "broker"
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("a topology needs at least one shard")
-        if self.points_per_shard < 1:
-            raise ValueError("points_per_shard must be >= 1")
 
     def addresses(self) -> tuple[str, ...]:
         """The shard addresses this topology creates."""
         if self.shards == 1:
-            return (self.base_address,)
-        return tuple(f"{self.base_address}-{index}" for index in range(self.shards))
+            return ("broker",)
+        return tuple(f"broker-{index}" for index in range(self.shards))
 
 
 @dataclass(frozen=True)
@@ -119,7 +114,7 @@ class WhoPayNetwork:
         signing_key = KeyPair.generate(self.params)
         # One ring for every topology: at M=1 it has a single address, so a
         # lone broker and its peers run the same routing code as a federation.
-        self.shard_map = ShardMap(addresses, points_per_shard=self.topology.points_per_shard)
+        self.shard_map = ShardMap(addresses)
         self.shards: list[Broker] = []
         for address in addresses:
             shard_store = None
@@ -137,12 +132,9 @@ class WhoPayNetwork:
             )
             shard.attach_federation(self.shard_map, policy=retry_policy)
             self.shards.append(shard)
-        self.router: ShardRouter | None = None
-        if self.topology.shards > 1:
-            self.router = ShardRouter(self.shards, self.shard_map)
-        #: The unified broker surface (BrokerAPI): the single Broker when
-        #: shards == 1, the ShardRouter facade otherwise.
-        self.broker: BrokerAPI = self.router if self.router is not None else self.shards[0]
+        #: The broker surface, for every M: a router over ``self.shards``
+        #: (the list itself, so a restarted shard is replaced in one place).
+        self.broker = ShardRouter(self.shards, self.shard_map)
         self.broker_restarts = 0
         self.last_recovery: RecoveryResult | None = None
         #: Client-side degradation: with a breaker config, every peer's
@@ -198,13 +190,12 @@ class WhoPayNetwork:
             clock=self.clock,
             judge=self.judge,
             member_key=member_key,
-            broker_address=self.shards[0].address,
+            shard_map=self.shard_map,
             broker_key=self.broker.public_key,
             sync_mode=config.sync_mode if config.sync_mode is not None else self.sync_mode,
             renewal_period=self.renewal_period,
             retry_policy=self.retry_policy,
             store=store,
-            shard_map=self.shard_map,
             breaker_config=self.breaker_config,
         )
         peer.detection = self.detection
@@ -253,7 +244,7 @@ class WhoPayNetwork:
         Arm *after* setup traffic so crash-point indices enumerate
         steady-state fsync boundaries (the chaos sweep relies on a stable
         numbering across runs with the same seed).  ``shard`` selects the
-        federation member to arm (omit for a standalone broker).
+        federation member to arm (omit for a federation of one).
         """
         target = self._shard_at(shard)
         if target.store is None:
@@ -297,7 +288,7 @@ class WhoPayNetwork:
         self.shards[index].go_offline()
 
     def restart_broker(self) -> RecoveryResult:
-        """Kill the standalone broker and recover it from disk (1-shard form)."""
+        """Kill the lone shard and recover it from disk (1-shard form)."""
         if len(self.shards) > 1:
             raise ValueError("federated network: use restart_shard(index)")
         return self.restart_shard(0)
@@ -309,7 +300,8 @@ class WhoPayNetwork:
         own journal repair must not re-crash) and re-attached — minus the
         already-fired point — afterwards.  The recovered shard rejoins the
         federation (same shard map, same retry policy) and replaces the old
-        instance in the router, so peers' routed calls hit it seamlessly.
+        instance in ``shards``, which the router holds, so peers' routed
+        calls hit it seamlessly.
         """
         shard = self.shards[index]
         store = shard.store
@@ -331,11 +323,6 @@ class WhoPayNetwork:
         recovered.attach_federation(self.shard_map, policy=self.retry_policy)
         store.crash_points = plan
         self.shards[index] = recovered
-        if self.router is not None:
-            self.router.shards[index] = recovered
-            self.router._by_address[recovered.address] = recovered
-        else:
-            self.broker = recovered
         self.broker_restarts += 1
         self.last_recovery = result
         return result
@@ -358,7 +345,6 @@ class WhoPayNetwork:
             params=self.params,
             clock=self.clock,
             judge=self.judge,
-            broker_address=self.broker.address,
             broker_key=self.broker.public_key,
             sync_mode=peer.sync_mode,
             renewal_period=self.renewal_period,

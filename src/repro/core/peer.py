@@ -25,7 +25,7 @@ from __future__ import annotations
 import secrets
 import zlib
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core import protocol
 from repro.core.clients import BrokerClient, PeerClient
@@ -54,6 +54,9 @@ from repro.net.rpc import CircuitOpen, RetryPolicy
 from repro.net.transport import NetworkError, NodeOffline, Transport
 from repro.store import records as wallet_records
 from repro.store.journal import DurableStore
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.sharding import ShardMap
 
 #: How long before expiry a holder starts renewing (one quarter of the period).
 RENEWAL_WINDOW_FRACTION = 0.25
@@ -119,13 +122,12 @@ class Peer(Node):
         clock: Clock,
         judge: Judge,
         member_key: GroupMemberKey,
-        broker_address: str,
+        shard_map: ShardMap,
         broker_key: PublicKey,
         sync_mode: str = "proactive",
         renewal_period: float = DEFAULT_RENEWAL_PERIOD,
         retry_policy: RetryPolicy | None = None,
         store: DurableStore | None = None,
-        shard_map: Any = None,
         breaker_config: BreakerConfig | None = None,
     ) -> None:
         if sync_mode not in ("proactive", "lazy"):
@@ -136,13 +138,12 @@ class Peer(Node):
         self.judge = judge
         self.identity = KeyPair.generate(params)
         self.member_key = member_key
-        self.broker_address = broker_address
         self.broker_key = broker_key
         self.sync_mode = sync_mode
         self.renewal_period = renewal_period
         # All outbound protocol traffic goes through the typed facades; the
         # retry policy (default: single attempt) is threaded here once.
-        # ``shard_map`` makes the broker facade federation-aware — each call
+        # ``shard_map`` is the broker's address book, for every M — each call
         # routes straight to the shard owning the coin/account it touches.
         self.retry_policy = retry_policy
         # Broker traffic (only) sits behind per-destination circuit breakers
@@ -157,8 +158,7 @@ class Peer(Node):
             else None
         )
         self.broker_client = BrokerClient(
-            self, broker_address, policy=retry_policy, shard_map=shard_map,
-            breakers=self.breakers,
+            self, shard_map, policy=retry_policy, breakers=self.breakers
         )
         self.peer_client = PeerClient(self, policy=retry_policy)
         #: Payments deferred because every route to the broker was degraded
@@ -329,10 +329,10 @@ class Peer(Node):
         """
         # An owner's coins live on the shards the ring assigns them to, so
         # sync only the shards that actually hold some of ours (one exchange
-        # per such shard; with nothing owned, the default shard alone).
+        # per such shard; with nothing owned, the ring's first shard alone).
         shard_map = self.broker_client.shard_map
         homes = {shard_map.shard_for_coin(coin_y) for coin_y in self.owned}
-        shards = sorted(homes) or [self.broker_address]
+        shards = sorted(homes) or [shard_map.addresses[0]]
         accepted: list[tuple[OwnedCoinState, CoinBinding]] = []
         for shard in shards:
             # The broker holds the nonce in memory only: a shard that restarted
@@ -596,7 +596,7 @@ class Peer(Node):
                     if payee is None:
                         reply = self._ask_owner(held, row.owner_kind, data)
                     else:
-                        request = {"envelope": data, "payee": payee, "nonce": fields["nonce"]}
+                        request = {"envelope": data, "payee": payee}
                         reply = self._ask_owner(held, row.owner_kind, request)["binding"]
                 except NodeOffline:
                     if payee is not None:

@@ -14,7 +14,7 @@ advance it
    its lease has lapsed restarts it from its journal
    (:meth:`~repro.core.network.WhoPayNetwork.restart_shard`) and re-drives
    any orphaned cross-shard handoffs
-   (:meth:`~repro.core.brokerapi.BrokerAPI.complete_pending_handoffs`).
+   (:meth:`~repro.core.brokerapi.ShardRouter.complete_pending_handoffs`).
 
 Everything runs on the virtual clock: detection latency is measured in
 virtual seconds and is bit-identical per seed.

@@ -95,7 +95,7 @@ class LoadGenerator:
             raise ValueError("need at least one peer and one coin per peer")
         self.network = WhoPayNetwork(params=params, store_dir=store_dir)
         self.params = self.network.params
-        self.broker = self.network.broker
+        self.broker = self.network.shards[0]
         self.rng = random.Random(seed)
         self.zipf_s = zipf_s
         self.mix = (mix or WorkloadMix()).weights()

@@ -43,14 +43,10 @@ class AuditReport:
     bindings_checked: int = 0
 
 
-def audit_broker(broker: "Broker", expected_total: int | None = None) -> AuditReport:
-    """Run every invariant family against ``broker``; never raises.
-
-    ``expected_total`` overrides the broker's own ``total_opened`` counter
-    when the caller tracks injected value independently (tests do).
-    """
+def audit_broker(broker: "Broker") -> AuditReport:
+    """Run every invariant family against ``broker``; never raises."""
     failures: list[str] = []
-    total = broker.total_opened if expected_total is None else expected_total
+    total = broker.total_opened
 
     # 1. Value conservation.
     balances = sum(account.balance for account in broker.accounts.values())

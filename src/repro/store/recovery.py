@@ -175,13 +175,12 @@ class RecoveryManager:
         params,
         clock,
         judge,
-        broker_address: str,
+        shard_map,
         broker_key,
         sync_mode: str = "proactive",
         renewal_period: float = DEFAULT_RENEWAL_PERIOD,
         retry_policy=None,
         encryption_key: bytes | None = None,
-        shard_map=None,
         breaker_config=None,
     ) -> RecoveryResult:
         """Build a fresh :class:`~repro.core.peer.Peer` from the store.
@@ -204,12 +203,11 @@ class RecoveryManager:
             clock=clock,
             judge=judge,
             member_key=GroupMemberKey(params=params, x=init["member_x"], h=init["member_h"]),
-            broker_address=broker_address,
+            shard_map=shard_map,
             broker_key=broker_key,
             sync_mode=sync_mode,
             renewal_period=renewal_period,
             retry_policy=retry_policy,
-            shard_map=shard_map,
             breaker_config=breaker_config,
         )
         for record in replaying:

@@ -133,7 +133,7 @@ def assert_run_healthy(net, peers, methods, n_payments):
     assert net.broker.verify_conservation(N_PEERS * BALANCE)
     assert not net.broker.fraud_events
     assert all(not p.wallet for p in peers)
-    report = audit_broker(net.broker)
+    report = audit_broker(net.shards[0])
     assert report.ok, report.failures
 
 
@@ -183,7 +183,7 @@ class TestCrashPointSweep:
         )
         assert plan.fired is not None and plan.fired.site == "journal.append.post_sync"
         assert net.transport.crashes_simulated == 1
-        assert net.broker.replays_served > 0  # dedupe answered the retry
+        assert net.shards[0].replays_served > 0  # dedupe answered the retry
         assert_run_healthy(net, peers, methods, 40)
 
 

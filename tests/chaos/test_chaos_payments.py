@@ -122,7 +122,7 @@ class TestChaosWorkload:
         )
         assert recovered > 0
         # Dedupe served replays instead of re-running handlers.
-        assert net.broker.replays_served + sum(p.replays_served for p in peers) > 0
+        assert net.shards[0].replays_served + sum(p.replays_served for p in peers) > 0
 
         # Conservation: value only moved, never appeared or vanished.
         total = N_PEERS * BALANCE
@@ -165,7 +165,7 @@ class TestRetriedRequestDedupe:
         state = alice.purchase()
         assert state.coin_y in alice.owned
         assert net.broker.counts.purchases == 1  # handler ran exactly once
-        assert net.broker.replays_served == 1  # the retry was answered from cache
+        assert net.shards[0].replays_served == 1  # the retry was answered from cache
         assert net.broker.balance("alice") == 9  # debited exactly once
         assert net.broker.verify_conservation(10)
 

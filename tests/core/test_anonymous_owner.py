@@ -22,7 +22,7 @@ def add_anonymous_peer(net, i3, address, balance=0, **kwargs):
         clock=net.clock,
         judge=net.judge,
         member_key=member,
-        broker_address=net.broker.address,
+        shard_map=net.shard_map,
         broker_key=net.broker.public_key,
         i3=i3,
         **kwargs,
@@ -54,7 +54,7 @@ class TestAnonymousPurchase:
     def test_broker_cannot_map_coin_to_owner(self, rig):
         net, _i3, alice, _bob, _carol = rig
         state = alice.purchase_anonymous()
-        assert state.coin_y not in net.broker.owner_coins.get("alice", set())
+        assert state.coin_y not in net.shards[0].owner_coins.get("alice", set())
 
     def test_broker_still_debits_buyer(self, rig):
         net, _i3, alice, _bob, _carol = rig
@@ -84,7 +84,7 @@ class TestPurchaseReplyIsChecked:
         def purchase(signed_request, *, account):
             signed = protocol.decode_signed(signed_request, net.params)
             request = protocol.PurchaseRequest.from_payload(signed.payload)
-            return [build(net.broker.keypair, spec).encode() for spec in request.coins]
+            return [build(net.shards[0].keypair, spec).encode() for spec in request.coins]
 
         monkeypatch.setattr(peer.broker_client, "purchase", purchase)
 

@@ -42,13 +42,13 @@ class TestCoinForgery:
         )
         envelope = group_seal(coin_keypair, alice.member_key, net.judge.group_public_key(), operation.to_payload())
         with pytest.raises(VerificationFailed):
-            alice.request(net.broker.address, protocol.DEPOSIT, protocol.encode_dual(envelope))
+            alice.request(net.shards[0].address, protocol.DEPOSIT, protocol.encode_dual(envelope))
 
     def test_unknown_coin_rejected(self, funded_trio):
         net, alice, _bob, _carol = funded_trio
         state = alice.purchase()
         # Broker "forgets" the coin (e.g. a different broker instance).
-        del net.broker.valid_coins[state.coin_y]
+        del net.shards[0].valid_coins[state.coin_y]
         binding = CoinBinding.build(state.coin_keypair, state.coin_y, state.coin_keypair.public.y, 1, 10_000)
         operation = protocol.HolderOperation(
             op="deposit",
@@ -61,7 +61,7 @@ class TestCoinForgery:
             state.coin_keypair, alice.member_key, net.judge.group_public_key(), operation.to_payload()
         )
         with pytest.raises(UnknownCoin):
-            alice.request(net.broker.address, protocol.DEPOSIT, protocol.encode_dual(envelope))
+            alice.request(net.shards[0].address, protocol.DEPOSIT, protocol.encode_dual(envelope))
 
 
 class TestImpersonation:
@@ -84,7 +84,7 @@ class TestImpersonation:
             thief_keypair, carol.member_key, net.judge.group_public_key(), operation.to_payload()
         )
         with pytest.raises(NotHolder):
-            carol.request(net.broker.address, protocol.DEPOSIT, protocol.encode_dual(envelope))
+            carol.request(net.shards[0].address, protocol.DEPOSIT, protocol.encode_dual(envelope))
         assert net.broker.balance("carol") == 0
 
     def test_nonowner_cannot_serve_transfers(self, funded_trio):
@@ -284,7 +284,7 @@ class TestReissuedBindingAcceptance:
             data = payload["envelope"] if isinstance(payload, dict) else payload
             asked = protocol.decode_dual(data, net.params).payload
             fields = {
-                "signer": net.broker.keypair if via_broker else state.coin_keypair,
+                "signer": net.shards[0].keypair if via_broker else state.coin_keypair,
                 "coin_y": state.coin_y,
                 "holder_y": asked["new_holder_y"] or held.holder_keypair.public.y,
                 "seq": held.binding.seq + 1,
@@ -300,12 +300,12 @@ class TestReissuedBindingAcceptance:
             elif tamper == "other_coin":
                 fields["coin_y"] = other.coin_y
             elif tamper == "other_flavour":
-                fields["signer"] = state.coin_keypair if via_broker else net.broker.keypair
+                fields["signer"] = state.coin_keypair if via_broker else net.shards[0].keypair
             raw = CoinBinding.build(exp_date=net.clock.now() + 1000, **fields).encode()
             return {"binding": raw} if isinstance(payload, dict) else raw
 
         row = protocol.HOLDER_OPS[op]
-        server = net.broker if via_broker else alice
+        server = net.shards[0] if via_broker else alice
         server._handlers[row.broker_kind if via_broker else row.owner_kind] = respond
         if via_broker:
             alice.depart()

@@ -20,7 +20,7 @@ class TestBatchPurchase:
             states = alice.purchase_batch(count, value=2)
             assert len(states) == count
             for state in states:
-                assert state.coin_y in network.broker.valid_coins
+                assert state.coin_y in network.shards[0].valid_coins
                 assert state.coin.value == 2
                 assert alice.owned[state.coin_y] is state
         assert network.broker.balance("alice") == 20 - 2 * sum(SIZES)
@@ -50,7 +50,7 @@ class TestBatchPurchase:
             alice.purchase_batch(count=4, value=1)
         # Nothing minted, nothing debited.
         assert network.broker.balance("alice") == 3
-        assert not network.broker.valid_coins
+        assert not network.shards[0].valid_coins
         assert not alice.owned
 
     def test_batch_coins_are_spendable(self, network):
@@ -76,7 +76,7 @@ class TestBatchPurchase:
         )
         signed = seal(alice.identity, request.to_payload())
         with pytest.raises(ProtocolError):
-            alice.request(network.broker.address, protocol.PURCHASE, signed.encode())
+            alice.request(network.shards[0].address, protocol.PURCHASE, signed.encode())
 
     def test_wrong_identity_rejected(self, network):
         # A request naming alice's identity key but signed with bob's: the
@@ -88,6 +88,6 @@ class TestBatchPurchase:
             signed = protocol.decode_signed(bob._purchase_request(coins, 1, "alice"), network.params)
             forged = dataclasses.replace(signed, signer=alice.identity.public).encode()
             with pytest.raises(VerificationFailed, match="signature"):
-                bob.request(network.broker.address, protocol.PURCHASE, forged)
+                bob.request(network.shards[0].address, protocol.PURCHASE, forged)
         assert network.broker.balance("alice") == 10
-        assert not network.broker.valid_coins
+        assert not network.shards[0].valid_coins

@@ -48,15 +48,15 @@ class TestPurchase:
         for count in (1, 3):
             data = bob._purchase_request(coin_keys(network, count), 1, "alice")
             with pytest.raises(VerificationFailed):
-                bob.request(network.broker.address, protocol.PURCHASE, data)
+                bob.request(network.shards[0].address, protocol.PURCHASE, data)
         assert network.broker.balance("alice") == 5
-        assert not network.broker.valid_coins
+        assert not network.shards[0].valid_coins
 
     def test_coin_added_to_valid_list(self, network):
         alice = network.add_peer("alice", PeerConfig(balance=5))
         state = alice.purchase()
-        assert state.coin_y in network.broker.valid_coins
-        assert state.coin_y in network.broker.owner_coins["alice"]
+        assert state.coin_y in network.shards[0].valid_coins
+        assert state.coin_y in network.shards[0].owner_coins["alice"]
 
     def test_duplicate_coin_key_rejected(self, network):
         alice = network.add_peer("alice", PeerConfig(balance=5))
@@ -66,7 +66,7 @@ class TestPurchase:
             coins = [(state.coin_keypair, None)] + coin_keys(network, count)
             data = alice._purchase_request(coins, 1, "alice")
             with pytest.raises(ProtocolError):
-                alice.request(network.broker.address, protocol.PURCHASE, data)
+                alice.request(network.shards[0].address, protocol.PURCHASE, data)
         assert network.broker.balance("alice") == 4
 
     def test_invalid_coin_key_rejected(self, network):
@@ -76,7 +76,7 @@ class TestPurchase:
         )
         signed = seal(alice.identity, request.to_payload())
         with pytest.raises(ProtocolError):
-            alice.request(network.broker.address, protocol.PURCHASE, signed.encode())
+            alice.request(network.shards[0].address, protocol.PURCHASE, signed.encode())
 
 
 class TestDeposit:
@@ -93,7 +93,7 @@ class TestDeposit:
         state = alice.purchase()
         alice.issue("bob", state.coin_y)
         bob.deposit(state.coin_y)  # fresh pseudonymous account
-        bearer_accounts = [name for name in net.broker.accounts if name.startswith("bearer-")]
+        bearer_accounts = [name for name in net.shards[0].accounts if name.startswith("bearer-")]
         assert len(bearer_accounts) == 1
         assert net.broker.balance(bearer_accounts[0]) == 1
 
@@ -117,9 +117,9 @@ class TestDeposit:
         alice.issue("bob", state.coin_y)
         alice.depart()
         bob.renew(state.coin_y)  # creates downtime state
-        assert state.coin_y in net.broker.downtime_bindings
+        assert state.coin_y in net.shards[0].downtime_bindings
         bob.deposit(state.coin_y)
-        assert state.coin_y not in net.broker.downtime_bindings
+        assert state.coin_y not in net.shards[0].downtime_bindings
 
 
 class TestDowntimeProtocols:
@@ -130,8 +130,8 @@ class TestDowntimeProtocols:
         alice.depart()
         bob.transfer_via_broker("carol", state.coin_y)
         assert net.broker.counts.downtime_transfers == 1
-        assert state.coin_y in net.broker.downtime_bindings
-        assert state.coin_y in net.broker.pending_sync["alice"]
+        assert state.coin_y in net.shards[0].downtime_bindings
+        assert state.coin_y in net.shards[0].pending_sync["alice"]
 
     def test_downtime_transfer_requires_current_holder(self, funded_trio):
         import copy
@@ -184,19 +184,19 @@ class TestSync:
         alice.rejoin()  # proactive sync inside
         assert net.broker.counts.syncs == 1
         assert alice.owned[state.coin_y].binding.via_broker
-        assert "alice" not in net.broker.pending_sync
+        assert "alice" not in net.shards[0].pending_sync
 
     def test_sync_requires_fresh_nonce(self, funded_trio):
         net, alice, _bob, _carol = funded_trio
         alice.purchase()
         signed = seal(alice.identity, {"kind": "whopay.sync", "nonce": b"forged"})
         with pytest.raises(VerificationFailed):
-            alice.request(net.broker.address, protocol.SYNC, signed.encode())
+            alice.request(net.shards[0].address, protocol.SYNC, signed.encode())
 
     def test_sync_rejects_wrong_identity(self, funded_trio):
         net, alice, bob, _carol = funded_trio
         alice.purchase()
-        nonce = alice.request(net.broker.address, protocol.SYNC_CHALLENGE, None)
+        nonce = alice.request(net.shards[0].address, protocol.SYNC_CHALLENGE, None)
         forged = seal(bob.identity, {"kind": "whopay.sync", "nonce": nonce})
         with pytest.raises(VerificationFailed):
-            alice.request(net.broker.address, protocol.SYNC, forged.encode())
+            alice.request(net.shards[0].address, protocol.SYNC, forged.encode())

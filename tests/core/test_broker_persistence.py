@@ -33,11 +33,11 @@ def snapshot_and_restart(net):
     net.snapshot_broker()
     result = net.restart_broker()
     assert result.snapshot_loaded and result.records_replayed == 0
-    return net.broker
+    return net.shards[0]
 
 
 def recover(net, **kwargs):
-    return RecoveryManager(net.broker.store).recover_broker(
+    return RecoveryManager(net.shards[0].store).recover_broker(
         Transport(), judge=net.judge, params=net.params, clock=net.clock, **kwargs
     )
 
@@ -96,8 +96,8 @@ class TestBrokerRoundTrip:
         net, alice, _bob, _carol = durable_trio
         alice.purchase()
         key = b"b" * 32
-        save_broker_snapshot(net.broker, net.broker.store, encryption_key=key)
-        state, _records, _torn = net.broker.store.load()
+        save_broker_snapshot(net.shards[0], net.shards[0].store, encryption_key=key)
+        state, _records, _torn = net.shards[0].store.load()
         assert state.startswith(b"enc:")
         with pytest.raises(RecoveryError, match="encryption key"):
             recover(net)  # missing key
@@ -107,6 +107,6 @@ class TestBrokerRoundTrip:
 
     def test_garbage_rejected(self, durable_trio):
         net, _alice, _bob, _carol = durable_trio
-        net.broker.store.snapshot(b"junk")
+        net.shards[0].store.snapshot(b"junk")
         with pytest.raises(RecoveryError, match="snapshot"):
             recover(net)

@@ -18,7 +18,7 @@ def rig():
         clock=net.clock,
         judge=net.judge,
         member_key=member,
-        broker_address=net.broker.address,
+        shard_map=net.shard_map,
         broker_key=net.broker.public_key,
         fee=1,
     )

@@ -25,28 +25,28 @@ class TestBrokerSyncNonce:
     def test_correct_nonce_is_accepted(self, funded_trio):
         net, alice, _bob, _carol = funded_trio
         alice.purchase()
-        nonce = alice.request(net.broker.address, protocol.SYNC_CHALLENGE, None)
+        nonce = alice.request(net.shards[0].address, protocol.SYNC_CHALLENGE, None)
         signed = seal(alice.identity, {"kind": "whopay.sync", "nonce": nonce})
-        assert alice.request(net.broker.address, protocol.SYNC, signed.encode()) == []
+        assert alice.request(net.shards[0].address, protocol.SYNC, signed.encode()) == []
 
     def test_wrong_nonce_is_rejected(self, funded_trio):
         net, alice, _bob, _carol = funded_trio
         alice.purchase()
-        real = alice.request(net.broker.address, protocol.SYNC_CHALLENGE, None)
+        real = alice.request(net.shards[0].address, protocol.SYNC_CHALLENGE, None)
         forged = real[:-1] + bytes([real[-1] ^ 1])
         signed = seal(alice.identity, {"kind": "whopay.sync", "nonce": forged})
         with pytest.raises(VerificationFailed):
-            alice.request(net.broker.address, protocol.SYNC, signed.encode())
+            alice.request(net.shards[0].address, protocol.SYNC, signed.encode())
 
     def test_non_bytes_nonce_is_rejected_not_crashed(self, funded_trio):
         # compare_digest raises TypeError on non-bytes; the guard must turn
         # that into the same VerificationFailed as any other bad nonce.
         net, alice, _bob, _carol = funded_trio
         alice.purchase()
-        alice.request(net.broker.address, protocol.SYNC_CHALLENGE, None)
+        alice.request(net.shards[0].address, protocol.SYNC_CHALLENGE, None)
         signed = seal(alice.identity, {"kind": "whopay.sync", "nonce": "not-bytes"})
         with pytest.raises(VerificationFailed):
-            alice.request(net.broker.address, protocol.SYNC, signed.encode())
+            alice.request(net.shards[0].address, protocol.SYNC, signed.encode())
 
     def test_sync_path_uses_compare_digest(self):
         from repro.core import broker

@@ -146,7 +146,7 @@ class TestFailedTransferKeepsMonitoring:
             state = alice.purchase()
         alice.issue("bob", state.coin_y)
         # The offer to carol succeeds; the request step finds its server down.
-        server = net.broker if route == "broker" else alice
+        server = net.shards[0] if route == "broker" else alice
         server.go_offline()
         send = bob.transfer_via_broker if route == "broker" else bob.transfer
         with pytest.raises(NodeOffline):

@@ -68,7 +68,7 @@ class TestRevocationFloor:
         assert group_verify(old_gpk, envelope.inner.encode(), envelope.group_signature)
         # …but the broker refuses it by version.
         with pytest.raises(VerificationFailed, match="revoked snapshot"):
-            bob.request(net.broker.address, protocol.DEPOSIT, protocol.encode_dual(envelope))
+            bob.request(net.shards[0].address, protocol.DEPOSIT, protocol.encode_dual(envelope))
 
     def test_peers_refuse_stale_snapshots_too(self, funded_trio):
         net, alice, bob, carol = funded_trio

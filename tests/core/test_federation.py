@@ -1,4 +1,4 @@
-"""Sharded broker federation behind the unified BrokerAPI (PR 7).
+"""Sharded broker federation behind the ShardRouter (PR 7).
 
 Covers the consistent-hash shard map, the topology/config objects, the
 ShardRouter facade, shard-aware client routing, and — the heart of the
@@ -11,7 +11,7 @@ import pytest
 from repro.core import errors, protocol
 from repro.core.broker import handoff_id
 from repro.core.errors import InsufficientFunds, ProtocolError, VerificationFailed
-from repro.core.brokerapi import BrokerAPI, ShardRouter
+from repro.core.brokerapi import ShardRouter
 from repro.core.coin import Coin
 from repro.core.network import BrokerTopology, PeerConfig, WhoPayNetwork
 from repro.core.sharding import ShardMap
@@ -98,8 +98,6 @@ class TestTopologyAndConfig:
     def test_invalid_topology_rejected(self):
         with pytest.raises(ValueError):
             BrokerTopology(shards=0)
-        with pytest.raises(ValueError):
-            BrokerTopology(points_per_shard=0)
 
     def test_invalid_peer_config_rejected(self):
         with pytest.raises(ValueError):
@@ -113,15 +111,21 @@ class TestTopologyAndConfig:
 
 
 class TestBrokerAPISurface:
-    def test_single_broker_satisfies_the_protocol(self, network):
-        assert isinstance(network.broker, BrokerAPI)
-        assert network.shard_map.addresses == ("broker",)  # a ring of one
-        assert network.router is None
-
-    def test_router_satisfies_the_protocol(self, fednet):
-        assert isinstance(fednet.broker, BrokerAPI)
-        assert isinstance(fednet.broker, ShardRouter)
-        assert len(fednet.shards) == 4
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_broker_is_the_router_over_the_network_shards(self, tmp_path, shards):
+        net = WhoPayNetwork(
+            params=PARAMS_TEST_512, store_dir=tmp_path, topology=BrokerTopology(shards=shards)
+        )
+        assert net.shard_map.addresses == BrokerTopology(shards=shards).addresses()
+        assert isinstance(net.broker, ShardRouter)
+        assert net.broker.shards is net.shards
+        assert len(net.shards) == shards
+        killed = net.shards[0]
+        net.restart_shard(0)
+        # The router holds the network's list: the recovered shard is in it.
+        assert net.broker.shards is net.shards
+        assert net.broker.shards[0] is not killed
+        assert net.broker.shard_for_account("alice") in net.shards
 
     def test_federation_shares_one_signing_key(self, fednet):
         keys = {shard.public_key.y for shard in fednet.shards}
@@ -132,6 +136,8 @@ class TestBrokerAPISurface:
         wrong = ShardMap(["other-0", "other-1"])
         with pytest.raises(ValueError):
             ShardRouter(fednet.shards, wrong)
+        with pytest.raises(ValueError):  # the right shards, out of the map's order
+            ShardRouter(fednet.shards[::-1], fednet.shard_map)
 
     def test_account_lives_only_on_its_home_shard(self, fednet):
         fednet.add_peer("alice", PeerConfig(balance=8))
@@ -167,7 +173,7 @@ class TestCrossShardFlows:
         alice = fednet.add_peer("alice", PeerConfig(balance=5))
         home = fednet.shard_map.shard_for_account("alice")
         coin = purchase_homed(fednet, alice, home)
-        shard = fednet.router.shard_for_account("alice")
+        shard = fednet.broker.shard_for_account("alice")
         assert coin.coin_y in shard.valid_coins
         assert shard.counts.handoffs == 0
         assert fednet.broker.verify_conservation(5)
@@ -177,8 +183,8 @@ class TestCrossShardFlows:
         acct_home = fednet.shard_map.shard_for_account("alice")
         coin_home = next(a for a in fednet.shard_map.addresses if a != acct_home)
         coin = purchase_homed(fednet, alice, coin_home)
-        source = fednet.router.shard_for_account("alice")
-        dest = fednet.router.shard_for_coin(coin.coin_y)
+        source = fednet.broker.shard_for_account("alice")
+        dest = fednet.broker.shard_for_coin(coin.coin_y)
         assert dest.address == coin_home
         assert coin.coin_y in dest.valid_coins
         assert coin.coin_y not in source.valid_coins
@@ -193,7 +199,7 @@ class TestCrossShardFlows:
         homes = {fednet.shard_map.shard_for_coin(s.coin_y) for s in states}
         assert len(homes) > 1  # 12 random keys over 4 shards
         for state in states:
-            shard = fednet.router.shard_for_coin(state.coin_y)
+            shard = fednet.broker.shard_for_coin(state.coin_y)
             assert state.coin_y in shard.valid_coins
         assert fednet.broker.balance("alice") == 8
         assert fednet.broker.verify_conservation(20)
@@ -211,8 +217,8 @@ class TestCrossShardFlows:
         alice.issue("bob", state.coin_y)
         credited = bob.deposit(state.coin_y, payout_to="bob")
         assert credited == 1
-        assert fednet.router.shard_for_account("bob").balance("bob") == 1
-        coin_shard = fednet.router.shard_for_coin(state.coin_y)
+        assert fednet.broker.shard_for_account("bob").balance("bob") == 1
+        coin_shard = fednet.broker.shard_for_coin(state.coin_y)
         assert state.coin_y in coin_shard.deposited
         assert not any(s.pending_handoffs for s in fednet.shards)
         assert fednet.broker.verify_conservation(5)
@@ -224,7 +230,7 @@ class TestCrossShardFlows:
         alice.issue("bob", state.coin_y)
         new_value = bob.top_up(state.coin_y, delta=3, funding_account="bob")
         assert new_value == 4
-        coin_shard = fednet.router.shard_for_coin(state.coin_y)
+        coin_shard = fednet.broker.shard_for_coin(state.coin_y)
         assert coin_shard.valid_coins[state.coin_y].value == 4
         assert fednet.broker.balance("bob") == 3
         assert not any(s.pending_handoffs for s in fednet.shards)
@@ -238,7 +244,7 @@ class TestCrossShardFlows:
         alice.issue("bob", state.coin_y)
         alice.depart()
         bob.transfer_via_broker("carol", state.coin_y)
-        coin_shard = fednet.router.shard_for_coin(state.coin_y)
+        coin_shard = fednet.broker.shard_for_coin(state.coin_y)
         assert coin_shard.counts.downtime_transfers == 1
         assert sum(s.counts.downtime_transfers for s in fednet.shards) == 1
         assert state.coin_y in carol.wallet
@@ -280,8 +286,8 @@ class TestHandoffExactlyOnce:
         plan.scripted_reply_drops = 1  # first reply (client's or the prepare's) dies
         coin = purchase_homed(fednet, alice, coin_home)
         fednet.install_faults(None)
-        dest = fednet.router.shard_for_coin(coin.coin_y)
-        source = fednet.router.shard_for_account("alice")
+        dest = fednet.broker.shard_for_coin(coin.coin_y)
+        source = fednet.broker.shard_for_account("alice")
         assert source.balance("alice") == 4  # debited exactly once
         assert list(dest.valid_coins).count(coin.coin_y) == 1
         assert source.counts.purchases == 1
@@ -294,12 +300,12 @@ class TestHandoffExactlyOnce:
         acct_home = fednet.shard_map.shard_for_account("alice")
         coin_home = next(a for a in fednet.shard_map.addresses if a != acct_home)
         coin = purchase_homed(fednet, alice, coin_home)
-        dest = fednet.router.shard_for_coin(coin.coin_y)
+        dest = fednet.broker.shard_for_coin(coin.coin_y)
         seen_before = set(dest.handoffs_seen)
         served_before = dest.counts.handoffs
         # Re-drive the same prepare by hand: the durable handoffs_seen set
         # must short-circuit it even though the work is long committed.
-        source = fednet.router.shard_for_account("alice")
+        source = fednet.broker.shard_for_account("alice")
         h = next(iter(seen_before))
         reply = source._shard_rpc.call(
             dest.address,
@@ -315,8 +321,8 @@ class TestHandoffExactlyOnce:
         acct_home = fednet.shard_map.shard_for_account("alice")
         coin_home = next(a for a in fednet.shard_map.addresses if a != acct_home)
         coin = purchase_homed(fednet, alice, coin_home)
-        dest = fednet.router.shard_for_coin(coin.coin_y)
-        source = fednet.router.shard_for_account("alice")
+        dest = fednet.broker.shard_for_coin(coin.coin_y)
+        source = fednet.broker.shard_for_account("alice")
         # A raw (unsealed) prepare must bounce before touching state.
         with pytest.raises(ProtocolError):
             source._shard_rpc.call(
@@ -342,7 +348,7 @@ class TestHandoffExactlyOnce:
         alice = fednet.add_peer("alice", PeerConfig(balance=5))
         acct_home = fednet.shard_map.shard_for_account("alice")
         coin_home = next(a for a in fednet.shard_map.addresses if a != acct_home)
-        source = fednet.router.shard_for_account("alice")
+        source = fednet.broker.shard_for_account("alice")
         # Orphan a handoff: journal the begin exactly as a crash between
         # begin and prepare would leave it, then re-drive.
         keypair = coin_keypair_homed(fednet, coin_home)
@@ -376,7 +382,7 @@ class TestHandoffExactlyOnce:
         completed = fednet.complete_handoffs()
         assert completed == 1
         assert not source.pending_handoffs
-        dest = fednet.router.shard_for_coin(coin.coin_y)
+        dest = fednet.broker.shard_for_coin(coin.coin_y)
         assert coin.coin_y in dest.valid_coins
         assert source.balance("alice") == 3
         assert fednet.broker.verify_conservation(5)
@@ -402,7 +408,7 @@ class TestSingleShardCompatibility:
         state = alice.purchase()
         alice.issue("bob", state.coin_y)
         assert bob.deposit(state.coin_y, payout_to="bob") == 1
-        assert net.broker.address == "broker"
+        assert net.shards[0].address == "broker"
         assert net.broker.counts.handoffs == 0
         assert net.broker.verify_conservation(10)
 
@@ -436,7 +442,7 @@ class TestBatchFanOutRegression:
         # then compensated — rather than never attempted.
         existing = purchase_homed(fednet, alice, first_home)  # balance 5 -> 4
         clean_kp = coin_keypair_homed(fednet, second_home)
-        second = fednet.router._by_address[second_home]
+        second = fednet.shards[fednet.shard_map.addresses.index(second_home)]
         with pytest.raises(ProtocolError):
             self._batch(
                 fednet, alice, [(existing.coin_y, 2), (clean_kp.public.y, 1)]
@@ -454,8 +460,8 @@ class TestBatchFanOutRegression:
     def test_per_shard_conservation_at_a_dead_destination_boundary(self, fednet):
         alice = fednet.add_peer("alice", PeerConfig(balance=5))
         down_home, live_home = self._remote_homes(fednet, alice)
-        down = fednet.router._by_address[down_home]
-        live = fednet.router._by_address[live_home]
+        down = fednet.shards[fednet.shard_map.addresses.index(down_home)]
+        live = fednet.shards[fednet.shard_map.addresses.index(live_home)]
         down_kp = coin_keypair_homed(fednet, down_home)
         live_kp = coin_keypair_homed(fednet, live_home)
         down.go_offline()
@@ -467,7 +473,7 @@ class TestBatchFanOutRegression:
         # Crash-boundary state: the begin is durable, value is in flight
         # (conservation is *reported* broken, never silently wrong), the
         # debit has not been applied, and each shard's own audit passes.
-        source = fednet.router.shard_for_account("alice")
+        source = fednet.broker.shard_for_account("alice")
         assert source.pending_handoffs
         assert fednet.broker.balance("alice") == 5
         assert not fednet.broker.verify_conservation(5)
@@ -516,7 +522,7 @@ class TestPendingHandoffReserves:
         net.kill_shard(payout_shard)
         with pytest.raises(NetworkError):
             bob.deposit(state.coin_y, payout_to="bob")
-        coin_shard = net.router.shard_for_coin(state.coin_y)
+        coin_shard = net.broker.shard_for_coin(state.coin_y)
         assert len(coin_shard.pending_handoffs) == 1
         net.restart_shard(payout_shard)
         # The honest retry is held off with a typed, non-fraud error...
@@ -537,7 +543,7 @@ class TestPendingHandoffReserves:
     def test_pending_debit_is_not_spendable(self, tmp_path):
         net = self._net(tmp_path)
         alice = net.add_peer("alice", PeerConfig(balance=1))
-        source = net.router.shard_for_account("alice")
+        source = net.broker.shard_for_account("alice")
         others = [i for i, shard in enumerate(net.shards) if shard is not source]
         for index in others:
             net.kill_shard(index)

@@ -53,7 +53,7 @@ class TestCorruptedHintInTransit:
         )
         states = alice.purchase_batch(count=4, value=2)
         assert sorted(alice.owned) == sorted(state.coin_y for state in states)
-        assert set(alice.owned) <= set(network.broker.valid_coins)
+        assert set(alice.owned) <= set(network.shards[0].valid_coins)
         assert network.broker.balance("alice") + sum(s.coin.value for s in alice.owned.values()) == 10
         # The kept certificate rides inside the holder's request to the broker.
         alice.issue("bob", states[0].coin_y)
@@ -127,7 +127,7 @@ class TestForgedInnerSignature:
         assert bob.deposit(state.coin_y) == 3
         data = self._forged_deposit(net, bob, held)
         with pytest.raises(DoubleSpendDetected):
-            net.transport.request("bob", net.broker.address, protocol.DEPOSIT, data)
+            net.transport.request("bob", net.shards[0].address, protocol.DEPOSIT, data)
         (event,) = net.broker.fraud_events
         assert event.evidence["second_request"] == data
 
@@ -137,9 +137,9 @@ class TestForgedInnerSignature:
         alice.issue("bob", state.coin_y)
         data = self._forged_deposit(net, bob, bob.wallet[state.coin_y])
         with pytest.raises(VerificationFailed, match="holder envelope signatures invalid"):
-            net.transport.request("bob", net.broker.address, protocol.DEPOSIT, data)
+            net.transport.request("bob", net.shards[0].address, protocol.DEPOSIT, data)
         assert not net.broker.fraud_events
-        assert state.coin_y in net.broker.valid_coins
+        assert state.coin_y in net.shards[0].valid_coins
 
     def test_the_owner_checks_both_layers(self, funded_trio):
         net, alice, bob, _carol = funded_trio

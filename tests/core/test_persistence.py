@@ -42,7 +42,7 @@ def recover(net, peer, **kwargs):
         params=net.params,
         clock=net.clock,
         judge=net.judge,
-        broker_address=net.broker.address,
+        shard_map=net.shard_map,
         broker_key=net.broker.public_key,
         **kwargs,
     )

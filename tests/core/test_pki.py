@@ -84,12 +84,12 @@ class TestBrokerIntegration:
         assert alice.certificate.verify(network.ca.public_key, now=network.clock.now())
         assert alice.certificate.subject == "alice"
         # The account identity came from the certificate.
-        assert network.broker.accounts["alice"].identity.y == alice.identity.public.y
+        assert network.shards[0].accounts["alice"].identity.y == alice.identity.public.y
 
     def test_certified_purchase_works(self, network):
         alice = network.add_peer("alice", PeerConfig(balance=3))
         state = alice.purchase()
-        assert state.coin_y in network.broker.valid_coins
+        assert state.coin_y in network.shards[0].valid_coins
 
     def test_broker_rejects_bad_certificate(self, network):
         from repro.pki import CertificateAuthority
@@ -99,7 +99,7 @@ class TestBrokerIntegration:
         cert = rogue_ca.issue("mallory", identity.public, now=0.0)
         with pytest.raises(VerificationFailed):
             network.broker.open_account_from_certificate(cert, network.ca.public_key, 100)
-        assert "mallory" not in network.broker.accounts
+        assert "mallory" not in network.shards[0].accounts
 
     def test_broker_rejects_expired_certificate(self, network):
         identity = KeyPair.generate(network.params)

@@ -58,7 +58,7 @@ class TestBrokerLedger:
 
     def test_conservation_detects_tampering(self, funded_trio):
         net, alice, _bob, _carol = funded_trio
-        net.broker.accounts["alice"].balance += 1  # counterfeit!
+        net.shards[0].accounts["alice"].balance += 1  # counterfeit!
         assert not net.broker.verify_conservation(35)
 
     def test_export_ledger(self, funded_trio):

@@ -148,7 +148,7 @@ class TestLeaseGatedFailover:
         net = build_net(store_dir=tmp_path)
         alice = net.add_peer("alice", PeerConfig(balance=5))
         policy = net.supervise_broker(LeaseGatedSupervision(LIVENESS))
-        source = net.router.shard_for_account("alice")
+        source = net.broker.shard_for_account("alice")
         source_index = net.shards.index(source)
         coin_home = next(a for a in net.shard_map.addresses if a != source.address)
         keypair = coin_keypair_homed(net, coin_home)
@@ -184,7 +184,7 @@ class TestLeaseGatedFailover:
         assert event.address == source.address
         assert event.redriven_handoffs == 1
         assert not any(shard.pending_handoffs for shard in net.shards)
-        dest = net.router.shard_for_coin(coin.coin_y)
+        dest = net.broker.shard_for_coin(coin.coin_y)
         assert coin.coin_y in dest.valid_coins
         assert net.broker.balance("alice") == 3
         assert net.broker.verify_conservation(5)

@@ -16,7 +16,7 @@ class TestTopUp:
         new_value = bob.top_up(state.coin_y, delta=3, funding_account="bob")
         assert new_value == 4
         assert net.broker.balance("bob") == 7  # 10 - 3
-        assert net.broker.valid_coins[state.coin_y].value == 4
+        assert net.shards[0].valid_coins[state.coin_y].value == 4
 
     def test_topped_up_coin_deposits_at_new_value(self, funded_trio):
         net, alice, bob, _carol = funded_trio
@@ -71,7 +71,7 @@ class TestTopUp:
         alice.issue("carol", state.coin_y)  # carol has a 0-balance account
         with pytest.raises(InsufficientFunds):
             carol.top_up(state.coin_y, delta=1, funding_account="carol")
-        assert net.broker.valid_coins[state.coin_y].value == 1
+        assert net.shards[0].valid_coins[state.coin_y].value == 1
 
     def test_funding_auth_must_match_account_identity(self, funded_trio):
         net, alice, bob, _carol = funded_trio
@@ -85,7 +85,7 @@ class TestTopUp:
         )
         envelope = bob._holder_envelope(held, "top_up", delta=1, funding_auth=auth.encode())
         with pytest.raises(VerificationFailed):
-            bob.request(net.broker.address, protocol.TOP_UP, protocol.encode_dual(envelope))
+            bob.request(net.shards[0].address, protocol.TOP_UP, protocol.encode_dual(envelope))
         assert net.broker.balance("alice") == 24  # untouched (25 - 1 purchase)
 
     def test_auth_bound_to_coin_and_amount(self, funded_trio):
@@ -102,7 +102,7 @@ class TestTopUp:
         )
         envelope = bob._holder_envelope(held, "top_up", delta=1, funding_auth=auth.encode())
         with pytest.raises(ProtocolError):
-            bob.request(net.broker.address, protocol.TOP_UP, protocol.encode_dual(envelope))
+            bob.request(net.shards[0].address, protocol.TOP_UP, protocol.encode_dual(envelope))
 
     def test_nonpositive_delta_rejected(self, funded_trio):
         _net, alice, bob, _carol = funded_trio

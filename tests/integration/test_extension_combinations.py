@@ -17,7 +17,7 @@ class TestCoinShopWithDetection:
         member = net.judge.register("shop")
         shop = CoinShop(
             net.transport, address="shop", params=net.params, clock=net.clock,
-            judge=net.judge, member_key=member, broker_address=net.broker.address,
+            judge=net.judge, member_key=member, shard_map=net.shard_map,
             broker_key=net.broker.public_key,
         )
         shop.detection = net.detection
@@ -42,7 +42,7 @@ class TestOwnerlessWithDetection:
             member = net.judge.register(address)
             peer = AnonymousOwnerPeer(
                 net.transport, address=address, params=net.params, clock=net.clock,
-                judge=net.judge, member_key=member, broker_address=net.broker.address,
+                judge=net.judge, member_key=member, shard_map=net.shard_map,
                 broker_key=net.broker.public_key, i3=i3,
             )
             peer.detection = net.detection

@@ -13,19 +13,19 @@ class TestBrokerOutage:
         state = alice.purchase()
         alice.issue("bob", state.coin_y)
         alice.depart()
-        net.broker.go_offline()
+        net.shards[0].go_offline()
         with pytest.raises(NodeOffline):
             bob.transfer_via_broker("carol", state.coin_y)
         # No state corruption: bob still holds the coin, carol got nothing.
         assert state.coin_y in bob.wallet
         assert state.coin_y not in carol.wallet
-        net.broker.go_online()
+        net.shards[0].go_online()
         bob.transfer_via_broker("carol", state.coin_y)
         assert state.coin_y in carol.wallet
 
     def test_purchase_during_outage(self, funded_trio):
         net, alice, _bob, _carol = funded_trio
-        net.broker.go_offline()
+        net.shards[0].go_offline()
         with pytest.raises(NodeOffline):
             alice.purchase()
         assert not alice.owned
@@ -35,11 +35,11 @@ class TestBrokerOutage:
         net, alice, bob, _carol = funded_trio
         state = alice.purchase()
         alice.issue("bob", state.coin_y)
-        net.broker.go_offline()
+        net.shards[0].go_offline()
         with pytest.raises(NodeOffline):
             bob.deposit(state.coin_y)
         assert state.coin_y in bob.wallet
-        net.broker.go_online()
+        net.shards[0].go_online()
         assert bob.deposit(state.coin_y) == 1
 
 
@@ -124,7 +124,7 @@ class TestI3Failure:
             member = net.judge.register(address)
             peer = AnonymousOwnerPeer(
                 net.transport, address=address, params=net.params, clock=net.clock,
-                judge=net.judge, member_key=member, broker_address=net.broker.address,
+                judge=net.judge, member_key=member, shard_map=net.shard_map,
                 broker_key=net.broker.public_key, i3=i3,
             )
             net.broker.open_account(address, peer.identity.public, balance)

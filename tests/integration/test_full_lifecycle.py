@@ -41,7 +41,7 @@ class TestCoinLifecycle:
             for coin_y in list(peer.wallet):
                 peer.deposit(coin_y)
         assert sum(len(p.wallet) for p in peers) == 0
-        assert len(net.broker.deposited) == 8
+        assert len(net.shards[0].deposited) == 8
 
     def test_value_conservation(self, network):
         # Money in = money out: accounts + circulating coin value is constant.
@@ -50,11 +50,11 @@ class TestCoinLifecycle:
         bob = net.add_peer("bob", PeerConfig(balance=0))
 
         def total_wealth():
-            accounts = sum(a.balance for a in net.broker.accounts.values())
+            accounts = sum(a.balance for a in net.shards[0].accounts.values())
             circulating = sum(
                 coin.value
-                for coin_y, coin in net.broker.valid_coins.items()
-                if coin_y not in net.broker.deposited
+                for coin_y, coin in net.shards[0].valid_coins.items()
+                if coin_y not in net.shards[0].deposited
             )
             return accounts + circulating
 

@@ -51,7 +51,7 @@ class TestProtocolUnderLoss:
         net.transport.install_faults(None)
         assert net.broker.balance("alice") == 25  # nothing debited
         assert not alice.owned
-        assert not net.broker.valid_coins
+        assert not net.shards[0].valid_coins
 
     def test_lost_transfer_keeps_holder_state(self, funded_trio):
         net, alice, bob, carol = funded_trio

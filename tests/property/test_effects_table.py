@@ -126,7 +126,7 @@ def build_operation(op: str, amounts: list[int], world, keypair, identity):
 )
 def test_every_split_conserves_per_shard_and_replays(world, op, amounts, split, sabotage):
     net, _coin, _envelope = world
-    keypair, identity = net.broker.keypair, KeyPair.generate(PARAMS_TEST_512).public
+    keypair, identity = net.shards[0].keypair, KeyPair.generate(PARAMS_TEST_512).public
     effects, preconditions = build_operation(op, amounts, world, keypair, identity)
     keys = [home_key(e) for e in effects]
     homes = {key: "A" if local else "B" for key, local in zip(keys, split)}

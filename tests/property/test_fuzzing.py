@@ -69,7 +69,7 @@ class TestBrokerEndpointFuzz:
             net.transport.request("alice", "broker", protocol.PURCHASE, data)
         # Typed protocol failure, not an arbitrary internal crash.
         assert isinstance(exc_info.value, ProtocolError)
-        assert not net.broker.valid_coins  # nothing was minted
+        assert not net.shards[0].valid_coins  # nothing was minted
 
     @given(st.binary(max_size=150))
     @settings(max_examples=25, deadline=None)
@@ -166,7 +166,7 @@ def _assert_refused_without_trace(rig, kind, server, payload, error=ProtocolErro
 
     def trace():
         return {
-            "journals": (net.broker.store.next_lsn, alice.store.next_lsn),
+            "journals": (net.shards[0].store.next_lsn, alice.store.next_lsn),
             "relinquishments": list(alice.owned[coin_y].relinquishments),
             "fraud_events": len(net.broker.fraud_events),
             "alice": dataclasses.asdict(alice.counts),

@@ -120,7 +120,7 @@ class WhoPayMachine(RuleBasedStateMachine):
     def value_is_conserved(self):
         if not hasattr(self, "net"):
             return
-        broker = self.net.broker
+        broker = self.net.shards[0]
         accounts = sum(a.balance for a in broker.accounts.values())
         circulating = sum(
             coin.value
@@ -153,7 +153,7 @@ class WhoPayMachine(RuleBasedStateMachine):
             return
         for peer in self.peers:
             for coin_y in peer.wallet:
-                assert coin_y not in self.net.broker.deposited
+                assert coin_y not in self.net.shards[0].deposited
 
 
 WhoPayMachine.TestCase.settings = settings(

@@ -190,8 +190,8 @@ class TestBrokerExactlyOnceUnderGroupCommit:
     def test_crash_before_fsync_rolls_back_and_retry_reexecutes(self, tmp_path):
         generator = self._generator(tmp_path)
         network = generator.network
-        committer = GroupCommitter(network.broker.store, max_batch=64)
-        engine = ThroughputEngine(network.broker, committer=committer, verify_batch=64)
+        committer = GroupCommitter(network.shards[0].store, max_batch=64)
+        engine = ThroughputEngine(network.shards[0], committer=committer, verify_batch=64)
         wire = self._wire(generator, 5)
         ledger_before = network.broker.export_ledger()
 
@@ -202,10 +202,10 @@ class TestBrokerExactlyOnceUnderGroupCommit:
 
         result = network.restart_broker()
         assert result.audit is not None and result.audit.ok
-        broker = network.broker
+        broker = network.shards[0]
         # The whole round is gone: no binding, mint, or credit survived.
         monetary = lambda ledger: {k: v for k, v in ledger.items() if k != "operation_counts"}
-        assert monetary(broker.export_ledger()) == monetary(ledger_before)
+        assert monetary(network.broker.export_ledger()) == monetary(ledger_before)
         assert broker.downtime_bindings == {}
 
         # The clients never saw a reply, so they retry the same envelopes.
@@ -220,8 +220,8 @@ class TestBrokerExactlyOnceUnderGroupCommit:
     def test_crash_after_fsync_serves_retries_from_the_replay_cache(self, tmp_path):
         generator = self._generator(tmp_path)
         network = generator.network
-        committer = GroupCommitter(network.broker.store, max_batch=64)
-        engine = ThroughputEngine(network.broker, committer=committer, verify_batch=64)
+        committer = GroupCommitter(network.shards[0].store, max_batch=64)
+        engine = ThroughputEngine(network.shards[0], committer=committer, verify_batch=64)
         wire = self._wire(generator, 5)
 
         network.arm_crash_points(CrashPointPlan(fire_at=1))
@@ -231,8 +231,8 @@ class TestBrokerExactlyOnceUnderGroupCommit:
 
         result = network.restart_broker()
         assert result.audit is not None and result.audit.ok
-        broker = network.broker
-        ledger_after_crash = broker.export_ledger()
+        broker = network.shards[0]
+        ledger_after_crash = network.broker.export_ledger()
 
         # The batch became durable before the crash: retrying the identical
         # requests must not re-execute anything (exactly-once).
@@ -243,5 +243,5 @@ class TestBrokerExactlyOnceUnderGroupCommit:
         assert stats.accepted == stats.processed == 5
         assert all(r.ok and r.released for r in records)
         assert broker.replays_served >= 5
-        assert broker.export_ledger() == ledger_after_crash
+        assert network.broker.export_ledger() == ledger_after_crash
         generator.absorb(records)

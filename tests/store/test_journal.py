@@ -113,7 +113,7 @@ class TestOneScan:
         del reads[:]
         net.restart_broker()
         assert reads.count("journal.wal") == 1
-        with open(net.broker.store.journal_path, "ab") as fh:
+        with open(net.shards[0].store.journal_path, "ab") as fh:
             fh.write(b"\x00\x00")  # a tear
         del reads[:]
         assert net.restart_broker().torn_tail_bytes == 2

@@ -14,7 +14,7 @@ import struct
 
 import pytest
 
-from repro.core.network import PeerConfig, WhoPayNetwork
+from repro.core.network import BrokerTopology, PeerConfig, WhoPayNetwork
 from repro.crypto.params import PARAMS_TEST_512
 from repro.messages.codec import decode, encode
 from repro.net.rpc import RetryPolicy
@@ -43,6 +43,26 @@ def monetary(ledger: dict) -> dict:
     """The ledger minus telemetry: a recovered broker restarts its
     operation counters at zero, but money and coin state must be exact."""
     return {k: v for k, v in ledger.items() if k != "operation_counts"}
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+def test_the_durable_ledger_survives_restarting_every_shard(tmp_path, shards):
+    """Every shard restarted, the ledger minus its one merged counter block
+    is the pre-kill ledger: no per-shard telemetry hides in the breakdown."""
+    net = make_net(tmp_path, topology=BrokerTopology(shards=shards))
+    alice = net.add_peer("alice", PeerConfig(balance=10))
+    bob = net.add_peer("bob")
+    carol = net.add_peer("carol")
+    for _ in range(3):
+        coin_y = alice.purchase().coin_y
+        alice.issue("bob", coin_y)
+        bob.transfer("carol", coin_y)
+        carol.deposit(coin_y, payout_to="carol")
+    ledger = monetary(net.broker.export_ledger())
+    assert ledger["coins_deposited"] == 3
+    for index in range(shards):
+        net.restart_shard(index)
+    assert monetary(net.broker.export_ledger()) == ledger
 
 
 def rewrite_journal(path, mutate) -> None:
@@ -116,7 +136,7 @@ class TestBrokerRecovery:
         net = make_net(tmp_path)
         net.add_peer("alice", PeerConfig(balance=5))
         with pytest.raises(RecoveryError, match="belongs to"):
-            RecoveryManager(net.broker.store).recover_broker(
+            RecoveryManager(net.shards[0].store).recover_broker(
                 Transport(),
                 judge=net.judge,
                 params=net.params,
@@ -141,8 +161,8 @@ class TestBrokerRecovery:
                         effect["amount"] += 5
             return record
 
-        rewrite_journal(net.broker.store.journal_path, inflate)
-        RecoveryManager(net.broker.store).recover_broker(
+        rewrite_journal(net.shards[0].store.journal_path, inflate)
+        RecoveryManager(net.shards[0].store).recover_broker(
             Transport(), judge=net.judge, params=net.params, clock=net.clock
         )
 
@@ -195,25 +215,25 @@ class TestEncryptedSnapshots:
         net = make_net(tmp_path)
         alice = net.add_peer("alice", PeerConfig(balance=10))
         alice.purchase()
-        save_broker_snapshot(net.broker, net.broker.store, encryption_key=self.KEY)
+        save_broker_snapshot(net.shards[0], net.shards[0].store, encryption_key=self.KEY)
         return net
 
     def test_snapshot_bytes_are_sealed(self, tmp_path):
         net = self._prepare(tmp_path)
-        state, _records, _torn = net.broker.store.load()
+        state, _records, _torn = net.shards[0].store.load()
         assert state.startswith(b"enc:")
 
     def test_recovery_needs_the_key(self, tmp_path):
         net = self._prepare(tmp_path)
         with pytest.raises(RecoveryError, match="encryption key"):
-            RecoveryManager(net.broker.store).recover_broker(
+            RecoveryManager(net.shards[0].store).recover_broker(
                 Transport(), judge=net.judge, params=net.params, clock=net.clock
             )
 
     def test_recovery_with_the_key_restores_the_ledger(self, tmp_path):
         net = self._prepare(tmp_path)
-        ledger = monetary(net.broker.export_ledger())
-        result = RecoveryManager(net.broker.store).recover_broker(
+        ledger = monetary(net.shards[0].export_ledger())
+        result = RecoveryManager(net.shards[0].store).recover_broker(
             Transport(),
             judge=net.judge,
             params=net.params,
@@ -244,9 +264,9 @@ class TestReplayCacheAcrossRestart:
         assert plan.fired.site == "journal.append.post_sync"
         assert net.broker_restarts == 1
         assert net.transport.crashes_simulated == 1
-        assert net.broker.replays_served > 0  # the retry was served from cache
-        assert net.broker.accounts["bob"].balance == 1  # credited exactly once
-        assert state.coin_y in net.broker.deposited
+        assert net.shards[0].replays_served > 0  # the retry was served from cache
+        assert net.shards[0].accounts["bob"].balance == 1  # credited exactly once
+        assert state.coin_y in net.shards[0].deposited
         assert net.broker.verify_conservation(10)
 
     def test_unsupervised_crash_before_commit_rolls_back(self, tmp_path):
@@ -266,9 +286,9 @@ class TestReplayCacheAcrossRestart:
 
         result = net.restart_broker()
         assert result.audit is not None and result.audit.ok
-        assert state.coin_y not in net.broker.deposited  # rolled back
+        assert state.coin_y not in net.shards[0].deposited  # rolled back
         assert bob.deposit(state.coin_y, payout_to="bob") == 1
-        assert net.broker.accounts["bob"].balance == 1
+        assert net.shards[0].accounts["bob"].balance == 1
         assert net.broker.verify_conservation(10)
 
 

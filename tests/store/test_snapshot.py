@@ -192,11 +192,11 @@ class TestScriptedStates:
         owner.depart()
         holder.transfer_via_broker(payee.address, coin_y)
         payee.deposit(coin_y, payout_to=payee.address)
-        home = net.router.shard_for_coin(coin_y) if net.router else net.broker
+        home = net.broker.shard_for_coin(coin_y)
         assert coin_y in home.pending_sync[owner.address]
         assert coin_y not in home.downtime_bindings
         snapshot_kill_recover(net)
-        home = net.router.shard_for_coin(coin_y) if net.router else net.broker
+        home = net.broker.shard_for_coin(coin_y)
         assert coin_y in home.pending_sync[owner.address]
         net.peers[owner.address].rejoin()
         assert owner.address not in home.pending_sync
@@ -215,10 +215,10 @@ class TestScriptedStates:
         with pytest.raises(NetworkError):
             holder.deposit(coin_y, payout_to=holder.address)
         net.restart_shard(payout)
-        source = net.router.shard_for_coin(coin_y)
+        source = net.broker.shard_for_coin(coin_y)
         assert len(source.pending_handoffs) == 1
         snapshot_kill_recover(net)
-        assert len(net.router.shard_for_coin(coin_y).pending_handoffs) == 1
+        assert len(net.broker.shard_for_coin(coin_y).pending_handoffs) == 1
         assert net.complete_handoffs() == 1
         assert net.broker.balance(holder.address) == BALANCE + 1
         assert net.broker.verify_conservation(PEERS * BALANCE)
@@ -235,13 +235,13 @@ class TestScriptedStates:
             net.snapshot_broker()  # ...which only the snapshot holds from here
             restarts.append(net.restart_broker())
 
-        net.transport.set_crash_handler(net.broker.address, recover_from_a_snapshot)
+        net.transport.set_crash_handler(net.shards[0].address, recover_from_a_snapshot)
         plan = CrashPointPlan(fire_at=1)  # the deposit's append, after its fsync
         net.arm_crash_points(plan)
         assert holder.deposit(coin_y, payout_to=holder.address) == 1
         assert plan.fired is not None and plan.fired.site == "journal.append.post_sync"
         assert [r.records_replayed for r in restarts] == [0]
-        assert net.broker.replays_served > 0  # the retry was served from the cache
+        assert net.shards[0].replays_served > 0  # the retry was served from the cache
         assert net.broker.balance(holder.address) == BALANCE + 1  # credited once
         assert net.broker.verify_conservation(PEERS * BALANCE)
 
@@ -271,13 +271,13 @@ class TestRefusedSnapshots:
         net = durable_net(tmp_path, 1)
         owner, holder = net.peers["p0"], net.peers["p1"]
         owner.issue(holder.address, owner.purchase(value=2).coin_y)
-        save_broker_snapshot(net.broker, net.broker.store)
-        blob, _records, _torn = net.broker.store.load()
+        save_broker_snapshot(net.shards[0], net.shards[0].store)
+        blob, _records, _torn = net.shards[0].store.load()
         return net, decode(blob)
 
     def _recover(self, net, data):
-        net.broker.store.snapshot(encode(data))
-        return RecoveryManager(net.broker.store).recover_broker(
+        net.shards[0].store.snapshot(encode(data))
+        return RecoveryManager(net.shards[0].store).recover_broker(
             Transport(), judge=net.judge, params=net.params, clock=net.clock
         )
 

@@ -27,6 +27,7 @@ from repro.core.errors import VerificationFailed
 from repro.core.judge import Judge
 from repro.core.network import PeerConfig, WhoPayNetwork
 from repro.core.persistence import save_peer_snapshot
+from repro.core.sharding import ShardMap
 from repro.crypto.keys import PublicKey
 from repro.crypto.params import PARAMS_TEST_512
 from repro.messages.codec import encode
@@ -192,7 +193,7 @@ class TestParentMadeJournal:
             params=PARAMS_TEST_512,
             clock=Clock(),
             judge=Judge(PARAMS_TEST_512),
-            broker_address=fixture["broker_address"],
+            shard_map=ShardMap((fixture["broker_address"],)),
             broker_key=PublicKey(params=PARAMS_TEST_512, y=int(fixture["broker_y"], 16)),
         ).entity
 
