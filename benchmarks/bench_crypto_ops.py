@@ -185,9 +185,9 @@ def test_bench_hashchain_verify(benchmark):
 # ``baseline_group_sign`` and ``baseline_group_verify`` are also the oracles
 # of the differential tests in ``tests/crypto/test_group_signature.py``.
 # Retirement condition (DESIGN.md §1.1, "When a kept oracle may go"): golden
-# vectors cover the oracle's accept *and* reject set, and the kernel it
-# shadows has gone 5 PRs unedited.  At PR 23 both kernels date from PR 17,
-# but the golden file pins only signatures that must verify — not met.
+# vectors cover the oracle's accept *and* reject set (golden_group_oracles.json
+# pins both), and the kernel it shadows has gone 5 PRs unedited (DESIGN.md
+# §1.1 says which kernel meets that when).
 
 
 def baseline_dsa_verify(public, message, signature) -> bool:

@@ -42,9 +42,6 @@ SEED = 20060704
 #: 1000 peers — 16 is still a conservative stand-in.
 PEERS = 16
 COINS_PER_PEER = 2
-#: max_delay safety valve for the sweep rows (the committer's injected
-#: timer is wall-clock here — benchmarks are outside the WP102 scope).
-MAX_DELAY_S = 0.05
 
 
 def run_config(ops_per_round: int, rounds: int, batch: int | None) -> dict:
@@ -67,12 +64,7 @@ def run_config(ops_per_round: int, rounds: int, batch: int | None) -> dict:
             pool = VerificationPool(
                 generator.params, generator.broker.public_key, [generator._gpk]
             )
-            committer = GroupCommitter(
-                generator.broker.store,
-                max_batch=batch,
-                max_delay=MAX_DELAY_S,
-                timer=time.perf_counter,
-            )
+            committer = GroupCommitter(generator.broker.store, max_batch=batch)
         engine = ThroughputEngine(
             generator.broker,
             pool=pool,

@@ -1,7 +1,7 @@
 """Result formatting and series-shape checks for the benchmark harness."""
 
-from repro.analysis.series import crossover_index, is_decreasing, is_increasing, rises_then_falls
-from repro.analysis.stats import gini, pearson, percentile, summarize, top_share
+from repro.analysis.series import is_decreasing, is_increasing, rises_then_falls
+from repro.analysis.stats import gini, pearson, top_share
 from repro.analysis.tables import format_series_table, format_table
 
 __all__ = [
@@ -10,10 +10,7 @@ __all__ = [
     "is_increasing",
     "is_decreasing",
     "rises_then_falls",
-    "crossover_index",
     "gini",
     "pearson",
     "top_share",
-    "percentile",
-    "summarize",
 ]

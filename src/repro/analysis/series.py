@@ -41,16 +41,3 @@ def rises_then_falls(values: Sequence[float], tolerance: float = 0.0) -> bool:
     if peak == 0 or peak == len(values) - 1:
         return False
     return is_increasing(values[: peak + 1], tolerance) and is_decreasing(values[peak:], tolerance)
-
-
-def crossover_index(a: Sequence[float], b: Sequence[float]) -> int | None:
-    """First index where series ``a`` stops being below series ``b``.
-
-    Returns ``None`` if ``a`` stays below ``b`` everywhere (no crossover).
-    """
-    if len(a) != len(b):
-        raise ValueError("series must have equal length")
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x >= y:
-            return i
-    return None

@@ -59,34 +59,3 @@ def top_share(values: Sequence[float], fraction: float = 0.1) -> float:
         return 0.0
     k = max(1, int(len(ordered) * fraction))
     return sum(ordered[:k]) / total
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile (0–100) by linear interpolation."""
-    if not values:
-        raise ValueError("empty series")
-    if not 0 <= q <= 100:
-        raise ValueError("q must be in [0, 100]")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return float(ordered[0])
-    position = (len(ordered) - 1) * q / 100.0
-    low = int(position)
-    high = min(low + 1, len(ordered) - 1)
-    weight = position - low
-    return ordered[low] * (1 - weight) + ordered[high] * weight
-
-
-def summarize(values: Sequence[float]) -> dict[str, float]:
-    """Five-number-style summary plus concentration measures."""
-    if not values:
-        raise ValueError("empty series")
-    return {
-        "min": float(min(values)),
-        "p50": percentile(values, 50),
-        "p90": percentile(values, 90),
-        "max": float(max(values)),
-        "mean": sum(values) / len(values),
-        "gini": gini(values),
-        "top10_share": top_share(values, 0.1),
-    }

@@ -25,7 +25,7 @@ address from payees, owners, and the broker with one call.
 
 from repro.anonymity.cipher import CipherError, derive_shared_key, open_box, seal_box
 from repro.anonymity.onion import OnionCircuit, OnionOverlay, anonymize_node
-from repro.anonymity.pseudonym import bearer_account, funding_voucher
+from repro.anonymity.pseudonym import funding_voucher
 
 __all__ = [
     "derive_shared_key",
@@ -35,6 +35,5 @@ __all__ = [
     "OnionOverlay",
     "OnionCircuit",
     "anonymize_node",
-    "bearer_account",
     "funding_voucher",
 ]

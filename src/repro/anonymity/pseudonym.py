@@ -15,8 +15,6 @@ accepts as carriers of peer-identifying values into holder envelopes.
 
 from __future__ import annotations
 
-import secrets
-
 from repro.crypto.keys import KeyPair
 from repro.messages.envelope import seal
 
@@ -37,12 +35,3 @@ def funding_voucher(identity: KeyPair, account: str, amount: int, coin_y: int) -
             "coin_y": coin_y,
         },
     ).encode()
-
-
-def bearer_account(prefix: str = "bearer") -> str:
-    """A fresh, unlinkable account name.
-
-    Fund coins from an account created under a throwaway identity when even
-    the broker must not link the top-up to a long-lived peer name.
-    """
-    return f"{prefix}-{secrets.token_hex(16)}"

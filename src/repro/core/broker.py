@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from repro.core import protocol
@@ -97,24 +97,12 @@ class OperationCounts:
 
     def total(self) -> int:
         """All client-facing broker operations (the paper's load measure)."""
-        return (
-            self.purchases
-            + self.deposits
-            + self.downtime_transfers
-            + self.downtime_renewals
-            + self.syncs
-            + self.binding_queries
-        )
+        return sum(getattr(self, f.name) for f in fields(self)) - self.handoffs
 
     def merge(self, other: "OperationCounts") -> None:
         """Accumulate another counter set (federation-wide aggregation)."""
-        self.purchases += other.purchases
-        self.deposits += other.deposits
-        self.downtime_transfers += other.downtime_transfers
-        self.downtime_renewals += other.downtime_renewals
-        self.syncs += other.syncs
-        self.binding_queries += other.binding_queries
-        self.handoffs += other.handoffs
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 class Broker(Node):

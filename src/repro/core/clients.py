@@ -45,10 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class EndpointClient:
     """Shared plumbing: an RPC client plus the exhaustion→error mapping.
 
-    ``breakers`` (a :class:`~repro.net.liveness.BreakerBoard`) puts every
-    call on this facade behind per-destination circuit breakers — a
-    tripped destination raises :class:`~repro.net.rpc.CircuitOpen` without
-    consuming any retry budget.  ``deadline`` is the facade-wide per-call
+    ``deadline`` is the facade-wide per-call
     virtual-time budget (backoff plus accrued latency); individual calls
     may override it.
     """
@@ -60,27 +57,16 @@ class EndpointClient:
         transport: Transport | None = None,
         src: str | None = None,
         policy: RetryPolicy | None = None,
-        breakers: Any = None,
         deadline: float | None = None,
     ) -> None:
-        self._rpc = RpcClient(node=node, transport=transport, policy=policy, breakers=breakers)
+        self._rpc = RpcClient(node=node, transport=transport, policy=policy)
         self._src = src
         self.deadline = deadline
-
-    @property
-    def policy(self) -> RetryPolicy:
-        """The retry policy every call on this facade runs under."""
-        return self._rpc.policy
 
     @property
     def stats(self):
         """The underlying RPC telemetry (retries, recoveries, backoff)."""
         return self._rpc.stats
-
-    @property
-    def breakers(self):
-        """The facade's circuit-breaker board (``None`` when not guarded)."""
-        return self._rpc.breakers
 
     def _call(
         self,
@@ -129,10 +115,9 @@ class BrokerClient(EndpointClient):
         node: "Node",
         shard_map: "ShardMap",
         policy: RetryPolicy | None = None,
-        breakers: Any = None,
         deadline: float | None = None,
     ) -> None:
-        super().__init__(node, policy=policy, breakers=breakers, deadline=deadline)
+        super().__init__(node, policy=policy, deadline=deadline)
         self.shard_map = shard_map
 
     def purchase(self, signed_request: bytes, *, account: str) -> Any:

@@ -194,11 +194,6 @@ class CoinBinding:
         return self.signed.payload
 
     @property
-    def coin_y(self) -> int:
-        """Which coin this binding is about."""
-        return self.payload["coin_y"]
-
-    @property
     def holder_y(self) -> int:
         """The current holder's coin-local public key ``pk_CH``."""
         return self.payload["holder_y"]
@@ -263,10 +258,6 @@ class HeldCoin:
     def is_expired(self, now: float) -> bool:
         """True once the binding's expiry has passed."""
         return now > self.binding.exp_date
-
-    def needs_renewal(self, now: float, window: float) -> bool:
-        """True when inside the renewal window before expiry."""
-        return not self.is_expired(now) and (self.binding.exp_date - now) <= window
 
 
 @dataclass

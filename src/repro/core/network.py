@@ -30,7 +30,6 @@ from repro.crypto.params import DlogParams, default_params
 from repro.dht.binding_store import BindingStore
 from repro.dht.chord import ChordRing
 from repro.dht.notify import NotificationHub
-from repro.net.liveness import BreakerConfig
 from repro.net.rpc import RetryPolicy
 from repro.net.transport import FaultPlan, Transport
 from repro.store.crashpoints import CrashPointPlan
@@ -95,7 +94,6 @@ class WhoPayNetwork:
         retry_policy: RetryPolicy | None = None,
         store_dir: str | Path | None = None,
         topology: BrokerTopology | None = None,
-        breaker_config: BreakerConfig | None = None,
     ) -> None:
         self.params = params or default_params()
         self.transport = Transport()
@@ -137,10 +135,6 @@ class WhoPayNetwork:
         self.broker = ShardRouter(self.shards, self.shard_map)
         self.broker_restarts = 0
         self.last_recovery: RecoveryResult | None = None
-        #: Client-side degradation: with a breaker config, every peer's
-        #: broker facade runs behind per-destination circuit breakers and
-        #: queues payments aimed at a tripped shard instead of failing.
-        self.breaker_config = breaker_config
         #: The attached supervisor (see :meth:`supervise_broker`).
         self.supervision: LeaseGatedSupervision | None = None
         self.sync_mode = sync_mode
@@ -196,17 +190,12 @@ class WhoPayNetwork:
             renewal_period=self.renewal_period,
             retry_policy=self.retry_policy,
             store=store,
-            breaker_config=self.breaker_config,
         )
         peer.detection = self.detection
         peer.certificate = self.ca.issue(address, peer.identity.public, self.clock.now())
         self.broker.open_account_from_certificate(peer.certificate, self.ca.public_key, config.balance)
         self.peers[address] = peer
         return peer
-
-    def peer(self, address: str) -> Peer:
-        """Look up a peer by address."""
-        return self.peers[address]
 
     def advance(self, seconds: float) -> float:
         """Move simulated time forward (and run one supervision round).
@@ -219,10 +208,6 @@ class WhoPayNetwork:
         if self.supervision is not None:
             self.supervision.tick(now)
         return now
-
-    def drain_queued_payments(self) -> int:
-        """Drain every peer's queued payments (post-recovery); returns count."""
-        return sum(peer.drain_payment_queue() for peer in self.peers.values())
 
     def install_faults(self, plan: FaultPlan | None) -> None:
         """Install (or remove, with ``None``) a fault plan on the fabric."""
@@ -350,7 +335,6 @@ class WhoPayNetwork:
             renewal_period=self.renewal_period,
             retry_policy=self.retry_policy,
             shard_map=self.shard_map,
-            breaker_config=self.breaker_config,
         )
         recovered = result.entity
         recovered.detection = detection

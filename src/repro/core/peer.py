@@ -23,7 +23,6 @@ so neither the owner nor the broker learns who holds, pays, or deposits.
 from __future__ import annotations
 
 import secrets
-import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -48,18 +47,14 @@ from repro.crypto.params import DlogParams
 from repro.crypto.schnorr import SchnorrProof, schnorr_prove, schnorr_verify
 from repro.anonymity.pseudonym import funding_voucher
 from repro.messages.envelope import DualSignedMessage, group_countersign, group_seal, seal
-from repro.net.liveness import BreakerBoard, BreakerConfig
 from repro.net.node import Node
-from repro.net.rpc import CircuitOpen, RetryPolicy
-from repro.net.transport import NetworkError, NodeOffline, Transport
+from repro.net.rpc import RetryPolicy
+from repro.net.transport import NodeOffline, Transport
 from repro.store import records as wallet_records
 from repro.store.journal import DurableStore
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.sharding import ShardMap
-
-#: How long before expiry a holder starts renewing (one quarter of the period).
-RENEWAL_WINDOW_FRACTION = 0.25
 
 #: Sequence numbers an owner reserves per journaled floor: a coin's owner
 #: journals once per this many bindings it signs, and a recovered owner
@@ -128,7 +123,6 @@ class Peer(Node):
         renewal_period: float = DEFAULT_RENEWAL_PERIOD,
         retry_policy: RetryPolicy | None = None,
         store: DurableStore | None = None,
-        breaker_config: BreakerConfig | None = None,
     ) -> None:
         if sync_mode not in ("proactive", "lazy"):
             raise ValueError("sync_mode must be 'proactive' or 'lazy'")
@@ -146,25 +140,8 @@ class Peer(Node):
         # ``shard_map`` is the broker's address book, for every M — each call
         # routes straight to the shard owning the coin/account it touches.
         self.retry_policy = retry_policy
-        # Broker traffic (only) sits behind per-destination circuit breakers
-        # when configured: a dead shard trips its breaker, later calls
-        # short-circuit with ``CircuitOpen`` instead of burning retry budget,
-        # and ``pay`` queues the payment until the breaker half-opens and the
-        # shard proves itself recovered.  Peer-to-peer traffic stays bare —
-        # churned peers going offline is ordinary protocol life, not failure.
-        self.breakers = (
-            BreakerBoard(breaker_config, seed=zlib.crc32(address.encode()))
-            if breaker_config is not None
-            else None
-        )
-        self.broker_client = BrokerClient(
-            self, shard_map, policy=retry_policy, breakers=self.breakers
-        )
+        self.broker_client = BrokerClient(self, shard_map, policy=retry_policy)
         self.peer_client = PeerClient(self, policy=retry_policy)
-        #: Payments deferred because every route to the broker was degraded
-        #: (tripped breaker / offline shard / retries exhausted); drained by
-        #: :meth:`drain_payment_queue` once the destination recovers.
-        self.payment_queue: list[tuple[str, tuple[str, ...]]] = []
 
         self.wallet: dict[int, HeldCoin] = {}
         self.owned: dict[int, OwnedCoinState] = {}
@@ -275,22 +252,6 @@ class Peer(Node):
                     "via_broker": held.binding.via_broker,
                     "expires_in": held.binding.exp_date - now,
                     "expired": held.is_expired(now),
-                }
-            )
-        return rows
-
-    def owned_summary(self) -> list[dict[str, Any]]:
-        """Inspection view of every owned coin (no secrets included)."""
-        rows = []
-        for state in self.owned.values():
-            rows.append(
-                {
-                    "coin": state.coin_y,
-                    "value": state.coin.value,
-                    "issued": state.issued,
-                    "seq": state.binding.seq if state.binding else None,
-                    "relinquishments": len(state.relinquishments),
-                    "needs_check": state.dirty,
                 }
             )
         return rows
@@ -729,18 +690,6 @@ class Peer(Node):
             self.counts.renewals_sent += 1
         return binding
 
-    def renew_due_coins(self) -> int:
-        """Renew every held coin inside its renewal window; returns count."""
-        window = self.renewal_period * RENEWAL_WINDOW_FRACTION
-        due = [
-            coin_y
-            for coin_y, held in self.wallet.items()
-            if held.needs_renewal(self.clock.now(), window)
-        ]
-        for coin_y in due:
-            self.renew(coin_y)
-        return len(due)
-
     def pay(self, payee: str, preferences: tuple[str, ...] = ("transfer", "downtime_transfer", "issue", "purchase_issue")) -> str:
         """Make one unit payment to ``payee`` following a preference order.
 
@@ -748,15 +697,7 @@ class Peer(Node):
         entry is tried in order and the first applicable method is used.
         Returns the method that succeeded.  Raises
         :class:`~repro.core.errors.ProtocolError` if no method applies.
-
-        When this peer runs behind circuit breakers and every attempted
-        method failed for *availability* reasons (a tripped breaker, an
-        offline destination, exhausted retries) rather than wallet-state
-        reasons, the payment is queued instead of failing the user and
-        ``"queued"`` is returned; :meth:`drain_payment_queue` replays it
-        once the destination recovers.
         """
-        degraded = False
         for method in preferences:
             try:
                 if method == "transfer":
@@ -776,93 +717,11 @@ class Peer(Node):
                 else:
                     raise ValueError(f"unknown payment method {method!r}")
                 return method
-            except (NodeOffline, ServiceUnavailable, CircuitOpen):
-                # Availability failures: the method was applicable but the
-                # destination is (for now) unreachable — a tripped breaker
-                # short-circuits here without consuming any retry budget.
-                degraded = True
+            except (NodeOffline, ServiceUnavailable, UnknownCoin, NotHolder, CoinExpired):
+                # The road is down (an unreachable destination) or the wallet
+                # has nothing this method applies to: try the next preference.
                 continue
-            except (UnknownCoin, NotHolder, CoinExpired):
-                # Wallet-state failures: this method simply does not apply;
-                # degrade gracefully to the next preference.
-                continue
-        if degraded and self.breakers is not None:
-            self.payment_queue.append((payee, preferences))
-            return "queued"
         raise ProtocolError(f"no payment method in {preferences} was applicable")
-
-    def drain_payment_queue(self) -> int:
-        """Replay queued payments now that (some) destinations recovered.
-
-        The queue is swapped out before replay, so each deferred payment is
-        re-attempted exactly once per drain: an entry that succeeds leaves
-        the queue for good; one whose destination is still degraded re-queues
-        itself via :meth:`pay` and waits for the next drain.  Returns the
-        number of payments that actually completed.
-        """
-        pending, self.payment_queue = self.payment_queue, []
-        drained = 0
-        for payee, preferences in pending:
-            if self.pay(payee, preferences) != "queued":
-                drained += 1
-        return drained
-
-    def pay_amount(
-        self,
-        payee: str,
-        amount: int,
-        preferences: tuple[str, ...] = ("transfer", "downtime_transfer", "issue", "purchase_issue"),
-    ) -> list[tuple[str, int]]:
-        """Pay an arbitrary ``amount`` using (possibly) multiple coins.
-
-        Coin selection is greedy largest-first over the wallet (held coins
-        of any denomination), topping up the remainder with the preference
-        policy's fallback methods one unit-coin at a time.  Returns the list
-        of ``(method, value)`` legs executed.  If a leg fails midway, the
-        already-paid legs stand — coins are bearer value; partial payment is
-        a business-level matter, exactly like cash.
-        """
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        legs: list[tuple[str, int]] = []
-        remaining = amount
-        unusable: set[int] = set()
-        # Spend existing holdings largest-first without overshooting.
-        while remaining > 0:
-            now = self.clock.now()
-            candidates = sorted(
-                (
-                    held
-                    for held in self.wallet.values()
-                    if not held.is_expired(now)
-                    and held.value <= remaining
-                    and held.coin_y not in unusable
-                ),
-                key=lambda held: held.value,
-                reverse=True,
-            )
-            if not candidates:
-                break
-            held = candidates[0]
-            owner = held.coin.owner_address
-            try:
-                if owner is not None and self.transport.is_online(owner):
-                    self.transfer(payee, held.coin_y)
-                    legs.append(("transfer", held.value))
-                else:
-                    self.transfer_via_broker(payee, held.coin_y)
-                    legs.append(("downtime_transfer", held.value))
-                remaining -= held.value
-            except (NodeOffline, NetworkError, ProtocolError):
-                # This coin is unusable right now; exclude it and move on.
-                unusable.add(held.coin_y)
-        # Cover the remainder with the policy's non-transfer methods.
-        fallback = tuple(m for m in preferences if m not in ("transfer", "downtime_transfer"))
-        while remaining > 0:
-            method = self.pay(payee, fallback)
-            legs.append((method, 1))
-            remaining -= 1
-        return legs
 
     # ------------------------------------------------------------------
     # payee handlers

@@ -64,9 +64,6 @@ class ShardMap:
         self._points = sorted(ring)
         self._owners = [ring[position] for position in self._points]
 
-    def __len__(self) -> int:
-        return len(self.addresses)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, ShardMap)

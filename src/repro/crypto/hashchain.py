@@ -42,11 +42,6 @@ class HashChain:
         return self._links[0]
 
     @property
-    def spent(self) -> int:
-        """Units revealed so far."""
-        return self._spent
-
-    @property
     def remaining(self) -> int:
         """Units still spendable."""
         return self.length - self._spent

@@ -36,9 +36,6 @@ class PublicKey:
         if not self.params.is_element(self.y):
             raise ValueError("public key is not a subgroup element")
 
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PublicKey({self.fingerprint().hex()[:12]}…)"
-
 
 @dataclass(frozen=True)
 class KeyPair:

@@ -27,7 +27,7 @@ from repro.lint.engine import Program
 from repro.lint.registry import Rule, register
 
 _SCOPE = ("repro.core.peer", "repro.core.anonymous_owner", "repro.core.coinshop")
-_SANCTIONED = frozenset({"funding_voucher", "bearer_account", "pseudonym"})
+_SANCTIONED = frozenset({"funding_voucher", "pseudonym"})
 _IDENTIFYING_ATTRS = frozenset({"address", "identity"})
 
 

@@ -98,11 +98,6 @@ class DualSignedMessage:
         return self.inner.payload
 
     @property
-    def payload_bytes(self) -> bytes:
-        """Canonical bytes of the payload."""
-        return self.inner.payload_bytes
-
-    @property
     def coin_signer(self) -> PublicKey:
         """The coin public key whose holder signed the inner envelope."""
         return self.inner.signer

@@ -1,5 +1,4 @@
-"""Liveness primitives: heartbeats, phi-accrual failure detection, leases,
-and circuit breakers.
+"""Liveness primitives: heartbeats, phi-accrual failure detection and leases.
 
 The federation's original availability story leaned on a transport trick —
 ``set_crash_handler`` restarts a shard synchronously *before* the in-flight
@@ -20,10 +19,6 @@ the mechanisms a real one does have:
 * **Leases** (:class:`LeaseTable`): a restart is only safe once the dead
   shard's lease has lapsed; a slow-but-alive shard whose beats still renew
   the lease is never double-driven.
-* **Circuit breakers** (:class:`CircuitBreaker`/:class:`BreakerBoard`):
-  per-destination closed → open → half-open state machines with seeded
-  probe scheduling, consulted by the RPC layer so callers short-circuit a
-  tripped destination instead of burning their retry budget on it.
 
 Everything here runs on the simulation's virtual clock and seeded RNGs —
 no wall time, no process entropy — so chaos runs replay bit-identically.
@@ -32,7 +27,6 @@ no wall time, no process entropy — so chaos runs replay bit-identically.
 from __future__ import annotations
 
 import math
-import random
 from collections import deque
 from dataclasses import dataclass
 
@@ -217,165 +211,13 @@ class LeaseTable:
         return expires is None or now >= expires
 
 
-# -- circuit breakers ---------------------------------------------------------
-
-#: Breaker states.
-CLOSED = "closed"
-OPEN = "open"
-HALF_OPEN = "half_open"
-
-
-@dataclass(frozen=True)
-class BreakerConfig:
-    """Per-destination circuit-breaker parameters.
-
-    ``failure_threshold`` consecutive failures trip CLOSED → OPEN; the
-    breaker stays open for ``reset_timeout`` virtual seconds (stretched by
-    up to ``probe_jitter`` fraction, drawn from the board's seeded RNG so
-    probe schedules never synchronize across clients yet replay
-    bit-identically), then admits a single HALF_OPEN probe: success
-    re-closes, failure re-opens.
-    """
-
-    failure_threshold: int = 3
-    reset_timeout: float = 2.0
-    probe_jitter: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if self.reset_timeout <= 0:
-            raise ValueError("reset_timeout must be positive")
-        if self.probe_jitter < 0:
-            raise ValueError("probe_jitter must be >= 0")
-
-
-@dataclass
-class BreakerStats:
-    """Telemetry one breaker accumulates (tests assert trips happened)."""
-
-    failures: int = 0
-    successes: int = 0
-    opens: int = 0
-    short_circuits: int = 0
-    probes: int = 0
-
-
-class CircuitBreaker:
-    """One destination's CLOSED / OPEN / HALF_OPEN state machine.
-
-    Driven entirely by its caller: :meth:`allow` before a call (False means
-    short-circuit — do not even attempt), then exactly one of
-    :meth:`record_success` / :meth:`record_failure` with the outcome.
-    """
-
-    def __init__(self, config: BreakerConfig, rng: random.Random) -> None:
-        self.config = config
-        self._rng = rng
-        self.state = CLOSED
-        self.consecutive_failures = 0
-        self.retry_at = 0.0
-        self.stats = BreakerStats()
-
-    def _schedule_probe(self, now: float) -> None:
-        stretch = 1.0 + self.config.probe_jitter * self._rng.random()
-        self.retry_at = now + self.config.reset_timeout * stretch
-
-    def allow(self, now: float) -> bool:
-        """May a call proceed at virtual ``now``?  (False = short-circuit.)"""
-        if self.state == CLOSED:
-            return True
-        if self.state == OPEN:
-            if now >= self.retry_at:
-                self.state = HALF_OPEN
-                self.stats.probes += 1
-                return True
-            self.stats.short_circuits += 1
-            return False
-        # HALF_OPEN: one probe is already in flight this cycle; further
-        # calls short-circuit until its outcome is recorded.
-        self.stats.short_circuits += 1
-        return False
-
-    def record_success(self, now: float) -> None:
-        """The attempted call succeeded: re-close (or stay closed)."""
-        self.stats.successes += 1
-        self.consecutive_failures = 0
-        self.state = CLOSED
-
-    def record_failure(self, now: float) -> None:
-        """The attempted call failed: count toward (or confirm) the trip."""
-        self.stats.failures += 1
-        if self.state == HALF_OPEN:
-            self.state = OPEN
-            self.stats.opens += 1
-            self._schedule_probe(now)
-            return
-        self.consecutive_failures += 1
-        if self.state == CLOSED and self.consecutive_failures >= self.config.failure_threshold:
-            self.state = OPEN
-            self.stats.opens += 1
-            self._schedule_probe(now)
-
-
-class BreakerBoard:
-    """Per-destination breakers behind one seeded RNG.
-
-    The surface the RPC layer consults: :meth:`preflight` before any
-    attempt, :meth:`on_success` / :meth:`on_failure` with the call's final
-    outcome.  Breakers are created lazily per destination.
-    """
-
-    def __init__(self, config: BreakerConfig | None = None, seed: int = 0) -> None:
-        self.config = config or BreakerConfig()
-        self._rng = random.Random(seed)
-        self._breakers: dict[str, CircuitBreaker] = {}
-
-    def breaker(self, dst: str) -> CircuitBreaker:
-        """The breaker guarding ``dst`` (created CLOSED on first use)."""
-        found = self._breakers.get(dst)
-        if found is None:
-            found = CircuitBreaker(self.config, self._rng)
-            self._breakers[dst] = found
-        return found
-
-    def preflight(self, dst: str, now: float) -> bool:
-        """True iff a call to ``dst`` may proceed at virtual ``now``."""
-        return self.breaker(dst).allow(now)
-
-    def on_success(self, dst: str, now: float) -> None:
-        """Record a successful call outcome for ``dst``."""
-        self.breaker(dst).record_success(now)
-
-    def on_failure(self, dst: str, now: float) -> None:
-        """Record a failed call outcome for ``dst``."""
-        self.breaker(dst).record_failure(now)
-
-    def open_destinations(self) -> list[str]:
-        """Destinations currently tripped (OPEN or HALF_OPEN), sorted."""
-        return sorted(
-            dst for dst, brk in self._breakers.items() if brk.state != CLOSED
-        )
-
-    def states(self) -> dict[str, str]:
-        """Current state per known destination (sorted, for health exports)."""
-        return {dst: self._breakers[dst].state for dst in sorted(self._breakers)}
-
-
 __all__ = [
     "ALIVE",
-    "BreakerBoard",
-    "BreakerConfig",
-    "BreakerStats",
-    "CLOSED",
-    "CircuitBreaker",
     "DEAD",
-    "HALF_OPEN",
     "HEARTBEAT",
     "LN10",
     "LeaseTable",
     "LivenessConfig",
-    "OPEN",
     "PhiAccrualDetector",
     "SUSPECT",
 ]

@@ -41,7 +41,6 @@ from repro.net.transport import (
     LinkPartitioned,
     MessageDropped,
     NetworkError,
-    NodeOffline,
     ReplyLost,
     Transport,
 )
@@ -72,16 +71,6 @@ class RetriesExhausted(RpcError):
 
 class RpcTimeout(RpcError):
     """The call's virtual-time budget ran out before the next retry."""
-
-
-class CircuitOpen(RpcError):
-    """The destination's circuit breaker is open: the call was never sent.
-
-    Raised by :meth:`RpcClient.call` *before* any attempt when the client
-    carries a :class:`~repro.net.liveness.BreakerBoard` and the breaker for
-    the destination refuses the call — so a tripped destination consumes no
-    retry budget and accrues no backoff.
-    """
 
 
 @dataclass(frozen=True)
@@ -193,7 +182,6 @@ class RpcStats:
     recovered: int = 0  # calls that succeeded only after >= 1 retry
     exhausted: int = 0
     deadline_exceeded: int = 0  # calls that raised RpcTimeout
-    short_circuits: int = 0  # calls refused by an open circuit breaker
     backoff_accrued: float = 0.0
 
 
@@ -211,12 +199,6 @@ class RpcClient:
 
     The backoff RNG is seeded from the node address (or the given seed),
     so retry schedules are deterministic per endpoint.
-
-    ``breakers`` (optional) is a per-destination circuit-breaker board
-    (:class:`~repro.net.liveness.BreakerBoard`, duck-typed): every call is
-    preflighted against it — an open breaker raises :class:`CircuitOpen`
-    before any attempt — and the call's final outcome (success, or failure
-    by ``NodeOffline`` / exhaustion / timeout) is recorded back.
     """
 
     def __init__(
@@ -225,7 +207,6 @@ class RpcClient:
         transport: Transport | None = None,
         policy: RetryPolicy | None = None,
         seed: int | None = None,
-        breakers: Any = None,
     ) -> None:
         if (node is None) == (transport is None):
             raise ValueError("bind an RpcClient to exactly one of node= or transport=")
@@ -237,20 +218,6 @@ class RpcClient:
             seed = zlib.crc32(ident.encode())
         self.rng = random.Random(seed)
         self.stats = RpcStats()
-        self.breakers = breakers
-
-    def _now(self) -> float:
-        """Virtual time for breaker scheduling (0.0 without a clock)."""
-        clock = getattr(self._transport, "clock", None)
-        return clock.now() if clock is not None else 0.0
-
-    def _record_outcome(self, dst: str, ok: bool) -> None:
-        if self.breakers is None:
-            return
-        if ok:
-            self.breakers.on_success(dst, self._now())
-        else:
-            self.breakers.on_failure(dst, self._now())
 
     def _send(self, dst: str, kind: str, payload: Any, src: str | None) -> Any:
         if self._node is not None:
@@ -286,9 +253,6 @@ class RpcClient:
         wire = payload
         if idempotency_key is not None and active.max_attempts > 1:
             wire = wrap_idempotent(payload, idempotency_key)
-        if self.breakers is not None and not self.breakers.preflight(dst, self._now()):
-            self.stats.short_circuits += 1
-            raise CircuitOpen(f"{kind} to {dst}: circuit breaker is open")
         self.stats.calls += 1
         latency_start = self._transport.virtual_latency_accrued
         last: Exception | None = None
@@ -298,7 +262,6 @@ class RpcClient:
 
         def deadline_exceeded(attempt: int, detail: str) -> RpcTimeout:
             self.stats.deadline_exceeded += 1
-            self._record_outcome(dst, ok=False)
             return RpcTimeout(
                 f"{kind} to {dst}: deadline {deadline}s exceeded {detail} "
                 f"after {attempt} attempt(s)",
@@ -311,9 +274,6 @@ class RpcClient:
                 result = self._send(dst, kind, wire, src)
             except RETRYABLE_ERRORS as exc:
                 last = exc
-            except NodeOffline:
-                self._record_outcome(dst, ok=False)
-                raise
             else:
                 if deadline is not None and consumed() > deadline:
                     # The handler ran, but the reply is too late to use:
@@ -322,7 +282,6 @@ class RpcClient:
                     raise deadline_exceeded(attempt, "(reply arrived late)") from last
                 if attempt > 1:
                     self.stats.recovered += 1
-                self._record_outcome(dst, ok=True)
                 return result
             if attempt == active.max_attempts:
                 break
@@ -342,10 +301,8 @@ class RpcClient:
         if active.max_attempts == 1:
             # Single-attempt callers asked for raw transport semantics;
             # hand them the raw transport error.
-            self._record_outcome(dst, ok=False)
             raise last
         self.stats.exhausted += 1
-        self._record_outcome(dst, ok=False)
         raise RetriesExhausted(
             f"{kind} to {dst}: all {active.max_attempts} attempts failed "
             f"({type(last).__name__}: {last})",

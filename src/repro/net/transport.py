@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, TYPE_CHECKING
 
 from repro.messages.codec import encode
@@ -120,14 +120,7 @@ class FaultStats:
 
     def as_dict(self) -> dict[str, float]:
         """Plain-dict view (chaos tests diff these across replayed runs)."""
-        return {
-            "requests_dropped": self.requests_dropped,
-            "replies_dropped": self.replies_dropped,
-            "crash_after_handler": self.crash_after_handler,
-            "duplicates_delivered": self.duplicates_delivered,
-            "partition_blocks": self.partition_blocks,
-            "jitter_accrued": self.jitter_accrued,
-        }
+        return asdict(self)
 
 
 class FaultPlan:

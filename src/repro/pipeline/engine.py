@@ -26,9 +26,8 @@ atomically and every affected client simply retries — the same lost-reply
 story as the per-request path, amortized.
 
 The engine is deterministic and single-threaded (lint rule WP102 keeps
-wall clocks out of ``repro.*``): time-based flushing comes from the
-committer's injected timer via :meth:`~repro.store.groupcommit.GroupCommitter.due`,
-checked once per request.
+wall clocks out of ``repro.*``): a batch is flushed when it reaches the
+committer's ``max_batch`` or when the window is drained, never by time.
 
 One accepted edge: a replay-cache hit for a retried request releases the
 cached reply immediately even if the original's batch is still pending —
@@ -40,7 +39,7 @@ discarded by recovery, so the live engine never hits that window.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Iterable, Sequence
 
 from repro.core import protocol
@@ -95,14 +94,8 @@ class EngineStats:
 
     def merge(self, other: "EngineStats") -> None:
         """Accumulate another run's counters into this one."""
-        self.processed += other.processed
-        self.accepted += other.accepted
-        self.rejected += other.rejected
-        self.staged += other.staged
-        self.fsyncs += other.fsyncs
-        self.pool_jobs += other.pool_jobs
-        self.preverified += other.preverified
-        self.nonces_pooled += other.nonces_pooled
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 class ThroughputEngine:
@@ -234,6 +227,4 @@ class ThroughputEngine:
                 record.released = True  # read-only request: nothing to make durable
         finally:
             self.broker.on_durable = None
-        if self.committer is not None and self.committer.due():
-            self.committer.flush()
         return record

@@ -10,9 +10,9 @@ statements, and anyone holding the CA's key verifies them.  The broker uses
 certificates to authenticate purchase/sync requests without pre-registered
 key tables, and peers can use them to authenticate coin owners.
 
-Deliberately minimal — one CA, no chains, no revocation lists beyond an
-in-CA serial blacklist — because WhoPay needs exactly "a certificate
-authority exists"; the protocol security never rests on PKI subtleties.
+Deliberately minimal — one CA, no chains, no revocation — because WhoPay
+needs exactly "a certificate authority exists"; the protocol security never
+rests on PKI subtleties.
 """
 
 from __future__ import annotations
@@ -51,16 +51,6 @@ class IdentityCertificate:
         """The certified public key value."""
         return self.payload["subject_y"]
 
-    @property
-    def serial(self) -> bytes:
-        """Unique certificate serial (revocation handle)."""
-        return self.payload["serial"]
-
-    @property
-    def not_after(self) -> float:
-        """Expiry timestamp."""
-        return float(self.payload["not_after"])
-
     def subject_key(self, params: DlogParams) -> PublicKey:
         """The certified key as a verification key."""
         return PublicKey(params=params, y=self.subject_y)
@@ -76,17 +66,6 @@ class IdentityCertificate:
             return False
         return float(payload["not_before"]) <= now <= float(payload["not_after"])
 
-    def encode(self) -> bytes:
-        """Canonical bytes."""
-        return self.signed.encode()
-
-    @classmethod
-    def from_encoded(cls, data: bytes, params: DlogParams) -> "IdentityCertificate":
-        """Rebuild from :meth:`encode` output."""
-        from repro.core.protocol import decode_signed
-
-        return cls(signed=decode_signed(data, params))
-
 
 class CertificateAuthority:
     """The (single) certificate authority."""
@@ -95,8 +74,6 @@ class CertificateAuthority:
         self.params = params
         self.validity = validity
         self.keypair = KeyPair.generate(params)
-        self.issued: dict[bytes, str] = {}  # serial -> subject
-        self.revoked: set[bytes] = set()
 
     @property
     def public_key(self) -> PublicKey:
@@ -126,15 +103,4 @@ class CertificateAuthority:
                 },
             )
         )
-        self.issued[serial] = subject
         return certificate
-
-    def revoke(self, serial: bytes) -> None:
-        """Blacklist a certificate (compromised key, banned user)."""
-        if serial not in self.issued:
-            raise CertificateError("unknown serial")
-        self.revoked.add(serial)
-
-    def is_revoked(self, certificate: IdentityCertificate) -> bool:
-        """Online revocation check (an OCSP stand-in)."""
-        return certificate.serial in self.revoked

@@ -211,9 +211,6 @@ OP_INDEX: dict[str, int] = {name: index for index, name in enumerate(OP_NAMES)}
 #: Stable enumeration of the Table 3 micro-operations (same purpose).
 MICRO_NAMES: tuple[str, ...] = tuple(MICRO_COST)
 
-#: Micro-operation name → index into :data:`MICRO_NAMES`-shaped arrays.
-MICRO_INDEX: dict[str, int] = {name: index for index, name in enumerate(MICRO_NAMES)}
-
 #: Operation types that appear in the broker-load figures (2, 3, 6, 7).
 BROKER_OPS = ("purchase", "deposit", "downtime_transfer", "downtime_renewal", "sync")
 

@@ -18,17 +18,11 @@ retries against the recovered state, which is precisely the per-record
 lost-reply story.  A crash after the fsync is the usual
 durable-but-reply-lost ambiguity the idempotent-retry path already covers.
 
-Flushing policy is governed by two knobs:
-
-* ``max_batch`` — staging the Nth record triggers an automatic flush;
-* ``max_delay`` — with an injected ``timer`` (any monotonic seconds
-  callable; the default of ``None`` keeps the committer fully
-  deterministic), :meth:`due` reports when the oldest staged record has
-  waited longer than this, and the driving loop flushes.
-
-The committer never spins a thread of its own: the owning loop (the
-throughput engine, a test harness) decides when to call :meth:`flush`,
-which keeps crash injection and replay deterministic.
+Flushing policy is one knob, ``max_batch``: staging the Nth record
+triggers an automatic flush.  Otherwise the owning loop (the throughput
+engine at the end of each window, a test harness) decides when to call
+:meth:`flush`; the committer has no timer and no thread of its own, which
+keeps crash injection and replay deterministic.
 """
 
 from __future__ import annotations
@@ -47,25 +41,14 @@ class GroupCommitter:
     never leak a reply for an unfsynced mutation.
     """
 
-    def __init__(
-        self,
-        store: DurableStore,
-        max_batch: int = 32,
-        max_delay: float | None = None,
-        timer: Callable[[], float] | None = None,
-    ) -> None:
+    def __init__(self, store: DurableStore, max_batch: int = 32) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if max_delay is not None and timer is None:
-            raise ValueError("max_delay needs an injected timer")
         self.store = store
         self.max_batch = max_batch
-        self.max_delay = max_delay
-        self.timer = timer
         self.flushes = 0  # fsync count: one per non-empty flush
         self._records: list[dict[str, Any]] = []
         self._callbacks: list[Callable[[int], None] | None] = []
-        self._oldest: float | None = None
 
     @property
     def pending(self) -> int:
@@ -82,19 +65,8 @@ class GroupCommitter:
         """
         self._records.append(record)
         self._callbacks.append(on_durable)
-        if self._oldest is None and self.timer is not None:
-            self._oldest = self.timer()
         if len(self._records) >= self.max_batch:
             self.flush()
-
-    def due(self) -> bool:
-        """True when the oldest staged record has outwaited ``max_delay``."""
-        if not self._records:
-            return False
-        if self.max_delay is None or self._oldest is None:
-            return False
-        assert self.timer is not None  # enforced in __init__
-        return self.timer() - self._oldest >= self.max_delay
 
     def flush(self) -> list[int]:
         """Make every staged record durable with one fsync; returns LSNs.
@@ -108,7 +80,6 @@ class GroupCommitter:
             return []
         records, self._records = self._records, []
         callbacks, self._callbacks = self._callbacks, []
-        self._oldest = None
         lsns = self.store.append_many(records)
         self.flushes += 1
         for lsn, callback in zip(lsns, callbacks):

@@ -29,6 +29,10 @@ Failure discrimination is strict and typed:
 * a **complete frame whose checksum mismatches** (bit rot, tampering) is
   :class:`JournalCorrupt` — partial state is never loaded silently.
 
+fsync(2) on a file does not persist the file's directory entry, so the
+store also fsyncs its directory after creating the journal and after each
+rename, inside the same crash boundaries (no new crash site).
+
 Crash injection: when a :class:`~repro.store.crashpoints.CrashPointPlan`
 is attached, every fsync boundary calls ``plan.crossing(site)``; a
 pre-fsync crash on an append additionally leaves a seeded torn prefix of
@@ -121,6 +125,22 @@ class DurableStore:
 
     # -- writing -------------------------------------------------------------
 
+    def _sync_directory(self) -> None:
+        """Make the directory's entries (a created or renamed file) durable."""
+        fd = os.open(self.root, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
+    def _append_frame(self, frame: bytes, first_lsn: int) -> None:
+        with open(self.journal_path, "ab") as fh:
+            fh.write(frame)
+            fh.flush()
+            os.fsync(fh.fileno())
+        if first_lsn == 1:  # the store's first record: this append created the journal
+            self._sync_directory()
+
     def append(self, record: dict[str, Any]) -> int:
         """Durably append one record; returns its LSN.
 
@@ -133,10 +153,7 @@ class DurableStore:
         stamped["lsn"] = lsn
         frame = _frame(encode(stamped))
         self._crossing("journal.append.pre_sync", pending_frame=frame)
-        with open(self.journal_path, "ab") as fh:
-            fh.write(frame)
-            fh.flush()
-            os.fsync(fh.fileno())
+        self._append_frame(frame, lsn)
         self.next_lsn = lsn + 1
         self._crossing("journal.append.post_sync")
         return lsn
@@ -170,10 +187,7 @@ class DurableStore:
         last = first + len(records) - 1
         frame = _frame(encode({"lsn": last, "group": tuple(stamped)}))
         self._crossing("journal.group.pre_sync", pending_frame=frame)
-        with open(self.journal_path, "ab") as fh:
-            fh.write(frame)
-            fh.flush()
-            os.fsync(fh.fileno())
+        self._append_frame(frame, first)
         self.next_lsn = last + 1
         self._crossing("journal.group.post_sync")
         return list(range(first, last + 1))
@@ -197,6 +211,7 @@ class DurableStore:
             os.fsync(fh.fileno())
         self._crossing("snapshot.post_sync")
         os.replace(tmp, self.snapshot_path)
+        self._sync_directory()  # the snapshot's rename before the journal's
         self._crossing("snapshot.post_rename")
         self._compact(covers)
         return covers
@@ -230,6 +245,7 @@ class DurableStore:
             os.fsync(fh.fileno())
         self._crossing("journal.compact.post_sync")
         os.replace(tmp, self.journal_path)
+        self._sync_directory()
 
     def truncate_torn_tail(self) -> int:
         """Cut an incomplete tail frame off the journal; returns bytes cut.

@@ -181,7 +181,6 @@ class RecoveryManager:
         renewal_period: float = DEFAULT_RENEWAL_PERIOD,
         retry_policy=None,
         encryption_key: bytes | None = None,
-        breaker_config=None,
     ) -> RecoveryResult:
         """Build a fresh :class:`~repro.core.peer.Peer` from the store.
 
@@ -208,7 +207,6 @@ class RecoveryManager:
             sync_mode=sync_mode,
             renewal_period=renewal_period,
             retry_policy=retry_policy,
-            breaker_config=breaker_config,
         )
         for record in replaying:
             for mut in record["muts"]:

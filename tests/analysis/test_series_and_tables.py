@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.series import crossover_index, is_decreasing, is_increasing, rises_then_falls
+from repro.analysis.series import is_decreasing, is_increasing, rises_then_falls
 from repro.analysis.tables import format_series_table, format_table
 
 
@@ -29,12 +29,6 @@ class TestSeriesPredicates:
 
     def test_rises_then_falls_with_noise(self):
         assert rises_then_falls([10, 30, 29, 50, 20, 5], tolerance=0.1)
-
-    def test_crossover(self):
-        assert crossover_index([1, 2, 5], [3, 3, 3]) == 2
-        assert crossover_index([1, 1], [2, 2]) is None
-        with pytest.raises(ValueError):
-            crossover_index([1], [1, 2])
 
 
 class TestTables:

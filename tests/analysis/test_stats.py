@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.stats import gini, pearson, percentile, summarize, top_share
+from repro.analysis.stats import gini, pearson, top_share
 
 
 class TestGini:
@@ -78,33 +78,3 @@ class TestTopShare:
             top_share([1], 0.0)
         with pytest.raises(ValueError):
             top_share([1], 1.5)
-
-
-class TestPercentileAndSummary:
-    def test_median(self):
-        assert percentile([1, 2, 3, 4, 5], 50) == 3
-
-    def test_interpolation(self):
-        assert percentile([0, 10], 25) == pytest.approx(2.5)
-
-    def test_extremes(self):
-        data = [7, 1, 9]
-        assert percentile(data, 0) == 1
-        assert percentile(data, 100) == 9
-
-    def test_single_value(self):
-        assert percentile([42], 73) == 42.0
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            percentile([], 50)
-        with pytest.raises(ValueError):
-            percentile([1], 101)
-
-    def test_summarize_shape(self):
-        summary = summarize([1, 2, 3, 4, 100])
-        assert summary["min"] == 1 and summary["max"] == 100
-        assert summary["p50"] == 3
-        assert summary["mean"] == pytest.approx(22.0)
-        assert 0 < summary["gini"] < 1
-        assert summary["top10_share"] == pytest.approx(100 / 110)

@@ -97,9 +97,6 @@ class TestWalletEntries:
         assert held.value == 2
         assert not held.is_expired(now=50.0)
         assert held.is_expired(now=101.0)
-        assert held.needs_renewal(now=80.0, window=30.0)
-        assert not held.needs_renewal(now=50.0, window=30.0)
-        assert not held.needs_renewal(now=101.0, window=30.0)  # expired != renewable
 
     def test_owned_state_lifecycle(self, broker_keypair, coin_keypair):
         coin = mint_coin(broker_keypair, coin_keypair.public.y, 1, "a", 1)

@@ -122,15 +122,6 @@ class TestRenewal:
         assert b2.exp_date > b1.exp_date
         assert alice.counts.renewals_handled == 1
 
-    def test_renew_due_coins(self, funded_trio):
-        net, alice, bob, _carol = funded_trio
-        state = alice.purchase()
-        alice.issue("bob", state.coin_y)
-        # Not yet inside the renewal window.
-        assert bob.renew_due_coins() == 0
-        net.advance(net.renewal_period * 0.8)
-        assert bob.renew_due_coins() == 1
-
     def test_non_holder_cannot_renew(self, funded_trio):
         _net, alice, bob, carol = funded_trio
         state = alice.purchase()

@@ -5,7 +5,7 @@ import pytest
 from repro.core.errors import VerificationFailed
 from repro.crypto.keys import KeyPair
 from repro.crypto.params import PARAMS_TEST_512
-from repro.pki import CertificateAuthority, CertificateError, IdentityCertificate
+from repro.pki import CertificateAuthority, CertificateError
 from repro.core.network import PeerConfig
 
 P = PARAMS_TEST_512
@@ -52,30 +52,6 @@ class TestIssuance:
 
         with pytest.raises(CertificateError):
             ca.issue("x", PublicKey(params=P, y=P.p - 1), now=0.0)
-
-    def test_encode_roundtrip(self, ca):
-        subject = KeyPair.generate(P)
-        cert = ca.issue("alice", subject.public, now=0.0)
-        rebuilt = IdentityCertificate.from_encoded(cert.encode(), P)
-        assert rebuilt.verify(ca.public_key, now=1.0)
-        assert rebuilt.subject == "alice"
-        assert rebuilt.serial == cert.serial
-
-
-class TestRevocation:
-    def test_revoke(self, ca):
-        subject = KeyPair.generate(P)
-        cert = ca.issue("alice", subject.public, now=0.0)
-        assert not ca.is_revoked(cert)
-        ca.revoke(cert.serial)
-        assert ca.is_revoked(cert)
-        # The signature still verifies — revocation is a separate check,
-        # exactly as in real PKI.
-        assert cert.verify(ca.public_key, now=1.0)
-
-    def test_revoke_unknown_serial(self, ca):
-        with pytest.raises(CertificateError):
-            ca.revoke(b"nonexistent")
 
 
 class TestBrokerIntegration:

@@ -33,17 +33,6 @@ class TestWalletSummary:
         blob = repr(bob.wallet_summary())
         assert str(held.holder_keypair.x) not in blob
 
-    def test_owned_summary(self, funded_trio):
-        _net, alice, bob, carol = funded_trio
-        s1 = alice.purchase()
-        s2 = alice.purchase()
-        alice.issue("bob", s1.coin_y)
-        bob.transfer("carol", s1.coin_y)
-        rows = {row["coin"]: row for row in alice.owned_summary()}
-        assert rows[s1.coin_y]["issued"] is True
-        assert rows[s1.coin_y]["relinquishments"] == 1
-        assert rows[s2.coin_y]["issued"] is False
-
 
 class TestBrokerLedger:
     def test_conservation_audit(self, funded_trio):

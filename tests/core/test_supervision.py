@@ -14,7 +14,7 @@ from repro.core.network import BrokerTopology, PeerConfig, WhoPayNetwork
 from repro.core.supervision import SUPERVISOR_ADDRESS, LeaseGatedSupervision
 from repro.crypto.keys import KeyPair
 from repro.crypto.params import PARAMS_TEST_512
-from repro.net.liveness import DEAD, BreakerConfig, LivenessConfig
+from repro.net.liveness import DEAD, LivenessConfig
 from repro.net.rpc import RetryPolicy
 from repro.store.apply import effect
 from tests.conftest import mint_coin
@@ -24,13 +24,12 @@ LIVENESS = LivenessConfig(heartbeat_interval=0.5, phi_threshold=4.0, lease_durat
 TICK = 0.5
 
 
-def build_net(store_dir=None, shards=3, breaker_config=None):
+def build_net(store_dir=None, shards=3):
     return WhoPayNetwork(
         params=PARAMS_TEST_512,
         retry_policy=RETRY,
         store_dir=store_dir,
         topology=BrokerTopology(shards=shards),
-        breaker_config=breaker_config,
     )
 
 
@@ -190,44 +189,3 @@ class TestLeaseGatedFailover:
         assert net.broker.verify_conservation(5)
         # Exactly once: a second sweep finds nothing left to drive.
         assert net.complete_handoffs() == 0
-
-
-class TestQueuedPaymentDrain:
-    def test_queue_drains_exactly_once_after_shard_recovery(self, tmp_path):
-        net = build_net(
-            store_dir=tmp_path,
-            shards=1,
-            breaker_config=BreakerConfig(
-                failure_threshold=1, reset_timeout=0.5, probe_jitter=0.0
-            ),
-        )
-        alice = net.add_peer("alice", PeerConfig(balance=5))
-        bob = net.add_peer("bob", PeerConfig(balance=5))
-        carol = net.add_peer("carol", PeerConfig(balance=5))
-        # Alice holds a coin whose *owner* (carol) goes offline: paying bob
-        # then requires the broker-mediated downtime transfer — the one
-        # road that dies with the shard.
-        funding = carol.purchase()
-        carol.issue("alice", funding.coin_y)
-        policy = net.supervise_broker(LeaseGatedSupervision(LIVENESS))
-        net.advance(TICK)
-        carol.depart()
-        net.kill_shard(0)
-        assert alice.pay("bob") == "queued"
-        assert len(alice.payment_queue) == 1
-        assert alice.breakers.open_destinations()  # the broker road tripped
-        advance_until(net, lambda: policy.events)  # detector-driven restart
-        # Virtual time has moved far past the breaker's retry_at, so the
-        # drain's first broker call is the half-open probe that re-closes
-        # it, and the downtime transfer lands on the recovered shard.
-        assert net.drain_queued_payments() == 1
-        assert alice.payment_queue == []
-        assert net.drain_queued_payments() == 0  # exactly once
-        assert not alice.breakers.open_destinations()
-        assert len(bob.wallet) == 1  # delivered exactly once
-        carol.rejoin()
-        for peer in (alice, bob, carol):
-            peer.sync_with_broker()
-            for coin_y in list(peer.wallet):
-                peer.deposit(coin_y, payout_to=peer.address)
-        assert net.broker.verify_conservation(15)

@@ -15,6 +15,7 @@ from repro.crypto import fastexp, group_signature
 from repro.crypto.elgamal import ElGamalCiphertext
 from repro.crypto.group_signature import (
     GroupManager,
+    GroupMemberKey,
     GroupPublicKey,
     GroupSignature,
     GroupSignatureError,
@@ -33,6 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
 import bench_crypto_ops  # noqa: E402
 
 GOLDEN = Path(__file__).with_name("golden_group_signature.json")
+ORACLE_VECTORS = json.loads(Path(__file__).with_name("golden_group_oracles.json").read_text())
 PARAM_SETS = {params.name: params for params in (PARAMS_TEST_512, PARAMS_1024_160)}
 
 
@@ -274,6 +276,57 @@ class TestTamperingExact(TestTampering):
     @pytest.fixture(autouse=True)
     def _exact_verifier(self, monkeypatch):
         monkeypatch.setattr(sys.modules[__name__], "group_verify", group_verify_exact)
+
+
+def _pinned_key(vector):
+    params = PARAM_SETS[vector["params"]]
+    return GroupPublicKey(
+        params=params,
+        opening_key=PublicKey(params=params, y=int(vector["opening_key"], 16)),
+        roster=_unhex(vector["roster"]),
+        version=vector["version"],
+    )
+
+
+def _pinned_signature(case):
+    hints = case["commitments"]
+    return GroupSignature(
+        ciphertext=ElGamalCiphertext(c1=int(case["c1"], 16), c2=int(case["c2"], 16)),
+        challenges=_unhex(case["challenges"]),
+        responses_r=_unhex(case["responses_r"]),
+        responses_x=_unhex(case["responses_x"]),
+        commitments=None if hints is None else tuple(_unhex(c) for c in hints),
+    )
+
+
+class TestPinnedOracleVectors:
+    """What the two oracles in ``bench_crypto_ops`` decided, fixed in
+    ``golden_group_oracles.json``: the signer's bytes under seeded entropy at
+    each roster size, and the verdict of each mutation class.  Only the
+    kernels are checked here, so these hold once the oracles are gone
+    (DESIGN.md §1.1, "When a kept oracle may go", condition (a))."""
+
+    @pytest.mark.parametrize(
+        "vector", ORACLE_VECTORS["signer"], ids=lambda v: f"{v['params']}-n{len(v['roster'])}"
+    )
+    def test_signer_bytes(self, vector):
+        gpk = _pinned_key(vector)
+        member = GroupMemberKey(
+            params=gpk.params, x=int(vector["member_x"], 16), h=gpk.roster[vector["signer"]]
+        )
+        with seeded_secrets(vector["seed"]):
+            signature = group_sign(gpk, member, vector["message"].encode())
+        assert hashlib.sha256(signature.encode()).hexdigest() == vector["encode_sha256"]
+
+    @pytest.mark.parametrize(
+        "case", ORACLE_VECTORS["verifier"]["cases"], ids=lambda case: case["class"]
+    )
+    def test_verifier_verdicts(self, case):
+        gpk = _pinned_key(ORACLE_VECTORS["verifier"])
+        message, signature = case["message"].encode(), _pinned_signature(case)
+        assert group_verify(gpk, message, signature) is case["verdict"]
+        assert group_verify_exact(gpk, message, signature) is case["verdict"]
+        assert group_batch_verify(gpk, [(message, signature)]) is case["verdict"]
 
 
 class TestWitnessAwareSigner:

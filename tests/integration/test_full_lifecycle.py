@@ -19,7 +19,7 @@ class TestCoinLifecycle:
             peers[i].transfer(f"p{i + 1}", state.coin_y)
         assert state.coin_y in peers[5].wallet
         net.advance(net.renewal_period * 0.8)
-        peers[5].renew_due_coins()
+        peers[5].renew(state.coin_y)
         credited = peers[5].deposit(state.coin_y, payout_to="p5")
         assert credited == 3
         assert net.broker.balance("p5") == 13
@@ -94,7 +94,7 @@ class TestChurnScenarios:
         bob.depart()
         net.advance(net.renewal_period * 0.85)
         bob.rejoin()
-        assert bob.renew_due_coins() == 1
+        bob.renew(state.coin_y)
         assert not bob.wallet[state.coin_y].is_expired(net.clock.now())
 
     def test_interleaved_online_offline_payments(self, network):

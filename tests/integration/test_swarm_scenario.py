@@ -20,6 +20,15 @@ PAYMENTS_PER_ROUND = 15
 POLICY = ("transfer", "downtime_transfer", "issue", "purchase_issue")
 
 
+def renew_due(peer):
+    """Renew every live held coin within a quarter period of its expiry."""
+    now = peer.clock.now()
+    window = peer.renewal_period / 4
+    for coin_y, held in list(peer.wallet.items()):
+        if not held.is_expired(now) and held.binding.exp_date - now <= window:
+            peer.renew(coin_y)
+
+
 @pytest.fixture(scope="module")
 def swarm():
     from repro.core.network import WhoPayNetwork
@@ -54,7 +63,7 @@ def swarm():
         # Periodic renewals and the occasional deposit.
         net.advance(net.renewal_period * 0.2)
         for peer in online:
-            peer.renew_due_coins()
+            renew_due(peer)
         if round_number % 4 == 3:
             depositor = rng.choice(online)
             # Deposit a live coin if any; expired ones are dead value (the

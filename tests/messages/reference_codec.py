@@ -6,9 +6,9 @@ must write the same bytes and raise the same errors.  Nothing else imports it.
 
 Retirement condition (DESIGN.md §1.1, "When a kept oracle may go"): committed
 golden vectors cover this codec's accept *and* reject set (each wire type,
-each ``CodecError``), and the kernel has gone 5 PRs unedited.  At PR 23: the
-kernel dates from PR 19 (4 PRs) and one accept vector is pinned, no reject
-vector — not met.
+each ``CodecError``), and the kernel has gone 5 PRs unedited.  Both hold:
+``golden_codec.json`` (``TestPinnedVectors``) pins the two sets, and the
+kernel has long gone unedited (DESIGN.md §1.1).
 """
 
 from __future__ import annotations

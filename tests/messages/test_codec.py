@@ -1,5 +1,6 @@
 """Canonical codec tests, including hypothesis round-trips."""
 
+import ast
 import collections
 import enum
 import hashlib
@@ -408,3 +409,39 @@ class TestKernelMatchesReference:
         data = _golden_dual_envelope()
         assert reference.encode(reference.decode(data)) == data
         assert hashlib.sha256(data).hexdigest() == GOLDEN_DUAL_SHA256
+
+
+GOLDEN_CODEC = Path(__file__).with_name("golden_codec.json")
+
+
+class TestPinnedVectors:
+    """The codec's accept and reject sets, as the recursive oracle
+    (``reference_codec``) wrote them into ``golden_codec.json``: every wire
+    type, and every ``CodecError`` of decode and of encode.  The kernel alone
+    is held to the file, so these hold once the oracle is gone (DESIGN.md
+    §1.1, "When a kept oracle may go", condition (a))."""
+
+    vectors = json.loads(GOLDEN_CODEC.read_text())
+
+    def test_every_wire_type_encodes_and_decodes_to_the_pinned_bytes(self):
+        tags = set()
+        for vector in self.vectors["accept"]:
+            data = bytes.fromhex(vector["hex"])
+            assert encode(ast.literal_eval(vector["value"])) == data, vector["value"]
+            assert repr(decode(data)) == vector["decoded"], vector["value"]
+            tags.add(data[1:2] + (data[2:3] if data[1:2] == b"i" else b""))
+        assert tags == {b"n", b"t", b"f", b"i+", b"i-", b"b", b"s", b"l", b"d"}
+
+    def test_every_decode_error_is_pinned(self):
+        for vector in self.vectors["reject_decode"]:
+            with pytest.raises(CodecError) as raised:
+                decode(bytes.fromhex(vector["hex"]))
+            assert str(raised.value) == vector["error"], vector["hex"]
+        errors = {vector["error"] for vector in self.vectors["reject_decode"]}
+        assert len(errors) == 8  # magic, trailing, truncated, sign, UTF-8, key type, key order, tag
+
+    def test_every_encode_error_is_pinned(self):
+        for vector in self.vectors["reject_encode"]:
+            with pytest.raises(CodecError) as raised:
+                encode(ast.literal_eval(vector["value"]))
+            assert str(raised.value) == vector["error"], vector["value"]

@@ -1,28 +1,16 @@
-"""Liveness primitives: detector arithmetic, leases, breakers, RPC wiring."""
-
-import random
+"""Liveness primitives: detector arithmetic and leases."""
 
 import pytest
 
-from repro.core.clock import Clock
 from repro.net.liveness import (
     ALIVE,
-    CLOSED,
     DEAD,
-    HALF_OPEN,
     LN10,
-    OPEN,
     SUSPECT,
-    BreakerBoard,
-    BreakerConfig,
-    CircuitBreaker,
     LeaseTable,
     LivenessConfig,
     PhiAccrualDetector,
 )
-from repro.net.node import Node
-from repro.net.rpc import CircuitOpen, RetryPolicy, RpcClient
-from repro.net.transport import NodeOffline, Transport
 
 
 CFG = LivenessConfig(heartbeat_interval=1.0, phi_threshold=4.0, lease_duration=3.0)
@@ -140,136 +128,3 @@ class TestLeaseTable:
     def test_duration_validation(self):
         with pytest.raises(ValueError):
             LeaseTable(duration=0.0)
-
-
-class TestCircuitBreaker:
-    def make(self, **kw):
-        cfg = BreakerConfig(**{"failure_threshold": 3, "reset_timeout": 2.0, "probe_jitter": 0.0, **kw})
-        return CircuitBreaker(cfg, random.Random(7))
-
-    def test_trips_after_consecutive_failures_only(self):
-        brk = self.make()
-        brk.record_failure(0.0)
-        brk.record_failure(0.0)
-        brk.record_success(0.0)  # resets the consecutive count
-        brk.record_failure(0.0)
-        brk.record_failure(0.0)
-        assert brk.state == CLOSED
-        brk.record_failure(0.0)
-        assert brk.state == OPEN
-        assert brk.stats.opens == 1
-
-    def test_open_short_circuits_until_probe_time(self):
-        brk = self.make()
-        for _ in range(3):
-            brk.record_failure(0.0)
-        assert not brk.allow(1.0)
-        assert brk.stats.short_circuits == 1
-        assert brk.allow(2.0)  # probe admitted at retry_at
-        assert brk.state == HALF_OPEN
-        assert not brk.allow(2.0)  # only one probe per cycle
-
-    def test_half_open_success_recloses(self):
-        brk = self.make()
-        for _ in range(3):
-            brk.record_failure(0.0)
-        assert brk.allow(2.0)
-        brk.record_success(2.0)
-        assert brk.state == CLOSED
-        assert brk.allow(2.0)
-
-    def test_half_open_failure_reopens_with_fresh_schedule(self):
-        brk = self.make()
-        for _ in range(3):
-            brk.record_failure(0.0)
-        assert brk.allow(2.0)
-        brk.record_failure(2.5)
-        assert brk.state == OPEN
-        assert brk.retry_at == pytest.approx(4.5)
-        assert not brk.allow(4.0)
-
-    def test_probe_jitter_is_seeded_and_bounded(self):
-        cfg = BreakerConfig(failure_threshold=1, reset_timeout=2.0, probe_jitter=0.5)
-        one = CircuitBreaker(cfg, random.Random(42))
-        two = CircuitBreaker(cfg, random.Random(42))
-        one.record_failure(0.0)
-        two.record_failure(0.0)
-        assert one.retry_at == two.retry_at  # bit-identical per seed
-        assert 2.0 <= one.retry_at <= 3.0
-
-
-class TestBreakerBoard:
-    def test_lazy_per_destination_breakers(self):
-        board = BreakerBoard(BreakerConfig(failure_threshold=1), seed=1)
-        assert board.preflight("a", 0.0)
-        board.on_failure("a", 0.0)
-        assert not board.preflight("a", 0.0)
-        assert board.preflight("b", 0.0)  # unrelated destination unaffected
-        assert board.open_destinations() == ["a"]
-        assert board.states() == {"a": OPEN, "b": CLOSED}
-
-
-def breaker_rig(failure_threshold=2, reset_timeout=2.0):
-    """Transport + clock + echo node + breaker-guarded client node."""
-    transport = Transport()
-    clock = Clock()
-    transport.clock = clock
-    server = Node(transport, "server")
-    server.on("echo", lambda src, payload: {"ok": True, "payload": payload})
-    caller = Node(transport, "caller")
-    board = BreakerBoard(
-        BreakerConfig(failure_threshold=failure_threshold, reset_timeout=reset_timeout, probe_jitter=0.0),
-        seed=3,
-    )
-    rpc = RpcClient(node=caller, policy=RetryPolicy(max_attempts=3, base_delay=0.05, jitter=0.0), breakers=board)
-    return transport, clock, server, rpc, board
-
-
-class TestRpcBreakerIntegration:
-    def test_tripped_destination_short_circuits_without_retry_budget(self):
-        transport, clock, server, rpc, board = breaker_rig()
-        server.go_offline()
-        for _ in range(2):
-            with pytest.raises(NodeOffline):
-                rpc.call("server", "echo", 1, deadline=30.0)
-        before_calls = rpc.stats.calls
-        before_retries = rpc.stats.retries
-        before_backoff = rpc.stats.backoff_accrued
-        before_latency = transport.virtual_latency_accrued
-        with pytest.raises(CircuitOpen):
-            rpc.call("server", "echo", 2, deadline=30.0)
-        # Short-circuit consumed nothing: no attempt, no retry, no backoff.
-        assert rpc.stats.calls == before_calls
-        assert rpc.stats.retries == before_retries
-        assert rpc.stats.backoff_accrued == before_backoff
-        assert transport.virtual_latency_accrued == before_latency
-        assert rpc.stats.short_circuits == 1
-
-    def test_half_open_probe_recloses_after_recovery(self):
-        transport, clock, server, rpc, board = breaker_rig()
-        server.go_offline()
-        for _ in range(2):
-            with pytest.raises(NodeOffline):
-                rpc.call("server", "echo", 1, deadline=30.0)
-        assert board.states()["server"] == OPEN
-        server.go_online()
-        with pytest.raises(CircuitOpen):
-            rpc.call("server", "echo", 2, deadline=30.0)  # still inside reset window
-        clock.advance(2.0)
-        result = rpc.call("server", "echo", 3, deadline=30.0)  # the half-open probe
-        assert result == {"ok": True, "payload": 3}
-        assert board.states()["server"] == CLOSED
-        assert board.breaker("server").stats.probes == 1
-
-    def test_half_open_probe_failure_reopens(self):
-        transport, clock, server, rpc, board = breaker_rig()
-        server.go_offline()
-        for _ in range(2):
-            with pytest.raises(NodeOffline):
-                rpc.call("server", "echo", 1, deadline=30.0)
-        clock.advance(2.0)
-        with pytest.raises(NodeOffline):
-            rpc.call("server", "echo", 2, deadline=30.0)  # probe fails
-        assert board.states()["server"] == OPEN
-        with pytest.raises(CircuitOpen):
-            rpc.call("server", "echo", 3, deadline=30.0)

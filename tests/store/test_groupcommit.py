@@ -101,23 +101,6 @@ class TestGroupCommitterMechanics:
         assert released == [1, 2]  # staging the 2nd record flushed the batch
         assert committer.pending == 0
 
-    def test_due_uses_the_injected_timer(self, tmp_path):
-        store = DurableStore(tmp_path / "s")
-        now = [0.0]
-        committer = GroupCommitter(store, max_batch=100, max_delay=0.5, timer=lambda: now[0])
-        assert not committer.due()  # nothing staged
-        committer.stage(sample_record(0))
-        assert not committer.due()
-        now[0] = 0.6
-        assert committer.due()
-        committer.flush()
-        assert not committer.due()
-
-    def test_max_delay_without_timer_is_rejected(self, tmp_path):
-        store = DurableStore(tmp_path / "s")
-        with pytest.raises(ValueError):
-            GroupCommitter(store, max_delay=0.5)
-
     def test_crashed_flush_never_runs_callbacks_or_double_appends(self, tmp_path):
         root = tmp_path / "s"
         store = DurableStore(root, crash_points=CrashPointPlan(fire_at=0, seed=7))

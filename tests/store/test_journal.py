@@ -11,6 +11,8 @@ mismatches) must never be confused with a tear — it is typed
 from __future__ import annotations
 
 import hashlib
+import os
+import stat
 import struct
 
 import pytest
@@ -160,6 +162,51 @@ class TestSnapshotAndCompaction:
         assert not store.fresh
         state, records, _torn = store.load()
         assert (state, records) == (b"empty", [])
+
+
+class TestDirectoryEntriesAreDurable:
+    """fsync(2) on a file does not persist its directory entry: a journal
+    created, or a snapshot or journal renamed into place, is lost on power
+    loss unless the directory itself is fsynced after it."""
+
+    @pytest.fixture()
+    def synced(self, monkeypatch):
+        """What each ``os.fsync`` targets: "dir" or "file", in call order."""
+        targets: list[str] = []
+        real = os.fsync
+
+        def record(fd):
+            targets.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", record)
+        return targets
+
+    def test_creating_the_journal_syncs_the_directory_once(self, tmp_path, synced):
+        store = DurableStore(tmp_path / "s")
+        store.append(sample_record(0))
+        assert synced == ["file", "dir"]
+        store.append(sample_record(1))
+        store.append_many([sample_record(2), sample_record(3)])
+        assert synced == ["file", "dir", "file", "file"]
+
+    def test_group_frame_that_creates_the_journal_syncs_the_directory(self, tmp_path, synced):
+        DurableStore(tmp_path / "s").append_many([sample_record(0), sample_record(1)])
+        assert synced == ["file", "dir"]
+
+    def test_each_rename_is_synced_before_the_next_step(self, tmp_path, synced):
+        store = DurableStore(tmp_path / "s")
+        store.append(sample_record(0))
+        synced.clear()
+        store.snapshot(b"state")
+        # snapshot temp, its rename; compacted journal temp, its rename
+        assert synced == ["file", "dir", "file", "dir"]
+
+    def test_a_reopened_store_does_not_resync_an_existing_journal(self, tmp_path, synced):
+        DurableStore(tmp_path / "s").append(sample_record(0))
+        synced.clear()
+        DurableStore(tmp_path / "s").append(sample_record(1))
+        assert synced == ["file"]
 
 
 class TestTornWriteFuzz:
