@@ -54,7 +54,7 @@ def run_scenarios():
         )
         alarmed_before_deposit = False
         if enable:
-            net.detection.publish_owner(alice, alice.owned[state.coin_y], evil)
+            net.detection.publish(evil, alice.address)
             alarmed_before_deposit = len(bob.alarms) > 0
         results[enable] = {
             "messages_per_payment": messages / PAYMENTS,

@@ -5,9 +5,9 @@ re-run on the operation-level simulator: the docstring says what is compared
 and what is expected, the ``run_*`` function is the timed body, the test
 writes ``benchmarks/out/ablation_<name>.txt`` and asserts the finding.  Every
 point goes through ``_common.simulate``, so the Setup-A Policy I + lazy sweep
-that four of them (and Figures 3/5) read is simulated once.  The three
-ablations that drive the real protocol stack (``onion``, ``dht_backends``,
-``dht_detection``) keep their own files.
+that four of them (and Figures 3/5) read is simulated once.  The two
+ablations that drive the real protocol stack (``onion``, ``dht_detection``)
+keep their own files.
 """
 
 from dataclasses import replace

@@ -182,12 +182,12 @@ def test_bench_hashchain_verify(benchmark):
 # the group verifier.  They exist only to measure the acceleration honestly
 # against the real before-state, not an artificial strawman.
 #
-# ``baseline_group_sign`` and ``baseline_group_verify`` are also the oracles
-# of the differential tests in ``tests/crypto/test_group_signature.py``.
-# Retirement condition (DESIGN.md §1.1, "When a kept oracle may go"): golden
-# vectors cover the oracle's accept *and* reject set (golden_group_oracles.json
-# pins both), and the kernel it shadows has gone 5 PRs unedited (DESIGN.md
-# §1.1 says which kernel meets that when).
+# ``baseline_group_sign`` and ``baseline_group_verify`` were also the oracles
+# of differential tests in ``tests/crypto/test_group_signature.py``; those
+# are retired (DESIGN.md §1.1, "When a kept oracle may go"): golden vectors
+# pin the oracles' accept *and* reject sets (golden_group_oracles.json), and
+# the kernels went 5 PRs unedited.  The two stay here for the speed-up rows
+# of BENCH_crypto.json (and TestSignerPowers counts the signer's powers).
 
 
 def baseline_dsa_verify(public, message, signature) -> bool:

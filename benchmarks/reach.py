@@ -112,8 +112,8 @@ KEPT = (
         "store/groupcommit.py:GroupCommitter.pending",
         "net/transport.py:FaultStats.as_dict",
         "net/transport.py:Transport.counter",
+        "net/transport.py:Transport.addresses",
         "dht/notify.py:NotificationHub.subscriber_count",
-        "dht/kademlia.py:KademliaNetwork.owner_of",
     )),
 )
 

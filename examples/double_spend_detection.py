@@ -40,7 +40,7 @@ def real_time_owner_fraud(net: WhoPayNetwork) -> None:
         seq=mallory.owned[state.coin_y].binding.seq + 1,
         exp_date=net.clock.now() + 86_400,
     )
-    net.detection.publish_owner(mallory, mallory.owned[state.coin_y], forged)
+    net.detection.publish(forged, mallory.address)
     print("mallory published a forged re-bind to the DHT…")
 
     alarm = victim.alarms[0]

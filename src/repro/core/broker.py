@@ -45,6 +45,7 @@ from repro.crypto.dsa import dsa_batch_verify, dsa_verify
 from repro.crypto.group_signature import group_verify
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.params import DlogParams
+from repro.dht.binding_store import WriteRejected
 from repro.messages.envelope import seal
 from repro.net.node import Node
 from repro.net.rpc import RetryPolicy, RpcClient, unwrap_idempotent, wrap_idempotent
@@ -588,7 +589,28 @@ class Broker(Node):
             raise VerificationFailed("proof binding signature invalid")
         return request
 
-    def _record_downtime_binding(self, coin: Coin, binding: CoinBinding) -> None:
+    def _record_downtime_binding(self, coin: Coin, binding: CoinBinding) -> CoinBinding:
+        """Publish a downtime binding, then stage it: a binding the public
+        list refuses (a stale proof, a double-spend) changes nothing here
+        and is a :class:`NotHolder` rejection.
+
+        The publish leaves before the request's record is durable, so a
+        broker that dies in between recovers without the binding it
+        published.  The holder's retry re-signs the same ``seq``, which the
+        list refuses; if the list already holds this broker's binding at
+        that ``seq`` for the same holder, the retry adopts those published
+        bytes (the ones the payee compares) instead.  Returns the binding
+        staged and handed out.
+        """
+        if self.detection is not None:
+            try:
+                self.detection.publish(binding, self.address)
+            except WriteRejected as exc:
+                published = self._published_orphan(binding)
+                if published is None:
+                    # The list holds a newer binding than the request's proof.
+                    raise NotHolder(f"binding list refused the binding: {exc}") from exc
+                binding = published
         self._stage(
             {
                 "type": "downtime_binding",
@@ -597,10 +619,21 @@ class Broker(Node):
                 "owner": coin.owner_address,
             }
         )
-        # DHT publication is transport-side, not durable state: recovery
-        # replay rebuilds the binding table without re-publishing.
-        if self.detection is not None:
-            self.detection.publish_broker(self, binding)
+        return binding
+
+    def _published_orphan(self, binding: CoinBinding) -> CoinBinding | None:
+        """The list's binding of ``binding``'s coin if this broker signed it
+        at the same ``seq`` for the same holder, else ``None``."""
+        published = self.detection.fetch_binding(self.address, binding.payload["coin_y"])
+        if (
+            published is not None
+            and published.signed.signer.y == self.keypair.public.y
+            and published.seq == binding.seq
+            and published.holder_y == binding.holder_y
+            and published.signed.verify()
+        ):
+            return published
+        return None
 
     # -- handlers --------------------------------------------------------------
 
@@ -684,16 +717,14 @@ class Broker(Node):
         if not self.params.is_element(new_holder_y):
             raise ProtocolError("new holder key is not a valid group element")
         binding = self._fresh_binding(request.coin, new_holder_y, request.proof.seq)
-        self._record_downtime_binding(request.coin, binding)
-        return binding.encode()
+        return self._record_downtime_binding(request.coin, binding).encode()
 
     def _handle_downtime_renewal(self, src: str, data: bytes) -> bytes:
         """Downtime renewal (Section 4.2): same holder, new seq and expiry."""
         self.counts.downtime_renewals += 1
         request = self._verify_holder_op(data, protocol.DOWNTIME_RENEWAL)
         binding = self._fresh_binding(request.coin, request.proof.holder_y, request.proof.seq)
-        self._record_downtime_binding(request.coin, binding)
-        return binding.encode()
+        return self._record_downtime_binding(request.coin, binding).encode()
 
     def _handle_top_up(self, src: str, data: bytes) -> bytes:
         """Increase a coin's value (the Section 2 security property's "only

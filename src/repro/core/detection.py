@@ -25,55 +25,35 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.coin import CoinBinding, OwnedCoinState
-from repro.crypto.params import DlogParams
-from repro.dht.binding_store import BindingRecord, BindingStore, WriteRejected
+from repro.core.coin import CoinBinding
+from repro.dht.binding_store import BindingStore, WriteRejected
 from repro.dht.notify import NotificationHub
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.broker import Broker
     from repro.core.peer import Peer
 
 
 class DetectionService:
     """Publish/verify/monitor façade over the DHT binding store."""
 
-    def __init__(self, store: BindingStore, hub: NotificationHub, params: DlogParams) -> None:
+    def __init__(self, store: BindingStore, hub: NotificationHub) -> None:
         self.store = store
         self.hub = hub
-        self.params = params
         self.publishes = 0
         self.rejected_publishes = 0
 
     # -- publishing ----------------------------------------------------------
 
-    def _record_for(self, binding: CoinBinding) -> BindingRecord:
-        signed = binding.signed
-        return BindingRecord(
-            payload=signed.payload_bytes,
-            signer_y=signed.signer.y,
-            sig_r=signed.signature.r,
-            sig_s=signed.signature.s,
-            via_broker=binding.via_broker,
-            sig_c=signed.signature.commit,
-        )
+    def publish(self, binding: CoinBinding, src: str) -> None:
+        """Publish a binding the owner (issue, transfer, renewal) or the
+        broker (downtime transfer, renewal) just signed.
 
-    def publish_owner(self, peer: "Peer", state: OwnedCoinState, binding: CoinBinding) -> None:
-        """Owner-side publish on issue/transfer/renewal.
-
-        The DHT's validator re-checks the signature and sequence monotonicity;
-        a rejection here means the owner attempted a rollback and is surfaced
-        immediately rather than swallowed.
+        The DHT's validator re-checks the signer, the signature and ``seq``
+        monotonicity; a rejection (a rollback, a double-spend through the
+        broker) is surfaced as :class:`WriteRejected`, not swallowed.
         """
-        self._publish(self._record_for(binding), src=peer.address)
-
-    def publish_broker(self, broker: "Broker", binding: CoinBinding) -> None:
-        """Broker-side publish on downtime transfer/renewal."""
-        self._publish(self._record_for(binding), src=broker.address)
-
-    def _publish(self, record: BindingRecord, src: str) -> None:
         try:
-            self.store.publish(record, src=src)
+            self.store.publish(binding.signed, src=src)
             self.publishes += 1
         except WriteRejected:
             self.rejected_publishes += 1
@@ -82,23 +62,12 @@ class DetectionService:
     # -- reading ----------------------------------------------------------------
 
     def fetch_binding(self, src: str, coin_y: int) -> CoinBinding | None:
-        """Read the public binding of ``coin_y`` (payee check, owner check)."""
-        from repro.core.protocol import decode_signed
-
-        record = self.store.fetch(coin_y, src=src)
-        if record is None:
+        """Read the public binding of ``coin_y`` (payee check, owner check);
+        its flavour is its signer's: ``pk_B`` signs only downtime bindings."""
+        signed = self.store.fetch(coin_y, src=src)
+        if signed is None:
             return None
-        # Rebuild the typed binding from the published record.
-        from repro.crypto.dsa import DsaSignature
-        from repro.crypto.keys import PublicKey
-        from repro.messages.envelope import SignedMessage
-
-        signed = SignedMessage(
-            payload_bytes=record.payload,
-            signer=PublicKey(params=self.params, y=record.signer_y),
-            signature=DsaSignature(r=record.sig_r, s=record.sig_s, commit=record.sig_c),
-        )
-        return CoinBinding(signed=signed, via_broker=record.via_broker)
+        return CoinBinding(signed=signed, via_broker=signed.signer.y == self.store.broker_key.y)
 
     # -- monitoring ----------------------------------------------------------------
 

@@ -88,7 +88,6 @@ class WhoPayNetwork:
         params: DlogParams | None = None,
         enable_detection: bool = False,
         dht_size: int = 8,
-        dht_backend: str = "chord",
         sync_mode: str = "proactive",
         renewal_period: float = DEFAULT_RENEWAL_PERIOD,
         retry_policy: RetryPolicy | None = None,
@@ -147,18 +146,10 @@ class WhoPayNetwork:
         self.ca = CertificateAuthority(self.params)
         self.detection: DetectionService | None = None
         if enable_detection:
-            # The §5.1 infrastructure is DHT-agnostic; pick the fabric.
-            if dht_backend == "chord":
-                fabric = ChordRing(self.transport, size=dht_size)
-            elif dht_backend == "kademlia":
-                from repro.dht.kademlia import KademliaNetwork
-
-                fabric = KademliaNetwork(self.transport, size=dht_size)
-            else:
-                raise ValueError("dht_backend must be 'chord' or 'kademlia'")
-            store = BindingStore(fabric, self.params, self.broker.public_key)
-            hub = NotificationHub(store)
-            self.detection = DetectionService(store, hub, self.params)
+            store = BindingStore(
+                ChordRing(self.transport, size=dht_size), self.params, self.broker.public_key
+            )
+            self.detection = DetectionService(store, NotificationHub(store))
             for shard in self.shards:
                 shard.detection = self.detection
 

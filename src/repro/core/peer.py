@@ -872,7 +872,7 @@ class Peer(Node):
             exp_date=self.clock.now() + self.renewal_period,
         )
         if self.detection is not None:
-            self.detection.publish_owner(self, state, binding)
+            self.detection.publish(binding, self.address)
         if payee is not None:
             payload = self._completion_payload(state, binding, nonce)
             if request is None:
@@ -913,10 +913,7 @@ class Peer(Node):
 
     def _handle_binding_update(self, src: str, record_bytes: bytes) -> None:
         """Push notification from the DHT: did someone move *my* coin?"""
-        from repro.dht.binding_store import BindingRecord
-
-        record = BindingRecord.from_encoded(record_bytes)
-        info = record.binding()
+        info = protocol.decode_signed(record_bytes, self.params).payload
         held = self.wallet.get(info["coin_y"])
         if held is None or info["coin_y"] in self._expected_rebinds:
             return None

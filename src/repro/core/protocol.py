@@ -24,7 +24,7 @@ from repro.crypto.group_signature import GroupSignature
 from repro.crypto.keys import PublicKey
 from repro.crypto.params import DlogParams
 from repro.messages.codec import decode, encode
-from repro.messages.envelope import DualSignedMessage, SignedMessage
+from repro.messages.envelope import DualSignedMessage, SignedMessage, decode_signed
 
 # -- message kinds ------------------------------------------------------------
 
@@ -56,23 +56,8 @@ BINDING_UPDATE = "binding.update"
 # -- envelope (de)serialization -------------------------------------------------
 #
 # Envelopes cross the transport as canonical bytes; these helpers rebuild the
-# typed objects on the receiving side.
-
-
-def decode_signed(data: bytes, params: DlogParams) -> SignedMessage:
-    """Rebuild a :class:`SignedMessage` from its ``encode()`` output."""
-    fields = decode(data)
-    payload, hint = fields["payload"], fields.get("sig_c")
-    scalars = (fields["signer_y"], fields["sig_r"], fields["sig_s"], 0 if hint is None else hint)
-    if not isinstance(payload, bytes) or not all(isinstance(v, int) for v in scalars):
-        raise ValueError("signed envelope carries a mistyped field")
-    return SignedMessage(
-        payload_bytes=payload,
-        signer=PublicKey(params=params, y=fields["signer_y"]),
-        # ``sig_c`` (the batch-verification hint) is optional: envelopes
-        # sealed by older peers simply verify one at a time.
-        signature=DsaSignature(r=fields["sig_r"], s=fields["sig_s"], commit=hint),
-    )
+# typed objects on the receiving side (``decode_signed`` lives beside
+# ``SignedMessage``, so the binding store decodes with it too).
 
 
 def encode_dual(message: DualSignedMessage) -> bytes:

@@ -8,21 +8,20 @@ to future work.  This package builds the whole thing:
 
 * :mod:`repro.dht.chord` — a working Chord ring (consistent hashing,
   successor lists, finger tables, iterative O(log n) lookup, join/leave and
-  stabilization) over the in-memory transport.
-* :mod:`repro.dht.kademlia` — a second, independent fabric (XOR metric,
-  k-buckets, iterative parallel lookups, k-fold replication) exposing the
-  same surface, proving the Section 5.1 infrastructure is DHT-agnostic as
-  the paper's list of candidate DHTs implies.
+  stabilization, replication) over the in-memory transport.  It is the one
+  fabric: a second, XOR-metric fabric cost about twice Chord's messages per
+  publish and per fetch, and Chord's replication already survives node
+  crashes.
 * :mod:`repro.dht.binding_store` — the access-control policy on top: a
-  value keyed by coin public key is writable only with a valid signature by
-  that coin's secret key or by the broker (the downtime rule), with
-  monotonic sequence numbers to prevent rollback.
+  value keyed by coin public key is the signed binding itself, writable
+  only with a valid signature by that coin's secret key or by the broker
+  (the downtime rule), with monotonic sequence numbers to prevent rollback.
 * :mod:`repro.dht.notify` — Scribe/Bayeux-style register/notify: holders
   subscribe to the bindings of the coins they hold and are pushed every
   accepted update (the real-time detection trigger).
 """
 
-from repro.dht.binding_store import BindingRecord, BindingStore, WriteRejected
+from repro.dht.binding_store import BindingStore, WriteRejected
 from repro.dht.chord import ChordNode, ChordRing, key_to_id
 from repro.dht.notify import NotificationHub
 
@@ -31,7 +30,6 @@ __all__ = [
     "ChordRing",
     "key_to_id",
     "BindingStore",
-    "BindingRecord",
     "WriteRejected",
     "NotificationHub",
 ]

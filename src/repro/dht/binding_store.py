@@ -7,134 +7,73 @@ The policy the paper specifies:
     can be published along with the binding to back it up), but anyone can
     read the id pk_CU … the broker should also be allowed to write to any id."
 
-A :class:`BindingRecord` is the published value: the binding payload, the
-authorizing signature, and who signed (the coin key itself or the broker).
+The published value is the signed binding itself: the bytes of its
+:class:`~repro.messages.envelope.SignedMessage` (``encode()``, commit hint
+included), so a fetched binding is byte-equal to the one the payee was
+handed.  Who signed decides the flavour: the coin key is an owner write,
+``pk_B`` a broker (downtime) write, and any other signer is refused.
 :class:`BindingStore` wires the policy into a Chord ring as each node's
-``put_validator`` and exposes typed publish/fetch helpers.  Rollback
-protection: a write with a sequence number not larger than the stored one is
-rejected, so a fraudulent owner cannot quietly re-point a coin at an old
-holder.
+``put_validator``.  Rollback protection: a write whose sequence number is not
+above the stored one is rejected, so a fraudulent owner cannot quietly
+re-point a coin at an old holder.  There is no exception, not even for the
+broker: a broker that died before journaling a downtime binding it had
+published adopts the published bytes on the holder's retry
+(``Broker._record_downtime_binding``) rather than re-signing over them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
-from repro.crypto.dsa import DsaSignature, dsa_verify
 from repro.crypto.keys import PublicKey
 from repro.crypto.params import DlogParams
 from repro.dht.chord import ChordRing, key_to_id
-from repro.messages.codec import decode, encode
+from repro.messages.envelope import SignedMessage, decode_signed
 
 
 class WriteRejected(Exception):
     """A put failed the access-control or monotonicity policy."""
 
 
-@dataclass(frozen=True)
-class BindingRecord:
-    """The published state of one coin.
-
-    ``payload`` is the canonical encoding of the binding dict (coin public
-    key, holder coin public key, sequence number, expiry); ``signer_y`` is
-    the ``y`` value of the signing key — either the coin's own public key
-    (owner write) or the broker's (downtime write).
-    """
-
-    payload: bytes
-    signer_y: int
-    sig_r: int
-    sig_s: int
-    via_broker: bool
-    #: Optional batch-verification hint (``g**k mod p``); untrusted metadata,
-    #: but it must round-trip so a fetched binding stays byte-identical to
-    #: the one the owner handed out (the payee compares encodings).
-    sig_c: int | None = None
-
-    def encode(self) -> bytes:
-        """Canonical encoding (transport sizing, storage)."""
-        return encode(
-            {
-                "payload": self.payload,
-                "signer_y": self.signer_y,
-                "sig_r": self.sig_r,
-                "sig_s": self.sig_s,
-                "sig_c": self.sig_c,
-                "via_broker": self.via_broker,
-            }
-        )
-
-    @classmethod
-    def from_encoded(cls, data: bytes) -> "BindingRecord":
-        """Inverse of :meth:`encode`."""
-        fields = decode(data)
-        return cls(
-            payload=fields["payload"],
-            signer_y=fields["signer_y"],
-            sig_r=fields["sig_r"],
-            sig_s=fields["sig_s"],
-            via_broker=fields["via_broker"],
-            sig_c=fields.get("sig_c"),
-        )
-
-    def binding(self) -> dict[str, Any]:
-        """The decoded binding dict."""
-        return decode(self.payload)
-
-    def sequence(self) -> int:
-        """The binding's sequence number (monotonicity key)."""
-        return self.binding()["seq"]
-
-
 class BindingStore:
-    """The coin-binding service on top of a DHT fabric.
+    """The coin-binding service on a Chord ring.
 
-    ``ring`` is any object with the shared DHT surface: ``nodes`` (each
-    accepting a ``put_validator``/``after_put`` attribute), ``put(key,
-    value, src)``, ``get(key, src)``, and ``transport`` —
-    :class:`~repro.dht.chord.ChordRing` and
-    :class:`~repro.dht.kademlia.KademliaNetwork` both qualify.
+    Chord is the one fabric: a second, XOR-metric fabric cost about twice
+    its messages per publish and per fetch (17.9 and 11.9 against 9.2 and
+    5.2 at 12 nodes), and Chord's own replication already survives node
+    crashes (``tests/dht/test_replication.py``).
     """
 
-    def __init__(self, ring: "ChordRing | Any", params: DlogParams, broker_key: PublicKey) -> None:
+    def __init__(self, ring: ChordRing, params: DlogParams, broker_key: PublicKey) -> None:
         self.ring = ring
         self.params = params
         self.broker_key = broker_key
         for node in ring.nodes:
-            node.put_validator = self._validate  # type: ignore[attr-defined]
+            node.put_validator = self._validate
 
     # -- policy -------------------------------------------------------------
 
     def _validate(self, key_id: int, stored: Any, value: Any) -> str | None:
         """Chord put validator: return a rejection reason or ``None``."""
         try:
-            record = BindingRecord.from_encoded(value)
-            binding = record.binding()
+            signed = decode_signed(value, self.params)
+            binding = signed.payload
+            coin_y, holder_y, seq = binding["coin_y"], binding["holder_y"], binding["seq"]
         except Exception:
-            return "malformed binding record"
-        coin_y = binding.get("coin_y")
-        if not isinstance(coin_y, int):
-            return "binding lacks coin key"
+            return "malformed binding"
+        if not all(isinstance(v, int) for v in (coin_y, holder_y, seq)) or coin_y <= 0:
+            return "malformed binding"
         if key_to_id(self._coin_key_bytes(coin_y)) != key_id:
             return "binding published under the wrong DHT key"
-        # Access control: the signature must verify under the coin key itself
-        # (owner write) or the broker key (downtime write).
-        if record.via_broker:
-            expected = self.broker_key
-            if record.signer_y != expected.y:
-                return "broker write not signed by the broker"
-        else:
-            if record.signer_y != coin_y:
-                return "owner write not signed by the coin key"
-            expected = PublicKey(params=self.params, y=coin_y)
-        signature = DsaSignature(r=record.sig_r, s=record.sig_s)
-        if not dsa_verify(expected, record.payload, signature):
+        # Access control: the coin key itself (owner write) or the broker
+        # key (downtime write) — nobody else.
+        if signed.signer.y not in (coin_y, self.broker_key.y):
+            return "binding not signed by the coin key or the broker"
+        if not signed.verify():
             return "bad signature"
         if stored is not None:
             try:
-                previous = BindingRecord.from_encoded(stored)
-                if record.sequence() <= previous.sequence():
+                if seq <= decode_signed(stored, self.params).payload["seq"]:
                     return "stale sequence number"
             except Exception:
                 pass  # corrupt stored state never blocks a valid overwrite
@@ -145,14 +84,15 @@ class BindingStore:
 
     # -- API ------------------------------------------------------------------
 
-    def publish(self, record: BindingRecord, src: str = "client") -> None:
-        """Publish a binding; raises :class:`WriteRejected` on policy failure."""
-        coin_y = record.binding()["coin_y"]
-        result = self.ring.put(self._coin_key_bytes(coin_y), record.encode(), src=src)
+    def publish(self, signed: SignedMessage, src: str = "client") -> None:
+        """Publish a signed binding; raises :class:`WriteRejected` on policy failure."""
+        result = self.ring.put(
+            self._coin_key_bytes(signed.payload["coin_y"]), signed.encode(), src=src
+        )
         if not result["ok"]:
             raise WriteRejected(result["reason"])
 
-    def fetch(self, coin_y: int, src: str = "client") -> BindingRecord | None:
+    def fetch(self, coin_y: int, src: str = "client") -> SignedMessage | None:
         """Read the current public binding of coin ``coin_y`` (anyone may)."""
         raw = self.ring.get(self._coin_key_bytes(coin_y), src=src)
-        return None if raw is None else BindingRecord.from_encoded(raw)
+        return None if raw is None else decode_signed(raw, self.params)

@@ -14,7 +14,7 @@ other protocol traffic.
 from __future__ import annotations
 
 import hashlib
-from typing import Any
+from typing import Any, Callable
 
 from repro.net.node import Node
 from repro.net.rpc import RpcClient
@@ -51,8 +51,9 @@ class ChordNode(Node):
     """One DHT server.
 
     Storage is a plain dict ``id -> value``; the binding-store policy layer
-    (see :mod:`repro.dht.binding_store`) is injected as a ``validator``
-    callable so Chord itself stays policy-free.
+    (see :mod:`repro.dht.binding_store`) is injected as ``put_validator``
+    and the notification fan-out as ``after_put``, so Chord itself stays
+    policy-free.
 
     Accepted puts are replicated to the next ``replication - 1`` live
     successors, so a *crash* (not just a graceful leave) loses no data: after
@@ -76,6 +77,10 @@ class ChordNode(Node):
         self.successor_list: list[str] = []  # fault-tolerance chain (r = 4)
         self.stabilize_failures = 0  # churn-expected stabilize RPC failures
         self.storage: dict[int, Any] = {}
+        #: ``(key_id, stored, value) -> reason | None``: a put's admission test
+        self.put_validator: Callable[[int, Any, Any], str | None] | None = None
+        #: ``(key_id, value)``: called after each accepted put
+        self.after_put: Callable[[int, Any], None] | None = None
         self.on("chord.find_successor", self._handle_find_successor)
         self.on("chord.get_predecessor", lambda src, _p: self.predecessor)
         self.on("chord.get_successor_list", lambda src, _p: [self.successor, *self.successor_list])
@@ -206,16 +211,14 @@ class ChordNode(Node):
     def _handle_put(self, src: str, payload: dict) -> dict:
         key_id = payload["key_id"]
         value = payload["value"]
-        validator = getattr(self, "put_validator", None)
-        if validator is not None:
-            verdict = validator(key_id, self.storage.get(key_id), value)
+        if self.put_validator is not None:
+            verdict = self.put_validator(key_id, self.storage.get(key_id), value)
             if verdict is not None:
                 return {"ok": False, "reason": verdict}
         self.storage[key_id] = value
         self._replicate(key_id, value)
-        hook = getattr(self, "after_put", None)
-        if hook is not None:
-            hook(key_id, value)
+        if self.after_put is not None:
+            self.after_put(key_id, value)
         return {"ok": True, "reason": None}
 
     def _replicate(self, key_id: int, value: Any) -> None:

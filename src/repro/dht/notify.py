@@ -45,7 +45,7 @@ class NotificationHub:
             transport=store.ring.transport, src="dht-notify", policy=NOTIFY_POLICY
         )
         for node in store.ring.nodes:
-            node.after_put = self._fan_out  # type: ignore[attr-defined]
+            node.after_put = self._fan_out
 
     def subscribe(self, coin_y: int, subscriber: str) -> None:
         """Register ``subscriber`` (a transport address) for coin updates."""

@@ -13,7 +13,10 @@ statement raises, and how an event moves a path state.
   (``self._wal*`` / ``self._stage`` / ``store.append`` /
   ``committer.stage``) before any ``return`` on every path, and before any
   *egress* — an outbound RPC or a DHT publish, which lets signed state
-  leave the process as surely as a reply does.  Obligations
+  leave the process as surely as a reply does.  A *staging* write
+  (``self._stage``) covers the reply only: the request's record becomes
+  durable after the handler returns, so an egress after a staging write in
+  the same request is a finding too.  Obligations
   propagate interprocedurally: a helper that mutates and returns without
   journaling passes its pending sites to the caller, and only *root*
   functions (message handlers and public methods) report what is still
@@ -105,6 +108,8 @@ class Site:
     line: int
     col: int
     description: str
+    #: a staging write: journaled for the reply, not yet durable
+    staged: bool = False
 
 
 @dataclass(frozen=True)
@@ -259,14 +264,19 @@ class _PathAnalysis:
 @dataclass(frozen=True)
 class ObligationConfig(OrderingConfig):
     #: Calls that send out of the process: a receiver (``peer_client``: any
-    #: of its methods) or a ``receiver.method`` (``detection.publish_owner``).
+    #: of its methods) or a ``receiver.method`` (``detection.publish``).
     egress: frozenset[str]
+    #: ``self.<method>`` journal writes that only stage the request's
+    #: record: they discharge a reply's obligation, not an egress's.
+    staging_methods: frozenset[str]
 
 
 @dataclass
 class _ObligationSummary:
     leaks: frozenset[Site] = frozenset()
     always_journals: bool = False
+    #: staging writes some path leaves for the caller's egresses
+    staged: frozenset[Site] = frozenset()
 
 
 class ObligationAnalysis(_PathAnalysis):
@@ -289,12 +299,17 @@ class ObligationAnalysis(_PathAnalysis):
 
     def _events(self, stmt: ast.stmt, fn: FunctionInfo) -> list[tuple[str, object]]:
         """Ordered (kind, payload) events: ``("M", Site) | ("J", None) |
-        ("E", line)`` for an egress | ``("INHERIT", sites)`` for resolvable
+        ("S", Site)`` for a staging write | ``("E", line)`` for an egress |
+        ``("INHERIT", sites)`` / ``("STAGED", sites)`` for resolvable
         non-primitive callees."""
         events: list[tuple[str, object]] = []
         for call in _calls_in_order(stmt):
             if is_journal_call(call, self.config.journal_methods):
                 events.append(("J", None))
+                name = call.func.attr  # type: ignore[attr-defined]  # journal calls are attribute calls
+                if name in self.config.staging_methods:
+                    site = Site(fn.module.path, call.lineno, call.col_offset, f"{name}(...)", True)
+                    events.append(("S", site))
                 continue
             if self._egress_call(call):
                 events.append(("E", call.lineno))
@@ -314,11 +329,13 @@ class ObligationAnalysis(_PathAnalysis):
                     events.append(("J", None))
                 if summary.leaks:
                     events.append(("INHERIT", summary.leaks))
+                if summary.staged:
+                    events.append(("STAGED", summary.staged))
         events.extend(("M", site) for site in self._target_mutations(stmt, fn))
         return events
 
     def _apply(self, events, state):
-        pending, journaled = state
+        pending, journaled, staged = state
         for kind, payload in events:
             if kind == "J":
                 pending, journaled = frozenset(), True
@@ -326,17 +343,22 @@ class ObligationAnalysis(_PathAnalysis):
                 pending = pending | {payload}
             elif kind == "INHERIT":
                 pending = pending | payload
+            elif kind == "S":
+                staged = staged | {payload}
+            elif kind == "STAGED":
+                staged = staged | payload
             elif kind == "E":
-                self._sent[self._fn.qualname] |= {(site, payload) for site in pending}
-        return pending, journaled
+                self._sent[self._fn.qualname] |= {(site, payload) for site in pending | staged}
+        return pending, journaled, staged
 
     def _analyze(self, fn: FunctionInfo) -> _ObligationSummary:
         self._sent[fn.qualname] = set()
-        exits = self._walk(fn, (frozenset(), False))  # (pending, journaled)
+        exits = self._walk(fn, (frozenset(), False, frozenset()))  # (pending, journaled, staged)
         self._reached[fn.qualname] = self._visited
         return _ObligationSummary(
-            leaks=frozenset().union(*(pending for pending, _ in exits)),
-            always_journals=bool(exits) and all(journaled for _, journaled in exits),
+            leaks=frozenset().union(*(pending for pending, _, _ in exits)),
+            always_journals=bool(exits) and all(journaled for _, journaled, _ in exits),
+            staged=frozenset().union(*(staged for _, _, staged in exits)),
         )
 
     def run(self) -> list[Diagnostic]:
@@ -349,6 +371,12 @@ class ObligationAnalysis(_PathAnalysis):
             for site, egress in sorted(
                 self._sent[fn.qualname], key=lambda pair: (pair[1], pair[0].line, pair[0].col)
             ):
+                covered = (
+                    "its request's journal record is durable (staging covers the "
+                    "reply, not an egress)"
+                    if site.staged
+                    else "a covering journal write"
+                )
                 findings.append(
                     Diagnostic(
                         site.path,
@@ -357,7 +385,7 @@ class ObligationAnalysis(_PathAnalysis):
                         self.code,
                         f"durable mutation {site.description} can leave the process "
                         f"at line {egress} of {fn.name}() (an outbound RPC or "
-                        "publish) before a covering journal write",
+                        f"publish) before {covered}",
                     )
                 )
             if self._is_root(fn):

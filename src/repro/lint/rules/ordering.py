@@ -9,7 +9,9 @@ means a crash after the reply escapes loses acknowledged state; a journal
 statement made unreachable by an earlier ``return`` is the same bug in
 dead-code form.  An outbound RPC or a DHT publish in the middle of a handler
 is an egress too: an owner that sends a binding before its ``seq_floor`` is
-journaled can recover below it and sign that ``seq`` again.
+journaled can recover below it and sign that ``seq`` again.  A broker's
+``_stage`` covers the reply but not an egress: the request's record becomes
+durable only after the handler returns.
 
 WP113 (verify-before-trust): once a handler touches untrusted input — a
 raw read of its payload parameter or an envelope decode — no durable-state
@@ -55,9 +57,8 @@ ORDERING_CONFIG = ObligationConfig(
     durable_attrs=_DURABLE_ATTRS,
     journal_methods=_JOURNAL_METHODS,
     exempt_functions=_PRIMITIVES,
-    egress=frozenset(
-        {"peer_client", "broker_client", "detection.publish_owner", "detection.publish_broker"}
-    ),
+    egress=frozenset({"peer_client", "broker_client", "detection.publish"}),
+    staging_methods=frozenset({"_stage"}),
 )
 
 TRUST_CONFIG = TrustConfig(

@@ -22,6 +22,7 @@ from typing import Any
 from repro.crypto.dsa import DsaSignature, dsa_sign, dsa_verify
 from repro.crypto.group_signature import GroupMemberKey, GroupPublicKey, GroupSignature, group_sign, group_verify
 from repro.crypto.keys import KeyPair, PublicKey
+from repro.crypto.params import DlogParams
 from repro.messages.codec import decode, encode
 
 
@@ -73,6 +74,22 @@ class SignedMessage:
             )
             object.__setattr__(self, "_encode_memo", cached)
         return cached
+
+
+def decode_signed(data: bytes, params: DlogParams) -> SignedMessage:
+    """Rebuild a :class:`SignedMessage` from its ``encode()`` output."""
+    fields = decode(data)
+    payload, hint = fields["payload"], fields.get("sig_c")
+    scalars = (fields["signer_y"], fields["sig_r"], fields["sig_s"], 0 if hint is None else hint)
+    if not isinstance(payload, bytes) or not all(isinstance(v, int) for v in scalars):
+        raise ValueError("signed envelope carries a mistyped field")
+    return SignedMessage(
+        payload_bytes=payload,
+        signer=PublicKey(params=params, y=fields["signer_y"]),
+        # ``sig_c`` (the batch-verification hint) is optional: envelopes
+        # sealed by older peers simply verify one at a time.
+        signature=DsaSignature(r=fields["sig_r"], s=fields["sig_s"], commit=hint),
+    )
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,25 @@ class TestPublishing:
         b2 = bob.renew(state.coin_y)
         assert net.detection.fetch_binding("test", state.coin_y).seq == b2.seq
 
+    def test_a_published_binding_is_its_own_bytes_and_its_signer_its_flavour(self, rig):
+        # The owner publishes at issue, the broker at the downtime transfer,
+        # each through ``DetectionService.publish``; the list stores the
+        # signed binding itself, and the flavour comes back from the signer.
+        net, alice, bob, _carol, _dave = rig
+        state = alice.purchase()
+        coin_key = state.coin_keypair.public
+        owner_signed = alice.issue("bob", state.coin_y)
+        fetched = [net.detection.fetch_binding("test", state.coin_y)]
+        alice.depart()
+        broker_signed = bob.transfer_via_broker("carol", state.coin_y)
+        fetched.append(net.detection.fetch_binding("test", state.coin_y))
+        for binding, got, via_broker in ((owner_signed, fetched[0], False), (broker_signed, fetched[1], True)):
+            assert binding.via_broker is via_broker
+            assert got.encode() == binding.encode()
+            assert got.via_broker is via_broker
+            assert got.verify(coin_key, net.broker.public_key)
+        assert net.detection.store.fetch(state.coin_y, src="test").encode() == broker_signed.encode()
+
 
 class TestPayeeVerification:
     def test_payee_rejects_unpublished_binding(self, rig):
@@ -77,7 +96,7 @@ class TestMonitoring:
             seq=alice.owned[state.coin_y].binding.seq + 1,
             exp_date=net.clock.now() + 1000,
         )
-        net.detection.publish_owner(alice, alice.owned[state.coin_y], evil)
+        net.detection.publish(evil, alice.address)
         assert len(bob.alarms) == 1
         alarm = bob.alarms[0]
         assert alarm.coin_y == state.coin_y
@@ -112,7 +131,7 @@ class TestMonitoring:
             seq=alice.owned[state.coin_y].binding.seq + 1,
             exp_date=net.clock.now() + 1000,
         )
-        net.detection.publish_owner(alice, alice.owned[state.coin_y], evil)
+        net.detection.publish(evil, alice.address)
         assert bob.alarms == []  # push missed while offline
         bob.rejoin()
         # But the public record is still there for bob to check on rejoin.
@@ -161,7 +180,7 @@ class TestFailedTransferKeepsMonitoring:
             seq=alice.owned[state.coin_y].binding.seq + 1,
             exp_date=net.clock.now() + 1000,
         )
-        net.detection.publish_owner(alice, alice.owned[state.coin_y], evil)
+        net.detection.publish(evil, alice.address)
         assert len(bob.alarms) == 1
 
 
@@ -179,7 +198,7 @@ class TestAccessControlIntegration:
             exp_date=net.clock.now() + 1000,
         )
         with pytest.raises(WriteRejected):
-            net.detection.publish_owner(alice, alice.owned[state.coin_y], stale)
+            net.detection.publish(stale, alice.address)
         assert net.detection.rejected_publishes == 1
 
     def test_nonowner_cannot_publish(self, rig):
@@ -194,4 +213,4 @@ class TestAccessControlIntegration:
             exp_date=net.clock.now() + 1000,
         )
         with pytest.raises(WriteRejected):
-            net.detection.publish_owner(dave, alice.owned[state.coin_y], forged)
+            net.detection.publish(forged, dave.address)

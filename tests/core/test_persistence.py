@@ -162,5 +162,5 @@ class TestDetectionIntegration:
             seq=alice.owned[state.coin_y].binding.seq + 1,
             exp_date=net.clock.now() + 1000,
         )
-        net.detection.publish_owner(alice, alice.owned[state.coin_y], evil)
+        net.detection.publish(evil, alice.address)
         assert len(bob2.alarms) == 1

@@ -92,7 +92,7 @@ class TestFailedTransferLeavesNoEntry:
         binding = state.binding.encode()
 
         class UnreachableList:
-            def publish_owner(self, *_args):
+            def publish(self, *_args):
                 raise NodeOffline("the binding list is unreachable")
 
         alice.detection = UnreachableList()

@@ -303,8 +303,8 @@ class TestPinnedOracleVectors:
     """What the two oracles in ``bench_crypto_ops`` decided, fixed in
     ``golden_group_oracles.json``: the signer's bytes under seeded entropy at
     each roster size, and the verdict of each mutation class.  Only the
-    kernels are checked here, so these hold once the oracles are gone
-    (DESIGN.md §1.1, "When a kept oracle may go", condition (a))."""
+    kernels are checked here; the differential tests against the oracles are
+    retired (DESIGN.md §1.1, "When a kept oracle may go")."""
 
     @pytest.mark.parametrize(
         "vector", ORACLE_VECTORS["signer"], ids=lambda v: f"{v['params']}-n{len(v['roster'])}"
@@ -331,21 +331,8 @@ class TestPinnedOracleVectors:
 
 class TestWitnessAwareSigner:
     """The signer computes the simulated clauses from ``r`` and ``x``; the
-    integers it returns are the ones the verifier-style signer returned."""
-
-    # 6 is the roster at which the old signer started building ciphertext tables.
-    @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=PARAM_SETS.keys())
-    @pytest.mark.parametrize("size", [1, 2, 6, 16])
-    def test_equals_parent_signer_under_seeded_entropy(self, params, size):
-        _manager, members, gpk = _roster(params, size)
-        for index, member in enumerate(members):
-            with seeded_secrets(1000 * size + index):
-                new = group_sign(gpk, member, b"differential")
-            with seeded_secrets(1000 * size + index):
-                old = bench_crypto_ops.baseline_group_sign(gpk, member, b"differential")
-            for field in dataclasses.fields(GroupSignature):
-                assert getattr(new, field.name) == getattr(old, field.name), (index, field.name)
-            assert new.encode() == old.encode()
+    integers it returns are the ones the verifier-style signer returned
+    (pinned by ``TestPinnedOracleVectors``), and every verifier takes them."""
 
     @pytest.mark.parametrize("size", [1, 2, 6, 16])
     def test_new_signatures_pass_every_other_verifier(self, size, monkeypatch):
@@ -353,7 +340,7 @@ class TestWitnessAwareSigner:
         messages = [b"msg-%d" % i for i in range(size)]
         items = [(m, group_sign(gpk, member, m)) for m, member in zip(messages, members)]
         for index, (message, signature) in enumerate(items):
-            assert bench_crypto_ops.baseline_group_verify(gpk, message, signature)
+            assert group_verify_exact(gpk, message, signature)
             assert manager.open(signature) == f"m{index}"
 
         # The hints must carry the batch on their own: no exact fallback.
@@ -651,8 +638,6 @@ class TestHintedVerification:
                     mutant = dataclasses.replace(mutant, **{field: tuple(values)})
             hinted, batched, exact = _verdicts(gpk, b"m", mutant)
             assert hinted == batched == exact
-            stripped = dataclasses.replace(mutant, commitments=None)
-            assert exact == bench_crypto_ops.baseline_group_verify(gpk, b"m", stripped)
 
 
 class TestMembershipMemo:

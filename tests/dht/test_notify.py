@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.crypto.dsa import dsa_generate, dsa_sign
+from repro.crypto.dsa import dsa_generate
 from repro.crypto.params import PARAMS_TEST_512
-from repro.dht.binding_store import BindingRecord, BindingStore
+from repro.dht.binding_store import BindingStore
 from repro.dht.chord import ChordRing
 from repro.dht.notify import NotificationHub
-from repro.messages.codec import encode
+from repro.messages.envelope import seal
 from repro.net.node import Node
 from repro.net.transport import Transport
 
@@ -25,11 +25,7 @@ def rig():
 
 
 def publish(store, coin, seq):
-    payload = encode({"coin_y": coin.public.y, "holder_y": 1, "seq": seq, "exp": 100})
-    sig = dsa_sign(coin, payload)
-    store.publish(
-        BindingRecord(payload=payload, signer_y=coin.public.y, sig_r=sig.r, sig_s=sig.s, via_broker=False)
-    )
+    store.publish(seal(coin, {"coin_y": coin.public.y, "holder_y": 1, "seq": seq, "exp": 100}))
 
 
 def make_watcher(transport, address):

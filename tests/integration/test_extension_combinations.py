@@ -77,7 +77,7 @@ class TestOwnerlessWithDetection:
             seq=alice.owned[state.coin_y].binding.seq + 1,
             exp_date=net.clock.now() + 1000,
         )
-        net.detection.publish_owner(alice, alice.owned[state.coin_y], evil)
+        net.detection.publish(evil, alice.address)
         assert len(bob.alarms) == 1
         # Fairness still reachable: the issue was group-signed, so the judge
         # could unmask the anonymous owner if presented with the evidence.

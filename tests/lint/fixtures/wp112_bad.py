@@ -28,7 +28,7 @@ class BadPeer:
 
     def serve(self, state, payee, binding):
         self._next_seq(state)
-        self.detection.publish_owner(self, state, binding)  # line 31: egress
+        self.detection.publish(binding, self.address)  # line 31: egress
         self.peer_client.transfer_complete(payee, binding)  # line 32: egress
         self._wal_owned(state)
         return binding

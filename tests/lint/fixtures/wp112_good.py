@@ -39,7 +39,7 @@ class GoodPeer:
     def journal_then_send(self, state, payee, binding):
         state.seq_floor += 1
         self._wal_owned(state)
-        self.detection.publish_owner(self, state, binding)
+        self.detection.publish(binding, self.address)
         self.peer_client.transfer_complete(payee, binding)
         state.binding = binding
         self._wal_owned(state)

@@ -22,7 +22,6 @@ REPO = os.path.abspath(os.path.join(HERE, "..", ".."))
 #: The committed tree's reviewed exceptions, pinned: a rule that silently
 #: stops firing moves one of these, where "zero findings" would not notice.
 PRAGMA_SITES = [
-    ("src/repro/dht/kademlia.py", 60, "WP105"),
     ("src/repro/sim/runner.py", 88, "WP102"),
     ("src/repro/sim/runner.py", 92, "WP102"),
     ("src/repro/sim/runner.py", 101, "WP102"),

@@ -263,3 +263,29 @@ class TestSeededEgressMutation:
         found = self._lint(tree)
         assert found, "WP112 missed a binding sent before its seq floor was journaled"
         assert all(".seq_floor" in d.message and "_bind()" in d.message for d in found)
+
+
+class TestSeededStagedEgressMutation:
+    """WP112 catches a broker that publishes a downtime binding after staging
+    it, the order that let a refused publish leave unjournaled state."""
+
+    BROKER = os.path.join(REPO, "src", "repro", "core", "broker.py")
+
+    def _lint(self, tree: ast.Module):
+        return wp112(lint_sources([("broker.py", ast.unparse(tree), "repro.core.broker")]))
+
+    def test_staging_before_the_publish_is_caught(self):
+        with open(self.BROKER, "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        (record,) = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_record_downtime_binding"
+        ]
+        publish, stage = record.body[-3:-1]  # between the docstring and the return
+        assert "detection.publish" in ast.unparse(publish) and "_stage" in ast.unparse(stage)
+        record.body[-3:-1] = [stage, publish]
+        found = self._lint(tree)
+        assert [d.message.split(" of ")[1].split("()")[0] for d in found] == ["_record_downtime_binding"]
+        assert "staging covers the reply" in found[0].message
+

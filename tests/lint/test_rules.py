@@ -347,6 +347,17 @@ class TestWP112JournalBeforeReply:
     def test_good_is_silent(self):
         assert findings_for("WP112", "wp112_good.py") == []
 
+    def test_a_publish_after_staging_is_an_egress(self):
+        # ``_stage`` journals for the reply; the record is durable only after
+        # the handler returns, so a publish after it (here or after a helper
+        # that staged) leaves first.
+        found = findings_for("WP112", "wp112_staged_bad.py")
+        assert [(d.line, d.message.split("at line ")[1][:2]) for d in found] == [(7, "8 "), (22, "18")]
+        assert all("staging covers the reply, not an egress" in d.message for d in found)
+
+    def test_publish_then_stage_is_silent(self):
+        assert findings_for("WP112", "wp112_staged_good.py") == []
+
 
 class TestWP113VerifyBeforeTrust:
     def test_bad_fires_on_handler_and_decode_flows(self):

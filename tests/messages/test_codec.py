@@ -2,7 +2,6 @@
 
 import ast
 import collections
-import enum
 import hashlib
 import json
 import random
@@ -15,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.messages.codec import CodecError, decode, encode
 
-from . import reference_codec as reference
 
 # Strategy over the codec's value domain (recursive).
 codec_values = st.recursive(
@@ -125,79 +123,7 @@ def _normalize(value):
     return value
 
 
-# -- the kernel against the implementation it replaced -------------------------
-
-
-class _Int(int):
-    pass
-
-
-class _Bytes(bytes):
-    pass
-
-
-class _Str(str):
-    pass
-
-
-class _List(list):
-    pass
-
-
-class _Pair(collections.namedtuple("_Pair", "left right")):
-    pass
-
-
-class _Colour(enum.IntEnum):
-    RED = 1
-    NONE = 0
-
-
-class _Name(str, enum.Enum):  # ``str()`` of a member is not its value
-    ALICE = "alice"
-
-
-_ints = st.integers(min_value=-(1 << 600), max_value=1 << 600) | st.sampled_from([0, -1, 1, 255, 256, -256])
-_keys = st.text(max_size=8) | st.text(max_size=8).map(_Str)
-
-#: The whole encodable domain, exact types and subclasses alike (``bool`` is
-#: the ``int`` subclass that must keep its own tag).
-domain_values = st.recursive(
-    st.none()
-    | st.booleans()
-    | _ints
-    | _ints.map(_Int)
-    | st.sampled_from(list(_Colour) + list(_Name))
-    | st.binary(max_size=80)
-    | st.binary(max_size=80).map(_Bytes)
-    | st.text(max_size=32)
-    | st.text(max_size=32).map(_Str),
-    lambda children: st.lists(children, max_size=4)
-    | st.lists(children, max_size=4).map(tuple)
-    | st.lists(children, max_size=4).map(_List)
-    | st.tuples(children, children).map(lambda pair: _Pair(*pair))
-    | st.dictionaries(_keys, children, max_size=4)
-    | st.dictionaries(_keys, children, max_size=4).map(collections.OrderedDict)
-    | st.dictionaries(_keys, children, max_size=4).map(
-        lambda entries: collections.defaultdict(list, entries)
-    ),
-    max_leaves=16,
-)
-
-#: Values outside the domain, alone and nested: the first one met in
-#: traversal order (dict keys before dict values) names the error.
-UNENCODABLE = (
-    3.14,
-    object(),
-    bytearray(b"x"),
-    {1, 2},
-    {1: "int key"},
-    {"ok": 1, 2: 3.14},
-    [1, 3.14, {1: 2}],
-    [{1: 2}, 3.14],
-    {"b": object(), "a": 2.5},
-    ("deep", [[{"k": (None, 1j)}]]),
-)
+# -- hostile and damaged input ----------------------------------------------
 
 
 def _outcome(function, argument):
@@ -313,81 +239,27 @@ def _golden_dual_envelope():
     return protocol.encode_dual(dual)
 
 
-class TestKernelMatchesReference:
-    """``repro.messages.codec`` writes the bytes and raises the errors of the
-    recursive implementation it replaced (``reference_codec``)."""
-
-    @given(domain_values)
-    @settings(max_examples=400, deadline=None)
-    def test_same_bytes_over_the_whole_domain(self, value):
-        data = reference.encode(value)
-        assert encode(value) == data and type(encode(value)) is bytes
-        assert decode(data) == reference.decode(data)
-
-    def test_same_bytes_at_nesting_depth_50(self):
-        value = [0, -1, b"", "", None, True, False, (), {}]
-        for level in range(50):
-            value = {"k": value, "": level} if level % 2 else [value, -level]
-        data = reference.encode(value)
-        assert encode(value) == data
-        assert decode(data) == reference.decode(data)
+class TestHostileInput:
+    """What a hostile peer can send: deep nesting, lying lengths, damaged
+    real messages.  Each decodes or raises ``CodecError`` — nothing else."""
 
     def test_depth_is_bounded_by_the_input_not_the_interpreter_stack(self):
-        # The recursive decoder dies of RecursionError — not a CodecError —
-        # on input a hostile peer can send; the loop just decodes it.
+        # A recursive decoder dies of RecursionError — not a CodecError — on
+        # input a hostile peer can send; the loop just decodes it.
         depth = 20_000
         value = decode(b"\x01" + (b"l" + (1).to_bytes(8, "big")) * depth + b"n")
         for _ in range(depth):
             (value,) = value
         assert value is None
 
-    @pytest.mark.parametrize("value", UNENCODABLE, ids=repr)
-    def test_unencodable_values_raise_the_same_error(self, value):
-        kernel, oracle = _outcome(encode, value), _outcome(reference.encode, value)
-        assert kernel == oracle and kernel[0] == "CodecError"
-
     @pytest.mark.parametrize("name", ("dual envelope", "coin certificate", "move record", "group frame"))
-    def test_damaged_real_messages_decode_or_fail_alike(self, real_messages, name):
+    def test_damaged_real_messages_decode_or_raise_a_codec_error(self, real_messages, name):
         data = real_messages[name]
-        assert encode(decode(data)) == data == reference.encode(reference.decode(data))
+        assert encode(decode(data)) == data
         outcomes = collections.Counter()
         for damaged in _mutations(data, random.Random(len(data)), 750):
-            kernel = _outcome(decode, damaged)
-            assert kernel == _outcome(reference.decode, damaged)
-            outcomes[kernel[0]] += 1
+            outcomes[_outcome(decode, damaged)[0]] += 1  # any other exception fails
         assert outcomes["value"] > 50 and outcomes["CodecError"] > 50  # both sides exercised
-
-    def test_every_error_the_decoder_can_raise(self):
-        one = (1).to_bytes(8, "big")
-        damaged = {
-            b"": "bad magic byte (codec version mismatch?)",
-            b"\x02n": "bad magic byte (codec version mismatch?)",
-            b"\x01": "truncated message",
-            b"\x01i": "truncated message",
-            b"\x01i*": "bad integer sign byte",
-            b"\x01i+" + one[:7]: "truncated message",
-            b"\x01i-" + one: "truncated message",
-            b"\x01b" + one: "truncated message",
-            b"\x01s" + one + b"\xff": "invalid UTF-8 in string",
-            b"\x01l" + one: "truncated message",
-            b"\x01d" + one + b"n": "dict key is not a string",
-            b"\x01d" + one + b"l" + one + b"z": "unknown tag byte b'z'",
-            b"\x01d" + (2).to_bytes(8, "big") + (b"s" + one + b"a" + b"n") * 2: "dict keys not in canonical order",
-            b"\x01nn": "1 trailing bytes after value",
-            b"\x01z": "unknown tag byte b'z'",
-        }
-        for data, message in damaged.items():
-            assert _outcome(decode, data)[:2] == _outcome(reference.decode, data)[:2] == ("CodecError", message)
-
-    def test_non_canonical_integers_decode_to_the_same_value(self):
-        # Accepted before, accepted now: minus zero, leading zeros, empty body.
-        for body in (b"-" + (1).to_bytes(8, "big") + b"\x00", b"+" + (3).to_bytes(8, "big") + b"\x00\x00\x07", b"+" + bytes(8)):
-            assert decode(b"\x01i" + body) == reference.decode(b"\x01i" + body)
-
-    def test_bytearray_input_decodes_as_before(self):
-        data = bytearray(encode({"k": (b"raw", "text", -5)}))
-        assert decode(data) == reference.decode(data)
-        assert _outcome(decode, bytearray(b"\x01z")) == _outcome(reference.decode, bytearray(b"\x01z"))
 
     @pytest.mark.parametrize("tag", (b"i+", b"b", b"s", b"l", b"d"), ids=repr)
     @pytest.mark.parametrize("claimed", (1 << 63, (1 << 64) - 1))
@@ -403,23 +275,16 @@ class TestKernelMatchesReference:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
-        assert _outcome(reference.decode, data) == ("CodecError", "truncated message", type(None))
-
-    def test_the_golden_dual_envelope_is_pinned(self):
-        data = _golden_dual_envelope()
-        assert reference.encode(reference.decode(data)) == data
-        assert hashlib.sha256(data).hexdigest() == GOLDEN_DUAL_SHA256
 
 
 GOLDEN_CODEC = Path(__file__).with_name("golden_codec.json")
 
 
 class TestPinnedVectors:
-    """The codec's accept and reject sets, as the recursive oracle
-    (``reference_codec``) wrote them into ``golden_codec.json``: every wire
-    type, and every ``CodecError`` of decode and of encode.  The kernel alone
-    is held to the file, so these hold once the oracle is gone (DESIGN.md
-    §1.1, "When a kept oracle may go", condition (a))."""
+    """The codec's accept and reject sets, as the recursive codec the kernel
+    replaced wrote them into ``golden_codec.json``: every wire type, and
+    every ``CodecError`` of decode and of encode.  The kernel alone is held
+    to the file (DESIGN.md §1.1, "When a kept oracle may go")."""
 
     vectors = json.loads(GOLDEN_CODEC.read_text())
 
@@ -445,3 +310,6 @@ class TestPinnedVectors:
             with pytest.raises(CodecError) as raised:
                 encode(ast.literal_eval(vector["value"]))
             assert str(raised.value) == vector["error"], vector["value"]
+
+    def test_the_golden_dual_envelope_is_pinned(self):
+        assert hashlib.sha256(_golden_dual_envelope()).hexdigest() == GOLDEN_DUAL_SHA256

@@ -234,3 +234,87 @@ class TestHolderEndpointFuzz:
         assert _pool_and_judge_verdicts(holder_rig, data) == (
             True, (held.holder_keypair.public.y, held.binding.seq)
         )
+
+
+@pytest.fixture(scope="module")
+def binding_store():
+    """A two-node binding list, a broker key, and one valid binding per
+    signer: the coin key (owner write) and ``pk_B`` (broker write)."""
+    from repro.crypto.keys import KeyPair
+    from repro.dht.binding_store import BindingStore
+    from repro.dht.chord import ChordRing, key_to_id
+    from repro.messages.envelope import seal
+    from repro.net.transport import Transport
+
+    broker, coin = KeyPair.generate(P), KeyPair.generate(P)
+    store = BindingStore(ChordRing(Transport(), size=2), P, broker.public)
+    payload = {"kind": "whopay.binding", "coin_y": coin.public.y, "holder_y": 5, "seq": 9, "exp_date": 100}
+    valid = {"owner": seal(coin, payload).encode(), "broker": seal(broker, payload).encode()}
+    return store, key_to_id(store._coin_key_bytes(coin.public.y)), valid
+
+
+def _retagged(value: bytes, rng) -> bytes:
+    """The envelope re-encoded with one field of the wrong type or missing,
+    or the payload re-encoded with one binding field so damaged."""
+    fields = dict(decode(value))
+    junk = rng.choice([None, True, -1, 0, "x", b"", (), {}, 1 << 2048])
+    if rng.random() < 0.5:
+        name = rng.choice(["payload", "signer_y", "sig_r", "sig_s", "sig_c"])
+        if rng.random() < 0.2:
+            fields.pop(name)
+        else:
+            fields[name] = junk
+    else:
+        binding = dict(decode(fields["payload"]))
+        name = rng.choice(["coin_y", "holder_y", "seq", "kind"])
+        if rng.random() < 0.2:
+            binding.pop(name)
+        else:
+            binding[name] = junk
+        fields["payload"] = encode(binding if rng.random() < 0.9 else [binding])
+    return encode(fields)
+
+
+class TestBindingStoreValidatorFuzz:
+    """Anyone may put to the DHT, and the validator decodes what they put:
+    truncated, bit-flipped and retagged values get a reason, never a raise."""
+
+    @pytest.mark.parametrize("signer", ["owner", "broker"])
+    def test_damaged_values_get_a_reason_and_never_raise(self, binding_store, signer):
+        import random
+
+        from repro.messages.envelope import decode_signed
+
+        store, key_id, valid = binding_store
+        original = valid[signer]
+        rng = random.Random(signer)
+        assert store._validate(key_id, None, original) is None
+        damaged = [original[:cut] for cut in range(0, len(original), 7)]
+        for _ in range(150):
+            flipped = bytearray(original)
+            flipped[rng.randrange(len(flipped))] ^= 1 << rng.randrange(8)
+            damaged.append(bytes(flipped))
+            retag = bytearray(original)
+            retag[rng.randrange(len(retag))] = rng.choice(b"ibsldntf+-z")
+            damaged.append(bytes(retag))
+            damaged.append(_retagged(original, rng))
+        refused = 0
+        for value in damaged:
+            for stored in (None, value):
+                reason = store._validate(key_id, stored, value)
+                assert reason is None or isinstance(reason, str)
+            # Over the valid binding nothing lands: not even a copy whose
+            # unsigned commit hint was flipped, which still verifies.
+            assert isinstance(store._validate(key_id, original, value), str)
+            # Damaged *stored* state never blocks the valid binding.
+            assert store._validate(key_id, value, original) in (None, "stale sequence number")
+            # On an empty slot the verdict is exactly "is it a valid binding":
+            # accepted damage left it intact (a flipped commit hint, say).
+            try:
+                intact = decode_signed(value, P).verify()
+            except Exception:
+                intact = False
+            reason = store._validate(key_id, None, value)
+            assert (reason is None) == intact, reason
+            refused += not intact
+        assert refused > len(damaged) // 2
