@@ -66,6 +66,7 @@ FAULT_PATHS = (
     "repro/store/apply.py:_apply_pending_sync",
     "repro/store/apply.py:_signed_envelope",
     "repro/core/network.py:WhoPayNetwork.arm_crash_points",
+    "repro/core/broker.py:Broker._published_orphan",
     "repro/net/transport.py:Transport.set_crash_handler",
     "repro/net/transport.py:Transport._node_crashed",
     "repro/net/rpc.py:RpcClient.call.<locals>.deadline_exceeded",
