@@ -75,7 +75,6 @@ FAULT_PATHS = (
 #: Why each test-only or dead function stays: ``path:qualname`` prefix ->
 #: the tag of its sentence in DESIGN.md §1.10 ("What the reach map keeps").
 KEPT = (
-    ("repro/baselines/", "baselines"),
     ("repro/lint/", "lint"),
     ("repro/sim/engine.py:FastSimulation._deposit_purchase_issue", "paper"),
     ("repro/core/broker.py:Broker._handle_binding_query", "paper"),
@@ -91,7 +90,6 @@ KEPT = (
     ("repro/crypto/schnorr.py:SchnorrProof.encode", "encode"),
     ("repro/sim/metrics.py:SimMetrics.count_", "oracle"),
     ("repro/sim/runner.py:", "oracle"),
-    ("repro/sim/baseline_sim.py:", "baselines"),
     ("repro/crypto/fastexp.py:Fold.defer", "contract"),
     ("repro/crypto/hashchain.py:", "contract"),
     ("repro/core/clock.py:Clock.advance_to", "contract"),

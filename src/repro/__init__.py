@@ -5,9 +5,7 @@ UCB/CSD-5-1386): the full cryptographic protocol suite, every substrate it
 depends on (signatures, group signatures, DHT, indirection overlay,
 in-memory network), and the operation-level simulator that regenerates
 every table and figure of the paper's evaluation, including its PPay and
-centralized baselines (:mod:`repro.sim.baseline_sim`).  The two baselines
-also exist as protocol code in :mod:`repro.baselines`, which no figure
-reads yet.
+centralized baselines (:mod:`repro.sim.baseline_sim`).
 
 Quickstart::
 

@@ -61,6 +61,12 @@ from repro.store.journal import DurableStore
 #: it does not shape the common case.
 XSHARD_DEADLINE = 60.0
 
+#: Refused double deposits a broker keeps in :attr:`Broker.fraud_events`;
+#: past it the oldest gives way, so a depositor replaying its own accepted
+#: deposit cannot grow the list without end.  The durable evidence is the
+#: first deposit, journaled in ``deposited``.
+MAX_FRAUD_EVENTS = 64
+
 
 def handoff_id(op: str, data: bytes) -> str:
     """Deterministic cross-shard handoff id for one client request.
@@ -564,7 +570,10 @@ class Broker(Node):
                 },
             )
             self.fraud_events.append(event)
-            raise event
+            del self.fraud_events[:-MAX_FRAUD_EVENTS]
+            # Raise a twin: a raised exception keeps its traceback, and with
+            # it every frame of the request; the kept one holds the evidence.
+            raise DoubleSpendDetected(*event.args, evidence=event.evidence)
 
         if via_state:
             if proof.encode() != stored.encode():

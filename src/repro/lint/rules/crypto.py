@@ -2,8 +2,8 @@
 
 Two checks:
 
-* **Direct 3-argument ``pow``** outside :mod:`repro.crypto` — protocol and
-  baseline layers must route modular exponentiation through
+* **Direct 3-argument ``pow``** outside :mod:`repro.crypto` — protocol
+  layers must route modular exponentiation through
   :func:`repro.crypto.fastexp.mod_pow`, which runs on the libcrypto
   exponentiation kernel.  A raw ``pow`` both forfeits the speedup and
   fragments the hot path the benchmarks measure.  Inside

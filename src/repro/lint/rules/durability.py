@@ -10,8 +10,7 @@ in a handler — would change in-memory state without a journal record, so
 a crash and recovery silently forgets it: the exact torn-state bug the
 durability layer exists to prevent.
 
-Only the mutation layer itself (:mod:`repro.store`) and the non-durable
-baseline implementations (:mod:`repro.baselines`) may touch these fields
+Only the mutation layer itself (:mod:`repro.store`) may touch these fields
 directly.  Snapshots are no exception: a snapshot is a compacted journal,
 rebuilt through the same appliers.  Reads are always fine; so is
 constructing the fields in ``__init__``.
@@ -27,7 +26,7 @@ from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import ModuleInfo
 from repro.lint.registry import Rule, register
 
-EXEMPT_PACKAGES = ("repro.store", "repro.baselines")
+EXEMPT_PACKAGES = ("repro.store",)
 
 #: The broker fields the write-ahead journal makes crash-consistent.
 DURABLE_FIELDS = frozenset(

@@ -30,13 +30,10 @@ from repro.sim.metrics import SimMetrics
 
 @dataclass(frozen=True)
 class LoadSummary:
-    """Broker/peer load under one protocol family."""
+    """Broker/peer CPU load under one protocol family."""
 
-    system: str
     broker_cpu: float
     peer_cpu_total: float
-    broker_comm: float
-    peer_comm_total: float
 
     @property
     def broker_cpu_share(self) -> float:
@@ -44,56 +41,39 @@ class LoadSummary:
         total = self.broker_cpu + self.peer_cpu_total
         return self.broker_cpu / total if total else 0.0
 
-    @property
-    def broker_comm_share(self) -> float:
-        """Broker fraction of total communication load."""
-        total = self.broker_comm + self.peer_comm_total
-        return self.broker_comm / total if total else 0.0
-
 
 def whopay_load(metrics: SimMetrics) -> LoadSummary:
     """The measured WhoPay loads, packaged for comparison."""
     return LoadSummary(
-        system="whopay",
-        broker_cpu=metrics.broker_cpu_load(),
-        peer_cpu_total=metrics.peer_cpu_load_total(),
-        broker_comm=metrics.broker_comm_load(),
-        peer_comm_total=metrics.peer_comm_load_total(),
+        broker_cpu=metrics.broker_cpu_load(), peer_cpu_total=metrics.peer_cpu_load_total()
     )
 
 
-# PPay micro-costs: WhoPay's table with every group signature replaced by a
-# regular one on the identity key (PPay signs everything in the clear).
+# PPay micro-costs (peer side, broker side): WhoPay's table with every group
+# signature replaced by a regular one on the identity key (PPay signs
+# everything in the clear).
 _PPAY_MICRO = {
-    "purchase": ({"keygen": 0, "sig": 1, "ver": 1}, {"ver": 1, "sig": 1}, 2, 2),
-    "issue": ({"sig": 2, "ver": 2}, {}, 4, 0),
-    "transfer": ({"sig": 3, "ver": 3}, {}, 8, 0),
-    "deposit": ({"sig": 1}, {"ver": 1, "sig": 1}, 2, 2),
-    "renewal": ({"sig": 2, "ver": 2}, {}, 4, 0),
-    "downtime_transfer": ({"sig": 1, "ver": 2}, {"ver": 2, "sig": 1}, 8, 2),
-    "downtime_renewal": ({"sig": 1, "ver": 1}, {"ver": 2, "sig": 1}, 2, 2),
-    "sync": ({"sig": 1, "ver": 1}, {"ver": 1, "sig": 1}, 4, 4),
-    "check": ({"ver": 1}, {}, 2, 0),
-    "lazy_sync": ({"ver": 1}, {}, 0, 0),
+    "purchase": ({"keygen": 0, "sig": 1, "ver": 1}, {"ver": 1, "sig": 1}),
+    "issue": ({"sig": 2, "ver": 2}, {}),
+    "transfer": ({"sig": 3, "ver": 3}, {}),
+    "deposit": ({"sig": 1}, {"ver": 1, "sig": 1}),
+    "renewal": ({"sig": 2, "ver": 2}, {}),
+    "downtime_transfer": ({"sig": 1, "ver": 2}, {"ver": 2, "sig": 1}),
+    "downtime_renewal": ({"sig": 1, "ver": 1}, {"ver": 2, "sig": 1}),
+    "sync": ({"sig": 1, "ver": 1}, {"ver": 1, "sig": 1}),
+    "check": ({"ver": 1}, {}),
+    "lazy_sync": ({"ver": 1}, {}),
 }
 
 
 def ppay_load(metrics: SimMetrics) -> LoadSummary:
     """The same operation mix priced with PPay's (group-signature-free) costs."""
-    broker_cpu = peer_cpu = broker_comm = peer_comm = 0.0
+    broker_cpu = peer_cpu = 0.0
     for op, count in metrics.ops.items():
-        peer_micro, broker_micro, peer_msgs, broker_msgs = _PPAY_MICRO[op]
+        peer_micro, broker_micro = _PPAY_MICRO[op]
         peer_cpu += count * sum(MICRO_COST[m] * n for m, n in peer_micro.items())
         broker_cpu += count * sum(MICRO_COST[m] * n for m, n in broker_micro.items())
-        peer_comm += count * peer_msgs
-        broker_comm += count * broker_msgs
-    return LoadSummary(
-        system="ppay",
-        broker_cpu=broker_cpu,
-        peer_cpu_total=peer_cpu,
-        broker_comm=broker_comm,
-        peer_comm_total=peer_comm,
-    )
+    return LoadSummary(broker_cpu=broker_cpu, peer_cpu_total=peer_cpu)
 
 
 def centralized_load(metrics: SimMetrics) -> LoadSummary:
@@ -122,19 +102,4 @@ def centralized_load(metrics: SimMetrics) -> LoadSummary:
         + purchases * (MICRO_COST["keygen"] + MICRO_COST["sig"] + MICRO_COST["ver"])
         + deposits * (MICRO_COST["sig"] + MICRO_COST["gsig"])
     )
-    # Per payment: payer<->payee offer (2 peer endpoints x2) + payer<->broker
-    # round trip (1 endpoint each side x2 messages).
-    broker_comm = payments * 2.0 + purchases * 2.0 + deposits * 2.0
-    peer_comm = payments * 6.0 + purchases * 2.0 + deposits * 2.0
-    return LoadSummary(
-        system="centralized",
-        broker_cpu=float(broker_cpu),
-        peer_cpu_total=float(peer_cpu),
-        broker_comm=broker_comm,
-        peer_comm_total=peer_comm,
-    )
-
-
-def compare_systems(metrics: SimMetrics) -> list[LoadSummary]:
-    """All three systems' loads for one run, WhoPay first."""
-    return [whopay_load(metrics), ppay_load(metrics), centralized_load(metrics)]
+    return LoadSummary(broker_cpu=float(broker_cpu), peer_cpu_total=float(peer_cpu))

@@ -122,6 +122,33 @@ class TestDeposit:
         assert state.coin_y not in net.shards[0].downtime_bindings
 
 
+class TestFraudEventsAreBounded:
+    """A depositor replaying its own accepted deposit used to add one
+    ``DoubleSpendDetected`` per replay, each holding its traceback and the
+    request's frames.  Past ``MAX_FRAUD_EVENTS`` the oldest gives way, and a
+    kept event holds its evidence without a traceback."""
+
+    def test_ten_times_the_bound_of_replays(self, funded_trio):
+        from repro.core.broker import MAX_FRAUD_EVENTS
+
+        net, alice, bob, _carol = funded_trio
+        state = alice.purchase()
+        alice.issue("bob", state.coin_y)
+        bob.deposit(state.coin_y)
+        shard = net.shards[0]
+        accepted = shard.deposited[state.coin_y]
+        for _ in range(10 * MAX_FRAUD_EVENTS):
+            with pytest.raises(DoubleSpendDetected):
+                shard._handle_deposit("bob", accepted)
+        events = net.broker.fraud_events
+        assert len(events) == MAX_FRAUD_EVENTS
+        assert all(event.__traceback__ is None for event in events)
+        assert events[-1].evidence == {
+            "coin_y": state.coin_y, "first_deposit": accepted, "second_request": accepted,
+        }
+        assert net.broker.export_ledger()["fraud_events"] == MAX_FRAUD_EVENTS
+
+
 class TestDowntimeProtocols:
     def test_downtime_transfer_records_state(self, funded_trio):
         net, alice, bob, carol = funded_trio

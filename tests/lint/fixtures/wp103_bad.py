@@ -1,4 +1,4 @@
-# wp-lint: module=repro.baselines.fixture_wp103_bad
+# wp-lint: module=repro.core.fixture_wp103_bad
 """WP103 bad fixture: raw modular pow, variable-time secret comparison."""
 
 import hashlib

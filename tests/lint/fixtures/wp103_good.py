@@ -1,4 +1,4 @@
-# wp-lint: module=repro.baselines.fixture_wp103_good
+# wp-lint: module=repro.core.fixture_wp103_good
 """WP103 good fixture: fastexp routing, constant-time comparison."""
 
 import hashlib

@@ -169,16 +169,16 @@ class TestWP106DurableFieldDiscipline:
 
     def test_store_is_exempt_and_persistence_is_not(self):
         # A snapshot is a compacted journal rebuilt through repro.store.apply,
-        # so the snapshot writer gets no licence to touch durable fields.
+        # so the snapshot writer gets no licence to touch durable fields; nor
+        # does any other package, the removed baselines package included.
         from repro.lint import lint_sources
 
         source = "def f(broker, y, data):\n    broker.deposited[y] = data\n"
         inside = lint_sources([("apply.py", source, "repro.store.apply")])
-        persistence = lint_sources([("persistence.py", source, "repro.core.persistence")])
-        outside = lint_sources([("broker.py", source, "repro.core.broker")])
         assert [d for d in inside.findings if d.code == "WP106"] == []
-        assert len([d for d in persistence.findings if d.code == "WP106"]) == 1
-        assert len([d for d in outside.findings if d.code == "WP106"]) == 1
+        for module in ("repro.core.persistence", "repro.core.broker", "repro.baselines.ppay"):
+            result = lint_sources([("m.py", source, module)])
+            assert len([d for d in result.findings if d.code == "WP106"]) == 1, module
 
 
 class TestWP107SimSeeding:
@@ -275,8 +275,8 @@ class TestWP109BrokerConstructionDiscipline:
     def test_subclass_names_do_not_fire(self):
         from repro.lint import lint_sources
 
-        source = "def build(PPayBroker, t):\n    return PPayBroker(t)\n"
-        result = lint_sources([("x.py", source, "repro.baselines.scratch")])
+        source = "def build(RelayBroker, t):\n    return RelayBroker(t)\n"
+        result = lint_sources([("x.py", source, "repro.core.scratch")])
         assert [d for d in result.findings if d.code == "WP109"] == []
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.clock import DAY, HOUR
-from repro.sim.baseline_sim import centralized_load, compare_systems, ppay_load, whopay_load
+from repro.sim.baseline_sim import centralized_load, ppay_load, whopay_load
 from repro.sim.config import SimConfig
 from repro.sim.engine import FastSimulation
 from repro.sim.policies import POLICY_I
@@ -63,10 +63,5 @@ class TestBaselineViews:
         assert whopay.broker_cpu_share < 0.1
 
     def test_shares_in_unit_interval(self, metrics):
-        for view in compare_systems(metrics):
-            assert 0.0 <= view.broker_cpu_share <= 1.0
-            assert 0.0 <= view.broker_comm_share <= 1.0
-
-    def test_compare_systems_order(self, metrics):
-        names = [view.system for view in compare_systems(metrics)]
-        assert names == ["whopay", "ppay", "centralized"]
+        for load in (whopay_load, ppay_load, centralized_load):
+            assert 0.0 <= load(metrics).broker_cpu_share <= 1.0
