@@ -7,7 +7,7 @@ kinds are rows of :data:`repro.core.protocol.HOLDER_OPS`: one method per
 facade (:meth:`BrokerClient.holder_op`, :meth:`PeerClient.holder_request`)
 sends whichever kind the row names — so:
 
-* idempotency keys and per-call deadlines are threaded in exactly one place
+* idempotency keys and the call's deadline are threaded in exactly one place
   (every *mutating* exchange gets a fresh key; reads go bare);
 * retry exhaustion maps to one structured error,
   :class:`~repro.core.errors.ServiceUnavailable`, instead of each caller
@@ -43,12 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class EndpointClient:
-    """Shared plumbing: an RPC client plus the exhaustion→error mapping.
-
-    ``deadline`` is the facade-wide per-call
-    virtual-time budget (backoff plus accrued latency); individual calls
-    may override it.
-    """
+    """Shared plumbing: an RPC client plus the exhaustion→error mapping."""
 
     def __init__(
         self,
@@ -57,11 +52,9 @@ class EndpointClient:
         transport: Transport | None = None,
         src: str | None = None,
         policy: RetryPolicy | None = None,
-        deadline: float | None = None,
     ) -> None:
         self._rpc = RpcClient(node=node, transport=transport, policy=policy)
         self._src = src
-        self.deadline = deadline
 
     @property
     def stats(self):
@@ -75,7 +68,6 @@ class EndpointClient:
         payload: Any,
         *,
         mutating: bool,
-        deadline: float | None = None,
     ) -> Any:
         key = new_idempotency_key() if mutating else None
         try:
@@ -85,7 +77,7 @@ class EndpointClient:
                 payload,
                 src=self._src,
                 idempotency_key=key,
-                deadline=deadline if deadline is not None else self.deadline,
+                deadline=None,  # unbounded until admission control (ROADMAP item 11 (3))
             )
         except (RetriesExhausted, RpcTimeout) as exc:
             raise ServiceUnavailable(
@@ -115,9 +107,8 @@ class BrokerClient(EndpointClient):
         node: "Node",
         shard_map: "ShardMap",
         policy: RetryPolicy | None = None,
-        deadline: float | None = None,
     ) -> None:
-        super().__init__(node, policy=policy, deadline=deadline)
+        super().__init__(node, policy=policy)
         self.shard_map = shard_map
 
     def purchase(self, signed_request: bytes, *, account: str) -> Any:

@@ -4,7 +4,9 @@ Every power the crypto layer takes goes through ``fastexp._power``, so the
 kernel must equal built-in ``pow`` on every input it is given, fall back to
 it exactly where Montgomery arithmetic cannot go, refuse to return a value
 when a bignum call fails, survive a fork, and hold one Montgomery context
-per modulus however many bases pass through it.
+per modulus however many bases pass through it.  ``multi_exp`` is one kernel
+product (``_Kernel.product``): its terms accumulate in libcrypto, so the
+product is held to the same standard term by term.
 """
 
 from __future__ import annotations
@@ -140,24 +142,109 @@ class TestBuiltinPowGuards:
             assert fastexp.mod_pow(P.g, exponent, P.p, order=P.q) == pow(P.g, exponent, P.p)
 
 
-EXPONENTIATIONS = (
-    lambda: fastexp.mod_pow(P.g, 12345, P.p),
-    lambda: fastexp.is_member(P.g, P.q, P.p, memo=False),
-    lambda: fastexp.multi_exp(((P.g, 12345), (P.g + 1, 777)), P.p),
-)
+def _builtin_product(pairs, modulus: int) -> int:
+    result = 1
+    for base, exponent in pairs:
+        result = result * pow(base, exponent, modulus) % modulus
+    return result
+
+
+class TestProduct:
+    """``multi_exp`` is one ``_Kernel.product``: one ``BN_mod_exp_mont`` a
+    term, multiplied into one accumulator, read back once."""
+
+    def test_the_empty_product_and_one_term(self):
+        kernel = _kernel()
+        assert kernel.product((), P.p) == 1
+        assert fastexp.multi_exp([], P.p) == 1
+        assert fastexp.multi_exp([(P.g, 0), (P.g + 1, P.q)], P.p, order=P.q) == 1  # every term drops
+        for base, exponent in ((P.g, 5), (P.p - 1, P.q), (2, 2**64 + 3), (0, 7), (1, 0)):
+            assert kernel.product(((base, exponent),), P.p) == pow(base, exponent, P.p)
+            assert fastexp.multi_exp([(base, exponent)], P.p) == pow(base, exponent, P.p)
+
+    @ALL_PARAMS
+    def test_exponents_at_the_word_boundary(self, params):
+        rng = random.Random(params.p_bits + 4)
+        bases = [rng.randrange(2, params.p) for _ in range(3)]
+        for exponent in (2**64 - 2, 2**64 - 1, 2**64, 2**64 + 1, 2**65 - 1, 2**65):
+            assert fastexp.mod_pow(bases[0], exponent, params.p) == pow(bases[0], exponent, params.p)
+            pairs = [(base, exponent + k) for k, base in enumerate(bases)]
+            assert fastexp.multi_exp(pairs, params.p) == _builtin_product(pairs, params.p)
+
+    @ALL_PARAMS
+    def test_zero_exponents_and_unreduced_or_zero_bases(self, params):
+        p, q, g = params.p, params.q, params.g
+        pairs = [(g, 0), (p + 3, 5), (0, 0), (2 * p - 1, q), (3 * p + g, 2**64 - 1), (g, 1)]
+        assert _kernel().product(pairs, p) == _builtin_product(pairs, p)
+        assert fastexp.multi_exp(pairs, p) == _builtin_product(pairs, p)
+        assert fastexp.multi_exp(pairs + [(0, 3)], p) == 0
+        assert fastexp.multi_exp([(p, 3), (g, 2)], p) == 0  # a base of p is a base of 0
+
+    def test_what_the_kernel_cannot_take_stays_on_builtin_pow(self, monkeypatch):
+        native = []
+
+        def native_pow(*args):
+            native.append(args)
+            return pow(*args)
+
+        monkeypatch.setattr(fastexp, "pow", native_pow, raising=False)
+        pairs = [(P.g, -3), (P.g + 1, 12345), (P.g + 2, P.q - 1)]
+        assert fastexp.multi_exp(pairs, P.p) == _builtin_product(pairs, P.p)
+        assert native == [(P.g, -3, P.p)]  # the other two terms are kernel powers
+        assert fastexp.multi_exp(pairs, P.p, order=P.q) == _builtin_product(
+            [(b, e % P.q) for b, e in pairs], P.p
+        )
+        assert len(native) == 1  # an order makes every exponent the kernel's
+        for modulus in (1, 2, 4, 23 * 2, P.p + 1, 2**64):
+            native.clear()
+            pairs = [(3, 5), (P.g, P.q), (7, 2**64 + 1)]
+            assert fastexp.multi_exp(pairs, modulus) == _builtin_product(pairs, modulus)
+            assert len(native) == len(pairs)
+
+    @ALL_PARAMS
+    def test_the_broker_folds_shape(self, params):
+        # 1,536 hint terms of odd 64-bit multipliers: 32 roster-16 signatures.
+        rng = random.Random(params.p_bits + 5)
+        pairs = [(rng.randrange(2, params.p), rng.getrandbits(64) | 1) for _ in range(1536)]
+        assert fastexp.multi_exp(pairs, params.p) == _builtin_product(pairs, params.p)
+
+
+#: One power with a one-word exponent, one with a long exponent, one product.
+EXPONENTIATIONS = {
+    "word": lambda: fastexp.mod_pow(P.g, 12345, P.p),
+    "long": lambda: fastexp.is_member(P.g, P.q, P.p, memo=False),
+    "product": lambda: fastexp.multi_exp(((P.g, 12345), (P.g + 1, P.q - 777)), P.p),
+}
 
 
 class TestFailureRaises:
     @pytest.mark.parametrize(
-        "call, failed",
-        [("_exp", 0), ("_bin2bn", None), ("_bn2binpad", -1)],
-        ids=["BN_mod_exp_mont", "BN_bin2bn", "BN_bn2binpad"],
+        "call, failed, reached_by",
+        [
+            ("_exp", 0, ("word", "long", "product")),
+            ("_bin2bn", None, ("word", "long", "product")),
+            ("_bn2binpad", -1, ("word", "long", "product")),
+            ("_set_word", 0, ("word", "product")),
+            ("_mul", 0, ("product",)),
+        ],
+        ids=["BN_mod_exp_mont", "BN_bin2bn", "BN_bn2binpad", "BN_set_word", "BN_mod_mul"],
     )
-    def test_a_failing_bn_call_raises(self, monkeypatch, call, failed):
+    def test_a_failing_bn_call_raises(self, monkeypatch, call, failed, reached_by):
         monkeypatch.setattr(_kernel(), call, lambda *_args: failed)
-        for exponentiate in EXPONENTIATIONS:
+        for name in reached_by:
             with pytest.raises(fastexp.KernelError):
-                exponentiate()
+                EXPONENTIATIONS[name]()
+
+    def test_a_failed_product_leaves_the_next_one_right(self, monkeypatch):
+        kernel = _kernel()
+        pairs = [(P.g, 12345), (P.g + 1, P.q - 777), (P.g + 2, 99)]
+        expected = pow(P.g, 12345, P.p) * pow(P.g + 1, P.q - 777, P.p) * pow(P.g + 2, 99, P.p) % P.p
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel, "_mul", lambda *_args: 0)
+            with pytest.raises(fastexp.KernelError):
+                fastexp.multi_exp(pairs, P.p)
+        assert fastexp.multi_exp(pairs, P.p) == expected
+        assert fastexp.multi_exp(pairs[2:], P.p) == pow(P.g + 2, 99, P.p)
 
     def test_a_library_without_the_kernel_is_refused(self):
         with pytest.raises(fastexp.KernelError, match="links no usable libcrypto"):
@@ -198,6 +285,29 @@ def test_a_forked_child_computes_the_same_powers():
     os.waitpid(child, 0)
     assert got[0] == expected
     assert got[1] == [pow(b, e, PARAMS_1024_160.p) for b, e in cases]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_computes_the_same_product():
+    rng = random.Random(8)
+    terms = [(rng.randrange(P.p), rng.getrandbits(64) | 1) for _ in range(64)]
+    terms += [(rng.randrange(P.p), rng.randrange(P.q)) for _ in range(4)]
+    expected = _builtin_product(terms, P.p)
+    assert fastexp.multi_exp(terms, P.p) == expected  # the accumulator exists before the fork
+    read, write = os.pipe()
+    child = os.fork()
+    if child == 0:  # pragma: no cover - runs in the child
+        try:
+            os.close(read)
+            got = [fastexp.multi_exp(terms, m) for m in (P.p, PARAMS_1024_160.p)]
+            os.write(write, pickle.dumps(got))
+        finally:
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read, "rb") as pipe:
+        got = pickle.loads(pipe.read())
+    os.waitpid(child, 0)
+    assert got == [expected, _builtin_product(terms, PARAMS_1024_160.p)]
 
 
 class TestStateIsOneContextPerModulus:
