@@ -72,10 +72,10 @@ class KernelError(RuntimeError):
 class _Kernel:
     """``BN_mod_exp_mont`` on libcrypto, one ``BN_MONT_CTX`` per odd modulus.
 
-    Only return types are declared, but for ``BN_set_word``: every pointer
-    is held as a ``c_void_p`` and every length is a C ``int``, which ctypes
-    passes without the per-argument conversion ``argtypes`` would cost on
-    each of the four calls a term makes.
+    Only return types are declared: every pointer is held as a
+    ``c_void_p`` and every length is a C ``int``, which ctypes passes
+    without the per-argument conversion ``argtypes`` would cost on each of
+    the four calls a term makes.
     """
 
     def __init__(self, path: str) -> None:
@@ -89,11 +89,8 @@ class _Kernel:
                 getattr(lib, name).restype = ctypes.c_void_p
             for name in ("BN_free", "BN_MONT_CTX_free"):
                 getattr(lib, name).restype = None
-            for name in ("BN_bn2binpad", "BN_MONT_CTX_set", "BN_mod_exp_mont", "BN_mod_mul", "BN_set_word"):
+            for name in ("BN_bn2binpad", "BN_MONT_CTX_set", "BN_mod_exp_mont", "BN_mod_mul"):
                 getattr(lib, name).restype = ctypes.c_int
-            # BN_ULONG is the C ``unsigned long`` on LP64 and 32-bit builds: the
-            # one argument that is not a pointer or a C int.
-            lib.BN_set_word.argtypes = (ctypes.c_void_p, ctypes.c_ulong)
         except (OSError, AttributeError) as error:
             raise KernelError(f"{path} links no usable libcrypto: {error}") from error
         self._lib = lib
@@ -103,9 +100,6 @@ class _Kernel:
         self._bn2binpad = lib.BN_bn2binpad
         self._exp = lib.BN_mod_exp_mont
         self._mul = lib.BN_mod_mul
-        self._set_word = lib.BN_set_word
-        #: Exponents below this are one ``BN_ULONG`` (``BN_set_word``).
-        self._word = 1 << (8 * ctypes.sizeof(ctypes.c_ulong))
         self._ctx = self._made(lib.BN_CTX_new(), "BN_CTX_new")
         # Scratch, overwritten by every product: the running product, one
         # term's power, its base, its exponent.
@@ -152,19 +146,15 @@ class _Kernel:
         read back once.  The empty product is 1.
         """
         bn, mont, length, out = self._moduli.get(modulus) or self._context(modulus)
-        bin2bn, set_word, exp, mul = self._bin2bn, self._set_word, self._exp, self._mul
-        ctx, acc, power, a, e, word = self._ctx, self._acc, self._r, self._a, self._e, self._word
+        bin2bn, exp, mul = self._bin2bn, self._exp, self._mul
+        ctx, acc, power, a, e = self._ctx, self._acc, self._r, self._a, self._e
         into = acc
         for base, exponent in terms:
-            if not bin2bn((base % modulus).to_bytes(length, "big"), length, a):
+            size = (exponent.bit_length() + 7) // 8
+            if not bin2bn((base % modulus).to_bytes(length, "big"), length, a) or not bin2bn(
+                exponent.to_bytes(size, "big"), size, e
+            ):
                 raise KernelError("BN_bin2bn failed")
-            if exponent < word:
-                if set_word(e, exponent) != 1:
-                    raise KernelError("BN_set_word failed")
-            else:
-                size = (exponent.bit_length() + 7) // 8
-                if not bin2bn(exponent.to_bytes(size, "big"), size, e):
-                    raise KernelError("BN_bin2bn failed")
             if exp(into, a, e, bn, ctx, mont) != 1:
                 raise KernelError(f"BN_mod_exp_mont failed for a {modulus.bit_length()}-bit modulus")
             if into is acc:
@@ -234,12 +224,15 @@ def multi_exp(pairs, modulus: int, order: int | None = None) -> int:
     :func:`_power`, whose built-in ``pow`` takes that term.
     """
     terms = []
+    negative = False
     for base, exponent in pairs:
         if order is not None:
             exponent %= order
+        elif exponent < 0:
+            negative = True
         if exponent:
             terms.append((base, exponent))
-    if modulus > 1 and modulus & 1 and all(exponent > 0 for _, exponent in terms):
+    if not negative and modulus > 1 and modulus & 1:
         return (_kernel or _load()).product(terms, modulus)
     result = 1
     for base, exponent in terms:

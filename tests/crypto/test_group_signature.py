@@ -401,11 +401,11 @@ class TestWitnessAwareSigner:
 
 @pytest.fixture()
 def exponentiations(monkeypatch):
-    """Count every ``multi_exp``, membership test and kernel exponentiation
-    (``power``: one per term of a kernel product, which every power the
-    crypto layer takes on the kernel is) while the test runs."""
+    """Count every ``multi_exp``, membership test, ``_power`` (every power
+    outside a product, built-in ``pow``'s included) and kernel exponentiation
+    (``power``: one per term of a kernel product) while the test runs."""
     calls = []
-    counted_names = ((fastexp, "multi_exp"), (fastexp, "is_member"))
+    counted_names = ((fastexp, "multi_exp"), (fastexp, "_power"), (fastexp, "is_member"))
     for owner, name in counted_names:
         original = getattr(owner, name)
 

@@ -164,6 +164,7 @@ class TestProduct:
 
     @ALL_PARAMS
     def test_exponents_at_the_word_boundary(self, params):
+        # Past 2**64 an exponent takes a ninth byte and a second 64-bit BIGNUM word.
         rng = random.Random(params.p_bits + 4)
         bases = [rng.randrange(2, params.p) for _ in range(3)]
         for exponent in (2**64 - 2, 2**64 - 1, 2**64, 2**64 + 1, 2**65 - 1, 2**65):
@@ -209,10 +210,10 @@ class TestProduct:
         assert fastexp.multi_exp(pairs, params.p) == _builtin_product(pairs, params.p)
 
 
-#: One power with a one-word exponent, one with a long exponent, one product.
+#: Two single powers (a one-term product each) and a two-term product.
 EXPONENTIATIONS = {
-    "word": lambda: fastexp.mod_pow(P.g, 12345, P.p),
-    "long": lambda: fastexp.is_member(P.g, P.q, P.p, memo=False),
+    "power": lambda: fastexp.mod_pow(P.g, 12345, P.p),
+    "member": lambda: fastexp.is_member(P.g, P.q, P.p, memo=False),
     "product": lambda: fastexp.multi_exp(((P.g, 12345), (P.g + 1, P.q - 777)), P.p),
 }
 
@@ -221,13 +222,12 @@ class TestFailureRaises:
     @pytest.mark.parametrize(
         "call, failed, reached_by",
         [
-            ("_exp", 0, ("word", "long", "product")),
-            ("_bin2bn", None, ("word", "long", "product")),
-            ("_bn2binpad", -1, ("word", "long", "product")),
-            ("_set_word", 0, ("word", "product")),
+            ("_exp", 0, ("power", "member", "product")),
+            ("_bin2bn", None, ("power", "member", "product")),
+            ("_bn2binpad", -1, ("power", "member", "product")),
             ("_mul", 0, ("product",)),
         ],
-        ids=["BN_mod_exp_mont", "BN_bin2bn", "BN_bn2binpad", "BN_set_word", "BN_mod_mul"],
+        ids=["BN_mod_exp_mont", "BN_bin2bn", "BN_bn2binpad", "BN_mod_mul"],
     )
     def test_a_failing_bn_call_raises(self, monkeypatch, call, failed, reached_by):
         monkeypatch.setattr(_kernel(), call, lambda *_args: failed)
