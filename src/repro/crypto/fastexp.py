@@ -17,15 +17,19 @@ exponentiation kernel").
   one accumulator BIGNUM, the product read back once.  A term stays in
   libcrypto: a 64-bit ``Fold`` hint term at 512 bit cost about 14 µs with a
   readback and a Python multiply per term, and about 12 µs here.
+* :func:`powers` — ``[base**exp]`` for independent terms, one kernel pass:
+  one context lookup and one loop for the whole list (``group_sign``'s
+  ``4(n-1) + 5`` powers at roster ``n``).
 * :func:`is_member` — the memoized subgroup test ``x**q == 1``.
 * :class:`Fold` — the one randomized batch test.
 
 Built-in ``pow`` serves only what Montgomery arithmetic cannot take: a
 negative exponent (a modular inverse), a modulus of at most 1, and an even
-modulus.  There is no other path and no switch: the kernel loads on the
-first exponentiation, not at import (importing a protocol role loads no
-:mod:`ctypes`), and a process without libcrypto raises :class:`KernelError`
-there, saying why.
+modulus (:func:`powers` takes none of them: its callers' exponents are
+reduced by an order and their modulus is a group's prime).  There is no
+other path and no switch: the kernel loads on the first exponentiation, not
+at import (importing a protocol role loads no :mod:`ctypes`), and a process
+without libcrypto raises :class:`KernelError` there, saying why.
 Exponentiation is variable-time, like the CPython ``pow`` it replaces
 (docs/SECURITY.md).
 
@@ -51,6 +55,7 @@ __all__ = [
     "KernelError",
     "mod_pow",
     "multi_exp",
+    "powers",
     "is_member",
     "clear_caches",
 ]
@@ -137,6 +142,30 @@ class _Kernel:
         while self._moduli:
             self._release(self._moduli.popitem()[1])
 
+    def powers(self, terms, modulus: int) -> list[int]:
+        """``[base**exponent % modulus]`` over independent ``(base, exponent)``
+        terms, every ``exponent >= 0``, for an odd ``modulus > 1``.
+
+        One context lookup and one loop for the whole list: a
+        ``BN_mod_exp_mont`` and a readback per term, in term order.
+        """
+        bn, mont, length, out = self._moduli.get(modulus) or self._context(modulus)
+        bin2bn, exp, bn2binpad = self._bin2bn, self._exp, self._bn2binpad
+        ctx, power, a, e = self._ctx, self._r, self._a, self._e
+        results = []
+        for base, exponent in terms:
+            size = (exponent.bit_length() + 7) // 8
+            if not bin2bn((base % modulus).to_bytes(length, "big"), length, a) or not bin2bn(
+                exponent.to_bytes(size, "big"), size, e
+            ):
+                raise KernelError("BN_bin2bn failed")
+            if exp(power, a, e, bn, ctx, mont) != 1:
+                raise KernelError(f"BN_mod_exp_mont failed for a {modulus.bit_length()}-bit modulus")
+            if bn2binpad(power, out, length) != length:
+                raise KernelError("BN_bn2binpad failed")
+            results.append(int.from_bytes(out.raw, "big"))
+        return results
+
     def product(self, terms, modulus: int) -> int:
         """``prod(base**exponent) % modulus`` over ``(base, exponent)`` terms,
         every ``exponent >= 0``, for an odd ``modulus > 1``.
@@ -192,6 +221,17 @@ def _power(base: int, exponent: int, modulus: int) -> int:
     if exponent < 0 or modulus <= 1 or not modulus & 1:
         return pow(base, exponent, modulus)
     return (_kernel or _load()).product(((base, exponent),), modulus)
+
+
+def powers(pairs, modulus: int) -> list[int]:
+    """``[pow(base, exp, modulus)]`` for a sequence of independent ``(base, exp)``.
+
+    One kernel pass (:meth:`_Kernel.powers`): the group signer's every power
+    in one call.  Every ``exp`` is non-negative (reduce it by the base's
+    order first, as :func:`mod_pow` does) and ``modulus`` is odd and above 1:
+    a Schnorr group's ``p``.
+    """
+    return (_kernel or _load()).powers(pairs, modulus)
 
 
 def clear_caches() -> None:

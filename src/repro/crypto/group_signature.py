@@ -48,9 +48,14 @@ s_x - x·c_j`` (mod ``q``) and ``z_j = (h_j · h^-1)^c_j``::
     t1 = g^u     t2 = y_J^u · z_j     t3 = g^v · z_j^-1
 
 — four exponentiations per clause where the verifier's form takes seven,
-none of them on the fresh ``c1``/``c2``, one inversion of ``h`` and one
-batched inversion of the ``z_j`` per signature, and the same integers:
-``c_j, s_r, s_x`` are the same uniform draws.
+none of them on the fresh ``c1``/``c2``, and the same integers: ``c_j, s_r,
+s_x`` are the same uniform draws.  A signature is one kernel pass: every
+draw first, in the order the proof has always made them, then all ``4(n-1)
++ 5`` powers in one :func:`fastexp.powers` call.  Neither inversion runs in
+the interpreter per signature: ``h^-1`` lives in the member key's
+``h_j · h^-1`` list, built once per roster snapshot, and the ``z_j`` are
+inverted from their product's ``(q-1)``-th power on the kernel (every
+``z_j`` has order ``q``: roster keys are ``g^x``).
 
 Deviation note (recorded in DESIGN.md §4): the paper assumes a hypothetical
 "efficient group signature scheme" with constant-size signatures and guesses
@@ -295,6 +300,20 @@ def _challenge_hash(
     return primitives.hash_to_int(*parts, modulus=gpk.params.q)
 
 
+def _quotients(gpk: GroupPublicKey, member: GroupMemberKey) -> list[int]:
+    """``h_j * h**-1`` for every roster key ``h_j`` of ``gpk``: the bases of
+    the signer's ``z_j``, kept on ``member`` for the one roster snapshot they
+    were built from and rebuilt when the snapshot changes, so ``h`` is
+    inverted once per roster, not once per signature."""
+    memo = member.__dict__.get("_quotient_memo")
+    if memo is None or memo[0] != gpk.roster:
+        p = gpk.params.p
+        h_inv = primitives.modinv(member.h, p)
+        memo = (gpk.roster, [h_j * h_inv % p for h_j in gpk.roster])
+        object.__setattr__(member, "_quotient_memo", memo)
+    return memo[1]
+
+
 def group_sign(gpk: GroupPublicKey, member: GroupMemberKey, message: bytes) -> GroupSignature:
     """Sign ``message`` anonymously on behalf of the group.
 
@@ -303,55 +322,52 @@ def group_sign(gpk: GroupPublicKey, member: GroupMemberKey, message: bytes) -> G
     :class:`GroupSignatureError`.
 
     The simulated clauses are computed over the signer's witness (module
-    docstring, "Clause arithmetic"): bases ``g``, ``y``, ``h_j/h`` only and
-    two modular inversions per signature.
+    docstring, "Clause arithmetic"): every draw first, then every power in
+    one kernel pass, then the ``z_j`` inverted by one more kernel power.
     """
     params = gpk.params
-    p, q = params.p, params.q
+    p, q, g = params.p, params.q, params.g
     y = gpk.opening_key.y
     idx = gpk.roster_index(member.h)
     if idx is None:
         raise GroupSignatureError("signer is not in the roster snapshot")
+    quotients = _quotients(gpk, member)
 
-    # ElGamal-encrypt the signer's membership key, keeping the nonce for the proof.
+    # The draws, in the order the proof has always made them: the ElGamal
+    # nonce, each simulated clause's (c_j, s_r, s_x), the honest (a, b).
     r = params.random_exponent()
-    c1 = params.pow_g(r)
-    c2 = (member.h * fastexp.mod_pow(y, r, p, order=q)) % p
-    ciphertext = ElGamalCiphertext(c1=c1, c2=c2)
-
     n = len(gpk.roster)
     challenges: list[int] = [0] * n
     responses_r: list[int] = [0] * n
     responses_x: list[int] = [0] * n
-    commitments: list[tuple[int, int, int]] = [(0, 0, 0)] * n
-
-    # Simulate every non-signer clause with a random challenge.
     foreign = [j for j in range(n) if j != idx]
     for j in foreign:
         challenges[j] = primitives.randbelow(q)
         responses_r[j] = primitives.randbelow(q)
         responses_x[j] = primitives.randbelow(q)
-    h_inv = primitives.modinv(member.h, p)
-    zs = [
-        fastexp.mod_pow(gpk.roster[j] * h_inv % p, challenges[j], p, order=q)
-        for j in foreign
-    ]
-    pow_g = params.pow_g
-    for j, z, z_inv in zip(foreign, zs, primitives.batch_modinv(zs, p)):
-        # t1 = g**u ; t2 = y**u * z_j ; t3 = g**v * z_j**-1
+    a = params.random_exponent()
+    b = params.random_exponent()
+
+    # c1 = g**r, y**r (c2's mask), the honest clause's g**a, y**a, g**b, then
+    # per simulated clause z_j = (h_j/h)**c_j, g**u, y**u, g**v: one pass.
+    terms = [(g, r), (y, r), (g, a), (y, a), (g, b)]
+    for j in foreign:
         c_j = challenges[j]
         u = (responses_r[j] - r * c_j) % q
         v = (responses_x[j] - member.x * c_j) % q
-        commitments[j] = (
-            pow_g(u),
-            (fastexp.mod_pow(y, u, p, order=q) * z) % p,
-            (pow_g(v) * z_inv) % p,
-        )
+        terms += ((quotients[j], c_j), (g, u), (y, u), (g, v))
+    powers = fastexp.powers(terms, p)
+    ciphertext = ElGamalCiphertext(c1=powers[0], c2=member.h * powers[1] % p)
 
-    # Honest commitment for the signer's clause.
-    a = params.random_exponent()
-    b = params.random_exponent()
-    commitments[idx] = (pow_g(a), fastexp.mod_pow(y, a, p, order=q), pow_g(b))
+    commitments: list[tuple[int, int, int]] = [(0, 0, 0)] * n
+    commitments[idx] = (powers[2], powers[3], powers[4])
+    zs = powers[5::4]
+    # Roster keys are g**x (GroupManager.register), so every z_j has order q.
+    z_invs = primitives.batch_modinv(zs, p, order=q)
+    clauses = zip(foreign, zs, z_invs, powers[6::4], powers[7::4], powers[8::4])
+    for j, z, z_inv, g_u, y_u, g_v in clauses:
+        # t1 = g**u ; t2 = y**u * z_j ; t3 = g**v * z_j**-1
+        commitments[j] = (g_u, y_u * z % p, g_v * z_inv % p)
 
     total = _challenge_hash(gpk, ciphertext, commitments, message)
     c_idx = (total - sum(challenges)) % q

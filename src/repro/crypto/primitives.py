@@ -11,6 +11,8 @@ import hashlib
 import hmac
 import secrets
 
+from repro.crypto import fastexp
+
 # Small primes used to cheaply reject composites before Miller-Rabin.
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -91,18 +93,29 @@ class NotInvertibleError(ValueError):
     """A value handed to :func:`batch_modinv` is not a unit of the modulus."""
 
 
-def batch_modinv(values: list[int], m: int) -> list[int]:
+def batch_modinv(values: list[int], m: int, order: int | None = None) -> list[int]:
     """Inverses of all ``values`` modulo ``m`` from one inversion (Montgomery's
-    trick: invert the running product, then peel factors off back to front)."""
+    trick: invert the running product, then peel factors off back to front).
+
+    ``order``, when every value ``v`` has ``v**order == 1`` (a Schnorr group's
+    elements and ``order == q``), makes that one inversion the product's
+    ``(order - 1)``-th power on the exponentiation kernel: about half what
+    built-in ``pow``'s inverse costs at 512 and 1024 bit.
+    """
+    if not values:
+        return []
     prefixes = []
     acc = 1
     for value in values:
         prefixes.append(acc)
         acc = (acc * value) % m
-    try:
-        acc = pow(acc, -1, m)
-    except ValueError:
-        raise NotInvertibleError("a value shares a factor with the modulus") from None
+    if order is not None:
+        acc = fastexp.powers(((acc, order - 1),), m)[0]
+    else:
+        try:
+            acc = pow(acc, -1, m)
+        except ValueError:
+            raise NotInvertibleError("a value shares a factor with the modulus") from None
     inverses = [0] * len(values)
     for i in range(len(values) - 1, -1, -1):
         inverses[i] = (prefixes[i] * acc) % m

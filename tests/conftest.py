@@ -65,6 +65,15 @@ def mint_coin(keypair, coin_y, value, owner=None, owner_y=None, handle=None):
     return Coin.build_batch(keypair, [spec])[0]
 
 
+def account_off_coin_home(net, coin_y, names):
+    """The first of ``names`` whose account home is not coin ``coin_y``'s home:
+    a deposit of that coin paid out to it hands the credit off between shards.
+    An account's home is a fixed hash of its name, so ``names`` spanning two
+    homes yield one whichever shard the coin drew."""
+    coin_home = net.shard_map.shard_for_coin(coin_y)
+    return next(name for name in names if net.shard_map.shard_for_account(name) != coin_home)
+
+
 def restart_on_crash(net):
     """Restart a shard from its journal inside the transport's crash hook, before
     the sender sees ``ReplyLost``: for suites that study durability at exact

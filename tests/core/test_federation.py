@@ -21,8 +21,11 @@ from repro.messages.envelope import seal
 from repro.net.rpc import RetryPolicy
 from repro.net.transport import FaultPlan, NetworkError
 from repro.store.apply import effect
-from tests.conftest import mint_coin
+from tests.conftest import account_off_coin_home, mint_coin
 from repro.store.audit import audit_broker
+
+#: Payout accounts homed on two different shards of a 3- or a 4-shard federation.
+PAYOUTS = ("bob", "bob-savings")
 
 RETRY = RetryPolicy(max_attempts=4, base_delay=0.01, multiplier=2.0, max_delay=0.1)
 
@@ -207,17 +210,17 @@ class TestCrossShardFlows:
     def test_cross_shard_deposit_credits_the_account_home(self, fednet):
         alice = fednet.add_peer("alice", PeerConfig(balance=5))
         bob = fednet.add_peer("bob")
-        # Mint coins until one's home differs from bob's account home, so
-        # the deposit (sent to the coin's shard) must hand the credit off.
-        bob_home = fednet.shard_map.shard_for_account("bob")
-        while True:
-            state = alice.purchase()
-            if fednet.shard_map.shard_for_coin(state.coin_y) != bob_home:
-                break
+        state = alice.purchase()
+        # Paid out to an account homed off the coin's shard, the deposit
+        # (sent to the coin's shard) must hand the credit off.
+        payout = account_off_coin_home(fednet, state.coin_y, PAYOUTS)
+        payout_home = fednet.broker.shard_for_account(payout)
+        served = payout_home.counts.handoffs
         alice.issue("bob", state.coin_y)
-        credited = bob.deposit(state.coin_y, payout_to="bob")
+        credited = bob.deposit(state.coin_y, payout_to=payout)
         assert credited == 1
-        assert fednet.broker.shard_for_account("bob").balance("bob") == 1
+        assert payout_home.balance(payout) == 1
+        assert payout_home.counts.handoffs > served  # served the credit prepare
         coin_shard = fednet.broker.shard_for_coin(state.coin_y)
         assert state.coin_y in coin_shard.deposited
         assert not any(s.pending_handoffs for s in fednet.shards)
@@ -512,28 +515,25 @@ class TestPendingHandoffReserves:
         net = self._net(tmp_path)
         alice = net.add_peer("alice", PeerConfig(balance=10))
         bob = net.add_peer("bob")
-        bob_home = net.shard_map.shard_for_account("bob")
-        while True:
-            state = alice.purchase()
-            if net.shard_map.shard_for_coin(state.coin_y) != bob_home:
-                break
+        state = alice.purchase()
+        payout = account_off_coin_home(net, state.coin_y, PAYOUTS)
         alice.issue("bob", state.coin_y)
-        payout_shard = net.shard_map.addresses.index(bob_home)
+        payout_shard = net.shard_map.addresses.index(net.shard_map.shard_for_account(payout))
         net.kill_shard(payout_shard)
         with pytest.raises(NetworkError):
-            bob.deposit(state.coin_y, payout_to="bob")
+            bob.deposit(state.coin_y, payout_to=payout)
         coin_shard = net.broker.shard_for_coin(state.coin_y)
         assert len(coin_shard.pending_handoffs) == 1
         net.restart_shard(payout_shard)
         # The honest retry is held off with a typed, non-fraud error...
         with pytest.raises(ProtocolError) as refused:
-            bob.deposit(state.coin_y, payout_to="bob")
+            bob.deposit(state.coin_y, payout_to=payout)
         assert isinstance(refused.value, errors.HandoffPending)
         assert not net.broker.fraud_events
-        assert net.broker.balance("bob") == 0
+        assert net.broker.balance(payout) == 0
         # ...and the first attempt settles exactly once on re-drive.
         assert net.complete_handoffs() == 1
-        assert net.broker.balance("bob") == 1
+        assert net.broker.balance(payout) == 1
         assert state.coin_y in coin_shard.deposited
         assert net.broker.verify_conservation(10)
         assert not net.broker.fraud_events

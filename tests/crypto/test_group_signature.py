@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.crypto import fastexp, group_signature
+from repro.crypto import fastexp, group_signature, primitives
 from repro.crypto.elgamal import ElGamalCiphertext
 from repro.crypto.group_signature import (
     GroupManager,
@@ -384,6 +384,20 @@ class TestWitnessAwareSigner:
         assert group_verify(gpk, b"alone", signature)
         assert manager.open(signature) == "m0"
 
+    def test_the_roster_quotients_follow_the_snapshot(self):
+        manager, members, before = _roster(PARAMS_TEST_512, 6)
+        signer, p = members[2], PARAMS_TEST_512.p
+        assert group_verify_exact(before, b"m", group_sign(before, signer, b"m"))
+        manager.expel("m4")
+        after = manager.public_key()
+        signature = group_sign(after, signer, b"m")
+        assert group_verify(after, b"m", signature)
+        assert group_verify_exact(after, b"m", signature)
+        assert manager.open(signature) == "m2"
+        roster, quotients = signer.__dict__["_quotient_memo"]
+        assert roster == after.roster
+        assert quotients == [h_j * pow(signer.h, -1, p) % p for h_j in after.roster]
+
     def test_stale_snapshot_still_raises(self):
         manager = GroupManager(PARAMS_TEST_512)
         manager.register("early")
@@ -403,7 +417,8 @@ class TestWitnessAwareSigner:
 def exponentiations(monkeypatch):
     """Count every ``multi_exp``, membership test, ``_power`` (every power
     outside a product, built-in ``pow``'s included) and kernel exponentiation
-    (``power``: one per term of a kernel product) while the test runs."""
+    (``power``: one per term of a kernel product or of a kernel pass of
+    independent powers) while the test runs."""
     calls = []
     counted_names = ((fastexp, "multi_exp"), (fastexp, "_power"), (fastexp, "is_member"))
     for owner, name in counted_names:
@@ -422,6 +437,14 @@ def exponentiations(monkeypatch):
         return product(kernel, terms, modulus)
 
     monkeypatch.setattr(fastexp._Kernel, "product", counted_product)
+    powers = fastexp._Kernel.powers
+
+    def counted_powers(kernel, terms, modulus):
+        terms = list(terms)
+        calls.extend(["power"] * len(terms))
+        return powers(kernel, terms, modulus)
+
+    monkeypatch.setattr(fastexp._Kernel, "powers", counted_powers)
     return calls
 
 
@@ -676,21 +699,32 @@ class TestMembershipMemo:
 
 class TestSignerPowers:
     @pytest.mark.parametrize("n", [4, 16])
-    def test_four_per_clause_against_seven(self, monkeypatch, n):
+    def test_four_per_clause_against_seven(self, monkeypatch, exponentiations, n):
         # Per simulated clause (h_j/h)**c_j, g**u, y**u, g**v; c1, y**r and
-        # the honest clause's three commitments make the other five.  The
+        # the honest clause's three commitments make five more, and the one
+        # inversion of the z_j (their product's (q-1)-th power) a sixth.  The
         # replica simulates as a verifier would: seven per clause.
         _manager, members, gpk = _roster(PARAMS_TEST_512, n)
-        kernel, native = [], []
-        original = fastexp._power
-        monkeypatch.setattr(fastexp, "_power", lambda *args: kernel.append(args) or original(*args))
+        native, replica = [], []
+
+        def native_pow(*args):
+            native.append(args)
+            return pow(*args)
+
+        for module in (fastexp, primitives, group_signature):
+            monkeypatch.setattr(module, "pow", native_pow, raising=False)
         monkeypatch.setattr(
-            bench_crypto_ops, "pow", lambda *args: native.append(args) or pow(*args), raising=False
+            bench_crypto_ops, "pow", lambda *args: replica.append(args) or pow(*args), raising=False
         )
         group_sign(gpk, members[1], b"m")
+        assert native == [(members[1].h, -1, gpk.params.p)]  # h**-1, once for this roster
+        native.clear()
+        exponentiations.clear()
+        group_sign(gpk, members[1], b"m")
+        assert exponentiations == ["power"] * (4 * (n - 1) + 6)
+        assert native == []
         bench_crypto_ops.baseline_group_sign(gpk, members[1], b"m")
-        assert len(kernel) == 4 * (n - 1) + 5
-        assert len(native) == 7 * (n - 1) + 5
+        assert len(replica) == 7 * (n - 1) + 5
 
 
 class TestRosterKeys:

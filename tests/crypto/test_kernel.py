@@ -1,12 +1,14 @@
 """The exponentiation kernel: libcrypto's ``BN_mod_exp_mont`` under ``fastexp``.
 
-Every power the crypto layer takes goes through ``fastexp._power``, so the
-kernel must equal built-in ``pow`` on every input it is given, fall back to
-it exactly where Montgomery arithmetic cannot go, refuse to return a value
-when a bignum call fails, survive a fork, and hold one Montgomery context
-per modulus however many bases pass through it.  ``multi_exp`` is one kernel
-product (``_Kernel.product``): its terms accumulate in libcrypto, so the
-product is held to the same standard term by term.
+Every power the crypto layer takes goes through ``fastexp._power``, a kernel
+product or a kernel pass of independent powers, so the kernel must equal
+built-in ``pow`` on every input it is given, fall back to it exactly where
+Montgomery arithmetic cannot go, refuse to return a value when a bignum call
+fails, survive a fork, and hold one Montgomery context per modulus however
+many bases pass through it.  ``multi_exp`` is one kernel product
+(``_Kernel.product``): its terms accumulate in libcrypto, so the product is
+held to the same standard term by term, and so is every power of
+``fastexp.powers`` (``_Kernel.powers``), the group signer's one pass.
 """
 
 from __future__ import annotations
@@ -210,11 +212,87 @@ class TestProduct:
         assert fastexp.multi_exp(pairs, params.p) == _builtin_product(pairs, params.p)
 
 
-#: Two single powers (a one-term product each) and a two-term product.
+class TestPowers:
+    """``fastexp.powers`` is one ``_Kernel.powers`` pass: one
+    ``BN_mod_exp_mont`` and one readback a term, in term order."""
+
+    def test_the_empty_list_and_zero_exponents(self):
+        kernel = _kernel()
+        assert kernel.powers((), P.p) == []
+        assert fastexp.powers([], P.p) == []
+        pairs = [(P.g, 0), (0, 0), (P.p - 1, 0), (P.g, 5)]
+        assert fastexp.powers(pairs, P.p) == [1, 1, 1, pow(P.g, 5, P.p)]
+
+    @ALL_PARAMS
+    def test_unreduced_and_zero_bases(self, params):
+        p, q, g = params.p, params.q, params.g
+        pairs = [(p, 3), (p + 3, 5), (2 * p - 1, q), (3 * p + g, 2**64 - 1), (0, 1), (0, q - 1)]
+        assert fastexp.powers(pairs, p) == [pow(b, e, p) for b, e in pairs]
+
+    @ALL_PARAMS
+    def test_exponents_at_the_word_boundary_and_the_order(self, params):
+        rng = random.Random(params.p_bits + 6)
+        pairs = [
+            (rng.randrange(2, params.p), exponent)
+            for exponent in (2**64 - 1, 2**64, 2**64 + 1, params.q - 1, params.q)
+        ]
+        assert fastexp.powers(pairs, params.p) == [pow(b, e, params.p) for b, e in pairs]
+
+    @ALL_PARAMS
+    def test_a_signers_pass_equals_builtin_pow(self, params):
+        # The shape of a roster-16 signature: 65 powers of g, y and 15 quotients.
+        rng = random.Random(params.p_bits + 7)
+        bases = [params.g, params.pow_g(rng.randrange(1, params.q))]
+        bases += [rng.randrange(2, params.p) for _ in range(15)]
+        pairs = [(rng.choice(bases), rng.randrange(params.q)) for _ in range(65)]
+        assert fastexp.powers(pairs, params.p) == [pow(b, e, params.p) for b, e in pairs]
+
+    def test_a_failed_pass_leaves_the_next_one_right(self, monkeypatch):
+        kernel = _kernel()
+        pairs = [(P.g, 12345), (P.g + 1, P.q - 777), (P.g + 2, 99)]
+        calls = []
+        exp = kernel._exp
+
+        def fails_on_the_second(*args):  # the first power is already read back
+            calls.append(args)
+            return 0 if len(calls) == 2 else exp(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel, "_exp", fails_on_the_second)
+            with pytest.raises(fastexp.KernelError):
+                fastexp.powers(pairs, P.p)
+        assert fastexp.powers(pairs, P.p) == [pow(b, e, P.p) for b, e in pairs]
+        assert fastexp.powers(pairs[2:], P.p) == [pow(P.g + 2, 99, P.p)]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_computes_the_same_powers(self):
+        rng = random.Random(9)
+        pairs = [(rng.randrange(P.p), rng.randrange(P.q)) for _ in range(33)]
+        expected = [pow(b, e, P.p) for b, e in pairs]
+        assert fastexp.powers(pairs, P.p) == expected  # loaded before the fork
+        read, write = os.pipe()
+        child = os.fork()
+        if child == 0:  # pragma: no cover - runs in the child
+            try:
+                os.close(read)
+                got = [fastexp.powers(pairs, m) for m in (P.p, PARAMS_1024_160.p)]
+                os.write(write, pickle.dumps(got))
+            finally:
+                os._exit(0)
+        os.close(write)
+        with os.fdopen(read, "rb") as pipe:
+            got = pickle.loads(pipe.read())
+        os.waitpid(child, 0)
+        assert got == [expected, [pow(b, e, PARAMS_1024_160.p) for b, e in pairs]]
+
+
+#: Two single powers (a one-term product each), a two-term product and a
+#: two-term kernel pass.
 EXPONENTIATIONS = {
     "power": lambda: fastexp.mod_pow(P.g, 12345, P.p),
     "member": lambda: fastexp.is_member(P.g, P.q, P.p, memo=False),
     "product": lambda: fastexp.multi_exp(((P.g, 12345), (P.g + 1, P.q - 777)), P.p),
+    "powers": lambda: fastexp.powers(((P.g, 12345), (P.g + 1, P.q - 777)), P.p),
 }
 
 
@@ -222,9 +300,9 @@ class TestFailureRaises:
     @pytest.mark.parametrize(
         "call, failed, reached_by",
         [
-            ("_exp", 0, ("power", "member", "product")),
-            ("_bin2bn", None, ("power", "member", "product")),
-            ("_bn2binpad", -1, ("power", "member", "product")),
+            ("_exp", 0, ("power", "member", "product", "powers")),
+            ("_bin2bn", None, ("power", "member", "product", "powers")),
+            ("_bn2binpad", -1, ("power", "member", "product", "powers")),
             ("_mul", 0, ("product",)),
         ],
         ids=["BN_mod_exp_mont", "BN_bin2bn", "BN_bn2binpad", "BN_mod_mul"],

@@ -71,6 +71,20 @@ class TestModular:
     def test_batch_modinv_of_nothing(self):
         # Element-wise agreement with modinv is in test_dsa_batch.TestBatchModinv.
         assert primitives.batch_modinv([], 7) == []
+        assert primitives.batch_modinv([], 23, order=11) == []
+
+    def test_batch_modinv_of_subgroup_elements_by_their_order(self, monkeypatch):
+        from repro.crypto.params import PARAMS_1024_160, PARAMS_TEST_512
+
+        for params in (PARAMS_TEST_512, PARAMS_1024_160):
+            p, q = params.p, params.q
+            values = [params.pow_g(k) for k in (1, 2, q - 1, 12345, 2**64 + 1)]
+            native = []
+            monkeypatch.setattr(primitives, "pow", lambda *a: native.append(a) or pow(*a), raising=False)
+            inverses = primitives.batch_modinv(values, p, order=q)
+            monkeypatch.undo()
+            assert native == []  # the one inversion is a kernel power
+            assert inverses == [pow(v, -1, p) for v in values]
 
     def test_batch_modinv_nonunit_raises_typed_error(self):
         with pytest.raises(primitives.NotInvertibleError):

@@ -31,6 +31,7 @@ from repro.net.transport import NetworkError, Transport
 from repro.store.crashpoints import CrashPointPlan
 from repro.store.recovery import RecoveryError, RecoveryManager
 from repro.store.records import held_entry, owned_entry
+from tests.conftest import account_off_coin_home
 
 POLICY = RetryPolicy(max_attempts=6, base_delay=0.01, multiplier=2.0, max_delay=0.1)
 PEERS = 6
@@ -203,14 +204,12 @@ class TestScriptedStates:
 
     def test_a_handoff_left_pending_by_a_crash_point(self, tmp_path):
         net = durable_net(tmp_path, 3)
-        owner, holder = net.peers["p0"], net.peers["p1"]
-        payout_home = net.shard_map.shard_for_account(holder.address)
-        while True:
-            coin_y = owner.purchase().coin_y
-            if net.shard_map.shard_for_coin(coin_y) != payout_home:
-                break
+        owner = net.peers["p0"]
+        coin_y = owner.purchase().coin_y
+        # p1..p5 are homed on all three shards: one is off the coin's home.
+        holder = net.peers[account_off_coin_home(net, coin_y, [f"p{i}" for i in range(1, PEERS)])]
         owner.issue(holder.address, coin_y)
-        payout = net.shard_map.addresses.index(payout_home)
+        payout = net.shard_map.addresses.index(net.shard_map.shard_for_account(holder.address))
         net.arm_crash_points(CrashPointPlan(fire_at=0), shard=payout)
         with pytest.raises(NetworkError):
             holder.deposit(coin_y, payout_to=holder.address)
