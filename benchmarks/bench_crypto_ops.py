@@ -332,20 +332,26 @@ def _time_us(fn, repeat: int) -> float:
 
 
 def _compare(name, baseline, accelerated, repeat, results) -> None:
-    """Time both implementations and record the speedup: sample by sample,
-    alternating which goes first, so a host that drifts slows both alike."""
+    """Time both implementations in ``repeat`` interleaved pairs — one call
+    of each, back to back, alternating which goes first — and record the
+    median of the pairs' speedups with its quartiles: a host that drifts
+    between pairs slows both calls of a pair alike."""
     assert baseline() and accelerated(), f"{name}: implementations disagree"
     samples: tuple[list[float], list[float]] = ([], [])
     for i in range(repeat):
         for side in (0, 1) if i % 2 == 0 else (1, 0):
             samples[side].append(_time_us((baseline, accelerated)[side], 1))
+    ratios = [base / accel for base, accel in zip(*samples)]
+    lower, speedup, upper = statistics.quantiles(ratios, n=4)
     base_us, accel_us = (statistics.median(times) for times in samples)
     results[name] = {
         "baseline_us": round(base_us, 2),
         "accelerated_us": round(accel_us, 2),
-        "speedup": round(base_us / accel_us, 3) if accel_us else None,
+        "pairs": repeat,
+        "speedup": round(statistics.median(ratios), 3),
+        "speedup_quartiles": [round(lower, 3), round(upper, 3)],
     }
-    print(f"  {name:<42} {base_us:>10.1f}us -> {accel_us:>8.1f}us   {base_us / accel_us:5.2f}x")
+    print(f"  {name:<42} {base_us:>10.1f}us -> {accel_us:>8.1f}us   {speedup:5.2f}x [{lower:.2f}, {upper:.2f}]")
 
 
 #: Exponentiations per timed sample in the ``kernel_pow`` row.

@@ -1,18 +1,24 @@
-"""Broker throughput: batched verification + group commit vs scalar baseline.
+"""Broker throughput: one admission path, measured by window.
 
-The pipeline PR's acceptance artifact.  Every configuration replays the
-same seeded Zipf workload (downtime transfers, renewals, purchases —
-fully signed wire envelopes from :class:`repro.pipeline.loadgen.LoadGenerator`)
-against a journaled broker, timing only the broker-side work
-(:meth:`repro.pipeline.engine.ThroughputEngine.run`):
+Every configuration replays the same seeded Zipf workload (downtime
+transfers, renewals, purchases — fully signed wire envelopes from
+:class:`repro.pipeline.loadgen.LoadGenerator`) against a journaled broker,
+timing only the broker-side work
+(:meth:`repro.pipeline.engine.ThroughputEngine.run`).  Every configuration
+is the same code — the broker's own verification pool and a group
+committer — and differs only in two windows:
 
-* **baseline** — no verification pool (the broker runs its own scalar
-  group check per request) and no group commit (one fsync per request):
-  the pre-pipeline state of the repo.
-* **sweep rows** — one per batch size.  The batch size is used for both
-  the verification batch and the group-commit ``max_batch``, so one knob
-  moves both amortizers: randomized batch verification and one fsync per
-  batch.
+* the **verify window** — how many requests share one pool fold
+  (``verify_batch``);
+* the **commit window** — how many journal records share one fsync (the
+  committer's ``max_batch``).
+
+``(1, 1)`` is a request served alone — one fold, one fsync — and the
+baseline every row is divided by.  ``(32, 1)`` isolates the shared fold,
+``(1, 32)`` group commit, ``(32, 32)`` and ``(8, 8)`` both.  Each
+configuration runs :data:`RUNS` times, interleaved with the others, and
+reports the median payments/s; ``speedup`` is a row's median over the
+baseline's.
 
 Entry points:
 
@@ -21,19 +27,19 @@ Entry points:
 * ``--quick`` — CI smoke: fewer ops, one row, artifact still written (to
   ``BENCH_throughput_quick.json`` unless ``--out`` says otherwise).
 
-The floor — the best sweep row against the baseline rate — is a row of
-``benchmarks/check.py``.
+The floor — the best row's speedup — is a row of ``benchmarks/check.py``.
 """
 
 from __future__ import annotations
 
+import statistics
 import tempfile
 import time
 
 from _common import report_main
 
 from repro.crypto.params import PARAMS_TEST_512
-from repro.pipeline import LoadGenerator, ThroughputEngine, VerificationPool
+from repro.pipeline import LoadGenerator, ThroughputEngine
 from repro.store.groupcommit import GroupCommitter
 
 SEED = 20060704
@@ -42,14 +48,17 @@ SEED = 20060704
 #: 1000 peers — 16 is still a conservative stand-in.
 PEERS = 16
 COINS_PER_PEER = 2
+#: (verify window, commit window) of each row; the baseline is (1, 1).
+CONFIGS = ((32, 1), (1, 32), (32, 32), (8, 8))
+QUICK_CONFIGS = ((16, 16),)
+#: Runs per configuration (the median is reported): one run times 144
+#: operations and swings by about ±30 % on a shared host.
+RUNS = 5
+QUICK_RUNS = 5
 
 
-def run_config(ops_per_round: int, rounds: int, batch: int | None) -> dict:
-    """Replay the seeded workload through one pipeline configuration.
-
-    ``batch=None`` is the baseline: no pool, no committer.  Returns the
-    row dict for the JSON artifact.
-    """
+def run_config(ops_per_round: int, rounds: int, verify_window: int, commit_window: int) -> dict:
+    """Replay the seeded workload through one pair of windows; one run's row."""
     with tempfile.TemporaryDirectory() as tmp:
         generator = LoadGenerator(
             peers=PEERS,
@@ -58,21 +67,14 @@ def run_config(ops_per_round: int, rounds: int, batch: int | None) -> dict:
             store_dir=tmp,
             seed=SEED,
         )
-        pool = None
-        committer = None
-        if batch is not None:
-            pool = VerificationPool(
-                generator.params, generator.broker.public_key, [generator._gpk]
-            )
-            committer = GroupCommitter(generator.broker.store, max_batch=batch)
+        broker = generator.broker
         engine = ThroughputEngine(
-            generator.broker,
-            pool=pool,
-            committer=committer,
-            verify_batch=batch or 1,
+            broker,
+            pool=broker.pool,
+            committer=GroupCommitter(broker.store, max_batch=commit_window),
+            verify_batch=verify_window,
         )
         accepted = 0
-        staged = 0
         fsyncs = 0
         elapsed = 0.0
         for _ in range(rounds):
@@ -83,53 +85,55 @@ def run_config(ops_per_round: int, rounds: int, batch: int | None) -> dict:
             elapsed += time.perf_counter() - start
             generator.absorb(records)
             accepted += stats.accepted
-            staged += stats.staged
             fsyncs += stats.fsyncs
         ops = ops_per_round * rounds
         if accepted != ops:
             raise AssertionError(
-                f"workload not fully accepted: {accepted}/{ops} (batch={batch})"
+                f"workload not fully accepted: {accepted}/{ops} "
+                f"(windows {verify_window}, {commit_window})"
             )
-        return {
-            "mode": "baseline" if batch is None else "pipeline",
-            "batch": batch,
-            "ops": ops,
-            "accepted": accepted,
-            "staged": staged,
-            "fsyncs": fsyncs,
-            "seconds": round(elapsed, 4),
-            "payments_per_sec": round(ops / elapsed, 2),
-        }
+        return {"ops": ops, "fsyncs": fsyncs, "payments_per_sec": ops / elapsed}
 
 
 def run_sweep(quick: bool) -> dict:
-    """Baseline plus one row per batch size."""
+    """The baseline and one row per configuration, each the median of its runs."""
     if quick:
-        ops_per_round, rounds = 24, 2
-        batches = [16]
+        ops_per_round, rounds, configs, runs = 24, 2, QUICK_CONFIGS, QUICK_RUNS
     else:
-        ops_per_round, rounds = 48, 3
-        batches = [8, 32]
-    baseline = run_config(ops_per_round, rounds, None)
-    print(
-        f"baseline (scalar verify, fsync/request): "
-        f"{baseline['payments_per_sec']} payments/s over {baseline['ops']} ops"
-    )
+        ops_per_round, rounds, configs, runs = 48, 3, CONFIGS, RUNS
+    pairs = [(1, 1), *configs]
+    samples: dict[tuple[int, int], list[dict]] = {pair: [] for pair in pairs}
+    for _ in range(runs):
+        for pair in pairs:  # interleaved: host drift hits every row alike
+            samples[pair].append(run_config(ops_per_round, rounds, *pair))
+
+    def row(pair: tuple[int, int]) -> dict:
+        rates = [sample["payments_per_sec"] for sample in samples[pair]]
+        return {
+            "verify_window": pair[0],
+            "commit_window": pair[1],
+            "ops": samples[pair][0]["ops"],
+            "fsyncs": samples[pair][0]["fsyncs"],
+            "payments_per_sec": round(statistics.median(rates), 2),
+            "runs_payments_per_sec": [round(rate, 2) for rate in rates],
+        }
+
+    baseline = row((1, 1))
+    print(f"window (1, 1): {baseline['payments_per_sec']} payments/s over {baseline['ops']} ops")
     rows = []
-    for batch in batches:
-        row = run_config(ops_per_round, rounds, batch)
-        row["speedup"] = round(
-            row["payments_per_sec"] / baseline["payments_per_sec"], 2
-        )
-        rows.append(row)
+    for pair in configs:
+        entry = row(pair)
+        entry["speedup"] = round(entry["payments_per_sec"] / baseline["payments_per_sec"], 2)
+        rows.append(entry)
         print(
-            f"batch={batch}: {row['payments_per_sec']} payments/s "
-            f"({row['speedup']}x, {row['fsyncs']} fsyncs for {row['ops']} ops)"
+            f"window {pair}: {entry['payments_per_sec']} payments/s "
+            f"({entry['speedup']}x, {entry['fsyncs']} fsyncs for {entry['ops']} ops)"
         )
-    best = max(rows, key=lambda row: row["speedup"])
+    best = max(rows, key=lambda entry: entry["speedup"])
     return {
         "params": "PARAMS_TEST_512",
         "seed": SEED,
+        "runs": runs,
         "workload": {
             "peers": PEERS,
             "coins_per_peer": COINS_PER_PEER,
@@ -141,7 +145,7 @@ def run_sweep(quick: bool) -> dict:
         "baseline": baseline,
         "rows": rows,
         "best_speedup": best["speedup"],
-        "best_config": {"batch": best["batch"]},
+        "best_config": {"verify_window": best["verify_window"], "commit_window": best["commit_window"]},
     }
 
 

@@ -25,8 +25,8 @@ from __future__ import annotations
 import hashlib
 import hmac
 import secrets
-from dataclasses import dataclass, field, fields
-from typing import Any
+from dataclasses import dataclass, fields
+from typing import Any, Callable
 
 from repro.core import protocol
 from repro.core.clock import DEFAULT_RENEWAL_PERIOD, Clock
@@ -40,9 +40,9 @@ from repro.core.errors import (
     VerificationFailed,
 )
 from repro.core.judge import Judge
+from repro.core.protocol import JOB_HOLDER, JOB_PURCHASE
 from repro.core.sharding import ShardMap
-from repro.crypto.dsa import dsa_batch_verify, dsa_verify
-from repro.crypto.group_signature import group_verify
+from repro.crypto.dsa import dsa_verify
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.params import DlogParams
 from repro.dht.binding_store import WriteRejected
@@ -112,6 +112,22 @@ class OperationCounts:
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
+@dataclass
+class Admission:
+    """What a window owner hands :meth:`Broker.handle` with one request; a
+    request that arrives alone gets an empty one, a window of one.
+
+    ``verdict``: the pool's on its signatures (``None``: the handler asks
+    the broker's pool).  ``on_durable``: releases the reply once the owner's
+    flush covers its record (``None``: the broker flushes before returning).
+    ``staged``: set by :meth:`Broker.handle`.
+    """
+
+    verdict: Any = None
+    on_durable: Callable[[int], None] | None = None
+    staged: bool = False
+
+
 class Broker(Node):
     """The broker endpoint.
 
@@ -169,21 +185,16 @@ class Broker(Node):
         self.detection = None  # set by WhoPayNetwork when the DHT is enabled
         self.store: DurableStore | None = None
         self._staged: list[dict[str, Any]] = []
-        #: Optional group committer (set by the throughput engine).  When
-        #: present, :meth:`handle` stages its journal record there instead
-        #: of appending per request; the engine owns flushing and must hold
-        #: each staged request's reply until the covering fsync.
+        #: Stages every request's journal record; a flush makes it durable
+        #: (set by :meth:`bind_store`; an engine may swap in its own).
         self.committer: GroupCommitter | None = None
-        #: One-shot ``on_durable`` callback for the *next* staged request
-        #: (consumed by :meth:`handle`; set by the engine before each call).
-        self.on_durable: Any = None
-        #: Whether the most recent :meth:`handle` staged a journal record
-        #: (i.e. whether its reply must wait for a covering fsync).
-        self.last_request_staged: bool = False
-        # SHA-256 digests of raw requests whose *cryptographic* checks a
-        # verification pool already performed, each with the holder request
-        # the pool opened (if it handed one); consumed on first sight.
-        self._preverified: dict[bytes, protocol.HolderRequest | None] = {}
+        from repro.pipeline.verify import VerificationPool  # deferred: pipeline imports broker
+        #: The one checker of request signatures.
+        self.pool = VerificationPool(params, self.keypair.public, judge.verification_keys)
+        self.pool.held_bindings = self.downtime_bindings
+        #: The :class:`Admission` of the request being handled; a window
+        #: owner sets it before each :meth:`handle` call.
+        self.admission: Admission | None = None
         #: Federation wiring (ring + shard-to-shard RPC client).  A broker
         #: is a federation of one until :meth:`attach_federation` says
         #: otherwise: same path, a ring that never names anyone else.
@@ -217,6 +228,7 @@ class Broker(Node):
         """
         was_fresh = store.fresh
         self.store = store
+        self.committer = GroupCommitter(store)
         if was_fresh:
             self._commit_local(
                 store_records.broker_init_record(self.address, self.keypair)
@@ -243,42 +255,36 @@ class Broker(Node):
             )
 
     def handle(self, kind: str, src: str, payload: Any) -> Any:
-        """Dispatch, journaling the request's mutations before replying.
+        """Admit one request: the pool's verdict, the handler's state checks,
+        then its journal record, durable before the reply leaves.
 
-        Write-ahead discipline: the staged mutations (plus the reply, keyed
-        by the request's idempotency key so recovery can refill the replay
-        cache) are fsynced as one journal record *before* the result leaves
-        this method.  A crash after the handler ran but before the append
-        completes loses only in-memory state the client never saw — its
-        retry re-executes against the recovered broker.  Replay-cache hits
-        stage nothing, so retries never duplicate journal records.
+        A request that arrives alone is a window of one: its handler asks
+        :attr:`pool`, and its record is flushed (one fsync) before this
+        returns; a window owner's :class:`Admission` hands the verdict and
+        takes the flush over.  The record holds the staged mutations plus
+        the reply, keyed by the request's idempotency key so recovery can
+        refill the replay cache.  A crash before the flush loses only state
+        the client never saw; replay-cache hits stage nothing.
         """
-        if self.store is None:
-            return super().handle(kind, src, payload)
-        idem, _body = unwrap_idempotent(payload)
+        admission = self.admission = self.admission or Admission()
         self._staged = []
         try:
             result = super().handle(kind, src, payload)
-        except BaseException:
-            self._staged = []
-            raise
-        staged, self._staged = self._staged, []
-        on_durable, self.on_durable = self.on_durable, None
-        self.last_request_staged = bool(staged)
+        finally:  # a raising handler's staged mutations are dropped with it
+            self.admission = None
+            staged, self._staged = self._staged, []
+        admission.staged = bool(staged)
         if staged:
+            idem, _body = unwrap_idempotent(payload)
             record = {
                 "kind": kind,
                 "idem": idem,
                 "reply": result if idem is not None else None,
                 "muts": staged,
             }
-            if self.committer is not None:
-                # Group commit: the record becomes durable at the next
-                # flush; the caller must sit on the reply until then (the
-                # ``on_durable`` callback is its release signal).
-                self.committer.stage(record, on_durable=on_durable)
-            else:
-                self.store.append(record)
+            self.committer.stage(record, on_durable=admission.on_durable)
+            if admission.on_durable is None:
+                self.committer.flush()
         return result
 
     # -- accounts ---------------------------------------------------------------
@@ -494,33 +500,15 @@ class Broker(Node):
 
     # -- verification helpers -----------------------------------------------------
 
-    def mark_preverified(self, vouched: dict[bytes, protocol.HolderRequest | None]) -> None:
-        """Record one window of raw requests whose signatures a verification pool checked.
-
-        Keys are SHA-256 digests of the exact request bytes; a value is the
-        :class:`~repro.core.protocol.HolderRequest` the pool opened from
-        them, or ``None`` (a purchase; a pool that hands nothing back).  When
-        each request arrives, the broker skips its *cryptographic* checks
-        (group signature, DSA signatures) and does not decode a handed
-        request again — the endpoint check and every state check
-        (circulation, double-spend, holdership binding, expiry, balances)
-        still run here, because only the broker knows which endpoint was
-        asked and holds that state.  Entries are consumed on first use, so a
-        digest vouches for one admission, and each call drops the previous
-        window's leftovers (a replay-cache hit never reaches a handler), so
-        nothing outlives its window.
-        """
-        self._preverified = dict(vouched)
-
-    def _crypto_preverified(self, data: bytes) -> tuple[bool, protocol.HolderRequest | None]:
-        """Consume a pool pre-verification for ``data``: whether there was
-        one, and the opened request it came with (if any)."""
-        if not self._preverified:
-            return False, None
-        digest = hashlib.sha256(data).digest()
-        if digest not in self._preverified:
-            return False, None
-        return True, self._preverified.pop(digest)
+    def _verify_signatures(self, job: str, data: bytes) -> Any:
+        """The pool's :class:`~repro.pipeline.verify.Verdict` on this
+        request: the one its window handed, else a window of one, now."""
+        admission = self.admission or Admission()  # or a handler called directly
+        if admission.verdict is None:
+            verdicts: list[Any] = []
+            self.pool.verify([(job, data)], verdicts)
+            admission.verdict = verdicts[0]
+        return admission.verdict
 
     def _verify_holder_op(self, data: bytes, kind: str) -> protocol.HolderRequest:
         """Common validation for the four holder endpoints (``kind`` is the one serving).
@@ -529,32 +517,19 @@ class Broker(Node):
         holder's (verified) proof binding.  Raises a protocol error subclass
         on any failure.
 
-        One fold decides every signature before any state check; if it
-        fails, the group signature is named first and the DSA ones after
-        the state checks, as each check reads.  When the request was
-        pre-verified by a verification pool (:meth:`mark_preverified`), the
-        signature checks are skipped; the pool already ran them
-        (unconditionally, including the proof-binding signature) on these
-        exact bytes.  A request it handed over opened
-        is not parsed again, only checked against this endpoint's kind (the
-        pool knows no endpoint).  All state checks below still run.
+        The pool checked the signatures (:meth:`_verify_signatures`); this
+        runs the endpoint check, the judge's revocation floor and the state
+        checks, naming a failed group signature before them and a failed
+        DSA one after, as each check reads.
         """
-        crypto_done, request = self._crypto_preverified(data)
-        if request is None:
-            request = protocol.open_holder_request(data, self.params, kind)
-        else:
-            request.require_served_as(kind)
+        verdict = self._verify_signatures(JOB_HOLDER, data)
+        # Bytes the pool could not open: opening them here names the failure.
+        request = verdict.request or protocol.open_holder_request(data, self.params, kind)
+        request.require_served_as(kind)
         envelope, coin, proof = request.envelope, request.coin, request.proof
 
-        gpk = self.judge.verification_key(envelope.roster_version)
-        stored = self.downtime_bindings.get(coin.coin_y)
-        # Second flavour (Section 4.2): bit-by-bit comparison with state
-        # stands in for the proof binding's signature (the last triple).
-        via_state = stored is not None and proof.via_broker
-        dsa_batch = request.dsa_triples()[: 2 if via_state else 3]
-        group = (envelope.inner.encode(), envelope.group_signature)
-        signatures_ok = crypto_done or dsa_batch_verify(dsa_batch, groups=[(gpk, [group])])
-        if not signatures_ok and not group_verify(gpk, *group):
+        self.judge.verification_key(envelope.roster_version)
+        if not verdict.group:
             raise VerificationFailed("holder envelope signatures invalid")
         if coin.cert.signer.y != self.public_key.y:
             raise VerificationFailed("coin certificate invalid")
@@ -575,7 +550,9 @@ class Broker(Node):
             # it every frame of the request; the kept one holds the evidence.
             raise DoubleSpendDetected(*event.args, evidence=event.evidence)
 
-        if via_state:
+        stored = self.downtime_bindings.get(coin.coin_y)
+        if stored is not None and proof.via_broker:
+            # Second flavour (Section 4.2): bit-by-bit comparison with state.
             if proof.encode() != stored.encode():
                 raise NotHolder("proof binding does not match broker state")
         else:
@@ -589,12 +566,12 @@ class Broker(Node):
             raise NotHolder("request not signed with the bound holder key")
         if self.clock.now() > proof.exp_date:
             raise CoinExpired(f"coin {coin.coin_y:#x} expired")
-        if not signatures_ok:
-            # The group layer verified, so a DSA signature failed: name it.
-            if not envelope.inner.verify():
-                raise VerificationFailed("holder envelope signatures invalid")
-            if not coin.cert.verify():
-                raise VerificationFailed("coin certificate invalid")
+        inner_ok, cert_ok, proof_ok = verdict.dsa[:3]
+        if not inner_ok:
+            raise VerificationFailed("holder envelope signatures invalid")
+        if not cert_ok:
+            raise VerificationFailed("coin certificate invalid")
+        if not proof_ok:
             raise VerificationFailed("proof binding signature invalid")
         return request
 
@@ -655,12 +632,13 @@ class Broker(Node):
         amortization the paper's batch remark is for.
         """
         self.counts.purchases += 1
+        verdict = self._verify_signatures(JOB_PURCHASE, data)
         try:
-            signed = protocol.decode_signed(data, self.params)
+            signed = verdict.request or protocol.decode_signed(data, self.params)
             request = protocol.PurchaseRequest.from_payload(signed.payload)
         except (ValueError, KeyError, TypeError) as exc:
             raise ProtocolError(f"malformed purchase: {exc}") from exc
-        if not self._crypto_preverified(data)[0] and not signed.verify():
+        if not verdict.ok:
             raise VerificationFailed("purchase signature invalid")
         # A spec with a handle is a Section 5.2 approach-3 ownerless coin:
         # the certificate binds only the handle and the coin key.  The broker
@@ -756,8 +734,8 @@ class Broker(Node):
         ):
             raise ProtocolError("malformed funding authorization")
         # Identity and balance are checked where the funding account lives
-        # (the debit's table row); the signature is checked here.
-        if not auth.verify():
+        # (the debit's table row); its signature is the request's fourth.
+        if not self._verify_signatures(JOB_HOLDER, data).dsa[3]:
             raise VerificationFailed("funding authorization signature invalid")
         value = self.valid_coins[coin.coin_y].value + operation.delta
         new_coin = Coin.build_batch(self.keypair, [dict(coin.payload, value=value)])[0].encode()

@@ -31,6 +31,8 @@ class Judge:
         #: against roster versions below this (else an expelled member could
         #: keep signing with a pre-expulsion snapshot).  Raised by expel().
         self.minimum_accepted_version = 0
+        #: :meth:`verification_key` as a live lookup (a broker's pool reads it).
+        self.verification_keys: dict[int, GroupPublicKey] = _VerificationKeys(self)
 
     # -- registration --------------------------------------------------------
 
@@ -122,3 +124,18 @@ class Judge:
         h = elgamal_decrypt(keypair, signature.ciphertext)
         self.openings_performed += 1
         return self._manager._registry.get(h)
+
+
+class _VerificationKeys(dict):
+    """``keys[version]`` is the judge's verification key, a ``KeyError`` for
+    a refused version; nothing is stored, so a raised floor holds at once."""
+
+    def __init__(self, judge: Judge) -> None:
+        super().__init__()
+        self._judge = judge
+
+    def __missing__(self, version: int) -> GroupPublicKey:
+        try:
+            return self._judge.verification_key(version)
+        except VerificationFailed:
+            raise KeyError(version) from None

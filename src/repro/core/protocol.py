@@ -207,6 +207,10 @@ HOLDER_OPS: dict[str, HolderOpRow] = {
     ),
 }
 
+#: Verification-pool jobs: dual-signed holder operations, signed purchases.
+JOB_HOLDER = "holder"
+JOB_PURCHASE = "purchase"
+
 
 @dataclass(frozen=True)
 class HolderOperation:
@@ -286,8 +290,12 @@ class HolderRequest:
 
     def dsa_triples(self) -> list[tuple[PublicKey, bytes, DsaSignature]]:
         """The request's DSA signatures as ``(signer, message, signature)``,
-        always in this order: holder envelope, coin certificate, proof binding."""
-        return [signed.triple for signed in (self.envelope.inner, self.coin.cert, self.proof.signed)]
+        always in this order: holder envelope, coin certificate, proof
+        binding, then a top-up's funding authorization."""
+        signed = [self.envelope.inner, self.coin.cert, self.proof.signed]
+        if self.funding_auth is not None:
+            signed.append(self.funding_auth)
+        return [message.triple for message in signed]
 
     def require_served_as(self, kind: str) -> None:
         """``ProtocolError`` unless the table lets an endpoint of wire ``kind`` serve this op."""

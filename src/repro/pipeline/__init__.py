@@ -16,8 +16,10 @@ three stages that dominate cost and batches each one.
   peers' transfers, renewals and purchases through the real protocol
   encoders with Zipf-skewed coin popularity.
 
-``benchmarks/bench_throughput.py`` wires the three together and sweeps
-batch sizes against the one-fsync-per-request scalar baseline.
+A request a broker receives alone takes the same path as a window of one
+(:meth:`repro.core.broker.Broker.handle`).  ``benchmarks/bench_throughput.py``
+wires the three together and sweeps (verify window, commit window) pairs
+against window ``(1, 1)``.
 """
 
 from repro.pipeline.engine import EngineStats, ReplyRecord, ThroughputEngine

@@ -1,33 +1,27 @@
-"""The serial broker stage: verify in batches, commit in groups.
+"""The serial broker stage: verify in windows, commit in groups.
 
-:class:`ThroughputEngine` drives a broker through a stream of raw
-requests with the two batched accelerators wired in:
+:class:`ThroughputEngine` drives a broker through a stream of raw requests
+in windows of ``verify_batch``; a request that reaches the broker alone is
+the same code as a window of one (:meth:`repro.core.broker.Broker.handle`):
 
-1. each verify-batch of requests goes to the :class:`~repro.pipeline.verify.VerificationPool`
-   first; the digests of the requests that pass are handed to
-   :meth:`~repro.core.broker.Broker.mark_preverified` — beside the holder
-   request the pool opened for each — so the broker's handlers skip
-   re-running the signature checks and decode nothing a second time;
-2. with a :class:`~repro.store.groupcommit.GroupCommitter` attached, the
-   broker stages each request's journal record instead of fsyncing it, and
-   the engine *holds the reply* until the committer's covering fsync runs
-   the record's ``on_durable`` callback;
-3. reply *signing* is batched too: the engine owns a
-   :class:`~repro.crypto.dsa.DsaNoncePool` and tops it up once per drained
-   batch with exactly as many precomputed ``(k, g^k, k^-1)`` triples as the
-   batch has binding-minting requests, so each broker-signed reply binding
-   costs two modular multiplications instead of an exponentiation plus an
-   inversion.
+1. a window's requests go to the :class:`~repro.pipeline.verify.VerificationPool`
+   together, and each is handed its verdict in a
+   :class:`~repro.core.broker.Admission` (without a pool, each request is
+   verified alone by the broker's own);
+2. with a :class:`~repro.store.groupcommit.GroupCommitter`, the engine
+   *holds each reply* until the covering fsync runs its ``on_durable``
+   callback (without one, the broker's own committer flushes each record
+   before its reply);
+3. the engine tops its :class:`~repro.crypto.dsa.DsaNoncePool` up once per
+   window with a precomputed ``(k, g^k, k^-1)`` triple per reply binding.
 
-Holding replies is what preserves the PR-4 write-ahead discipline under
-group commit: a client never observes a reply whose mutations are not yet
-durable, so a crash between staging and fsync loses the whole batch
-atomically and every affected client simply retries — the same lost-reply
-story as the per-request path, amortized.
+Holding replies preserves the write-ahead discipline under group commit: a
+crash between staging and fsync loses the whole batch atomically, no
+client has seen a reply from it, and every affected client retries.
 
 The engine is deterministic and single-threaded (lint rule WP102 keeps
 wall clocks out of ``repro.*``): a batch is flushed when it reaches the
-committer's ``max_batch`` or when the window is drained, never by time.
+committer's ``max_batch`` or when the stream is drained, never by time.
 
 One accepted edge: a replay-cache hit for a retried request releases the
 cached reply immediately even if the original's batch is still pending —
@@ -38,16 +32,15 @@ discarded by recovery, so the live engine never hits that window.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, fields
 from typing import Any, Iterable, Sequence
 
 from repro.core import protocol
-from repro.core.broker import Broker
+from repro.core.broker import Admission, Broker
 from repro.core.errors import ProtocolError
 from repro.crypto.dsa import DsaNoncePool
 from repro.net.rpc import wrap_idempotent
-from repro.pipeline.verify import JOB_HOLDER, JOB_PURCHASE, VerificationPool
+from repro.pipeline.verify import JOB_HOLDER, JOB_PURCHASE, Verdict, VerificationPool
 from repro.store.groupcommit import GroupCommitter
 
 #: Which pool job, if any, verifies each broker request kind.
@@ -66,8 +59,8 @@ class ReplyRecord:
 
     ``released`` is the durability gate: an accepted reply may be shown to
     its client only once ``released`` is True, which the engine sets from
-    the group-commit ``on_durable`` callback (immediately, for requests
-    that staged nothing or when no committer is attached).
+    the group-commit ``on_durable`` callback (at once for requests that
+    staged nothing or whose record the broker flushed alone).
     """
 
     kind: str
@@ -86,7 +79,7 @@ class EngineStats:
     processed: int = 0
     accepted: int = 0
     rejected: int = 0
-    staged: int = 0  # requests whose journal record went through the committer/store
+    staged: int = 0  # requests that staged a journal record
     fsyncs: int = 0
     pool_jobs: int = 0
     preverified: int = 0
@@ -121,12 +114,10 @@ class ThroughputEngine:
         self.pool = pool
         self.committer = committer
         self.verify_batch = verify_batch
-        # The broker stages into this committer (or appends per request if None).
-        broker.committer = committer
-        # Batch reply signing: the broker draws signing nonces for reply
-        # bindings from this pool, which the engine tops up once per drained
-        # batch (fixed-base exponentiation + one Montgomery batch inversion)
-        # instead of paying a fresh exponentiation inside every handler.
+        if committer is not None:
+            broker.committer = committer  # the broker stages into it
+        # Batch reply signing: the broker draws reply-binding nonces from
+        # this pool, which the engine tops up once per drained window.
         self.nonce_pool = DsaNoncePool(broker.keypair)
         broker.nonce_pool = self.nonce_pool
 
@@ -143,17 +134,18 @@ class ThroughputEngine:
         stats = EngineStats()
         records: list[ReplyRecord] = []
         batch: list[tuple[str, str, bytes, str | None]] = []
-        flushes_before = 0 if self.committer is None else self.committer.flushes
+        committer = self.broker.committer
+        flushes_before = 0 if committer is None else committer.flushes
 
         def drain() -> None:
             if not batch:
                 return
-            self._preverify(batch, stats)
+            verdicts = self._verify(batch, stats)
             bindings = sum(1 for kind, _src, _data, _idem in batch if kind in _BINDING_KINDS)
             if bindings:
                 stats.nonces_pooled += self.nonce_pool.ensure(bindings)
-            for kind, src, data, idem in batch:
-                records.append(self._handle_one(kind, src, data, idem, stats))
+            for (kind, src, data, idem), verdict in zip(batch, verdicts):
+                records.append(self._handle_one(kind, src, data, idem, verdict, stats))
             batch.clear()
 
         for request in requests:
@@ -161,40 +153,32 @@ class ThroughputEngine:
             if len(batch) >= self.verify_batch:
                 drain()
         drain()
-        if self.committer is not None:
-            self.committer.flush()
-            stats.fsyncs = self.committer.flushes - flushes_before
-        else:
-            stats.fsyncs = stats.staged
+        if committer is not None:
+            committer.flush()
+            stats.fsyncs = committer.flushes - flushes_before
         return records, stats
 
-    def _preverify(
+    def _verify(
         self, batch: Sequence[tuple[str, str, bytes, str | None]], stats: EngineStats
-    ) -> None:
-        """Pool-verify one batch; mark the passing digests on the broker, each
-        with the holder request the pool opened for it (if it handed one)."""
-        if self.pool is None:
-            return
-        jobs = [
-            (_JOB_FOR_KIND[kind], data)
-            for kind, _src, data, _idem in batch
+    ) -> list[Verdict | None]:
+        """One pool call per window: each request's verdict, or ``None``."""
+        handed: list[Verdict | None] = [None] * len(batch)
+        jobs = {
+            index: (_JOB_FOR_KIND[kind], data)
+            for index, (kind, _src, data, _idem) in enumerate(batch)
             if kind in _JOB_FOR_KIND
-        ]
-        if not jobs:
-            return
-        opened: dict[int, protocol.HolderRequest] = {}
-        verdicts = self.pool.verify(jobs, opened)
-        stats.pool_jobs += len(jobs)
-        vouched = {
-            hashlib.sha256(data).digest(): opened.get(index)
-            for index, ((_job, data), passed) in enumerate(zip(jobs, verdicts))
-            if passed
         }
-        stats.preverified += len(vouched)
-        self.broker.mark_preverified(vouched)
+        if self.pool is not None and jobs:
+            verdicts: list[Verdict] = []
+            stats.preverified += sum(self.pool.verify(list(jobs.values()), verdicts))
+            stats.pool_jobs += len(jobs)
+            for index, verdict in zip(jobs, verdicts):
+                handed[index] = verdict
+        return handed
 
     def _handle_one(
-        self, kind: str, src: str, data: bytes, idem: str | None, stats: EngineStats
+        self, kind: str, src: str, data: bytes, idem: str | None, verdict: Verdict | None,
+        stats: EngineStats,
     ) -> ReplyRecord:
         record = ReplyRecord(kind=kind, idem=idem)
         stats.processed += 1
@@ -204,8 +188,8 @@ class ThroughputEngine:
             record.released = True
             record.durable_lsn = lsn
 
-        if self.committer is not None:
-            self.broker.on_durable = release
+        admission = Admission(verdict, None if self.committer is None else release)
+        self.broker.admission = admission
         try:
             result = self.broker.handle(kind, src, payload)
         except ProtocolError as exc:
@@ -217,14 +201,10 @@ class ThroughputEngine:
             record.ok = True
             record.reply = result
             stats.accepted += 1
-            if self.broker.store is not None and self.broker.last_request_staged:
+            if admission.staged:
                 stats.staged += 1
-                if self.committer is None:
-                    record.released = True  # fsynced inside handle()
-                # else: released by the covering flush's callback (which may
-                # already have run, if staging tripped the max_batch flush).
-            else:
-                record.released = True  # read-only request: nothing to make durable
-        finally:
-            self.broker.on_durable = None
+            if not admission.staged or self.committer is None:
+                # Read-only, or flushed alone inside handle(); else released
+                # by the covering flush (maybe already, at max_batch).
+                record.released = True
         return record

@@ -54,7 +54,7 @@ EXEMPTED = [
     ("benchmarks/bench_crypto_ops.py", 319, "WP103"),
     ("benchmarks/bench_crypto_ops.py", 320, "WP103"),
     ("benchmarks/bench_crypto_ops.py", 321, "WP103"),
-    ("benchmarks/bench_crypto_ops.py", 362, "WP103"),
+    ("benchmarks/bench_crypto_ops.py", 368, "WP103"),
     ("examples/threshold_judges.py", 30, "WP111"),
     ("examples/threshold_judges.py", 57, "WP111"),
 ]
